@@ -7,4 +7,4 @@ clustering, tiered placement of cross-cutting factors, applicability
 indicators, and framework export with flow-diagram data.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

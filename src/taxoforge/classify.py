@@ -4,7 +4,9 @@ Counts-based classes: a factor active in five or more space types is
 Universal, three or four Multi-space, one or two Space-specific. Distribution
 entropy (natural log over the active-type count shares) measures evenness.
 Cross-cutting detection scores each factor against every domain's keyword
-lexicon and flags factors relevant to three or more domains.
+lexicon and flags factors relevant to three or more domains. That
+factor-by-domain relevance table is computed here once and carried on each
+result, so category assignment and placement read it instead of rescoring.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .errors import TaxoforgeError
-from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
+from .integrate import IntegratedFactorSet, OccurrenceVector
 from .knowledge import Domain, DomainKnowledgeBase
 from .similarity import SemanticLexicon, linguistic_similarity
 
@@ -96,38 +99,36 @@ def domain_relevance(name: str, domain: Domain, lexicon: SemanticLexicon) -> flo
     )
 
 
-def primary_domain(
-    factor: IntegratedFactor,
-    kb: DomainKnowledgeBase,
-    lexicon: SemanticLexicon,
-) -> str:
-    """Domain whose keyword lexicon best matches the factor name.
+def relevance_row(
+    name: str, kb: DomainKnowledgeBase, lexicon: SemanticLexicon
+) -> tuple[float, ...]:
+    """The factor's relevance to every domain, in KB order."""
+    return tuple(domain_relevance(name, domain, lexicon) for domain in kb.domains)
 
-    Ties break by KB domain order. Raises when no domain scores above zero;
-    the pipeline treats that factor as unassignable and reports it.
+
+def primary_domain(
+    relevance: Sequence[float], kb: DomainKnowledgeBase
+) -> str | None:
+    """Domain with the highest relevance, or None when every domain scores zero.
+
+    Ties break by KB domain order; the pipeline reports unassignable factors.
     """
     best_id, best_score = None, 0.0
-    for domain in kb.domains:
-        score = domain_relevance(factor.canonical_name, domain, lexicon)
+    for domain, score in zip(kb.domains, relevance):
         if score > best_score:
             best_id, best_score = domain.identifier, score
-    if best_id is None:
-        raise TaxoforgeError(
-            f"factor {factor.canonical_name!r} matches no domain lexicon"
-        )
     return best_id
 
 
 def assess_cross_cutting(
-    factor: IntegratedFactor,
+    relevance: Sequence[float],
     kb: DomainKnowledgeBase,
-    lexicon: SemanticLexicon,
     threshold: float = CROSS_CUTTING_THRESHOLD,
 ) -> CrossCuttingAssessment:
     relevant = tuple(
         domain.identifier
-        for domain in kb.domains
-        if domain_relevance(factor.canonical_name, domain, lexicon) >= threshold
+        for domain, score in zip(kb.domains, relevance)
+        if score >= threshold
     )
     score = len(relevant)
     return CrossCuttingAssessment(
@@ -145,6 +146,7 @@ class ClassificationResult:
     factor_class: FactorClass
     primary_domain: str | None
     cross_cutting: CrossCuttingAssessment
+    relevance: tuple[float, ...]  # per KB domain, in KB order
 
 
 def classify_factors(
@@ -156,17 +158,15 @@ def classify_factors(
     results = []
     for factor in factor_set.factors:
         stats = distribution_stats(factor.occurrence)
-        try:
-            domain_id = primary_domain(factor, kb, lexicon)
-        except TaxoforgeError:
-            domain_id = None
+        relevance = relevance_row(factor.canonical_name, kb, lexicon)
         results.append(
             ClassificationResult(
                 name=factor.canonical_name,
                 stats=stats,
                 factor_class=classify(stats),
-                primary_domain=domain_id,
-                cross_cutting=assess_cross_cutting(factor, kb, lexicon, threshold),
+                primary_domain=primary_domain(relevance, kb),
+                cross_cutting=assess_cross_cutting(relevance, kb, threshold),
+                relevance=relevance,
             )
         )
     return results
@@ -214,6 +214,7 @@ def classification_to_dict(results: list[ClassificationResult]) -> dict:
                 "cross_cutting_score": r.cross_cutting.score,
                 "status": r.cross_cutting.status.value,
                 "flagged": r.cross_cutting.flagged,
+                "relevance": list(r.relevance),
             }
             for r in results
         ]
@@ -239,6 +240,7 @@ def classification_from_dict(doc: dict) -> list[ClassificationResult]:
                     status=CrossCuttingStatus(entry["status"]),
                     flagged=entry["flagged"],
                 ),
+                relevance=tuple(entry["relevance"]),
             )
         )
     return results

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .classify import ClassificationResult, FactorClass, domain_relevance
+from .classify import ClassificationResult, FactorClass
 from .errors import TaxoforgeError
 from .integrate import IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase, DomainScope, ScopePriors
@@ -97,7 +97,6 @@ def score_domains(
     kb: DomainKnowledgeBase,
     matrix: SimilarityMatrix,
     primary_domains: Sequence[str | None],
-    lexicon: SemanticLexicon,
     related_threshold: float = RELATED_THRESHOLD,
 ) -> dict[str, AssignmentScores]:
     """Per-domain channel scores for one factor."""
@@ -111,10 +110,8 @@ def score_domains(
             evidence_counts[domain_id] = evidence_counts.get(domain_id, 0) + 1
 
     scores: dict[str, AssignmentScores] = {}
-    for domain in kb.domains:
-        semantic = priors[domain.scope] * domain_relevance(
-            factor.canonical_name, domain, lexicon
-        )
+    for domain, relevance in zip(kb.domains, classification.relevance):
+        semantic = priors[domain.scope] * relevance
         evidence = (
             evidence_counts.get(domain.identifier, 0) / len(related) if related else 0.0
         )
@@ -212,7 +209,6 @@ def assign_categories(
             kb,
             matrix,
             primary_domains,
-            lexicon,
             related_threshold,
         )
         all_scores.append(scores)
@@ -302,7 +298,6 @@ def assignments_to_dict(assignments: Sequence[CategoryAssignment]) -> dict:
                         "semantic": s.semantic,
                         "similarity_evidence": s.similarity_evidence,
                         "distribution": s.distribution,
-                        "final": s.final,
                     }
                     for domain_id, s in a.scores.items()
                 },

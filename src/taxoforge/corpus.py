@@ -10,8 +10,6 @@ stripping, then a single-step synonym map guarded by a preserve-distinct list.
 from __future__ import annotations
 
 import csv
-import io
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,16 +60,9 @@ class FactorRecord:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered factor records with per-typology counts."""
+    """Ordered factor records."""
 
     records: tuple[FactorRecord, ...]
-
-    @property
-    def counts(self) -> dict[str, int]:
-        out = {code: 0 for code in SPACE_TYPES}
-        for rec in self.records:
-            out[rec.space_type] += 1
-        return out
 
     def __len__(self) -> int:
         return len(self.records)
@@ -228,44 +219,27 @@ def _records_from_rows(
     return records
 
 
-def load_corpus(
-    path: str | Path,
-    format: str = "delimited",
-    expect_type: str | None = None,
-) -> Corpus:
+def load_corpus(path: str | Path, expect_type: str | None = None) -> Corpus:
     """Load one dataset file, preserving row order.
 
-    ``delimited`` is comma-separated UTF-8 text with the header
-    ``raw_name,study_id,space_type``; ``structured`` is the JSON mirror.
-    ``expect_type`` restricts a per-typology file to a single code.
+    The file is comma-separated UTF-8 text with the header
+    ``raw_name,study_id,space_type``. ``expect_type`` restricts a
+    per-typology file to a single code.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"dataset file not found: {path}")
-    if format == "delimited":
-        with path.open(encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise CorpusError(f"{path}: empty file, expected header") from None
-            if tuple(cell.strip() for cell in header) != CSV_HEADER:
-                raise CorpusError(
-                    f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
-                )
-            records = _records_from_rows(reader, str(path), expect_type)
-    elif format == "structured":
+    with path.open(encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: cannot parse JSON: {exc}") from exc
-        rows = [
-            [entry.get("raw_name", ""), entry.get("study_id", ""), entry.get("space_type", "")]
-            for entry in doc.get("records", [])
-        ]
-        records = _records_from_rows(rows, str(path), expect_type)
-    else:
-        raise CorpusError(f"unknown corpus format {format!r}")
+            header = next(reader)
+        except StopIteration:
+            raise CorpusError(f"{path}: empty file, expected header") from None
+        if tuple(cell.strip() for cell in header) != CSV_HEADER:
+            raise CorpusError(
+                f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+            )
+        records = _records_from_rows(reader, str(path), expect_type)
     return Corpus(records=tuple(records))
 
 
@@ -275,30 +249,3 @@ def merge_corpora(corpora: Iterable[Corpus]) -> Corpus:
         records.extend(corpus.records)
     return Corpus(records=tuple(records))
 
-
-def write_corpus(corpus: Corpus, path: str | Path, format: str = "delimited") -> None:
-    """Serialize a corpus back to disk; inverse of load_corpus."""
-    path = Path(path)
-    if format == "delimited":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for rec in corpus.records:
-            writer.writerow([rec.raw_name, rec.study_id, rec.space_type])
-        path.write_text(buffer.getvalue(), encoding="utf-8")
-    elif format == "structured":
-        doc = {
-            "records": [
-                {
-                    "raw_name": rec.raw_name,
-                    "study_id": rec.study_id,
-                    "space_type": rec.space_type,
-                }
-                for rec in corpus.records
-            ]
-        }
-        path.write_text(
-            json.dumps(doc, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
-    else:
-        raise CorpusError(f"unknown corpus format {format!r}")

@@ -380,47 +380,6 @@ def framework_to_dict(framework: Framework) -> dict:
     }
 
 
-def framework_from_dict(doc: dict) -> Framework:
-    metadata = doc["metadata"]
-    categories = tuple(
-        FrameworkCategory(
-            identifier=cat["identifier"],
-            factor_total=cat["factor_total"],
-            subcategories=tuple(
-                FrameworkSubcategory(
-                    identifier=sub["identifier"],
-                    factor_count=sub["factor_count"],
-                    entries=tuple(
-                        FrameworkEntry(
-                            canonical_name=entry["canonical_name"],
-                            tracking_notation=entry["tracking_notation"],
-                            classification=entry["classification"],
-                            indicator=entry["indicator"],
-                            tier=entry["tier"],
-                            placements=tuple(entry["placements"]),
-                            reference=entry["reference"],
-                            insertion_index=entry["insertion_index"],
-                        )
-                        for entry in sub["entries"]
-                    ),
-                )
-                for sub in cat["subcategories"]
-            ),
-        )
-        for cat in doc["categories"]
-    )
-    return Framework(
-        metadata=FrameworkMetadata(
-            total_original_factors=metadata["total_original_factors"],
-            unique_factors=metadata["unique_factors"],
-            reduction_percentage=metadata["reduction_percentage"],
-            space_types=tuple(metadata["space_types"]),
-            config_checksums=dict(metadata["config_checksums"]),
-        ),
-        categories=categories,
-    )
-
-
 def report_to_dict(report: ValidationReport) -> dict:
     def check(c: ValidationCheck) -> dict:
         return {"passed": c.passed, "problems": list(c.problems)}

@@ -8,7 +8,6 @@ space research, and users supply richer files to grow the hierarchy.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -71,8 +70,6 @@ class DomainKnowledgeBase:
     domains: tuple[Domain, ...]
     scope_priors: ScopePriors = ScopePriors()
     placement_overrides: Mapping[str, str] = field(default_factory=dict)
-    version: int = 1
-    checksum: str = ""
 
     def domain_ids(self) -> tuple[str, ...]:
         return tuple(domain.identifier for domain in self.domains)
@@ -155,14 +152,12 @@ def load_kb(path: str | Path) -> DomainKnowledgeBase:
     path = Path(path)
     if not path.exists():
         raise KnowledgeBaseError(f"kb path not found: {path}")
-    raw = path.read_bytes()
     try:
-        doc = yaml.safe_load(raw.decode("utf-8"))
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise KnowledgeBaseError(f"cannot parse kb file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise KnowledgeBaseError(f"kb file {path} must be a mapping")
-    version = int(doc.get("version", 1))
     domains_doc = doc.get("domains") or []
     if not isinstance(domains_doc, list) or not domains_doc:
         raise KnowledgeBaseError(f"kb file {path} declares no domains")
@@ -193,8 +188,6 @@ def load_kb(path: str | Path) -> DomainKnowledgeBase:
         domains=domains,
         scope_priors=priors,
         placement_overrides=overrides,
-        version=version,
-        checksum=hashlib.sha256(raw).hexdigest(),
     )
 
 

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import yaml
 
+from . import __version__
 from . import applicability, classify, cluster, emit, integrate, placement, similarity
 from .corpus import SPACE_TYPES, load_corpus, load_rules, merge_corpora
 from .errors import ArtifactError, ConfigError, TaxoforgeError
@@ -34,6 +35,9 @@ from .similarity import SimilarityWeights, load_lexicon
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
+
+# Unmatched factor names quoted in the classify warning; the count is always given.
+UNMATCHED_SHOWN = 5
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,10 @@ class PipelineConfig:
     jobs: int = 1
 
     def checksum(self) -> str:
-        """Digest over resolved settings plus the content of every input file."""
+        """Digest over the package version, resolved settings, and the content
+        of every input file; the version guards artifact-format changes."""
         doc = {
+            "version": __version__,
             "datasets": [
                 [str(path), code, _file_digest(path, "dataset")]
                 for path, code in self.datasets
@@ -289,7 +295,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 def phase_integrate(config: PipelineConfig) -> Path:
     rules = load_rules(config.rules_path)
     corpora = [
-        load_corpus(path, "delimited", expect_type=code)
+        load_corpus(path, expect_type=code)
         for path, code in config.datasets
     ]
     corpus = merge_corpora(corpora)
@@ -342,7 +348,11 @@ def phase_classify(config: PipelineConfig) -> Path:
     )
     unassigned = [r.name for r in results if r.primary_domain is None]
     if unassigned:
-        log.warning("classify: factors without a domain match: %s", unassigned)
+        log.warning(
+            "classify: %d factors without a domain match, first names: %s",
+            len(unassigned),
+            unassigned[:UNMATCHED_SHOWN],
+        )
     path = _write_artifact(
         config, "classify", classify.classification_to_dict(results)
     )
@@ -467,18 +477,6 @@ def primary_homes(
         else:
             out[result.name] = by_assignment[result.name]
     return out
-
-
-def effective_domains(
-    results: Sequence[classify.ClassificationResult],
-    assignments: Sequence[cluster.CategoryAssignment],
-    placement_result: placement.PlacementResult,
-) -> dict[str, str]:
-    """Factor -> home domain: strategic primary when cross-cutting, else category."""
-    return {
-        name: home[0]
-        for name, home in primary_homes(results, assignments, placement_result).items()
-    }
 
 
 def _aggregation_profiles(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .classify import ClassificationResult, domain_relevance
+from .classify import ClassificationResult
 from .cluster import CategoryAssignment, best_subcategory, related_factors
 from .errors import TaxoforgeError
 from .integrate import IntegratedFactorSet
@@ -38,7 +38,6 @@ class CompositeScore:
     functional_importance: float
     theoretical_justification: float
     space_compatibility: float
-    weights: tuple[float, float, float, float] = COMPOSITE_WEIGHTS
 
     @property
     def composite(self) -> float:
@@ -48,7 +47,7 @@ class CompositeScore:
             self.theoretical_justification,
             self.space_compatibility,
         )
-        return sum(w * p for w, p in zip(self.weights, parts))
+        return sum(w * p for w, p in zip(COMPOSITE_WEIGHTS, parts))
 
 
 @dataclass(frozen=True)
@@ -75,13 +74,13 @@ def composite(
     factor_set: IntegratedFactorSet,
     classification: ClassificationResult,
     kb: DomainKnowledgeBase,
-    matrix: SimilarityMatrix,
+    related: Sequence[tuple[int, float]],
     assignments: Sequence[CategoryAssignment],
-    lexicon: SemanticLexicon,
-    related_threshold: float = 0.75,
-    weights: tuple[float, float, float, float] = COMPOSITE_WEIGHTS,
 ) -> CompositeScore:
-    """Composite score of one factor against one of its relevant domains."""
+    """Composite score of one factor against one of its relevant domains.
+
+    ``related`` is the factor's neighbour list from ``related_factors``.
+    """
     if not classification.cross_cutting.flagged:
         raise TaxoforgeError(
             f"{classification.name!r} is not flagged cross-cutting"
@@ -90,13 +89,10 @@ def composite(
         raise TaxoforgeError(
             f"domain {domain_id} is not relevant for {classification.name!r}"
         )
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise TaxoforgeError("composite weights must sum to 1")
     factor = factor_set.factors[index]
-    domain = kb.by_id(domain_id)
+    position = kb.domain_ids().index(domain_id)
+    domain = kb.domains[position]
 
-    semantic = domain_relevance(factor.canonical_name, domain, lexicon)
-    related = related_factors(index, matrix, related_threshold)
     if related:
         assigned_here = sum(
             1 for j, _ in related if assignments[j].category == domain_id
@@ -107,11 +103,10 @@ def composite(
     theoretical = domain.literature_level(factor.canonical_name)
     compatibility = cosine(factor.occurrence.counts, domain.space_profile)
     return CompositeScore(
-        semantic_relevance=semantic,
+        semantic_relevance=classification.relevance[position],
         functional_importance=functional,
         theoretical_justification=theoretical,
         space_compatibility=compatibility,
-        weights=weights,
     )
 
 
@@ -119,15 +114,14 @@ def place(
     factor_name: str,
     ranked: Sequence[tuple[str, float]],
     kb: DomainKnowledgeBase,
-    lexicon: SemanticLexicon | None = None,
+    lexicon: SemanticLexicon,
     promotion_threshold: float = PROMOTION_THRESHOLD,
 ) -> list[StrategicPlacement]:
     """Apply the tier protocol to a composite-ranked domain list.
 
     ``ranked`` must be sorted best first. Rank 1 is Primary, rank 2 Secondary,
     deeper ranks Tertiary unless their composite reaches the promotion
-    threshold. Without a lexicon the subcategory falls back to each domain's
-    first entry.
+    threshold. Each placement's subcategory is the domain's best keyword match.
     """
     if not ranked:
         raise TaxoforgeError(f"no ranked domains for {factor_name!r}")
@@ -139,11 +133,7 @@ def place(
             tier = PlacementTier.SECONDARY
         else:
             tier = PlacementTier.TERTIARY
-        domain = kb.by_id(domain_id)
-        if lexicon is None:
-            subcategory = domain.subcategories[0].identifier
-        else:
-            subcategory = best_subcategory([factor_name], domain, lexicon)
+        subcategory = best_subcategory([factor_name], kb.by_id(domain_id), lexicon)
         placements.append(
             StrategicPlacement(
                 factor=factor_name,
@@ -179,18 +169,11 @@ def place_cross_cutting(
     for index, result in enumerate(classifications):
         if not result.cross_cutting.flagged:
             continue
+        related = related_factors(index, matrix, related_threshold)
         scored = []
         for domain_id in result.cross_cutting.relevant_domains:
             score = composite(
-                index,
-                domain_id,
-                factor_set,
-                result,
-                kb,
-                matrix,
-                assignments,
-                lexicon,
-                related_threshold,
+                index, domain_id, factor_set, result, kb, related, assignments
             )
             scored.append((domain_id, score.composite))
         order = {domain_id: pos for pos, domain_id in enumerate(kb.domain_ids())}

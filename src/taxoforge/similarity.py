@@ -14,7 +14,6 @@ The blend uses configurable weights (defaults 0.5 / 0.3 / 0.2). Scores above
 
 from __future__ import annotations
 
-import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ class SemanticLexicon:
 
     fields: Mapping[str, frozenset[str]]
     field_score: float = DEFAULT_FIELD_SCORE
-    checksum: str = ""
 
     def fields_of(self, name: str) -> frozenset[str]:
         return frozenset(
@@ -51,9 +49,8 @@ def load_lexicon(path: str | Path) -> SemanticLexicon:
     path = Path(path)
     if not path.exists():
         raise LexiconError(f"lexicon file not found: {path}")
-    raw = path.read_bytes()
     try:
-        doc = yaml.safe_load(raw.decode("utf-8"))
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise LexiconError(f"cannot parse lexicon file {path}: {exc}") from exc
     if doc is None:
@@ -71,11 +68,7 @@ def load_lexicon(path: str | Path) -> SemanticLexicon:
         if not isinstance(terms, list) or not terms:
             raise LexiconError(f"lexicon field {name!r} must list at least one term")
         fields[str(name)] = frozenset(" ".join(str(t).casefold().split()) for t in terms)
-    return SemanticLexicon(
-        fields=fields,
-        field_score=field_score,
-        checksum=hashlib.sha256(raw).hexdigest(),
-    )
+    return SemanticLexicon(fields=fields, field_score=field_score)
 
 
 def _tokens(name: str) -> frozenset[str]:
@@ -225,20 +218,10 @@ class SimilarityMatrix:
     scores: list[list[float]]
     components: dict[tuple[int, int], ComponentScores]
     weights: SimilarityWeights
-    lexicon_checksum: str = ""
 
     @property
     def n(self) -> int:
         return len(self.names)
-
-    def index_of(self, name: str) -> int:
-        return self.names.index(name)
-
-    def score(self, i: int, j: int) -> float:
-        return self.scores[i][j]
-
-    def score_by_name(self, a: str, b: str) -> float:
-        return self.scores[self.index_of(a)][self.index_of(b)]
 
 
 def _pair_components(
@@ -293,7 +276,6 @@ def build_matrix(
         scores=scores,
         components=components,
         weights=weights,
-        lexicon_checksum=lexicon.checksum,
     )
 
 
@@ -338,7 +320,6 @@ def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
     return {
         "n": matrix.n,
         "weights": list(matrix.weights.as_tuple()),
-        "lexicon_checksum": matrix.lexicon_checksum,
         "names": list(matrix.names),
         "scores": [list(row) for row in matrix.scores],
         "components": [
@@ -359,5 +340,4 @@ def matrix_from_dict(doc: dict) -> SimilarityMatrix:
         scores=[list(row) for row in doc["scores"]],
         components=components,
         weights=weights,
-        lexicon_checksum=doc.get("lexicon_checksum", ""),
     )

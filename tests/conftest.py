@@ -197,7 +197,7 @@ def build_pipeline_outputs(factor_set, kb, lexicon, matrix=None):
     """Run phases 2..6 in memory and return everything emit needs."""
     from taxoforge.applicability import indicators_for
     from taxoforge.cluster import assign_categories
-    from taxoforge.pipeline import effective_domains
+    from taxoforge.pipeline import primary_homes
     from taxoforge.placement import place_cross_cutting
 
     if matrix is None:
@@ -207,7 +207,8 @@ def build_pipeline_outputs(factor_set, kb, lexicon, matrix=None):
     placements = place_cross_cutting(
         factor_set, classifications, kb, matrix, assignments, lexicon
     )
-    domains = effective_domains(classifications, assignments, placements)
+    homes = primary_homes(classifications, assignments, placements)
+    domains = {name: home[0] for name, home in homes.items()}
     indicators = indicators_for(factor_set.factors, classifications, domains, kb)
     return classifications, assignments, placements, indicators
 

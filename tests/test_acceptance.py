@@ -155,7 +155,7 @@ def test_c5_coverage_and_indicators(default_kb):
             assert indicator(factor, cls, domain, default_kb).text == text, name
 
 
-def test_c6_placement_protocol(default_kb, sample_framework):
+def test_c6_placement_protocol(default_kb, default_lexicon, sample_framework):
     composites = {
         "lighting": [
             ("SAFETY & SECURITY", 0.904),
@@ -193,15 +193,17 @@ def test_c6_placement_protocol(default_kb, sample_framework):
     }
     with criterion(6, "worked composites give all six primaries and five of six tier columns"):
         for name, ranked in composites.items():
-            placements = place(name, ranked, default_kb)
+            placements = place(name, ranked, default_kb, default_lexicon)
             assert placements[0].tier is PlacementTier.PRIMARY
             assert placements[0].domain == ranked[0][0], name
         for name, expected in published_tiers.items():
-            placements = place(name, composites[name], default_kb)
+            placements = place(name, composites[name], default_kb, default_lexicon)
             assert [p.tier.value for p in placements] == expected, name
         # the remaining row deviates from its published label by rule and is
         # carried as a discrepancy note instead
-        placements = place("accessibility", composites["accessibility"], default_kb)
+        placements = place(
+            "accessibility", composites["accessibility"], default_kb, default_lexicon
+        )
         tiers = {p.domain: p.tier for p in placements}
         assert tiers["INFRASTRUCTURE"] is PlacementTier.TERTIARY
         _, report = sample_framework

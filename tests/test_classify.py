@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -12,14 +13,16 @@ from taxoforge.classify import (
     FactorClass,
     assess_cross_cutting,
     classification_census,
+    classification_from_dict,
+    classification_to_dict,
     classify,
     distribution_stats,
     entropy,
     primary_domain,
+    relevance_row,
 )
 from taxoforge.errors import TaxoforgeError
 from taxoforge.integrate import OccurrenceVector
-from tests.conftest import make_factor
 
 
 def hand_entropy(counts):
@@ -95,42 +98,37 @@ class TestPrimaryDomain:
         ],
     )
     def test_worked_examples(self, name, expected, default_kb, default_lexicon):
-        factor = make_factor(name, {"P": 1})
-        assert primary_domain(factor, default_kb, default_lexicon) == expected
+        row = relevance_row(name, default_kb, default_lexicon)
+        assert primary_domain(row, default_kb) == expected
 
-    def test_unassignable_raises(self, default_kb, default_lexicon):
-        factor = make_factor("zzz", {"P": 1})
-        with pytest.raises(TaxoforgeError, match="no domain"):
-            primary_domain(factor, default_kb, default_lexicon)
+    def test_unassignable_is_none(self, default_kb, default_lexicon):
+        row = relevance_row("zzz", default_kb, default_lexicon)
+        assert primary_domain(row, default_kb) is None
 
     def test_deterministic(self, default_kb, default_lexicon):
-        factor = make_factor("lighting", {"P": 1, "S": 1, "O": 1})
-        first = primary_domain(factor, default_kb, default_lexicon)
-        assert all(
-            primary_domain(factor, default_kb, default_lexicon) == first
-            for _ in range(5)
-        )
+        rows = [
+            relevance_row("lighting", default_kb, default_lexicon) for _ in range(6)
+        ]
+        assert len({primary_domain(row, default_kb) for row in rows}) == 1
 
 
 class TestCrossCutting:
     def test_safety_limited(self, default_kb, default_lexicon):
-        factor = make_factor("safety", {"P": 1, "S": 1, "U": 1, "O": 1, "F": 1})
-        cc = assess_cross_cutting(factor, default_kb, default_lexicon)
+        row = relevance_row("safety", default_kb, default_lexicon)
+        cc = assess_cross_cutting(row, default_kb)
         assert not cc.flagged
         assert cc.status is CrossCuttingStatus.LIMITED
 
     def test_accessibility_very_high(self, default_kb, default_lexicon):
-        factor = make_factor(
-            "accessibility", {"P": 1, "S": 1, "U": 1, "O": 4, "F": 2}
-        )
-        cc = assess_cross_cutting(factor, default_kb, default_lexicon)
+        row = relevance_row("accessibility", default_kb, default_lexicon)
+        cc = assess_cross_cutting(row, default_kb)
         assert cc.flagged
         assert cc.status is CrossCuttingStatus.VERY_HIGH
         assert cc.score == 4
 
     def test_lighting_high(self, default_kb, default_lexicon):
-        factor = make_factor("lighting", {"P": 1, "S": 1, "O": 1})
-        cc = assess_cross_cutting(factor, default_kb, default_lexicon)
+        row = relevance_row("lighting", default_kb, default_lexicon)
+        cc = assess_cross_cutting(row, default_kb)
         assert cc.flagged
         assert cc.status is CrossCuttingStatus.HIGH
         assert set(cc.relevant_domains) == {
@@ -145,6 +143,22 @@ class TestCrossCutting:
         assert CrossCuttingStatus.from_score(2) is CrossCuttingStatus.MODERATE
         assert CrossCuttingStatus.from_score(3) is CrossCuttingStatus.HIGH
         assert CrossCuttingStatus.from_score(7) is CrossCuttingStatus.VERY_HIGH
+
+
+class TestRelevanceTable:
+    def test_one_row_per_factor_in_kb_order(
+        self, classification_fixture, default_kb, default_lexicon
+    ):
+        for result in classification_fixture:
+            assert len(result.relevance) == len(default_kb.domains)
+            assert result.relevance == relevance_row(
+                result.name, default_kb, default_lexicon
+            )
+
+    def test_serialization_round_trip(self, classification_fixture):
+        doc = json.loads(json.dumps(classification_to_dict(classification_fixture)))
+        assert all("relevance" in entry for entry in doc["factors"])
+        assert classification_from_dict(doc) == classification_fixture
 
 
 class TestCensus:

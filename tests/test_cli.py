@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
 
-from taxoforge import cli, emit, pipeline
+from taxoforge import classify, cli, emit, pipeline
+from taxoforge.knowledge import load_kb
 from tests.conftest import FIXTURES
 
 PHASE_COMMANDS = [
@@ -128,6 +130,62 @@ class TestPhaseChaining:
         )
         assert code == 1
         assert "checksum mismatch" in capsys.readouterr().err
+
+    def test_package_version_change_refuses_artifacts(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        config = write_config(tmp_path)
+        for phase in ("integrate", "similarity", "classify"):
+            assert cli.main([phase, "--config", str(config)]) == 0
+        # Artifacts written by another release may differ in format.
+        monkeypatch.setattr(pipeline, "__version__", "0.1.0")
+        assert cli.main(["cluster", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "checksum mismatch" in err
+        assert len(err.strip().splitlines()) == 1
+
+
+class TestClassifyPhase:
+    def test_relevance_scored_once_per_factor_and_domain(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        original = classify.domain_relevance
+
+        def counting(name, domain, lexicon):
+            calls.append((name, domain.identifier))
+            return original(name, domain, lexicon)
+
+        monkeypatch.setattr(classify, "domain_relevance", counting)
+        config = pipeline.apply_overrides(
+            pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
+        )
+        assert pipeline.run(config) == 0
+        factors = {name for name, _ in calls}
+        domains = load_kb(config.kb_path).domain_ids()
+        assert len(factors) == 11
+        assert len(calls) == len(set(calls)) == len(factors) * len(domains)
+
+    def test_unmatched_warning_is_bounded(self, tmp_path, caplog):
+        names = ["zzz", "qqq", "xxq", "zqx", "qzz", "xqz", "jjq"]
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(
+            "raw_name,study_id,space_type\n"
+            + "".join(f"{name},c{i},P\n" for i, name in enumerate(names)),
+            encoding="utf-8",
+        )
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            f"datasets:\n  - {corpus}\nout: {tmp_path / 'out'}\n", encoding="utf-8"
+        )
+        assert cli.main(["integrate", "--config", str(config)]) == 0
+        with caplog.at_level(logging.WARNING, logger="taxoforge.pipeline"):
+            assert cli.main(["classify", "--config", str(config)]) == 0
+        (message,) = [
+            r.getMessage() for r in caplog.records if "domain match" in r.getMessage()
+        ]
+        assert message.startswith("classify: 7 factors without a domain match")
+        assert sum(name in message for name in names) == pipeline.UNMATCHED_SHOWN
 
 
 class TestFlags:

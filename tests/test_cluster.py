@@ -50,7 +50,7 @@ class TestDomainPriorities:
 class TestRelatedFactors:
     def test_safety_includes_security(self, cluster_fixture):
         factor_set, matrix = cluster_fixture
-        index = matrix.index_of("safety")
+        index = matrix.names.index("safety")
         related = related_factors(index, matrix)
         names = [matrix.names[j] for j, _ in related]
         assert "security" in names
@@ -66,7 +66,7 @@ class TestRelatedFactors:
 
     def test_sorted_by_score(self, cluster_fixture):
         _, matrix = cluster_fixture
-        index = matrix.index_of("surveillance")
+        index = matrix.names.index("surveillance")
         scores = [score for _, score in related_factors(index, matrix)]
         assert scores == sorted(scores, reverse=True)
 

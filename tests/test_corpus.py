@@ -9,7 +9,6 @@ from taxoforge.corpus import (
     load_corpus,
     load_rules,
     normalize,
-    write_corpus,
 )
 from taxoforge.errors import CorpusError, RuleSetError
 
@@ -29,7 +28,7 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(path)
         assert len(corpus) == 2
-        assert corpus.counts == {"P": 1, "S": 1, "U": 0, "G": 0, "O": 0, "F": 0}
+        assert [r.space_type for r in corpus.records] == ["P", "S"]
         assert corpus.records[0].raw_name == "safety"
 
     def test_unknown_space_type(self, tmp_path):
@@ -77,12 +76,6 @@ class TestLoadCorpus:
         )
         with pytest.raises(CorpusError, match="declared typology"):
             load_corpus(path, expect_type="P")
-
-    @pytest.mark.parametrize("fmt", ["delimited", "structured"])
-    def test_round_trip(self, tmp_path, sample_corpus, fmt):
-        path = tmp_path / f"rt.{fmt}"
-        write_corpus(sample_corpus, path, fmt)
-        assert load_corpus(path, fmt) == sample_corpus
 
 
 class TestLoadRules:

@@ -12,9 +12,10 @@ from taxoforge.emit import (
     build_framework,
     export_document,
     export_sankey,
-    framework_from_dict,
+    framework_to_dict,
     render_markdown,
     render_sankey,
+    report_to_dict,
     resolve_category,
     validate,
 )
@@ -179,7 +180,10 @@ class TestExportDocument:
         path = tmp_path / "framework.json"
         export_document(framework, report, path, "structured")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert framework_from_dict(doc) == framework
+        assert doc == {
+            **framework_to_dict(framework),
+            "validation": report_to_dict(report),
+        }
 
     def test_stub_entries_render_references(self, sample_framework):
         framework, report = sample_framework

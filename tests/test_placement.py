@@ -75,35 +75,46 @@ class TestCompositeScore:
 
 class TestPlaceProtocol:
     @pytest.mark.parametrize("factor", sorted(WORKED_COMPOSITES))
-    def test_primary_is_top_ranked(self, factor, default_kb):
-        placements = place(factor, WORKED_COMPOSITES[factor], default_kb)
+    def test_primary_is_top_ranked(self, factor, default_kb, default_lexicon):
+        placements = place(
+            factor, WORKED_COMPOSITES[factor], default_kb, default_lexicon
+        )
         assert placements[0].tier is PlacementTier.PRIMARY
         assert placements[0].domain == WORKED_COMPOSITES[factor][0][0]
 
     @pytest.mark.parametrize("factor", sorted(WORKED_TIERS))
-    def test_tier_labels(self, factor, default_kb):
-        placements = place(factor, WORKED_COMPOSITES[factor], default_kb)
+    def test_tier_labels(self, factor, default_kb, default_lexicon):
+        placements = place(
+            factor, WORKED_COMPOSITES[factor], default_kb, default_lexicon
+        )
         assert [p.tier.value for p in placements] == WORKED_TIERS[factor]
 
-    def test_accessibility_rank3_below_promotion_is_tertiary(self, default_kb):
+    def test_accessibility_rank3_below_promotion_is_tertiary(
+        self, default_kb, default_lexicon
+    ):
         # The corresponding worked row labels the 0.756 placement secondary;
         # that inconsistency is carried as a validation note instead.
-        placements = place("accessibility", WORKED_COMPOSITES["accessibility"], default_kb)
+        placements = place(
+            "accessibility",
+            WORKED_COMPOSITES["accessibility"],
+            default_kb,
+            default_lexicon,
+        )
         tiers = {p.domain: p.tier for p in placements}
         assert tiers["INFRASTRUCTURE"] is PlacementTier.TERTIARY
         assert tiers["ECONOMIC"] is PlacementTier.TERTIARY
 
-    def test_single_domain(self, default_kb):
-        placements = place("x", [("COMFORT", 0.9)], default_kb)
+    def test_single_domain(self, default_kb, default_lexicon):
+        placements = place("x", [("COMFORT", 0.9)], default_kb, default_lexicon)
         assert [p.tier for p in placements] == [PlacementTier.PRIMARY]
 
-    def test_empty_ranking_rejected(self, default_kb):
+    def test_empty_ranking_rejected(self, default_kb, default_lexicon):
         with pytest.raises(TaxoforgeError):
-            place("x", [], default_kb)
+            place("x", [], default_kb, default_lexicon)
 
-    def test_tier_ordering_invariant(self, default_kb):
+    def test_tier_ordering_invariant(self, default_kb, default_lexicon):
         for factor, ranked in WORKED_COMPOSITES.items():
-            placements = place(factor, ranked, default_kb)
+            placements = place(factor, ranked, default_kb, default_lexicon)
             primary = [p.composite for p in placements if p.tier is PlacementTier.PRIMARY]
             secondary = [
                 p.composite for p in placements if p.tier is PlacementTier.SECONDARY
@@ -203,13 +214,20 @@ class TestOverrides:
 
 
 class TestCrossReferences:
-    def test_primary_only_factor_has_no_references(self, default_kb):
-        placements = place("x", [("COMFORT", 0.9)], default_kb)
+    def test_primary_only_factor_has_no_references(
+        self, default_kb, default_lexicon
+    ):
+        placements = place("x", [("COMFORT", 0.9)], default_kb, default_lexicon)
         assert cross_references(placements) == []
 
-    def test_four_placements_give_three_references(self, default_kb):
+    def test_four_placements_give_three_references(
+        self, default_kb, default_lexicon
+    ):
         placements = place(
-            "accessibility", WORKED_COMPOSITES["accessibility"], default_kb
+            "accessibility",
+            WORKED_COMPOSITES["accessibility"],
+            default_kb,
+            default_lexicon,
         )
         assert len(cross_references(placements)) == 3
 

@@ -39,7 +39,7 @@ from taxoforge.integrate import (
     tracking_notation,
 )
 from taxoforge.knowledge import Domain, DomainKnowledgeBase, DomainScope, Subcategory
-from taxoforge.pipeline import effective_domains
+from taxoforge.pipeline import primary_homes
 from taxoforge.placement import place_cross_cutting
 from taxoforge.similarity import (
     ComponentScores,
@@ -233,7 +233,8 @@ def run_mini_pipeline(factor_set: IntegratedFactorSet):
     placements = place_cross_cutting(
         factor_set, classifications, TINY_KB, matrix, assignments, TINY_LEXICON
     )
-    domains = effective_domains(classifications, assignments, placements)
+    homes = primary_homes(classifications, assignments, placements)
+    domains = {name: home[0] for name, home in homes.items()}
     indicators = indicators_for(factor_set.factors, classifications, domains, TINY_KB)
     return build_framework(
         factor_set, classifications, assignments, placements, indicators, TINY_KB
