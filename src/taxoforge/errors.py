@@ -35,3 +35,11 @@ class ArtifactError(TaxoforgeError):
 
 class ConfigError(TaxoforgeError):
     """Raised for invalid pipeline configuration."""
+
+
+def require_number(value: object, label: str, error: type[TaxoforgeError]) -> float:
+    """``value`` as a float, or ``error`` naming ``label`` if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise error(f"{label} must be a number, got {value!r}") from None

@@ -8,7 +8,7 @@ space research, and users supply richer files to grow the hierarchy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -17,7 +17,7 @@ from typing import Mapping
 import yaml
 
 from .corpus import SPACE_TYPES
-from .errors import KnowledgeBaseError
+from .errors import KnowledgeBaseError, require_number
 
 
 class DomainScope(Enum):
@@ -96,6 +96,13 @@ def _parse_subcategory(doc: dict, domain_id: str) -> Subcategory:
     )
 
 
+def _list(doc: dict, key: str, where: str) -> list:
+    value = doc.get(key) or []
+    if not isinstance(value, list):
+        raise KnowledgeBaseError(f"{where}: {key} must be a list, got {value!r}")
+    return value
+
+
 def _parse_domain(doc: dict) -> Domain:
     identifier = str(doc.get("id", "")).strip()
     if not identifier:
@@ -117,7 +124,11 @@ def _parse_domain(doc: dict) -> Domain:
         raise KnowledgeBaseError(f"domain {identifier} needs a space_profile mapping")
     profile = []
     for code in SPACE_TYPES:
-        value = float(profile_doc.get(code, 0.0))
+        value = require_number(
+            profile_doc.get(code, 0.0),
+            f"domain {identifier}: space_profile[{code}]",
+            KnowledgeBaseError,
+        )
         if value < 0:
             raise KnowledgeBaseError(
                 f"domain {identifier}: space_profile[{code}] must be non-negative"
@@ -125,13 +136,16 @@ def _parse_domain(doc: dict) -> Domain:
         profile.append(value)
     if not any(profile):
         raise KnowledgeBaseError(f"domain {identifier}: space_profile is all zero")
-    compatible = doc.get("compatible_types") or []
+    compatible = _list(doc, "compatible_types", f"domain {identifier}")
     for code in compatible:
         if code not in SPACE_TYPES:
             raise KnowledgeBaseError(
                 f"domain {identifier}: unknown compatible type {code!r}"
             )
+    literature = f"domain {identifier}: literature_support"
     support = doc.get("literature_support") or {}
+    if not isinstance(support, dict):
+        raise KnowledgeBaseError(f"{literature} must be a mapping, got {support!r}")
     subcategories = tuple(_parse_subcategory(sub, identifier) for sub in subs)
     sub_ids = [sub.identifier for sub in subcategories]
     if len(set(sub_ids)) != len(sub_ids):
@@ -143,8 +157,8 @@ def _parse_domain(doc: dict) -> Domain:
         subcategories=subcategories,
         space_profile=tuple(profile),
         compatible_types=frozenset(compatible),
-        literature_strong=frozenset(support.get("strong", []) or []),
-        literature_none=frozenset(support.get("none", []) or []),
+        literature_strong=frozenset(_list(support, "strong", literature)),
+        literature_none=frozenset(_list(support, "none", literature)),
     )
 
 
@@ -167,10 +181,17 @@ def load_kb(path: str | Path) -> DomainKnowledgeBase:
         raise KnowledgeBaseError("duplicate domain ids in kb")
 
     priors_doc = doc.get("scope_priors") or {}
+    if not isinstance(priors_doc, dict):
+        raise KnowledgeBaseError("kb section 'scope_priors' must be a mapping")
     priors = ScopePriors(
-        preferred=float(priors_doc.get("preferred", 1.0)),
-        adjacent=float(priors_doc.get("adjacent", 0.8)),
-        other=float(priors_doc.get("other", 0.6)),
+        **{
+            f.name: require_number(
+                priors_doc.get(f.name, f.default),
+                f"kb scope_priors.{f.name}",
+                KnowledgeBaseError,
+            )
+            for f in fields(ScopePriors)
+        }
     )
 
     overrides_doc = doc.get("placement_overrides") or {}

@@ -1,9 +1,11 @@
 """Configuration handling and phase orchestration.
 
-Each phase reads the previous phase's artifact from the output directory,
-verifies the embedded config checksum, computes its own result, and writes it
-back with the same header. Running all phases in sequence and running them as
-separate invocations therefore produce byte-identical files.
+A ``RunState`` holds one invocation's input checksums, KB, lexicon and phase
+results, each computed or loaded once; a result it has not computed is
+decoded from that phase's artifact once the artifact's header checks out.
+``run`` passes one state through every phase, so each artifact is written
+once and never read back; a phase run alone reads its inputs from disk. Both
+paths produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import hashlib
 import io
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,7 +25,7 @@ import yaml
 from . import __version__
 from . import applicability, classify, cluster, emit, integrate, placement, similarity
 from .corpus import SPACE_TYPES, load_corpus, load_rules, merge_corpora
-from .errors import ArtifactError, ConfigError, TaxoforgeError
+from .errors import ArtifactError, ConfigError, TaxoforgeError, require_number
 from .knowledge import (
     DomainKnowledgeBase,
     default_kb_path,
@@ -30,7 +33,7 @@ from .knowledge import (
     default_rules_path,
     load_kb,
 )
-from .similarity import SimilarityWeights, load_lexicon
+from .similarity import SemanticLexicon, SimilarityWeights, load_lexicon
 
 log = logging.getLogger(__name__)
 
@@ -53,16 +56,13 @@ class Thresholds:
         for name, value in self.as_dict().items():
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"threshold {name}={value} out of range [0, 1]")
+        if self.band_high < self.band_low:
+            raise ConfigError(
+                f"threshold band_high={self.band_high} < band_low={self.band_low}"
+            )
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "band_high": self.band_high,
-            "band_low": self.band_low,
-            "related": self.related,
-            "subcluster": self.subcluster,
-            "cross_cutting": self.cross_cutting,
-            "promotion": self.promotion,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -76,35 +76,34 @@ class PipelineConfig:
     thresholds: Thresholds = Thresholds()
     jobs: int = 1
 
-    def checksum(self) -> str:
-        """Digest over the package version, resolved settings, and the content
-        of every input file; the version guards artifact-format changes."""
+    def __post_init__(self) -> None:
+        if type(self.jobs) is not int or self.jobs < 1:
+            raise ConfigError(f"jobs must be a whole number >= 1, got {self.jobs!r}")
+
+    def checksum(self) -> dict[str, str]:
+        """Input digests in one pass: "config" over the package version, the
+        resolved settings, and the content of every input file (the version
+        guards artifact-format changes), and one per knowledge file."""
+        inputs = {
+            "rules": _file_digest(self.rules_path, "rules"),
+            "kb": _file_digest(self.kb_path, "kb"),
+            "lexicon": _file_digest(self.lexicon_path, "lexicon"),
+        }
         doc = {
             "version": __version__,
             "datasets": [
                 [str(path), code, _file_digest(path, "dataset")]
                 for path, code in self.datasets
             ],
-            "rules": _file_digest(self.rules_path, "rules"),
-            "kb": _file_digest(self.kb_path, "kb"),
-            "lexicon": _file_digest(self.lexicon_path, "lexicon"),
+            **inputs,
             "weights": list(self.weights.as_tuple()),
             "thresholds": self.thresholds.as_dict(),
         }
         blob = json.dumps(doc, sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
-
-    def checksums_by_input(self) -> dict[str, str]:
-        return {
-            "config": self.checksum(),
-            "rules": _file_digest(self.rules_path, "rules"),
-            "kb": _file_digest(self.kb_path, "kb"),
-            "lexicon": _file_digest(self.lexicon_path, "lexicon"),
-        }
+        return {"config": hashlib.sha256(blob).hexdigest(), **inputs}
 
 
 def _file_digest(path: Path, label: str) -> str:
-    path = Path(path)
     if not path.exists():
         raise ConfigError(f"{label} path not found: {path}")
     try:
@@ -114,18 +113,28 @@ def _file_digest(path: Path, label: str) -> str:
 
 
 def _parse_weights(value) -> SimilarityWeights:
+    if isinstance(value, dict):
+        value = [value.get(f.name, f.default) for f in fields(SimilarityWeights)]
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"bad similarity weights: {value!r}")
+    numbers = [
+        require_number(v, f"weights.{f.name}", ConfigError)
+        for v, f in zip(value, fields(SimilarityWeights))
+    ]
     try:
-        if isinstance(value, dict):
-            return SimilarityWeights(
-                linguistic=float(value.get("linguistic", 0.5)),
-                distributional=float(value.get("distributional", 0.3)),
-                co_occurrence=float(value.get("co_occurrence", 0.2)),
-            )
-        if isinstance(value, (list, tuple)) and len(value) == 3:
-            return SimilarityWeights(*(float(v) for v in value))
+        return SimilarityWeights(*numbers)
     except TaxoforgeError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"bad similarity weights: {value!r}")
+
+
+def _with_thresholds(thresholds: Thresholds, values: Mapping) -> Thresholds:
+    """``thresholds`` with the named ones replaced; names and values are checked."""
+    current = thresholds.as_dict()
+    for name, value in values.items():
+        if name not in current:
+            raise ConfigError(f"unknown threshold {name!r}")
+        current[name] = require_number(value, f"threshold {name}", ConfigError)
+    return Thresholds(**current)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -165,21 +174,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     )
     out_dir = resolve(str(doc.get("out", "out")))
 
-    weights = (
-        _parse_weights(doc["weights"]) if "weights" in doc else SimilarityWeights()
-    )
     thresholds_doc = doc.get("thresholds") or {}
     if not isinstance(thresholds_doc, dict):
         raise ConfigError("config section 'thresholds' must be a mapping")
-    known = set(Thresholds().as_dict())
-    unknown = set(thresholds_doc) - known
-    if unknown:
-        raise ConfigError(f"unknown thresholds: {sorted(unknown)}")
-    thresholds = Thresholds(**{k: float(v) for k, v in thresholds_doc.items()})
-
-    jobs = int(doc.get("jobs", 1))
-    if jobs < 1:
-        raise ConfigError("jobs must be at least 1")
 
     return PipelineConfig(
         datasets=tuple(datasets),
@@ -187,9 +184,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         kb_path=kb_path,
         lexicon_path=lexicon_path,
         out_dir=out_dir,
-        weights=weights,
-        thresholds=thresholds,
-        jobs=jobs,
+        weights=_parse_weights(doc.get("weights", {})),
+        thresholds=_with_thresholds(Thresholds(), thresholds_doc),
+        jobs=doc.get("jobs", 1),
     )
 
 
@@ -204,79 +201,102 @@ def apply_overrides(
     if out_dir is not None:
         config = replace(config, out_dir=Path(out_dir))
     if weights is not None:
-        parts = weights.split(",")
-        if len(parts) != 3:
-            raise ConfigError("--weights expects three comma-separated values")
-        config = replace(config, weights=_parse_weights([p.strip() for p in parts]))
+        config = replace(config, weights=_parse_weights(weights.split(",")))
     if thresholds:
-        current = config.thresholds.as_dict()
+        values = {}
         for item in thresholds:
-            if "=" not in item:
+            name, sep, value = item.partition("=")
+            if not sep:
                 raise ConfigError(f"--threshold expects name=value, got {item!r}")
-            name, _, value = item.partition("=")
-            name = name.strip()
-            if name not in current:
-                raise ConfigError(f"unknown threshold {name!r}")
-            try:
-                current[name] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"bad threshold value in {item!r}") from exc
-        config = replace(config, thresholds=Thresholds(**current))
+            values[name.strip()] = value
+        config = replace(config, thresholds=_with_thresholds(config.thresholds, values))
     if jobs is not None:
-        if jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         config = replace(config, jobs=jobs)
     return config
 
 
 # ---------------------------------------------------------------------------
-# Artifact I/O
+# Run state and artifact I/O
 # ---------------------------------------------------------------------------
 
+# phase -> (artifact file, decoder of its data); no phase reads framework.json
 ARTIFACTS = {
-    "integrate": "integrated.json",
-    "similarity": "similarity.json",
-    "classify": "classification.json",
-    "cluster": "assignments.json",
-    "place": "placements.json",
-    "indicate": "indicators.json",
-    "emit": "framework.json",
+    "integrate": ("integrated.json", integrate.factor_set_from_dict),
+    "similarity": ("similarity.json", similarity.matrix_from_dict),
+    "classify": ("classification.json", classify.classification_from_dict),
+    "cluster": ("assignments.json", cluster.assignments_from_dict),
+    "place": ("placements.json", placement.placements_from_dict),
+    "indicate": ("indicators.json", applicability.indicators_from_dict),
+    "emit": ("framework.json", None),
 }
 
 
-def _artifact_path(config: PipelineConfig, phase: str) -> Path:
-    return config.out_dir / ARTIFACTS[phase]
+class RunState:
+    """What one invocation knows: the input checksums, the KB, the lexicon,
+    and each phase's result, each computed or loaded once. A result this
+    process has not computed is decoded from its artifact on first use."""
 
+    def __init__(self, config: PipelineConfig) -> None:
+        self.config = config
+        self.results: dict[str, object] = {}
 
-def _write_artifact(config: PipelineConfig, phase: str, data: dict) -> Path:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "phase": phase,
-        "config_checksum": config.checksum(),
-        "data": data,
-    }
-    path = _artifact_path(config, phase)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(emit.to_canonical_json(doc), encoding="utf-8")
-    return path
+    @cached_property
+    def checksums(self) -> dict[str, str]:
+        return self.config.checksum()
 
+    @cached_property
+    def kb(self) -> DomainKnowledgeBase:
+        return load_kb(self.config.kb_path)
 
-def _read_artifact(config: PipelineConfig, phase: str) -> dict:
-    path = _artifact_path(config, phase)
-    if not path.exists():
-        raise ArtifactError(
-            f"phase {phase!r}: missing upstream artifact {path}; run that phase first"
-        )
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"phase {phase!r}: cannot parse {path}: {exc}") from exc
-    if doc.get("config_checksum") != config.checksum():
-        raise ArtifactError(
-            f"phase {phase!r}: artifact {path} was produced under a different "
-            "configuration (checksum mismatch); re-run the upstream phases"
-        )
-    return doc["data"]
+    @cached_property
+    def lexicon(self) -> SemanticLexicon:
+        return load_lexicon(self.config.lexicon_path)
+
+    def put(self, phase: str, result: object, data: dict) -> Path:
+        """Keep ``result`` for later phases and write ``data`` as its artifact."""
+        self.results[phase] = result
+        doc = {
+            "schema_version": SCHEMA_VERSION,
+            "phase": phase,
+            "config_checksum": self.checksums["config"],
+            "data": data,
+        }
+        path = self.config.out_dir / ARTIFACTS[phase][0]
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(emit.to_canonical_json(doc), encoding="utf-8")
+        return path
+
+    def get(self, phase: str):
+        """The result of ``phase``, from memory or else from its artifact."""
+        if phase not in self.results:
+            self.results[phase] = ARTIFACTS[phase][1](self._read(phase))
+        return self.results[phase]
+
+    def _read(self, phase: str) -> dict:
+        path = self.config.out_dir / ARTIFACTS[phase][0]
+        if not path.exists():
+            raise ArtifactError(
+                f"phase {phase!r}: missing upstream artifact {path}; "
+                "run that phase first"
+            )
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ArtifactError(f"phase {phase!r}: cannot parse {path}: {exc}") from exc
+        if not isinstance(doc, dict) or not isinstance(doc.get("data"), dict):
+            raise ArtifactError(f"artifact {path} has no 'data' object")
+        for field, expected in (("schema_version", SCHEMA_VERSION), ("phase", phase)):
+            if doc.get(field) != expected:
+                raise ArtifactError(
+                    f"artifact {path}: {field} is {doc.get(field)!r}, "
+                    f"expected {expected!r}"
+                )
+        if doc.get("config_checksum") != self.checksums["config"]:
+            raise ArtifactError(
+                f"phase {phase!r}: artifact {path} was produced under a different "
+                "configuration (checksum mismatch); re-run the upstream phases"
+            )
+        return doc["data"]
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -292,31 +312,29 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
 # ---------------------------------------------------------------------------
 
 
-def phase_integrate(config: PipelineConfig) -> Path:
+def phase_integrate(config: PipelineConfig, state: RunState | None = None) -> Path:
+    state = state or RunState(config)
     rules = load_rules(config.rules_path)
-    corpora = [
-        load_corpus(path, expect_type=code)
-        for path, code in config.datasets
-    ]
-    corpus = merge_corpora(corpora)
+    corpus = merge_corpora(
+        load_corpus(path, expect_type=code) for path, code in config.datasets
+    )
     factor_set = integrate.integrate(corpus, rules)
     log.info(
         "integrate: %d records -> %d unique factors",
         factor_set.raw_record_count,
         factor_set.unique_count,
     )
-    return _write_artifact(
-        config, "integrate", integrate.factor_set_to_dict(factor_set)
-    )
+    return state.put("integrate", factor_set, integrate.factor_set_to_dict(factor_set))
 
 
-def phase_similarity(config: PipelineConfig, emit_pairs: bool = False) -> Path:
-    factor_set = integrate.factor_set_from_dict(_read_artifact(config, "integrate"))
-    lexicon = load_lexicon(config.lexicon_path)
+def phase_similarity(
+    config: PipelineConfig, emit_pairs: bool = False, state: RunState | None = None
+) -> Path:
+    state = state or RunState(config)
     matrix = similarity.build_matrix(
-        factor_set, config.weights, lexicon, jobs=config.jobs
+        state.get("integrate"), config.weights, state.lexicon, jobs=config.jobs
     )
-    path = _write_artifact(config, "similarity", similarity.matrix_to_dict(matrix))
+    path = state.put("similarity", matrix, similarity.matrix_to_dict(matrix))
     if emit_pairs:
         rows = []
         t = config.thresholds
@@ -339,12 +357,11 @@ def phase_similarity(config: PipelineConfig, emit_pairs: bool = False) -> Path:
     return path
 
 
-def phase_classify(config: PipelineConfig) -> Path:
-    factor_set = integrate.factor_set_from_dict(_read_artifact(config, "integrate"))
-    kb = load_kb(config.kb_path)
-    lexicon = load_lexicon(config.lexicon_path)
+def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Path:
+    state = state or RunState(config)
+    factor_set = state.get("integrate")
     results = classify.classify_factors(
-        factor_set, kb, lexicon, threshold=config.thresholds.cross_cutting
+        factor_set, state.kb, state.lexicon, threshold=config.thresholds.cross_cutting
     )
     unassigned = [r.name for r in results if r.primary_domain is None]
     if unassigned:
@@ -353,9 +370,7 @@ def phase_classify(config: PipelineConfig) -> Path:
             len(unassigned),
             unassigned[:UNMATCHED_SHOWN],
         )
-    path = _write_artifact(
-        config, "classify", classify.classification_to_dict(results)
-    )
+    path = state.put("classify", results, classify.classification_to_dict(results))
     rows = [
         (
             r.name,
@@ -386,26 +401,22 @@ def phase_classify(config: PipelineConfig) -> Path:
     return path
 
 
-def phase_cluster(config: PipelineConfig) -> Path:
-    factor_set = integrate.factor_set_from_dict(_read_artifact(config, "integrate"))
-    matrix = similarity.matrix_from_dict(_read_artifact(config, "similarity"))
-    results = classify.classification_from_dict(_read_artifact(config, "classify"))
-    kb = load_kb(config.kb_path)
-    lexicon = load_lexicon(config.lexicon_path)
+def phase_cluster(config: PipelineConfig, state: RunState | None = None) -> Path:
+    state = state or RunState(config)
     assignments = cluster.assign_categories(
-        factor_set,
-        results,
-        kb,
-        matrix,
-        lexicon,
+        state.get("integrate"),
+        state.get("classify"),
+        state.kb,
+        state.get("similarity"),
+        state.lexicon,
         related_threshold=config.thresholds.related,
         subcluster_threshold=config.thresholds.subcluster,
     )
-    report = cluster.validate_hierarchy(assignments, kb)
+    report = cluster.validate_hierarchy(assignments, state.kb)
     if not report.passed:
         log.warning("cluster: hierarchy violations: %s", report.violations)
-    path = _write_artifact(config, "cluster", cluster.assignments_to_dict(assignments))
-    domain_ids = kb.domain_ids()
+    path = state.put("cluster", assignments, cluster.assignments_to_dict(assignments))
+    domain_ids = state.kb.domain_ids()
     rows = [
         (a.factor, a.category, a.subcategory)
         + tuple(f"{a.scores[d].final:.6f}" for d in domain_ids)
@@ -419,24 +430,19 @@ def phase_cluster(config: PipelineConfig) -> Path:
     return path
 
 
-def phase_place(config: PipelineConfig) -> Path:
-    factor_set = integrate.factor_set_from_dict(_read_artifact(config, "integrate"))
-    matrix = similarity.matrix_from_dict(_read_artifact(config, "similarity"))
-    results = classify.classification_from_dict(_read_artifact(config, "classify"))
-    assignments = cluster.assignments_from_dict(_read_artifact(config, "cluster"))
-    kb = load_kb(config.kb_path)
-    lexicon = load_lexicon(config.lexicon_path)
+def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
+    state = state or RunState(config)
     result = placement.place_cross_cutting(
-        factor_set,
-        results,
-        kb,
-        matrix,
-        assignments,
-        lexicon,
+        state.get("integrate"),
+        state.get("classify"),
+        state.kb,
+        state.get("similarity"),
+        state.get("cluster"),
+        state.lexicon,
         related_threshold=config.thresholds.related,
         promotion_threshold=config.thresholds.promotion,
     )
-    path = _write_artifact(config, "place", placement.placements_to_dict(result))
+    path = state.put("place", result, placement.placements_to_dict(result))
     rows = [
         (
             p.factor,
@@ -528,13 +534,10 @@ def _aggregation_profiles(
     return sub_profiles, category_profiles
 
 
-def phase_indicate(config: PipelineConfig) -> Path:
-    factor_set = integrate.factor_set_from_dict(_read_artifact(config, "integrate"))
-    results = classify.classification_from_dict(_read_artifact(config, "classify"))
-    assignments = cluster.assignments_from_dict(_read_artifact(config, "cluster"))
-    placement_result = placement.placements_from_dict(_read_artifact(config, "place"))
-    kb = load_kb(config.kb_path)
-    homes = primary_homes(results, assignments, placement_result)
+def phase_indicate(config: PipelineConfig, state: RunState | None = None) -> Path:
+    state = state or RunState(config)
+    factor_set, results, kb = state.get("integrate"), state.get("classify"), state.kb
+    homes = primary_homes(results, state.get("cluster"), state.get("place"))
     records = applicability.indicators_for(
         factor_set.factors,
         results,
@@ -542,35 +545,31 @@ def phase_indicate(config: PipelineConfig) -> Path:
         kb,
     )
     data = applicability.indicators_to_dict(records)
-    sub_profiles, category_profiles = _aggregation_profiles(factor_set, homes, kb)
-    data["subcategory_profiles"] = sub_profiles
-    data["category_profiles"] = category_profiles
-    return _write_artifact(config, "indicate", data)
+    data["subcategory_profiles"], data["category_profiles"] = _aggregation_profiles(
+        factor_set, homes, kb
+    )
+    return state.put("indicate", records, data)
 
 
 def phase_emit(
     config: PipelineConfig,
     sankey_category: str | None = None,
     sankey_subfactors: Sequence[str] | None = None,
+    state: RunState | None = None,
 ) -> int:
-    factor_set = integrate.factor_set_from_dict(_read_artifact(config, "integrate"))
-    results = classify.classification_from_dict(_read_artifact(config, "classify"))
-    assignments = cluster.assignments_from_dict(_read_artifact(config, "cluster"))
-    placement_result = placement.placements_from_dict(_read_artifact(config, "place"))
-    records = applicability.indicators_from_dict(_read_artifact(config, "indicate"))
-    kb = load_kb(config.kb_path)
-
+    state = state or RunState(config)
+    factor_set = state.get("integrate")
     framework = emit.build_framework(
         factor_set,
-        results,
-        assignments,
-        placement_result,
-        records,
-        kb,
-        config_checksums=config.checksums_by_input(),
+        state.get("classify"),
+        state.get("cluster"),
+        state.get("place"),
+        state.get("indicate"),
+        state.kb,
+        config_checksums=state.checksums,
     )
     report = emit.validate(framework, factor_set)
-    _write_artifact(config, "emit", emit.framework_to_dict(framework))
+    state.put("emit", framework, emit.framework_to_dict(framework))
     emit.export_document(
         framework, report, config.out_dir / "framework_document.json", "structured"
     )
@@ -597,11 +596,12 @@ def run(
     sankey_category: str | None = None,
     sankey_subfactors: Sequence[str] | None = None,
 ) -> int:
-    """Execute all phases in order; returns the process exit status."""
-    phase_integrate(config)
-    phase_similarity(config, emit_pairs=emit_pairs)
-    phase_classify(config)
-    phase_cluster(config)
-    phase_place(config)
-    phase_indicate(config)
-    return phase_emit(config, sankey_category, sankey_subfactors)
+    """Execute all phases in order on one state; returns the process exit status."""
+    state = RunState(config)
+    phase_integrate(config, state=state)
+    phase_similarity(config, emit_pairs=emit_pairs, state=state)
+    phase_classify(config, state=state)
+    phase_cluster(config, state=state)
+    phase_place(config, state=state)
+    phase_indicate(config, state=state)
+    return phase_emit(config, sankey_category, sankey_subfactors, state=state)

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import yaml
 
-from .errors import LexiconError, TaxoforgeError
+from .errors import LexiconError, TaxoforgeError, require_number
 from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
 
 DEFAULT_FIELD_SCORE = 0.85
@@ -57,7 +57,9 @@ def load_lexicon(path: str | Path) -> SemanticLexicon:
         doc = {}
     if not isinstance(doc, dict):
         raise LexiconError(f"lexicon file {path} must be a mapping")
-    field_score = float(doc.get("field_score", DEFAULT_FIELD_SCORE))
+    field_score = require_number(
+        doc.get("field_score", DEFAULT_FIELD_SCORE), "lexicon field_score", LexiconError
+    )
     if not 0.0 <= field_score <= 1.0:
         raise LexiconError(f"field_score {field_score} out of range [0, 1]")
     fields_doc = doc.get("fields") or {}

@@ -7,9 +7,10 @@ import logging
 from pathlib import Path
 
 import pytest
+import yaml
 
 from taxoforge import classify, cli, emit, pipeline
-from taxoforge.knowledge import load_kb
+from taxoforge.knowledge import default_kb_path, default_lexicon_path, load_kb
 from tests.conftest import FIXTURES
 
 PHASE_COMMANDS = [
@@ -84,6 +85,41 @@ class TestRun:
 
         monkeypatch.setattr(emit, "build_framework", sabotage)
         assert cli.main(["run", "--config", str(config)]) == 2
+
+    def test_run_loads_each_input_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(label, func):
+            def wrapper(*args, **kwargs):
+                calls.append(label)
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("load_rules", "load_kb", "load_lexicon"):
+            monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+        checksum = counted("checksum", pipeline.PipelineConfig.checksum)
+        monkeypatch.setattr(pipeline.PipelineConfig, "checksum", checksum)
+        for phase, (name, decoder) in pipeline.ARTIFACTS.items():
+            decoding = (name, counted(f"decode {phase}", decoder))
+            monkeypatch.setitem(pipeline.ARTIFACTS, phase, decoding)
+        config = pipeline.apply_overrides(
+            pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
+        )
+        assert pipeline.run(config) == 0
+        assert sorted(calls) == ["checksum", "load_kb", "load_lexicon", "load_rules"]
+        # A phase run alone decodes its inputs from the artifacts on disk.
+        calls.clear()
+        assert pipeline.phase_emit(config) == 0
+        assert sorted(calls) == [
+            "checksum",
+            "decode classify",
+            "decode cluster",
+            "decode indicate",
+            "decode integrate",
+            "decode place",
+            "load_kb",
+        ]
 
 
 class TestPhaseChaining:
@@ -348,3 +384,105 @@ class TestConfigParsing:
         config = write_config(tmp_path, extra="thresholds:\n  band_high: 1.5\n")
         with pytest.raises(pipeline.ConfigError, match="out of range"):
             pipeline.load_config(config)
+
+
+MISSING = object()
+
+# (file, path to the edited value, new value, field the error must name).
+# An empty path replaces the whole document; MISSING deletes the value.
+MALFORMED = [
+    pytest.param("config", ["jobs"], "two", "jobs", id="config-jobs"),
+    pytest.param(
+        "config", ["thresholds"], {"related": "high"}, "related", id="config-threshold"
+    ),
+    pytest.param(
+        "config", ["weights"], ["a", "b", "c"], "weights", id="config-weights"
+    ),
+    pytest.param(
+        "config",
+        ["thresholds"],
+        {"band_high": 0.4, "band_low": 0.5},
+        "band_high",
+        id="config-band-order",
+    ),
+    pytest.param(
+        "kb",
+        ["domains", 0, "space_profile", "P"],
+        "high",
+        "space_profile",
+        id="kb-profile",
+    ),
+    pytest.param(
+        "kb", ["scope_priors", "adjacent"], "near", "scope_priors", id="kb-priors"
+    ),
+    pytest.param(
+        "kb",
+        ["domains", 0, "literature_support"],
+        ["comfort"],
+        "literature_support",
+        id="kb-literature-list",
+    ),
+    pytest.param(
+        "kb",
+        ["domains", 0, "literature_support", "strong"],
+        "comfort",
+        "strong",
+        id="kb-literature-names-string",
+    ),
+    pytest.param(
+        "kb",
+        ["domains", 0, "compatible_types"],
+        "PS",
+        "compatible_types",
+        id="kb-compatible-string",
+    ),
+    pytest.param("lexicon", ["field_score"], "high", "field_score", id="lexicon-score"),
+    pytest.param("artifact", [], [], "data", id="artifact-not-object"),
+    pytest.param("artifact", ["data"], MISSING, "data", id="artifact-no-data"),
+    pytest.param("artifact", ["phase"], "similarity", "phase", id="artifact-phase"),
+    pytest.param(
+        "artifact", ["schema_version"], 0, "schema_version", id="artifact-schema"
+    ),
+]
+
+def _edit(doc, path, value):
+    if not path:
+        return value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return doc
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("kind,path,value,field", MALFORMED)
+    def test_exits_one_with_one_line(
+        self, tmp_path, capsys, kind, path, value, field
+    ):
+        doc = {"datasets": [str(FIXTURES / "sample_corpus.csv")], "out": "out"}
+        defaults = {"kb": default_kb_path(), "lexicon": default_lexicon_path()}
+        if kind in defaults:
+            source = yaml.safe_load(defaults[kind].read_text(encoding="utf-8"))
+            edited = tmp_path / f"{kind}.yaml"
+            edited.write_text(yaml.safe_dump(_edit(source, path, value)), "utf-8")
+            doc[kind] = str(edited)
+        elif kind == "config":
+            doc = _edit(doc, path, value)
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        command = "run"
+        if kind == "artifact":
+            assert cli.main(["integrate", "--config", str(config)]) == 0
+            artifact = tmp_path / "out" / "integrated.json"
+            data = json.loads(artifact.read_text(encoding="utf-8"))
+            artifact.write_text(json.dumps(_edit(data, path, value)), "utf-8")
+            command = "similarity"
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(config)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert field in lines[0]
