@@ -10,7 +10,7 @@ Minimal otherwise; when nothing grades Moderate the indicator compacts to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -200,13 +200,7 @@ def indicators_to_dict(records: Sequence[IndicatorRecord]) -> dict:
             {
                 "name": r.name,
                 "coverage": r.coverage,
-                "kind": r.indicator.kind.value,
-                "emphasis": list(r.indicator.emphasis),
-                "tiers": {
-                    code: level.value for code, level in r.indicator.tiers.items()
-                },
-                "types": list(r.indicator.types),
-                "text": r.indicator.text,
+                **asdict(r.indicator),
                 "effective_domain": r.effective_domain,
             }
             for r in records

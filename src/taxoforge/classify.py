@@ -183,9 +183,6 @@ class ClassificationCensus:
     def total(self) -> int:
         return self.universal + self.multi_space + self.space_specific
 
-    def fraction(self, count: int) -> float:
-        return count / self.total if self.total else 0.0
-
 
 def classification_census(results: list[ClassificationResult]) -> ClassificationCensus:
     universal = sum(1 for r in results if r.factor_class is FactorClass.UNIVERSAL)

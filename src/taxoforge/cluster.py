@@ -10,7 +10,7 @@ scoring at or above the subcluster threshold become subcategory clusters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from .classify import ClassificationResult, FactorClass
@@ -287,43 +287,19 @@ def validate_hierarchy(
 
 
 def assignments_to_dict(assignments: Sequence[CategoryAssignment]) -> dict:
-    return {
-        "assignments": [
-            {
-                "factor": a.factor,
-                "category": a.category,
-                "subcategory": a.subcategory,
-                "scores": {
-                    domain_id: {
-                        "semantic": s.semantic,
-                        "similarity_evidence": s.similarity_evidence,
-                        "distribution": s.distribution,
-                    }
-                    for domain_id, s in a.scores.items()
-                },
-            }
-            for a in assignments
-        ]
-    }
+    return {"assignments": [asdict(a) for a in assignments]}
 
 
 def assignments_from_dict(doc: dict) -> list[CategoryAssignment]:
-    out = []
-    for entry in doc["assignments"]:
-        scores = {
-            domain_id: AssignmentScores(
-                semantic=s["semantic"],
-                similarity_evidence=s["similarity_evidence"],
-                distribution=s["distribution"],
-            )
-            for domain_id, s in entry["scores"].items()
-        }
-        out.append(
-            CategoryAssignment(
-                factor=entry["factor"],
-                category=entry["category"],
-                subcategory=entry["subcategory"],
-                scores=scores,
-            )
+    return [
+        CategoryAssignment(
+            **{
+                **entry,
+                "scores": {
+                    domain_id: AssignmentScores(**s)
+                    for domain_id, s in entry["scores"].items()
+                },
+            }
         )
-    return out
+        for entry in doc["assignments"]
+    ]

@@ -64,9 +64,6 @@ class Corpus:
 
     records: tuple[FactorRecord, ...]
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 @dataclass(frozen=True)
 class NormalizationRuleSet:

@@ -10,7 +10,9 @@ inputs produce byte-identical JSON, markdown, and flow-data files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,7 +28,7 @@ from .integrate import (
     tracking_notation,
 )
 from .knowledge import DomainKnowledgeBase
-from .placement import PlacementResult, PlacementTier
+from .placement import PlacementResult, PlacementTier, primary_homes
 
 SCHEMA_VERSION = 1
 
@@ -127,7 +129,6 @@ def build_framework(
     placement_result: PlacementResult,
     indicator_records: Sequence[IndicatorRecord],
     kb: DomainKnowledgeBase,
-    total_original_factors: int | None = None,
     config_checksums: Mapping[str, str] | None = None,
 ) -> Framework:
     """Assemble the three-tier framework from the phase outputs."""
@@ -142,9 +143,8 @@ def build_framework(
         if set(collection) != names:
             raise TaxoforgeError(f"phase-output mismatch: {label} cover a different factor set")
 
-    by_name = {f.canonical_name: f for f in factor_set.factors}
+    homes = primary_homes(classifications, assignments, placement_result)
     class_by_name = {c.name: c for c in classifications}
-    assign_by_name = {a.factor: a for a in assignments}
     indicator_by_name = {r.name: r for r in indicator_records}
 
     placements_by_name: dict[str, list] = {}
@@ -153,66 +153,27 @@ def build_framework(
 
     # (category, subcategory) -> entries
     buckets: dict[tuple[str, str], list[FrameworkEntry]] = {}
-
-    def add_entry(category: str, subcategory: str, entry: FrameworkEntry) -> None:
-        buckets.setdefault((category, subcategory), []).append(entry)
-
     for factor in factor_set.factors:
         name = factor.canonical_name
-        result = class_by_name[name]
-        notation = tracking_notation(factor.occurrence)
-        indicator_text = indicator_by_name[name].indicator.text
-        placements = placements_by_name.get(name)
-        if result.cross_cutting.flagged and placements:
-            primary = next(
-                p for p in placements if p.tier is PlacementTier.PRIMARY
-            )
-            labels = tuple(
-                f"{p.domain}/{p.subcategory} ({p.tier.value})" for p in placements
-            )
-            add_entry(
-                primary.domain,
-                primary.subcategory,
-                FrameworkEntry(
-                    canonical_name=name,
-                    tracking_notation=notation,
-                    classification=result.factor_class.value,
-                    indicator=indicator_text,
-                    tier="primary",
-                    placements=labels,
-                    insertion_index=factor.insertion_index,
-                ),
-            )
-            for placement in placements:
-                if placement.tier is PlacementTier.PRIMARY:
-                    continue
-                add_entry(
-                    placement.domain,
-                    placement.subcategory,
-                    FrameworkEntry(
-                        canonical_name=name,
-                        tracking_notation=notation,
-                        classification=result.factor_class.value,
-                        indicator=indicator_text,
-                        tier=placement.tier.value,
-                        reference=f"{primary.domain}/{primary.subcategory}",
-                        insertion_index=factor.insertion_index,
-                    ),
+        home = homes[name]
+        placements = placements_by_name.get(name, ())
+        entry = partial(
+            FrameworkEntry,
+            canonical_name=name,
+            tracking_notation=tracking_notation(factor.occurrence),
+            classification=class_by_name[name].factor_class.value,
+            indicator=indicator_by_name[name].indicator.text,
+            insertion_index=factor.insertion_index,
+        )
+        labels = tuple(
+            f"{p.domain}/{p.subcategory} ({p.tier.value})" for p in placements
+        )
+        buckets.setdefault(home, []).append(entry(tier="primary", placements=labels))
+        for p in placements:
+            if p.tier is not PlacementTier.PRIMARY:
+                buckets.setdefault((p.domain, p.subcategory), []).append(
+                    entry(tier=p.tier.value, reference="/".join(home))
                 )
-        else:
-            assignment = assign_by_name[name]
-            add_entry(
-                assignment.category,
-                assignment.subcategory,
-                FrameworkEntry(
-                    canonical_name=name,
-                    tracking_notation=notation,
-                    classification=result.factor_class.value,
-                    indicator=indicator_text,
-                    tier="primary",
-                    insertion_index=factor.insertion_index,
-                ),
-            )
 
     categories = []
     for domain in kb.domains:
@@ -241,15 +202,11 @@ def build_framework(
                 )
             )
 
-    raw_total = (
-        total_original_factors
-        if total_original_factors is not None
-        else factor_set.raw_record_count
-    )
+    raw_total, unique = factor_set.raw_record_count, factor_set.unique_count
     metadata = FrameworkMetadata(
         total_original_factors=raw_total,
-        unique_factors=factor_set.unique_count,
-        reduction_percentage=100.0 * reduction_rate(raw_total, factor_set.unique_count),
+        unique_factors=unique,
+        reduction_percentage=100.0 * reduction_rate(raw_total, unique),
         space_types=SPACE_TYPES,
         config_checksums=dict(config_checksums or {}),
     )
@@ -341,60 +298,21 @@ def validate(
 
 
 def framework_to_dict(framework: Framework) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": {
-            "total_original_factors": framework.metadata.total_original_factors,
-            "unique_factors": framework.metadata.unique_factors,
-            "reduction_percentage": framework.metadata.reduction_percentage,
-            "space_types": list(framework.metadata.space_types),
-            "config_checksums": dict(framework.metadata.config_checksums),
-        },
-        "categories": [
-            {
-                "identifier": category.identifier,
-                "factor_total": category.factor_total,
-                "subcategories": [
-                    {
-                        "identifier": sub.identifier,
-                        "factor_count": sub.factor_count,
-                        "entries": [
-                            {
-                                "canonical_name": entry.canonical_name,
-                                "tracking_notation": entry.tracking_notation,
-                                "classification": entry.classification,
-                                "indicator": entry.indicator,
-                                "tier": entry.tier,
-                                "placements": list(entry.placements),
-                                "reference": entry.reference,
-                                "insertion_index": entry.insertion_index,
-                            }
-                            for entry in sub.entries
-                        ],
-                    }
-                    for sub in category.subcategories
-                ],
-            }
-            for category in framework.categories
-        ],
-    }
+    return {"schema_version": SCHEMA_VERSION, **asdict(framework)}
 
 
 def report_to_dict(report: ValidationReport) -> dict:
-    def check(c: ValidationCheck) -> dict:
-        return {"passed": c.passed, "problems": list(c.problems)}
+    return {"passed": report.passed, **asdict(report)}
 
-    return {
-        "passed": report.passed,
-        "completeness": check(report.completeness),
-        "hierarchy_integrity": check(report.hierarchy_integrity),
-        "indicator_consistency": check(report.indicator_consistency),
-        "paper_discrepancy_notes": [dict(n) for n in report.paper_discrepancy_notes],
-    }
+
+def _enum_value(value: object) -> object:
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def to_canonical_json(doc: dict) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+    return json.dumps(doc, ensure_ascii=False, indent=2, default=_enum_value) + "\n"
 
 
 def export_document(

@@ -38,7 +38,10 @@ class ConfigError(TaxoforgeError):
 
 
 def require_number(value: object, label: str, error: type[TaxoforgeError]) -> float:
-    """``value`` as a float, or ``error`` naming ``label`` if it is not a number."""
+    """``value`` as a float, or ``error`` naming ``label`` if it is not a
+    number; a boolean is not one, though ``float(True)`` succeeds."""
+    if isinstance(value, bool):
+        raise error(f"{label} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):

@@ -31,9 +31,6 @@ class OccurrenceVector:
     def from_mapping(cls, counts: Mapping[str, int]) -> "OccurrenceVector":
         return cls(tuple(int(counts.get(code, 0)) for code in SPACE_TYPES))
 
-    def get(self, code: str) -> int:
-        return self.counts[SPACE_TYPES.index(code)]
-
     def as_dict(self) -> dict[str, int]:
         return dict(zip(SPACE_TYPES, self.counts))
 
@@ -79,12 +76,6 @@ class IntegratedFactorSet:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(f.canonical_name for f in self.factors)
-
-    def by_name(self, name: str) -> IntegratedFactor:
-        for factor in self.factors:
-            if factor.canonical_name == name:
-                return factor
-        raise KeyError(name)
 
 
 def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSet:

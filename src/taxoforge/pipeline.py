@@ -25,6 +25,7 @@ import yaml
 from . import __version__
 from . import applicability, classify, cluster, emit, integrate, placement, similarity
 from .corpus import SPACE_TYPES, load_corpus, load_rules, merge_corpora
+from .emit import SCHEMA_VERSION
 from .errors import ArtifactError, ConfigError, TaxoforgeError, require_number
 from .knowledge import (
     DomainKnowledgeBase,
@@ -37,20 +38,18 @@ from .similarity import SemanticLexicon, SimilarityWeights, load_lexicon
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
-
 # Unmatched factor names quoted in the classify warning; the count is always given.
 UNMATCHED_SHOWN = 5
 
 
 @dataclass(frozen=True)
 class Thresholds:
-    band_high: float = 0.75
-    band_low: float = 0.5
-    related: float = 0.75
-    subcluster: float = 0.6
-    cross_cutting: float = 0.6
-    promotion: float = 0.80
+    band_high: float = similarity.BAND_HIGH
+    band_low: float = similarity.BAND_LOW
+    related: float = cluster.RELATED_THRESHOLD
+    subcluster: float = cluster.SUBCLUSTER_THRESHOLD
+    cross_cutting: float = classify.CROSS_CUTTING_THRESHOLD
+    promotion: float = placement.PROMOTION_THRESHOLD
 
     def __post_init__(self) -> None:
         for name, value in self.as_dict().items():
@@ -114,6 +113,10 @@ def _file_digest(path: Path, label: str) -> str:
 
 def _parse_weights(value) -> SimilarityWeights:
     if isinstance(value, dict):
+        names = [f.name for f in fields(SimilarityWeights)]
+        for name in value:
+            if name not in names:
+                raise ConfigError(f"unknown similarity weight {name!r}")
         value = [value.get(f.name, f.default) for f in fields(SimilarityWeights)]
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ConfigError(f"bad similarity weights: {value!r}")
@@ -267,13 +270,26 @@ class RunState:
         return path
 
     def get(self, phase: str):
-        """The result of ``phase``, from memory or else from its artifact."""
+        """The result of ``phase``, from memory or else from its artifact.
+
+        This is the one checked read path: a body the decoder cannot read
+        becomes an ``ArtifactError`` naming the file and the field."""
         if phase not in self.results:
-            self.results[phase] = ARTIFACTS[phase][1](self._read(phase))
+            path = self.config.out_dir / ARTIFACTS[phase][0]
+            data = self._read(phase, path)
+            try:
+                self.results[phase] = ARTIFACTS[phase][1](data)
+            except KeyError as exc:
+                raise ArtifactError(
+                    f"artifact {path}: missing field {exc.args[0]!r}"
+                ) from None
+            except (
+                AttributeError, LookupError, TypeError, ValueError, TaxoforgeError
+            ) as exc:
+                raise ArtifactError(f"artifact {path}: bad data: {exc}") from None
         return self.results[phase]
 
-    def _read(self, phase: str) -> dict:
-        path = self.config.out_dir / ARTIFACTS[phase][0]
+    def _read(self, phase: str, path: Path) -> dict:
         if not path.exists():
             raise ArtifactError(
                 f"phase {phase!r}: missing upstream artifact {path}; "
@@ -374,7 +390,7 @@ def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Pat
     rows = [
         (
             r.name,
-            integrate.tracking_notation(factor_set.by_name(r.name).occurrence),
+            integrate.tracking_notation(factor.occurrence),
             r.stats.active_type_count,
             f"{r.stats.entropy_nats:.3f}",
             r.factor_class.value,
@@ -382,7 +398,7 @@ def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Pat
             r.cross_cutting.score,
             r.cross_cutting.status.value,
         )
-        for r in results
+        for r, factor in zip(results, factor_set.factors)
     ]
     _write_csv(
         config.out_dir / "classification_report.csv",
@@ -464,27 +480,6 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
     return path
 
 
-def primary_homes(
-    results: Sequence[classify.ClassificationResult],
-    assignments: Sequence[cluster.CategoryAssignment],
-    placement_result: placement.PlacementResult,
-) -> dict[str, tuple[str, str]]:
-    """Factor -> (category, subcategory) of its one primary home."""
-    by_assignment = {a.factor: (a.category, a.subcategory) for a in assignments}
-    primaries = {
-        p.factor: (p.domain, p.subcategory)
-        for p in placement_result.placements
-        if p.tier is placement.PlacementTier.PRIMARY
-    }
-    out = {}
-    for result in results:
-        if result.cross_cutting.flagged and result.name in primaries:
-            out[result.name] = primaries[result.name]
-        else:
-            out[result.name] = by_assignment[result.name]
-    return out
-
-
 def _aggregation_profiles(
     factor_set: integrate.IntegratedFactorSet,
     homes: Mapping[str, tuple[str, str]],
@@ -537,7 +532,7 @@ def _aggregation_profiles(
 def phase_indicate(config: PipelineConfig, state: RunState | None = None) -> Path:
     state = state or RunState(config)
     factor_set, results, kb = state.get("integrate"), state.get("classify"), state.kb
-    homes = primary_homes(results, state.get("cluster"), state.get("place"))
+    homes = placement.primary_homes(results, state.get("cluster"), state.get("place"))
     records = applicability.indicators_for(
         factor_set.factors,
         results,

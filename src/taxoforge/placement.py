@@ -10,12 +10,17 @@ placements receive cross-reference entries pointing back to the primary home.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 from .classify import ClassificationResult
-from .cluster import CategoryAssignment, best_subcategory, related_factors
+from .cluster import (
+    RELATED_THRESHOLD,
+    CategoryAssignment,
+    best_subcategory,
+    related_factors,
+)
 from .errors import TaxoforgeError
 from .integrate import IntegratedFactorSet
 from .knowledge import DomainKnowledgeBase
@@ -160,7 +165,7 @@ def place_cross_cutting(
     matrix: SimilarityMatrix,
     assignments: Sequence[CategoryAssignment],
     lexicon: SemanticLexicon,
-    related_threshold: float = 0.75,
+    related_threshold: float = RELATED_THRESHOLD,
     promotion_threshold: float = PROMOTION_THRESHOLD,
 ) -> PlacementResult:
     """Run composites, ranking, tiers, and cross-references for all flagged factors."""
@@ -256,67 +261,54 @@ def placement_metrics(result: PlacementResult) -> PlacementMetrics:
     )
 
 
+def primary_homes(
+    results: Sequence[ClassificationResult],
+    assignments: Sequence[CategoryAssignment],
+    placement_result: PlacementResult,
+) -> dict[str, tuple[str, str]]:
+    """Factor -> (category, subcategory) of its one primary home: the primary
+    placement of a flagged, placed factor, the assigned category otherwise."""
+    by_assignment = {a.factor: (a.category, a.subcategory) for a in assignments}
+    primaries = {
+        p.factor: (p.domain, p.subcategory)
+        for p in placement_result.placements
+        if p.tier is PlacementTier.PRIMARY
+    }
+    out = {}
+    for result in results:
+        if result.cross_cutting.flagged and result.name in primaries:
+            out[result.name] = primaries[result.name]
+        else:
+            out[result.name] = by_assignment[result.name]
+    return out
+
+
 def placements_to_dict(result: PlacementResult) -> dict:
-    metrics = placement_metrics(result)
     return {
         "placements": [
             {
-                "factor": p.factor,
-                "domain": p.domain,
-                "subcategory": p.subcategory,
-                "tier": p.tier.value,
-                "composite": p.composite,
+                **asdict(p),
                 "is_argmax": result.argmax_flags[p.factor]
                 if p.tier is PlacementTier.PRIMARY
                 else None,
             }
             for p in result.placements
         ],
-        "cross_references": [
-            {
-                "factor": r.factor,
-                "from_domain": r.from_domain,
-                "from_subcategory": r.from_subcategory,
-                "to_domain": r.to_domain,
-                "to_subcategory": r.to_subcategory,
-            }
-            for r in result.cross_references
-        ],
-        "metrics": {
-            "total": metrics.total,
-            "cross_cutting_count": metrics.cross_cutting_count,
-            "average_per_factor": metrics.average_per_factor,
-            "consistency_pct": metrics.consistency_pct,
-        },
+        "cross_references": [asdict(r) for r in result.cross_references],
+        "metrics": asdict(placement_metrics(result)),
     }
 
 
 def placements_from_dict(doc: dict) -> PlacementResult:
-    placements = tuple(
-        StrategicPlacement(
-            factor=entry["factor"],
-            domain=entry["domain"],
-            subcategory=entry["subcategory"],
-            tier=PlacementTier(entry["tier"]),
-            composite=entry["composite"],
-        )
-        for entry in doc["placements"]
-    )
-    refs = tuple(
-        CrossReference(
-            factor=entry["factor"],
-            from_domain=entry["from_domain"],
-            from_subcategory=entry["from_subcategory"],
-            to_domain=entry["to_domain"],
-            to_subcategory=entry["to_subcategory"],
-        )
-        for entry in doc["cross_references"]
-    )
-    argmax_flags = {
-        entry["factor"]: bool(entry["is_argmax"])
-        for entry in doc["placements"]
-        if entry["tier"] == "primary"
-    }
+    placements, argmax_flags = [], {}
+    for entry in doc["placements"]:
+        fields = {**entry, "tier": PlacementTier(entry["tier"])}
+        is_argmax = fields.pop("is_argmax")
+        placements.append(StrategicPlacement(**fields))
+        if fields["tier"] is PlacementTier.PRIMARY:
+            argmax_flags[entry["factor"]] = bool(is_argmax)
     return PlacementResult(
-        placements=placements, cross_references=refs, argmax_flags=argmax_flags
+        placements=tuple(placements),
+        cross_references=tuple(CrossReference(**e) for e in doc["cross_references"]),
+        argmax_flags=argmax_flags,
     )

@@ -28,6 +28,9 @@ from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
 
 DEFAULT_FIELD_SCORE = 0.85
 
+BAND_HIGH = 0.75
+BAND_LOW = 0.5
+
 
 @dataclass(frozen=True)
 class SemanticLexicon:
@@ -196,7 +199,9 @@ class SimilarityBand(Enum):
     LOW = "Low"
 
 
-def band(score: float, high: float = 0.75, low: float = 0.5) -> SimilarityBand:
+def band(
+    score: float, high: float = BAND_HIGH, low: float = BAND_LOW
+) -> SimilarityBand:
     """Band a pair score; the high boundary itself is Moderate."""
     if not 0.0 <= score <= 1.0:
         raise TaxoforgeError(f"score {score} out of range [0, 1]")
@@ -291,19 +296,9 @@ class BandCensus:
     def total(self) -> int:
         return self.high + self.moderate + self.low
 
-    def fraction(self, which: SimilarityBand) -> float:
-        if self.total == 0:
-            return 0.0
-        count = {
-            SimilarityBand.HIGH: self.high,
-            SimilarityBand.MODERATE: self.moderate,
-            SimilarityBand.LOW: self.low,
-        }[which]
-        return count / self.total
-
 
 def band_census(
-    matrix: SimilarityMatrix, high: float = 0.75, low: float = 0.5
+    matrix: SimilarityMatrix, high: float = BAND_HIGH, low: float = BAND_LOW
 ) -> BandCensus:
     """Count unique pairs per band; the diagonal is excluded."""
     counts = {SimilarityBand.HIGH: 0, SimilarityBand.MODERATE: 0, SimilarityBand.LOW: 0}

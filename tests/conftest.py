@@ -63,7 +63,7 @@ def make_factor(
     vector = OccurrenceVector.from_mapping(counts)
     if studies is None:
         studies = {
-            code: frozenset({f"{name}-{code}"}) if vector.get(code) else frozenset()
+            code: frozenset({f"{name}-{code}"}) if vector.as_dict()[code] else frozenset()
             for code in SPACE_TYPES
         }
     return IntegratedFactor(
@@ -197,8 +197,7 @@ def build_pipeline_outputs(factor_set, kb, lexicon, matrix=None):
     """Run phases 2..6 in memory and return everything emit needs."""
     from taxoforge.applicability import indicators_for
     from taxoforge.cluster import assign_categories
-    from taxoforge.pipeline import primary_homes
-    from taxoforge.placement import place_cross_cutting
+    from taxoforge.placement import place_cross_cutting, primary_homes
 
     if matrix is None:
         matrix = build_matrix(factor_set, SimilarityWeights(), lexicon)

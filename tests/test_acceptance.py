@@ -50,9 +50,10 @@ def test_c1_integration_fixture_reproduction(default_rules):
         assert elapsed < 1.0
         assert factor_set.unique_count == 11
         assert list(factor_set.names) == WORKED_FACTOR_ORDER
+        by_name = dict(zip(factor_set.names, factor_set.factors))
         for name, expected in WORKED_VECTORS.items():
             full = {code: expected.get(code, 0) for code in "PSUGOF"}
-            assert factor_set.by_name(name).occurrence.as_dict() == full, name
+            assert by_name[name].occurrence.as_dict() == full, name
 
 
 def test_c2_combiner_reproduction():

@@ -406,6 +406,16 @@ MALFORMED = [
         id="config-band-order",
     ),
     pytest.param(
+        "config",
+        ["weights"],
+        {"linguistic": 0.5, "distributional": 0.3, "cooccurrence": 0.2},
+        "cooccurrence",
+        id="config-weights-unknown-key",
+    ),
+    pytest.param(
+        "config", ["thresholds"], {"related": True}, "related", id="config-threshold-bool"
+    ),
+    pytest.param(
         "kb",
         ["domains", 0, "space_profile", "P"],
         "high",
@@ -442,6 +452,14 @@ MALFORMED = [
     pytest.param("artifact", ["phase"], "similarity", "phase", id="artifact-phase"),
     pytest.param(
         "artifact", ["schema_version"], 0, "schema_version", id="artifact-schema"
+    ),
+    pytest.param("artifact", ["data"], {}, "factors", id="artifact-data-empty"),
+    pytest.param(
+        "artifact",
+        ["data", "factors", 0, "canonical_name"],
+        MISSING,
+        "canonical_name",
+        id="artifact-factor-no-name",
     ),
 ]
 

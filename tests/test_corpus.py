@@ -27,7 +27,7 @@ class TestLoadCorpus:
             "raw_name,study_id,space_type\nsafety,c1,P\nsafety,c2,S\n",
         )
         corpus = load_corpus(path)
-        assert len(corpus) == 2
+        assert len(corpus.records) == 2
         assert [r.space_type for r in corpus.records] == ["P", "S"]
         assert corpus.records[0].raw_name == "safety"
 
@@ -68,7 +68,7 @@ class TestLoadCorpus:
     def test_fixture_loads(self, sample_corpus):
         # Expansion of the worked integration example: every occurrence in the
         # final tracking column is one record.
-        assert len(sample_corpus) == 35
+        assert len(sample_corpus.records) == 35
 
     def test_expected_type_mismatch(self, tmp_path):
         path = write(

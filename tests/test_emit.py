@@ -17,6 +17,7 @@ from taxoforge.emit import (
     render_sankey,
     report_to_dict,
     resolve_category,
+    to_canonical_json,
     validate,
 )
 from taxoforge.errors import TaxoforgeError
@@ -180,10 +181,8 @@ class TestExportDocument:
         path = tmp_path / "framework.json"
         export_document(framework, report, path, "structured")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc == {
-            **framework_to_dict(framework),
-            "validation": report_to_dict(report),
-        }
+        expected = {**framework_to_dict(framework), "validation": report_to_dict(report)}
+        assert doc == json.loads(to_canonical_json(expected))
 
     def test_stub_entries_render_references(self, sample_framework):
         framework, report = sample_framework

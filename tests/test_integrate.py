@@ -52,13 +52,15 @@ class TestIntegrate:
         assert list(sample_factors.names) == WORKED_FACTOR_ORDER
 
     def test_fixture_occurrence_vectors(self, sample_factors):
+        by_name = dict(zip(sample_factors.names, sample_factors.factors))
         for name, expected in WORKED_VECTORS.items():
-            vector = sample_factors.by_name(name).occurrence
+            vector = by_name[name].occurrence
             full = {code: expected.get(code, 0) for code in "PSUGOF"}
             assert vector.as_dict() == full, name
 
     def test_accessibility_vector(self, sample_factors):
-        vector = sample_factors.by_name("accessibility").occurrence
+        index = sample_factors.names.index("accessibility")
+        vector = sample_factors.factors[index].occurrence
         assert vector.as_dict() == {"P": 1, "S": 1, "U": 1, "G": 0, "O": 4, "F": 2}
 
     def test_singleton(self, default_rules):
@@ -71,12 +73,12 @@ class TestIntegrate:
 
     def test_record_conservation(self, sample_factors, sample_corpus):
         total = sum(f.occurrence.total for f in sample_factors.factors)
-        assert total == len(sample_corpus) == sample_factors.raw_record_count
+        assert total == len(sample_corpus.records) == sample_factors.raw_record_count
 
     def test_study_sets_bounded_by_counts(self, sample_factors):
         for factor in sample_factors.factors:
             for code in "PSUGOF":
-                assert len(factor.studies[code]) <= factor.occurrence.get(code)
+                assert len(factor.studies[code]) <= factor.occurrence.as_dict()[code]
 
     def test_empty_corpus_rejected(self, default_rules):
         with pytest.raises(CorpusError, match="empty corpus"):

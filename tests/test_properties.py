@@ -39,8 +39,7 @@ from taxoforge.integrate import (
     tracking_notation,
 )
 from taxoforge.knowledge import Domain, DomainKnowledgeBase, DomainScope, Subcategory
-from taxoforge.pipeline import primary_homes
-from taxoforge.placement import place_cross_cutting
+from taxoforge.placement import place_cross_cutting, primary_homes
 from taxoforge.similarity import (
     ComponentScores,
     SemanticLexicon,
@@ -128,7 +127,7 @@ def random_factor_set(rng: random.Random, max_factors: int = 4) -> IntegratedFac
             rng.sample(study_pool, rng.randint(1, 3))
         )
         studies = {
-            code: studies_for if vector.get(code) else frozenset()
+            code: studies_for if vector.as_dict()[code] else frozenset()
             for code in SPACE_TYPES
         }
         factors.append(IntegratedFactor(name, vector, studies, index))

@@ -191,9 +191,9 @@ class TestBandCensus:
     def test_reported_scale_fractions(self):
         total = pair_count(1029)
         census = BandCensus(high=2847, moderate=15234, low=total - 2847 - 15234)
-        assert round(100 * census.fraction(SimilarityBand.HIGH), 2) == 0.54
-        assert round(100 * census.fraction(SimilarityBand.MODERATE), 2) == 2.88
+        assert round(100 * census.high / census.total, 2) == 0.54
+        assert round(100 * census.moderate / census.total, 2) == 2.88
 
     def test_high_fraction_below_one(self, sample_matrix):
         census = band_census(sample_matrix)
-        assert census.fraction(SimilarityBand.HIGH) < 1.0
+        assert census.high / census.total < 1.0
