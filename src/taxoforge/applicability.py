@@ -211,6 +211,10 @@ def indicators_to_dict(records: Sequence[IndicatorRecord]) -> dict:
 def indicators_from_dict(doc: dict) -> list[IndicatorRecord]:
     records = []
     for entry in doc["indicators"]:
+        if not isinstance(entry["text"], str):
+            raise TaxoforgeError(
+                f"field 'text' must be a string, got {entry['text']!r}"
+            )
         records.append(
             IndicatorRecord(
                 name=entry["name"],

@@ -221,6 +221,26 @@ def classification_to_dict(results: list[ClassificationResult]) -> dict:
 def classification_from_dict(doc: dict) -> list[ClassificationResult]:
     results = []
     for entry in doc["factors"]:
+        if type(entry["flagged"]) is not bool:
+            raise TaxoforgeError(
+                f"field 'flagged' must be true or false, got {entry['flagged']!r}"
+            )
+        if not isinstance(entry["primary_domain"], (str, type(None))):
+            raise TaxoforgeError(
+                f"field 'primary_domain' must be a domain id or null, "
+                f"got {entry['primary_domain']!r}"
+            )
+        relevance = entry["relevance"]
+        width = len(results[0].relevance) if results else len(relevance)
+        if (
+            not isinstance(relevance, list)
+            or len(relevance) != width
+            or not all(_is_score(x) for x in relevance)
+        ):
+            raise TaxoforgeError(
+                f"field 'relevance' of {entry['name']!r}: expected {width} "
+                "numbers in [0, 1], as many as the first factor's"
+            )
         results.append(
             ClassificationResult(
                 name=entry["name"],
@@ -237,7 +257,11 @@ def classification_from_dict(doc: dict) -> list[ClassificationResult]:
                     status=CrossCuttingStatus(entry["status"]),
                     flagged=entry["flagged"],
                 ),
-                relevance=tuple(entry["relevance"]),
+                relevance=tuple(relevance),
             )
         )
     return results
+
+
+def _is_score(value: object) -> bool:
+    return type(value) in (int, float) and 0.0 <= value <= 1.0

@@ -33,7 +33,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="NAME=VALUE",
         help="threshold override; repeatable",
     )
-    parser.add_argument("--jobs", type=int, help="parallelism degree")
+    parser.add_argument(
+        "--jobs", type=int, help="accepted and validated; has no effect"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -73,7 +73,7 @@ class PipelineConfig:
     out_dir: Path
     weights: SimilarityWeights = SimilarityWeights()
     thresholds: Thresholds = Thresholds()
-    jobs: int = 1
+    jobs: int = 1  # validated but unused: the similarity build is serial
 
     def __post_init__(self) -> None:
         if type(self.jobs) is not int or self.jobs < 1:
@@ -348,7 +348,7 @@ def phase_similarity(
 ) -> Path:
     state = state or RunState(config)
     matrix = similarity.build_matrix(
-        state.get("integrate"), config.weights, state.lexicon, jobs=config.jobs
+        state.get("integrate"), config.weights, state.lexicon
     )
     path = state.put("similarity", matrix, similarity.matrix_to_dict(matrix))
     if emit_pairs:

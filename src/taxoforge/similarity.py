@@ -10,14 +10,21 @@ Three components feed every pair score:
 
 The blend uses configurable weights (defaults 0.5 / 0.3 / 0.2). Scores above
 0.75 band as High, 0.5..0.75 as Moderate, below 0.5 as Low.
+
+What the linguistic component reads of a name (its token set, trigram counts
+and their squared norm, and its lexicon fields) is computed once per name and
+lexicon and cached on the lexicon, so the n(n-1)/2 pairs of the matrix and the
+keyword scoring of classify and cluster share it. ``build_matrix`` likewise
+reads each factor's occurrence norm and merged study set once.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from operator import mul
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -33,19 +40,47 @@ BAND_LOW = 0.5
 
 
 @dataclass(frozen=True)
+class NameFeatures:
+    """What linguistic similarity reads of one name."""
+
+    tokens: frozenset[str]
+    trigrams: dict[str, int]
+    grams: frozenset[str]  # the trigram keys, for a set intersection per pair
+    trigram_norm_sq: int
+    fields: frozenset[str]
+
+
+@dataclass(frozen=True)
 class SemanticLexicon:
-    """Named semantic fields; co-membership earns the field score."""
+    """Named semantic fields; co-membership earns the field score.
+
+    Each name's ``NameFeatures`` is built once and kept on the lexicon, so two
+    lexicons never share field sets and the cache lives as long as its lexicon.
+    """
 
     fields: Mapping[str, frozenset[str]]
     field_score: float = DEFAULT_FIELD_SCORE
 
-    def fields_of(self, name: str) -> frozenset[str]:
-        return frozenset(
-            field for field, terms in self.fields.items() if name in terms
-        )
+    @cached_property
+    def _term_fields(self) -> dict[str, frozenset[str]]:
+        index: dict[str, set[str]] = {}
+        for field, terms in self.fields.items():
+            for term in terms:
+                index.setdefault(term, set()).add(field)
+        return {term: frozenset(fields) for term, fields in index.items()}
 
-    def share_field(self, a: str, b: str) -> bool:
-        return bool(self.fields_of(a) & self.fields_of(b))
+    @cached_property
+    def _features(self) -> dict[str, NameFeatures]:
+        return {}
+
+    def fields_of(self, name: str) -> frozenset[str]:
+        return self._term_fields.get(name, frozenset())
+
+    def features(self, name: str) -> NameFeatures:
+        found = self._features.get(name)
+        if found is None:
+            found = self._features[name] = name_features(name, self)
+        return found
 
 
 def load_lexicon(path: str | Path) -> SemanticLexicon:
@@ -76,18 +111,22 @@ def load_lexicon(path: str | Path) -> SemanticLexicon:
     return SemanticLexicon(fields=fields, field_score=field_score)
 
 
-def _tokens(name: str) -> frozenset[str]:
-    return frozenset(name.split())
-
-
-def _trigrams(name: str) -> dict[str, int]:
+def name_features(name: str, lexicon: SemanticLexicon) -> NameFeatures:
+    """Build one name's record; ``SemanticLexicon.features`` caches it."""
     if len(name) < 3:
-        return {name: 1}
-    grams: dict[str, int] = {}
-    for i in range(len(name) - 2):
-        gram = name[i : i + 3]
-        grams[gram] = grams.get(gram, 0) + 1
-    return grams
+        trigrams = {name: 1}
+    else:
+        trigrams = {}
+        for i in range(len(name) - 2):
+            gram = name[i : i + 3]
+            trigrams[gram] = trigrams.get(gram, 0) + 1
+    return NameFeatures(
+        tokens=frozenset(name.split()),
+        trigrams=trigrams,
+        grams=frozenset(trigrams),
+        trigram_norm_sq=sum(count * count for count in trigrams.values()),
+        fields=lexicon.fields_of(name),
+    )
 
 
 def _int_cosine(dot: int, norm_sq_a: int, norm_sq_b: int) -> float:
@@ -99,33 +138,24 @@ def _int_cosine(dot: int, norm_sq_a: int, norm_sq_b: int) -> float:
     return min(1.0, dot / math.sqrt(norm_sq_a * norm_sq_b))
 
 
-def _counter_cosine(a: Mapping[str, int], b: Mapping[str, int]) -> float:
-    dot = sum(count * b.get(gram, 0) for gram, count in a.items())
-    return _int_cosine(
-        dot,
-        sum(count * count for count in a.values()),
-        sum(count * count for count in b.values()),
-    )
-
-
-def token_jaccard(a: str, b: str) -> float:
-    ta, tb = _tokens(a), _tokens(b)
-    union = ta | tb
-    if not union:
-        return 0.0
-    return len(ta & tb) / len(union)
-
-
-def trigram_cosine(a: str, b: str) -> float:
-    return _counter_cosine(_trigrams(a), _trigrams(b))
+def _linguistic(fa: NameFeatures, fb: NameFeatures, field_score: float) -> float:
+    """Best of token-set Jaccard, trigram cosine, and the shared-field bonus."""
+    shared = len(fa.tokens & fb.tokens)
+    union = len(fa.tokens) + len(fb.tokens) - shared
+    score = shared / union if union else 0.0
+    common = fa.grams & fb.grams
+    if common:  # otherwise the trigram cosine is 0.0
+        ga, gb = fa.trigrams, fb.trigrams
+        dot = sum([ga[gram] * gb[gram] for gram in common])
+        score = max(score, _int_cosine(dot, fa.trigram_norm_sq, fb.trigram_norm_sq))
+    if not fa.fields.isdisjoint(fb.fields):
+        score = max(score, field_score)
+    return score
 
 
 def linguistic_similarity(a: str, b: str, lexicon: SemanticLexicon) -> float:
     """Best of token overlap, trigram cosine, and the shared-field bonus."""
-    score = max(token_jaccard(a, b), trigram_cosine(a, b))
-    if lexicon.share_field(a, b):
-        score = max(score, lexicon.field_score)
-    return score
+    return _linguistic(lexicon.features(a), lexicon.features(b), lexicon.field_score)
 
 
 def cosine(a: Sequence[float], b: Sequence[float]) -> float:
@@ -156,7 +186,7 @@ def co_occurrence_strength(a: IntegratedFactor, b: IntegratedFactor) -> float:
     return len(sa & sb) / min(len(sa), len(sb))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentScores:
     linguistic: float
     distributional: float
@@ -231,53 +261,48 @@ class SimilarityMatrix:
         return len(self.names)
 
 
-def _pair_components(
-    fa: IntegratedFactor, fb: IntegratedFactor, lexicon: SemanticLexicon
-) -> ComponentScores:
-    return ComponentScores(
-        linguistic=linguistic_similarity(fa.canonical_name, fb.canonical_name, lexicon),
-        distributional=distributional_similarity(fa.occurrence, fb.occurrence),
-        co_occurrence=co_occurrence_strength(fa, fb),
-    )
-
-
 def build_matrix(
     factor_set: IntegratedFactorSet,
     weights: SimilarityWeights,
     lexicon: SemanticLexicon,
-    jobs: int = 1,
 ) -> SimilarityMatrix:
     """Compute the full symmetric matrix with unit diagonal.
 
-    Cells are independent, so the row partitioning used for jobs > 1 cannot
-    change any value; output is identical at every parallelism degree.
+    Each pair's components equal ``linguistic_similarity``,
+    ``distributional_similarity`` and ``co_occurrence_strength`` of the pair;
+    the per-factor inputs to those are read once, before the pair loop.
     """
     factors = factor_set.factors
     if not factors:
         raise TaxoforgeError("cannot build a similarity matrix for an empty set")
     n = len(factors)
+    studies = [f.all_studies for f in factors]
+    for k, factor in enumerate(factors if n > 1 else ()):
+        if factor.occurrence.total == 0 or not studies[k]:
+            # Raise what the first pair holding this factor raises.
+            other = factors[1] if k == 0 else factor
+            distributional_similarity(factors[0].occurrence, other.occurrence)
+            co_occurrence_strength(factors[0], other)
+    features = [lexicon.features(f.canonical_name) for f in factors]
+    counts = [f.occurrence.counts for f in factors]
+    norms = [sum(x * x for x in c) for c in counts]
+    sizes = [len(s) for s in studies]
+    field_score = lexicon.field_score
+
     scores = [[0.0] * n for _ in range(n)]
     components: dict[tuple[int, int], ComponentScores] = {}
-
-    def row(i: int) -> list[tuple[int, ComponentScores, float]]:
-        out = []
+    for i in range(n):
+        fa, ca, na, sa, size_a = features[i], counts[i], norms[i], studies[i], sizes[i]
+        row = scores[i]
+        row[i] = 1.0
         for j in range(i + 1, n):
-            comp = _pair_components(factors[i], factors[j], lexicon)
-            out.append((j, comp, combine(comp, weights)))
-        return out
-
-    if jobs > 1 and n > 2:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(row, range(n)))
-    else:
-        rows = [row(i) for i in range(n)]
-
-    for i, entries in enumerate(rows):
-        scores[i][i] = 1.0
-        for j, comp, value in entries:
+            comp = ComponentScores(
+                _linguistic(fa, features[j], field_score),
+                _int_cosine(sum(map(mul, ca, counts[j])), na, norms[j]),
+                len(sa & studies[j]) / min(size_a, sizes[j]),
+            )
             components[(i, j)] = comp
-            scores[i][j] = value
-            scores[j][i] = value
+            row[j] = scores[j][i] = combine(comp, weights)
     return SimilarityMatrix(
         names=factor_set.names,
         scores=scores,
@@ -313,7 +338,11 @@ def band_census(
 
 
 def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
-    """JSON-ready mirror with a provenance header."""
+    """JSON-ready mirror with a provenance header.
+
+    ``components`` is written in its dict order, which ``build_matrix`` and
+    ``matrix_from_dict`` make the (i, j) order.
+    """
     return {
         "n": matrix.n,
         "weights": list(matrix.weights.as_tuple()),
@@ -321,20 +350,37 @@ def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
         "scores": [list(row) for row in matrix.scores],
         "components": [
             [i, j, comp.linguistic, comp.distributional, comp.co_occurrence]
-            for (i, j), comp in sorted(matrix.components.items())
+            for (i, j), comp in matrix.components.items()
         ],
     }
 
 
 def matrix_from_dict(doc: dict) -> SimilarityMatrix:
+    names = doc["names"]
+    scores = doc["scores"]
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+        raise TaxoforgeError("similarity names must be a list of strings")
+    n = len(names)
+    if (
+        not isinstance(scores, list)
+        or len(scores) != n
+        or not all(isinstance(row, list) and len(row) == n for row in scores)
+    ):
+        raise TaxoforgeError(f"similarity scores must be a {n} x {n} matrix")
+    try:
+        in_range = all(0.0 <= x <= 1.0 for row in scores for x in row)
+    except TypeError:
+        in_range = False
+    if not in_range:
+        raise TaxoforgeError("similarity scores must be numbers in [0, 1]")
     weights = SimilarityWeights(*doc["weights"])
     components = {
         (int(i), int(j)): ComponentScores(l, d, c)
         for i, j, l, d, c in doc["components"]
     }
     return SimilarityMatrix(
-        names=tuple(doc["names"]),
-        scores=[list(row) for row in doc["scores"]],
+        names=tuple(names),
+        scores=scores,
         components=components,
         weights=weights,
     )

@@ -247,8 +247,6 @@ def test_c8_property_suites():
          props.test_bulk_classification_partition_and_census),
         ("one primary home and flow-weight conservation",
          props.test_bulk_primary_home_and_sankey_conservation),
-        ("parallel vs sequential builds byte-identical",
-         props.test_bulk_parallel_matrix_byte_identity),
     ]
     with criterion(8, "all randomized suites hold at 10,000 cases each inside a minute"):
         started = time.perf_counter()

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from taxoforge import similarity
 from taxoforge.classify import (
     CrossCuttingStatus,
     DistributionStats,
@@ -16,6 +17,7 @@ from taxoforge.classify import (
     classification_from_dict,
     classification_to_dict,
     classify,
+    classify_factors,
     distribution_stats,
     entropy,
     primary_domain,
@@ -23,6 +25,7 @@ from taxoforge.classify import (
 )
 from taxoforge.errors import TaxoforgeError
 from taxoforge.integrate import OccurrenceVector
+from taxoforge.knowledge import default_lexicon_path
 
 
 def hand_entropy(counts):
@@ -154,6 +157,23 @@ class TestRelevanceTable:
             assert result.relevance == relevance_row(
                 result.name, default_kb, default_lexicon
             )
+
+    def test_features_built_once_per_name(
+        self, sample_factors, default_kb, monkeypatch
+    ):
+        built = []
+        original = similarity.name_features
+
+        def counting(name, lexicon):
+            built.append(name)
+            return original(name, lexicon)
+
+        monkeypatch.setattr(similarity, "name_features", counting)
+        lexicon = similarity.load_lexicon(default_lexicon_path())
+        classify_factors(sample_factors, default_kb, lexicon)
+        keywords = {k for domain in default_kb.domains for k in domain.keywords}
+        assert len(built) == len(set(built))
+        assert set(built) == set(sample_factors.names) | keywords
 
     def test_serialization_round_trip(self, classification_fixture):
         doc = json.loads(json.dumps(classification_to_dict(classification_fixture)))

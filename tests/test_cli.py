@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 from pathlib import Path
@@ -12,6 +13,10 @@ import yaml
 from taxoforge import classify, cli, emit, pipeline
 from taxoforge.knowledge import default_kb_path, default_lexicon_path, load_kb
 from tests.conftest import FIXTURES
+
+SIMILARITY_DATA_SHA256 = (
+    "179276fe264d429f640ac72015de813689da2494d279b1b1e321a7e5ad9a42f0"
+)
 
 PHASE_COMMANDS = [
     "integrate",
@@ -57,6 +62,17 @@ class TestRun:
             assert (out / name).exists(), name
         framework = json.loads((out / "framework.json").read_text(encoding="utf-8"))
         assert framework["data"]["metadata"]["unique_factors"] == 11
+
+    def test_similarity_data_is_pinned(self, tmp_path):
+        # sha256 of similarity.json's "data" in canonical JSON on the fixture
+        # corpus; a change to any score, component or the layout moves it.
+        config = pipeline.apply_overrides(
+            pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
+        )
+        assert pipeline.run(config) == 0
+        doc = json.loads((tmp_path / "similarity.json").read_text(encoding="utf-8"))
+        digest = hashlib.sha256(emit.to_canonical_json(doc["data"]).encode("utf-8"))
+        assert digest.hexdigest() == SIMILARITY_DATA_SHA256
 
     def test_missing_kb_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, extra="kb: /nonexistent/kb.yaml\n")
@@ -447,21 +463,75 @@ MALFORMED = [
         id="kb-compatible-string",
     ),
     pytest.param("lexicon", ["field_score"], "high", "field_score", id="lexicon-score"),
-    pytest.param("artifact", [], [], "data", id="artifact-not-object"),
-    pytest.param("artifact", ["data"], MISSING, "data", id="artifact-no-data"),
-    pytest.param("artifact", ["phase"], "similarity", "phase", id="artifact-phase"),
+    pytest.param("integrated.json", [], [], "data", id="artifact-not-object"),
+    pytest.param("integrated.json", ["data"], MISSING, "data", id="artifact-no-data"),
     pytest.param(
-        "artifact", ["schema_version"], 0, "schema_version", id="artifact-schema"
+        "integrated.json", ["phase"], "similarity", "phase", id="artifact-phase"
     ),
-    pytest.param("artifact", ["data"], {}, "factors", id="artifact-data-empty"),
     pytest.param(
-        "artifact",
+        "integrated.json",
+        ["schema_version"],
+        0,
+        "schema_version",
+        id="artifact-schema",
+    ),
+    pytest.param("integrated.json", ["data"], {}, "factors", id="artifact-data-empty"),
+    pytest.param(
+        "integrated.json",
         ["data", "factors", 0, "canonical_name"],
         MISSING,
         "canonical_name",
         id="artifact-factor-no-name",
     ),
+    pytest.param(
+        "similarity.json", ["data", "scores", 0], [1.0], "scores", id="scores-short-row"
+    ),
+    pytest.param(
+        "similarity.json", ["data", "scores", 0, 1], "x", "scores", id="scores-string"
+    ),
+    pytest.param(
+        "similarity.json", ["data", "scores", 0, 1], 1.5, "scores", id="scores-range"
+    ),
+    pytest.param(
+        "similarity.json", ["data", "names", 0], 7, "names", id="similarity-name-number"
+    ),
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 0, "flagged"],
+        "no",
+        "flagged",
+        id="classification-flagged-string",
+    ),
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 0, "relevance"],
+        [0.5],
+        "relevance",
+        id="classification-relevance-short",
+    ),
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 1, "primary_domain"],
+        ["SAFETY"],
+        "primary_domain",
+        id="classification-primary-domain-list",
+    ),
+    pytest.param(
+        "indicators.json",
+        ["data", "indicators", 0, "text"],
+        None,
+        "text",
+        id="indicators-text-null",
+    ),
 ]
+
+# artifact -> the phase subcommand that reads it
+READER = {
+    "integrated.json": "similarity",
+    "similarity.json": "cluster",
+    "classification.json": "place",
+    "indicators.json": "emit",
+}
 
 def _edit(doc, path, value):
     if not path:
@@ -493,12 +563,12 @@ class TestMalformedInputs:
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(doc), encoding="utf-8")
         command = "run"
-        if kind == "artifact":
-            assert cli.main(["integrate", "--config", str(config)]) == 0
-            artifact = tmp_path / "out" / "integrated.json"
+        if kind in READER:
+            assert cli.main(["run", "--config", str(config)]) == 0
+            artifact = tmp_path / "out" / kind
             data = json.loads(artifact.read_text(encoding="utf-8"))
             artifact.write_text(json.dumps(_edit(data, path, value)), "utf-8")
-            command = "similarity"
+            command = READER[kind]
         capsys.readouterr()
         assert cli.main([command, "--config", str(config)]) == 1
         lines = capsys.readouterr().err.strip().splitlines()

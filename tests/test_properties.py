@@ -9,7 +9,6 @@ packaged default to keep per-case cost low.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import string
@@ -45,9 +44,10 @@ from taxoforge.similarity import (
     SemanticLexicon,
     SimilarityWeights,
     build_matrix,
+    co_occurrence_strength,
     combine,
+    distributional_similarity,
     linguistic_similarity,
-    matrix_to_dict,
 )
 
 BULK_CASES = 10_000
@@ -176,7 +176,8 @@ def check_entropy(vector: OccurrenceVector, scale: int) -> None:
         assert value == pytest.approx(math.log(active), abs=1e-12)
 
 
-def check_matrix_properties(factor_set: IntegratedFactorSet) -> None:
+def check_matrix_properties(factor_set: IntegratedFactorSet) -> int:
+    """Check the matrix; return how many of its pairs share a lexicon field."""
     matrix = build_matrix(factor_set, SimilarityWeights(), TINY_LEXICON)
     n = matrix.n
     for i in range(n):
@@ -185,11 +186,18 @@ def check_matrix_properties(factor_set: IntegratedFactorSet) -> None:
             assert matrix.scores[i][j] == matrix.scores[j][i]
             assert 0.0 <= matrix.scores[i][j] <= 1.0
     degenerate = SimilarityWeights(1.0, 0.0, 0.0)
+    factors = factor_set.factors
     for (i, j), comp in matrix.components.items():
         assert combine(comp, degenerate) == comp.linguistic
-        assert comp.linguistic == linguistic_similarity(
-            matrix.names[i], matrix.names[j], TINY_LEXICON
+        # The pair loop against the per-pair reference functions, exactly.
+        assert comp == ComponentScores(
+            linguistic_similarity(matrix.names[i], matrix.names[j], TINY_LEXICON),
+            distributional_similarity(factors[i].occurrence, factors[j].occurrence),
+            co_occurrence_strength(factors[i], factors[j]),
         )
+        assert matrix.scores[i][j] == combine(comp, SimilarityWeights())
+    fields = [TINY_LEXICON.fields_of(name) for name in matrix.names]
+    return sum(bool(fields[i] & fields[j]) for i, j in matrix.components)
 
 
 def check_blend_monotonicity(base: tuple, index: int, bump: float) -> None:
@@ -261,16 +269,6 @@ def check_primary_home_and_sankey(factor_set: IntegratedFactorSet) -> None:
         assert into_types == expected
 
 
-def check_parallel_builds_identical(factor_set: IntegratedFactorSet) -> None:
-    sequential = matrix_to_dict(
-        build_matrix(factor_set, SimilarityWeights(), TINY_LEXICON, jobs=1)
-    )
-    parallel = matrix_to_dict(
-        build_matrix(factor_set, SimilarityWeights(), TINY_LEXICON, jobs=8)
-    )
-    assert json.dumps(sequential) == json.dumps(parallel)
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis suites (edge cases, shrinking)
 # ---------------------------------------------------------------------------
@@ -315,12 +313,6 @@ def test_exactly_one_primary_home_and_sankey_conservation(factor_set):
 
 
 @SUITE
-@given(factor_set=factor_sets())
-def test_parallel_matrix_build_is_byte_identical(factor_set):
-    check_parallel_builds_identical(factor_set)
-
-
-@SUITE
 @given(vector=occurrence_vectors(max_count=9))
 def test_tracking_notation_round_trip(vector):
     assert parse_tracking_notation(tracking_notation(vector)) == vector
@@ -348,10 +340,12 @@ def test_bulk_entropy_bounds_and_scale_invariance():
 
 def test_bulk_matrix_properties_and_weight_degeneracy():
     rng = random.Random(SEED + 2)
+    field_pairs = 0
     for _ in range(BULK_CASES):
-        check_matrix_properties(random_factor_set(rng))
+        field_pairs += check_matrix_properties(random_factor_set(rng))
         base = (rng.random(), rng.random(), rng.random())
         check_blend_monotonicity(base, rng.randint(0, 2), rng.random())
+    assert field_pairs > 0  # the field-bonus branch was exercised
 
 
 def test_bulk_classification_partition_and_census():
@@ -366,8 +360,3 @@ def test_bulk_primary_home_and_sankey_conservation():
     for _ in range(BULK_CASES):
         check_primary_home_and_sankey(random_factor_set(rng))
 
-
-def test_bulk_parallel_matrix_byte_identity():
-    rng = random.Random(SEED + 5)
-    for _ in range(BULK_CASES):
-        check_parallel_builds_identical(random_factor_set(rng))

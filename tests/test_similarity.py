@@ -6,11 +6,14 @@ import math
 
 import pytest
 
+from taxoforge import similarity
 from taxoforge.errors import TaxoforgeError
-from taxoforge.integrate import OccurrenceVector
+from taxoforge.integrate import IntegratedFactorSet, OccurrenceVector
+from taxoforge.knowledge import default_lexicon_path
 from taxoforge.similarity import (
     BandCensus,
     ComponentScores,
+    SemanticLexicon,
     SimilarityBand,
     SimilarityWeights,
     band,
@@ -20,10 +23,11 @@ from taxoforge.similarity import (
     combine,
     distributional_similarity,
     linguistic_similarity,
+    load_lexicon,
     matrix_from_dict,
     matrix_to_dict,
+    name_features,
     pair_count,
-    token_jaccard,
 )
 from tests.conftest import make_factor
 
@@ -34,7 +38,9 @@ class TestLinguistic:
 
     def test_shared_head_token(self, default_lexicon):
         # token sets {thermal, comfort} vs {comfort}: Jaccard = 1/2
-        assert token_jaccard("thermal comfort", "comfort") == 0.5
+        a = name_features("thermal comfort", default_lexicon).tokens
+        b = name_features("comfort", default_lexicon).tokens
+        assert len(a & b) / len(a | b) == 0.5
         score = linguistic_similarity("thermal comfort", "comfort", default_lexicon)
         assert score >= 0.5
 
@@ -46,6 +52,15 @@ class TestLinguistic:
             linguistic_similarity("safety", "security", default_lexicon)
             == default_lexicon.field_score
         )
+
+    def test_lexicons_keep_their_own_fields(self):
+        # Same names, two lexicons in one process: each reads its own fields.
+        one = SemanticLexicon(fields={"f": frozenset({"alpha", "omega"})})
+        other = SemanticLexicon(fields={"g": frozenset({"alpha"})})
+        assert linguistic_similarity("alpha", "omega", one) == one.field_score
+        assert linguistic_similarity("alpha", "omega", other) < one.field_score
+        assert other.features("alpha").fields == {"g"}
+        assert one.features("alpha").fields == {"f"}
 
     def test_symmetry(self, default_lexicon):
         pairs = [("safety", "security"), ("thermal comfort", "comfort"), ("a", "b c")]
@@ -170,12 +185,32 @@ class TestMatrix:
                 assert sample_matrix.scores[i][j] == sample_matrix.scores[j][i]
                 assert 0.0 <= sample_matrix.scores[i][j] <= 1.0
 
-    def test_jobs_do_not_change_result(self, sample_factors, default_lexicon):
-        sequential = build_matrix(sample_factors, SimilarityWeights(), default_lexicon)
-        parallel = build_matrix(
-            sample_factors, SimilarityWeights(), default_lexicon, jobs=8
-        )
-        assert matrix_to_dict(sequential) == matrix_to_dict(parallel)
+    def test_features_built_once_per_factor(self, sample_factors, monkeypatch):
+        built = []
+        original = similarity.name_features
+
+        def counting(name, lexicon):
+            built.append(name)
+            return original(name, lexicon)
+
+        monkeypatch.setattr(similarity, "name_features", counting)
+        lexicon = load_lexicon(default_lexicon_path())
+        build_matrix(sample_factors, SimilarityWeights(), lexicon)
+        assert sorted(built) == sorted(sample_factors.names)
+        assert len(built) == 11
+
+    def test_unpairable_factor_raises_in_a_pair(self, default_lexicon):
+        good = make_factor("safety", {"P": 1})
+        zero = make_factor("lighting", {})
+        no_studies = make_factor("comfort", {"P": 1}, studies={})
+        for bad, message in ((zero, "non-zero vectors"), (no_studies, "study sets")):
+            alone = IntegratedFactorSet((bad,), 1)
+            assert build_matrix(alone, SimilarityWeights(), default_lexicon).n == 1
+            for pair in ((good, bad), (bad, good)):
+                with pytest.raises(TaxoforgeError, match=message):
+                    build_matrix(
+                        IntegratedFactorSet(pair, 2), SimilarityWeights(), default_lexicon
+                    )
 
     def test_serialization_round_trip(self, sample_matrix):
         doc = matrix_to_dict(sample_matrix)
