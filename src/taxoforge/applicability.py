@@ -211,10 +211,11 @@ def indicators_to_dict(records: Sequence[IndicatorRecord]) -> dict:
 def indicators_from_dict(doc: dict) -> list[IndicatorRecord]:
     records = []
     for entry in doc["indicators"]:
-        if not isinstance(entry["text"], str):
-            raise TaxoforgeError(
-                f"field 'text' must be a string, got {entry['text']!r}"
-            )
+        for key in ("name", "text"):
+            if not isinstance(entry[key], str):
+                raise TaxoforgeError(
+                    f"field {key!r} must be a string, got {entry[key]!r}"
+                )
         records.append(
             IndicatorRecord(
                 name=entry["name"],

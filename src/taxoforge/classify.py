@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import TaxoforgeError
+from .errors import TaxoforgeError, is_unit_number
 from .integrate import IntegratedFactorSet, OccurrenceVector
 from .knowledge import Domain, DomainKnowledgeBase
 from .similarity import SemanticLexicon, linguistic_similarity
@@ -221,6 +221,10 @@ def classification_to_dict(results: list[ClassificationResult]) -> dict:
 def classification_from_dict(doc: dict) -> list[ClassificationResult]:
     results = []
     for entry in doc["factors"]:
+        if not isinstance(entry["name"], str):
+            raise TaxoforgeError(
+                f"field 'name' must be a string, got {entry['name']!r}"
+            )
         if type(entry["flagged"]) is not bool:
             raise TaxoforgeError(
                 f"field 'flagged' must be true or false, got {entry['flagged']!r}"
@@ -235,7 +239,7 @@ def classification_from_dict(doc: dict) -> list[ClassificationResult]:
         if (
             not isinstance(relevance, list)
             or len(relevance) != width
-            or not all(_is_score(x) for x in relevance)
+            or not all(is_unit_number(x) for x in relevance)
         ):
             raise TaxoforgeError(
                 f"field 'relevance' of {entry['name']!r}: expected {width} "
@@ -263,5 +267,26 @@ def classification_from_dict(doc: dict) -> list[ClassificationResult]:
     return results
 
 
-def _is_score(value: object) -> bool:
-    return type(value) in (int, float) and 0.0 <= value <= 1.0
+def check_domain_ids(
+    results: Sequence[ClassificationResult], domain_ids: Sequence[str]
+) -> None:
+    """Refuse decoded results that do not fit the KB: a domain id it does not
+    define, or a relevance row without one entry per domain."""
+    known = set(domain_ids)
+    for r in results:
+        if len(r.relevance) != len(domain_ids):
+            raise TaxoforgeError(
+                f"field 'relevance' of {r.name!r}: expected {len(domain_ids)} "
+                "numbers, one per KB domain"
+            )
+        if r.primary_domain is not None and r.primary_domain not in known:
+            raise TaxoforgeError(
+                f"field 'primary_domain' of {r.name!r}: unknown domain "
+                f"{r.primary_domain!r}"
+            )
+        for domain_id in r.cross_cutting.relevant_domains:
+            if not isinstance(domain_id, str) or domain_id not in known:
+                raise TaxoforgeError(
+                    f"field 'relevant_domains' of {r.name!r}: unknown domain "
+                    f"{domain_id!r}"
+                )

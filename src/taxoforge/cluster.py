@@ -58,11 +58,8 @@ def related_factors(
     index: int, matrix: SimilarityMatrix, threshold: float = RELATED_THRESHOLD
 ) -> list[tuple[int, float]]:
     """Indices of factors scoring strictly above the threshold, best first."""
-    hits = [
-        (j, matrix.scores[index][j])
-        for j in range(matrix.n)
-        if j != index and matrix.scores[index][j] > threshold
-    ]
+    matrix.require_floor(threshold)
+    hits = [(j, score) for j, score in matrix.neighbours[index] if score > threshold]
     hits.sort(key=lambda item: (-item[1], item[0]))
     return hits
 
@@ -142,6 +139,7 @@ def subcluster(
     threshold: float = SUBCLUSTER_THRESHOLD,
 ) -> list[list[int]]:
     """Single-linkage connected components over within-category pairs."""
+    matrix.require_floor(threshold)
     members = sorted(member_indices)
     parent = {i: i for i in members}
 
@@ -151,9 +149,9 @@ def subcluster(
             i = parent[i]
         return i
 
-    for a_pos, i in enumerate(members):
-        for j in members[a_pos + 1 :]:
-            if matrix.scores[i][j] >= threshold:
+    for i in members:
+        for j, score in matrix.neighbours[i]:
+            if j > i and j in parent and score >= threshold:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)

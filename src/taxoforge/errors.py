@@ -46,3 +46,8 @@ def require_number(value: object, label: str, error: type[TaxoforgeError]) -> fl
         return float(value)
     except (TypeError, ValueError):
         raise error(f"{label} must be a number, got {value!r}") from None
+
+
+def is_unit_number(value: object) -> bool:
+    """Whether ``value`` is an int or float in [0, 1]; a boolean is not."""
+    return type(value) in (int, float) and 0.0 <= value <= 1.0

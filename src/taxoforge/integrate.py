@@ -178,6 +178,12 @@ def factor_set_to_dict(factor_set: IntegratedFactorSet) -> dict:
 
 
 def factor_set_from_dict(doc: dict) -> IntegratedFactorSet:
+    for entry in doc["factors"]:
+        if not isinstance(entry["canonical_name"], str):
+            raise TaxoforgeError(
+                "field 'canonical_name' must be a string, "
+                f"got {entry['canonical_name']!r}"
+            )
     factors = tuple(
         IntegratedFactor(
             canonical_name=entry["canonical_name"],

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import yaml
 
@@ -265,8 +265,8 @@ class RunState:
             "data": data,
         }
         path = self.config.out_dir / ARTIFACTS[phase][0]
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(emit.to_canonical_json(doc), encoding="utf-8")
+        text = emit.to_canonical_json(doc)
+        _write_atomic(path, lambda handle: handle.write(text))
         return path
 
     def get(self, phase: str):
@@ -278,7 +278,10 @@ class RunState:
             path = self.config.out_dir / ARTIFACTS[phase][0]
             data = self._read(phase, path)
             try:
-                self.results[phase] = ARTIFACTS[phase][1](data)
+                result = ARTIFACTS[phase][1](data)
+                if phase == "classify":
+                    classify.check_domain_ids(result, self.kb.domain_ids())
+                self.results[phase] = result
             except KeyError as exc:
                 raise ArtifactError(
                     f"artifact {path}: missing field {exc.args[0]!r}"
@@ -315,12 +318,29 @@ class RunState:
         return doc["data"]
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    path.write_text(buffer.getvalue(), encoding="utf-8")
+def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Let ``write`` fill a temp file beside ``path``, then rename it onto
+    ``path``, so a failed write leaves the earlier file as it was."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("w", encoding="utf-8") as handle:
+            write(handle)
+        os.replace(temp, path)
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ArtifactError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    def write(handle: TextIO) -> None:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    _write_atomic(path, write)
 
 
 # ---------------------------------------------------------------------------
@@ -347,28 +367,41 @@ def phase_similarity(
     config: PipelineConfig, emit_pairs: bool = False, state: RunState | None = None
 ) -> Path:
     state = state or RunState(config)
-    matrix = similarity.build_matrix(
-        state.get("integrate"), config.weights, state.lexicon
+    factor_set, t = state.get("integrate"), config.thresholds
+    # The graph keeps the pairs at or above the lowest score a later phase
+    # asks about: the census, subclusters and related neighbours.
+    floor = min(t.band_low, t.subcluster, t.related)
+    matrix = similarity.build_matrix(factor_set, config.weights, state.lexicon, floor)
+    census = similarity.band_census(matrix, t.band_high, t.band_low)
+    log.info(
+        "similarity: %d factors, %d pairs, %d scored, %d edges >= %g; "
+        "High %d / Moderate %d / Low %d",
+        matrix.n,
+        census.total,
+        matrix.scored,
+        len(matrix.scores),
+        matrix.floor,
+        census.high,
+        census.moderate,
+        census.low,
     )
     path = state.put("similarity", matrix, similarity.matrix_to_dict(matrix))
     if emit_pairs:
-        rows = []
-        t = config.thresholds
-        for i in range(matrix.n):
-            for j in range(i + 1, matrix.n):
-                score = matrix.scores[i][j]
-                rows.append(
-                    (
-                        matrix.names[i],
-                        matrix.names[j],
-                        f"{score:.6f}",
-                        similarity.band(score, t.band_high, t.band_low).value,
-                    )
-                )
+        names = matrix.names
         _write_csv(
             config.out_dir / "pairs.csv",
             ("factor_a", "factor_b", "score", "band"),
-            rows,
+            (
+                (
+                    names[i],
+                    names[j],
+                    f"{score:.6f}",
+                    similarity.band(score, t.band_high, t.band_low).value,
+                )
+                for i, j, score in similarity.all_pair_scores(
+                    factor_set, config.weights, state.lexicon
+                )
+            ),
         )
     return path
 
@@ -571,9 +604,8 @@ def phase_emit(
     emit.export_document(
         framework, report, config.out_dir / "framework.md", "markdown"
     )
-    (config.out_dir / "validation.json").write_text(
-        emit.to_canonical_json(emit.report_to_dict(report)), encoding="utf-8"
-    )
+    validation = emit.to_canonical_json(emit.report_to_dict(report))
+    _write_atomic(config.out_dir / "validation.json", lambda h: h.write(validation))
     if sankey_category is not None:
         export = emit.export_sankey(framework, sankey_category, sankey_subfactors)
         resolved = emit.resolve_category(framework, sankey_category)

@@ -302,6 +302,11 @@ def placements_to_dict(result: PlacementResult) -> dict:
 def placements_from_dict(doc: dict) -> PlacementResult:
     placements, argmax_flags = [], {}
     for entry in doc["placements"]:
+        for key in ("factor", "domain", "subcategory"):
+            if not isinstance(entry[key], str):
+                raise TaxoforgeError(
+                    f"field {key!r} must be a string, got {entry[key]!r}"
+                )
         fields = {**entry, "tier": PlacementTier(entry["tier"])}
         is_argmax = fields.pop("is_argmax")
         placements.append(StrategicPlacement(**fields))

@@ -11,11 +11,25 @@ Three components feed every pair score:
 The blend uses configurable weights (defaults 0.5 / 0.3 / 0.2). Scores above
 0.75 band as High, 0.5..0.75 as Moderate, below 0.5 as Low.
 
+Downstream phases read only pairs at or above ``floor``, the lowest of the
+band_low, subcluster and related thresholds, so ``build_matrix`` returns the
+exact thresholded graph: the edges scoring at least ``floor``, each with its
+components, plus per-factor neighbour lists. Only candidate pairs are scored:
+those whose names share a token, a trigram key or a lexicon field, or whose
+factors share a study (the exact candidate generation of All-Pairs, Bayardo,
+Ma and Srikant, WWW 2007). Any other pair has linguistic and co-occurrence
+components of exactly 0.0, so its score is ``w_d * d <= w_d``; while
+``w_d < floor`` none of them is an edge and every one of them is Low. When
+``w_d >= floor`` every pair is scored. Either way ``band_census`` is exact:
+High and Moderate come from the edges, Low is the rest of the n(n-1)/2 pairs.
+``all_pair_scores`` runs the same pair function over every pair, for
+``--emit-pairs``.
+
 What the linguistic component reads of a name (its token set, trigram counts
 and their squared norm, and its lexicon fields) is computed once per name and
-lexicon and cached on the lexicon, so the n(n-1)/2 pairs of the matrix and the
-keyword scoring of classify and cluster share it. ``build_matrix`` likewise
-reads each factor's occurrence norm and merged study set once.
+lexicon and cached on the lexicon, so the pairs of the graph and the keyword
+scoring of classify and cluster share it. Each factor's occurrence norm and
+merged study set are likewise read once per build.
 """
 
 from __future__ import annotations
@@ -26,11 +40,11 @@ from enum import Enum
 from functools import cached_property
 from operator import mul
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import yaml
 
-from .errors import LexiconError, TaxoforgeError, require_number
+from .errors import LexiconError, TaxoforgeError, is_unit_number, require_number
 from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
 
 DEFAULT_FIELD_SCORE = 0.85
@@ -249,66 +263,165 @@ def pair_count(n: int) -> int:
 
 @dataclass
 class SimilarityMatrix:
-    """Symmetric pair scores with the per-pair component breakdown."""
+    """The thresholded similarity graph.
+
+    ``scores`` lists every pair scoring at least ``floor`` as ``(i, j, score)``
+    with ``i < j``, sorted by ``(i, j)``; a pair it does not list scores below
+    ``floor``. ``components`` holds the breakdown of each listed pair, in the
+    same order. A graph given in full may leave ``floor`` at 0.0.
+    """
 
     names: tuple[str, ...]
-    scores: list[list[float]]
+    scores: list[tuple[int, int, float]]
     components: dict[tuple[int, int], ComponentScores]
     weights: SimilarityWeights
+    floor: float = 0.0
+    scored: int = 0  # pairs the build scored; 0 for a decoded graph
 
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def neighbours(self) -> list[list[tuple[int, float]]]:
+        """Per factor, ``(other, score)`` of each of its edges, by index."""
+        out: list[list[tuple[int, float]]] = [[] for _ in self.names]
+        for i, j, score in self.scores:
+            out[i].append((j, score))
+            out[j].append((i, score))
+        return out
+
+    def require_floor(self, threshold: float) -> None:
+        """Refuse a threshold the graph cannot answer: it drops pairs below
+        ``floor``."""
+        if threshold < self.floor:
+            raise TaxoforgeError(
+                f"threshold {threshold} is below the similarity floor {self.floor}"
+            )
+
+
+class _PairScorer:
+    """The per-factor inputs of the pair score, read once, and the one
+    function that scores a pair from them."""
+
+    def __init__(
+        self,
+        factor_set: IntegratedFactorSet,
+        weights: SimilarityWeights,
+        lexicon: SemanticLexicon,
+    ) -> None:
+        factors = factor_set.factors
+        if not factors:
+            raise TaxoforgeError("cannot build a similarity matrix for an empty set")
+        self.n = n = len(factors)
+        self.studies = studies = [f.all_studies for f in factors]
+        for k, factor in enumerate(factors if n > 1 else ()):
+            if factor.occurrence.total == 0 or not studies[k]:
+                # Raise what the first pair holding this factor raises.
+                other = factors[1] if k == 0 else factor
+                distributional_similarity(factors[0].occurrence, other.occurrence)
+                co_occurrence_strength(factors[0], other)
+        self.features = [lexicon.features(f.canonical_name) for f in factors]
+        self.counts = [f.occurrence.counts for f in factors]
+        self.norms = [sum(x * x for x in c) for c in self.counts]
+        self.sizes = [len(s) for s in studies]
+        self.field_score = lexicon.field_score
+        self.weights = weights
+
+    def score_row(
+        self, i: int, others: Iterable[int]
+    ) -> Iterator[tuple[int, ComponentScores, float]]:
+        """``(j, components, score)`` of the pair of ``i`` and each ``j``.
+
+        The components equal ``linguistic_similarity``,
+        ``distributional_similarity`` and ``co_occurrence_strength`` of the
+        pair, each of which is symmetric.
+        """
+        features, counts, norms = self.features, self.counts, self.norms
+        studies, sizes = self.studies, self.sizes
+        field_score, weights = self.field_score, self.weights
+        fa, ca, na, sa, size_a = features[i], counts[i], norms[i], studies[i], sizes[i]
+        for j in others:
+            comp = ComponentScores(
+                _linguistic(fa, features[j], field_score),
+                _int_cosine(sum(map(mul, ca, counts[j])), na, norms[j]),
+                len(sa & studies[j]) / min(size_a, sizes[j]),
+            )
+            yield j, comp, combine(comp, weights)
+
+    def every_row(self) -> Iterator[tuple[int, range]]:
+        """Each ``i`` with every ``j > i``."""
+        for i in range(self.n):
+            yield i, range(i + 1, self.n)
+
+    def candidate_rows(self) -> Iterator[tuple[int, set[int]]]:
+        """Each ``i`` with every ``j < i`` whose name shares a token, a trigram
+        key or a lexicon field with its name, or whose factor shares a study.
+
+        Any other pair has linguistic and co-occurrence components of exactly
+        0.0. One inverted index per kind of key is filled as ``i`` grows, so
+        the postings met for ``i`` hold only smaller indices.
+        """
+        postings: tuple[dict[str, list[int]], ...] = ({}, {}, {}, {})
+        for i, (names, studies) in enumerate(zip(self.features, self.studies)):
+            found: set[int] = set()
+            keyed = (names.tokens, names.grams, names.fields, studies)
+            for index, keys in zip(postings, keyed):
+                for key in keys:
+                    posting = index.get(key)
+                    if posting is None:
+                        index[key] = [i]
+                    else:
+                        found.update(posting)
+                        posting.append(i)
+            yield i, found
 
 
 def build_matrix(
     factor_set: IntegratedFactorSet,
     weights: SimilarityWeights,
     lexicon: SemanticLexicon,
+    floor: float = BAND_LOW,
 ) -> SimilarityMatrix:
-    """Compute the full symmetric matrix with unit diagonal.
+    """The graph of every pair scoring at least ``floor``, exactly.
 
-    Each pair's components equal ``linguistic_similarity``,
-    ``distributional_similarity`` and ``co_occurrence_strength`` of the pair;
-    the per-factor inputs to those are read once, before the pair loop.
+    A pair outside ``_PairScorer.candidate_rows`` scores ``w_d * d``, at most
+    ``w_d``. So while ``w_d < floor`` only the candidates are scored; else
+    every pair is. The default floor is the lowest default threshold.
     """
-    factors = factor_set.factors
-    if not factors:
-        raise TaxoforgeError("cannot build a similarity matrix for an empty set")
-    n = len(factors)
-    studies = [f.all_studies for f in factors]
-    for k, factor in enumerate(factors if n > 1 else ()):
-        if factor.occurrence.total == 0 or not studies[k]:
-            # Raise what the first pair holding this factor raises.
-            other = factors[1] if k == 0 else factor
-            distributional_similarity(factors[0].occurrence, other.occurrence)
-            co_occurrence_strength(factors[0], other)
-    features = [lexicon.features(f.canonical_name) for f in factors]
-    counts = [f.occurrence.counts for f in factors]
-    norms = [sum(x * x for x in c) for c in counts]
-    sizes = [len(s) for s in studies]
-    field_score = lexicon.field_score
-
-    scores = [[0.0] * n for _ in range(n)]
-    components: dict[tuple[int, int], ComponentScores] = {}
-    for i in range(n):
-        fa, ca, na, sa, size_a = features[i], counts[i], norms[i], studies[i], sizes[i]
-        row = scores[i]
-        row[i] = 1.0
-        for j in range(i + 1, n):
-            comp = ComponentScores(
-                _linguistic(fa, features[j], field_score),
-                _int_cosine(sum(map(mul, ca, counts[j])), na, norms[j]),
-                len(sa & studies[j]) / min(size_a, sizes[j]),
-            )
-            components[(i, j)] = comp
-            row[j] = scores[j][i] = combine(comp, weights)
+    scorer = _PairScorer(factor_set, weights, lexicon)
+    if weights.distributional < floor:
+        rows = scorer.candidate_rows()
+    else:
+        rows = scorer.every_row()
+    edges = []
+    scored = 0
+    for i, others in rows:
+        scored += len(others)
+        for j, comp, score in scorer.score_row(i, others):
+            if score >= floor:
+                edges.append((i, j, score, comp) if i < j else (j, i, score, comp))
+    edges.sort(key=lambda edge: (edge[0], edge[1]))
     return SimilarityMatrix(
         names=factor_set.names,
-        scores=scores,
-        components=components,
+        scores=[(i, j, score) for i, j, score, _ in edges],
+        components={(i, j): comp for i, j, _, comp in edges},
         weights=weights,
+        floor=floor,
+        scored=scored,
     )
+
+
+def all_pair_scores(
+    factor_set: IntegratedFactorSet,
+    weights: SimilarityWeights,
+    lexicon: SemanticLexicon,
+) -> Iterator[tuple[int, int, float]]:
+    """Every pair's score in ``(i, j)`` order, by the graph's pair function."""
+    scorer = _PairScorer(factor_set, weights, lexicon)
+    for i, others in scorer.every_row():
+        for j, _, score in scorer.score_row(i, others):
+            yield i, j, score
 
 
 @dataclass(frozen=True)
@@ -325,29 +438,31 @@ class BandCensus:
 def band_census(
     matrix: SimilarityMatrix, high: float = BAND_HIGH, low: float = BAND_LOW
 ) -> BandCensus:
-    """Count unique pairs per band; the diagonal is excluded."""
+    """Count unique pairs per band.
+
+    High and Moderate pairs are all edges, since ``low`` is at or above the
+    floor; every other pair is Low.
+    """
+    matrix.require_floor(low)
     counts = {SimilarityBand.HIGH: 0, SimilarityBand.MODERATE: 0, SimilarityBand.LOW: 0}
-    for i in range(matrix.n):
-        for j in range(i + 1, matrix.n):
-            counts[band(matrix.scores[i][j], high, low)] += 1
+    for _, _, score in matrix.scores:
+        counts[band(score, high, low)] += 1
+    above = counts[SimilarityBand.HIGH] + counts[SimilarityBand.MODERATE]
     return BandCensus(
         high=counts[SimilarityBand.HIGH],
         moderate=counts[SimilarityBand.MODERATE],
-        low=counts[SimilarityBand.LOW],
+        low=pair_count(matrix.n) - above,
     )
 
 
 def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
-    """JSON-ready mirror with a provenance header.
-
-    ``components`` is written in its dict order, which ``build_matrix`` and
-    ``matrix_from_dict`` make the (i, j) order.
-    """
+    """JSON-ready mirror: the edges and their components, in (i, j) order."""
     return {
         "n": matrix.n,
         "weights": list(matrix.weights.as_tuple()),
         "names": list(matrix.names),
-        "scores": [list(row) for row in matrix.scores],
+        "floor": matrix.floor,
+        "scores": [[i, j, score] for i, j, score in matrix.scores],
         "components": [
             [i, j, comp.linguistic, comp.distributional, comp.co_occurrence]
             for (i, j), comp in matrix.components.items()
@@ -355,32 +470,75 @@ def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
     }
 
 
+def _rows(value: object, width: int, label: str) -> list[list]:
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and len(row) == width for row in value
+    ):
+        raise TaxoforgeError(f"similarity {label} must be a list of {width}-item rows")
+    return value
+
+
 def matrix_from_dict(doc: dict) -> SimilarityMatrix:
+    """Decode the graph, refusing any edge list ``build_matrix`` cannot
+    produce: each score must be the exact blend of its components."""
     names = doc["names"]
-    scores = doc["scores"]
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise TaxoforgeError("similarity names must be a list of strings")
     n = len(names)
-    if (
-        not isinstance(scores, list)
-        or len(scores) != n
-        or not all(isinstance(row, list) and len(row) == n for row in scores)
+    if doc["n"] != n:
+        raise TaxoforgeError(f"similarity n is {doc['n']!r}, but names has {n}")
+    weights_doc = doc["weights"]
+    if not (
+        isinstance(weights_doc, list)
+        and len(weights_doc) == 3
+        and all(is_unit_number(w) for w in weights_doc)
     ):
-        raise TaxoforgeError(f"similarity scores must be a {n} x {n} matrix")
-    try:
-        in_range = all(0.0 <= x <= 1.0 for row in scores for x in row)
-    except TypeError:
-        in_range = False
-    if not in_range:
-        raise TaxoforgeError("similarity scores must be numbers in [0, 1]")
-    weights = SimilarityWeights(*doc["weights"])
-    components = {
-        (int(i), int(j)): ComponentScores(l, d, c)
-        for i, j, l, d, c in doc["components"]
-    }
+        raise TaxoforgeError("similarity weights must be three numbers in [0, 1]")
+    weights = SimilarityWeights(*weights_doc)
+    floor = doc["floor"]
+    if not is_unit_number(floor):
+        raise TaxoforgeError(
+            f"similarity floor must be a number in [0, 1], got {floor!r}"
+        )
+    scores = _rows(doc["scores"], 3, "scores")
+    previous = (-1, -1)
+    for i, j, score in scores:
+        if not (type(i) is int and type(j) is int and 0 <= i < j < n):
+            raise TaxoforgeError(
+                f"similarity scores edge [{i!r}, {j!r}]: expected indices "
+                f"0 <= i < j < {n}"
+            )
+        if (i, j) <= previous:
+            raise TaxoforgeError(
+                f"similarity scores edge [{i}, {j}] is out of order or repeated"
+            )
+        previous = (i, j)
+        if not (is_unit_number(score) and score >= floor):
+            raise TaxoforgeError(
+                f"similarity scores edge [{i}, {j}]: score {score!r} is not "
+                f"a number in [floor {floor}, 1]"
+            )
+    rows = _rows(doc["components"], 5, "components")
+    if [row[:2] for row in rows] != [row[:2] for row in scores]:
+        raise TaxoforgeError(
+            "similarity components must list exactly the edges of scores"
+        )
+    components: dict[tuple[int, int], ComponentScores] = {}
+    for (i, j, score), (_, _, *parts) in zip(scores, rows):
+        if not all(is_unit_number(x) for x in parts):
+            raise TaxoforgeError(
+                f"similarity components of edge [{i}, {j}] must be numbers in [0, 1]"
+            )
+        comp = components[(i, j)] = ComponentScores(*parts)
+        if combine(comp, weights) != score:
+            raise TaxoforgeError(
+                f"similarity scores edge [{i}, {j}]: score {score!r} is not the "
+                "weighted blend of its components"
+            )
     return SimilarityMatrix(
         names=tuple(names),
-        scores=scores,
+        scores=[(i, j, score) for i, j, score in scores],
         components=components,
         weights=weights,
+        floor=floor,
     )

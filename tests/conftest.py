@@ -17,9 +17,20 @@ from taxoforge.knowledge import (
     load_kb,
 )
 from taxoforge.similarity import (
+    BAND_HIGH,
+    BAND_LOW,
+    BandCensus,
+    ComponentScores,
+    SimilarityBand,
     SimilarityMatrix,
     SimilarityWeights,
+    band,
+    band_census,
     build_matrix,
+    co_occurrence_strength,
+    combine,
+    distributional_similarity,
+    linguistic_similarity,
     load_lexicon,
 )
 
@@ -170,19 +181,49 @@ CLUSTER_FIXTURE_PAIRS = {
 
 
 def seeded_matrix(names: list[str], pairs: dict, weights=None) -> SimilarityMatrix:
-    n = len(names)
+    """A graph holding exactly the given pair scores as its edges."""
     index = {name: i for i, name in enumerate(names)}
-    scores = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        scores[i][i] = 1.0
-    for (a, b), score in pairs.items():
-        scores[index[a]][index[b]] = score
-        scores[index[b]][index[a]] = score
+    edges = sorted(
+        (min(index[a], index[b]), max(index[a], index[b]), score)
+        for (a, b), score in pairs.items()
+    )
     return SimilarityMatrix(
         names=tuple(names),
-        scores=scores,
+        scores=edges,
         components={},
         weights=weights or SimilarityWeights(),
+    )
+
+
+def dense_pairs(factor_set, weights, lexicon) -> dict:
+    """The all-pairs reference: (i, j) -> (components, score) for every i < j,
+    from the per-pair component functions."""
+    factors = factor_set.factors
+    out = {}
+    for i, a in enumerate(factors):
+        for j in range(i + 1, len(factors)):
+            b = factors[j]
+            comp = ComponentScores(
+                linguistic_similarity(a.canonical_name, b.canonical_name, lexicon),
+                distributional_similarity(a.occurrence, b.occurrence),
+                co_occurrence_strength(a, b),
+            )
+            out[(i, j)] = (comp, combine(comp, weights))
+    return out
+
+
+def assert_graph_matches_dense(matrix, dense: dict, high=BAND_HIGH, low=BAND_LOW):
+    """The graph's edges, components and census equal the reference's."""
+    expected = {pair: hit for pair, hit in dense.items() if hit[1] >= matrix.floor}
+    assert [(i, j) for i, j, _ in matrix.scores] == sorted(expected)
+    assert list(matrix.components) == sorted(expected)
+    for i, j, score in matrix.scores:
+        assert (matrix.components[(i, j)], score) == expected[(i, j)]
+    bands = [band(score, high, low) for _, score in dense.values()]
+    assert band_census(matrix, high, low) == BandCensus(
+        high=bands.count(SimilarityBand.HIGH),
+        moderate=bands.count(SimilarityBand.MODERATE),
+        low=bands.count(SimilarityBand.LOW),
     )
 
 

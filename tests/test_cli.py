@@ -5,17 +5,21 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
-from taxoforge import classify, cli, emit, pipeline
+from taxoforge import classify, cli, emit, integrate, pipeline, similarity
 from taxoforge.knowledge import default_kb_path, default_lexicon_path, load_kb
-from tests.conftest import FIXTURES
+from taxoforge.similarity import load_lexicon
+from tests.conftest import FIXTURES, assert_graph_matches_dense, dense_pairs
 
 SIMILARITY_DATA_SHA256 = (
-    "179276fe264d429f640ac72015de813689da2494d279b1b1e321a7e5ad9a42f0"
+    "227a107477a632d67a9d3212fe01cc329138aea035ea8f2e43c396bc64143985"
 )
 
 PHASE_COMMANDS = [
@@ -64,15 +68,37 @@ class TestRun:
         assert framework["data"]["metadata"]["unique_factors"] == 11
 
     def test_similarity_data_is_pinned(self, tmp_path):
-        # sha256 of similarity.json's "data" in canonical JSON on the fixture
-        # corpus; a change to any score, component or the layout moves it.
         config = pipeline.apply_overrides(
             pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
         )
         assert pipeline.run(config) == 0
         doc = json.loads((tmp_path / "similarity.json").read_text(encoding="utf-8"))
+        # The artifact's graph equals the all-pairs reference on the fixture.
+        integrated = json.loads(
+            (tmp_path / "integrated.json").read_text(encoding="utf-8")
+        )
+        factor_set = integrate.factor_set_from_dict(integrated["data"])
+        lexicon = load_lexicon(config.lexicon_path)
+        dense = dense_pairs(factor_set, config.weights, lexicon)
+        assert_graph_matches_dense(similarity.matrix_from_dict(doc["data"]), dense)
+        # sha256 of similarity.json's "data" in canonical JSON on the fixture
+        # corpus; a change to any score, component or the layout moves it.
         digest = hashlib.sha256(emit.to_canonical_json(doc["data"]).encode("utf-8"))
         assert digest.hexdigest() == SIMILARITY_DATA_SHA256
+
+    def test_similarity_logs_one_census_line(self, tmp_path, caplog):
+        config = write_config(tmp_path)
+        with caplog.at_level(logging.INFO, logger="taxoforge.pipeline"):
+            assert cli.main(["run", "--config", str(config)]) == 0
+        (message,) = [
+            r.getMessage()
+            for r in caplog.records
+            if r.getMessage().startswith("similarity:")
+        ]
+        assert message == (
+            "similarity: 11 factors, 55 pairs, 17 scored, 7 edges >= 0.5; "
+            "High 4 / Moderate 3 / Low 48"
+        )
 
     def test_missing_kb_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, extra="kb: /nonexistent/kb.yaml\n")
@@ -253,11 +279,18 @@ class TestFlags:
         doc = json.loads(
             (tmp_path / "out" / "similarity.json").read_text(encoding="utf-8")
         )
-        census = band_census(matrix_from_dict(doc["data"]))
+        matrix = matrix_from_dict(doc["data"])
+        census = band_census(matrix)
         dumped = [line.rsplit(",", 1)[1] for line in lines[1:]]
         assert dumped.count("High") == census.high
         assert dumped.count("Moderate") == census.moderate
         assert dumped.count("Low") == census.low
+        # Every edge of the graph is in pairs.csv with the same score.
+        written = {
+            tuple(line.split(",")[:2]): line.split(",")[2] for line in lines[1:]
+        }
+        for i, j, score in matrix.scores:
+            assert written[(matrix.names[i], matrix.names[j])] == f"{score:.6f}"
 
     def test_sankey_flag(self, tmp_path):
         config = write_config(tmp_path)
@@ -321,8 +354,10 @@ class TestFlags:
             (tmp_path / "out" / "similarity.json").read_text(encoding="utf-8")
         )
         data = doc["data"]
-        for i, j, linguistic, _, _ in data["components"]:
-            assert data["scores"][i][j] == linguistic
+        linguistic = {(i, j): value for i, j, value, _, _ in data["components"]}
+        assert [(i, j) for i, j, _ in data["scores"]] == list(linguistic)
+        for i, j, score in data["scores"]:
+            assert score == linguistic[(i, j)]
 
     def test_jobs_flag_byte_identical(self, tmp_path):
         config_one = write_config(tmp_path, "one.yaml")
@@ -405,7 +440,8 @@ class TestConfigParsing:
 MISSING = object()
 
 # (file, path to the edited value, new value, field the error must name).
-# An empty path replaces the whole document; MISSING deletes the value.
+# An empty path replaces the whole document; MISSING deletes the value; a
+# callable maps the old value to the new one.
 MALFORMED = [
     pytest.param("config", ["jobs"], "two", "jobs", id="config-jobs"),
     pytest.param(
@@ -490,10 +526,97 @@ MALFORMED = [
         "similarity.json", ["data", "scores", 0, 1], "x", "scores", id="scores-string"
     ),
     pytest.param(
-        "similarity.json", ["data", "scores", 0, 1], 1.5, "scores", id="scores-range"
+        "similarity.json", ["data", "scores", 0, 2], 1.5, "scores", id="scores-range"
     ),
     pytest.param(
         "similarity.json", ["data", "names", 0], 7, "names", id="similarity-name-number"
+    ),
+    pytest.param(
+        "similarity.json",
+        ["data", "scores", 0, 1],
+        11,
+        "scores",
+        id="scores-index-outside",
+    ),
+    pytest.param(
+        "similarity.json",
+        ["data", "scores", 0],
+        lambda edge: [edge[1], edge[0], edge[2]],
+        "scores",
+        id="scores-i-not-below-j",
+    ),
+    pytest.param(
+        "similarity.json",
+        ["data", "scores"],
+        lambda edges: edges[::-1],
+        "scores",
+        id="scores-unsorted",
+    ),
+    pytest.param(
+        "similarity.json",
+        ["data", "scores"],
+        lambda edges: edges + edges[-1:],
+        "scores",
+        id="scores-duplicate",
+    ),
+    pytest.param(
+        "similarity.json",
+        ["data", "scores", 0, 2],
+        0.4,
+        "floor",
+        id="scores-below-floor",
+    ),
+    pytest.param(
+        "similarity.json",
+        ["data", "components"],
+        lambda rows: rows[:-1],
+        "components",
+        id="components-edges-differ",
+    ),
+    pytest.param(
+        "similarity.json",
+        ["data", "components", 0, 2],
+        0.5,
+        "blend",
+        id="scores-not-blend",
+    ),
+    pytest.param(
+        "similarity.json", ["data", "floor"], "low", "floor", id="similarity-floor-string"
+    ),
+    pytest.param(
+        "integrated.json",
+        ["data", "factors", 0, "canonical_name"],
+        7,
+        "canonical_name",
+        id="integrated-name-number",
+    ),
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 1, "relevant_domains"],
+        lambda ids: ids + ["NOWHERE"],
+        "relevant_domains",
+        id="classification-domain-unknown",
+    ),
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 0, "name"],
+        7,
+        "name",
+        id="classification-name-number",
+    ),
+    pytest.param(
+        "placements.json",
+        ["data", "placements", 0, "subcategory"],
+        7,
+        "subcategory",
+        id="placements-subcategory-number",
+    ),
+    pytest.param(
+        "indicators.json",
+        ["data", "indicators", 0, "name"],
+        7,
+        "name",
+        id="indicators-name-number",
     ),
     pytest.param(
         "classification.json",
@@ -530,17 +653,20 @@ READER = {
     "integrated.json": "similarity",
     "similarity.json": "cluster",
     "classification.json": "place",
+    "placements.json": "indicate",
     "indicators.json": "emit",
 }
 
 def _edit(doc, path, value):
     if not path:
-        return value
+        return value(doc) if callable(value) else value
     target = doc
     for key in path[:-1]:
         target = target[key]
     if value is MISSING:
         del target[path[-1]]
+    elif callable(value):
+        target[path[-1]] = value(target[path[-1]])
     else:
         target[path[-1]] = value
     return doc
@@ -574,3 +700,57 @@ class TestMalformedInputs:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert field in lines[0]
+
+
+class TestArtifactWrites:
+    def test_failed_write_keeps_the_earlier_artifacts(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        config = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        # Other weights change every artifact's config checksum.
+        monkeypatch.setattr(pipeline.os, "replace", no_space)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config), "--weights", "1,0,0"]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert "cannot write" in line and "integrated.json" in line
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_csv_rows_keep_the_earlier_report(self, tmp_path):
+        path = tmp_path / "report.csv"
+        pipeline._write_csv(path, ("a", "b"), [(1, 2)])
+
+        def rows():
+            yield (3, 4)
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            pipeline._write_csv(path, ("a", "b"), rows())
+        assert path.read_text(encoding="utf-8") == "a,b\n1,2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_cli_import_adds_only_stdlib_yaml_and_taxoforge():
+    # Everything yaml imports is loaded first and so not counted; what
+    # importing the CLI adds beyond that must be the standard library or
+    # taxoforge itself, so no optional dependency slows every start-up.
+    code = (
+        "import sys, yaml\n"
+        "before = set(sys.modules)\n"
+        "import taxoforge.cli\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    package_root = Path(pipeline.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    added = set(result.stdout.split())
+    assert "taxoforge" in added
+    assert added - {"taxoforge"} <= set(sys.stdlib_module_names)

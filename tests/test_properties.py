@@ -14,7 +14,7 @@ import random
 import string
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from taxoforge.applicability import indicators_for
@@ -40,15 +40,14 @@ from taxoforge.integrate import (
 from taxoforge.knowledge import Domain, DomainKnowledgeBase, DomainScope, Subcategory
 from taxoforge.placement import place_cross_cutting, primary_homes
 from taxoforge.similarity import (
+    BAND_HIGH,
     ComponentScores,
     SemanticLexicon,
     SimilarityWeights,
     build_matrix,
-    co_occurrence_strength,
     combine,
-    distributional_similarity,
-    linguistic_similarity,
 )
+from tests.conftest import assert_graph_matches_dense, dense_pairs
 
 BULK_CASES = 10_000
 SEED = 20260809
@@ -177,27 +176,88 @@ def check_entropy(vector: OccurrenceVector, scale: int) -> None:
 
 
 def check_matrix_properties(factor_set: IntegratedFactorSet) -> int:
-    """Check the matrix; return how many of its pairs share a lexicon field."""
+    """Check the graph against the dense reference; return how many of the
+    set's pairs share a lexicon field."""
     matrix = build_matrix(factor_set, SimilarityWeights(), TINY_LEXICON)
-    n = matrix.n
-    for i in range(n):
-        assert matrix.scores[i][i] == 1.0
-        for j in range(n):
-            assert matrix.scores[i][j] == matrix.scores[j][i]
-            assert 0.0 <= matrix.scores[i][j] <= 1.0
+    # The graph against the per-pair reference functions, exactly.
+    dense = dense_pairs(factor_set, SimilarityWeights(), TINY_LEXICON)
+    assert_graph_matches_dense(matrix, dense)
     degenerate = SimilarityWeights(1.0, 0.0, 0.0)
-    factors = factor_set.factors
-    for (i, j), comp in matrix.components.items():
+    for comp, score in dense.values():
+        assert 0.0 <= score <= 1.0
         assert combine(comp, degenerate) == comp.linguistic
-        # The pair loop against the per-pair reference functions, exactly.
-        assert comp == ComponentScores(
-            linguistic_similarity(matrix.names[i], matrix.names[j], TINY_LEXICON),
-            distributional_similarity(factors[i].occurrence, factors[j].occurrence),
-            co_occurrence_strength(factors[i], factors[j]),
-        )
-        assert matrix.scores[i][j] == combine(comp, SimilarityWeights())
     fields = [TINY_LEXICON.fields_of(name) for name in matrix.names]
-    return sum(bool(fields[i] & fields[j]) for i, j in matrix.components)
+    return sum(bool(fields[i] & fields[j]) for i, j in dense)
+
+
+# Names for the graph-against-reference suite: "ab" and "ab cd" share a token
+# but no trigram key (a name under three characters is its own key); "zz" and
+# "qq" share only a lexicon field; "xy" and "vu" share nothing, so with
+# proportional vectors and nested study sets they score exactly
+# w_d + w_c = 0.5 at the default weights.
+ORACLE_NAMES = (
+    "ab", "ab cd", "cd", "xy", "vu", "zz", "qq",
+    "omni", "beta", "alpha", "alphabet", "street lighting", "lighting",
+)
+ORACLE_LEXICON = SemanticLexicon(
+    fields={
+        "pair": frozenset({"zz", "qq"}),
+        "everything": frozenset({"omni", "alpha", "beta"}),
+    }
+)
+# A w_d of 1.0, 0.6 or 0.5 reaches all, three or two of the floors below;
+# the graph then scores every pair.
+ORACLE_WEIGHTS = (
+    (0.5, 0.3, 0.2),
+    (1.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0),
+    (0.2, 0.6, 0.2),
+    (0.0, 0.5, 0.5),
+)
+ORACLE_FLOORS = (0.3, 0.5, 0.6, 0.75)
+
+
+def oracle_factor_set(specs) -> IntegratedFactorSet:
+    """Factors from (name, counts, study ids) triples."""
+    factors = []
+    for index, (name, counts, ids) in enumerate(specs):
+        vector = OccurrenceVector(tuple(counts))
+        studies = {
+            code: frozenset(ids) if count else frozenset()
+            for code, count in zip(SPACE_TYPES, counts)
+        }
+        factors.append(IntegratedFactor(name, vector, studies, index))
+    return IntegratedFactorSet(tuple(factors), sum(f.occurrence.total for f in factors))
+
+
+@st.composite
+def oracle_cases(draw):
+    names = draw(
+        st.lists(st.sampled_from(ORACLE_NAMES), min_size=1, max_size=6, unique=True)
+    )
+    base = draw(occurrence_vectors(max_count=3)).counts
+    specs = []
+    for name in names:
+        if draw(st.booleans()):  # proportional to the others that are: d = 1
+            counts = tuple(c * draw(st.integers(1, 3)) for c in base)
+        else:
+            counts = draw(occurrence_vectors(max_count=3)).counts
+        ids = draw(st.sets(st.sampled_from(("s1", "s2", "s3")), min_size=1))
+        specs.append((name, counts, sorted(ids)))
+    weights = draw(st.sampled_from(ORACLE_WEIGHTS))
+    return specs, weights, draw(st.sampled_from(ORACLE_FLOORS))
+
+
+def check_graph_against_oracle(specs, weights, floor) -> None:
+    factor_set = oracle_factor_set(specs)
+    weights = SimilarityWeights(*weights)
+    matrix = build_matrix(factor_set, weights, ORACLE_LEXICON, floor)
+    dense = dense_pairs(factor_set, weights, ORACLE_LEXICON)
+    assert_graph_matches_dense(matrix, dense, high=max(BAND_HIGH, floor), low=floor)
+    if weights.distributional >= floor:
+        assert matrix.scored == len(dense)  # the all-pairs path
+    else:
+        assert matrix.scored <= len(dense)
 
 
 def check_blend_monotonicity(base: tuple, index: int, bump: float) -> None:
@@ -298,6 +358,20 @@ def test_matrix_symmetry_range_diagonal_and_weight_degeneracy(
 ):
     check_matrix_properties(factor_set)
     check_blend_monotonicity(base, index, bump)
+
+
+P1 = (1, 1, 0, 0, 0, 0)
+P2 = (2, 2, 0, 0, 0, 0)
+
+
+@SUITE
+@given(case=oracle_cases())
+@example(case=([("xy", P1, ["s1"]), ("vu", P2, ["s1", "s2"])], (0.5, 0.3, 0.2), 0.5))
+@example(case=([("ab", P1, ["s1"]), ("ab cd", P1, ["s2"])], (0.5, 0.3, 0.2), 0.5))
+@example(case=([("zz", P1, ["s1"]), ("qq", P2, ["s2"])], (0.5, 0.3, 0.2), 0.5))
+@example(case=([("xy", P1, ["s1"]), ("vu", P2, ["s2"])], (0.0, 1.0, 0.0), 0.5))
+def test_pruned_graph_equals_dense_oracle(case):
+    check_graph_against_oracle(*case)
 
 
 @SUITE

@@ -29,7 +29,7 @@ from taxoforge.similarity import (
     name_features,
     pair_count,
 )
-from tests.conftest import make_factor
+from tests.conftest import assert_graph_matches_dense, dense_pairs, make_factor
 
 
 class TestLinguistic:
@@ -167,23 +167,34 @@ class TestMatrix:
 
         factor_set = make_factor_set({"safety": {"P": 1}})
         matrix = build_matrix(factor_set, SimilarityWeights(), default_lexicon)
-        assert matrix.scores == [[1.0]]
+        assert matrix.n == 1
+        assert matrix.scores == [] and matrix.components == {}
+        assert band_census(matrix) == BandCensus(0, 0, 0)
 
-    def test_fixture_pair_count(self, sample_matrix):
+    def test_fixture_pair_count(self, sample_matrix, sample_factors, default_lexicon):
         n = sample_matrix.n
         assert n == 11
         assert pair_count(n) == 55
-        assert len(sample_matrix.components) == 55
+        # Every one of the 55 pairs is an edge or scores below the floor.
+        dense = dense_pairs(sample_factors, SimilarityWeights(), default_lexicon)
+        assert len(dense) == 55
+        assert_graph_matches_dense(sample_matrix, dense)
+        assert sample_matrix.scored < 55  # only candidate pairs were scored
 
     def test_reported_scale_pair_count(self):
         assert pair_count(1029) == 528906
 
     def test_symmetry_and_diagonal(self, sample_matrix):
-        for i in range(sample_matrix.n):
-            assert sample_matrix.scores[i][i] == 1.0
-            for j in range(sample_matrix.n):
-                assert sample_matrix.scores[i][j] == sample_matrix.scores[j][i]
-                assert 0.0 <= sample_matrix.scores[i][j] <= 1.0
+        # Edges are unique pairs i < j in (i, j) order; each appears in both
+        # factors' neighbour lists with one score in [floor, 1].
+        pairs = [(i, j) for i, j, _ in sample_matrix.scores]
+        assert pairs == sorted(set(pairs))
+        neighbours = sample_matrix.neighbours
+        for i, j, score in sample_matrix.scores:
+            assert 0 <= i < j < sample_matrix.n
+            assert sample_matrix.floor <= score <= 1.0
+            assert (j, score) in neighbours[i] and (i, score) in neighbours[j]
+        assert sum(map(len, neighbours)) == 2 * len(pairs)
 
     def test_features_built_once_per_factor(self, sample_factors, monkeypatch):
         built = []
@@ -216,6 +227,9 @@ class TestMatrix:
         doc = matrix_to_dict(sample_matrix)
         restored = matrix_from_dict(doc)
         assert matrix_to_dict(restored) == doc
+        assert restored.scores == sample_matrix.scores
+        assert restored.components == sample_matrix.components
+        assert restored.floor == sample_matrix.floor == 0.5
 
 
 class TestBandCensus:
