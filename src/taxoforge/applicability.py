@@ -10,7 +10,7 @@ Minimal otherwise; when nothing grades Moderate the indicator compacts to
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -189,48 +189,6 @@ def indicators_for(
                 coverage=coverage(factor.occurrence),
                 indicator=indicator(factor, result.factor_class, domain_id, kb),
                 effective_domain=domain_id,
-            )
-        )
-    return records
-
-
-def indicators_to_dict(records: Sequence[IndicatorRecord]) -> dict:
-    return {
-        "indicators": [
-            {
-                "name": r.name,
-                "coverage": r.coverage,
-                **asdict(r.indicator),
-                "effective_domain": r.effective_domain,
-            }
-            for r in records
-        ]
-    }
-
-
-def indicators_from_dict(doc: dict) -> list[IndicatorRecord]:
-    records = []
-    for entry in doc["indicators"]:
-        for key in ("name", "text"):
-            if not isinstance(entry[key], str):
-                raise TaxoforgeError(
-                    f"field {key!r} must be a string, got {entry[key]!r}"
-                )
-        records.append(
-            IndicatorRecord(
-                name=entry["name"],
-                coverage=entry["coverage"],
-                indicator=ApplicabilityIndicator(
-                    kind=IndicatorKind(entry["kind"]),
-                    emphasis=tuple(entry["emphasis"]),
-                    tiers={
-                        code: TierLevel(level)
-                        for code, level in entry["tiers"].items()
-                    },
-                    types=tuple(entry["types"]),
-                    text=entry["text"],
-                ),
-                effective_domain=entry["effective_domain"],
             )
         )
     return records

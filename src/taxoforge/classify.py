@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import TaxoforgeError, is_unit_number
+from .errors import TaxoforgeError
 from .integrate import IntegratedFactorSet, OccurrenceVector
 from .knowledge import Domain, DomainKnowledgeBase
 from .similarity import SemanticLexicon, linguistic_similarity
@@ -195,98 +195,3 @@ def classification_census(results: list[ClassificationResult]) -> Classification
         space_specific=specific,
         cross_cutting=flagged,
     )
-
-
-def classification_to_dict(results: list[ClassificationResult]) -> dict:
-    return {
-        "factors": [
-            {
-                "name": r.name,
-                "active_type_count": r.stats.active_type_count,
-                "entropy_nats": r.stats.entropy_nats,
-                "total_mentions": r.stats.total_mentions,
-                "class": r.factor_class.value,
-                "primary_domain": r.primary_domain,
-                "relevant_domains": list(r.cross_cutting.relevant_domains),
-                "cross_cutting_score": r.cross_cutting.score,
-                "status": r.cross_cutting.status.value,
-                "flagged": r.cross_cutting.flagged,
-                "relevance": list(r.relevance),
-            }
-            for r in results
-        ]
-    }
-
-
-def classification_from_dict(doc: dict) -> list[ClassificationResult]:
-    results = []
-    for entry in doc["factors"]:
-        if not isinstance(entry["name"], str):
-            raise TaxoforgeError(
-                f"field 'name' must be a string, got {entry['name']!r}"
-            )
-        if type(entry["flagged"]) is not bool:
-            raise TaxoforgeError(
-                f"field 'flagged' must be true or false, got {entry['flagged']!r}"
-            )
-        if not isinstance(entry["primary_domain"], (str, type(None))):
-            raise TaxoforgeError(
-                f"field 'primary_domain' must be a domain id or null, "
-                f"got {entry['primary_domain']!r}"
-            )
-        relevance = entry["relevance"]
-        width = len(results[0].relevance) if results else len(relevance)
-        if (
-            not isinstance(relevance, list)
-            or len(relevance) != width
-            or not all(is_unit_number(x) for x in relevance)
-        ):
-            raise TaxoforgeError(
-                f"field 'relevance' of {entry['name']!r}: expected {width} "
-                "numbers in [0, 1], as many as the first factor's"
-            )
-        results.append(
-            ClassificationResult(
-                name=entry["name"],
-                stats=DistributionStats(
-                    active_type_count=entry["active_type_count"],
-                    entropy_nats=entry["entropy_nats"],
-                    total_mentions=entry["total_mentions"],
-                ),
-                factor_class=FactorClass(entry["class"]),
-                primary_domain=entry["primary_domain"],
-                cross_cutting=CrossCuttingAssessment(
-                    relevant_domains=tuple(entry["relevant_domains"]),
-                    score=entry["cross_cutting_score"],
-                    status=CrossCuttingStatus(entry["status"]),
-                    flagged=entry["flagged"],
-                ),
-                relevance=tuple(relevance),
-            )
-        )
-    return results
-
-
-def check_domain_ids(
-    results: Sequence[ClassificationResult], domain_ids: Sequence[str]
-) -> None:
-    """Refuse decoded results that do not fit the KB: a domain id it does not
-    define, or a relevance row without one entry per domain."""
-    known = set(domain_ids)
-    for r in results:
-        if len(r.relevance) != len(domain_ids):
-            raise TaxoforgeError(
-                f"field 'relevance' of {r.name!r}: expected {len(domain_ids)} "
-                "numbers, one per KB domain"
-            )
-        if r.primary_domain is not None and r.primary_domain not in known:
-            raise TaxoforgeError(
-                f"field 'primary_domain' of {r.name!r}: unknown domain "
-                f"{r.primary_domain!r}"
-            )
-        for domain_id in r.cross_cutting.relevant_domains:
-            if not isinstance(domain_id, str) or domain_id not in known:
-                raise TaxoforgeError(
-                    f"field 'relevant_domains' of {r.name!r}: unknown domain "
-                    f"{domain_id!r}"
-                )

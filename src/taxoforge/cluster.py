@@ -10,11 +10,10 @@ scoring at or above the subcluster threshold become subcategory clusters.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .classify import ClassificationResult, FactorClass
-from .errors import TaxoforgeError
 from .integrate import IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase, DomainScope, ScopePriors
 from .similarity import SemanticLexicon, SimilarityMatrix, cosine, linguistic_similarity
@@ -193,8 +192,6 @@ def assign_categories(
     subcluster_threshold: float = SUBCLUSTER_THRESHOLD,
 ) -> list[CategoryAssignment]:
     """Assign every factor to one (category, subcategory) pair."""
-    if len(classifications) != len(factor_set.factors):
-        raise TaxoforgeError("classification results do not match the factor set")
     primary_domains = [c.primary_domain for c in classifications]
 
     all_scores = []
@@ -282,22 +279,3 @@ def validate_hierarchy(
         category_counts=category_counts,
         subcategory_counts=subcategory_counts,
     )
-
-
-def assignments_to_dict(assignments: Sequence[CategoryAssignment]) -> dict:
-    return {"assignments": [asdict(a) for a in assignments]}
-
-
-def assignments_from_dict(doc: dict) -> list[CategoryAssignment]:
-    return [
-        CategoryAssignment(
-            **{
-                **entry,
-                "scores": {
-                    domain_id: AssignmentScores(**s)
-                    for domain_id, s in entry["scores"].items()
-                },
-            }
-        )
-        for entry in doc["assignments"]
-    ]

@@ -10,17 +10,17 @@ inputs produce byte-identical JSON, markdown, and flow-data files.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
-from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TextIO
 
 from .applicability import IndicatorRecord
 from .classify import ClassificationResult
 from .cluster import CategoryAssignment
 from .corpus import SPACE_TYPES, SPACE_TYPE_NAMES
-from .errors import TaxoforgeError
+from .errors import ArtifactError, TaxoforgeError
 from .integrate import (
     IntegratedFactorSet,
     parse_tracking_notation,
@@ -134,15 +134,6 @@ def build_framework(
     """Assemble the three-tier framework from the phase outputs."""
     if not factor_set.factors:
         raise TaxoforgeError("cannot build a framework from an empty factor set")
-    names = set(factor_set.names)
-    for label, collection in (
-        ("classifications", [c.name for c in classifications]),
-        ("assignments", [a.factor for a in assignments]),
-        ("indicators", [r.name for r in indicator_records]),
-    ):
-        if set(collection) != names:
-            raise TaxoforgeError(f"phase-output mismatch: {label} cover a different factor set")
-
     homes = primary_homes(classifications, assignments, placement_result)
     class_by_name = {c.name: c for c in classifications}
     indicator_by_name = {r.name: r for r in indicator_records}
@@ -305,14 +296,25 @@ def report_to_dict(report: ValidationReport) -> dict:
     return {"passed": report.passed, **asdict(report)}
 
 
-def _enum_value(value: object) -> object:
-    if isinstance(value, Enum):
-        return value.value
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def to_canonical_json(doc: dict) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2, default=_enum_value) + "\n"
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+def write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
+    """Let ``write`` fill a temp file beside ``path``, then rename it onto
+    ``path``, so a failed write leaves the earlier file as it was."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("w", encoding="utf-8") as handle:
+            write(handle)
+        os.replace(temp, path)
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ArtifactError(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def export_document(
@@ -322,15 +324,15 @@ def export_document(
     format: str = "structured",
 ) -> None:
     """Write the framework document; ``structured`` is JSON, else markdown."""
-    path = Path(path)
     if format == "structured":
         doc = framework_to_dict(framework)
         doc["validation"] = report_to_dict(report)
-        path.write_text(to_canonical_json(doc), encoding="utf-8")
+        text = to_canonical_json(doc)
     elif format == "markdown":
-        path.write_text(render_markdown(framework, report), encoding="utf-8")
+        text = render_markdown(framework, report)
     else:
         raise TaxoforgeError(f"unknown document format {format!r}")
+    write_atomic(path, lambda handle: handle.write(text))
 
 
 def render_markdown(framework: Framework, report: ValidationReport) -> str:
@@ -511,4 +513,5 @@ def render_sankey(export: SankeyExport) -> str:
 
 
 def write_sankey(export: SankeyExport, path: str | Path) -> None:
-    Path(path).write_text(render_sankey(export), encoding="utf-8")
+    text = render_sankey(export)
+    write_atomic(path, lambda handle: handle.write(text))

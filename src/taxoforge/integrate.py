@@ -156,46 +156,3 @@ def reduction_rate(raw_count: int, unique_count: int) -> float:
             f"unique count {unique_count} must be in 1..{raw_count}"
         )
     return 1.0 - unique_count / raw_count
-
-
-def factor_set_to_dict(factor_set: IntegratedFactorSet) -> dict:
-    """JSON-ready mirror of an IntegratedFactorSet, stable key order."""
-    return {
-        "raw_record_count": factor_set.raw_record_count,
-        "unique_count": factor_set.unique_count,
-        "factors": [
-            {
-                "canonical_name": factor.canonical_name,
-                "occurrence": factor.occurrence.as_dict(),
-                "studies": {
-                    code: sorted(factor.studies[code]) for code in SPACE_TYPES
-                },
-                "insertion_index": factor.insertion_index,
-            }
-            for factor in factor_set.factors
-        ],
-    }
-
-
-def factor_set_from_dict(doc: dict) -> IntegratedFactorSet:
-    for entry in doc["factors"]:
-        if not isinstance(entry["canonical_name"], str):
-            raise TaxoforgeError(
-                "field 'canonical_name' must be a string, "
-                f"got {entry['canonical_name']!r}"
-            )
-    factors = tuple(
-        IntegratedFactor(
-            canonical_name=entry["canonical_name"],
-            occurrence=OccurrenceVector.from_mapping(entry["occurrence"]),
-            studies={
-                code: frozenset(entry["studies"].get(code, []))
-                for code in SPACE_TYPES
-            },
-            insertion_index=entry["insertion_index"],
-        )
-        for entry in doc["factors"]
-    )
-    return IntegratedFactorSet(
-        factors=factors, raw_record_count=doc["raw_record_count"]
-    )

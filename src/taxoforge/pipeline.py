@@ -14,19 +14,19 @@ import csv
 import hashlib
 import json
 import logging
-import os
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import yaml
 
-from . import __version__
+from . import __version__, codec
 from . import applicability, classify, cluster, emit, integrate, placement, similarity
 from .corpus import SPACE_TYPES, load_corpus, load_rules, merge_corpora
 from .emit import SCHEMA_VERSION
 from .errors import ArtifactError, ConfigError, TaxoforgeError, require_number
+from .errors import is_unit_number
 from .knowledge import (
     DomainKnowledgeBase,
     default_kb_path,
@@ -222,16 +222,30 @@ def apply_overrides(
 # Run state and artifact I/O
 # ---------------------------------------------------------------------------
 
-# phase -> (artifact file, decoder of its data); no phase reads framework.json
+# phase -> (artifact file, key of ``data`` holding the result or None when
+# ``data`` is the result, result type); the codec derives ``data`` from the
+# type. similarity.json keeps its own codec for the compact edge list, and no
+# phase reads framework.json. The benchmark (perfbench/worker.py) reads these
+# keys and fields, so they stay: integrated.json raw_record_count and
+# factors[*].studies (a mapping of lists); the flat flagged and primary_domain
+# of each classification.json factor; similarity.json names, weights and
+# scores; and the result objects' cross_cutting.flagged and primary_domain.
 ARTIFACTS = {
-    "integrate": ("integrated.json", integrate.factor_set_from_dict),
-    "similarity": ("similarity.json", similarity.matrix_from_dict),
-    "classify": ("classification.json", classify.classification_from_dict),
-    "cluster": ("assignments.json", cluster.assignments_from_dict),
-    "place": ("placements.json", placement.placements_from_dict),
-    "indicate": ("indicators.json", applicability.indicators_from_dict),
-    "emit": ("framework.json", None),
+    "integrate": ("integrated.json", None, integrate.IntegratedFactorSet),
+    "similarity": ("similarity.json", None, similarity.SimilarityMatrix),
+    "classify": ("classification.json", "factors", list[classify.ClassificationResult]),
+    "cluster": ("assignments.json", "assignments", list[cluster.CategoryAssignment]),
+    "place": ("placements.json", None, placement.PlacementResult),
+    "indicate": ("indicators.json", "indicators", list[applicability.IndicatorRecord]),
+    "emit": ("framework.json", None, None),
 }
+
+
+def artifact_data(phase: str, result: object) -> dict:
+    """The codec's ``data`` for ``phase``'s result, under its key if it has one."""
+    _, key, kind = ARTIFACTS[phase]
+    data = codec.encode(kind, result)
+    return data if key is None else {key: data}
 
 
 class RunState:
@@ -255,42 +269,105 @@ class RunState:
     def lexicon(self) -> SemanticLexicon:
         return load_lexicon(self.config.lexicon_path)
 
-    def put(self, phase: str, result: object, data: dict) -> Path:
-        """Keep ``result`` for later phases and write ``data`` as its artifact."""
+    def put(self, phase: str, result: object, data: dict | None = None) -> Path:
+        """Keep ``result``; write ``data``, by default the codec's, as its artifact."""
         self.results[phase] = result
         doc = {
             "schema_version": SCHEMA_VERSION,
             "phase": phase,
             "config_checksum": self.checksums["config"],
-            "data": data,
+            "data": artifact_data(phase, result) if data is None else data,
         }
         path = self.config.out_dir / ARTIFACTS[phase][0]
         text = emit.to_canonical_json(doc)
-        _write_atomic(path, lambda handle: handle.write(text))
+        emit.write_atomic(path, lambda handle: handle.write(text))
         return path
 
     def get(self, phase: str):
         """The result of ``phase``, from memory or else from its artifact.
 
-        This is the one checked read path: a body the decoder cannot read
-        becomes an ``ArtifactError`` naming the file and the field."""
+        This is the one checked read path: a body that does not fit the
+        result's type, the integrated factors or the KB becomes an
+        ``ArtifactError`` naming the file and the field."""
         if phase not in self.results:
-            path = self.config.out_dir / ARTIFACTS[phase][0]
-            data = self._read(phase, path)
-            try:
-                result = ARTIFACTS[phase][1](data)
-                if phase == "classify":
-                    classify.check_domain_ids(result, self.kb.domain_ids())
-                self.results[phase] = result
-            except KeyError as exc:
-                raise ArtifactError(
-                    f"artifact {path}: missing field {exc.args[0]!r}"
-                ) from None
-            except (
-                AttributeError, LookupError, TypeError, ValueError, TaxoforgeError
-            ) as exc:
-                raise ArtifactError(f"artifact {path}: bad data: {exc}") from None
+            name, key, kind = ARTIFACTS[phase]
+            path = self.config.out_dir / name
+            data, where = self._read(phase, path), f"artifact {path}: data"
+            if phase == "similarity":
+                try:
+                    result = similarity.matrix_from_dict(data)
+                except KeyError as exc:
+                    raise ArtifactError(f"{where}.{exc.args[0]}: missing") from None
+                except TaxoforgeError as exc:
+                    raise ArtifactError(f"{where}: {exc}") from None
+            else:
+                if key is not None:
+                    data, where = data.get(key), f"{where}.{key}"
+                result = codec.decode(kind, data, where)
+            self._check(phase, result, where)
+            self.results[phase] = result
         return self.results[phase]
+
+    def _check(self, phase: str, result, where: str) -> None:
+        """Refuse a decoded result that does not fit the integrated factors,
+        which per-factor artifacts list in their order, or the KB's ids."""
+
+        def refuse(field: str, message: str) -> None:
+            raise ArtifactError(f"{where}{field}: {message}")
+
+        if phase == "integrate":
+            for i, f in enumerate(result.factors):
+                if f.insertion_index != i or tuple(f.studies) != SPACE_TYPES:
+                    refuse(f".factors[{i}]", f"expected insertion_index {i} and "
+                           f"studies under {', '.join(SPACE_TYPES)}")
+            total = sum(f.occurrence.total for f in result.factors)
+            if result.raw_record_count != total:
+                refuse(".raw_record_count", "expected the sum of the factors' counts")
+            return
+        if phase == "similarity":
+            return
+        names = self.get("integrate").names
+        if phase != "place":
+            key = "factor" if phase == "cluster" else "name"
+            if tuple(getattr(r, key) for r in result) != names:
+                refuse(f"[*].{key}", "expected the integrated factors, in order")
+        subcategories = {d.identifier: d.subcategory_ids() for d in self.kb.domains}
+
+        def known(at: str, entry, key: str, among=subcategories) -> None:
+            if getattr(entry, key) not in among:
+                refuse(f"{at}.{key}", f"unknown id {getattr(entry, key)!r}")
+
+        def home(at: str, entry, domain: str, sub: str) -> None:
+            known(at, entry, domain)
+            known(at, entry, sub, subcategories[getattr(entry, domain)])
+
+        if phase == "place":
+            for i, p in enumerate(result.placements):
+                known(f".placements[{i}]", p, "factor", names)
+                home(f".placements[{i}]", p, "domain", "subcategory")
+            for i, r in enumerate(result.cross_references):
+                known(f".cross_references[{i}]", r, "factor", names)
+                home(f".cross_references[{i}]", r, "from_domain", "from_subcategory")
+                home(f".cross_references[{i}]", r, "to_domain", "to_subcategory")
+            return
+        for i, r in enumerate(result):
+            at = f"[{i}]"
+            if phase == "classify":
+                if len(r.relevance) != len(subcategories) or not all(
+                    is_unit_number(x) for x in r.relevance
+                ):
+                    refuse(f"{at}.relevance", "expected a number in [0, 1] per domain")
+                if r.primary_domain is not None:
+                    known(at, r, "primary_domain")
+                for domain in r.cross_cutting.relevant_domains:
+                    if domain not in subcategories:
+                        refuse(f"{at}.relevant_domains", f"unknown id {domain!r}")
+            elif phase == "cluster":
+                home(at, r, "category", "subcategory")
+                if r.scores.keys() != subcategories.keys():
+                    refuse(f"{at}.scores", "expected one entry per KB domain")
+            else:
+                known(at, r, "effective_domain")
 
     def _read(self, phase: str, path: Path) -> dict:
         if not path.exists():
@@ -318,29 +395,13 @@ class RunState:
         return doc["data"]
 
 
-def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
-    """Let ``write`` fill a temp file beside ``path``, then rename it onto
-    ``path``, so a failed write leaves the earlier file as it was."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with temp.open("w", encoding="utf-8") as handle:
-            write(handle)
-        os.replace(temp, path)
-    except BaseException as exc:
-        temp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise ArtifactError(f"cannot write {path}: {exc}") from exc
-        raise
-
-
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     def write(handle: TextIO) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
-    _write_atomic(path, write)
+    emit.write_atomic(path, write)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +421,7 @@ def phase_integrate(config: PipelineConfig, state: RunState | None = None) -> Pa
         factor_set.raw_record_count,
         factor_set.unique_count,
     )
-    return state.put("integrate", factor_set, integrate.factor_set_to_dict(factor_set))
+    return state.put("integrate", factor_set)
 
 
 def phase_similarity(
@@ -419,7 +480,7 @@ def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Pat
             len(unassigned),
             unassigned[:UNMATCHED_SHOWN],
         )
-    path = state.put("classify", results, classify.classification_to_dict(results))
+    path = state.put("classify", results)
     rows = [
         (
             r.name,
@@ -464,7 +525,7 @@ def phase_cluster(config: PipelineConfig, state: RunState | None = None) -> Path
     report = cluster.validate_hierarchy(assignments, state.kb)
     if not report.passed:
         log.warning("cluster: hierarchy violations: %s", report.violations)
-    path = state.put("cluster", assignments, cluster.assignments_to_dict(assignments))
+    path = state.put("cluster", assignments)
     domain_ids = state.kb.domain_ids()
     rows = [
         (a.factor, a.category, a.subcategory)
@@ -491,7 +552,9 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
         related_threshold=config.thresholds.related,
         promotion_threshold=config.thresholds.promotion,
     )
-    path = state.put("place", result, placement.placements_to_dict(result))
+    metrics = asdict(placement.placement_metrics(result))
+    data = {**artifact_data("place", result), "metrics": metrics}
+    path = state.put("place", result, data)
     rows = [
         (
             p.factor,
@@ -572,7 +635,7 @@ def phase_indicate(config: PipelineConfig, state: RunState | None = None) -> Pat
         {name: home[0] for name, home in homes.items()},
         kb,
     )
-    data = applicability.indicators_to_dict(records)
+    data = artifact_data("indicate", records)
     data["subcategory_profiles"], data["category_profiles"] = _aggregation_profiles(
         factor_set, homes, kb
     )
@@ -605,7 +668,7 @@ def phase_emit(
         framework, report, config.out_dir / "framework.md", "markdown"
     )
     validation = emit.to_canonical_json(emit.report_to_dict(report))
-    _write_atomic(config.out_dir / "validation.json", lambda h: h.write(validation))
+    emit.write_atomic(config.out_dir / "validation.json", lambda h: h.write(validation))
     if sankey_category is not None:
         export = emit.export_sankey(framework, sankey_category, sankey_subfactors)
         resolved = emit.resolve_category(framework, sankey_category)

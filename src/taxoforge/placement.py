@@ -10,7 +10,7 @@ placements receive cross-reference entries pointing back to the primary home.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -281,39 +281,3 @@ def primary_homes(
         else:
             out[result.name] = by_assignment[result.name]
     return out
-
-
-def placements_to_dict(result: PlacementResult) -> dict:
-    return {
-        "placements": [
-            {
-                **asdict(p),
-                "is_argmax": result.argmax_flags[p.factor]
-                if p.tier is PlacementTier.PRIMARY
-                else None,
-            }
-            for p in result.placements
-        ],
-        "cross_references": [asdict(r) for r in result.cross_references],
-        "metrics": asdict(placement_metrics(result)),
-    }
-
-
-def placements_from_dict(doc: dict) -> PlacementResult:
-    placements, argmax_flags = [], {}
-    for entry in doc["placements"]:
-        for key in ("factor", "domain", "subcategory"):
-            if not isinstance(entry[key], str):
-                raise TaxoforgeError(
-                    f"field {key!r} must be a string, got {entry[key]!r}"
-                )
-        fields = {**entry, "tier": PlacementTier(entry["tier"])}
-        is_argmax = fields.pop("is_argmax")
-        placements.append(StrategicPlacement(**fields))
-        if fields["tier"] is PlacementTier.PRIMARY:
-            argmax_flags[entry["factor"]] = bool(is_argmax)
-    return PlacementResult(
-        placements=tuple(placements),
-        cross_references=tuple(CrossReference(**e) for e in doc["cross_references"]),
-        argmax_flags=argmax_flags,
-    )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -14,8 +13,6 @@ from taxoforge.classify import (
     FactorClass,
     assess_cross_cutting,
     classification_census,
-    classification_from_dict,
-    classification_to_dict,
     classify,
     classify_factors,
     distribution_stats,
@@ -174,11 +171,6 @@ class TestRelevanceTable:
         keywords = {k for domain in default_kb.domains for k in domain.keywords}
         assert len(built) == len(set(built))
         assert set(built) == set(sample_factors.names) | keywords
-
-    def test_serialization_round_trip(self, classification_fixture):
-        doc = json.loads(json.dumps(classification_to_dict(classification_fixture)))
-        assert all("relevance" in entry for entry in doc["factors"])
-        assert classification_from_dict(doc) == classification_fixture
 
 
 class TestCensus:

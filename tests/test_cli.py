@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from taxoforge import classify, cli, emit, integrate, pipeline, similarity
+from taxoforge import classify, cli, codec, emit, integrate, pipeline, similarity
 from taxoforge.knowledge import default_kb_path, default_lexicon_path, load_kb
 from taxoforge.similarity import load_lexicon
 from tests.conftest import FIXTURES, assert_graph_matches_dense, dense_pairs
@@ -77,7 +77,9 @@ class TestRun:
         integrated = json.loads(
             (tmp_path / "integrated.json").read_text(encoding="utf-8")
         )
-        factor_set = integrate.factor_set_from_dict(integrated["data"])
+        factor_set = codec.decode(
+            integrate.IntegratedFactorSet, integrated["data"], "data"
+        )
         lexicon = load_lexicon(config.lexicon_path)
         dense = dense_pairs(factor_set, config.weights, lexicon)
         assert_graph_matches_dense(similarity.matrix_from_dict(doc["data"]), dense)
@@ -142,9 +144,19 @@ class TestRun:
             monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
         checksum = counted("checksum", pipeline.PipelineConfig.checksum)
         monkeypatch.setattr(pipeline.PipelineConfig, "checksum", checksum)
-        for phase, (name, decoder) in pipeline.ARTIFACTS.items():
-            decoding = (name, counted(f"decode {phase}", decoder))
-            monkeypatch.setitem(pipeline.ARTIFACTS, phase, decoding)
+        phase_of = {kind: phase for phase, (_, _, kind) in pipeline.ARTIFACTS.items()}
+        decode = codec.decode
+
+        def decoding(kind, data, where):
+            calls.append(f"decode {phase_of[kind]}")
+            return decode(kind, data, where)
+
+        monkeypatch.setattr(codec, "decode", decoding)
+        monkeypatch.setattr(
+            similarity,
+            "matrix_from_dict",
+            counted("decode similarity", similarity.matrix_from_dict),
+        )
         config = pipeline.apply_overrides(
             pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
         )
@@ -646,6 +658,91 @@ MALFORMED = [
         "text",
         id="indicators-text-null",
     ),
+    pytest.param(
+        "assignments.json",
+        ["data", "assignments", 0, "subcategory"],
+        7,
+        "subcategory",
+        id="assignments-subcategory-number",
+    ),
+    pytest.param(
+        "assignments.json",
+        ["data", "assignments", 1, "category"],
+        None,
+        "category",
+        id="assignments-category-null",
+    ),
+    pytest.param(
+        "assignments.json",
+        ["data", "assignments", 0, "subcategory"],
+        "NOWHERE",
+        "subcategory",
+        id="assignments-subcategory-unknown",
+    ),
+    pytest.param(
+        "assignments.json",
+        ["data", "assignments", 0, "scores"],
+        lambda scores: {**scores, "NOWHERE": scores["COMFORT"]},
+        "scores",
+        id="assignments-scores-domain-unknown",
+    ),
+    pytest.param(
+        "placements.json",
+        ["data", "placements", 0, "domain"],
+        "NOWHERE",
+        "domain",
+        id="placements-domain-unknown",
+    ),
+    pytest.param(
+        "placements.json",
+        ["data", "cross_references", 0, "to_subcategory"],
+        "NOWHERE",
+        "to_subcategory",
+        id="placements-reference-subcategory-unknown",
+    ),
+    pytest.param(
+        "indicators.json",
+        ["data", "indicators", 0, "effective_domain"],
+        "NOWHERE",
+        "effective_domain",
+        id="indicators-domain-unknown",
+    ),
+    # Every per-factor artifact lists the integrated factors, in their order.
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 0, "name"],
+        "renamed",
+        "name",
+        id="classification-factor-renamed",
+    ),
+    pytest.param(
+        "assignments.json",
+        ["data", "assignments", 0, "factor"],
+        "renamed",
+        "factor",
+        id="assignments-factor-renamed",
+    ),
+    pytest.param(
+        "assignments.json",
+        ["data", "assignments"],
+        lambda entries: entries[:-1],
+        "assignments",
+        id="assignments-factor-dropped",
+    ),
+    pytest.param(
+        "placements.json",
+        ["data", "placements", 0, "factor"],
+        "renamed",
+        "factor",
+        id="placements-factor-renamed",
+    ),
+    pytest.param(
+        "indicators.json",
+        ["data", "indicators", 0, "name"],
+        "renamed",
+        "name",
+        id="indicators-factor-renamed",
+    ),
 ]
 
 # artifact -> the phase subcommand that reads it
@@ -653,6 +750,7 @@ READER = {
     "integrated.json": "similarity",
     "similarity.json": "cluster",
     "classification.json": "place",
+    "assignments.json": "place",
     "placements.json": "indicate",
     "indicators.json": "emit",
 }
@@ -715,7 +813,7 @@ class TestArtifactWrites:
             raise OSError(28, "No space left on device")
 
         # Other weights change every artifact's config checksum.
-        monkeypatch.setattr(pipeline.os, "replace", no_space)
+        monkeypatch.setattr(os, "replace", no_space)
         capsys.readouterr()
         assert cli.main(["run", "--config", str(config), "--weights", "1,0,0"]) == 1
         (line,) = capsys.readouterr().err.strip().splitlines()

@@ -8,8 +8,6 @@ from taxoforge.classify import FactorClass, classify_factors
 from taxoforge.cluster import (
     AssignmentScores,
     assign_categories,
-    assignments_from_dict,
-    assignments_to_dict,
     domain_priorities,
     related_factors,
     subcluster,
@@ -113,18 +111,7 @@ class TestAssignment:
         second = assign_categories(
             factor_set, results, default_kb, matrix, default_lexicon
         )
-        assert assignments_to_dict(first) == assignments_to_dict(second)
-
-    def test_serialization_round_trip(
-        self, cluster_fixture, default_kb, default_lexicon
-    ):
-        factor_set, matrix = cluster_fixture
-        results = classify_factors(factor_set, default_kb, default_lexicon)
-        assignments = assign_categories(
-            factor_set, results, default_kb, matrix, default_lexicon
-        )
-        doc = assignments_to_dict(assignments)
-        assert assignments_to_dict(assignments_from_dict(doc)) == doc
+        assert first == second
 
 
 class TestSubcluster:

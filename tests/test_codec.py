@@ -1,0 +1,194 @@
+"""The artifact codec: round trips, refused leaves, and a mutation sweep of
+every leaf of the fixture's artifacts through the checked read path."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from taxoforge import codec, pipeline
+from taxoforge.cluster import CategoryAssignment
+from taxoforge.errors import ArtifactError
+from tests.conftest import FIXTURES
+
+# Phases whose artifacts the codec writes, and those a later phase reads.
+CODEC_PHASES = ("integrate", "classify", "cluster", "place", "indicate")
+READ_PHASES = ("integrate", "similarity", "classify", "cluster", "place", "indicate")
+
+
+@pytest.fixture(scope="module")
+def fixture_run(tmp_path_factory):
+    """The fixture config writing to a temp directory, and the in-memory
+    state of one run over it."""
+    config = pipeline.apply_overrides(
+        pipeline.load_config(FIXTURES / "config.yaml"),
+        out_dir=str(tmp_path_factory.mktemp("out")),
+    )
+    state = pipeline.RunState(config)
+    for phase in pipeline.ARTIFACTS:
+        getattr(pipeline, f"phase_{phase}")(config, state=state)
+    return config, state
+
+
+@pytest.mark.parametrize("phase", CODEC_PHASES)
+def test_artifact_round_trip(fixture_run, phase):
+    _, state = fixture_run
+    _, key, kind = pipeline.ARTIFACTS[phase]
+    result = state.results[phase]
+    data = json.loads(json.dumps(pipeline.artifact_data(phase, result)))
+    if key is not None:
+        data = data[key]
+    decoded = codec.decode(kind, data, "data")
+    assert decoded == result
+    assert codec.encode(kind, decoded) == data
+
+
+def test_dataclass_fields_are_inlined_only_outside_collections(fixture_run):
+    _, state = fixture_run
+    integrated = pipeline.artifact_data("integrate", state.results["integrate"])
+    assert list(integrated["factors"][0]) == [
+        "canonical_name",
+        "counts",
+        "studies",
+        "insertion_index",
+    ]
+    classified = pipeline.artifact_data("classify", state.results["classify"])
+    assert list(classified["factors"][0]) == [
+        "name",
+        "active_type_count",
+        "entropy_nats",
+        "total_mentions",
+        "factor_class",
+        "primary_domain",
+        "relevant_domains",
+        "score",
+        "status",
+        "flagged",
+        "relevance",
+    ]
+    # Dataclasses inside a mapping or a tuple stay objects.
+    assigned = pipeline.artifact_data("cluster", state.results["cluster"])
+    assert set(assigned["assignments"][0]["scores"]["COMFORT"]) == {
+        "semantic",
+        "similarity_evidence",
+        "distribution",
+    }
+    placed = pipeline.artifact_data("place", state.results["place"])
+    assert set(placed) == {"placements", "cross_references", "argmax_flags"}
+    assert "tier" in placed["placements"][0]
+
+
+ASSIGNMENT = {
+    "factor": "safety",
+    "category": "COMFORT",
+    "subcategory": "THERMAL",
+    "scores": {
+        "COMFORT": {"semantic": 0.5, "similarity_evidence": 0.0, "distribution": 1}
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param(
+            lambda a: a["scores"]["COMFORT"].update(semantic=None),
+            "data[1].scores.COMFORT.semantic: expected a number, got None",
+            id="null-number",
+        ),
+        pytest.param(
+            lambda a: a["scores"]["COMFORT"].update(semantic=True),
+            "data[1].scores.COMFORT.semantic: expected a number, got True",
+            id="bool-number",
+        ),
+        pytest.param(
+            lambda a: a.pop("category"), "data[1].category: missing", id="missing"
+        ),
+        pytest.param(
+            lambda a: a.update(subcategory=7),
+            "data[1].subcategory: expected a string, got 7",
+            id="number-string",
+        ),
+        pytest.param(
+            lambda a: a.update(scores=[]),
+            "data[1].scores: expected an object, got []",
+            id="list-mapping",
+        ),
+    ],
+)
+def test_refused_leaf_is_named_by_its_path(edit, message):
+    entries = json.loads(json.dumps([ASSIGNMENT, ASSIGNMENT]))
+    edit(entries[1])
+    with pytest.raises(ArtifactError) as caught:
+        codec.decode(list[CategoryAssignment], entries, "data")
+    assert str(caught.value).startswith(message)
+
+
+def test_post_init_check_is_refused_at_its_object(fixture_run):
+    _, state = fixture_run
+    _, key, kind = pipeline.ARTIFACTS["integrate"]
+    data = pipeline.artifact_data("integrate", state.results["integrate"])
+    data["factors"][2]["counts"] = [1, 2, 3]
+    with pytest.raises(ArtifactError, match=r"^data\.factors\[2\]: occurrence vector"):
+        codec.decode(kind, data, "data")
+
+
+def _leaves(value, path=()):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, path + (index,))
+    else:
+        yield path, value
+
+
+def _mutations(value):
+    """Null, a value of the other kind and, for numbers, -1."""
+    if value is None:
+        return ["x", 7]
+    if isinstance(value, str):
+        return [None, 7]
+    if isinstance(value, bool):
+        return [None, "true"]
+    return [None, "7", -1]
+
+
+def test_mutation_sweep_reads_or_refuses(fixture_run):
+    """Each leaf of each artifact a phase reads, mutated alone, is either
+    read or refused with one line naming the file; nothing else escapes."""
+    config, computed = fixture_run
+    loaded = {
+        name: getattr(computed, name) for name in ("checksums", "kb", "lexicon")
+    }
+    outcomes = {"read": 0, "refused": 0}
+    for phase in READ_PHASES:
+        path = config.out_dir / pipeline.ARTIFACTS[phase][0]
+        original = path.read_text(encoding="utf-8")
+        doc = json.loads(original)
+        try:
+            for leaf, value in _leaves(doc):
+                for mutated in _mutations(value):
+                    edited = json.loads(original)
+                    target = edited
+                    for key in leaf[:-1]:
+                        target = target[key]
+                    target[leaf[-1]] = mutated
+                    path.write_text(json.dumps(edited), encoding="utf-8")
+                    state = pipeline.RunState(config)
+                    state.__dict__.update(loaded)  # the cached properties
+                    if phase != "integrate":
+                        state.results["integrate"] = computed.results["integrate"]
+                    try:
+                        state.get(phase)
+                        outcomes["read"] += 1
+                    except ArtifactError as exc:
+                        assert str(path) in str(exc), (leaf, mutated)
+                        assert "\n" not in str(exc), (leaf, mutated)
+                        outcomes["refused"] += 1
+        finally:
+            path.write_text(original, encoding="utf-8")
+    assert sum(outcomes.values()) > 2500
+    assert outcomes["refused"] > outcomes["read"]

@@ -22,7 +22,6 @@ from taxoforge.emit import (
 )
 from taxoforge.errors import TaxoforgeError
 from taxoforge.integrate import parse_tracking_notation
-from tests.conftest import build_pipeline_outputs, make_factor_set
 
 
 class TestBuildFramework:
@@ -61,18 +60,6 @@ class TestBuildFramework:
         empty = IntegratedFactorSet(factors=(), raw_record_count=0)
         with pytest.raises(TaxoforgeError):
             build_framework(empty, [], [], None, [], default_kb)
-
-    def test_mismatched_phase_outputs_rejected(
-        self, sample_factors, default_kb, default_lexicon
-    ):
-        classifications, assignments, placements, indicators = build_pipeline_outputs(
-            sample_factors, default_kb, default_lexicon
-        )
-        other = make_factor_set({"something else": {"P": 1}})
-        with pytest.raises(TaxoforgeError, match="phase-output mismatch"):
-            build_framework(
-                other, classifications, assignments, placements, indicators, default_kb
-            )
 
 
 def delete_factor(framework: Framework, name: str) -> Framework:

@@ -15,8 +15,6 @@ from taxoforge.placement import (
     place,
     place_cross_cutting,
     placement_metrics,
-    placements_from_dict,
-    placements_to_dict,
 )
 
 # Composite scores from the worked placement examples, ranked best first.
@@ -176,11 +174,6 @@ class TestPipelinePlacement:
         metrics = placement_metrics(result)
         assert metrics.consistency_pct == 100.0
         assert metrics.total == len(result.placements)
-
-    def test_serialization_round_trip(self, placed):
-        _, result = placed
-        doc = placements_to_dict(result)
-        assert placements_to_dict(placements_from_dict(doc)) == doc
 
 
 class TestOverrides:
