@@ -151,14 +151,9 @@ def aggregate_subcategory(
 def aggregate_category(
     profiles: Sequence[tuple[float, ...]], weights: Sequence[int]
 ) -> tuple[float, ...]:
-    """Mention-weighted mean of subcategory relevance profiles."""
-    if not profiles:
-        raise TaxoforgeError("cannot aggregate an empty category")
-    if len(profiles) != len(weights):
-        raise TaxoforgeError("profile/weight length mismatch")
+    """Mention-weighted mean of subcategory relevance profiles, one weight
+    per profile."""
     total = sum(weights)
-    if total == 0:
-        raise TaxoforgeError("category has no mentions")
     out = [0.0] * len(SPACE_TYPES)
     for profile, weight in zip(profiles, weights):
         for i, value in enumerate(profile):

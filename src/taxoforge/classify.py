@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import TaxoforgeError
-from .integrate import IntegratedFactorSet, OccurrenceVector
+from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
 from .knowledge import Domain, DomainKnowledgeBase
 from .similarity import SemanticLexicon, linguistic_similarity
 
@@ -149,27 +149,33 @@ class ClassificationResult:
     relevance: tuple[float, ...]  # per KB domain, in KB order
 
 
+def classify_factor(
+    factor: IntegratedFactor,
+    relevance: tuple[float, ...],
+    kb: DomainKnowledgeBase,
+    threshold: float = CROSS_CUTTING_THRESHOLD,
+) -> ClassificationResult:
+    """Everything classify says about one factor, given its relevance row."""
+    stats = distribution_stats(factor.occurrence)
+    return ClassificationResult(
+        name=factor.canonical_name,
+        stats=stats,
+        factor_class=classify(stats),
+        primary_domain=primary_domain(relevance, kb),
+        cross_cutting=assess_cross_cutting(relevance, kb, threshold),
+        relevance=relevance,
+    )
+
+
 def classify_factors(
     factor_set: IntegratedFactorSet,
     kb: DomainKnowledgeBase,
     lexicon: SemanticLexicon,
     threshold: float = CROSS_CUTTING_THRESHOLD,
 ) -> list[ClassificationResult]:
-    results = []
-    for factor in factor_set.factors:
-        stats = distribution_stats(factor.occurrence)
-        relevance = relevance_row(factor.canonical_name, kb, lexicon)
-        results.append(
-            ClassificationResult(
-                name=factor.canonical_name,
-                stats=stats,
-                factor_class=classify(stats),
-                primary_domain=primary_domain(relevance, kb),
-                cross_cutting=assess_cross_cutting(relevance, kb, threshold),
-                relevance=relevance,
-            )
-        )
-    return results
+    factors = factor_set.factors
+    rows = [relevance_row(f.canonical_name, kb, lexicon) for f in factors]
+    return [classify_factor(f, row, kb, threshold) for f, row in zip(factors, rows)]
 
 
 @dataclass(frozen=True)

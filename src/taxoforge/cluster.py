@@ -56,8 +56,8 @@ def domain_priorities(
 def related_factors(
     index: int, matrix: SimilarityMatrix, threshold: float = RELATED_THRESHOLD
 ) -> list[tuple[int, float]]:
-    """Indices of factors scoring strictly above the threshold, best first."""
-    matrix.require_floor(threshold)
+    """Indices of factors scoring strictly above the threshold, best first;
+    the graph's floor must not exceed the threshold."""
     hits = [(j, score) for j, score in matrix.neighbours[index] if score > threshold]
     hits.sort(key=lambda item: (-item[1], item[0]))
     return hits
@@ -120,16 +120,11 @@ def score_domains(
     return scores
 
 
-def _argmax_domain(
+def argmax_domain(
     scores: Mapping[str, AssignmentScores], kb: DomainKnowledgeBase
 ) -> str:
-    best_id, best = None, -1.0
-    for domain_id in kb.domain_ids():  # KB order breaks ties
-        value = scores[domain_id].final
-        if value > best:
-            best_id, best = domain_id, value
-    assert best_id is not None
-    return best_id
+    """The domain with the highest final score; KB order breaks ties."""
+    return max(kb.domain_ids(), key=lambda domain_id: scores[domain_id].final)
 
 
 def subcluster(
@@ -137,8 +132,8 @@ def subcluster(
     matrix: SimilarityMatrix,
     threshold: float = SUBCLUSTER_THRESHOLD,
 ) -> list[list[int]]:
-    """Single-linkage connected components over within-category pairs."""
-    matrix.require_floor(threshold)
+    """Single-linkage connected components over within-category pairs; the
+    graph's floor must not exceed the threshold."""
     members = sorted(member_indices)
     parent = {i: i for i in members}
 
@@ -207,7 +202,7 @@ def assign_categories(
             related_threshold,
         )
         all_scores.append(scores)
-        categories.append(_argmax_domain(scores, kb))
+        categories.append(argmax_domain(scores, kb))
 
     by_category: dict[str, list[int]] = {}
     for index, category in enumerate(categories):
@@ -231,51 +226,3 @@ def assign_categories(
         )
         for index in range(len(factor_set.factors))
     ]
-
-
-@dataclass(frozen=True)
-class HierarchyReport:
-    violations: tuple[str, ...]
-    category_counts: Mapping[str, int]
-    subcategory_counts: Mapping[tuple[str, str], int]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def validate_hierarchy(
-    assignments: Sequence[CategoryAssignment], kb: DomainKnowledgeBase
-) -> HierarchyReport:
-    """Check one home per factor and category/subcategory integrity."""
-    violations = []
-    seen: dict[str, int] = {}
-    category_counts: dict[str, int] = {}
-    subcategory_counts: dict[tuple[str, str], int] = {}
-    known = set(kb.domain_ids())
-    for assignment in assignments:
-        seen[assignment.factor] = seen.get(assignment.factor, 0) + 1
-        if assignment.category not in known:
-            violations.append(
-                f"{assignment.factor}: unknown category {assignment.category}"
-            )
-            continue
-        domain = kb.by_id(assignment.category)
-        if assignment.subcategory not in domain.subcategory_ids():
-            violations.append(
-                f"{assignment.factor}: subcategory {assignment.subcategory} "
-                f"not in {assignment.category}"
-            )
-        category_counts[assignment.category] = (
-            category_counts.get(assignment.category, 0) + 1
-        )
-        key = (assignment.category, assignment.subcategory)
-        subcategory_counts[key] = subcategory_counts.get(key, 0) + 1
-    for factor, count in seen.items():
-        if count != 1:
-            violations.append(f"{factor}: assigned {count} times")
-    return HierarchyReport(
-        violations=tuple(violations),
-        category_counts=category_counts,
-        subcategory_counts=subcategory_counts,
-    )

@@ -39,11 +39,13 @@ class _Refused(Exception):
         self.path = list(path)
 
 
-def _refuse(expected: str, value: object) -> _Refused:
+def _shown(value: object) -> str:
     shown = repr(value)
-    if len(shown) > 60:
-        shown = shown[:57] + "..."
-    return _Refused(f"expected {expected}, got {shown}")
+    return shown if len(shown) <= 60 else shown[:57] + "..."
+
+
+def _refuse(expected: str, value: object) -> _Refused:
+    return _Refused(f"expected {expected}, got {_shown(value)}")
 
 
 def decode(kind: object, data: object, where: str):
@@ -59,6 +61,29 @@ def encode(kind: object, value: object) -> object:
     """The JSON-ready form of ``value``, an instance of ``kind``."""
     write = _codec(kind)[1]
     return value if write is None else write(value)
+
+
+def first_difference(expected: object, actual: object, path: str = "") -> str | None:
+    """``path`` and below it the path of the first leaf where the JSON value
+    ``actual`` differs from ``expected``, with both values; None where none
+    does. Keys ``expected`` lacks are ignored, as the reader ignores them."""
+    if expected == actual:
+        return None
+    if type(expected) is dict and type(actual) is dict:
+        for key, value in expected.items():
+            if key not in actual:
+                return f"{path}.{key}: missing"
+            if found := first_difference(value, actual[key], f"{path}.{key}"):
+                return found
+        return None
+    if type(expected) is list and type(actual) is list:
+        for index, (value, other) in enumerate(zip(expected, actual)):
+            if found := first_difference(value, other, f"{path}[{index}]"):
+                return found
+        if len(expected) != len(actual):
+            return f"{path}: expected {len(expected)} entries, got {len(actual)}"
+        return None
+    return f"{path}: expected {_shown(expected)}, got {_shown(actual)}"
 
 
 @cache

@@ -134,7 +134,7 @@ def build_framework(
     """Assemble the three-tier framework from the phase outputs."""
     if not factor_set.factors:
         raise TaxoforgeError("cannot build a framework from an empty factor set")
-    homes = primary_homes(classifications, assignments, placement_result)
+    homes = primary_homes(assignments, placement_result)
     class_by_name = {c.name: c for c in classifications}
     indicator_by_name = {r.name: r for r in indicator_records}
 
@@ -242,9 +242,7 @@ def validate(
     """
     locations = framework.primary_locations()
 
-    missing = tuple(
-        name for name in factor_set.names if name not in locations
-    )
+    missing = tuple(name for name in factor_set.names if name not in locations)
     completeness = ValidationCheck(passed=not missing, problems=missing)
 
     duplicated = tuple(
@@ -254,8 +252,7 @@ def validate(
     )
     stray = tuple(
         f"{name}: not in the integrated set"
-        for name in sorted(locations)
-        if name not in set(factor_set.names)
+        for name in sorted(locations.keys() - set(factor_set.names))
     )
     hierarchy = ValidationCheck(
         passed=not duplicated and not stray, problems=duplicated + stray

@@ -8,7 +8,7 @@ space research, and users supply richer files to grow the hierarchy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -16,8 +16,8 @@ from typing import Mapping
 
 import yaml
 
-from .corpus import SPACE_TYPES
-from .errors import KnowledgeBaseError, require_number
+from .corpus import SPACE_TYPES, NormalizationRuleSet, normalize
+from .errors import CorpusError, KnowledgeBaseError, require_number
 
 
 class DomainScope(Enum):
@@ -96,10 +96,10 @@ def _parse_subcategory(doc: dict, domain_id: str) -> Subcategory:
     )
 
 
-def _list(doc: dict, key: str, where: str) -> list:
+def _list(doc: dict, key: str, where: str) -> list[str]:
     value = doc.get(key) or []
-    if not isinstance(value, list):
-        raise KnowledgeBaseError(f"{where}: {key} must be a list, got {value!r}")
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise KnowledgeBaseError(f"{where}: {key} must list text, got {value!r}")
     return value
 
 
@@ -199,17 +199,46 @@ def load_kb(path: str | Path) -> DomainKnowledgeBase:
         raise KnowledgeBaseError("kb section 'placement_overrides' must be a mapping")
     overrides = {}
     for factor, domain_id in overrides_doc.items():
+        if not isinstance(factor, str):
+            raise KnowledgeBaseError(f"kb placement_overrides: {factor!r} is not text")
         if domain_id not in ids:
             raise KnowledgeBaseError(
                 f"placement override for {factor!r} names unknown domain {domain_id!r}"
             )
-        overrides[str(factor)] = str(domain_id)
+        overrides[factor] = domain_id
 
     return DomainKnowledgeBase(
         domains=domains,
         scope_priors=priors,
         placement_overrides=overrides,
     )
+
+
+def canonical_names(
+    kb: DomainKnowledgeBase, rules: NormalizationRuleSet
+) -> DomainKnowledgeBase:
+    """``kb`` with the factor names of its literature support and placement
+    overrides normalized under ``rules``, as the corpus names are."""
+
+    def canonical(names) -> list[str]:
+        try:
+            return [normalize(name, rules) for name in names]
+        except CorpusError as exc:
+            raise KnowledgeBaseError(f"kb: {exc}") from None
+
+    pairs = set(zip(canonical(kb.placement_overrides), kb.placement_overrides.values()))
+    overrides = dict(sorted(pairs))
+    if len(overrides) < len(pairs):
+        raise KnowledgeBaseError("kb placement_overrides: one factor, two domains")
+    domains = tuple(
+        replace(
+            domain,
+            literature_strong=frozenset(canonical(domain.literature_strong)),
+            literature_none=frozenset(canonical(domain.literature_none)),
+        )
+        for domain in kb.domains
+    )
+    return replace(kb, domains=domains, placement_overrides=overrides)
 
 
 def default_kb_path() -> Path:

@@ -1,11 +1,11 @@
 """Configuration handling and phase orchestration.
 
-A ``RunState`` holds one invocation's input checksums, KB, lexicon and phase
-results, each computed or loaded once; a result it has not computed is
-decoded from that phase's artifact once the artifact's header checks out.
-``run`` passes one state through every phase, so each artifact is written
-once and never read back; a phase run alone reads its inputs from disk. Both
-paths produce byte-identical files.
+A ``RunState`` holds one invocation's checksums, KB, lexicon, rules and phase
+results, each computed or loaded once. A result it has not computed is read
+from the phase's artifact: its independent values are decoded, the phase's
+own code rebuilds the rest, and the artifact must equal what that writes.
+``run`` passes one state through every phase, writing each artifact once;
+a phase run alone reads its inputs from disk, with byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ import yaml
 
 from . import __version__, codec
 from . import applicability, classify, cluster, emit, integrate, placement, similarity
-from .corpus import SPACE_TYPES, load_corpus, load_rules, merge_corpora
+from .corpus import SPACE_TYPES, NormalizationRuleSet, load_corpus, load_rules
+from .corpus import merge_corpora
 from .emit import SCHEMA_VERSION
 from .errors import ArtifactError, ConfigError, TaxoforgeError, require_number
-from .errors import is_unit_number
 from .knowledge import (
     DomainKnowledgeBase,
+    canonical_names,
     default_kb_path,
     default_lexicon_path,
     default_rules_path,
@@ -62,6 +63,11 @@ class Thresholds:
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
+
+    @property
+    def graph_floor(self) -> float:
+        """The lowest pair score the census, subclusters or neighbours use."""
+        return min(self.band_low, self.subcluster, self.related)
 
 
 @dataclass(frozen=True)
@@ -249,9 +255,9 @@ def artifact_data(phase: str, result: object) -> dict:
 
 
 class RunState:
-    """What one invocation knows: the input checksums, the KB, the lexicon,
+    """What one invocation knows: the input checksums, KB, lexicon and rules,
     and each phase's result, each computed or loaded once. A result this
-    process has not computed is decoded from its artifact on first use."""
+    process has not computed is read from its artifact on first use."""
 
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
@@ -268,6 +274,10 @@ class RunState:
     @cached_property
     def lexicon(self) -> SemanticLexicon:
         return load_lexicon(self.config.lexicon_path)
+
+    @cached_property
+    def rules(self) -> NormalizationRuleSet:
+        return load_rules(self.config.rules_path)
 
     def put(self, phase: str, result: object, data: dict | None = None) -> Path:
         """Keep ``result``; write ``data``, by default the codec's, as its artifact."""
@@ -286,31 +296,43 @@ class RunState:
     def get(self, phase: str):
         """The result of ``phase``, from memory or else from its artifact.
 
-        This is the one checked read path: a body that does not fit the
-        result's type, the integrated factors or the KB becomes an
-        ``ArtifactError`` naming the file and the field."""
+        This is the one checked read path. The artifact's independent values
+        must fit their type, the integrated factors and the KB; every phase
+        after integrate rebuilds the rest of its result from them with its own
+        code, and the artifact must equal what that result writes. A misfit
+        is an ``ArtifactError`` naming the file and the leaf's path."""
         if phase not in self.results:
             name, key, kind = ARTIFACTS[phase]
             path = self.config.out_dir / name
             data, where = self._read(phase, path), f"artifact {path}: data"
+            result = None
             if phase == "similarity":
+                # Decode against the names, weights and floor the phase writes.
+                names = list(self.get("integrate").names)
+                rebuilt = {"n": len(names), "names": names}
+                rebuilt["weights"] = list(self.config.weights.as_tuple())
+                rebuilt["floor"] = self.config.thresholds.graph_floor
                 try:
-                    result = similarity.matrix_from_dict(data)
+                    result = similarity.matrix_from_dict({**data, **rebuilt})
                 except KeyError as exc:
                     raise ArtifactError(f"{where}.{exc.args[0]}: missing") from None
                 except TaxoforgeError as exc:
                     raise ArtifactError(f"{where}: {exc}") from None
-            else:
-                if key is not None:
-                    data, where = data.get(key), f"{where}.{key}"
-                result = codec.decode(kind, data, where)
-            self._check(phase, result, where)
+            elif phase != "indicate":  # indicators.json has no independent values
+                at = where if key is None else f"{where}.{key}"
+                result = codec.decode(kind, data if key is None else data.get(key), at)
+                self._check(phase, result, at)
+            if phase in REBUILT:
+                result, expected = REBUILT[phase](self, result)
+                difference = codec.first_difference(expected, data, where)
+                if difference is not None:
+                    raise ArtifactError(difference)
             self.results[phase] = result
         return self.results[phase]
 
     def _check(self, phase: str, result, where: str) -> None:
-        """Refuse a decoded result that does not fit the integrated factors,
-        which per-factor artifacts list in their order, or the KB's ids."""
+        """Refuse independent values that do not fit the integrated factors,
+        the KB's ids or their range."""
 
         def refuse(field: str, message: str) -> None:
             raise ArtifactError(f"{where}{field}: {message}")
@@ -324,50 +346,40 @@ class RunState:
             if result.raw_record_count != total:
                 refuse(".raw_record_count", "expected the sum of the factors' counts")
             return
-        if phase == "similarity":
-            return
-        names = self.get("integrate").names
         if phase != "place":
             key = "factor" if phase == "cluster" else "name"
-            if tuple(getattr(r, key) for r in result) != names:
+            if tuple(getattr(r, key) for r in result) != self.get("integrate").names:
                 refuse(f"[*].{key}", "expected the integrated factors, in order")
         subcategories = {d.identifier: d.subcategory_ids() for d in self.kb.domains}
 
-        def known(at: str, entry, key: str, among=subcategories) -> None:
-            if getattr(entry, key) not in among:
-                refuse(f"{at}.{key}", f"unknown id {getattr(entry, key)!r}")
-
         def home(at: str, entry, domain: str, sub: str) -> None:
-            known(at, entry, domain)
-            known(at, entry, sub, subcategories[getattr(entry, domain)])
+            if getattr(entry, sub) not in subcategories.get(getattr(entry, domain), ()):
+                refuse(f"{at}.{sub}", f"{getattr(entry, sub)!r} is not a subcategory "
+                       f"of domain {getattr(entry, domain)!r}")
 
+        # The codec has checked these are numbers; NaN fails every comparison.
+        unit = "expected a number in [0, 1]"
         if phase == "place":
             for i, p in enumerate(result.placements):
-                known(f".placements[{i}]", p, "factor", names)
                 home(f".placements[{i}]", p, "domain", "subcategory")
-            for i, r in enumerate(result.cross_references):
-                known(f".cross_references[{i}]", r, "factor", names)
-                home(f".cross_references[{i}]", r, "from_domain", "from_subcategory")
-                home(f".cross_references[{i}]", r, "to_domain", "to_subcategory")
+                if not 0.0 <= p.composite <= 1.0:
+                    refuse(f".placements[{i}].composite", unit)
             return
         for i, r in enumerate(result):
-            at = f"[{i}]"
             if phase == "classify":
                 if len(r.relevance) != len(subcategories) or not all(
-                    is_unit_number(x) for x in r.relevance
+                    0.0 <= x <= 1.0 for x in r.relevance
                 ):
-                    refuse(f"{at}.relevance", "expected a number in [0, 1] per domain")
-                if r.primary_domain is not None:
-                    known(at, r, "primary_domain")
-                for domain in r.cross_cutting.relevant_domains:
-                    if domain not in subcategories:
-                        refuse(f"{at}.relevant_domains", f"unknown id {domain!r}")
-            elif phase == "cluster":
-                home(at, r, "category", "subcategory")
-                if r.scores.keys() != subcategories.keys():
-                    refuse(f"{at}.scores", "expected one entry per KB domain")
-            else:
-                known(at, r, "effective_domain")
+                    refuse(f"[{i}].relevance", f"{unit} per domain")
+                continue
+            home(f"[{i}]", r, "category", "subcategory")
+            if r.scores.keys() != subcategories.keys():
+                refuse(f"[{i}].scores", "expected one entry per KB domain")
+            for domain, s in r.scores.items():
+                if not 0.0 <= s.similarity_evidence <= 1.0:
+                    refuse(f"[{i}].scores.{domain}.similarity_evidence", unit)
+                if not 0.0 <= s.distribution <= 1.0:
+                    refuse(f"[{i}].scores.{domain}.distribution", unit)
 
     def _read(self, phase: str, path: Path) -> dict:
         if not path.exists():
@@ -404,18 +416,113 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     emit.write_atomic(path, write)
 
 
+# Rebuilding on reading: each function takes the decoded independent values
+# of its phase's artifact, rebuilds the phase's result from them with the
+# phase's own code, and returns it with the ``data`` the phase writes for it.
+
+
+def _classified(state: RunState, decoded) -> tuple[list, dict]:
+    kb, threshold = state.kb, state.config.thresholds.cross_cutting
+    results = [
+        classify.classify_factor(factor, r.relevance, kb, threshold)
+        for factor, r in zip(state.get("integrate").factors, decoded)
+    ]
+    return results, artifact_data("classify", results)
+
+
+def _assigned(state: RunState, decoded) -> tuple[list, dict]:
+    # Only the categories are rebuilt, and the comparison skips the keys left
+    # out; where it passes, the decoded assignments are the rebuilt ones.
+    categories = [cluster.argmax_domain(a.scores, state.kb) for a in decoded]
+    return decoded, {"assignments": [{"category": c} for c in categories]}
+
+
+def _placed(state: RunState, decoded) -> tuple[placement.PlacementResult, dict]:
+    composites = {(p.factor, p.domain): p.composite for p in decoded.placements}
+    subcategories = {(p.factor, p.domain): p.subcategory for p in decoded.placements}
+    kb = state.kb
+    if kb.placement_overrides:  # the only KB factor names arranging reads
+        kb = canonical_names(kb, state.rules)
+    # A placement the artifact lacks gets stand-in values; the comparison
+    # then refuses the artifact at the first entry that differs.
+    result = placement.arrange(
+        state.get("classify"),
+        kb,
+        lambda name, domain: composites.get((name, domain), 0.0),
+        lambda name, domain: subcategories.get((name, domain), ""),
+        state.config.thresholds.promotion,
+    )
+    return result, _placement_data(result)
+
+
+def _placement_data(result: placement.PlacementResult) -> dict:
+    metrics = asdict(placement.placement_metrics(result))
+    return {**artifact_data("place", result), "metrics": metrics}
+
+
+def _indicated(state: RunState, decoded=None) -> tuple[list, dict]:
+    """Besides the records, indicators.json holds the relevance profile of
+    each subcategory and the distribution profile of each category, over the
+    factors homed there."""
+    factor_set, kb = state.get("integrate"), state.kb
+    homes = placement.primary_homes(state.get("cluster"), state.get("place"))
+    domains = {name: home[0] for name, home in homes.items()}
+    records = applicability.indicators_for(
+        factor_set.factors, state.get("classify"), domains, kb
+    )
+    vectors: dict[tuple[str, str], list] = {}
+    for factor in factor_set.factors:
+        vectors.setdefault(homes[factor.canonical_name], []).append(factor.occurrence)
+    subcategory_profiles, category_profiles = [], []
+    for domain in kb.domains:
+        category = domain.identifier
+        subs = [sub for sub in domain.subcategory_ids() if (category, sub) in vectors]
+        if not subs:
+            continue
+        homed = [vectors[category, sub] for sub in subs]
+        profiles = [applicability.aggregate_subcategory(v) for v in homed]
+        for sub, profile in zip(subs, profiles):
+            relevance = dict(zip(SPACE_TYPES, profile))
+            subcategory_profiles.append(
+                {"category": category, "subcategory": sub, "relevance": relevance}
+            )
+        weights = [sum(v.total for v in sub_vectors) for sub_vectors in homed]
+        distribution = dict(
+            zip(SPACE_TYPES, applicability.aggregate_category(profiles, weights))
+        )
+        category_profiles.append({"category": category, "distribution": distribution})
+    data = artifact_data("indicate", records)
+    data["subcategory_profiles"] = subcategory_profiles
+    data["category_profiles"] = category_profiles
+    return records, data
+
+
+REBUILT = {
+    "similarity": lambda state, matrix: (matrix, similarity.matrix_to_dict(matrix)),
+    "classify": _classified,
+    "cluster": _assigned,
+    "place": _placed,
+    "indicate": _indicated,
+}
+
+
 # ---------------------------------------------------------------------------
 # Phases
 # ---------------------------------------------------------------------------
 
 
+def _warn_unmatched(message: str, names: Sequence[str]) -> None:
+    """Log ``message`` with the count of ``names`` and the first few, if any."""
+    if names:
+        log.warning(f"{message}, first names: %s", len(names), names[:UNMATCHED_SHOWN])
+
+
 def phase_integrate(config: PipelineConfig, state: RunState | None = None) -> Path:
     state = state or RunState(config)
-    rules = load_rules(config.rules_path)
     corpus = merge_corpora(
         load_corpus(path, expect_type=code) for path, code in config.datasets
     )
-    factor_set = integrate.integrate(corpus, rules)
+    factor_set = integrate.integrate(corpus, state.rules)
     log.info(
         "integrate: %d records -> %d unique factors",
         factor_set.raw_record_count,
@@ -429,9 +536,7 @@ def phase_similarity(
 ) -> Path:
     state = state or RunState(config)
     factor_set, t = state.get("integrate"), config.thresholds
-    # The graph keeps the pairs at or above the lowest score a later phase
-    # asks about: the census, subclusters and related neighbours.
-    floor = min(t.band_low, t.subcluster, t.related)
+    floor = t.graph_floor
     matrix = similarity.build_matrix(factor_set, config.weights, state.lexicon, floor)
     census = similarity.band_census(matrix, t.band_high, t.band_low)
     log.info(
@@ -474,12 +579,7 @@ def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Pat
         factor_set, state.kb, state.lexicon, threshold=config.thresholds.cross_cutting
     )
     unassigned = [r.name for r in results if r.primary_domain is None]
-    if unassigned:
-        log.warning(
-            "classify: %d factors without a domain match, first names: %s",
-            len(unassigned),
-            unassigned[:UNMATCHED_SHOWN],
-        )
+    _warn_unmatched("classify: %d factors without a domain match", unassigned)
     path = state.put("classify", results)
     rows = [
         (
@@ -522,9 +622,6 @@ def phase_cluster(config: PipelineConfig, state: RunState | None = None) -> Path
         related_threshold=config.thresholds.related,
         subcluster_threshold=config.thresholds.subcluster,
     )
-    report = cluster.validate_hierarchy(assignments, state.kb)
-    if not report.passed:
-        log.warning("cluster: hierarchy violations: %s", report.violations)
     path = state.put("cluster", assignments)
     domain_ids = state.kb.domain_ids()
     rows = [
@@ -542,19 +639,23 @@ def phase_cluster(config: PipelineConfig, state: RunState | None = None) -> Path
 
 def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
     state = state or RunState(config)
+    factor_set, kb = state.get("integrate"), canonical_names(state.kb, state.rules)
+    names, listed = set(factor_set.names), list(kb.placement_overrides)
+    for d in kb.domains:
+        listed += sorted(d.literature_strong | d.literature_none)
+    unmatched = [name for name in dict.fromkeys(listed) if name not in names]
+    _warn_unmatched("place: %d KB factor names match no factor", unmatched)
     result = placement.place_cross_cutting(
-        state.get("integrate"),
+        factor_set,
         state.get("classify"),
-        state.kb,
+        kb,
         state.get("similarity"),
         state.get("cluster"),
         state.lexicon,
         related_threshold=config.thresholds.related,
         promotion_threshold=config.thresholds.promotion,
     )
-    metrics = asdict(placement.placement_metrics(result))
-    data = {**artifact_data("place", result), "metrics": metrics}
-    path = state.put("place", result, data)
+    path = state.put("place", result, _placement_data(result))
     rows = [
         (
             p.factor,
@@ -576,70 +677,9 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
     return path
 
 
-def _aggregation_profiles(
-    factor_set: integrate.IntegratedFactorSet,
-    homes: Mapping[str, tuple[str, str]],
-    kb: DomainKnowledgeBase,
-) -> tuple[list[dict], list[dict]]:
-    """Per-subcategory relevance vectors and per-category distribution profiles."""
-    vectors_by_home: dict[tuple[str, str], list] = {}
-    for factor in factor_set.factors:
-        vectors_by_home.setdefault(homes[factor.canonical_name], []).append(
-            factor.occurrence
-        )
-    sub_profiles: list[dict] = []
-    category_inputs: dict[str, list[tuple[tuple[float, ...], int]]] = {}
-    for domain in kb.domains:
-        for sub in domain.subcategories:
-            vectors = vectors_by_home.get((domain.identifier, sub.identifier))
-            if not vectors:
-                continue
-            relevance = applicability.aggregate_subcategory(vectors)
-            weight = sum(v.total for v in vectors)
-            sub_profiles.append(
-                {
-                    "category": domain.identifier,
-                    "subcategory": sub.identifier,
-                    "relevance": dict(zip(SPACE_TYPES, relevance)),
-                }
-            )
-            category_inputs.setdefault(domain.identifier, []).append(
-                (relevance, weight)
-            )
-    category_profiles = [
-        {
-            "category": domain.identifier,
-            "distribution": dict(
-                zip(
-                    SPACE_TYPES,
-                    applicability.aggregate_category(
-                        [profile for profile, _ in category_inputs[domain.identifier]],
-                        [weight for _, weight in category_inputs[domain.identifier]],
-                    ),
-                )
-            ),
-        }
-        for domain in kb.domains
-        if domain.identifier in category_inputs
-    ]
-    return sub_profiles, category_profiles
-
-
 def phase_indicate(config: PipelineConfig, state: RunState | None = None) -> Path:
     state = state or RunState(config)
-    factor_set, results, kb = state.get("integrate"), state.get("classify"), state.kb
-    homes = placement.primary_homes(results, state.get("cluster"), state.get("place"))
-    records = applicability.indicators_for(
-        factor_set.factors,
-        results,
-        {name: home[0] for name, home in homes.items()},
-        kb,
-    )
-    data = artifact_data("indicate", records)
-    data["subcategory_profiles"], data["category_profiles"] = _aggregation_profiles(
-        factor_set, homes, kb
-    )
-    return state.put("indicate", records, data)
+    return state.put("indicate", *_indicated(state))
 
 
 def phase_emit(

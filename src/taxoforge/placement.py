@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .classify import ClassificationResult
 from .cluster import (
@@ -86,14 +86,6 @@ def composite(
 
     ``related`` is the factor's neighbour list from ``related_factors``.
     """
-    if not classification.cross_cutting.flagged:
-        raise TaxoforgeError(
-            f"{classification.name!r} is not flagged cross-cutting"
-        )
-    if domain_id not in classification.cross_cutting.relevant_domains:
-        raise TaxoforgeError(
-            f"domain {domain_id} is not relevant for {classification.name!r}"
-        )
     factor = factor_set.factors[index]
     position = kb.domain_ids().index(domain_id)
     domain = kb.domains[position]
@@ -115,21 +107,29 @@ def composite(
     )
 
 
+def by_keywords(
+    kb: DomainKnowledgeBase, lexicon: SemanticLexicon
+) -> Callable[[str, str], str]:
+    """(factor, domain id) -> the domain's subcategory whose keywords best
+    match the factor's name."""
+    return lambda factor, domain_id: best_subcategory(
+        [factor], kb.by_id(domain_id), lexicon
+    )
+
+
 def place(
     factor_name: str,
     ranked: Sequence[tuple[str, float]],
-    kb: DomainKnowledgeBase,
-    lexicon: SemanticLexicon,
+    subcategory: Callable[[str, str], str],
     promotion_threshold: float = PROMOTION_THRESHOLD,
 ) -> list[StrategicPlacement]:
     """Apply the tier protocol to a composite-ranked domain list.
 
     ``ranked`` must be sorted best first. Rank 1 is Primary, rank 2 Secondary,
     deeper ranks Tertiary unless their composite reaches the promotion
-    threshold. Each placement's subcategory is the domain's best keyword match.
+    threshold. ``subcategory(factor_name, domain_id)`` names each placement's
+    subcategory.
     """
-    if not ranked:
-        raise TaxoforgeError(f"no ranked domains for {factor_name!r}")
     placements = []
     for position, (domain_id, score) in enumerate(ranked):
         if position == 0:
@@ -138,12 +138,11 @@ def place(
             tier = PlacementTier.SECONDARY
         else:
             tier = PlacementTier.TERTIARY
-        subcategory = best_subcategory([factor_name], kb.by_id(domain_id), lexicon)
         placements.append(
             StrategicPlacement(
                 factor=factor_name,
                 domain=domain_id,
-                subcategory=subcategory,
+                subcategory=subcategory(factor_name, domain_id),
                 tier=tier,
                 composite=score,
             )
@@ -168,73 +167,80 @@ def place_cross_cutting(
     related_threshold: float = RELATED_THRESHOLD,
     promotion_threshold: float = PROMOTION_THRESHOLD,
 ) -> PlacementResult:
-    """Run composites, ranking, tiers, and cross-references for all flagged factors."""
-    placements: list[StrategicPlacement] = []
-    argmax_flags: dict[str, bool] = {}
+    """Composites of every flagged factor in each relevant domain, arranged."""
+    composites: dict[tuple[str, str], float] = {}
     for index, result in enumerate(classifications):
         if not result.cross_cutting.flagged:
             continue
         related = related_factors(index, matrix, related_threshold)
-        scored = []
         for domain_id in result.cross_cutting.relevant_domains:
             score = composite(
                 index, domain_id, factor_set, result, kb, related, assignments
             )
-            scored.append((domain_id, score.composite))
-        order = {domain_id: pos for pos, domain_id in enumerate(kb.domain_ids())}
-        scored.sort(key=lambda item: (-item[1], order[item[0]]))
+            composites[result.name, domain_id] = score.composite
+    return arrange(
+        classifications,
+        kb,
+        lambda name, domain_id: composites[name, domain_id],
+        by_keywords(kb, lexicon),
+        promotion_threshold,
+    )
 
+
+def arrange(
+    classifications: Sequence[ClassificationResult],
+    kb: DomainKnowledgeBase,
+    composite_of: Callable[[str, str], float],
+    subcategory: Callable[[str, str], str],
+    promotion_threshold: float = PROMOTION_THRESHOLD,
+) -> PlacementResult:
+    """Placements of every flagged factor in its relevant domains, given
+    each (factor, domain id)'s composite and subcategory: ranked by
+    composite, KB order breaking ties and a placement override first, then
+    tiered by ``place``; with their cross-references and argmax flags."""
+    order = {domain_id: pos for pos, domain_id in enumerate(kb.domain_ids())}
+    placements: list[StrategicPlacement] = []
+    argmax_flags: dict[str, bool] = {}
+    for result in classifications:
+        if not result.cross_cutting.flagged:
+            continue
+        name, relevant = result.name, result.cross_cutting.relevant_domains
+        scored = sorted(
+            ((domain_id, composite_of(name, domain_id)) for domain_id in relevant),
+            key=lambda item: (-item[1], order[item[0]]),
+        )
         argmax_domain = scored[0][0]
-        override = kb.placement_overrides.get(result.name)
-        if override is not None and override != scored[0][0]:
-            if override not in {domain_id for domain_id, _ in scored}:
+        override = kb.placement_overrides.get(name)
+        if override is not None and override != argmax_domain:
+            if override not in relevant:
                 raise TaxoforgeError(
-                    f"placement override for {result.name!r} names domain "
+                    f"placement override for {name!r} names domain "
                     f"{override!r} outside its relevant set"
                 )
-            scored.sort(
-                key=lambda item: (item[0] != override, -item[1], order[item[0]])
-            )
-
-        ranked_placements = place(
-            result.name, scored, kb, lexicon, promotion_threshold
-        )
-        placements.extend(ranked_placements)
-        argmax_flags[result.name] = ranked_placements[0].domain == argmax_domain
-
-    return PlacementResult(
-        placements=tuple(placements),
-        cross_references=tuple(cross_references(placements)),
-        argmax_flags=argmax_flags,
-    )
+            scored.sort(key=lambda item: item[0] != override)  # stable
+        ranked = place(name, scored, subcategory, promotion_threshold)
+        placements.extend(ranked)
+        argmax_flags[name] = ranked[0].domain == argmax_domain
+    references = tuple(cross_references(placements))
+    return PlacementResult(tuple(placements), references, argmax_flags)
 
 
 def cross_references(
     placements: Sequence[StrategicPlacement],
 ) -> list[CrossReference]:
     """One reference per non-primary placement, pointing at the primary node."""
-    primaries = {
-        p.factor: p for p in placements if p.tier is PlacementTier.PRIMARY
-    }
-    refs = []
-    for placement in placements:
-        if placement.tier is PlacementTier.PRIMARY:
-            continue
-        primary = primaries.get(placement.factor)
-        if primary is None:
-            raise TaxoforgeError(
-                f"{placement.factor!r} has non-primary placements but no primary"
-            )
-        refs.append(
-            CrossReference(
-                factor=placement.factor,
-                from_domain=placement.domain,
-                from_subcategory=placement.subcategory,
-                to_domain=primary.domain,
-                to_subcategory=primary.subcategory,
-            )
+    primaries = {p.factor: p for p in placements if p.tier is PlacementTier.PRIMARY}
+    return [
+        CrossReference(
+            factor=placement.factor,
+            from_domain=placement.domain,
+            from_subcategory=placement.subcategory,
+            to_domain=primaries[placement.factor].domain,
+            to_subcategory=primaries[placement.factor].subcategory,
         )
-    return refs
+        for placement in placements
+        if placement.tier is not PlacementTier.PRIMARY
+    ]
 
 
 @dataclass(frozen=True)
@@ -262,22 +268,12 @@ def placement_metrics(result: PlacementResult) -> PlacementMetrics:
 
 
 def primary_homes(
-    results: Sequence[ClassificationResult],
-    assignments: Sequence[CategoryAssignment],
-    placement_result: PlacementResult,
+    assignments: Sequence[CategoryAssignment], placement_result: PlacementResult
 ) -> dict[str, tuple[str, str]]:
-    """Factor -> (category, subcategory) of its one primary home: the primary
-    placement of a flagged, placed factor, the assigned category otherwise."""
-    by_assignment = {a.factor: (a.category, a.subcategory) for a in assignments}
-    primaries = {
-        p.factor: (p.domain, p.subcategory)
-        for p in placement_result.placements
-        if p.tier is PlacementTier.PRIMARY
-    }
-    out = {}
-    for result in results:
-        if result.cross_cutting.flagged and result.name in primaries:
-            out[result.name] = primaries[result.name]
-        else:
-            out[result.name] = by_assignment[result.name]
-    return out
+    """Factor -> (category, subcategory) of its one primary home: its primary
+    placement if it has one, its assignment otherwise."""
+    homes = {a.factor: (a.category, a.subcategory) for a in assignments}
+    for p in placement_result.placements:
+        if p.tier is PlacementTier.PRIMARY:
+            homes[p.factor] = (p.domain, p.subcategory)
+    return homes

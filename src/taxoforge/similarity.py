@@ -291,14 +291,6 @@ class SimilarityMatrix:
             out[j].append((i, score))
         return out
 
-    def require_floor(self, threshold: float) -> None:
-        """Refuse a threshold the graph cannot answer: it drops pairs below
-        ``floor``."""
-        if threshold < self.floor:
-            raise TaxoforgeError(
-                f"threshold {threshold} is below the similarity floor {self.floor}"
-            )
-
 
 class _PairScorer:
     """The per-factor inputs of the pair score, read once, and the one
@@ -443,7 +435,6 @@ def band_census(
     High and Moderate pairs are all edges, since ``low`` is at or above the
     floor; every other pair is Low.
     """
-    matrix.require_floor(low)
     counts = {SimilarityBand.HIGH: 0, SimilarityBand.MODERATE: 0, SimilarityBand.LOW: 0}
     for _, _, score in matrix.scores:
         counts[band(score, high, low)] += 1
@@ -470,74 +461,42 @@ def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
     }
 
 
-def _rows(value: object, width: int, label: str) -> list[list]:
-    if not isinstance(value, list) or not all(
-        isinstance(row, list) and len(row) == width for row in value
-    ):
-        raise TaxoforgeError(f"similarity {label} must be a list of {width}-item rows")
-    return value
-
-
 def matrix_from_dict(doc: dict) -> SimilarityMatrix:
-    """Decode the graph, refusing any edge list ``build_matrix`` cannot
-    produce: each score must be the exact blend of its components."""
-    names = doc["names"]
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise TaxoforgeError("similarity names must be a list of strings")
-    n = len(names)
-    if doc["n"] != n:
-        raise TaxoforgeError(f"similarity n is {doc['n']!r}, but names has {n}")
-    weights_doc = doc["weights"]
-    if not (
-        isinstance(weights_doc, list)
-        and len(weights_doc) == 3
-        and all(is_unit_number(w) for w in weights_doc)
+    """Decode the graph from the components of its edges, each edge's score
+    being their blend, and refuse an edge list ``build_matrix`` cannot
+    produce. The names, weights and floor are taken as written, and
+    ``scores`` is not read."""
+    n, floor, rows = doc["n"], doc["floor"], doc["components"]
+    weights = SimilarityWeights(*doc["weights"])
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == 5 for row in rows
     ):
-        raise TaxoforgeError("similarity weights must be three numbers in [0, 1]")
-    weights = SimilarityWeights(*weights_doc)
-    floor = doc["floor"]
-    if not is_unit_number(floor):
-        raise TaxoforgeError(
-            f"similarity floor must be a number in [0, 1], got {floor!r}"
-        )
-    scores = _rows(doc["scores"], 3, "scores")
-    previous = (-1, -1)
-    for i, j, score in scores:
-        if not (type(i) is int and type(j) is int and 0 <= i < j < n):
-            raise TaxoforgeError(
-                f"similarity scores edge [{i!r}, {j!r}]: expected indices "
-                f"0 <= i < j < {n}"
-            )
-        if (i, j) <= previous:
-            raise TaxoforgeError(
-                f"similarity scores edge [{i}, {j}] is out of order or repeated"
-            )
-        previous = (i, j)
-        if not (is_unit_number(score) and score >= floor):
-            raise TaxoforgeError(
-                f"similarity scores edge [{i}, {j}]: score {score!r} is not "
-                f"a number in [floor {floor}, 1]"
-            )
-    rows = _rows(doc["components"], 5, "components")
-    if [row[:2] for row in rows] != [row[:2] for row in scores]:
-        raise TaxoforgeError(
-            "similarity components must list exactly the edges of scores"
-        )
+        raise TaxoforgeError("similarity components must be a list of 5-item rows")
+    scores: list[tuple[int, int, float]] = []
     components: dict[tuple[int, int], ComponentScores] = {}
-    for (i, j, score), (_, _, *parts) in zip(scores, rows):
+    for i, j, *parts in rows:
+        if not (type(i) is int and type(j) is int and 0 <= i < j < n) or (
+            scores and (i, j) <= scores[-1][:2]
+        ):
+            raise TaxoforgeError(
+                f"similarity components edge [{i!r}, {j!r}]: expected indices "
+                f"0 <= i < j < {n}, after the edge before"
+            )
         if not all(is_unit_number(x) for x in parts):
             raise TaxoforgeError(
                 f"similarity components of edge [{i}, {j}] must be numbers in [0, 1]"
             )
         comp = components[(i, j)] = ComponentScores(*parts)
-        if combine(comp, weights) != score:
+        score = combine(comp, weights)
+        if score < floor:
             raise TaxoforgeError(
-                f"similarity scores edge [{i}, {j}]: score {score!r} is not the "
-                "weighted blend of its components"
+                f"similarity components of edge [{i}, {j}] blend to {score}, "
+                f"below the floor {floor}"
             )
+        scores.append((i, j, score))
     return SimilarityMatrix(
-        names=tuple(names),
-        scores=[(i, j, score) for i, j, score in scores],
+        names=tuple(doc["names"]),
+        scores=scores,
         components=components,
         weights=weights,
         floor=floor,

@@ -247,7 +247,7 @@ def build_pipeline_outputs(factor_set, kb, lexicon, matrix=None):
     placements = place_cross_cutting(
         factor_set, classifications, kb, matrix, assignments, lexicon
     )
-    homes = primary_homes(classifications, assignments, placements)
+    homes = primary_homes(assignments, placements)
     domains = {name: home[0] for name, home in homes.items()}
     indicators = indicators_for(factor_set.factors, classifications, domains, kb)
     return classifications, assignments, placements, indicators

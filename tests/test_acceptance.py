@@ -24,7 +24,7 @@ from taxoforge.classify import (
 )
 from taxoforge.corpus import load_corpus
 from taxoforge.integrate import OccurrenceVector, integrate
-from taxoforge.placement import PlacementTier, place
+from taxoforge.placement import PlacementTier, by_keywords, place
 from taxoforge.similarity import ComponentScores, SimilarityWeights, combine, pair_count
 from tests.conftest import FIXTURES, make_factor
 from tests.test_emit import delete_factor, duplicate_primary
@@ -192,19 +192,18 @@ def test_c6_placement_protocol(default_kb, default_lexicon, sample_framework):
         "wayfinding": ["primary", "secondary"],
         "community engagement": ["primary", "secondary", "tertiary"],
     }
+    keywords = by_keywords(default_kb, default_lexicon)
     with criterion(6, "worked composites give all six primaries and five of six tier columns"):
         for name, ranked in composites.items():
-            placements = place(name, ranked, default_kb, default_lexicon)
+            placements = place(name, ranked, keywords)
             assert placements[0].tier is PlacementTier.PRIMARY
             assert placements[0].domain == ranked[0][0], name
         for name, expected in published_tiers.items():
-            placements = place(name, composites[name], default_kb, default_lexicon)
+            placements = place(name, composites[name], keywords)
             assert [p.tier.value for p in placements] == expected, name
         # the remaining row deviates from its published label by rule and is
         # carried as a discrepancy note instead
-        placements = place(
-            "accessibility", composites["accessibility"], default_kb, default_lexicon
-        )
+        placements = place("accessibility", composites["accessibility"], keywords)
         tiers = {p.domain: p.tier for p in placements}
         assert tiers["INFRASTRUCTURE"] is PlacementTier.TERTIARY
         _, report = sample_framework

@@ -22,6 +22,27 @@ SIMILARITY_DATA_SHA256 = (
     "227a107477a632d67a9d3212fe01cc329138aea035ea8f2e43c396bc64143985"
 )
 
+# sha256 of every file `run --emit-pairs --sankey SAFETY` writes on the
+# fixture config, with the config digest (it hashes the dataset's absolute
+# path) replaced by "CONFIG". A change to any byte of any output moves one.
+RUN_FILE_SHA256 = {
+    "assignments.json": "e6e76e0c8136f9c6f3c1c771e60c1d46e7f3e996dd4d22e408f6622df07a5d20",
+    "assignments_report.csv": "5262e98fc6caa8906013eb95edd3971dc47ef99844af6f9bb95eae04f530e7b3",
+    "classification.json": "848380be43400429a27dd7bf9bf2f1b50938ecbf08511a8bdc8985a0220acbe9",
+    "classification_report.csv": "28979abd9c88d2111a3ad9798a6c7aa31dd70e6fb53425124ea7fec8e90d0d72",
+    "framework.json": "be0f49931097cafc4b12dad74f85c10ada7b66c0a679a85501c371a1ebacfb78",
+    "framework.md": "bf3777a2bb6ed524492bdc0dd585622ecb045ef77311e518d321e390bef655bb",
+    "framework_document.json": "7a47a53b75bc36d563944ddf459da0365396b53fed12a02182974d509cd75793",
+    "indicators.json": "eb0c81b0951201230f1d9bd3a9b0d32c267d5ed000c7ed33050e3ca04099346c",
+    "integrated.json": "ed8ed32b9a4da431d5d21948b9131fa88983524d4f0b7f44e12c2e8d55f1ecbf",
+    "pairs.csv": "a85de060a3042195a206941d160143ffa2f7b9d9c33183cc8d36a2a5549cc041",
+    "placements.json": "fd1724c33c7857253c72214d0453c8149c0a7ffa07e4f44e4cde7254e5667f8b",
+    "placements_report.csv": "ef5bd99d19654d8ca3df5206efba72b2d4c2c2db87b40515a03952e5855a481c",
+    "sankey_safety_and_security.csv": "92f4090ec581f3cab7e89cf37c8f38b984c54969ca57a2881576531e897867f3",
+    "similarity.json": "7e27ccf0ce1a30e5bc7f1413e8432c7c1d4a024517a96cb25271614b01b6c4dc",
+    "validation.json": "9f94f519f9889e18861640a5ec53d7424da3e83ed0485eec344546aa74dd80a8",
+}
+
 PHASE_COMMANDS = [
     "integrate",
     "similarity",
@@ -87,6 +108,20 @@ class TestRun:
         # corpus; a change to any score, component or the layout moves it.
         digest = hashlib.sha256(emit.to_canonical_json(doc["data"]).encode("utf-8"))
         assert digest.hexdigest() == SIMILARITY_DATA_SHA256
+
+    def test_every_written_file_is_pinned(self, tmp_path):
+        config = pipeline.apply_overrides(
+            pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
+        )
+        assert pipeline.run(config, emit_pairs=True, sankey_category="SAFETY") == 0
+        digest = config.checksum()["config"].encode("utf-8")
+        written = {
+            path.name: hashlib.sha256(
+                path.read_bytes().replace(digest, b"CONFIG")
+            ).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        assert written == RUN_FILE_SHA256
 
     def test_similarity_logs_one_census_line(self, tmp_path, caplog):
         config = write_config(tmp_path)
@@ -162,14 +197,15 @@ class TestRun:
         )
         assert pipeline.run(config) == 0
         assert sorted(calls) == ["checksum", "load_kb", "load_lexicon", "load_rules"]
-        # A phase run alone decodes its inputs from the artifacts on disk.
+        # A phase run alone reads its inputs from the artifacts on disk; it
+        # decodes their independent values and rebuilds the rest, and
+        # indicators.json has only rebuilt ones.
         calls.clear()
         assert pipeline.phase_emit(config) == 0
         assert sorted(calls) == [
             "checksum",
             "decode classify",
             "decode cluster",
-            "decode indicate",
             "decode integrate",
             "decode place",
             "load_kb",
@@ -276,6 +312,57 @@ class TestClassifyPhase:
         ]
         assert message.startswith("classify: 7 factors without a domain match")
         assert sum(name in message for name in names) == pipeline.UNMATCHED_SHOWN
+
+
+class TestKnowledgeBaseNames:
+    def test_kb_names_are_normalized_like_factor_names(self, tmp_path):
+        # At this threshold "thermal comfort" is cross-cutting, so its
+        # literature support and override take part in placement.
+        text = default_kb_path().read_text(encoding="utf-8")
+        placed = {}
+        for label, literature, override in (
+            ("canonical", "thermal comfort", "thermal comfort"),
+            ("variant", "Thermal Comfort", "THERMAL  comfort"),
+        ):
+            kb = tmp_path / f"{label}.yaml"
+            edited = (
+                text.replace(
+                    "placement_overrides: {}",
+                    f"placement_overrides:\n  {override}: SOCIAL",
+                ).replace(
+                    "literature_support: {}\n    subcategories:\n      - id: INCLUSIVE",
+                    f"literature_support: {{none: [{literature}]}}\n"
+                    "    subcategories:\n      - id: INCLUSIVE",
+                )
+            )
+            assert literature in edited
+            kb.write_text(edited, encoding="utf-8")
+            (tmp_path / label).mkdir()
+            config = write_config(
+                tmp_path / label,
+                extra=f"kb: {kb}\nthresholds:\n  cross_cutting: 0.1\n",
+            )
+            assert cli.main(["run", "--config", str(config)]) == 0
+            out = tmp_path / label / "out" / "placements.json"
+            placed[label] = json.loads(out.read_text(encoding="utf-8"))["data"]
+        assert placed["variant"] == placed["canonical"]
+        (primary,) = [
+            p
+            for p in placed["variant"]["placements"]
+            if p["factor"] == "thermal comfort" and p["tier"] == "primary"
+        ]
+        assert primary["domain"] == "SOCIAL"
+
+    def test_unmatched_kb_names_warning_is_bounded(self, tmp_path, caplog):
+        config = write_config(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="taxoforge.pipeline"):
+            assert cli.main(["run", "--config", str(config)]) == 0
+        (message,) = [
+            r.getMessage() for r in caplog.records if "KB factor names" in r.getMessage()
+        ]
+        # The default KB names six factors the fixture corpus does not have.
+        assert message.startswith("place: 6 KB factor names match no factor")
+        assert message.count("'") == 2 * pipeline.UNMATCHED_SHOWN
 
 
 class TestFlags:
@@ -575,14 +662,14 @@ MALFORMED = [
         "similarity.json",
         ["data", "scores", 0, 2],
         0.4,
-        "floor",
+        "scores[0][2]",
         id="scores-below-floor",
     ),
     pytest.param(
         "similarity.json",
         ["data", "components"],
         lambda rows: rows[:-1],
-        "components",
+        "scores",
         id="components-edges-differ",
     ),
     pytest.param(
@@ -594,6 +681,13 @@ MALFORMED = [
     ),
     pytest.param(
         "similarity.json", ["data", "floor"], "low", "floor", id="similarity-floor-string"
+    ),
+    pytest.param(
+        "similarity.json",
+        ["data"],
+        lambda data: {**data, "names": data["names"][:-1], "n": 10},
+        "data.n",
+        id="similarity-factor-dropped",
     ),
     pytest.param(
         "integrated.json",
@@ -707,6 +801,126 @@ MALFORMED = [
         "effective_domain",
         id="indicators-domain-unknown",
     ),
+    pytest.param(
+        "kb",
+        ["domains", 0, "literature_support", "strong", 0],
+        7,
+        "literature_support",
+        id="kb-literature-name-number",
+    ),
+    pytest.param(
+        "kb",
+        ["placement_overrides"],
+        {7: "SOCIAL"},
+        "placement_overrides",
+        id="kb-override-name-number",
+    ),
+    pytest.param(
+        "kb",
+        ["placement_overrides"],
+        {"Lighting": "SOCIAL", "lighting": "COMFORT"},
+        "placement_overrides",
+        id="kb-override-spellings-conflict",
+    ),
+    # Derived values are rebuilt on reading and must equal the artifact's.
+    pytest.param(
+        "placements.json",
+        ["data", "placements"],
+        lambda entries: [p for p in entries if p["factor"] != "visibility"],
+        "placements",
+        id="placements-factor-dropped",
+    ),
+    pytest.param(
+        "placements.json",
+        ["data", "placements", 2, "tier"],
+        "secondary",
+        "placements[2].tier",
+        id="placements-tertiary-promoted",
+    ),
+    pytest.param(
+        "placements.json",
+        ["data", "placements", 1, "tier"],
+        "primary",
+        "placements[1].tier",
+        id="placements-second-primary",
+    ),
+    pytest.param(
+        "placements.json",
+        ["data", "cross_references", 0],
+        lambda ref: {**ref, "to_domain": "SOCIAL", "to_subcategory": "INCLUSIVE DESIGN"},
+        "cross_references[0].to_domain",
+        id="placements-reference-retargeted",
+    ),
+    pytest.param(
+        "placements.json",
+        ["data", "argmax_flags", "lighting"],
+        False,
+        "argmax_flags.lighting",
+        id="placements-argmax-flipped",
+    ),
+    pytest.param(
+        "placements.json",
+        ["data", "placements", 0, "composite"],
+        -1,
+        "placements[0].composite",
+        id="placements-composite-range",
+    ),
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 1, "flagged"],
+        False,
+        "factors[1].flagged",
+        id="classification-flag-cleared",
+    ),
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 2, "factor_class"],
+        "Universal",
+        "factors[2].factor_class",
+        id="classification-class-changed",
+    ),
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 0, "entropy_nats"],
+        -1,
+        "factors[0].entropy_nats",
+        id="classification-entropy-range",
+    ),
+    pytest.param(
+        "assignments.json",
+        ["data", "assignments", 0],
+        lambda a: {**a, "category": "SOCIAL", "subcategory": "INCLUSIVE DESIGN"},
+        "assignments[0].category",
+        id="assignments-category-not-argmax",
+    ),
+    pytest.param(
+        "assignments.json",
+        ["data", "assignments", 0, "scores", "COMFORT", "similarity_evidence"],
+        -1,
+        "similarity_evidence",
+        id="assignments-evidence-range",
+    ),
+    pytest.param(
+        "assignments.json",
+        ["data", "assignments", 0, "scores", "COMFORT", "distribution"],
+        1.5,
+        "distribution",
+        id="assignments-distribution-range",
+    ),
+    pytest.param(
+        "indicators.json",
+        ["data", "indicators", 0, "text"],
+        "Universal",
+        "indicators[0].text",
+        id="indicators-text-edited",
+    ),
+    pytest.param(
+        "indicators.json",
+        ["data", "indicators", 0, "coverage"],
+        -1,
+        "indicators[0].coverage",
+        id="indicators-coverage-range",
+    ),
     # Every per-factor artifact lists the integrated factors, in their order.
     pytest.param(
         "classification.json",
@@ -798,6 +1012,8 @@ class TestMalformedInputs:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert field in lines[0]
+        if kind in READER:
+            assert kind in lines[0]
 
 
 class TestArtifactWrites:

@@ -8,8 +8,11 @@ import json
 import pytest
 
 from taxoforge import codec, pipeline
+from taxoforge.applicability import IndicatorKind, TierLevel
+from taxoforge.classify import CrossCuttingStatus, FactorClass
 from taxoforge.cluster import CategoryAssignment
 from taxoforge.errors import ArtifactError
+from taxoforge.placement import PlacementTier
 from tests.conftest import FIXTURES
 
 # Phases whose artifacts the codec writes, and those a later phase reads.
@@ -156,21 +159,76 @@ def _mutations(value):
     return [None, "7", -1]
 
 
+ENUMS = {
+    "factor_class": FactorClass,
+    "status": CrossCuttingStatus,
+    "tier": PlacementTier,
+    "kind": IndicatorKind,
+    "tiers": TierLevel,
+}
+
+
+def _same_kind(leaf, value, kb):
+    """Other values of the leaf's own kind: the other bool, every other enum
+    member, another KB id, another in-range number, another string."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, (int, float)):
+        if isinstance(value, int):
+            return [value - 1 if value else 1]
+        return [value / 2 if value else 0.5]
+    if not isinstance(value, str):
+        return []
+    parent, key = [None, *(key for key in leaf if isinstance(key, str))][-2:]
+    enum = ENUMS.get("tiers" if parent == "tiers" else key)
+    if enum is not None and value in {member.value for member in enum}:
+        return [member.value for member in enum if member.value != value]
+    for domain in kb.domains:
+        subs = domain.subcategory_ids()
+        if "subcategory" in key and value in subs:
+            others = [sub for sub in subs if sub != value]
+            return others[:1] or [kb.domains[0].subcategory_ids()[0]]
+    ids = kb.domain_ids()
+    if value in ids:
+        return [ids[(ids.index(value) + 1) % len(ids)]]
+    return [value + " x"]
+
+
+def _rebuilt(phase, leaf):
+    """Whether the leaf of ``phase``'s artifact is rebuilt on reading rather
+    than read as written (similarity components, relevance, assignment
+    scores and subcategory, placement composites and subcategories)."""
+    if leaf[0] != "data" or phase not in pipeline.REBUILT:
+        return False
+    if phase == "similarity":
+        return leaf[1] != "components"
+    if phase == "classify":
+        return "relevance" not in leaf
+    if phase == "cluster":
+        return leaf[-1] == "category"
+    if phase == "place":
+        return not (leaf[1] == "placements" and leaf[-1] in ("composite", "subcategory"))
+    return True
+
+
 def test_mutation_sweep_reads_or_refuses(fixture_run):
     """Each leaf of each artifact a phase reads, mutated alone, is either
-    read or refused with one line naming the file; nothing else escapes."""
+    read or refused with one line naming the file; nothing else escapes.
+    No leaf that is rebuilt on reading is read with another value, not even
+    one of its own kind that every type and range check accepts."""
     config, computed = fixture_run
     loaded = {
         name: getattr(computed, name) for name in ("checksums", "kb", "lexicon")
     }
     outcomes = {"read": 0, "refused": 0}
+    read_rebuilt = []
     for phase in READ_PHASES:
         path = config.out_dir / pipeline.ARTIFACTS[phase][0]
         original = path.read_text(encoding="utf-8")
         doc = json.loads(original)
         try:
             for leaf, value in _leaves(doc):
-                for mutated in _mutations(value):
+                for mutated in _mutations(value) + _same_kind(leaf, value, computed.kb):
                     edited = json.loads(original)
                     target = edited
                     for key in leaf[:-1]:
@@ -179,16 +237,20 @@ def test_mutation_sweep_reads_or_refuses(fixture_run):
                     path.write_text(json.dumps(edited), encoding="utf-8")
                     state = pipeline.RunState(config)
                     state.__dict__.update(loaded)  # the cached properties
-                    if phase != "integrate":
-                        state.results["integrate"] = computed.results["integrate"]
+                    state.results.update(
+                        (p, r) for p, r in computed.results.items() if p != phase
+                    )
                     try:
                         state.get(phase)
                         outcomes["read"] += 1
+                        if _rebuilt(phase, leaf):
+                            read_rebuilt.append((phase, leaf, mutated))
                     except ArtifactError as exc:
                         assert str(path) in str(exc), (leaf, mutated)
                         assert "\n" not in str(exc), (leaf, mutated)
                         outcomes["refused"] += 1
         finally:
             path.write_text(original, encoding="utf-8")
-    assert sum(outcomes.values()) > 2500
+    assert sum(outcomes.values()) > 4000
     assert outcomes["refused"] > outcomes["read"]
+    assert read_rebuilt == []

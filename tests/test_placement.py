@@ -6,11 +6,11 @@ import pytest
 
 from taxoforge.classify import classify_factors
 from taxoforge.cluster import assign_categories
-from taxoforge.errors import TaxoforgeError
 from taxoforge.knowledge import load_kb
 from taxoforge.placement import (
     CompositeScore,
     PlacementTier,
+    by_keywords,
     cross_references,
     place,
     place_cross_cutting,
@@ -59,6 +59,11 @@ WORKED_TIERS = {
 }
 
 
+@pytest.fixture(scope="module")
+def keywords(default_kb, default_lexicon):
+    return by_keywords(default_kb, default_lexicon)
+
+
 class TestCompositeScore:
     def test_all_zero(self):
         assert CompositeScore(0, 0, 0, 0).composite == 0.0
@@ -73,46 +78,32 @@ class TestCompositeScore:
 
 class TestPlaceProtocol:
     @pytest.mark.parametrize("factor", sorted(WORKED_COMPOSITES))
-    def test_primary_is_top_ranked(self, factor, default_kb, default_lexicon):
-        placements = place(
-            factor, WORKED_COMPOSITES[factor], default_kb, default_lexicon
-        )
+    def test_primary_is_top_ranked(self, factor, keywords):
+        placements = place(factor, WORKED_COMPOSITES[factor], keywords)
         assert placements[0].tier is PlacementTier.PRIMARY
         assert placements[0].domain == WORKED_COMPOSITES[factor][0][0]
 
     @pytest.mark.parametrize("factor", sorted(WORKED_TIERS))
-    def test_tier_labels(self, factor, default_kb, default_lexicon):
-        placements = place(
-            factor, WORKED_COMPOSITES[factor], default_kb, default_lexicon
-        )
+    def test_tier_labels(self, factor, keywords):
+        placements = place(factor, WORKED_COMPOSITES[factor], keywords)
         assert [p.tier.value for p in placements] == WORKED_TIERS[factor]
 
-    def test_accessibility_rank3_below_promotion_is_tertiary(
-        self, default_kb, default_lexicon
-    ):
+    def test_accessibility_rank3_below_promotion_is_tertiary(self, keywords):
         # The corresponding worked row labels the 0.756 placement secondary;
         # that inconsistency is carried as a validation note instead.
-        placements = place(
-            "accessibility",
-            WORKED_COMPOSITES["accessibility"],
-            default_kb,
-            default_lexicon,
-        )
+        ranked = WORKED_COMPOSITES["accessibility"]
+        placements = place("accessibility", ranked, keywords)
         tiers = {p.domain: p.tier for p in placements}
         assert tiers["INFRASTRUCTURE"] is PlacementTier.TERTIARY
         assert tiers["ECONOMIC"] is PlacementTier.TERTIARY
 
-    def test_single_domain(self, default_kb, default_lexicon):
-        placements = place("x", [("COMFORT", 0.9)], default_kb, default_lexicon)
+    def test_single_domain(self, keywords):
+        placements = place("x", [("COMFORT", 0.9)], keywords)
         assert [p.tier for p in placements] == [PlacementTier.PRIMARY]
 
-    def test_empty_ranking_rejected(self, default_kb, default_lexicon):
-        with pytest.raises(TaxoforgeError):
-            place("x", [], default_kb, default_lexicon)
-
-    def test_tier_ordering_invariant(self, default_kb, default_lexicon):
+    def test_tier_ordering_invariant(self, keywords):
         for factor, ranked in WORKED_COMPOSITES.items():
-            placements = place(factor, ranked, default_kb, default_lexicon)
+            placements = place(factor, ranked, keywords)
             primary = [p.composite for p in placements if p.tier is PlacementTier.PRIMARY]
             secondary = [
                 p.composite for p in placements if p.tier is PlacementTier.SECONDARY
@@ -207,21 +198,13 @@ class TestOverrides:
 
 
 class TestCrossReferences:
-    def test_primary_only_factor_has_no_references(
-        self, default_kb, default_lexicon
-    ):
-        placements = place("x", [("COMFORT", 0.9)], default_kb, default_lexicon)
+    def test_primary_only_factor_has_no_references(self, keywords):
+        placements = place("x", [("COMFORT", 0.9)], keywords)
         assert cross_references(placements) == []
 
-    def test_four_placements_give_three_references(
-        self, default_kb, default_lexicon
-    ):
-        placements = place(
-            "accessibility",
-            WORKED_COMPOSITES["accessibility"],
-            default_kb,
-            default_lexicon,
-        )
+    def test_four_placements_give_three_references(self, keywords):
+        ranked = WORKED_COMPOSITES["accessibility"]
+        placements = place("accessibility", ranked, keywords)
         assert len(cross_references(placements)) == 3
 
 

@@ -300,7 +300,7 @@ def run_mini_pipeline(factor_set: IntegratedFactorSet):
     placements = place_cross_cutting(
         factor_set, classifications, TINY_KB, matrix, assignments, TINY_LEXICON
     )
-    homes = primary_homes(classifications, assignments, placements)
+    homes = primary_homes(assignments, placements)
     domains = {name: home[0] for name, home in homes.items()}
     indicators = indicators_for(factor_set.factors, classifications, domains, TINY_KB)
     return build_framework(
