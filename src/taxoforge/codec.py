@@ -66,24 +66,32 @@ def encode(kind: object, value: object) -> object:
 def first_difference(expected: object, actual: object, path: str = "") -> str | None:
     """``path`` and below it the path of the first leaf where the JSON value
     ``actual`` differs from ``expected``, with both values; None where none
-    does. Keys ``expected`` lacks are ignored, as the reader ignores them."""
-    if expected == actual:
-        return None
+    does. Keys ``expected`` lacks are ignored, as the reader ignores them.
+    A boolean never equals a number, though in Python ``True == 1.0``, so
+    containers are compared leaf by leaf."""
+    found = _difference(expected, actual)
+    return None if found is None else path + found
+
+
+def _difference(expected: object, actual: object) -> str | None:
+    # The path is built on the way out from a difference, not for each leaf.
     if type(expected) is dict and type(actual) is dict:
         for key, value in expected.items():
             if key not in actual:
-                return f"{path}.{key}: missing"
-            if found := first_difference(value, actual[key], f"{path}.{key}"):
-                return found
+                return f".{key}: missing"
+            if (found := _difference(value, actual[key])) is not None:
+                return f".{key}{found}"
         return None
     if type(expected) is list and type(actual) is list:
         for index, (value, other) in enumerate(zip(expected, actual)):
-            if found := first_difference(value, other, f"{path}[{index}]"):
-                return found
+            if (found := _difference(value, other)) is not None:
+                return f"[{index}]{found}"
         if len(expected) != len(actual):
-            return f"{path}: expected {len(expected)} entries, got {len(actual)}"
+            return f": expected {len(expected)} entries, got {len(actual)}"
         return None
-    return f"{path}: expected {_shown(expected)}, got {_shown(actual)}"
+    if expected == actual and (type(expected) is bool) is (type(actual) is bool):
+        return None
+    return f": expected {_shown(expected)}, got {_shown(actual)}"
 
 
 @cache

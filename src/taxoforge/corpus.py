@@ -2,6 +2,8 @@
 
 A corpus is an ordered list of raw factor records, each tagged with the study
 that reported it and one of the six space typologies (codes P, S, U, G, O, F).
+The loader checks each row once, as it reads it; a record is a plain named
+tuple that checks nothing when built.
 Normalization rewrites raw factor names onto a canonical surface form through
 a declarative rule set: case folding, whitespace collapsing, punctuation
 stripping, then a single-step synonym map guarded by a preserve-distinct list.
@@ -12,8 +14,9 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import yaml
 
@@ -41,21 +44,14 @@ CSV_HEADER = ("raw_name", "study_id", "space_type")
 _BOUNDARY_HYPHEN = re.compile(r"(?<!\w)-|-(?!\w)")
 
 
-@dataclass(frozen=True)
-class FactorRecord:
-    """One raw factor occurrence: name, citing study, and typology."""
+class FactorRecord(NamedTuple):
+    """One raw factor occurrence: name, citing study, and typology. Building
+    one checks nothing: the loader checks each row it reads, and
+    ``integrate`` checks each record it folds."""
 
     raw_name: str
     study_id: str
     space_type: str
-
-    def __post_init__(self) -> None:
-        if not self.raw_name.strip():
-            raise CorpusError("raw_name must be non-empty")
-        if not self.study_id:
-            raise CorpusError("study_id must be non-empty")
-        if self.space_type not in SPACE_TYPES:
-            raise CorpusError(f"unknown space type {self.space_type!r}")
 
 
 @dataclass(frozen=True)
@@ -80,6 +76,13 @@ class NormalizationRuleSet:
     synonym_map: Mapping[str, str] = field(default_factory=dict)
     preserve_distinct: frozenset[str] = frozenset()
 
+    @cached_property
+    def _punctuation_table(self) -> dict[int, str]:
+        # Replace rather than delete so "comfort/vitality" keeps its token
+        # boundary; hyphens are handled apart, at word boundaries only.
+        chars = self.punctuation_strip.replace("-", "")
+        return str.maketrans(dict.fromkeys(chars, " "))
+
     def base_normalize(self, text: str) -> str:
         """Apply the surface-form rules only (no synonym mapping)."""
         if self.case_folding:
@@ -87,15 +90,9 @@ class NormalizationRuleSet:
         if self.whitespace_collapse:
             text = " ".join(text.split())
         if self.punctuation_strip:
-            chars = self.punctuation_strip
-            if "-" in chars:
+            if "-" in self.punctuation_strip:
                 text = _BOUNDARY_HYPHEN.sub(" ", text)
-                chars = chars.replace("-", "")
-            if chars:
-                # Replace rather than delete so "comfort/vitality" keeps its
-                # token boundary.
-                text = text.translate({ord(c): " " for c in chars})
-            text = " ".join(text.split())
+            text = " ".join(text.translate(self._punctuation_table).split())
         return text.strip()
 
     def validate(self) -> None:
@@ -153,11 +150,18 @@ def load_rules(path: str | Path) -> NormalizationRuleSet:
     options = doc.get("options") or {}
     if not isinstance(options, dict):
         raise RuleSetError("rules section 'options' must be a mapping")
-    base = NormalizationRuleSet(
-        case_folding=bool(options.get("case_folding", True)),
-        whitespace_collapse=bool(options.get("whitespace_collapse", True)),
-        punctuation_strip=str(options.get("punctuation_strip", DEFAULT_PUNCTUATION)),
-    )
+    checked = {}
+    for name, kind, expected in (
+        ("case_folding", bool, "true or false"),
+        ("whitespace_collapse", bool, "true or false"),
+        ("punctuation_strip", str, "a string"),
+    ):
+        value = checked[name] = options.get(name, getattr(NormalizationRuleSet, name))
+        if type(value) is not kind:
+            raise RuleSetError(
+                f"{path}: rules option {name!r} must be {expected}, got {value!r}"
+            )
+    base = NormalizationRuleSet(**checked)
 
     raw_synonyms = doc.get("synonyms") or {}
     if not isinstance(raw_synonyms, dict):
@@ -190,17 +194,25 @@ def load_rules(path: str | Path) -> NormalizationRuleSet:
 def _records_from_rows(
     rows: Iterable[list[str]], source: str, expect_type: str | None = None
 ) -> list[FactorRecord]:
-    records = []
+    # FactorRecord(...) goes through NamedTuple's Python-level __new__;
+    # tuple.__new__ builds the same record without that call.
+    records: list[FactorRecord] = []
+    append, new = records.append, tuple.__new__
     for lineno, row in enumerate(rows, start=2):  # header is line 1
-        if not row or all(not cell.strip() for cell in row):
+        if len(row) == 3:
+            raw_name, study_id, space_type = row
+            raw_name, study_id = raw_name.strip(), study_id.strip()
+            space_type = space_type.strip()
+            if not raw_name:
+                if not study_id and not space_type:
+                    continue
+                raise CorpusError(f"{source}: row {lineno}: empty raw_name")
+        elif all(not cell.strip() for cell in row):
             continue
-        if len(row) != 3:
+        else:
             raise CorpusError(
                 f"{source}: row {lineno}: expected 3 fields, got {len(row)}"
             )
-        raw_name, study_id, space_type = (cell.strip() for cell in row)
-        if not raw_name:
-            raise CorpusError(f"{source}: row {lineno}: empty raw_name")
         if not study_id:
             raise CorpusError(f"{source}: row {lineno}: empty study_id")
         if space_type not in SPACE_TYPES:
@@ -212,7 +224,7 @@ def _records_from_rows(
                 f"{source}: row {lineno}: space type {space_type!r} does not match "
                 f"the dataset's declared typology {expect_type!r}"
             )
-        records.append(FactorRecord(raw_name, study_id, space_type))
+        append(new(FactorRecord, (raw_name, study_id, space_type)))
     return records
 
 
@@ -221,7 +233,9 @@ def load_corpus(path: str | Path, expect_type: str | None = None) -> Corpus:
 
     The file is comma-separated UTF-8 text with the header
     ``raw_name,study_id,space_type``. ``expect_type`` restricts a
-    per-typology file to a single code.
+    per-typology file to a single code. Blank rows are skipped; any other
+    row must have three cells, a name, a study and a known code, or the
+    error names its line.
     """
     path = Path(path)
     if not path.exists():

@@ -2,7 +2,8 @@
 
 Folds the corpus into one entry per canonical factor name, counting mentions
 per space type and retaining the contributing study sets. First-seen order is
-preserved so downstream outputs are reproducible.
+preserved so downstream outputs are reproducible. Each distinct raw spelling
+is normalized once per fold, however many records repeat it.
 """
 
 from __future__ import annotations
@@ -79,23 +80,34 @@ class IntegratedFactorSet:
 
 
 def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSet:
-    """Fold a corpus into unique factors with occurrence tracking."""
+    """Fold a corpus into unique factors with occurrence tracking.
+
+    Every record needs a study and a known space type, so a hand-built
+    corpus is checked as a loaded one is. Each distinct raw spelling is
+    normalized once; one that fails is reported as ``record N``, N being
+    the position of its first record.
+    """
     if not corpus.records:
         raise CorpusError("cannot integrate an empty corpus")
-    order: list[str] = []
+    canonical: dict[str, str] = {}  # raw spelling -> canonical name
     counts: dict[str, dict[str, int]] = {}
     studies: dict[str, dict[str, set[str]]] = {}
-    for position, record in enumerate(corpus.records, start=1):
+    for position, (raw_name, study_id, space_type) in enumerate(corpus.records, 1):
         try:
-            name = normalize(record.raw_name, rules)
+            name = canonical.get(raw_name)
+            if name is None:
+                name = canonical[raw_name] = normalize(raw_name, rules)
+            if not study_id:
+                raise CorpusError("study_id must be non-empty")
+            if space_type not in SPACE_TYPES:
+                raise CorpusError(f"unknown space type {space_type!r}")
         except CorpusError as exc:
             raise CorpusError(f"record {position}: {exc}") from exc
         if name not in counts:
-            order.append(name)
-            counts[name] = {code: 0 for code in SPACE_TYPES}
+            counts[name] = dict.fromkeys(SPACE_TYPES, 0)
             studies[name] = {code: set() for code in SPACE_TYPES}
-        counts[name][record.space_type] += 1
-        studies[name][record.space_type].add(record.study_id)
+        counts[name][space_type] += 1
+        studies[name][space_type].add(study_id)
 
     factors = tuple(
         IntegratedFactor(
@@ -104,7 +116,7 @@ def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSe
             studies={code: frozenset(ids) for code, ids in studies[name].items()},
             insertion_index=index,
         )
-        for index, name in enumerate(order)
+        for index, name in enumerate(counts)
     )
     return IntegratedFactorSet(factors=factors, raw_record_count=len(corpus.records))
 

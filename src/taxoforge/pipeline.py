@@ -342,6 +342,8 @@ class RunState:
                 if f.insertion_index != i or tuple(f.studies) != SPACE_TYPES:
                     refuse(f".factors[{i}]", f"expected insertion_index {i} and "
                            f"studies under {', '.join(SPACE_TYPES)}")
+                if not f.occurrence.total:
+                    refuse(f".factors[{i}].counts", "expected at least one mention")
             total = sum(f.occurrence.total for f in result.factors)
             if result.raw_record_count != total:
                 refuse(".raw_record_count", "expected the sum of the factors' counts")
@@ -524,8 +526,9 @@ def phase_integrate(config: PipelineConfig, state: RunState | None = None) -> Pa
     )
     factor_set = integrate.integrate(corpus, state.rules)
     log.info(
-        "integrate: %d records -> %d unique factors",
+        "integrate: %d records, %d spellings -> %d unique factors",
         factor_set.raw_record_count,
+        len({record.raw_name for record in corpus.records}),
         factor_set.unique_count,
     )
     return state.put("integrate", factor_set)

@@ -14,7 +14,12 @@ import pytest
 import yaml
 
 from taxoforge import classify, cli, codec, emit, integrate, pipeline, similarity
-from taxoforge.knowledge import default_kb_path, default_lexicon_path, load_kb
+from taxoforge.knowledge import (
+    default_kb_path,
+    default_lexicon_path,
+    default_rules_path,
+    load_kb,
+)
 from taxoforge.similarity import load_lexicon
 from tests.conftest import FIXTURES, assert_graph_matches_dense, dense_pairs
 
@@ -538,6 +543,15 @@ class TestConfigParsing:
 
 MISSING = object()
 
+
+def _move_counts(factors: list, source: int, target: int) -> list:
+    """``factors`` with every mention of ``source`` moved onto ``target``,
+    so the record total still matches."""
+    moved = factors[source]["counts"]
+    factors[target]["counts"] = [a + b for a, b in zip(factors[target]["counts"], moved)]
+    factors[source]["counts"] = [0] * len(moved)
+    return factors
+
 # (file, path to the edited value, new value, field the error must name).
 # An empty path replaces the whole document; MISSING deletes the value; a
 # callable maps the old value to the new one.
@@ -598,6 +612,27 @@ MALFORMED = [
         id="kb-compatible-string",
     ),
     pytest.param("lexicon", ["field_score"], "high", "field_score", id="lexicon-score"),
+    pytest.param(
+        "rules",
+        ["options", "case_folding"],
+        "no",
+        "case_folding",
+        id="rules-case-folding-string",
+    ),
+    pytest.param(
+        "rules",
+        ["options", "whitespace_collapse"],
+        1,
+        "whitespace_collapse",
+        id="rules-whitespace-collapse-number",
+    ),
+    pytest.param(
+        "rules",
+        ["options", "punctuation_strip"],
+        5,
+        "punctuation_strip",
+        id="rules-punctuation-number",
+    ),
     pytest.param("integrated.json", [], [], "data", id="artifact-not-object"),
     pytest.param("integrated.json", ["data"], MISSING, "data", id="artifact-no-data"),
     pytest.param(
@@ -695,6 +730,13 @@ MALFORMED = [
         7,
         "canonical_name",
         id="integrated-name-number",
+    ),
+    pytest.param(
+        "integrated.json",
+        ["data", "factors"],
+        lambda factors: _move_counts(factors, 10, 0),
+        "factors[10].counts",
+        id="integrated-counts-zero",
     ),
     pytest.param(
         "classification.json",
@@ -921,6 +963,14 @@ MALFORMED = [
         "indicators[0].coverage",
         id="indicators-coverage-range",
     ),
+    # Profile 4 is WATER FEATURES, whose P relevance is 1.0.
+    pytest.param(
+        "indicators.json",
+        ["data", "subcategory_profiles", 4],
+        lambda profile: {**profile, "relevance": {**profile["relevance"], "P": True}},
+        "subcategory_profiles[4].relevance.P",
+        id="indicators-relevance-bool",
+    ),
     # Every per-factor artifact lists the integrated factors, in their order.
     pytest.param(
         "classification.json",
@@ -990,7 +1040,11 @@ class TestMalformedInputs:
         self, tmp_path, capsys, kind, path, value, field
     ):
         doc = {"datasets": [str(FIXTURES / "sample_corpus.csv")], "out": "out"}
-        defaults = {"kb": default_kb_path(), "lexicon": default_lexicon_path()}
+        defaults = {
+            "kb": default_kb_path(),
+            "lexicon": default_lexicon_path(),
+            "rules": default_rules_path(),
+        }
         if kind in defaults:
             source = yaml.safe_load(defaults[kind].read_text(encoding="utf-8"))
             edited = tmp_path / f"{kind}.yaml"

@@ -51,6 +51,16 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="row 3"):
             load_corpus(path)
 
+    def test_blank_rows_skipped_and_rows_keep_their_numbers(self, tmp_path):
+        blanks = ",,\n , , \n,\n\n   \n"  # rows 3-7: three, two, none, one cell
+        text = "raw_name,study_id,space_type\nsafety,c1,P\n" + blanks
+        path = write(tmp_path, "blank.csv", text + "lighting,c2,S\n")
+        corpus = load_corpus(path)
+        assert [r.raw_name for r in corpus.records] == ["safety", "lighting"]
+        path = write(tmp_path, "bad.csv", text + "lighting,,S\n")
+        with pytest.raises(CorpusError, match="row 8: empty study_id"):
+            load_corpus(path)
+
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "bad.csv", "name,study,code\nsafety,c1,P\n")
         with pytest.raises(CorpusError, match="bad header"):

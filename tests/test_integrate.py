@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from taxoforge import integrate as integrate_module
 from taxoforge.corpus import Corpus, FactorRecord, NormalizationRuleSet
 from taxoforge.errors import CorpusError, TaxoforgeError
 from taxoforge.integrate import (
@@ -91,6 +92,31 @@ class TestIntegrate:
         )
         with pytest.raises(CorpusError, match="record 2"):
             integrate(corpus, rules)
+
+    def test_hand_built_records_checked(self, default_rules):
+        good = FactorRecord("safety", "c1", "P")
+        for bad, message in (
+            (FactorRecord("lighting", "", "S"), "record 2: study_id"),
+            (FactorRecord("lighting", "c2", "X"), "record 2: unknown space type"),
+            (FactorRecord(" ", "c2", "S"), "record 2: cannot normalize"),
+        ):
+            with pytest.raises(CorpusError, match=message):
+                integrate(Corpus(records=(good, bad, bad)), default_rules)
+
+    def test_each_spelling_normalized_once(
+        self, sample_corpus, default_rules, monkeypatch
+    ):
+        normalized = []
+        original = integrate_module.normalize
+
+        def counting(raw, rules):
+            normalized.append(raw)
+            return original(raw, rules)
+
+        monkeypatch.setattr(integrate_module, "normalize", counting)
+        integrate(sample_corpus, default_rules)
+        assert sorted(normalized) == sorted({r.raw_name for r in sample_corpus.records})
+        assert len(normalized) == 13 < len(sample_corpus.records) == 35
 
     def test_order_insensitivity_of_pairs(self, sample_corpus, default_rules):
         reversed_corpus = Corpus(records=tuple(reversed(sample_corpus.records)))

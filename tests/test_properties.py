@@ -27,13 +27,20 @@ from taxoforge.classify import (
     entropy,
 )
 from taxoforge.cluster import assign_categories
-from taxoforge.corpus import SPACE_TYPES, NormalizationRuleSet, normalize
+from taxoforge.corpus import (
+    SPACE_TYPES,
+    Corpus,
+    FactorRecord,
+    NormalizationRuleSet,
+    normalize,
+)
 from taxoforge.emit import build_framework, export_sankey, validate
 from taxoforge.errors import CorpusError
 from taxoforge.integrate import (
     IntegratedFactor,
     IntegratedFactorSet,
     OccurrenceVector,
+    integrate,
     parse_tracking_notation,
     tracking_notation,
 )
@@ -329,6 +336,91 @@ def check_primary_home_and_sankey(factor_set: IntegratedFactorSet) -> None:
         assert into_types == expected
 
 
+def reference_fold(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSet:
+    """``integrate`` without its memo: every record's name is normalized."""
+    order: list[str] = []
+    counts: dict[str, dict[str, int]] = {}
+    studies: dict[str, dict[str, set[str]]] = {}
+    for position, record in enumerate(corpus.records, start=1):
+        try:
+            name = normalize(record.raw_name, rules)
+        except CorpusError as exc:
+            raise CorpusError(f"record {position}: {exc}") from exc
+        if name not in counts:
+            order.append(name)
+            counts[name] = {code: 0 for code in SPACE_TYPES}
+            studies[name] = {code: set() for code in SPACE_TYPES}
+        counts[name][record.space_type] += 1
+        studies[name][record.space_type].add(record.study_id)
+    factors = tuple(
+        IntegratedFactor(
+            canonical_name=name,
+            occurrence=OccurrenceVector.from_mapping(counts[name]),
+            studies={code: frozenset(ids) for code, ids in studies[name].items()},
+            insertion_index=index,
+        )
+        for index, name in enumerate(order)
+    )
+    return IntegratedFactorSet(factors=factors, raw_record_count=len(corpus.records))
+
+
+# Names that fold together under RULES: a synonym, a preserved name, and
+# punctuation that splits or joins tokens.
+FOLD_NAMES = (
+    "safety",
+    "access",
+    "accessibility",
+    "street travel safety",
+    "thermal comfort",
+    "comfort/vitality",
+    "comfort vitality",
+    "barrier-free",
+)
+UNNORMALIZABLE = "..."
+
+
+@st.composite
+def spellings(draw):
+    """A fold name with random case, padding and boundary punctuation."""
+    name = draw(st.sampled_from(FOLD_NAMES))
+    cased = "".join(c.upper() if draw(st.booleans()) else c for c in name)
+    edges = st.sampled_from(("", " ", "  ", ".", "(", ";", " -", ", "))
+    return draw(edges) + cased + draw(edges)
+
+
+@st.composite
+def fold_corpora(draw):
+    """Records drawn from a few spellings, so spellings repeat, with the
+    unnormalizable name among them at times."""
+    pool = draw(st.lists(spellings(), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        pool.append(UNNORMALIZABLE)
+    records = draw(
+        st.lists(
+            st.builds(
+                FactorRecord,
+                st.sampled_from(pool),
+                st.sampled_from(("s1", "s2", "s3")),
+                st.sampled_from(SPACE_TYPES),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return Corpus(records=tuple(records))
+
+
+def check_fold_against_reference(corpus: Corpus) -> None:
+    try:
+        expected = reference_fold(corpus, RULES)
+    except CorpusError as exc:
+        with pytest.raises(CorpusError) as raised:
+            integrate(corpus, RULES)
+        assert str(raised.value) == str(exc)
+        return
+    assert integrate(corpus, RULES) == expected
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis suites (edge cases, shrinking)
 # ---------------------------------------------------------------------------
@@ -384,6 +476,12 @@ def test_classification_partition_and_census_conservation(vectors):
 @given(factor_set=factor_sets())
 def test_exactly_one_primary_home_and_sankey_conservation(factor_set):
     check_primary_home_and_sankey(factor_set)
+
+
+@SUITE
+@given(corpus=fold_corpora())
+def test_fold_equals_per_record_reference(corpus):
+    check_fold_against_reference(corpus)
 
 
 @SUITE
