@@ -6,9 +6,12 @@ that a field whose type is a dataclass is inlined into its parent object
 (one inside a tuple or mapping stays an object); enums are written as their
 values and frozensets as sorted lists. The reader refuses the first wrong
 leaf by its path, as in ``data.assignments[3].scores.COMFORT.semantic:
-expected a number, got None``, and ignores keys that are not fields. It
-builds the dataclasses, so each ``__post_init__`` check runs; one that fails
-is refused at its object's path. Both are compiled once per annotation."""
+expected a number, got None``, ignores keys that are not fields, gives an
+absent key its field's default where it has one, and takes only text as a
+mapping key. It builds the dataclasses, so each ``__post_init__`` check
+runs; one that fails is refused at its object's path. Both are compiled once
+per annotation. The KB, lexicon and rules files, read by ``read_yaml``, are
+decoded by the same reader."""
 
 from __future__ import annotations
 
@@ -19,6 +22,9 @@ from collections.abc import Mapping
 from enum import Enum
 from functools import cache
 from operator import attrgetter
+from pathlib import Path
+
+import yaml
 
 from .errors import ArtifactError, TaxoforgeError
 
@@ -48,13 +54,30 @@ def _refuse(expected: str, value: object) -> _Refused:
     return _Refused(f"expected {expected}, got {_shown(value)}")
 
 
-def decode(kind: object, data: object, where: str):
-    """``data`` read as ``kind``; a wrong leaf raises ``ArtifactError``
-    naming ``where`` followed by the leaf's path below it."""
+def decode(kind: object, data: object, where: str, error=ArtifactError):
+    """``data`` read as ``kind``; a wrong leaf raises ``error`` naming
+    ``where`` and then the leaf's path below it, which follows a ``where``
+    ending in ": ", a file's label, as ``domains[0].id``."""
     try:
         return _codec(kind)[0](data)
     except _Refused as exc:
-        raise ArtifactError(f"{where}{''.join(reversed(exc.path))}: {exc}") from None
+        at = "".join(reversed(exc.path))
+        if where.endswith(": "):
+            where, at = where[:-2], at and ": " + at.removeprefix(".")
+        raise error(f"{where}{at}: {exc}") from None
+
+
+def read_yaml(path: Path, label: str, error: type[TaxoforgeError]) -> dict:
+    """The mapping a YAML input file holds, ``{}`` for an empty file; else
+    ``error`` in one line naming the ``label`` file."""
+    try:
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        reason = " ".join(str(exc).split())  # YAML errors span lines
+        raise error(f"cannot read {label} file {path}: {reason}") from None
+    if doc is not None and type(doc) is not dict:
+        raise error(f"{label} file {path}: expected a mapping, got {_shown(doc)}")
+    return doc or {}
 
 
 def encode(kind: object, value: object) -> object:
@@ -121,7 +144,7 @@ def _codec(kind: object):
     if dataclasses.is_dataclass(kind):
         return _dataclass_codec(kind)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is types.UnionType:  # X | None
+    if origin in (types.UnionType, typing.Union):  # X | None, Optional[X]
         (inner,) = set(args) - {type(None)}
         read, write = _codec(inner)
         return (
@@ -154,6 +177,8 @@ def _codec(kind: object):
             out = {}
             try:
                 for key, element in value.items():
+                    if type(key) is not str:
+                        raise _refuse("a string key", key)
                     out[key] = read(element)
             except _Refused as exc:
                 exc.path.append(f".{key}")
@@ -167,11 +192,16 @@ def _codec(kind: object):
 
 
 def _dataclass_codec(kind: type):
-    hints = typing.get_type_hints(kind)
+    hints, missing = typing.get_type_hints(kind), dataclasses.MISSING
     plan = [
         (f.name, *_codec(hints[f.name]), dataclasses.is_dataclass(hints[f.name]))
         for f in dataclasses.fields(kind)
     ]
+    required = {
+        f.name
+        for f in dataclasses.fields(kind)
+        if f.default is missing and f.default_factory is missing
+    }
 
     def read(value):
         if type(value) is not dict:
@@ -179,9 +209,11 @@ def _dataclass_codec(kind: type):
         values = {}
         try:
             for name, read_field, _, inline in plan:
-                values[name] = read_field(value if inline else value[name])
-        except KeyError:
-            raise _Refused("missing", f".{name}") from None
+                item = value if inline else value.get(name, missing)
+                if item is not missing:
+                    values[name] = read_field(item)
+                elif name in required:  # else the field takes its default
+                    raise _Refused("missing")
         except _Refused as exc:
             if not inline:
                 exc.path.append(f".{name}")

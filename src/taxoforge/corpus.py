@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-import yaml
-
+from .codec import decode, read_yaml
 from .errors import CorpusError, RuleSetError
 
 # Fixed, ordered typology codes: Parks & Waterfronts, Streets & Squares,
@@ -129,65 +128,47 @@ def normalize(raw: str, rules: NormalizationRuleSet) -> str:
     return rules.synonym_map.get(text, text)
 
 
+@dataclass(frozen=True)
+class RuleOptions:
+    case_folding: bool = NormalizationRuleSet.case_folding
+    whitespace_collapse: bool = NormalizationRuleSet.whitespace_collapse
+    punctuation_strip: str = NormalizationRuleSet.punctuation_strip
+
+
+@dataclass(frozen=True)
+class RulesFile:
+    """The rules file as written; ``load_rules`` reads it."""
+
+    options: RuleOptions | None = None
+    synonyms: Mapping[str, str] | None = None
+    preserve_distinct: tuple[str, ...] | None = None
+
+
 def load_rules(path: str | Path) -> NormalizationRuleSet:
     """Load and validate a normalization rule file (YAML).
 
-    An empty file yields the defaults: case folding, whitespace collapsing,
-    and the standard punctuation list, with no synonyms or preserved names.
+    An empty file or section yields the defaults: case folding, whitespace
+    collapsing, and the standard punctuation list, with no synonyms or
+    preserved names. A malformed value, or a rule set that fails ``validate``,
+    raises ``RuleSetError`` naming the file.
     """
     path = Path(path)
-    if not path.exists():
-        raise RuleSetError(f"rules file not found: {path}")
-    try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise RuleSetError(f"cannot parse rules file {path}: {exc}") from exc
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise RuleSetError(f"rules file {path} must be a mapping")
-
-    options = doc.get("options") or {}
-    if not isinstance(options, dict):
-        raise RuleSetError("rules section 'options' must be a mapping")
-    checked = {}
-    for name, kind, expected in (
-        ("case_folding", bool, "true or false"),
-        ("whitespace_collapse", bool, "true or false"),
-        ("punctuation_strip", str, "a string"),
-    ):
-        value = checked[name] = options.get(name, getattr(NormalizationRuleSet, name))
-        if type(value) is not kind:
-            raise RuleSetError(
-                f"{path}: rules option {name!r} must be {expected}, got {value!r}"
-            )
-    base = NormalizationRuleSet(**checked)
-
-    raw_synonyms = doc.get("synonyms") or {}
-    if not isinstance(raw_synonyms, dict):
-        raise RuleSetError("rules section 'synonyms' must be a mapping")
+    doc = read_yaml(path, "rules", RuleSetError)
+    written = decode(RulesFile, doc, f"rules file {path}: ", RuleSetError)
+    base = NormalizationRuleSet(**vars(written.options or RuleOptions()))
     synonyms: dict[str, str] = {}
-    for key, value in raw_synonyms.items():
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise RuleSetError("synonym entries must map text to text")
+    for key, value in (written.synonyms or {}).items():
         nkey = base.base_normalize(key)
-        if nkey in synonyms and synonyms[nkey] != value:
-            raise RuleSetError(f"conflicting synonym entries for {nkey!r}")
-        synonyms[nkey] = value
-
-    raw_preserve = doc.get("preserve_distinct") or []
-    if not isinstance(raw_preserve, list):
-        raise RuleSetError("rules section 'preserve_distinct' must be a list")
-    preserve = frozenset(base.base_normalize(str(entry)) for entry in raw_preserve)
-
-    rules = NormalizationRuleSet(
-        case_folding=base.case_folding,
-        whitespace_collapse=base.whitespace_collapse,
-        punctuation_strip=base.punctuation_strip,
-        synonym_map=synonyms,
-        preserve_distinct=preserve,
-    )
-    rules.validate()
+        if synonyms.setdefault(nkey, value) != value:
+            raise RuleSetError(
+                f"rules file {path}: synonyms: conflicting entries for {nkey!r}"
+            )
+    preserve = frozenset(map(base.base_normalize, written.preserve_distinct or ()))
+    rules = replace(base, synonym_map=synonyms, preserve_distinct=preserve)
+    try:
+        rules.validate()
+    except RuleSetError as exc:
+        raise RuleSetError(f"rules file {path}: {exc}") from None
     return rules
 
 

@@ -8,16 +8,15 @@ space research, and users supply richer files to grow the hierarchy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-import yaml
-
+from .codec import decode, read_yaml
 from .corpus import SPACE_TYPES, NormalizationRuleSet, normalize
-from .errors import CorpusError, KnowledgeBaseError, require_number
+from .errors import CorpusError, KnowledgeBaseError
 
 
 class DomainScope(Enum):
@@ -81,164 +80,142 @@ class DomainKnowledgeBase:
         raise KeyError(identifier)
 
 
-def _parse_subcategory(doc: dict, domain_id: str) -> Subcategory:
-    identifier = str(doc.get("id", "")).strip()
-    if not identifier:
-        raise KnowledgeBaseError(f"domain {domain_id}: subcategory without an id")
-    keywords = doc.get("keywords") or []
-    if not isinstance(keywords, list) or not keywords:
-        raise KnowledgeBaseError(
-            f"domain {domain_id}: subcategory {identifier} needs at least one keyword"
-        )
-    return Subcategory(
-        identifier=identifier,
-        keywords=tuple(" ".join(str(k).casefold().split()) for k in keywords),
-    )
+# The KB file as written; ``load_kb`` turns it into the objects above.
 
 
-def _list(doc: dict, key: str, where: str) -> list[str]:
-    value = doc.get(key) or []
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise KnowledgeBaseError(f"{where}: {key} must list text, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class SubcategoryEntry:
+    id: str
+    keywords: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not self.id.strip():
+            raise KnowledgeBaseError("id: expected a name, got a blank")
+        if not self.keywords:
+            raise KnowledgeBaseError("keywords: expected at least one keyword")
 
 
-def _parse_domain(doc: dict) -> Domain:
-    identifier = str(doc.get("id", "")).strip()
-    if not identifier:
-        raise KnowledgeBaseError("domain entry without an id")
-    try:
-        scope = DomainScope(str(doc.get("scope", "")).lower())
-    except ValueError:
-        raise KnowledgeBaseError(
-            f"domain {identifier}: scope must be broad, moderate, or specialized"
-        ) from None
-    keywords = doc.get("keywords") or []
-    if not isinstance(keywords, list) or not keywords:
-        raise KnowledgeBaseError(f"domain {identifier} needs at least one keyword")
-    subs = doc.get("subcategories") or []
-    if not isinstance(subs, list) or not subs:
-        raise KnowledgeBaseError(f"domain {identifier} needs at least one subcategory")
-    profile_doc = doc.get("space_profile")
-    if not isinstance(profile_doc, dict):
-        raise KnowledgeBaseError(f"domain {identifier} needs a space_profile mapping")
-    profile = []
-    for code in SPACE_TYPES:
-        value = require_number(
-            profile_doc.get(code, 0.0),
-            f"domain {identifier}: space_profile[{code}]",
-            KnowledgeBaseError,
-        )
-        if value < 0:
+@dataclass(frozen=True)
+class LiteratureEntry:
+    strong: frozenset[str] | None = None
+    none: frozenset[str] | None = None
+
+
+@dataclass(frozen=True)
+class DomainEntry(SubcategoryEntry):
+    """An id and keywords, checked as a subcategory's are, and the rest."""
+
+    scope: str
+    subcategories: tuple[SubcategoryEntry, ...]
+    space_profile: Mapping[str, float]
+    compatible_types: frozenset[str] | None = None
+    literature_support: LiteratureEntry | None = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.scope.lower() not in {scope.value for scope in DomainScope}:
             raise KnowledgeBaseError(
-                f"domain {identifier}: space_profile[{code}] must be non-negative"
+                f"scope: expected broad, moderate or specialized, got {self.scope!r}"
             )
-        profile.append(value)
-    if not any(profile):
-        raise KnowledgeBaseError(f"domain {identifier}: space_profile is all zero")
-    compatible = _list(doc, "compatible_types", f"domain {identifier}")
-    for code in compatible:
-        if code not in SPACE_TYPES:
-            raise KnowledgeBaseError(
-                f"domain {identifier}: unknown compatible type {code!r}"
-            )
-    literature = f"domain {identifier}: literature_support"
-    support = doc.get("literature_support") or {}
-    if not isinstance(support, dict):
-        raise KnowledgeBaseError(f"{literature} must be a mapping, got {support!r}")
-    subcategories = tuple(_parse_subcategory(sub, identifier) for sub in subs)
-    sub_ids = [sub.identifier for sub in subcategories]
-    if len(set(sub_ids)) != len(sub_ids):
-        raise KnowledgeBaseError(f"domain {identifier}: duplicate subcategory ids")
+        ids = [sub.id.strip() for sub in self.subcategories]
+        if not ids:
+            raise KnowledgeBaseError("subcategories: expected at least one")
+        if len(set(ids)) != len(ids):
+            raise KnowledgeBaseError("subcategories: duplicate subcategory ids")
+        for key in ("space_profile", "compatible_types"):
+            if unknown := set(getattr(self, key) or ()) - set(SPACE_TYPES):
+                raise KnowledgeBaseError(f"{key}: unknown codes {sorted(unknown)}")
+        if any(weight < 0 for weight in self.space_profile.values()):
+            raise KnowledgeBaseError("space_profile: a weight is negative")
+        if not any(self.space_profile.values()):
+            raise KnowledgeBaseError("space_profile: all zero")
+
+
+@dataclass(frozen=True)
+class KbFile:
+    domains: tuple[DomainEntry, ...]
+    scope_priors: ScopePriors | None = None
+    placement_overrides: Mapping[str, str] | None = None
+
+    def __post_init__(self) -> None:
+        ids = [domain.id.strip() for domain in self.domains]
+        if not ids:
+            raise KnowledgeBaseError("domains: expected at least one domain")
+        if len(set(ids)) != len(ids):
+            raise KnowledgeBaseError("domains: duplicate domain ids")
+        for factor, domain_id in (self.placement_overrides or {}).items():
+            if domain_id not in ids:
+                raise KnowledgeBaseError(
+                    f"placement_overrides.{factor}: unknown domain {domain_id!r}"
+                )
+
+
+def _keywords(keywords: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(" ".join(keyword.casefold().split()) for keyword in keywords)
+
+
+def _domain(entry: DomainEntry) -> Domain:
+    literature = entry.literature_support or LiteratureEntry()
     return Domain(
-        identifier=identifier,
-        scope=scope,
-        keywords=tuple(" ".join(str(k).casefold().split()) for k in keywords),
-        subcategories=subcategories,
-        space_profile=tuple(profile),
-        compatible_types=frozenset(compatible),
-        literature_strong=frozenset(_list(support, "strong", literature)),
-        literature_none=frozenset(_list(support, "none", literature)),
+        identifier=entry.id.strip(),
+        scope=DomainScope(entry.scope.lower()),
+        keywords=_keywords(entry.keywords),
+        subcategories=tuple(
+            Subcategory(sub.id.strip(), _keywords(sub.keywords))
+            for sub in entry.subcategories
+        ),
+        space_profile=tuple(
+            float(entry.space_profile.get(code, 0.0)) for code in SPACE_TYPES
+        ),
+        compatible_types=entry.compatible_types or frozenset(),
+        literature_strong=literature.strong or frozenset(),
+        literature_none=literature.none or frozenset(),
     )
 
 
 def load_kb(path: str | Path) -> DomainKnowledgeBase:
+    """The KB in the YAML file ``path``, keywords case-folded and
+    whitespace-collapsed, ids stripped. A malformed value raises
+    ``KnowledgeBaseError`` naming the file and the field, as in ``kb file
+    PATH: domains[0].space_profile.P: expected a number, got 'high'``."""
     path = Path(path)
-    if not path.exists():
-        raise KnowledgeBaseError(f"kb path not found: {path}")
-    try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise KnowledgeBaseError(f"cannot parse kb file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise KnowledgeBaseError(f"kb file {path} must be a mapping")
-    domains_doc = doc.get("domains") or []
-    if not isinstance(domains_doc, list) or not domains_doc:
-        raise KnowledgeBaseError(f"kb file {path} declares no domains")
-    domains = tuple(_parse_domain(entry) for entry in domains_doc)
-    ids = [domain.identifier for domain in domains]
-    if len(set(ids)) != len(ids):
-        raise KnowledgeBaseError("duplicate domain ids in kb")
-
-    priors_doc = doc.get("scope_priors") or {}
-    if not isinstance(priors_doc, dict):
-        raise KnowledgeBaseError("kb section 'scope_priors' must be a mapping")
-    priors = ScopePriors(
-        **{
-            f.name: require_number(
-                priors_doc.get(f.name, f.default),
-                f"kb scope_priors.{f.name}",
-                KnowledgeBaseError,
-            )
-            for f in fields(ScopePriors)
-        }
-    )
-
-    overrides_doc = doc.get("placement_overrides") or {}
-    if not isinstance(overrides_doc, dict):
-        raise KnowledgeBaseError("kb section 'placement_overrides' must be a mapping")
-    overrides = {}
-    for factor, domain_id in overrides_doc.items():
-        if not isinstance(factor, str):
-            raise KnowledgeBaseError(f"kb placement_overrides: {factor!r} is not text")
-        if domain_id not in ids:
-            raise KnowledgeBaseError(
-                f"placement override for {factor!r} names unknown domain {domain_id!r}"
-            )
-        overrides[factor] = domain_id
-
+    doc = read_yaml(path, "kb", KnowledgeBaseError)
+    kb = decode(KbFile, doc, f"kb file {path}: ", KnowledgeBaseError)
+    priors = kb.scope_priors or ScopePriors()
     return DomainKnowledgeBase(
-        domains=domains,
-        scope_priors=priors,
-        placement_overrides=overrides,
+        domains=tuple(_domain(entry) for entry in kb.domains),
+        scope_priors=ScopePriors(*(float(x) for x in astuple(priors))),
+        placement_overrides=dict(kb.placement_overrides or {}),
     )
 
 
 def canonical_names(
-    kb: DomainKnowledgeBase, rules: NormalizationRuleSet
+    kb: DomainKnowledgeBase, rules: NormalizationRuleSet, path: Path
 ) -> DomainKnowledgeBase:
-    """``kb`` with the factor names of its literature support and placement
-    overrides normalized under ``rules``, as the corpus names are."""
+    """``kb``, read from ``path``, with the factor names of its literature
+    support and placement overrides normalized under ``rules``, as the
+    corpus names are."""
 
-    def canonical(names) -> list[str]:
+    def canonical(names, field: str) -> list[str]:
         try:
             return [normalize(name, rules) for name in names]
         except CorpusError as exc:
-            raise KnowledgeBaseError(f"kb: {exc}") from None
+            raise KnowledgeBaseError(f"kb file {path}: {field}: {exc}") from None
 
-    pairs = set(zip(canonical(kb.placement_overrides), kb.placement_overrides.values()))
+    overrides = kb.placement_overrides
+    pairs = set(zip(canonical(overrides, "placement_overrides"), overrides.values()))
     overrides = dict(sorted(pairs))
     if len(overrides) < len(pairs):
-        raise KnowledgeBaseError("kb placement_overrides: one factor, two domains")
-    domains = tuple(
-        replace(
-            domain,
-            literature_strong=frozenset(canonical(domain.literature_strong)),
-            literature_none=frozenset(canonical(domain.literature_none)),
+        raise KnowledgeBaseError(
+            f"kb file {path}: placement_overrides: one factor, two domains"
         )
-        for domain in kb.domains
-    )
-    return replace(kb, domains=domains, placement_overrides=overrides)
+    domains = []
+    for i, domain in enumerate(kb.domains):
+        field = f"domains[{i}].literature_support"
+        strong = frozenset(canonical(domain.literature_strong, field))
+        none = frozenset(canonical(domain.literature_none, field))
+        domains.append(replace(domain, literature_strong=strong, literature_none=none))
+    return replace(kb, domains=tuple(domains), placement_overrides=overrides)
 
 
 def default_kb_path() -> Path:

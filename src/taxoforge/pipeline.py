@@ -19,8 +19,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
-import yaml
-
 from . import __version__, codec
 from . import applicability, classify, cluster, emit, integrate, placement, similarity
 from .corpus import SPACE_TYPES, NormalizationRuleSet, load_corpus, load_rules
@@ -147,18 +145,20 @@ def _with_thresholds(thresholds: Thresholds, values: Mapping) -> Thresholds:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
+    """The configuration in the YAML file ``path``, its relative paths taken
+    from its directory; a malformed value raises ``ConfigError`` naming it."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    doc = codec.read_yaml(path, "config", ConfigError)
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must be a mapping")
-    base = path.parent
+        return _config(doc, path.parent)
+    except ConfigError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
 
-    def resolve(raw: str) -> Path:
+
+def _config(doc: dict, base: Path) -> PipelineConfig:
+    def resolve(key: str, raw: object) -> Path:
+        if type(raw) is not str:
+            raise ConfigError(f"{key}: expected a path, got {raw!r}")
         candidate = Path(raw)
         return candidate if candidate.is_absolute() else base / candidate
 
@@ -167,32 +167,28 @@ def load_config(path: str | Path) -> PipelineConfig:
     if isinstance(datasets_doc, dict):
         for code in SPACE_TYPES:  # canonical processing order
             if code in datasets_doc:
-                datasets.append((resolve(str(datasets_doc[code])), code))
-        unknown = set(datasets_doc) - set(SPACE_TYPES)
+                datasets.append((resolve("datasets", datasets_doc[code]), code))
+        unknown = sorted(map(str, set(datasets_doc) - set(SPACE_TYPES)))
         if unknown:
-            raise ConfigError(f"unknown typology keys in datasets: {sorted(unknown)}")
+            raise ConfigError(f"unknown typology keys in datasets: {unknown}")
     elif isinstance(datasets_doc, list):
-        datasets = [(resolve(str(entry)), None) for entry in datasets_doc]
+        datasets = [(resolve("datasets", entry), None) for entry in datasets_doc]
     if not datasets:
         raise ConfigError("config must list at least one dataset")
 
-    rules_path = resolve(str(doc["rules"])) if "rules" in doc else default_rules_path()
-    kb_path = resolve(str(doc["kb"])) if "kb" in doc else default_kb_path()
-    lexicon_path = (
-        resolve(str(doc["lexicon"])) if "lexicon" in doc else default_lexicon_path()
-    )
-    out_dir = resolve(str(doc.get("out", "out")))
+    def path(key: str, default: Path) -> Path:
+        return resolve(key, doc[key]) if key in doc else default
 
-    thresholds_doc = doc.get("thresholds") or {}
+    thresholds_doc = {} if doc.get("thresholds") is None else doc["thresholds"]
     if not isinstance(thresholds_doc, dict):
-        raise ConfigError("config section 'thresholds' must be a mapping")
+        raise ConfigError(f"thresholds: expected a mapping, got {thresholds_doc!r}")
 
     return PipelineConfig(
         datasets=tuple(datasets),
-        rules_path=rules_path,
-        kb_path=kb_path,
-        lexicon_path=lexicon_path,
-        out_dir=out_dir,
+        rules_path=path("rules", default_rules_path()),
+        kb_path=path("kb", default_kb_path()),
+        lexicon_path=path("lexicon", default_lexicon_path()),
+        out_dir=resolve("out", doc.get("out", "out")),
         weights=_parse_weights(doc.get("weights", {})),
         thresholds=_with_thresholds(Thresholds(), thresholds_doc),
         jobs=doc.get("jobs", 1),
@@ -279,6 +275,10 @@ class RunState:
     def rules(self) -> NormalizationRuleSet:
         return load_rules(self.config.rules_path)
 
+    @cached_property
+    def canonical_kb(self) -> DomainKnowledgeBase:
+        return canonical_names(self.kb, self.rules, self.config.kb_path)
+
     def put(self, phase: str, result: object, data: dict | None = None) -> Path:
         """Keep ``result``; write ``data``, by default the codec's, as its artifact."""
         self.results[phase] = result
@@ -344,6 +344,12 @@ class RunState:
                            f"studies under {', '.join(SPACE_TYPES)}")
                 if not f.occurrence.total:
                     refuse(f".factors[{i}].counts", "expected at least one mention")
+            # Each mention adds one count and at most one study.
+            for i, f in enumerate(result.factors):
+                for code, count in zip(SPACE_TYPES, f.occurrence.counts):
+                    if not min(count, 1) <= len(f.studies[code]) <= count:
+                        refuse(f".factors[{i}].studies.{code}", f"expected 1 to "
+                               f"{count} studies for {count} mentions, none for none")
             total = sum(f.occurrence.total for f in result.factors)
             if result.raw_record_count != total:
                 refuse(".raw_record_count", "expected the sum of the factors' counts")
@@ -442,9 +448,8 @@ def _assigned(state: RunState, decoded) -> tuple[list, dict]:
 def _placed(state: RunState, decoded) -> tuple[placement.PlacementResult, dict]:
     composites = {(p.factor, p.domain): p.composite for p in decoded.placements}
     subcategories = {(p.factor, p.domain): p.subcategory for p in decoded.placements}
-    kb = state.kb
-    if kb.placement_overrides:  # the only KB factor names arranging reads
-        kb = canonical_names(kb, state.rules)
+    # The overrides are the only KB factor names arranging reads.
+    kb = state.canonical_kb if state.kb.placement_overrides else state.kb
     # A placement the artifact lacks gets stand-in values; the comparison
     # then refuses the artifact at the first entry that differs.
     result = placement.arrange(
@@ -642,7 +647,7 @@ def phase_cluster(config: PipelineConfig, state: RunState | None = None) -> Path
 
 def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
     state = state or RunState(config)
-    factor_set, kb = state.get("integrate"), canonical_names(state.kb, state.rules)
+    factor_set, kb = state.get("integrate"), state.canonical_kb
     names, listed = set(factor_set.names), list(kb.placement_overrides)
     for d in kb.domains:
         listed += sorted(d.literature_strong | d.literature_none)

@@ -24,7 +24,7 @@ from .cluster import (
 from .errors import TaxoforgeError
 from .integrate import IntegratedFactorSet
 from .knowledge import DomainKnowledgeBase
-from .similarity import SemanticLexicon, SimilarityMatrix, cosine
+from .similarity import SemanticLexicon, SimilarityMatrix
 
 PROMOTION_THRESHOLD = 0.80
 
@@ -84,7 +84,8 @@ def composite(
 ) -> CompositeScore:
     """Composite score of one factor against one of its relevant domains.
 
-    ``related`` is the factor's neighbour list from ``related_factors``.
+    ``related`` is the factor's neighbour list from ``related_factors``; the
+    space compatibility is the distribution score its assignment holds.
     """
     factor = factor_set.factors[index]
     position = kb.domain_ids().index(domain_id)
@@ -98,12 +99,11 @@ def composite(
     else:
         functional = 0.0
     theoretical = domain.literature_level(factor.canonical_name)
-    compatibility = cosine(factor.occurrence.counts, domain.space_profile)
     return CompositeScore(
         semantic_relevance=classification.relevance[position],
         functional_importance=functional,
         theoretical_justification=theoretical,
-        space_compatibility=compatibility,
+        space_compatibility=assignments[index].scores[domain_id].distribution,
     )
 
 

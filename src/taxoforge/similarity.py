@@ -42,9 +42,8 @@ from operator import mul
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import yaml
-
-from .errors import LexiconError, TaxoforgeError, is_unit_number, require_number
+from .codec import decode, read_yaml
+from .errors import LexiconError, TaxoforgeError, is_unit_number
 from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
 
 DEFAULT_FIELD_SCORE = 0.85
@@ -97,32 +96,34 @@ class SemanticLexicon:
         return found
 
 
+@dataclass(frozen=True)
+class LexiconFile:
+    """The lexicon file as written; ``load_lexicon`` reads it."""
+
+    fields: Mapping[str, tuple[str, ...]] | None = None
+    field_score: float = DEFAULT_FIELD_SCORE
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.field_score <= 1.0:
+            raise LexiconError(f"field_score: {self.field_score} out of range [0, 1]")
+        for name, terms in (self.fields or {}).items():
+            if not terms:
+                raise LexiconError(f"fields.{name}: expected at least one term")
+
+
 def load_lexicon(path: str | Path) -> SemanticLexicon:
+    """The lexicon in the YAML file ``path``, its terms case-folded and
+    whitespace-collapsed. A value of the wrong kind, a null term, an empty
+    field or a ``field_score`` outside [0, 1] raises ``LexiconError`` naming
+    the file and the field."""
     path = Path(path)
-    if not path.exists():
-        raise LexiconError(f"lexicon file not found: {path}")
-    try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise LexiconError(f"cannot parse lexicon file {path}: {exc}") from exc
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise LexiconError(f"lexicon file {path} must be a mapping")
-    field_score = require_number(
-        doc.get("field_score", DEFAULT_FIELD_SCORE), "lexicon field_score", LexiconError
-    )
-    if not 0.0 <= field_score <= 1.0:
-        raise LexiconError(f"field_score {field_score} out of range [0, 1]")
-    fields_doc = doc.get("fields") or {}
-    if not isinstance(fields_doc, dict):
-        raise LexiconError("lexicon section 'fields' must be a mapping")
-    fields: dict[str, frozenset[str]] = {}
-    for name, terms in fields_doc.items():
-        if not isinstance(terms, list) or not terms:
-            raise LexiconError(f"lexicon field {name!r} must list at least one term")
-        fields[str(name)] = frozenset(" ".join(str(t).casefold().split()) for t in terms)
-    return SemanticLexicon(fields=fields, field_score=field_score)
+    doc = read_yaml(path, "lexicon", LexiconError)
+    lexicon = decode(LexiconFile, doc, f"lexicon file {path}: ", LexiconError)
+    fields = {
+        name: frozenset(" ".join(term.casefold().split()) for term in terms)
+        for name, terms in (lexicon.fields or {}).items()
+    }
+    return SemanticLexicon(fields=fields, field_score=float(lexicon.field_score))
 
 
 def name_features(name: str, lexicon: SemanticLexicon) -> NameFeatures:

@@ -611,7 +611,52 @@ MALFORMED = [
         "compatible_types",
         id="kb-compatible-string",
     ),
+    pytest.param("kb", ["domains", 0], None, "domains[0]", id="kb-domain-null"),
+    pytest.param(
+        "kb",
+        ["domains", 0, "keywords", 0],
+        None,
+        "domains[0].keywords[0]",
+        id="kb-keyword-null",
+    ),
+    pytest.param(
+        "kb",
+        ["domains", 0, "space_profile", "Q"],
+        2.0,
+        "space_profile",
+        id="kb-profile-unknown-code",
+    ),
+    pytest.param(
+        "kb", ["placement_overrides"], [], "placement_overrides", id="kb-overrides-list"
+    ),
+    pytest.param("kb", ["scope_priors"], 0, "scope_priors", id="kb-priors-zero"),
     pytest.param("lexicon", ["field_score"], "high", "field_score", id="lexicon-score"),
+    pytest.param("lexicon", ["fields"], [], "fields", id="lexicon-fields-list"),
+    pytest.param(
+        "lexicon",
+        ["fields", "protection", 0],
+        None,
+        "fields.protection[0]",
+        id="lexicon-term-null",
+    ),
+    pytest.param("rules", ["options"], [], "options", id="rules-options-list"),
+    pytest.param("rules", ["synonyms"], [], "synonyms", id="rules-synonyms-list"),
+    pytest.param(
+        "rules",
+        ["preserve_distinct", 0],
+        7,
+        "preserve_distinct[0]",
+        id="rules-preserve-number",
+    ),
+    pytest.param("config", ["out"], None, "out", id="config-out-null"),
+    pytest.param(
+        "config",
+        ["datasets"],
+        {"P": str(FIXTURES / "sample_corpus.csv"), "X": "x.csv", 7: "y.csv"},
+        "datasets",
+        id="config-datasets-keys-mixed",
+    ),
+    pytest.param("config", ["thresholds"], [], "thresholds", id="config-thresholds-list"),
     pytest.param(
         "rules",
         ["options", "case_folding"],
@@ -737,6 +782,29 @@ MALFORMED = [
         lambda factors: _move_counts(factors, 10, 0),
         "factors[10].counts",
         id="integrated-counts-zero",
+    ),
+    # safety (factor 0) has one mention, and one study, under each of P, S,
+    # U, O and F, and none under G.
+    pytest.param(
+        "integrated.json",
+        ["data", "factors", 0, "studies"],
+        lambda studies: {**studies, "P": [], "G": ["c1", "c2", "c3"]},
+        "factors[0].studies.P",
+        id="integrated-studies-untied",
+    ),
+    pytest.param(
+        "integrated.json",
+        ["data", "factors", 0, "studies", "G"],
+        ["c1"],
+        "factors[0].studies.G",
+        id="integrated-study-without-mention",
+    ),
+    pytest.param(
+        "integrated.json",
+        ["data", "factors", 0, "studies", "P"],
+        lambda ids: ids + ["another study"],
+        "factors[0].studies.P",
+        id="integrated-studies-above-count",
     ),
     pytest.param(
         "classification.json",
@@ -1066,8 +1134,8 @@ class TestMalformedInputs:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert field in lines[0]
-        if kind in READER:
-            assert kind in lines[0]
+        # The edited file is named: an artifact, or the input file written above.
+        assert (kind if kind in READER else f"{kind}.yaml") in lines[0]
 
 
 class TestArtifactWrites:
