@@ -8,14 +8,16 @@ values and frozensets as sorted lists. The reader refuses the first wrong
 leaf by its path, as in ``data.assignments[3].scores.COMFORT.semantic:
 expected a number, got None``, ignores keys that are not fields, gives an
 absent key its field's default where it has one, and takes only text as a
-mapping key. It builds the dataclasses, so each ``__post_init__`` check
-runs; one that fails is refused at its object's path. Both are compiled once
-per annotation. The KB, lexicon and rules files, read by ``read_yaml``, are
-decoded by the same reader."""
+mapping key. A number is never text, a boolean, NaN or infinite. It builds
+the dataclasses, so each ``__post_init__`` check runs; one that fails is
+refused at its object's path. Both are compiled once per annotation. The
+KB, lexicon, rules and config files, read by ``read_yaml``, are decoded by
+the same reader."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 from collections.abc import Mapping
@@ -129,7 +131,12 @@ def _codec(kind: object):
                 return value
             raise _refuse(expected, value)
 
-        return read_leaf, None
+        def read_finite(value):
+            if type(value) is not float or math.isfinite(value):
+                return read_leaf(value)
+            raise _refuse("a finite number", value)
+
+        return read_finite if kind is float else read_leaf, None
     if isinstance(kind, type) and issubclass(kind, Enum):
         members = {member.value: member for member in kind}
         expected = "one of " + ", ".join(map(repr, members))

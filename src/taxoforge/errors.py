@@ -37,17 +37,6 @@ class ConfigError(TaxoforgeError):
     """Raised for invalid pipeline configuration."""
 
 
-def require_number(value: object, label: str, error: type[TaxoforgeError]) -> float:
-    """``value`` as a float, or ``error`` naming ``label`` if it is not a
-    number; a boolean is not one, though ``float(True)`` succeeds."""
-    if isinstance(value, bool):
-        raise error(f"{label} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise error(f"{label} must be a number, got {value!r}") from None
-
-
 def is_unit_number(value: object) -> bool:
     """Whether ``value`` is an int or float in [0, 1]; a boolean is not."""
     return type(value) in (int, float) and 0.0 <= value <= 1.0

@@ -8,7 +8,7 @@ space research, and users supply richer files to grow the hierarchy.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -62,6 +62,13 @@ class ScopePriors:
     preferred: float = 1.0
     adjacent: float = 0.8
     other: float = 0.6
+
+    def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
+                raise KnowledgeBaseError(
+                    f"{name}: expected a number in [0, 1], got {value}"
+                )
 
 
 @dataclass(frozen=True)

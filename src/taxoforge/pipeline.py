@@ -1,5 +1,6 @@
 """Configuration handling and phase orchestration.
 
+The config file is decoded by the artifact codec, as every input file is.
 A ``RunState`` holds one invocation's checksums, KB, lexicon, rules and phase
 results, each computed or loaded once. A result it has not computed is read
 from the phase's artifact: its independent values are decoded, the phase's
@@ -24,7 +25,7 @@ from . import applicability, classify, cluster, emit, integrate, placement, simi
 from .corpus import SPACE_TYPES, NormalizationRuleSet, load_corpus, load_rules
 from .corpus import merge_corpora
 from .emit import SCHEMA_VERSION
-from .errors import ArtifactError, ConfigError, TaxoforgeError, require_number
+from .errors import ArtifactError, ConfigError, TaxoforgeError
 from .knowledge import (
     DomainKnowledgeBase,
     canonical_names,
@@ -33,7 +34,7 @@ from .knowledge import (
     default_rules_path,
     load_kb,
 )
-from .similarity import SemanticLexicon, SimilarityWeights, load_lexicon
+from .similarity import SemanticLexicon, SimilarityWeights, cosine, load_lexicon
 
 log = logging.getLogger(__name__)
 
@@ -51,16 +52,13 @@ class Thresholds:
     promotion: float = placement.PROMOTION_THRESHOLD
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for name, value in asdict(self).items():
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"threshold {name}={value} out of range [0, 1]")
         if self.band_high < self.band_low:
             raise ConfigError(
                 f"threshold band_high={self.band_high} < band_low={self.band_low}"
             )
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
     @property
     def graph_floor(self) -> float:
@@ -100,7 +98,7 @@ class PipelineConfig:
             ],
             **inputs,
             "weights": list(self.weights.as_tuple()),
-            "thresholds": self.thresholds.as_dict(),
+            "thresholds": asdict(self.thresholds),
         }
         blob = json.dumps(doc, sort_keys=True).encode("utf-8")
         return {"config": hashlib.sha256(blob).hexdigest(), **inputs}
@@ -115,54 +113,39 @@ def _file_digest(path: Path, label: str) -> str:
         raise ConfigError(f"cannot read {label} file {path}: {exc}") from exc
 
 
-def _parse_weights(value) -> SimilarityWeights:
-    if isinstance(value, dict):
-        names = [f.name for f in fields(SimilarityWeights)]
-        for name in value:
-            if name not in names:
-                raise ConfigError(f"unknown similarity weight {name!r}")
-        value = [value.get(f.name, f.default) for f in fields(SimilarityWeights)]
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"bad similarity weights: {value!r}")
-    numbers = [
-        require_number(v, f"weights.{f.name}", ConfigError)
-        for v, f in zip(value, fields(SimilarityWeights))
-    ]
-    try:
-        return SimilarityWeights(*numbers)
-    except TaxoforgeError as exc:
-        raise ConfigError(str(exc)) from exc
+@dataclass(frozen=True)
+class ConfigFile:
+    """The config file as written but for ``datasets``, a list of paths or a
+    mapping of typology codes to paths, which ``_config`` reads."""
 
-
-def _with_thresholds(thresholds: Thresholds, values: Mapping) -> Thresholds:
-    """``thresholds`` with the named ones replaced; names and values are checked."""
-    current = thresholds.as_dict()
-    for name, value in values.items():
-        if name not in current:
-            raise ConfigError(f"unknown threshold {name!r}")
-        current[name] = require_number(value, f"threshold {name}", ConfigError)
-    return Thresholds(**current)
+    rules: str = str(default_rules_path())
+    kb: str = str(default_kb_path())
+    lexicon: str = str(default_lexicon_path())
+    out: str = "out"
+    weights: Mapping[str, float] | None = None
+    thresholds: Mapping[str, float] | None = None
+    jobs: int = 1
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """The configuration in the YAML file ``path``, its relative paths taken
-    from its directory; a malformed value raises ``ConfigError`` naming it."""
+    from its directory; a malformed value raises ``ConfigError`` naming the
+    file and the field, as in ``config file PATH: out: expected a string``."""
     path = Path(path)
     doc = codec.read_yaml(path, "config", ConfigError)
+    file = codec.decode(ConfigFile, doc, f"config file {path}: ", ConfigError)
     try:
-        return _config(doc, path.parent)
+        return _config(file, doc.get("datasets"), path.parent)
     except ConfigError as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
 
 
-def _config(doc: dict, base: Path) -> PipelineConfig:
+def _config(file: ConfigFile, datasets_doc: object, base: Path) -> PipelineConfig:
     def resolve(key: str, raw: object) -> Path:
         if type(raw) is not str:
             raise ConfigError(f"{key}: expected a path, got {raw!r}")
-        candidate = Path(raw)
-        return candidate if candidate.is_absolute() else base / candidate
+        return base / raw  # an absolute path replaces base
 
-    datasets_doc = doc.get("datasets")
     datasets: list[tuple[Path, str | None]] = []
     if isinstance(datasets_doc, dict):
         for code in SPACE_TYPES:  # canonical processing order
@@ -175,24 +158,36 @@ def _config(doc: dict, base: Path) -> PipelineConfig:
         datasets = [(resolve("datasets", entry), None) for entry in datasets_doc]
     if not datasets:
         raise ConfigError("config must list at least one dataset")
-
-    def path(key: str, default: Path) -> Path:
-        return resolve(key, doc[key]) if key in doc else default
-
-    thresholds_doc = {} if doc.get("thresholds") is None else doc["thresholds"]
-    if not isinstance(thresholds_doc, dict):
-        raise ConfigError(f"thresholds: expected a mapping, got {thresholds_doc!r}")
-
     return PipelineConfig(
         datasets=tuple(datasets),
-        rules_path=path("rules", default_rules_path()),
-        kb_path=path("kb", default_kb_path()),
-        lexicon_path=path("lexicon", default_lexicon_path()),
-        out_dir=resolve("out", doc.get("out", "out")),
-        weights=_parse_weights(doc.get("weights", {})),
-        thresholds=_with_thresholds(Thresholds(), thresholds_doc),
-        jobs=doc.get("jobs", 1),
+        rules_path=resolve("rules", file.rules),
+        kb_path=resolve("kb", file.kb),
+        lexicon_path=resolve("lexicon", file.lexicon),
+        out_dir=resolve("out", file.out),
+        weights=_settings(SimilarityWeights(), file.weights or {}, "weights"),
+        thresholds=_settings(Thresholds(), file.thresholds or {}, "thresholds"),
+        jobs=file.jobs,
     )
+
+
+def _settings(current, values: Mapping[str, float], where: str):
+    """``current``, a ``SimilarityWeights`` or ``Thresholds``, with the named
+    values replaced; an unknown name or a value its own check refuses raises
+    ``ConfigError`` after ``where``, the config field or the flag."""
+    noun = "threshold" if isinstance(current, Thresholds) else "similarity weight"
+    if unknown := set(values) - {f.name for f in fields(current)}:
+        raise ConfigError(f"{where}: unknown {noun} {min(unknown)!r}")
+    try:
+        return replace(current, **{name: float(v) for name, v in values.items()})
+    except TaxoforgeError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _flag_number(flag: str, name: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{flag} {name}: expected a number, got {text!r}") from None
 
 
 def apply_overrides(
@@ -206,15 +201,21 @@ def apply_overrides(
     if out_dir is not None:
         config = replace(config, out_dir=Path(out_dir))
     if weights is not None:
-        config = replace(config, weights=_parse_weights(weights.split(",")))
+        names = [f.name for f in fields(SimilarityWeights)]
+        if len(texts := weights.split(",")) != len(names):
+            raise ConfigError(f"--weights expects l,d,c, got {weights!r}")
+        values = {n: _flag_number("--weights", n, t) for n, t in zip(names, texts)}
+        config = replace(config, weights=_settings(config.weights, values, "--weights"))
     if thresholds:
         values = {}
         for item in thresholds:
             name, sep, value = item.partition("=")
             if not sep:
                 raise ConfigError(f"--threshold expects name=value, got {item!r}")
-            values[name.strip()] = value
-        config = replace(config, thresholds=_with_thresholds(config.thresholds, values))
+            name = name.strip()
+            values[name] = _flag_number("--threshold", name, value)
+        thresholds = _settings(config.thresholds, values, "--threshold")
+        config = replace(config, thresholds=thresholds)
     if jobs is not None:
         config = replace(config, jobs=jobs)
     return config
@@ -386,8 +387,6 @@ class RunState:
             for domain, s in r.scores.items():
                 if not 0.0 <= s.similarity_evidence <= 1.0:
                     refuse(f"[{i}].scores.{domain}.similarity_evidence", unit)
-                if not 0.0 <= s.distribution <= 1.0:
-                    refuse(f"[{i}].scores.{domain}.distribution", unit)
 
     def _read(self, phase: str, path: Path) -> dict:
         if not path.exists():
@@ -439,10 +438,20 @@ def _classified(state: RunState, decoded) -> tuple[list, dict]:
 
 
 def _assigned(state: RunState, decoded) -> tuple[list, dict]:
-    # Only the categories are rebuilt, and the comparison skips the keys left
-    # out; where it passes, the decoded assignments are the rebuilt ones.
-    categories = [cluster.argmax_domain(a.scores, state.kb) for a in decoded]
-    return decoded, {"assignments": [{"category": c} for c in categories]}
+    # The space fits (once per distinct counts) and the categories are
+    # rebuilt; the comparison skips the other keys. Where it passes, the
+    # decoded assignments are the rebuilt ones.
+    kb, fits, expected = state.kb, {}, []
+    for factor, a in zip(state.get("integrate").factors, decoded):
+        counts = factor.occurrence.counts
+        if counts not in fits:
+            fits[counts] = {
+                d.identifier: {"distribution": cosine(counts, d.space_profile)}
+                for d in kb.domains
+            }
+        category = cluster.argmax_domain(a.scores, kb)
+        expected.append({"scores": fits[counts], "category": category})
+    return decoded, {"assignments": expected}
 
 
 def _placed(state: RunState, decoded) -> tuple[placement.PlacementResult, dict]:

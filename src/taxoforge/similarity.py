@@ -221,9 +221,11 @@ class SimilarityWeights:
 
     def __post_init__(self) -> None:
         values = (self.linguistic, self.distributional, self.co_occurrence)
-        if any(v < 0 for v in values):
-            raise TaxoforgeError("similarity weights must be non-negative")
-        if abs(sum(values) - 1.0) > 1e-9:
+        if not all(v >= 0.0 for v in values):  # NaN fails the comparison too
+            raise TaxoforgeError(
+                f"similarity weights must be non-negative, got {values}"
+            )
+        if not abs(sum(values) - 1.0) <= 1e-9:
             raise TaxoforgeError(f"similarity weights must sum to 1, got {sum(values)}")
 
     def as_tuple(self) -> tuple[float, float, float]:

@@ -187,9 +187,10 @@ class TestRun:
         phase_of = {kind: phase for phase, (_, _, kind) in pipeline.ARTIFACTS.items()}
         decode = codec.decode
 
-        def decoding(kind, data, where):
-            calls.append(f"decode {phase_of[kind]}")
-            return decode(kind, data, where)
+        def decoding(kind, data, where, *error):
+            if kind in phase_of:  # an artifact, not the config file
+                calls.append(f"decode {phase_of[kind]}")
+            return decode(kind, data, where, *error)
 
         monkeypatch.setattr(codec, "decode", decoding)
         monkeypatch.setattr(
@@ -451,6 +452,28 @@ class TestFlags:
         )
         assert "unknown threshold" in capsys.readouterr().err
 
+    def test_threshold_flag_sets_the_value(self):
+        config = pipeline.load_config(FIXTURES / "config.yaml")
+        config = pipeline.apply_overrides(config, thresholds=["related=0.7"])
+        assert config.thresholds.related == 0.7
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--threshold", "related=high"),
+            ("--threshold", "nope=0.5"),
+            ("--weights", "a,b,c"),
+            ("--weights", "0.5,0.5"),
+            ("--weights", "nan,0.5,0.5"),
+        ],
+    )
+    def test_bad_flag_value_exits_one(self, tmp_path, capsys, flag, value):
+        config = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(config), flag, value]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert flag in lines[0]
+
     def test_weights_flag_degeneracy(self, tmp_path):
         config = write_config(tmp_path)
         assert cli.main(["run", "--config", str(config), "--weights", "1,0,0"]) == 0
@@ -580,6 +603,28 @@ MALFORMED = [
     pytest.param(
         "config", ["thresholds"], {"related": True}, "related", id="config-threshold-bool"
     ),
+    # A quoted number is text, in the config file as in every other input.
+    pytest.param(
+        "config",
+        ["thresholds"],
+        {"related": "0.7"},
+        "thresholds.related",
+        id="config-threshold-quoted",
+    ),
+    pytest.param(
+        "config",
+        ["weights"],
+        {"linguistic": "0.5", "distributional": "0.3", "co_occurrence": "0.2"},
+        "weights.",
+        id="config-weights-quoted",
+    ),
+    pytest.param(
+        "config",
+        ["weights"],
+        {"linguistic": float("nan"), "distributional": 0.5, "co_occurrence": 0.5},
+        "weights.linguistic",
+        id="config-weights-nan",
+    ),
     pytest.param(
         "kb",
         ["domains", 0, "space_profile", "P"],
@@ -630,6 +675,20 @@ MALFORMED = [
         "kb", ["placement_overrides"], [], "placement_overrides", id="kb-overrides-list"
     ),
     pytest.param("kb", ["scope_priors"], 0, "scope_priors", id="kb-priors-zero"),
+    pytest.param(
+        "kb",
+        ["scope_priors", "preferred"],
+        -1.0,
+        "scope_priors: preferred",
+        id="kb-priors-negative",
+    ),
+    pytest.param(
+        "kb",
+        ["domains", 0, "space_profile", "P"],
+        float("nan"),
+        "domains[0].space_profile.P",
+        id="kb-profile-nan",
+    ),
     pytest.param("lexicon", ["field_score"], "high", "field_score", id="lexicon-score"),
     pytest.param("lexicon", ["fields"], [], "fields", id="lexicon-fields-list"),
     pytest.param(
@@ -1016,6 +1075,15 @@ MALFORMED = [
         1.5,
         "distribution",
         id="assignments-distribution-range",
+    ),
+    # The space fit is rebuilt from the counts and the KB, so an edit within
+    # range is refused too.
+    pytest.param(
+        "assignments.json",
+        ["data", "assignments", 0, "scores", "COMFORT", "distribution"],
+        lambda fit: 0.0 if fit > 0.5 else 1.0,
+        "assignments[0].scores.COMFORT.distribution",
+        id="assignments-distribution-edited",
     ),
     pytest.param(
         "indicators.json",

@@ -106,6 +106,16 @@ ASSIGNMENT = {
             id="bool-number",
         ),
         pytest.param(
+            lambda a: a["scores"]["COMFORT"].update(semantic=float("nan")),
+            "data[1].scores.COMFORT.semantic: expected a finite number, got nan",
+            id="nan-number",
+        ),
+        pytest.param(
+            lambda a: a["scores"]["COMFORT"].update(distribution=float("-inf")),
+            "data[1].scores.COMFORT.distribution: expected a finite number, got -inf",
+            id="infinite-number",
+        ),
+        pytest.param(
             lambda a: a.pop("category"), "data[1].category: missing", id="missing"
         ),
         pytest.param(

@@ -5,6 +5,7 @@ sweep in test_codec."""
 from __future__ import annotations
 
 import copy
+import math
 from functools import cache
 
 import yaml
@@ -107,29 +108,39 @@ def _nodes(value, path=()):
             yield from _nodes(item, path + (index,))
 
 
+# Keys a format does not declare, and so ignores whatever they hold.
+IGNORED = {("version",)}
+
+
 def _mutations(value):
-    """Null, a value of another kind, -1, and an empty list and mapping."""
+    """Null, a value of another kind, -1, and an empty list and mapping; and
+    then, for a number, its own text and NaN, which a field declared as a
+    number refuses. Returns both lists."""
     other = {str: 7, bool: "true", int: "7", float: "7"}.get(type(value), "x")
-    return [None, other, -1] + [empty for empty in ([], {}) if empty != value]
+    mutations = [None, other, -1] + [empty for empty in ([], {}) if empty != value]
+    numbers = [str(value), math.nan] if type(value) in (int, float) else []
+    return mutations, numbers
 
 
 def _mutated(doc):
     """Each copy of ``doc`` with one node replaced, or one mapping key
-    replaced by a number."""
+    replaced by a number, and whether the copy must be refused."""
     for path in _nodes(doc):
         parent_path, key = path[:-1], path[-1:] or None
-        for mutation in _mutations(_at(doc, path)):
+        mutations, numbers = _mutations(_at(doc, path))
+        for index, mutation in enumerate(mutations + numbers):
+            strict = index >= len(mutations) and path not in IGNORED
             if key is None:
-                yield path, mutation
+                yield path, strict, mutation
                 continue
             edited = copy.deepcopy(doc)
             _at(edited, parent_path)[key[0]] = mutation
-            yield path, edited
+            yield path, strict, edited
         if key is not None and isinstance(_at(doc, parent_path), dict):
             edited = copy.deepcopy(doc)
             parent = _at(edited, parent_path)
             parent[7] = parent.pop(key[0])
-            yield path + ("key",), edited
+            yield path + ("key",), False, edited
 
 
 def _at(doc, path):
@@ -148,14 +159,15 @@ def test_unmutated_inputs_load(tmp_path):
 def test_mutation_sweep_loads_or_refuses(tmp_path):
     """Each node of each input file, mutated alone, is either loaded or
     refused by the file's own error in one line naming the file; nothing
-    else escapes."""
+    else escapes. A declared number field refuses its own text and NaN."""
     outcomes = {"loaded": 0, "refused": 0}
     for name, (doc, load, error) in INPUTS.items():
         path = tmp_path / f"{name}.yaml"
-        for where, edited in _mutated(doc):
+        for where, strict, edited in _mutated(doc):
             path.write_text(yaml.safe_dump(edited), encoding="utf-8")
             try:
                 load(path)
+                assert not strict, (name, where, "loaded")
                 outcomes["loaded"] += 1
             except TaxoforgeError as exc:
                 assert type(exc) is error, (name, where, exc)
