@@ -12,7 +12,8 @@ mapping key. A number is never text, a boolean, NaN or infinite. It builds
 the dataclasses, so each ``__post_init__`` check runs; one that fails is
 refused at its object's path. Both are compiled once per annotation. The
 KB, lexicon, rules and config files, read by ``read_yaml``, are decoded by
-the same reader."""
+the same reader; ``read_yaml`` parses with libyaml when PyYAML was built
+with it."""
 
 from __future__ import annotations
 
@@ -29,6 +30,10 @@ from pathlib import Path
 import yaml
 
 from .errors import ArtifactError, TaxoforgeError
+
+# libyaml's parser builds the same documents as the pure-Python one, about
+# eight times faster on a large KB.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # leaf type -> (JSON types it accepts, what a refusal says it expected)
 _LEAVES = {
@@ -73,7 +78,7 @@ def read_yaml(path: Path, label: str, error: type[TaxoforgeError]) -> dict:
     """The mapping a YAML input file holds, ``{}`` for an empty file; else
     ``error`` in one line naming the ``label`` file."""
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except (OSError, ValueError, yaml.YAMLError) as exc:
         reason = " ".join(str(exc).split())  # YAML errors span lines
         raise error(f"cannot read {label} file {path}: {reason}") from None

@@ -297,6 +297,12 @@ def to_canonical_json(doc: dict) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write ``doc`` as an export: pretty-printed, byte-stable JSON."""
+    text = to_canonical_json(doc)
+    write_atomic(path, lambda handle: handle.write(text))
+
+
 def write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
     """Let ``write`` fill a temp file beside ``path``, then rename it onto
     ``path``, so a failed write leaves the earlier file as it was."""

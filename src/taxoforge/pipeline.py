@@ -7,6 +7,7 @@ from the phase's artifact: its independent values are decoded, the phase's
 own code rebuilds the rest, and the artifact must equal what that writes.
 ``run`` passes one state through every phase, writing each artifact once;
 a phase run alone reads its inputs from disk, with byte-identical output.
+The artifacts are compact JSON; the exports a user reads are indented.
 """
 
 from __future__ import annotations
@@ -158,6 +159,11 @@ def _config(file: ConfigFile, datasets_doc: object, base: Path) -> PipelineConfi
         datasets = [(resolve("datasets", entry), None) for entry in datasets_doc]
     if not datasets:
         raise ConfigError("config must list at least one dataset")
+    seen = set()
+    for path, _ in datasets:  # a file read twice would count its rows twice
+        if (resolved := path.resolve()) in seen:
+            raise ConfigError(f"datasets: {path} is listed twice")
+        seen.add(resolved)
     return PipelineConfig(
         datasets=tuple(datasets),
         rules_path=resolve("rules", file.rules),
@@ -227,9 +233,10 @@ def apply_overrides(
 
 # phase -> (artifact file, key of ``data`` holding the result or None when
 # ``data`` is the result, result type); the codec derives ``data`` from the
-# type. similarity.json keeps its own codec for the compact edge list, and no
-# phase reads framework.json. The benchmark (perfbench/worker.py) reads these
-# keys and fields, so they stay: integrated.json raw_record_count and
+# type. similarity.json keeps its own codec for the compact edge list. Each
+# is one line of compact JSON; emit's framework.json, which no phase reads,
+# is an export, indented like the others. The benchmark (perfbench/worker.py)
+# reads these keys and fields, so they stay: integrated.json raw_record_count and
 # factors[*].studies (a mapping of lists); the flat flagged and primary_domain
 # of each classification.json factor; similarity.json names, weights and
 # scores; and the result objects' cross_cutting.flagged and primary_domain.
@@ -240,7 +247,6 @@ ARTIFACTS = {
     "cluster": ("assignments.json", "assignments", list[cluster.CategoryAssignment]),
     "place": ("placements.json", None, placement.PlacementResult),
     "indicate": ("indicators.json", "indicators", list[applicability.IndicatorRecord]),
-    "emit": ("framework.json", None, None),
 }
 
 
@@ -280,17 +286,24 @@ class RunState:
     def canonical_kb(self) -> DomainKnowledgeBase:
         return canonical_names(self.kb, self.rules, self.config.kb_path)
 
-    def put(self, phase: str, result: object, data: dict | None = None) -> Path:
-        """Keep ``result``; write ``data``, by default the codec's, as its artifact."""
-        self.results[phase] = result
-        doc = {
+    def envelope(self, phase: str, data: dict) -> dict:
+        """``data`` with what reading it checks: the format, phase and config."""
+        return {
             "schema_version": SCHEMA_VERSION,
             "phase": phase,
             "config_checksum": self.checksums["config"],
-            "data": artifact_data(phase, result) if data is None else data,
+            "data": data,
         }
+
+    def put(self, phase: str, result: object, data: dict | None = None) -> Path:
+        """Keep ``result``; write ``data``, by default the codec's, as its
+        artifact in compact JSON, which the C encoder writes."""
+        self.results[phase] = result
+        if data is None:
+            data = artifact_data(phase, result)
+        doc = self.envelope(phase, data)
         path = self.config.out_dir / ARTIFACTS[phase][0]
-        text = emit.to_canonical_json(doc)
+        text = json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
         emit.write_atomic(path, lambda handle: handle.write(text))
         return path
 
@@ -717,15 +730,17 @@ def phase_emit(
         config_checksums=state.checksums,
     )
     report = emit.validate(framework, factor_set)
-    state.put("emit", framework, emit.framework_to_dict(framework))
+    emit.write_json(
+        config.out_dir / "framework.json",
+        state.envelope("emit", emit.framework_to_dict(framework)),
+    )
     emit.export_document(
         framework, report, config.out_dir / "framework_document.json", "structured"
     )
     emit.export_document(
         framework, report, config.out_dir / "framework.md", "markdown"
     )
-    validation = emit.to_canonical_json(emit.report_to_dict(report))
-    emit.write_atomic(config.out_dir / "validation.json", lambda h: h.write(validation))
+    emit.write_json(config.out_dir / "validation.json", emit.report_to_dict(report))
     if sankey_category is not None:
         export = emit.export_sankey(framework, sankey_category, sankey_subfactors)
         resolved = emit.resolve_category(framework, sankey_category)

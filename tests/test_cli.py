@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,20 +32,20 @@ SIMILARITY_DATA_SHA256 = (
 # fixture config, with the config digest (it hashes the dataset's absolute
 # path) replaced by "CONFIG". A change to any byte of any output moves one.
 RUN_FILE_SHA256 = {
-    "assignments.json": "e6e76e0c8136f9c6f3c1c771e60c1d46e7f3e996dd4d22e408f6622df07a5d20",
+    "assignments.json": "84c8c3eb3e38b3422f3e3238d9928bf68a93a5888f98ff419dc3cafb784b8c39",
     "assignments_report.csv": "5262e98fc6caa8906013eb95edd3971dc47ef99844af6f9bb95eae04f530e7b3",
-    "classification.json": "848380be43400429a27dd7bf9bf2f1b50938ecbf08511a8bdc8985a0220acbe9",
+    "classification.json": "bc0be59eb4f1bfc6ca3583bc8f9503aa7322298e5ecdf3ae2d75c452d88793c8",
     "classification_report.csv": "28979abd9c88d2111a3ad9798a6c7aa31dd70e6fb53425124ea7fec8e90d0d72",
     "framework.json": "be0f49931097cafc4b12dad74f85c10ada7b66c0a679a85501c371a1ebacfb78",
     "framework.md": "bf3777a2bb6ed524492bdc0dd585622ecb045ef77311e518d321e390bef655bb",
     "framework_document.json": "7a47a53b75bc36d563944ddf459da0365396b53fed12a02182974d509cd75793",
-    "indicators.json": "eb0c81b0951201230f1d9bd3a9b0d32c267d5ed000c7ed33050e3ca04099346c",
-    "integrated.json": "ed8ed32b9a4da431d5d21948b9131fa88983524d4f0b7f44e12c2e8d55f1ecbf",
+    "indicators.json": "c260e117962cabec0b2c7c2fb7fdf3b1bf1a1a7fc44f06265046c75a2b154ced",
+    "integrated.json": "f706c5d21cd7c72c9e22bc2e173b50046ccda3a355e14a39e4dd0e319b4cbe93",
     "pairs.csv": "a85de060a3042195a206941d160143ffa2f7b9d9c33183cc8d36a2a5549cc041",
-    "placements.json": "fd1724c33c7857253c72214d0453c8149c0a7ffa07e4f44e4cde7254e5667f8b",
+    "placements.json": "2f0b8cd8fb4c4907ba9fd4b6e49f45571c0b11b4c4ea445057dfeac5015e7f0f",
     "placements_report.csv": "ef5bd99d19654d8ca3df5206efba72b2d4c2c2db87b40515a03952e5855a481c",
     "sankey_safety_and_security.csv": "92f4090ec581f3cab7e89cf37c8f38b984c54969ca57a2881576531e897867f3",
-    "similarity.json": "7e27ccf0ce1a30e5bc7f1413e8432c7c1d4a024517a96cb25271614b01b6c4dc",
+    "similarity.json": "336de477102b069728b159546a0531dd1c4b4847e501ccf94fe7dd75b5c3d209",
     "validation.json": "9f94f519f9889e18861640a5ec53d7424da3e83ed0485eec344546aa74dd80a8",
 }
 
@@ -127,6 +128,22 @@ class TestRun:
             for path in tmp_path.iterdir()
         }
         assert written == RUN_FILE_SHA256
+
+    def test_artifacts_are_compact_and_exports_pretty(self, tmp_path):
+        config = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        # What a phase reads is one line of compact JSON; what a user reads
+        # is indented, as it has always been.
+        for name, _, _ in pipeline.ARTIFACTS.values():
+            text = (out / name).read_text(encoding="utf-8")
+            doc = json.loads(text)
+            compact = json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
+            assert text == compact + "\n", name
+        for name in ("framework.json", "framework_document.json", "validation.json"):
+            text = (out / name).read_text(encoding="utf-8")
+            indented = json.dumps(json.loads(text), ensure_ascii=False, indent=2)
+            assert text == indented + "\n", name
 
     def test_similarity_logs_one_census_line(self, tmp_path, caplog):
         config = write_config(tmp_path)
@@ -558,6 +575,21 @@ class TestConfigParsing:
         assert [code for _, code in loaded.datasets] == ["P", "S"]
         assert cli.main(["run", "--config", str(config)]) == 0
 
+    def test_dataset_listed_twice_is_refused(self, tmp_path):
+        corpus = tmp_path / "data" / "corpus.csv"
+        corpus.parent.mkdir()
+        corpus.write_text("raw_name,study_id,space_type\nsafety,c1,P\n", "utf-8")
+        config = tmp_path / "config.yaml"
+        # Two spellings of one file, relative to the config's directory.
+        config.write_text(
+            "datasets:\n  - data/corpus.csv\n  - ./data/../data/corpus.csv\n",
+            encoding="utf-8",
+        )
+        second = tmp_path / "data" / ".." / "data" / "corpus.csv"
+        message = f"config file {config}: datasets: {second} is listed twice"
+        with pytest.raises(pipeline.ConfigError, match=re.escape(message)):
+            pipeline.load_config(config)
+
     def test_threshold_range_validation(self, tmp_path):
         config = write_config(tmp_path, extra="thresholds:\n  band_high: 1.5\n")
         with pytest.raises(pipeline.ConfigError, match="out of range"):
@@ -624,6 +656,14 @@ MALFORMED = [
         {"linguistic": float("nan"), "distributional": 0.5, "co_occurrence": 0.5},
         "weights.linguistic",
         id="config-weights-nan",
+    ),
+    # A dataset read twice would count each of its rows twice.
+    pytest.param(
+        "config",
+        ["datasets"],
+        lambda paths: paths + paths,
+        "datasets: ",
+        id="config-dataset-twice",
     ),
     pytest.param(
         "kb",

@@ -1,15 +1,19 @@
 """The input files: a mutation sweep of a small hand-written KB, lexicon,
 rules file and config through their loaders, in the style of the artifact
-sweep in test_codec."""
+sweep in test_codec; and the YAML parser that reads them, libyaml's where
+PyYAML has it and the pure-Python one otherwise, each tested here."""
 
 from __future__ import annotations
 
 import copy
+import importlib
 import math
 from functools import cache
 
+import pytest
 import yaml
 
+from taxoforge import cli, codec
 from taxoforge.corpus import load_rules
 from taxoforge.errors import (
     ConfigError,
@@ -18,9 +22,16 @@ from taxoforge.errors import (
     RuleSetError,
     TaxoforgeError,
 )
-from taxoforge.knowledge import canonical_names, default_rules_path, load_kb
+from taxoforge.knowledge import (
+    canonical_names,
+    default_kb_path,
+    default_lexicon_path,
+    default_rules_path,
+    load_kb,
+)
 from taxoforge.pipeline import load_config
 from taxoforge.similarity import load_lexicon
+from tests.conftest import FIXTURES, REPO_ROOT
 
 # Every field of each format is present, with two domains in the KB.
 KB = {
@@ -176,3 +187,86 @@ def test_mutation_sweep_loads_or_refuses(tmp_path):
                 outcomes["refused"] += 1
     assert sum(outcomes.values()) > 500
     assert outcomes["refused"] > outcomes["loaded"] > 0
+
+
+# The two parsers ``codec.read_yaml`` may use; each test below runs with both.
+LOADERS = [
+    pytest.param(
+        getattr(yaml, "CSafeLoader", None),
+        id="CSafeLoader",
+        marks=pytest.mark.skipif(
+            not yaml.__with_libyaml__, reason="PyYAML was built without libyaml"
+        ),
+    ),
+    pytest.param(yaml.SafeLoader, id="SafeLoader"),
+]
+
+
+@pytest.fixture(params=LOADERS)
+def yaml_loader(request, monkeypatch):
+    monkeypatch.setattr(codec, "_YAML_LOADER", request.param)
+    return request.param
+
+
+def test_read_yaml_parses_with_libyaml_when_built_with_it(tmp_path, monkeypatch):
+    # The pure-Python parser is several times slower on a large KB, and a
+    # return to it would change no output.
+    used, load = [], yaml.load
+
+    def spy(stream, Loader):
+        used.append(Loader)
+        return load(stream, Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    path = tmp_path / "kb.yaml"
+    path.write_text("version: 1\n", encoding="utf-8")
+    assert codec.read_yaml(path, "kb", KnowledgeBaseError) == {"version": 1}
+    assert used == [yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader]
+
+
+def test_each_loader_builds_the_inputs_safe_load_builds(
+    yaml_loader, tmp_path, monkeypatch
+):
+    """The packaged KB, lexicon and rules, the fixture config and a generated
+    benchmark workload's KB, lexicon and config load as they do through the
+    pure-Python parser of ``yaml.safe_load``, down to each number's type."""
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    importlib.import_module("gen").generate("rich-kb", tmp_path / "rich", 0)
+    inputs = [
+        (_load_kb, default_kb_path()),
+        (load_lexicon, default_lexicon_path()),
+        (load_rules, default_rules_path()),
+        (load_config, FIXTURES / "config.yaml"),
+        (_load_kb, tmp_path / "rich" / "kb.yaml"),
+        (load_lexicon, tmp_path / "rich" / "lexicon.yaml"),
+        (load_config, tmp_path / "rich" / "config.yaml"),
+    ]
+    loaded = [load(path) for load, path in inputs]
+    monkeypatch.setattr(codec, "_YAML_LOADER", yaml.SafeLoader)
+    expected = [load(path) for load, path in inputs]
+    assert loaded == expected
+    assert list(map(repr, loaded)) == list(map(repr, expected))
+
+
+@pytest.mark.parametrize("kind", ["config", "kb", "lexicon", "rules"])
+def test_yaml_syntax_error_exits_one_naming_the_file(
+    yaml_loader, kind, tmp_path, capsys
+):
+    broken = tmp_path / f"{kind}.yaml"
+    broken.write_text("domains: [1, 2\nversion: 1\n", encoding="utf-8")
+    config = tmp_path / "config.yaml"
+    if kind != "config":
+        doc = {
+            "datasets": [str(FIXTURES / "sample_corpus.csv")],
+            "out": str(tmp_path / "out"),
+            kind: str(broken),
+        }
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(config)]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert f"cannot read {kind} file {broken}: " in line
+
+
+def test_mutation_sweep_under_each_loader(yaml_loader, tmp_path):
+    test_mutation_sweep_loads_or_refuses(tmp_path)
