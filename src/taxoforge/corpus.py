@@ -221,18 +221,42 @@ def load_corpus(path: str | Path, expect_type: str | None = None) -> Corpus:
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"dataset file not found: {path}")
-    with path.open(encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusError(f"{path}: empty file, expected header") from None
-        if tuple(cell.strip() for cell in header) != CSV_HEADER:
-            raise CorpusError(
-                f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
-            )
-        records = _records_from_rows(reader, str(path), expect_type)
+    try:
+        with path.open(encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CorpusError(f"{path}: empty file, expected header") from None
+            if tuple(cell.strip() for cell in header) != CSV_HEADER:
+                raise CorpusError(
+                    f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+                )
+            records = _records_from_rows(reader, str(path), expect_type)
+    except UnicodeDecodeError as exc:
+        raise CorpusError(
+            f"{path}: line {_undecodable_line(path)}: not UTF-8 text ({exc.reason})"
+        ) from None
+    except OSError as exc:
+        raise CorpusError(f"{path}: cannot read: {exc.strerror or exc}") from None
     return Corpus(records=tuple(records))
+
+
+def _undecodable_line(path: Path) -> int:
+    """The number of the first line of ``path`` that is not UTF-8.
+
+    The text reader decodes whole blocks, so its line count at the error is
+    not the failing line's; a newline byte never occurs inside a multi-byte
+    UTF-8 sequence, so decoding line by line finds it.
+    """
+    lineno = 0
+    with path.open("rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return lineno  # the last line, should the file have changed since
 
 
 def merge_corpora(corpora: Iterable[Corpus]) -> Corpus:

@@ -305,19 +305,22 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 def write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
     """Let ``write`` fill a temp file beside ``path``, then rename it onto
-    ``path``, so a failed write leaves the earlier file as it was."""
+    ``path``, so a failed write leaves the earlier file as it was. An
+    ``OSError``, such as a directory on the path that is a file, raises
+    ``ArtifactError`` naming ``path``."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with temp.open("w", encoding="utf-8") as handle:
-            write(handle)
-        os.replace(temp, path)
-    except BaseException as exc:
-        temp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise ArtifactError(f"cannot write {path}: {exc}") from exc
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with temp.open("w", encoding="utf-8") as handle:
+                write(handle)
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ArtifactError(f"cannot write {path}: {exc}") from exc
 
 
 def export_document(

@@ -14,16 +14,43 @@ The blend uses configurable weights (defaults 0.5 / 0.3 / 0.2). Scores above
 Downstream phases read only pairs at or above ``floor``, the lowest of the
 band_low, subcluster and related thresholds, so ``build_matrix`` returns the
 exact thresholded graph: the edges scoring at least ``floor``, each with its
-components, plus per-factor neighbour lists. Only candidate pairs are scored:
-those whose names share a token, a trigram key or a lexicon field, or whose
-factors share a study (the exact candidate generation of All-Pairs, Bayardo,
-Ma and Srikant, WWW 2007). Any other pair has linguistic and co-occurrence
-components of exactly 0.0, so its score is ``w_d * d <= w_d``; while
-``w_d < floor`` none of them is an edge and every one of them is Low. When
-``w_d >= floor`` every pair is scored. Either way ``band_census`` is exact:
-High and Moderate come from the edges, Low is the rest of the n(n-1)/2 pairs.
-``all_pair_scores`` runs the same pair function over every pair, for
-``--emit-pairs``.
+components, plus per-factor neighbour lists.
+
+The build counts instead of intersecting. One inverted index per kind of key
+(tokens, trigrams, lexicon fields, studies) lists the factors holding each
+key; a trigram's posting holds a factor once per occurrence. For each factor
+``i`` in turn, ``collections.Counter`` over the chained postings of its keys
+gives, for every later factor ``j``, the shared-token count, the exact
+integer trigram dot product, the shared-field count and the shared-study
+count. The pair is then scored from those counts by the same operations as
+``linguistic_similarity``, ``distributional_similarity``,
+``co_occurrence_strength`` and ``combine``, so each score and component is
+bit-for-bit what those functions give.
+
+Only candidate pairs are scored: those sharing at least one key (the exact
+candidate generation of All-Pairs, Bayardo, Ma and Srikant, WWW 2007, here
+in the scan-count form of Sarawagi and Kirpal, SIGMOD 2004). Any other pair
+has linguistic and co-occurrence components of exactly 0.0, so its score is
+``w_d * d <= w_d``; while ``w_d < floor`` none of them is an edge and every
+one of them is Low. When ``w_d >= floor`` every pair is scored. Either way
+``band_census`` is exact: High and Moderate come from the edges, Low is the
+rest of the n(n-1)/2 pairs. ``all_pair_scores`` runs the same row kernel
+over every pair, for ``--emit-pairs``.
+
+Most candidates share nothing but trigram keys. Such a pair has linguistic
+component ``c``, its trigram cosine, and co-occurrence 0.0, so it scores
+``w_l * c + w_d * d`` with ``d <= 1``. Before it is scored it must pass one
+comparison, ``dot >= t * sqrt(n_i) * sqrt(n_j)`` with ``n`` the squared
+trigram norms and ``t = (floor - w_d - SCREEN_SLACK) / w_l``. The screen is
+conservative. ``t``, the right-hand side and the cosine the scorer computes
+from the same integers take about ten correctly rounded float operations
+(difference, square root, product, quotient) on numbers of at most a few
+units, each off by at most one part in 2**53, so together they err by under
+2e-15. A pair the screen drops thus has ``w_l * c`` below
+``floor - w_d - SCREEN_SLACK + 2e-15``, and its blend, two more rounded
+operations on numbers at most 1, stays below ``floor - 1e-9 + 3e-15``, short
+of the floor. The slack is absolute, not relative to ``t``, so the argument
+holds even when ``w_d`` lies within rounding of the floor.
 
 What the linguistic component reads of a name (its token set, trigram counts
 and their squared norm, and its lexicon fields) is computed once per name and
@@ -35,9 +62,11 @@ merged study set are likewise read once per build.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from operator import mul
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -50,6 +79,10 @@ DEFAULT_FIELD_SCORE = 0.85
 
 BAND_HIGH = 0.75
 BAND_LOW = 0.5
+
+# Absolute slack under the floor in the trigram-only screen, far above the
+# float error of the comparison and the blend; see the module docstring.
+SCREEN_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -279,7 +312,7 @@ class SimilarityMatrix:
     components: dict[tuple[int, int], ComponentScores]
     weights: SimilarityWeights
     floor: float = 0.0
-    scored: int = 0  # pairs the build scored; 0 for a decoded graph
+    scored: int = 0  # candidate pairs of the build; 0 for a decoded graph
 
     @property
     def n(self) -> int:
@@ -296,8 +329,8 @@ class SimilarityMatrix:
 
 
 class _PairScorer:
-    """The per-factor inputs of the pair score, read once, and the one
-    function that scores a pair from them."""
+    """The per-factor inputs of the pair score, read once, and the row kernel
+    that scores each factor's pairs from the keys the two share."""
 
     def __init__(
         self,
@@ -309,67 +342,113 @@ class _PairScorer:
         if not factors:
             raise TaxoforgeError("cannot build a similarity matrix for an empty set")
         self.n = n = len(factors)
-        self.studies = studies = [f.all_studies for f in factors]
+        studies = [f.all_studies for f in factors]
         for k, factor in enumerate(factors if n > 1 else ()):
             if factor.occurrence.total == 0 or not studies[k]:
                 # Raise what the first pair holding this factor raises.
                 other = factors[1] if k == 0 else factor
                 distributional_similarity(factors[0].occurrence, other.occurrence)
                 co_occurrence_strength(factors[0], other)
-        self.features = [lexicon.features(f.canonical_name) for f in factors]
+        features = [lexicon.features(f.canonical_name) for f in factors]
+        # Each factor's keys of each kind: tokens, trigrams (each once per
+        # occurrence, so shared counts are the integer dot product), lexicon
+        # fields and studies.
+        self.keys = [
+            (f.tokens, [g for g, m in f.trigrams.items() for _ in range(m)], f.fields, s)
+            for f, s in zip(features, studies)
+        ]
+        self.token_counts = [len(f.tokens) for f in features]
+        self.gram_norms = [f.trigram_norm_sq for f in features]
+        self.gram_roots = [math.sqrt(norm) for norm in self.gram_norms]
         self.counts = [f.occurrence.counts for f in factors]
         self.norms = [sum(x * x for x in c) for c in self.counts]
         self.sizes = [len(s) for s in studies]
         self.field_score = lexicon.field_score
         self.weights = weights
 
-    def score_row(
-        self, i: int, others: Iterable[int]
-    ) -> Iterator[tuple[int, ComponentScores, float]]:
-        """``(j, components, score)`` of the pair of ``i`` and each ``j``.
+    def rows(
+        self, screen: float | None
+    ) -> Iterator[tuple[int, int, list[tuple[int, float, float, float, float]]]]:
+        """Each ``i`` with its count of candidates ``j > i`` and, for each
+        pair it scores, ``(j, linguistic, distributional, co_occurrence,
+        score)``, in no fixed order of ``j``.
+
+        A candidate shares a token, a trigram key, a lexicon field or a study
+        with ``i``; any other pair has linguistic and co-occurrence components
+        of exactly 0.0. With ``screen`` None every pair is scored. Otherwise
+        only candidates are, and of those sharing nothing but trigram keys
+        only the ones whose trigram dot product reaches ``screen`` times the
+        product of the two trigram norms.
 
         The components equal ``linguistic_similarity``,
         ``distributional_similarity`` and ``co_occurrence_strength`` of the
-        pair, each of which is symmetric.
+        pair, computed by the same operations on the same integers, and the
+        score equals their ``combine``.
         """
-        features, counts, norms = self.features, self.counts, self.norms
-        studies, sizes = self.studies, self.sizes
-        field_score, weights = self.field_score, self.weights
-        fa, ca, na, sa, size_a = features[i], counts[i], norms[i], studies[i], sizes[i]
-        for j in others:
-            comp = ComponentScores(
-                _linguistic(fa, features[j], field_score),
-                _int_cosine(sum(map(mul, ca, counts[j])), na, norms[j]),
-                len(sa & studies[j]) / min(size_a, sizes[j]),
-            )
-            yield j, comp, combine(comp, weights)
-
-    def every_row(self) -> Iterator[tuple[int, range]]:
-        """Each ``i`` with every ``j > i``."""
-        for i in range(self.n):
-            yield i, range(i + 1, self.n)
-
-    def candidate_rows(self) -> Iterator[tuple[int, set[int]]]:
-        """Each ``i`` with every ``j < i`` whose name shares a token, a trigram
-        key or a lexicon field with its name, or whose factor shares a study.
-
-        Any other pair has linguistic and co-occurrence components of exactly
-        0.0. One inverted index per kind of key is filled as ``i`` grows, so
-        the postings met for ``i`` hold only smaller indices.
-        """
-        postings: tuple[dict[str, list[int]], ...] = ({}, {}, {}, {})
-        for i, (names, studies) in enumerate(zip(self.features, self.studies)):
-            found: set[int] = set()
-            keyed = (names.tokens, names.grams, names.fields, studies)
-            for index, keys in zip(postings, keyed):
+        n = self.n
+        indexes: tuple[dict[str, list[int]], ...] = ({}, {}, {}, {})
+        # Filled from the last factor down, each posting lists its factors in
+        # descending order, so the entries of the factor being scored are last.
+        for i in range(n - 1, -1, -1):
+            for index, keys in zip(indexes, self.keys[i]):
                 for key in keys:
                     posting = index.get(key)
                     if posting is None:
                         index[key] = [i]
                     else:
-                        found.update(posting)
                         posting.append(i)
-            yield i, found
+        token_counts, gram_norms = self.token_counts, self.gram_norms
+        roots, counts, norms = self.gram_roots, self.counts, self.norms
+        sizes, field_score = self.sizes, self.field_score
+        w_l, w_d, w_o = self.weights.as_tuple()
+        for i in range(n):
+            tokens, dots, fields, studies = map(_shared, indexes, self.keys[i])
+            if screen is None:
+                others: Iterable[int] = range(i + 1, n)
+                candidates = n - 1 - i
+            else:
+                linked = tokens.keys() | fields.keys() | studies.keys()
+                candidates = len(dots) + len(linked.difference(dots))
+                least = screen * roots[i]
+                linked.update([j for j, dot in dots.items() if dot >= least * roots[j]])
+                others = linked
+            size_i, tokens_i, grams_i = sizes[i], token_counts[i], gram_norms[i]
+            counts_i, norm_i = counts[i], norms[i]
+            pairs = []
+            for j in others:
+                shared = tokens.get(j, 0)
+                union = tokens_i + token_counts[j] - shared
+                lin = shared / union if union else 0.0
+                dot = dots.get(j, 0)
+                if dot:
+                    lin = max(lin, _int_cosine(dot, grams_i, gram_norms[j]))
+                if j in fields:
+                    lin = max(lin, field_score)
+                dist = _int_cosine(sum(map(mul, counts_i, counts[j])), norm_i, norms[j])
+                co = studies.get(j, 0) / min(size_i, sizes[j])
+                pairs.append((j, lin, dist, co, w_l * lin + w_d * dist + w_o * co))
+            yield i, candidates, pairs
+
+
+def _shared(index: dict[str, list[int]], keys: Iterable[str]) -> Counter[int]:
+    """How often each factor left in ``index`` meets ``keys`` in its postings.
+
+    The factor being scored holds the lowest index left, so its own entries
+    end each of its postings and are dropped first; a key listed twice drops
+    two entries and counts its posting twice.
+    """
+    postings = [index[key] for key in keys]
+    for posting in postings:
+        posting.pop()
+    return Counter(chain.from_iterable(postings))
+
+
+def _trigram_screen(weights: SimilarityWeights, floor: float) -> float:
+    """The least trigram cosine at which a pair sharing nothing but trigram
+    keys may reach ``floor``, less ``SCREEN_SLACK``; see the module docstring."""
+    if not weights.linguistic:
+        return math.inf  # such a pair scores w_d * d <= w_d < floor
+    return (floor - weights.distributional - SCREEN_SLACK) / weights.linguistic
 
 
 def build_matrix(
@@ -380,27 +459,27 @@ def build_matrix(
 ) -> SimilarityMatrix:
     """The graph of every pair scoring at least ``floor``, exactly.
 
-    A pair outside ``_PairScorer.candidate_rows`` scores ``w_d * d``, at most
-    ``w_d``. So while ``w_d < floor`` only the candidates are scored; else
-    every pair is. The default floor is the lowest default threshold.
+    A pair that shares no key scores ``w_d * d``, at most ``w_d``. So while
+    ``w_d < floor`` only the candidates are scored, less those the trigram
+    screen rules out; else every pair is. The default floor is the lowest
+    default threshold.
     """
     scorer = _PairScorer(factor_set, weights, lexicon)
+    screen = None
     if weights.distributional < floor:
-        rows = scorer.candidate_rows()
-    else:
-        rows = scorer.every_row()
-    edges = []
+        screen = _trigram_screen(weights, floor)
+    scores: list[tuple[int, int, float]] = []
+    components: dict[tuple[int, int], ComponentScores] = {}
     scored = 0
-    for i, others in rows:
-        scored += len(others)
-        for j, comp, score in scorer.score_row(i, others):
-            if score >= floor:
-                edges.append((i, j, score, comp) if i < j else (j, i, score, comp))
-    edges.sort(key=lambda edge: (edge[0], edge[1]))
+    for i, candidates, pairs in scorer.rows(screen):
+        scored += candidates
+        for j, lin, dist, co, score in sorted(p for p in pairs if p[4] >= floor):
+            scores.append((i, j, score))
+            components[(i, j)] = ComponentScores(lin, dist, co)
     return SimilarityMatrix(
         names=factor_set.names,
-        scores=[(i, j, score) for i, j, score, _ in edges],
-        components={(i, j): comp for i, j, _, comp in edges},
+        scores=scores,
+        components=components,
         weights=weights,
         floor=floor,
         scored=scored,
@@ -412,10 +491,9 @@ def all_pair_scores(
     weights: SimilarityWeights,
     lexicon: SemanticLexicon,
 ) -> Iterator[tuple[int, int, float]]:
-    """Every pair's score in ``(i, j)`` order, by the graph's pair function."""
-    scorer = _PairScorer(factor_set, weights, lexicon)
-    for i, others in scorer.every_row():
-        for j, _, score in scorer.score_row(i, others):
+    """Every pair's score in ``(i, j)`` order, by the graph's row kernel."""
+    for i, _, pairs in _PairScorer(factor_set, weights, lexicon).rows(None):
+        for j, _, _, _, score in pairs:
             yield i, j, score
 
 

@@ -607,6 +607,20 @@ def _move_counts(factors: list, source: int, target: int) -> list:
     factors[source]["counts"] = [0] * len(moved)
     return factors
 
+
+def _made(path: Path, make) -> Path:
+    make(path)
+    return path
+
+
+def _latin1_dataset(tmp_path: Path) -> Path:
+    """A dataset whose third line is Latin-1, not UTF-8, text."""
+    path = tmp_path / "latin1.csv"
+    rows = "raw_name,study_id,space_type\nsafety,s1,P\nbarri\u00e8re,s2,P\n"
+    path.write_bytes(rows.encode("latin-1"))
+    return path
+
+
 # (file, path to the edited value, new value, field the error must name).
 # An empty path replaces the whole document; MISSING deletes the value; a
 # callable maps the old value to the new one.
@@ -1183,7 +1197,30 @@ MALFORMED = [
         "name",
         id="indicators-factor-renamed",
     ),
+    # "file" rows: the config names a path that the value's function makes.
+    pytest.param(
+        "file",
+        ["datasets", 0],
+        _latin1_dataset,
+        "line 3: not UTF-8",
+        id="dataset-not-utf8",
+    ),
+    pytest.param(
+        "file",
+        ["datasets", 0],
+        lambda tmp: _made(tmp / "dataset.csv", Path.mkdir),
+        "Is a directory",
+        id="dataset-is-directory",
+    ),
+    pytest.param(
+        "file",
+        ["out"],
+        lambda tmp: _made(tmp / "out.txt", lambda path: path.write_text("x\n")),
+        "cannot write",
+        id="out-is-a-file",
+    ),
 ]
+
 
 # artifact -> the phase subcommand that reads it
 READER = {
@@ -1228,6 +1265,9 @@ class TestMalformedInputs:
             doc[kind] = str(edited)
         elif kind == "config":
             doc = _edit(doc, path, value)
+        elif kind == "file":
+            made = value(tmp_path)
+            doc = _edit(doc, path, str(made))
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(doc), encoding="utf-8")
         command = "run"
@@ -1242,8 +1282,12 @@ class TestMalformedInputs:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert field in lines[0]
-        # The edited file is named: an artifact, or the input file written above.
-        assert (kind if kind in READER else f"{kind}.yaml") in lines[0]
+        # The edited file is named: an artifact, the input file written above,
+        # or the path a "file" row made.
+        if kind == "file":
+            assert made.name in lines[0]
+        else:
+            assert (kind if kind in READER else f"{kind}.yaml") in lines[0]
 
 
 class TestArtifactWrites:

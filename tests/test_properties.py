@@ -237,11 +237,16 @@ def oracle_factor_set(specs) -> IntegratedFactorSet:
     return IntegratedFactorSet(tuple(factors), sum(f.occurrence.total for f in factors))
 
 
+# Names for the repeated-trigram suite: "banana" holds "ana" twice, so its
+# trigram dot products with "bananas" and "nana" count that key twice; "na",
+# "a" and "an" are their own keys, and "na" is also a token of "ba na".
+REPEAT_NAMES = ("banana", "bananas", "nana", "ana", "na", "a", "an", "ba na", "anna")
+REPEAT_LEXICON = SemanticLexicon(fields={"fruit": frozenset({"banana", "na"})})
+
+
 @st.composite
-def oracle_cases(draw):
-    names = draw(
-        st.lists(st.sampled_from(ORACLE_NAMES), min_size=1, max_size=6, unique=True)
-    )
+def oracle_cases(draw, names=ORACLE_NAMES):
+    names = draw(st.lists(st.sampled_from(names), min_size=1, max_size=6, unique=True))
     base = draw(occurrence_vectors(max_count=3)).counts
     specs = []
     for name in names:
@@ -255,11 +260,11 @@ def oracle_cases(draw):
     return specs, weights, draw(st.sampled_from(ORACLE_FLOORS))
 
 
-def check_graph_against_oracle(specs, weights, floor) -> None:
+def check_graph_against_oracle(specs, weights, floor, lexicon=ORACLE_LEXICON) -> None:
     factor_set = oracle_factor_set(specs)
     weights = SimilarityWeights(*weights)
-    matrix = build_matrix(factor_set, weights, ORACLE_LEXICON, floor)
-    dense = dense_pairs(factor_set, weights, ORACLE_LEXICON)
+    matrix = build_matrix(factor_set, weights, lexicon, floor)
+    dense = dense_pairs(factor_set, weights, lexicon)
     assert_graph_matches_dense(matrix, dense, high=max(BAND_HIGH, floor), low=floor)
     if weights.distributional >= floor:
         assert matrix.scored == len(dense)  # the all-pairs path
@@ -464,6 +469,14 @@ P2 = (2, 2, 0, 0, 0, 0)
 @example(case=([("xy", P1, ["s1"]), ("vu", P2, ["s2"])], (0.0, 1.0, 0.0), 0.5))
 def test_pruned_graph_equals_dense_oracle(case):
     check_graph_against_oracle(*case)
+
+
+@SUITE
+@given(case=oracle_cases(REPEAT_NAMES))
+@example(case=([("banana", P1, ["s1"]), ("nana", P2, ["s2"])], (1.0, 0.0, 0.0), 0.5))
+@example(case=([("na", P1, ["s1"]), ("ba na", P1, ["s2"])], (0.5, 0.3, 0.2), 0.5))
+def test_repeated_and_short_trigrams_equal_dense_oracle(case):
+    check_graph_against_oracle(*case, lexicon=REPEAT_LEXICON)
 
 
 @SUITE

@@ -12,6 +12,7 @@ from taxoforge.integrate import IntegratedFactorSet, OccurrenceVector
 from taxoforge.knowledge import default_lexicon_path
 from taxoforge.similarity import (
     BandCensus,
+    all_pair_scores,
     ComponentScores,
     SemanticLexicon,
     SimilarityBand,
@@ -29,7 +30,12 @@ from taxoforge.similarity import (
     name_features,
     pair_count,
 )
-from tests.conftest import assert_graph_matches_dense, dense_pairs, make_factor
+from tests.conftest import (
+    assert_graph_matches_dense,
+    dense_pairs,
+    make_factor,
+    make_factor_set,
+)
 
 
 class TestLinguistic:
@@ -163,8 +169,6 @@ class TestBand:
 
 class TestMatrix:
     def test_single_factor(self, default_lexicon):
-        from tests.conftest import make_factor_set
-
         factor_set = make_factor_set({"safety": {"P": 1}})
         matrix = build_matrix(factor_set, SimilarityWeights(), default_lexicon)
         assert matrix.n == 1
@@ -222,6 +226,32 @@ class TestMatrix:
                     build_matrix(
                         IntegratedFactorSet(pair, 2), SimilarityWeights(), default_lexicon
                     )
+
+    def test_trigram_cosine_at_the_floor_is_an_edge(self):
+        # abcd and abce share one of their two trigram keys each: cosine
+        # 1/sqrt(2 * 2) = 0.5 exactly, and no token, field or study. Rounded,
+        # sqrt(2) * sqrt(2) exceeds 2, so a screen without slack drops it.
+        a, b = make_factor("abcd", {"P": 1}), make_factor("abce", {"S": 1})
+        lexicon = SemanticLexicon(fields={})
+        assert linguistic_similarity("abcd", "abce", lexicon) == 0.5
+        weights = SimilarityWeights(1.0, 0.0, 0.0)
+        matrix = build_matrix(IntegratedFactorSet((a, b), 2), weights, lexicon, 0.5)
+        assert matrix.scores == [(0, 1, 0.5)]
+        assert matrix.components == {(0, 1): ComponentScores(0.5, 0.0, 0.0)}
+        assert matrix.scored == 1
+
+    @pytest.mark.parametrize(
+        "weights", [(0.5, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.2, 0.6, 0.2)]
+    )
+    def test_all_pair_scores_equal_dense_reference(
+        self, sample_factors, default_lexicon, weights
+    ):
+        weights = SimilarityWeights(*weights)
+        dense = dense_pairs(sample_factors, weights, default_lexicon)
+        listed = all_pair_scores(sample_factors, weights, default_lexicon)
+        assert [((i, j), score) for i, j, score in listed] == [
+            (pair, score) for pair, (_, score) in dense.items()
+        ]
 
     def test_serialization_round_trip(self, sample_matrix):
         doc = matrix_to_dict(sample_matrix)
