@@ -7,6 +7,15 @@ Cross-cutting detection scores each factor against every domain's keyword
 lexicon and flags factors relevant to three or more domains. That
 factor-by-domain relevance table is computed here once and carried on each
 result, so category assignment and placement read it instead of rescoring.
+
+A relevance is the best ``linguistic_similarity`` of the factor name against
+one of the domain's keywords. ``relevance_rows`` builds one
+``KeywordScorer`` over the KB's distinct domain keywords, scores each name
+against all of them from the keywords' postings, and takes each domain's
+``max`` over its keyword positions in its keyword order. A keyword sharing
+no token, trigram key or lexicon field with the name scores exactly 0.0
+under ``_linguistic`` as well, so every row equals ``relevance_row``, the
+per-keyword reference, value for value and type for type.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from typing import Sequence
 from .errors import TaxoforgeError
 from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
 from .knowledge import Domain, DomainKnowledgeBase
-from .similarity import SemanticLexicon, linguistic_similarity
+from .similarity import KeywordScorer, SemanticLexicon, linguistic_similarity
 
 CROSS_CUTTING_THRESHOLD = 0.6
 CROSS_CUTTING_MIN_DOMAINS = 3
@@ -93,7 +102,8 @@ class CrossCuttingAssessment:
 
 
 def domain_relevance(name: str, domain: Domain, lexicon: SemanticLexicon) -> float:
-    """Best linguistic match between a factor name and the domain's keywords."""
+    """Best linguistic match between a factor name and the domain's keywords,
+    one keyword at a time: the reference ``relevance_rows`` must equal."""
     return max(
         linguistic_similarity(name, keyword, lexicon) for keyword in domain.keywords
     )
@@ -104,6 +114,23 @@ def relevance_row(
 ) -> tuple[float, ...]:
     """The factor's relevance to every domain, in KB order."""
     return tuple(domain_relevance(name, domain, lexicon) for domain in kb.domains)
+
+
+def relevance_rows(
+    names: Sequence[str], kb: DomainKnowledgeBase, lexicon: SemanticLexicon
+) -> list[tuple[float, ...]]:
+    """``relevance_row`` of each name, from one ``KeywordScorer`` over the
+    KB's distinct domain keywords: each entry is the ``max`` over the
+    domain's keyword positions, in the domain's keyword order."""
+    keywords = list(dict.fromkeys(k for d in kb.domains for k in d.keywords))
+    position = {keyword: k for k, keyword in enumerate(keywords)}
+    positions = [[position[keyword] for keyword in d.keywords] for d in kb.domains]
+    scorer = KeywordScorer(keywords, lexicon)
+    rows = []
+    for name in names:
+        scores = scorer.scores(name)
+        rows.append(tuple(max([scores[k] for k in keys]) for keys in positions))
+    return rows
 
 
 def primary_domain(
@@ -174,7 +201,7 @@ def classify_factors(
     threshold: float = CROSS_CUTTING_THRESHOLD,
 ) -> list[ClassificationResult]:
     factors = factor_set.factors
-    rows = [relevance_row(f.canonical_name, kb, lexicon) for f in factors]
+    rows = relevance_rows(factor_set.names, kb, lexicon)
     return [classify_factor(f, row, kb, threshold) for f, row in zip(factors, rows)]
 
 

@@ -6,6 +6,11 @@ whose primary domain is the candidate (0.3), and the cosine between its
 occurrence vector and the domain's space profile (0.3). The argmax wins, ties
 breaking by KB order. Within a category, single-linkage components over pairs
 scoring at or above the subcluster threshold become subcategory clusters.
+
+The lexicon match is classify's relevance row, read from its result. The
+space-profile cosine depends only on the occurrence counts, so
+``space_fits`` computes it once per distinct count vector; reading the
+cluster artifact rebuilds it with the same helper.
 """
 
 from __future__ import annotations
@@ -86,17 +91,29 @@ class CategoryAssignment:
     scores: Mapping[str, AssignmentScores]
 
 
+def space_fits(
+    factor_set: IntegratedFactorSet, kb: DomainKnowledgeBase
+) -> dict[tuple[int, ...], tuple[float, ...]]:
+    """The distribution channel: for each distinct occurrence count vector,
+    its ``cosine`` with every domain's space profile, in KB order."""
+    fits: dict[tuple[int, ...], tuple[float, ...]] = {}
+    for factor in factor_set.factors:
+        counts = factor.occurrence.counts
+        if counts not in fits:
+            fits[counts] = tuple(cosine(counts, d.space_profile) for d in kb.domains)
+    return fits
+
+
 def score_domains(
     index: int,
-    factor_set: IntegratedFactorSet,
+    fits: Sequence[float],
     classification: ClassificationResult,
     kb: DomainKnowledgeBase,
     matrix: SimilarityMatrix,
     primary_domains: Sequence[str | None],
     related_threshold: float = RELATED_THRESHOLD,
 ) -> dict[str, AssignmentScores]:
-    """Per-domain channel scores for one factor."""
-    factor = factor_set.factors[index]
+    """Per-domain channel scores for one factor, given its space fits."""
     priors = domain_priorities(classification.factor_class, kb.scope_priors)
     related = related_factors(index, matrix, related_threshold)
     evidence_counts: dict[str, int] = {}
@@ -106,12 +123,13 @@ def score_domains(
             evidence_counts[domain_id] = evidence_counts.get(domain_id, 0) + 1
 
     scores: dict[str, AssignmentScores] = {}
-    for domain, relevance in zip(kb.domains, classification.relevance):
+    for domain, relevance, distribution in zip(
+        kb.domains, classification.relevance, fits
+    ):
         semantic = priors[domain.scope] * relevance
         evidence = (
             evidence_counts.get(domain.identifier, 0) / len(related) if related else 0.0
         )
-        distribution = cosine(factor.occurrence.counts, domain.space_profile)
         scores[domain.identifier] = AssignmentScores(
             semantic=semantic,
             similarity_evidence=evidence,
@@ -188,13 +206,14 @@ def assign_categories(
 ) -> list[CategoryAssignment]:
     """Assign every factor to one (category, subcategory) pair."""
     primary_domains = [c.primary_domain for c in classifications]
+    fits = space_fits(factor_set, kb)
 
     all_scores = []
     categories = []
-    for index in range(len(factor_set.factors)):
+    for index, factor in enumerate(factor_set.factors):
         scores = score_domains(
             index,
-            factor_set,
+            fits[factor.occurrence.counts],
             classifications[index],
             kb,
             matrix,

@@ -26,7 +26,7 @@ from . import applicability, classify, cluster, emit, integrate, placement, simi
 from .corpus import SPACE_TYPES, NormalizationRuleSet, load_corpus, load_rules
 from .corpus import merge_corpora
 from .emit import SCHEMA_VERSION
-from .errors import ArtifactError, ConfigError, TaxoforgeError
+from .errors import ArtifactError, ConfigError, CorpusError, TaxoforgeError
 from .knowledge import (
     DomainKnowledgeBase,
     canonical_names,
@@ -35,7 +35,7 @@ from .knowledge import (
     default_rules_path,
     load_kb,
 )
-from .similarity import SemanticLexicon, SimilarityWeights, cosine, load_lexicon
+from .similarity import SemanticLexicon, SimilarityWeights, load_lexicon
 
 log = logging.getLogger(__name__)
 
@@ -74,6 +74,7 @@ class PipelineConfig:
     kb_path: Path
     lexicon_path: Path
     out_dir: Path
+    source: Path  # the config file, named in errors about what it lists
     weights: SimilarityWeights = SimilarityWeights()
     thresholds: Thresholds = Thresholds()
     jobs: int = 1  # validated but unused: the similarity build is serial
@@ -136,12 +137,14 @@ def load_config(path: str | Path) -> PipelineConfig:
     doc = codec.read_yaml(path, "config", ConfigError)
     file = codec.decode(ConfigFile, doc, f"config file {path}: ", ConfigError)
     try:
-        return _config(file, doc.get("datasets"), path.parent)
+        return _config(file, doc.get("datasets"), path)
     except ConfigError as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
 
 
-def _config(file: ConfigFile, datasets_doc: object, base: Path) -> PipelineConfig:
+def _config(file: ConfigFile, datasets_doc: object, source: Path) -> PipelineConfig:
+    base = source.parent
+
     def resolve(key: str, raw: object) -> Path:
         if type(raw) is not str:
             raise ConfigError(f"{key}: expected a path, got {raw!r}")
@@ -170,6 +173,7 @@ def _config(file: ConfigFile, datasets_doc: object, base: Path) -> PipelineConfi
         kb_path=resolve("kb", file.kb),
         lexicon_path=resolve("lexicon", file.lexicon),
         out_dir=resolve("out", file.out),
+        source=source,
         weights=_settings(SimilarityWeights(), file.weights or {}, "weights"),
         thresholds=_settings(Thresholds(), file.thresholds or {}, "thresholds"),
         jobs=file.jobs,
@@ -403,6 +407,11 @@ class RunState:
 
     def _read(self, phase: str, path: Path) -> dict:
         if not path.exists():
+            if path.parent.exists() and not path.parent.is_dir():
+                raise ArtifactError(
+                    f"phase {phase!r}: output directory {path.parent} is not a "
+                    "directory"
+                )
             raise ArtifactError(
                 f"phase {phase!r}: missing upstream artifact {path}; "
                 "run that phase first"
@@ -451,19 +460,19 @@ def _classified(state: RunState, decoded) -> tuple[list, dict]:
 
 
 def _assigned(state: RunState, decoded) -> tuple[list, dict]:
-    # The space fits (once per distinct counts) and the categories are
-    # rebuilt; the comparison skips the other keys. Where it passes, the
-    # decoded assignments are the rebuilt ones.
-    kb, fits, expected = state.kb, {}, []
-    for factor, a in zip(state.get("integrate").factors, decoded):
-        counts = factor.occurrence.counts
-        if counts not in fits:
-            fits[counts] = {
-                d.identifier: {"distribution": cosine(counts, d.space_profile)}
-                for d in kb.domains
-            }
+    # The space fits and the categories are rebuilt; the comparison skips
+    # the other keys. Where it passes, the decoded assignments are the
+    # rebuilt ones.
+    kb, factor_set, expected = state.kb, state.get("integrate"), []
+    ids = kb.domain_ids()
+    scores = {
+        counts: {d: {"distribution": fit} for d, fit in zip(ids, fits)}
+        for counts, fits in cluster.space_fits(factor_set, kb).items()
+    }
+    for factor, a in zip(factor_set.factors, decoded):
         category = cluster.argmax_domain(a.scores, kb)
-        expected.append({"scores": fits[counts], "category": category})
+        fits = scores[factor.occurrence.counts]
+        expected.append({"scores": fits, "category": category})
     return decoded, {"assignments": expected}
 
 
@@ -551,6 +560,12 @@ def phase_integrate(config: PipelineConfig, state: RunState | None = None) -> Pa
     corpus = merge_corpora(
         load_corpus(path, expect_type=code) for path, code in config.datasets
     )
+    if not corpus.records:
+        paths = ", ".join(str(path) for path, _ in config.datasets)
+        raise CorpusError(
+            f"config file {config.source}: datasets: no records in {paths}; "
+            "cannot integrate an empty corpus"
+        )
     factor_set = integrate.integrate(corpus, state.rules)
     log.info(
         "integrate: %d records, %d spellings -> %d unique factors",

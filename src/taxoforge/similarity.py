@@ -52,6 +52,17 @@ operations on numbers at most 1, stays below ``floor - 1e-9 + 3e-15``, short
 of the floor. The slack is absolute, not relative to ``t``, so the argument
 holds even when ``w_d`` lies within rounding of the floor.
 
+``KeywordScorer`` applies the same counting to a fixed tuple of keywords,
+for classify's factor-by-domain relevance. It keeps postings of the
+keywords' tokens, trigram keys (a keyword once per occurrence) and lexicon
+fields. For a name, ``collections.Counter`` over the postings of the name's
+keys gives each keyword sharing a key the shared-token count and the exact
+integer trigram dot product, and a set lookup gives the shared fields; the
+keyword is scored by ``_linguistic``'s operations in ``_linguistic``'s order.
+Every other keyword scores exactly 0.0, as under ``_linguistic``: its token
+Jaccard is 0/union (or 0.0 for two empty token sets), its trigram cosine is
+never taken, and it earns no field bonus.
+
 What the linguistic component reads of a name (its token set, trigram counts
 and their squared norm, and its lexicon fields) is computed once per name and
 lexicon and cached on the lexicon, so the pairs of the graph and the keyword
@@ -428,6 +439,65 @@ class _PairScorer:
                 co = studies.get(j, 0) / min(size_i, sizes[j])
                 pairs.append((j, lin, dist, co, w_l * lin + w_d * dist + w_o * co))
             yield i, candidates, pairs
+
+
+class KeywordScorer:
+    """``linguistic_similarity`` of any name against each of a fixed tuple of
+    keywords, scored from postings of the keywords' keys.
+
+    A keyword sharing no token, trigram key or lexicon field with the name
+    scores exactly 0.0 under ``_linguistic``, so only the keywords a name
+    shares a key with are scored.
+    """
+
+    def __init__(self, keywords: Sequence[str], lexicon: SemanticLexicon) -> None:
+        self.keywords = tuple(keywords)
+        self.lexicon = lexicon
+        features = [lexicon.features(keyword) for keyword in self.keywords]
+        # Postings of tokens, of trigram keys (each keyword listed once per
+        # occurrence, so shared counts are the integer dot product) and of
+        # lexicon fields.
+        self.tokens: dict[str, list[int]] = {}
+        self.grams: dict[str, list[int]] = {}
+        self.fields: dict[str, list[int]] = {}
+        for k, f in enumerate(features):
+            for token in f.tokens:
+                self.tokens.setdefault(token, []).append(k)
+            for gram, m in f.trigrams.items():
+                self.grams.setdefault(gram, []).extend([k] * m)
+            for field in f.fields:
+                self.fields.setdefault(field, []).append(k)
+        self.token_counts = [len(f.tokens) for f in features]
+        self.gram_norms = [f.trigram_norm_sq for f in features]
+
+    def scores(self, name: str) -> list[float]:
+        """``linguistic_similarity(name, keyword)`` for every keyword, in
+        order, by ``_linguistic``'s operations on the same integers."""
+        f = self.lexicon.features(name)
+        grams = [g for g, m in f.trigrams.items() for _ in range(m)]
+        tokens = Counter(_postings(self.tokens, f.tokens))
+        dots = Counter(_postings(self.grams, grams))
+        fields = set(_postings(self.fields, f.fields))
+        token_counts, gram_norms = self.token_counts, self.gram_norms
+        tokens_a, grams_a = len(f.tokens), f.trigram_norm_sq
+        field_score = self.lexicon.field_score
+        out = [0.0] * len(self.keywords)
+        for k in tokens.keys() | dots.keys() | fields:
+            shared = tokens.get(k, 0)
+            union = tokens_a + token_counts[k] - shared
+            score = shared / union if union else 0.0
+            dot = dots.get(k, 0)
+            if dot:
+                score = max(score, _int_cosine(dot, grams_a, gram_norms[k]))
+            if k in fields:
+                score = max(score, field_score)
+            out[k] = score
+        return out
+
+
+def _postings(index: dict[str, list[int]], keys: Iterable[str]) -> Iterator[int]:
+    """The entries of every posting in ``index`` of ``keys``, chained."""
+    return chain.from_iterable([index[key] for key in keys if key in index])
 
 
 def _shared(index: dict[str, list[int]], keys: Iterable[str]) -> Counter[int]:

@@ -19,7 +19,6 @@ from taxoforge.knowledge import (
     default_kb_path,
     default_lexicon_path,
     default_rules_path,
-    load_kb,
 )
 from taxoforge.similarity import load_lexicon
 from tests.conftest import FIXTURES, assert_graph_matches_dense, dense_pairs
@@ -298,22 +297,23 @@ class TestClassifyPhase:
     def test_relevance_scored_once_per_factor_and_domain(
         self, tmp_path, monkeypatch
     ):
-        calls = []
-        original = classify.domain_relevance
+        names = []
+        original = similarity.KeywordScorer.scores
 
-        def counting(name, domain, lexicon):
-            calls.append((name, domain.identifier))
-            return original(name, domain, lexicon)
+        def counting(self, name):
+            names.append(name)
+            return original(self, name)
 
-        monkeypatch.setattr(classify, "domain_relevance", counting)
+        def per_keyword(name, domain, lexicon):
+            raise AssertionError("run scores relevance one keyword at a time")
+
+        monkeypatch.setattr(similarity.KeywordScorer, "scores", counting)
+        monkeypatch.setattr(classify, "domain_relevance", per_keyword)
         config = pipeline.apply_overrides(
             pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
         )
         assert pipeline.run(config) == 0
-        factors = {name for name, _ in calls}
-        domains = load_kb(config.kb_path).domain_ids()
-        assert len(factors) == 11
-        assert len(calls) == len(set(calls)) == len(factors) * len(domains)
+        assert len(names) == len(set(names)) == 11
 
     def test_unmatched_warning_is_bounded(self, tmp_path, caplog):
         names = ["zzz", "qqq", "xxq", "zqx", "qzz", "xqz", "jjq"]
@@ -1219,6 +1219,25 @@ MALFORMED = [
         "cannot write",
         id="out-is-a-file",
     ),
+    pytest.param(
+        "file",
+        ["datasets", 0],
+        lambda tmp: _made(
+            tmp / "header.csv",
+            lambda path: path.write_text("raw_name,study_id,space_type\n"),
+        ),
+        "config.yaml: datasets",
+        id="dataset-header-only",
+    ),
+    # A phase name in place of "file": that subcommand, not run, reads the
+    # config.
+    pytest.param(
+        "similarity",
+        ["out"],
+        lambda tmp: _made(tmp / "out.txt", lambda path: path.write_text("x\n")),
+        "not a directory",
+        id="out-is-a-file-read",
+    ),
 ]
 
 
@@ -1265,12 +1284,12 @@ class TestMalformedInputs:
             doc[kind] = str(edited)
         elif kind == "config":
             doc = _edit(doc, path, value)
-        elif kind == "file":
+        elif kind == "file" or kind in cli.PHASES:
             made = value(tmp_path)
             doc = _edit(doc, path, str(made))
         config = tmp_path / "config.yaml"
         config.write_text(yaml.safe_dump(doc), encoding="utf-8")
-        command = "run"
+        command = kind if kind in cli.PHASES else "run"
         if kind in READER:
             assert cli.main(["run", "--config", str(config)]) == 0
             artifact = tmp_path / "out" / kind
@@ -1284,7 +1303,7 @@ class TestMalformedInputs:
         assert field in lines[0]
         # The edited file is named: an artifact, the input file written above,
         # or the path a "file" row made.
-        if kind == "file":
+        if kind == "file" or kind in cli.PHASES:
             assert made.name in lines[0]
         else:
             assert (kind if kind in READER else f"{kind}.yaml") in lines[0]

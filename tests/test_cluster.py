@@ -10,9 +10,11 @@ from taxoforge.cluster import (
     assign_categories,
     domain_priorities,
     related_factors,
+    space_fits,
     subcluster,
 )
 from taxoforge.knowledge import DomainScope
+from taxoforge.similarity import cosine
 from tests.conftest import seeded_matrix
 
 WORKED_ASSIGNMENTS = {
@@ -99,6 +101,24 @@ class TestAssignment:
         assert len({a.factor for a in assignments}) == len(factor_set.factors)
         for a in assignments:
             assert a.subcategory in default_kb.by_id(a.category).subcategory_ids()
+
+    def test_space_fits_are_the_profile_cosines(
+        self, cluster_fixture, default_kb, default_lexicon
+    ):
+        factor_set, matrix = cluster_fixture
+        fits = space_fits(factor_set, default_kb)
+        assert fits.keys() == {f.occurrence.counts for f in factor_set.factors}
+        for counts, row in fits.items():
+            assert row == tuple(
+                cosine(counts, domain.space_profile) for domain in default_kb.domains
+            )
+        results = classify_factors(factor_set, default_kb, default_lexicon)
+        assignments = assign_categories(
+            factor_set, results, default_kb, matrix, default_lexicon
+        )
+        for factor, a in zip(factor_set.factors, assignments):
+            channel = tuple(a.scores[d].distribution for d in default_kb.domain_ids())
+            assert channel == fits[factor.occurrence.counts]
 
     def test_argmax_reproducible(self, cluster_fixture, default_kb, default_lexicon):
         factor_set, matrix = cluster_fixture

@@ -25,6 +25,9 @@ from taxoforge.classify import (
     classify_factors,
     distribution_stats,
     entropy,
+    primary_domain,
+    relevance_row,
+    relevance_rows,
 )
 from taxoforge.cluster import assign_categories
 from taxoforge.corpus import (
@@ -272,6 +275,65 @@ def check_graph_against_oracle(specs, weights, floor, lexicon=ORACLE_LEXICON) ->
         assert matrix.scored <= len(dense)
 
 
+# Words for the keyword-relevance suite: "banana" holds "ana" twice and
+# "nana" once; "na" and "ab" are their own trigram keys; "zz" and "qq" share
+# no token or trigram, only the lexicon field "pair"; "qqq" shares no key
+# with any other word ("qq", under three characters, is its own key).
+RELEVANCE_WORDS = (
+    "banana", "nana", "na", "ab", "ab cd", "zz", "qq", "qqq",
+    "street lighting", "lighting", "omni",
+)
+RELEVANCE_FIELDS = (
+    {"pair": frozenset({"zz", "qq"})},
+    {"pair": frozenset({"zz", "qq"}), "fruit": frozenset({"banana", "na", "omni"})},
+    {},
+)
+
+
+@st.composite
+def relevance_cases(draw):
+    """(domains' keyword lists, lexicon fields, field score, names)."""
+    words = st.sampled_from(RELEVANCE_WORDS) | st.text("abn qz", max_size=7)
+    domains = draw(
+        st.lists(st.lists(words, min_size=1, max_size=4), min_size=1, max_size=4)
+    )
+    fields = draw(st.sampled_from(RELEVANCE_FIELDS))
+    field_score = draw(st.sampled_from((0.85, 0.4, 1.0)))
+    names = draw(st.lists(words, min_size=1, max_size=5))
+    return domains, fields, field_score, names
+
+
+def relevance_kb(domains) -> DomainKnowledgeBase:
+    return DomainKnowledgeBase(
+        domains=tuple(
+            Domain(
+                identifier=f"D{i}",
+                scope=DomainScope.BROAD,
+                keywords=tuple(keywords),
+                subcategories=(Subcategory(f"D{i}.1", tuple(keywords)),),
+                space_profile=(1.0,) * 6,
+                compatible_types=frozenset(),
+            )
+            for i, keywords in enumerate(domains)
+        )
+    )
+
+
+def check_relevance_rows(domains, fields, field_score, names) -> None:
+    kb = relevance_kb(domains)
+    rows = relevance_rows(names, kb, SemanticLexicon(fields, field_score))
+    reference = SemanticLexicon(fields, field_score)  # its own feature cache
+    for name, row in zip(names, rows):
+        expected = relevance_row(name, kb, reference)
+        assert row == expected
+        assert list(map(type, row)) == list(map(type, expected))
+        for keywords, score in zip(domains, row):
+            if name in keywords:
+                assert score == 1.0
+        if not any(row):
+            assert primary_domain(row, kb) is None
+
+
 def check_blend_monotonicity(base: tuple, index: int, bump: float) -> None:
     bumped = list(base)
     bumped[index] = min(1.0, bumped[index] + bump)
@@ -477,6 +539,17 @@ def test_pruned_graph_equals_dense_oracle(case):
 @example(case=([("na", P1, ["s1"]), ("ba na", P1, ["s2"])], (0.5, 0.3, 0.2), 0.5))
 def test_repeated_and_short_trigrams_equal_dense_oracle(case):
     check_graph_against_oracle(*case, lexicon=REPEAT_LEXICON)
+
+
+@SUITE
+@given(case=relevance_cases())
+@example(case=([["na", "ab cd"], ["ab"]], {}, 0.85, ["na", "ab", "n"]))
+@example(case=([["banana"], ["nana", "na"]], {}, 0.85, ["nana", "banana", "ana"]))
+@example(case=([["qq"], ["banana"]], RELEVANCE_FIELDS[0], 0.85, ["zz"]))
+@example(case=([["banana", "zz"], ["banana"]], {}, 1.0, ["banana", "lighting"]))
+@example(case=([["banana"], ["street lighting"]], {}, 0.85, ["xyz w"]))
+def test_keyword_relevance_rows_equal_per_keyword_reference(case):
+    check_relevance_rows(*case)
 
 
 @SUITE
