@@ -9,8 +9,10 @@ scoring at or above the subcluster threshold become subcategory clusters.
 
 The lexicon match is classify's relevance row, read from its result. The
 space-profile cosine depends only on the occurrence counts, so
-``space_fits`` computes it once per distinct count vector; reading the
-cluster artifact rebuilds it with the same helper.
+``space_fits`` computes it once per distinct count vector. The artifact keeps
+only each factor's home (``CategoryHome``): reading it rebuilds every channel
+score with ``channel_scores``, the helper ``assign_categories`` scores with,
+and refuses a category that is not the rebuilt argmax.
 """
 
 from __future__ import annotations
@@ -84,10 +86,16 @@ class AssignmentScores:
 
 
 @dataclass(frozen=True)
-class CategoryAssignment:
+class CategoryHome:
+    """What the cluster artifact keeps of an assignment."""
+
     factor: str
     category: str
     subcategory: str
+
+
+@dataclass(frozen=True)
+class CategoryAssignment(CategoryHome):
     scores: Mapping[str, AssignmentScores]
 
 
@@ -136,6 +144,30 @@ def score_domains(
             distribution=distribution,
         )
     return scores
+
+
+def channel_scores(
+    factor_set: IntegratedFactorSet,
+    classifications: Sequence[ClassificationResult],
+    kb: DomainKnowledgeBase,
+    matrix: SimilarityMatrix,
+    related_threshold: float = RELATED_THRESHOLD,
+) -> list[dict[str, AssignmentScores]]:
+    """Every factor's per-domain channel scores, in factor order."""
+    primary_domains = [c.primary_domain for c in classifications]
+    fits = space_fits(factor_set, kb)
+    return [
+        score_domains(
+            index,
+            fits[factor.occurrence.counts],
+            classifications[index],
+            kb,
+            matrix,
+            primary_domains,
+            related_threshold,
+        )
+        for index, factor in enumerate(factor_set.factors)
+    ]
 
 
 def argmax_domain(
@@ -205,23 +237,10 @@ def assign_categories(
     subcluster_threshold: float = SUBCLUSTER_THRESHOLD,
 ) -> list[CategoryAssignment]:
     """Assign every factor to one (category, subcategory) pair."""
-    primary_domains = [c.primary_domain for c in classifications]
-    fits = space_fits(factor_set, kb)
-
-    all_scores = []
-    categories = []
-    for index, factor in enumerate(factor_set.factors):
-        scores = score_domains(
-            index,
-            fits[factor.occurrence.counts],
-            classifications[index],
-            kb,
-            matrix,
-            primary_domains,
-            related_threshold,
-        )
-        all_scores.append(scores)
-        categories.append(argmax_domain(scores, kb))
+    all_scores = channel_scores(
+        factor_set, classifications, kb, matrix, related_threshold
+    )
+    categories = [argmax_domain(scores, kb) for scores in all_scores]
 
     by_category: dict[str, list[int]] = {}
     for index, category in enumerate(categories):

@@ -4,11 +4,12 @@ annotations of the phase results: str, int, float, bool, ``X | None``, Enum,
 dataclasses of these. The writer works like ``dataclasses.asdict``, except
 that a field whose type is a dataclass is inlined into its parent object
 (one inside a tuple or mapping stays an object); enums are written as their
-values and frozensets as sorted lists. The reader refuses the first wrong
-leaf by its path, as in ``data.assignments[3].scores.COMFORT.semantic:
-expected a number, got None``, ignores keys that are not fields, gives an
-absent key its field's default where it has one, and takes only text as a
-mapping key. A number is never text, a boolean, NaN or infinite. It builds
+values and frozensets as sorted lists; an instance of a subclass is written
+with the fields of the named dataclass only. The reader refuses the first
+wrong leaf by its path, as in ``data.placements[3].composite: expected a
+number, got None``, ignores keys that are not fields, gives an absent key
+its field's default where it has one, and takes only text as a mapping
+key. A number is never text, a boolean, NaN or infinite. It builds
 the dataclasses, so each ``__post_init__`` check runs; one that fails is
 refused at its object's path. Both are compiled once per annotation. The
 KB, lexicon, rules and config files, read by ``read_yaml``, are decoded by

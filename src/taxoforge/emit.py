@@ -328,11 +328,15 @@ def export_document(
     report: ValidationReport,
     path: str | Path,
     format: str = "structured",
+    framework_dict: dict | None = None,
 ) -> None:
-    """Write the framework document; ``structured`` is JSON, else markdown."""
+    """Write the framework document; ``structured`` is JSON, else markdown.
+    ``framework_dict`` is ``framework_to_dict(framework)`` where the caller
+    has built it already."""
     if format == "structured":
-        doc = framework_to_dict(framework)
-        doc["validation"] = report_to_dict(report)
+        if framework_dict is None:
+            framework_dict = framework_to_dict(framework)
+        doc = {**framework_dict, "validation": report_to_dict(report)}
         text = to_canonical_json(doc)
     elif format == "markdown":
         text = render_markdown(framework, report)

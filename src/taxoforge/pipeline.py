@@ -237,7 +237,8 @@ def apply_overrides(
 
 # phase -> (artifact file, key of ``data`` holding the result or None when
 # ``data`` is the result, result type); the codec derives ``data`` from the
-# type. similarity.json keeps its own codec for the compact edge list. Each
+# type. similarity.json keeps its own codec for the compact edge list, and
+# assignments.json only each factor's home, not its channel scores. Each
 # is one line of compact JSON; emit's framework.json, which no phase reads,
 # is an export, indented like the others. The benchmark (perfbench/worker.py)
 # reads these keys and fields, so they stay: integrated.json raw_record_count and
@@ -248,7 +249,7 @@ ARTIFACTS = {
     "integrate": ("integrated.json", None, integrate.IntegratedFactorSet),
     "similarity": ("similarity.json", None, similarity.SimilarityMatrix),
     "classify": ("classification.json", "factors", list[classify.ClassificationResult]),
-    "cluster": ("assignments.json", "assignments", list[cluster.CategoryAssignment]),
+    "cluster": ("assignments.json", "assignments", list[cluster.CategoryHome]),
     "place": ("placements.json", None, placement.PlacementResult),
     "indicate": ("indicators.json", "indicators", list[applicability.IndicatorRecord]),
 }
@@ -399,11 +400,6 @@ class RunState:
                     refuse(f"[{i}].relevance", f"{unit} per domain")
                 continue
             home(f"[{i}]", r, "category", "subcategory")
-            if r.scores.keys() != subcategories.keys():
-                refuse(f"[{i}].scores", "expected one entry per KB domain")
-            for domain, s in r.scores.items():
-                if not 0.0 <= s.similarity_evidence <= 1.0:
-                    refuse(f"[{i}].scores.{domain}.similarity_evidence", unit)
 
     def _read(self, phase: str, path: Path) -> dict:
         if not path.exists():
@@ -460,20 +456,23 @@ def _classified(state: RunState, decoded) -> tuple[list, dict]:
 
 
 def _assigned(state: RunState, decoded) -> tuple[list, dict]:
-    # The space fits and the categories are rebuilt; the comparison skips
-    # the other keys. Where it passes, the decoded assignments are the
-    # rebuilt ones.
-    kb, factor_set, expected = state.kb, state.get("integrate"), []
-    ids = kb.domain_ids()
-    scores = {
-        counts: {d: {"distribution": fit} for d, fit in zip(ids, fits)}
-        for counts, fits in cluster.space_fits(factor_set, kb).items()
-    }
-    for factor, a in zip(factor_set.factors, decoded):
-        category = cluster.argmax_domain(a.scores, kb)
-        fits = scores[factor.occurrence.counts]
-        expected.append({"scores": fits, "category": category})
-    return decoded, {"assignments": expected}
+    # Every channel score and so each category is rebuilt; the subcategory,
+    # which needs the lexicon, is taken as written.
+    kb = state.kb
+    all_scores = cluster.channel_scores(
+        state.get("integrate"),
+        state.get("classify"),
+        kb,
+        state.get("similarity"),
+        state.config.thresholds.related,
+    )
+    results = [
+        cluster.CategoryAssignment(
+            home.factor, cluster.argmax_domain(scores, kb), home.subcategory, scores
+        )
+        for home, scores in zip(decoded, all_scores)
+    ]
+    return results, artifact_data("cluster", results)
 
 
 def _placed(state: RunState, decoded) -> tuple[placement.PlacementResult, dict]:
@@ -745,12 +744,16 @@ def phase_emit(
         config_checksums=state.checksums,
     )
     report = emit.validate(framework, factor_set)
+    framework_dict = emit.framework_to_dict(framework)
     emit.write_json(
-        config.out_dir / "framework.json",
-        state.envelope("emit", emit.framework_to_dict(framework)),
+        config.out_dir / "framework.json", state.envelope("emit", framework_dict)
     )
     emit.export_document(
-        framework, report, config.out_dir / "framework_document.json", "structured"
+        framework,
+        report,
+        config.out_dir / "framework_document.json",
+        "structured",
+        framework_dict,
     )
     emit.export_document(
         framework, report, config.out_dir / "framework.md", "markdown"

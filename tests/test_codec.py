@@ -10,7 +10,7 @@ import pytest
 from taxoforge import codec, pipeline
 from taxoforge.applicability import IndicatorKind, TierLevel
 from taxoforge.classify import CrossCuttingStatus, FactorClass
-from taxoforge.cluster import CategoryAssignment
+from taxoforge.cluster import CategoryAssignment, CategoryHome
 from taxoforge.errors import ArtifactError
 from taxoforge.placement import PlacementTier
 from tests.conftest import FIXTURES
@@ -43,6 +43,8 @@ def test_artifact_round_trip(fixture_run, phase):
     if key is not None:
         data = data[key]
     decoded = codec.decode(kind, data, "data")
+    if phase == "cluster":  # the artifact keeps each factor's home only
+        result = [CategoryHome(a.factor, a.category, a.subcategory) for a in result]
     assert decoded == result
     assert codec.encode(kind, decoded) == data
 
@@ -71,8 +73,8 @@ def test_dataclass_fields_are_inlined_only_outside_collections(fixture_run):
         "relevance",
     ]
     # Dataclasses inside a mapping or a tuple stay objects.
-    assigned = pipeline.artifact_data("cluster", state.results["cluster"])
-    assert set(assigned["assignments"][0]["scores"]["COMFORT"]) == {
+    assigned = codec.encode(CategoryAssignment, state.results["cluster"][0])
+    assert set(assigned["scores"]["COMFORT"]) == {
         "semantic",
         "similarity_evidence",
         "distribution",
@@ -80,6 +82,23 @@ def test_dataclass_fields_are_inlined_only_outside_collections(fixture_run):
     placed = pipeline.artifact_data("place", state.results["place"])
     assert set(placed) == {"placements", "cross_references", "argmax_flags"}
     assert "tier" in placed["placements"][0]
+
+
+def test_assignments_keep_only_each_factors_home(fixture_run):
+    config, _ = fixture_run
+    path = config.out_dir / pipeline.ARTIFACTS["cluster"][0]
+    entries = json.loads(path.read_text(encoding="utf-8"))["data"]["assignments"]
+    assert entries
+    assert all(set(entry) == {"factor", "category", "subcategory"} for entry in entries)
+
+
+def test_assignments_read_back_equal_the_run(fixture_run):
+    """Every channel score is rebuilt on reading, so the result read from
+    disk equals the one the run computed, scores included."""
+    config, state = fixture_run
+    read = pipeline.RunState(config).get("cluster")
+    assert all(type(a) is CategoryAssignment for a in read)
+    assert read == state.results["cluster"]
 
 
 ASSIGNMENT = {
@@ -207,7 +226,7 @@ def _same_kind(leaf, value, kb):
 def _rebuilt(phase, leaf):
     """Whether the leaf of ``phase``'s artifact is rebuilt on reading rather
     than read as written (similarity components, relevance, assignment
-    scores and subcategory, placement composites and subcategories)."""
+    subcategories, placement composites and subcategories)."""
     if leaf[0] != "data" or phase not in pipeline.REBUILT:
         return False
     if phase == "similarity":
@@ -261,6 +280,6 @@ def test_mutation_sweep_reads_or_refuses(fixture_run):
                         outcomes["refused"] += 1
         finally:
             path.write_text(original, encoding="utf-8")
-    assert sum(outcomes.values()) > 4000
-    assert outcomes["refused"] > outcomes["read"]
+    assert sum(outcomes.values()) > 2500
+    assert outcomes["refused"] > 10 * outcomes["read"]
     assert read_rebuilt == []
