@@ -9,21 +9,24 @@ scoring at or above the subcluster threshold become subcategory clusters.
 
 The lexicon match is classify's relevance row, read from its result. The
 space-profile cosine depends only on the occurrence counts, so
-``space_fits`` computes it once per distinct count vector. The artifact keeps
-only each factor's home (``CategoryHome``): reading it rebuilds every channel
-score with ``channel_scores``, the helper ``assign_categories`` scores with,
-and refuses a category that is not the rebuilt argmax.
+``space_fits`` computes it once per distinct count vector. A factor's scores
+are one ``ChannelRow``: a tuple per channel in KB order, and their blend. The
+artifact keeps only each factor's home (``CategoryHome``): reading it
+rebuilds every row with ``channel_scores``, the helper ``assign_categories``
+scores with, and refuses a category that is not the rebuilt argmax.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import mul
+from typing import Sequence
 
 from .classify import ClassificationResult, FactorClass
 from .integrate import IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase, DomainScope, ScopePriors
-from .similarity import SemanticLexicon, SimilarityMatrix, cosine, linguistic_similarity
+from .similarity import SemanticLexicon, SimilarityMatrix, linguistic_similarity
 
 SEMANTIC_WEIGHT = 0.4
 SIMILARITY_WEIGHT = 0.3
@@ -71,21 +74,6 @@ def related_factors(
 
 
 @dataclass(frozen=True)
-class AssignmentScores:
-    semantic: float
-    similarity_evidence: float
-    distribution: float
-
-    @property
-    def final(self) -> float:
-        return (
-            SEMANTIC_WEIGHT * self.semantic
-            + SIMILARITY_WEIGHT * self.similarity_evidence
-            + DISTRIBUTION_WEIGHT * self.distribution
-        )
-
-
-@dataclass(frozen=True)
 class CategoryHome:
     """What the cluster artifact keeps of an assignment."""
 
@@ -95,55 +83,43 @@ class CategoryHome:
 
 
 @dataclass(frozen=True)
+class ChannelRow:
+    """One factor's channel scores against every domain, in KB order, and
+    their blend ``final``."""
+
+    semantic: tuple[float, ...]
+    similarity_evidence: tuple[float, ...]
+    distribution: tuple[float, ...]
+    final: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class CategoryAssignment(CategoryHome):
-    scores: Mapping[str, AssignmentScores]
+    scores: ChannelRow
 
 
 def space_fits(
     factor_set: IntegratedFactorSet, kb: DomainKnowledgeBase
 ) -> dict[tuple[int, ...], tuple[float, ...]]:
     """The distribution channel: for each distinct occurrence count vector,
-    its ``cosine`` with every domain's space profile, in KB order."""
+    its cosine with every domain's space profile, in KB order (0.0 when the
+    dot product is 0, at most 1.0). Each norm is taken once."""
+    profiles = [
+        (d.space_profile, math.sqrt(sum(y * y for y in d.space_profile)))
+        for d in kb.domains
+    ]
     fits: dict[tuple[int, ...], tuple[float, ...]] = {}
     for factor in factor_set.factors:
         counts = factor.occurrence.counts
-        if counts not in fits:
-            fits[counts] = tuple(cosine(counts, d.space_profile) for d in kb.domains)
+        if counts in fits:
+            continue
+        norm = math.sqrt(sum(x * x for x in counts))
+        row = []
+        for profile, profile_norm in profiles:
+            dot = sum(x * y for x, y in zip(counts, profile))
+            row.append(min(1.0, dot / (norm * profile_norm)) if dot else 0.0)
+        fits[counts] = tuple(row)
     return fits
-
-
-def score_domains(
-    index: int,
-    fits: Sequence[float],
-    classification: ClassificationResult,
-    kb: DomainKnowledgeBase,
-    matrix: SimilarityMatrix,
-    primary_domains: Sequence[str | None],
-    related_threshold: float = RELATED_THRESHOLD,
-) -> dict[str, AssignmentScores]:
-    """Per-domain channel scores for one factor, given its space fits."""
-    priors = domain_priorities(classification.factor_class, kb.scope_priors)
-    related = related_factors(index, matrix, related_threshold)
-    evidence_counts: dict[str, int] = {}
-    for j, _score in related:
-        domain_id = primary_domains[j]
-        if domain_id is not None:
-            evidence_counts[domain_id] = evidence_counts.get(domain_id, 0) + 1
-
-    scores: dict[str, AssignmentScores] = {}
-    for domain, relevance, distribution in zip(
-        kb.domains, classification.relevance, fits
-    ):
-        semantic = priors[domain.scope] * relevance
-        evidence = (
-            evidence_counts.get(domain.identifier, 0) / len(related) if related else 0.0
-        )
-        scores[domain.identifier] = AssignmentScores(
-            semantic=semantic,
-            similarity_evidence=evidence,
-            distribution=distribution,
-        )
-    return scores
 
 
 def channel_scores(
@@ -152,29 +128,39 @@ def channel_scores(
     kb: DomainKnowledgeBase,
     matrix: SimilarityMatrix,
     related_threshold: float = RELATED_THRESHOLD,
-) -> list[dict[str, AssignmentScores]]:
-    """Every factor's per-domain channel scores, in factor order."""
-    primary_domains = [c.primary_domain for c in classifications]
+) -> list[ChannelRow]:
+    """Every factor's channel row, in factor order."""
+    priors = {}
+    for factor_class in FactorClass:
+        by_scope = domain_priorities(factor_class, kb.scope_priors)
+        priors[factor_class] = tuple(by_scope[d.scope] for d in kb.domains)
+    position = {domain_id: k for k, domain_id in enumerate(kb.domain_ids())}
+    homes = [position.get(c.primary_domain) for c in classifications]
     fits = space_fits(factor_set, kb)
-    return [
-        score_domains(
-            index,
-            fits[factor.occurrence.counts],
-            classifications[index],
-            kb,
-            matrix,
-            primary_domains,
-            related_threshold,
+    no_evidence = (0.0,) * len(kb.domains)
+    rows = []
+    for index, (factor, c) in enumerate(zip(factor_set.factors, classifications)):
+        semantic = tuple(map(mul, priors[c.factor_class], c.relevance))
+        related = related_factors(index, matrix, related_threshold)
+        evidence = no_evidence
+        if related:
+            counts = [0] * len(kb.domains)
+            for j, _score in related:
+                if homes[j] is not None:
+                    counts[homes[j]] += 1
+            evidence = tuple(count / len(related) for count in counts)
+        distribution = fits[factor.occurrence.counts]
+        final = tuple(
+            SEMANTIC_WEIGHT * s + SIMILARITY_WEIGHT * e + DISTRIBUTION_WEIGHT * d
+            for s, e, d in zip(semantic, evidence, distribution)
         )
-        for index, factor in enumerate(factor_set.factors)
-    ]
+        rows.append(ChannelRow(semantic, evidence, distribution, final))
+    return rows
 
 
-def argmax_domain(
-    scores: Mapping[str, AssignmentScores], kb: DomainKnowledgeBase
-) -> str:
+def argmax_domain(row: ChannelRow, domain_ids: Sequence[str]) -> str:
     """The domain with the highest final score; KB order breaks ties."""
-    return max(kb.domain_ids(), key=lambda domain_id: scores[domain_id].final)
+    return domain_ids[row.final.index(max(row.final))]
 
 
 def subcluster(
@@ -237,10 +223,9 @@ def assign_categories(
     subcluster_threshold: float = SUBCLUSTER_THRESHOLD,
 ) -> list[CategoryAssignment]:
     """Assign every factor to one (category, subcategory) pair."""
-    all_scores = channel_scores(
-        factor_set, classifications, kb, matrix, related_threshold
-    )
-    categories = [argmax_domain(scores, kb) for scores in all_scores]
+    rows = channel_scores(factor_set, classifications, kb, matrix, related_threshold)
+    domain_ids = kb.domain_ids()
+    categories = [argmax_domain(row, domain_ids) for row in rows]
 
     by_category: dict[str, list[int]] = {}
     for index, category in enumerate(categories):
@@ -260,7 +245,7 @@ def assign_categories(
             factor=factor_set.factors[index].canonical_name,
             category=categories[index],
             subcategory=subcategories[index],
-            scores=all_scores[index],
+            scores=rows[index],
         )
         for index in range(len(factor_set.factors))
     ]

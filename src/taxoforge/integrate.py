@@ -32,9 +32,6 @@ class OccurrenceVector:
     def from_mapping(cls, counts: Mapping[str, int]) -> "OccurrenceVector":
         return cls(tuple(int(counts.get(code, 0)) for code in SPACE_TYPES))
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(SPACE_TYPES, self.counts))
-
     @property
     def total(self) -> int:
         return sum(self.counts)

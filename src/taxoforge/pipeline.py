@@ -86,7 +86,8 @@ class PipelineConfig:
     def checksum(self) -> dict[str, str]:
         """Input digests in one pass: "config" over the package version, the
         resolved settings, and the content of every input file (the version
-        guards artifact-format changes), and one per knowledge file."""
+        guards artifact-format changes), and one per knowledge file. No path
+        is hashed, so naming the config another way keeps the checksum."""
         inputs = {
             "rules": _file_digest(self.rules_path, "rules"),
             "kb": _file_digest(self.kb_path, "kb"),
@@ -95,8 +96,7 @@ class PipelineConfig:
         doc = {
             "version": __version__,
             "datasets": [
-                [str(path), code, _file_digest(path, "dataset")]
-                for path, code in self.datasets
+                [code, _file_digest(path, "dataset")] for path, code in self.datasets
             ],
             **inputs,
             "weights": list(self.weights.as_tuple()),
@@ -458,19 +458,19 @@ def _classified(state: RunState, decoded) -> tuple[list, dict]:
 def _assigned(state: RunState, decoded) -> tuple[list, dict]:
     # Every channel score and so each category is rebuilt; the subcategory,
     # which needs the lexicon, is taken as written.
-    kb = state.kb
-    all_scores = cluster.channel_scores(
+    rows = cluster.channel_scores(
         state.get("integrate"),
         state.get("classify"),
-        kb,
+        state.kb,
         state.get("similarity"),
         state.config.thresholds.related,
     )
+    domain_ids = state.kb.domain_ids()
     results = [
         cluster.CategoryAssignment(
-            home.factor, cluster.argmax_domain(scores, kb), home.subcategory, scores
+            home.factor, cluster.argmax_domain(row, domain_ids), home.subcategory, row
         )
-        for home, scores in zip(decoded, all_scores)
+        for home, row in zip(decoded, rows)
     ]
     return results, artifact_data("cluster", results)
 
@@ -667,15 +667,14 @@ def phase_cluster(config: PipelineConfig, state: RunState | None = None) -> Path
         subcluster_threshold=config.thresholds.subcluster,
     )
     path = state.put("cluster", assignments)
-    domain_ids = state.kb.domain_ids()
     rows = [
         (a.factor, a.category, a.subcategory)
-        + tuple(f"{a.scores[d].final:.6f}" for d in domain_ids)
+        + tuple(f"{final:.6f}" for final in a.scores.final)
         for a in assignments
     ]
     _write_csv(
         config.out_dir / "assignments_report.csv",
-        ("factor", "category", "subcategory") + domain_ids,
+        ("factor", "category", "subcategory") + state.kb.domain_ids(),
         rows,
     )
     return path

@@ -103,7 +103,7 @@ def composite(
         semantic_relevance=classification.relevance[position],
         functional_importance=functional,
         theoretical_justification=theoretical,
-        space_compatibility=assignments[index].scores[domain_id].distribution,
+        space_compatibility=assignments[index].scores.distribution[position],
     )
 
 

@@ -217,15 +217,6 @@ def linguistic_similarity(a: str, b: str, lexicon: SemanticLexicon) -> float:
     return _linguistic(lexicon.features(a), lexicon.features(b), lexicon.field_score)
 
 
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    dot = sum(x * y for x, y in zip(a, b))
-    if dot == 0:
-        return 0.0
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(y * y for y in b))
-    return min(1.0, dot / (norm_a * norm_b))
-
-
 def distributional_similarity(va: OccurrenceVector, vb: OccurrenceVector) -> float:
     """Cosine over the raw six-type count vectors."""
     if va.total == 0 or vb.total == 0:

@@ -3,6 +3,7 @@ builders for the small factor sets the worked tables exercise."""
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
@@ -74,8 +75,8 @@ def make_factor(
     vector = OccurrenceVector.from_mapping(counts)
     if studies is None:
         studies = {
-            code: frozenset({f"{name}-{code}"}) if vector.as_dict()[code] else frozenset()
-            for code in SPACE_TYPES
+            code: frozenset({f"{name}-{code}"}) if count else frozenset()
+            for code, count in zip(SPACE_TYPES, vector.counts)
         }
     return IntegratedFactor(
         canonical_name=name,
@@ -178,6 +179,17 @@ CLUSTER_FIXTURE_PAIRS = {
     ("accessibility", "barrier-free"): 0.86,
     ("accessibility", "inclusion"): 0.73,
 }
+
+
+def cosine(a, b) -> float:
+    """The space fit's reference: the cosine of two vectors, 0.0 when their
+    dot product is 0, at most 1.0."""
+    dot = sum(x * y for x, y in zip(a, b))
+    if dot == 0:
+        return 0.0
+    norm_a = math.sqrt(sum(x * x for x in a))
+    norm_b = math.sqrt(sum(y * y for y in b))
+    return min(1.0, dot / (norm_a * norm_b))
 
 
 def seeded_matrix(names: list[str], pairs: dict, weights=None) -> SimilarityMatrix:

@@ -22,7 +22,7 @@ from taxoforge.classify import (
     classification_census,
     entropy,
 )
-from taxoforge.corpus import load_corpus
+from taxoforge.corpus import SPACE_TYPES, load_corpus
 from taxoforge.integrate import OccurrenceVector, integrate
 from taxoforge.placement import PlacementTier, by_keywords, place
 from taxoforge.similarity import ComponentScores, SimilarityWeights, combine, pair_count
@@ -53,7 +53,8 @@ def test_c1_integration_fixture_reproduction(default_rules):
         by_name = dict(zip(factor_set.names, factor_set.factors))
         for name, expected in WORKED_VECTORS.items():
             full = {code: expected.get(code, 0) for code in "PSUGOF"}
-            assert by_name[name].occurrence.as_dict() == full, name
+            counts = by_name[name].occurrence.counts
+            assert dict(zip(SPACE_TYPES, counts)) == full, name
 
 
 def test_c2_combiner_reproduction():

@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,8 +29,8 @@ SIMILARITY_DATA_SHA256 = (
 )
 
 # sha256 of every file `run --emit-pairs --sankey SAFETY` writes on the
-# fixture config, with the config digest (it hashes the dataset's absolute
-# path) replaced by "CONFIG". A change to any byte of any output moves one.
+# fixture config, with the config digest (it covers the package version)
+# replaced by "CONFIG". A change to any byte of any output moves one.
 RUN_FILE_SHA256 = {
     "assignments.json": "cc563c5aaf2479cce615f003adcae27f5e566ce075334565b65b35f007a76146",
     "assignments_report.csv": "5262e98fc6caa8906013eb95edd3971dc47ef99844af6f9bb95eae04f530e7b3",
@@ -300,6 +301,22 @@ class TestPhaseChaining:
         )
         assert code == 1
         assert "checksum mismatch" in capsys.readouterr().err
+
+    def test_config_named_another_way_reads_the_same_artifacts(
+        self, tmp_path, monkeypatch
+    ):
+        # The checksum covers each dataset's content, not how its path is
+        # spelled, which follows how the config was named.
+        shutil.copytree(FIXTURES, tmp_path / "fixtures")
+        monkeypatch.chdir(tmp_path / "fixtures")
+        assert cli.main(["run", "--config", "config.yaml"]) == 0
+        framework = (tmp_path / "fixtures" / "out" / "framework.json").read_bytes()
+        monkeypatch.chdir(tmp_path)
+        absolute = str(tmp_path / "fixtures" / "config.yaml")
+        for config in ("fixtures/config.yaml", absolute):
+            assert cli.main(["emit", "--config", config]) == 0
+            written = (tmp_path / "fixtures" / "out" / "framework.json").read_bytes()
+            assert written == framework
 
     def test_package_version_change_refuses_artifacts(
         self, tmp_path, monkeypatch, capsys

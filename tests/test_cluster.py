@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
-
 from taxoforge.classify import FactorClass, classify_factors
 from taxoforge.cluster import (
-    AssignmentScores,
     assign_categories,
+    channel_scores,
     domain_priorities,
     related_factors,
     space_fits,
     subcluster,
 )
 from taxoforge.knowledge import DomainScope
-from taxoforge.similarity import cosine
-from tests.conftest import seeded_matrix
+from tests.conftest import cosine, seeded_matrix
 
 WORKED_ASSIGNMENTS = {
     "safety": "SAFETY & SECURITY",
@@ -71,11 +68,17 @@ class TestRelatedFactors:
 
 
 class TestScoreWeights:
-    def test_final_is_weighted_sum(self):
-        scores = AssignmentScores(
-            semantic=0.9, similarity_evidence=0.5, distribution=0.7
-        )
-        assert scores.final == pytest.approx(0.4 * 0.9 + 0.3 * 0.5 + 0.3 * 0.7)
+    def test_final_is_weighted_sum(self, cluster_fixture, default_kb, default_lexicon):
+        factor_set, matrix = cluster_fixture
+        results = classify_factors(factor_set, default_kb, default_lexicon)
+        rows = channel_scores(factor_set, results, default_kb, matrix)
+        assert len(rows) == len(factor_set.factors)
+        for row in rows:
+            channels = (row.semantic, row.similarity_evidence, row.distribution)
+            assert all(len(channel) == len(default_kb.domains) for channel in channels)
+            assert row.final == tuple(
+                0.4 * s + 0.3 * e + 0.3 * d for s, e, d in zip(*channels)
+            )
 
 
 class TestAssignment:
@@ -117,8 +120,7 @@ class TestAssignment:
             factor_set, results, default_kb, matrix, default_lexicon
         )
         for factor, a in zip(factor_set.factors, assignments):
-            channel = tuple(a.scores[d].distribution for d in default_kb.domain_ids())
-            assert channel == fits[factor.occurrence.counts]
+            assert a.scores.distribution == fits[factor.occurrence.counts]
 
     def test_argmax_reproducible(self, cluster_fixture, default_kb, default_lexicon):
         factor_set, matrix = cluster_fixture

@@ -4,6 +4,8 @@ every leaf of the fixture's artifacts through the checked read path."""
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from typing import Mapping
 
 import pytest
 
@@ -18,6 +20,20 @@ from tests.conftest import FIXTURES
 # Phases whose artifacts the codec writes, and those a later phase reads.
 CODEC_PHASES = ("integrate", "classify", "cluster", "place", "indicate")
 READ_PHASES = ("integrate", "similarity", "classify", "cluster", "place", "indicate")
+
+
+@dataclass(frozen=True)
+class Channels:
+    semantic: float
+    similarity_evidence: float
+    distribution: float
+
+
+@dataclass(frozen=True)
+class ScoredHome(CategoryHome):
+    """A home with a mapping of dataclasses, as assignments once carried."""
+
+    scores: Mapping[str, Channels]
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +89,9 @@ def test_dataclass_fields_are_inlined_only_outside_collections(fixture_run):
         "relevance",
     ]
     # Dataclasses inside a mapping or a tuple stay objects.
-    assigned = codec.encode(CategoryAssignment, state.results["cluster"][0])
-    assert set(assigned["scores"]["COMFORT"]) == {
-        "semantic",
-        "similarity_evidence",
-        "distribution",
-    }
+    channels = {"semantic": 0.5, "similarity_evidence": 0.0, "distribution": 1.0}
+    scored = ScoredHome("safety", "COMFORT", "THERMAL", {"COMFORT": Channels(**channels)})
+    assert codec.encode(ScoredHome, scored)["scores"] == {"COMFORT": channels}
     placed = pipeline.artifact_data("place", state.results["place"])
     assert set(placed) == {"placements", "cross_references", "argmax_flags"}
     assert "tier" in placed["placements"][0]
@@ -153,7 +166,7 @@ def test_refused_leaf_is_named_by_its_path(edit, message):
     entries = json.loads(json.dumps([ASSIGNMENT, ASSIGNMENT]))
     edit(entries[1])
     with pytest.raises(ArtifactError) as caught:
-        codec.decode(list[CategoryAssignment], entries, "data")
+        codec.decode(list[ScoredHome], entries, "data")
     assert str(caught.value).startswith(message)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from taxoforge import integrate as integrate_module
-from taxoforge.corpus import Corpus, FactorRecord, NormalizationRuleSet
+from taxoforge.corpus import SPACE_TYPES, Corpus, FactorRecord, NormalizationRuleSet
 from taxoforge.errors import CorpusError, TaxoforgeError
 from taxoforge.integrate import (
     OccurrenceVector,
@@ -57,18 +57,19 @@ class TestIntegrate:
         for name, expected in WORKED_VECTORS.items():
             vector = by_name[name].occurrence
             full = {code: expected.get(code, 0) for code in "PSUGOF"}
-            assert vector.as_dict() == full, name
+            assert dict(zip(SPACE_TYPES, vector.counts)) == full, name
 
     def test_accessibility_vector(self, sample_factors):
         index = sample_factors.names.index("accessibility")
         vector = sample_factors.factors[index].occurrence
-        assert vector.as_dict() == {"P": 1, "S": 1, "U": 1, "G": 0, "O": 4, "F": 2}
+        counts = {"P": 1, "S": 1, "U": 1, "G": 0, "O": 4, "F": 2}
+        assert dict(zip(SPACE_TYPES, vector.counts)) == counts
 
     def test_singleton(self, default_rules):
         corpus = Corpus(records=(FactorRecord("safety", "c1", "P"),))
         result = integrate(corpus, default_rules)
         assert result.unique_count == 1
-        assert result.factors[0].occurrence.as_dict() == {
+        assert dict(zip(SPACE_TYPES, result.factors[0].occurrence.counts)) == {
             "P": 1, "S": 0, "U": 0, "G": 0, "O": 0, "F": 0,
         }
 
@@ -78,8 +79,8 @@ class TestIntegrate:
 
     def test_study_sets_bounded_by_counts(self, sample_factors):
         for factor in sample_factors.factors:
-            for code in "PSUGOF":
-                assert len(factor.studies[code]) <= factor.occurrence.as_dict()[code]
+            for code, count in zip(SPACE_TYPES, factor.occurrence.counts):
+                assert len(factor.studies[code]) <= count
 
     def test_empty_corpus_rejected(self, default_rules):
         with pytest.raises(CorpusError, match="empty corpus"):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import string
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -22,6 +23,7 @@ from taxoforge.classify import (
     FactorClass,
     classification_census,
     classify,
+    classify_factor,
     classify_factors,
     distribution_stats,
     entropy,
@@ -29,7 +31,17 @@ from taxoforge.classify import (
     relevance_row,
     relevance_rows,
 )
-from taxoforge.cluster import assign_categories
+from taxoforge.cluster import (
+    DISTRIBUTION_WEIGHT,
+    RELATED_THRESHOLD,
+    SEMANTIC_WEIGHT,
+    SIMILARITY_WEIGHT,
+    argmax_domain,
+    assign_categories,
+    channel_scores,
+    domain_priorities,
+    related_factors,
+)
 from taxoforge.corpus import (
     SPACE_TYPES,
     Corpus,
@@ -47,17 +59,24 @@ from taxoforge.integrate import (
     parse_tracking_notation,
     tracking_notation,
 )
-from taxoforge.knowledge import Domain, DomainKnowledgeBase, DomainScope, Subcategory
+from taxoforge.knowledge import (
+    Domain,
+    DomainKnowledgeBase,
+    DomainScope,
+    ScopePriors,
+    Subcategory,
+)
 from taxoforge.placement import place_cross_cutting, primary_homes
 from taxoforge.similarity import (
     BAND_HIGH,
     ComponentScores,
     SemanticLexicon,
+    SimilarityMatrix,
     SimilarityWeights,
     build_matrix,
     combine,
 )
-from tests.conftest import assert_graph_matches_dense, dense_pairs
+from tests.conftest import assert_graph_matches_dense, cosine, dense_pairs
 
 BULK_CASES = 10_000
 SEED = 20260809
@@ -136,8 +155,8 @@ def random_factor_set(rng: random.Random, max_factors: int = 4) -> IntegratedFac
             rng.sample(study_pool, rng.randint(1, 3))
         )
         studies = {
-            code: studies_for if vector.as_dict()[code] else frozenset()
-            for code in SPACE_TYPES
+            code: studies_for if count else frozenset()
+            for code, count in zip(SPACE_TYPES, vector.counts)
         }
         factors.append(IntegratedFactor(name, vector, studies, index))
     raw = sum(f.occurrence.total for f in factors)
@@ -332,6 +351,113 @@ def check_relevance_rows(domains, fields, field_score, names) -> None:
                 assert score == 1.0
         if not any(row):
             assert primary_domain(row, kb) is None
+
+
+@st.composite
+def channel_cases(draw):
+    """(domains as (scope, space profile), scope priors, factors as (counts,
+    relevance row, primary domain position or None), graph edges, related
+    threshold); the KB has 1 to 5 domains, or 48. The values come from a
+    drawn seed and repeat often, so that argmax ties are common."""
+    n = draw(st.integers(1, 5) | st.just(48))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def values(count: int, zeros: float = 0.0) -> tuple[float, ...]:
+        return tuple(
+            0.0 if rng.random() < zeros
+            else rng.choice((0.25, 0.5, 1.0, rng.uniform(0.001, 1.0)))
+            for _ in range(count)
+        )
+
+    domains = [(rng.choice(list(DomainScope)), values(6, 0.3)) for _ in range(n)]
+    size = draw(st.integers(1, 7))
+    factors = [
+        (
+            draw(occurrence_vectors(max_count=2)).counts,
+            values(n, 0.5),
+            draw(st.none() | st.integers(0, n - 1)),
+        )
+        for _ in range(size)
+    ]
+    pairs = [(i, j) for j in range(size) for i in range(j)]
+    scores = st.sampled_from((0.5, 0.75, 0.8, 1.0))
+    edges = draw(st.dictionaries(st.sampled_from(pairs), scores) if pairs else st.just({}))
+    threshold = draw(st.sampled_from((RELATED_THRESHOLD, 0.5, 0.0, 1.0)))
+    return domains, values(3), factors, edges, threshold
+
+
+def reference_scores(
+    index, fits, classification, kb, matrix, primary_domains, related_threshold
+) -> dict[str, tuple[float, float, float, float]]:
+    """The per-domain arithmetic the channel rows replaced: for each domain
+    id, (semantic, similarity evidence, distribution, final)."""
+    priors = domain_priorities(classification.factor_class, kb.scope_priors)
+    related = related_factors(index, matrix, related_threshold)
+    evidence_counts: dict[str, int] = {}
+    for j, _score in related:
+        domain_id = primary_domains[j]
+        if domain_id is not None:
+            evidence_counts[domain_id] = evidence_counts.get(domain_id, 0) + 1
+    scores = {}
+    for domain, relevance, distribution in zip(
+        kb.domains, classification.relevance, fits
+    ):
+        semantic = priors[domain.scope] * relevance
+        evidence = (
+            evidence_counts.get(domain.identifier, 0) / len(related) if related else 0.0
+        )
+        final = (
+            SEMANTIC_WEIGHT * semantic
+            + SIMILARITY_WEIGHT * evidence
+            + DISTRIBUTION_WEIGHT * distribution
+        )
+        scores[domain.identifier] = (semantic, evidence, distribution, final)
+    return scores
+
+
+def check_channel_rows(domains, priors, factors, edges, threshold) -> None:
+    kb = DomainKnowledgeBase(
+        domains=tuple(
+            Domain(f"D{k}", scope, (), (Subcategory(f"D{k}.1", ()),), profile, frozenset())
+            for k, (scope, profile) in enumerate(domains)
+        ),
+        scope_priors=ScopePriors(*priors),
+    )
+    ids = kb.domain_ids()
+    factor_set = IntegratedFactorSet(
+        tuple(
+            IntegratedFactor(f"f{i}", OccurrenceVector(counts), {}, i)
+            for i, (counts, _, _) in enumerate(factors)
+        ),
+        sum(sum(counts) for counts, _, _ in factors),
+    )
+    classifications = [
+        replace(
+            classify_factor(factor, relevance, kb),
+            primary_domain=None if primary is None else ids[primary],
+        )
+        for factor, (_, relevance, primary) in zip(factor_set.factors, factors)
+    ]
+    matrix = SimilarityMatrix(
+        names=factor_set.names,
+        scores=sorted((i, j, score) for (i, j), score in edges.items()),
+        components={},
+        weights=SimilarityWeights(),
+    )
+    primary_domains = [c.primary_domain for c in classifications]
+    rows = channel_scores(factor_set, classifications, kb, matrix, threshold)
+    assert len(rows) == len(factors)
+    for index, (factor, row) in enumerate(zip(factor_set.factors, rows)):
+        fits = [cosine(factor.occurrence.counts, d.space_profile) for d in kb.domains]
+        expected = reference_scores(
+            index, fits, classifications[index], kb, matrix, primary_domains, threshold
+        )
+        channels = (row.semantic, row.similarity_evidence, row.distribution, row.final)
+        for k, channel in enumerate(channels):
+            # float.hex tells -0.0 from 0.0 and refuses a value that is no float
+            assert [v.hex() for v in channel] == [expected[d][k].hex() for d in ids]
+        best = max(ids, key=lambda domain_id: expected[domain_id][3])
+        assert argmax_domain(row, ids) == best
 
 
 def check_blend_monotonicity(base: tuple, index: int, bump: float) -> None:
@@ -550,6 +676,51 @@ def test_repeated_and_short_trigrams_equal_dense_oracle(case):
 @example(case=([["banana"], ["street lighting"]], {}, 0.85, ["xyz w"]))
 def test_keyword_relevance_rows_equal_per_keyword_reference(case):
     check_relevance_rows(*case)
+
+
+FLAT = (1.0,) * 6
+# a factor with no relevance and no primary domain, against two domains
+UNMATCHED = ((1, 0, 0, 0, 0, 0), (0.0, 0.0), None)
+
+
+@SUITE
+@given(case=channel_cases())
+# a tie on every channel goes to the first domain in KB order
+@example(case=([(DomainScope.BROAD, FLAT)] * 2, (1.0, 0.8, 0.6), [UNMATCHED], {}, 0.75))
+@example(
+    case=(
+        [(DomainScope.BROAD, FLAT), (DomainScope.SPECIALIZED, (0.0, 1.0) * 3)],
+        (1.0, 0.8, 0.6),
+        [((1, 1, 0, 0, 0, 0), (0.5, 0.5), 1), UNMATCHED, ((0, 1, 0, 0, 0, 0), (0.2, 0.9), 0)],
+        {(0, 1): 0.9, (0, 2): 0.8, (1, 2): 0.5},
+        0.75,
+    )
+)
+# three of five neighbours share a home: 3 / 5 is not 3 * (1 / 5)
+@example(
+    case=(
+        [(DomainScope.BROAD, FLAT), (DomainScope.MODERATE, FLAT)],
+        (1.0, 0.8, 0.6),
+        [UNMATCHED] + [((1, 0, 0, 0, 0, 0), (0.5, 0.0), k // 3) for k in range(5)],
+        {(0, j): 0.9 for j in range(1, 6)},
+        0.75,
+    )
+)
+@example(
+    case=(
+        [(list(DomainScope)[k % 3], (k % 5 / 4,) + FLAT[1:]) for k in range(48)],
+        (0.9, 0.5, 0.25),
+        [
+            ((2, 0, 1, 0, 0, 0), tuple(k % 7 / 6 for k in range(48)), 47),
+            ((2, 0, 1, 0, 0, 0), (0.0,) * 48, None),
+            ((0, 0, 0, 0, 0, 1), (0.5,) * 48, 3),
+        ],
+        {(0, 1): 1.0, (0, 2): 0.8, (1, 2): 0.8},
+        0.75,
+    )
+)
+def test_channel_rows_equal_per_domain_reference(case):
+    check_channel_rows(*case)
 
 
 @SUITE
