@@ -167,13 +167,21 @@ def assess_cross_cutting(
 
 
 @dataclass(frozen=True)
-class ClassificationResult:
+class FactorRelevance:
+    """What the classify artifact keeps of a result: the relevance row, and
+    the primary domain and flag that reading rebuilds from it and compares."""
+
     name: str
+    primary_domain: str | None
+    flagged: bool  # cross_cutting.flagged
+    relevance: tuple[float, ...]  # per KB domain, in KB order
+
+
+@dataclass(frozen=True)
+class ClassificationResult(FactorRelevance):
     stats: DistributionStats
     factor_class: FactorClass
-    primary_domain: str | None
     cross_cutting: CrossCuttingAssessment
-    relevance: tuple[float, ...]  # per KB domain, in KB order
 
 
 def classify_factor(
@@ -184,13 +192,15 @@ def classify_factor(
 ) -> ClassificationResult:
     """Everything classify says about one factor, given its relevance row."""
     stats = distribution_stats(factor.occurrence)
+    cross_cutting = assess_cross_cutting(relevance, kb, threshold)
     return ClassificationResult(
         name=factor.canonical_name,
+        primary_domain=primary_domain(relevance, kb),
+        flagged=cross_cutting.flagged,
+        relevance=relevance,
         stats=stats,
         factor_class=classify(stats),
-        primary_domain=primary_domain(relevance, kb),
-        cross_cutting=assess_cross_cutting(relevance, kb, threshold),
-        relevance=relevance,
+        cross_cutting=cross_cutting,
     )
 
 

@@ -9,12 +9,12 @@ with the fields of the named dataclass only. The reader refuses the first
 wrong leaf by its path, as in ``data.placements[3].composite: expected a
 number, got None``, ignores keys that are not fields, gives an absent key
 its field's default where it has one, and takes only text as a mapping
-key. A number is never text, a boolean, NaN or infinite. It builds
-the dataclasses, so each ``__post_init__`` check runs; one that fails is
-refused at its object's path. Both are compiled once per annotation. The
-KB, lexicon, rules and config files, read by ``read_yaml``, are decoded by
-the same reader; ``read_yaml`` parses with libyaml when PyYAML was built
-with it."""
+key. A number is never text, a boolean, NaN, infinite or a whole number
+beyond the float range. It builds the dataclasses, so each
+``__post_init__`` check runs; one that fails is refused at its object's
+path. Both are compiled once per annotation. The KB, lexicon, rules and
+config files, read by ``read_yaml``, are decoded by the same reader;
+``read_yaml`` parses with libyaml when PyYAML was built with it."""
 
 from __future__ import annotations
 
@@ -138,8 +138,11 @@ def _codec(kind: object):
             raise _refuse(expected, value)
 
         def read_finite(value):
-            if type(value) is not float or math.isfinite(value):
-                return read_leaf(value)
+            try:
+                if math.isfinite(read_leaf(value)):
+                    return value
+            except OverflowError:  # a whole number beyond the float range
+                pass
             raise _refuse("a finite number", value)
 
         return read_finite if kind is float else read_leaf, None

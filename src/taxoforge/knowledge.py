@@ -8,6 +8,7 @@ space research, and users supply richer files to grow the hierarchy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, astuple, dataclass, field, replace
 from enum import Enum
 from importlib import resources
@@ -134,8 +135,10 @@ class DomainEntry(SubcategoryEntry):
                 raise KnowledgeBaseError(f"{key}: unknown codes {sorted(unknown)}")
         if any(weight < 0 for weight in self.space_profile.values()):
             raise KnowledgeBaseError("space_profile: a weight is negative")
-        if not any(self.space_profile.values()):
-            raise KnowledgeBaseError("space_profile: all zero")
+        squares = sum(x * x for x in map(float, self.space_profile.values()))
+        if not 0.0 < squares < math.inf:  # the distribution channel's divisor
+            raise KnowledgeBaseError(f"space_profile: the squares of its weights "
+                                     f"sum to {squares}, expected above 0 and finite")
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,11 @@ The config file is decoded by the artifact codec, as every input file is.
 A ``RunState`` holds one invocation's checksums, KB, lexicon, rules and phase
 results, each computed or loaded once. A result it has not computed is read
 from the phase's artifact: its independent values are decoded, the phase's
-own code rebuilds the rest, and the artifact must equal what that writes.
-``run`` passes one state through every phase, writing each artifact once;
-a phase run alone reads its inputs from disk, with byte-identical output.
-The artifacts are compact JSON; the exports a user reads are indented.
+own code rebuilds the rest, and the few derived values kept must equal the
+rebuilt ones. The indicators are always built from the upstream results;
+indicators.json is a report. ``run`` passes one state through every phase,
+writing each artifact once; a phase run alone reads its inputs from disk,
+with byte-identical output. Artifacts are compact JSON, exports indented.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from . import applicability, classify, cluster, emit, integrate, placement, simi
 from .corpus import SPACE_TYPES, NormalizationRuleSet, load_corpus, load_rules
 from .corpus import merge_corpora
 from .emit import SCHEMA_VERSION
-from .errors import ArtifactError, ConfigError, CorpusError, TaxoforgeError
+from .errors import ArtifactError, ConfigError, CorpusError, KnowledgeBaseError
+from .errors import TaxoforgeError
 from .knowledge import (
     DomainKnowledgeBase,
     canonical_names,
@@ -236,21 +238,22 @@ def apply_overrides(
 # ---------------------------------------------------------------------------
 
 # phase -> (artifact file, key of ``data`` holding the result or None when
-# ``data`` is the result, result type); the codec derives ``data`` from the
-# type. similarity.json keeps its own codec for the compact edge list, and
-# assignments.json only each factor's home, not its channel scores. Each
-# is one line of compact JSON; emit's framework.json, which no phase reads,
-# is an export, indented like the others. The benchmark (perfbench/worker.py)
-# reads these keys and fields, so they stay: integrated.json raw_record_count and
-# factors[*].studies (a mapping of lists); the flat flagged and primary_domain
-# of each classification.json factor; similarity.json names, weights and
-# scores; and the result objects' cross_cutting.flagged and primary_domain.
+# ``data`` is the result, the type written); the codec derives ``data`` from
+# the type. For classify, cluster and place that is the base class of the
+# result's entries: what the artifact keeps of each. similarity.json keeps
+# its own codec for the compact edge list; indicators.json is a report no
+# phase reads. Each is one line of compact JSON. The benchmark
+# (perfbench/worker.py) reads these keys and fields, so they stay:
+# integrated.json raw_record_count and factors[*].studies (a mapping of
+# lists); each classification.json factor's flagged and primary_domain;
+# similarity.json names, weights and scores; and the results' placements,
+# cross_references, cross_cutting.flagged and primary_domain.
 ARTIFACTS = {
     "integrate": ("integrated.json", None, integrate.IntegratedFactorSet),
     "similarity": ("similarity.json", None, similarity.SimilarityMatrix),
-    "classify": ("classification.json", "factors", list[classify.ClassificationResult]),
+    "classify": ("classification.json", "factors", list[classify.FactorRelevance]),
     "cluster": ("assignments.json", "assignments", list[cluster.CategoryHome]),
-    "place": ("placements.json", None, placement.PlacementResult),
+    "place": ("placements.json", "placements", list[placement.Placement]),
     "indicate": ("indicators.json", "indicators", list[applicability.IndicatorRecord]),
 }
 
@@ -319,25 +322,28 @@ class RunState:
         must fit their type, the integrated factors and the KB; every phase
         after integrate rebuilds the rest of its result from them with its own
         code, and the artifact must equal what that result writes. A misfit
-        is an ``ArtifactError`` naming the file and the leaf's path."""
+        is an ``ArtifactError`` naming the file and the leaf's path. The
+        indicators are built from the upstream results alone."""
+        if phase == "indicate" and phase not in self.results:
+            self.results[phase] = _indicators(self)
         if phase not in self.results:
             name, key, kind = ARTIFACTS[phase]
             path = self.config.out_dir / name
             data, where = self._read(phase, path), f"artifact {path}: data"
-            result = None
             if phase == "similarity":
-                # Decode against the names, weights and floor the phase writes.
+                # Decode against the names and weights the phase writes.
                 names = list(self.get("integrate").names)
-                rebuilt = {"n": len(names), "names": names}
-                rebuilt["weights"] = list(self.config.weights.as_tuple())
-                rebuilt["floor"] = self.config.thresholds.graph_floor
+                weights = list(self.config.weights.as_tuple())
+                floor = self.config.thresholds.graph_floor
                 try:
-                    result = similarity.matrix_from_dict({**data, **rebuilt})
+                    result = similarity.matrix_from_dict(
+                        {**data, "names": names, "weights": weights}, floor
+                    )
                 except KeyError as exc:
                     raise ArtifactError(f"{where}.{exc.args[0]}: missing") from None
                 except TaxoforgeError as exc:
                     raise ArtifactError(f"{where}: {exc}") from None
-            elif phase != "indicate":  # indicators.json has no independent values
+            else:
                 at = where if key is None else f"{where}.{key}"
                 result = codec.decode(kind, data if key is None else data.get(key), at)
                 self._check(phase, result, at)
@@ -378,20 +384,8 @@ class RunState:
             if tuple(getattr(r, key) for r in result) != self.get("integrate").names:
                 refuse(f"[*].{key}", "expected the integrated factors, in order")
         subcategories = {d.identifier: d.subcategory_ids() for d in self.kb.domains}
-
-        def home(at: str, entry, domain: str, sub: str) -> None:
-            if getattr(entry, sub) not in subcategories.get(getattr(entry, domain), ()):
-                refuse(f"{at}.{sub}", f"{getattr(entry, sub)!r} is not a subcategory "
-                       f"of domain {getattr(entry, domain)!r}")
-
         # The codec has checked these are numbers; NaN fails every comparison.
         unit = "expected a number in [0, 1]"
-        if phase == "place":
-            for i, p in enumerate(result.placements):
-                home(f".placements[{i}]", p, "domain", "subcategory")
-                if not 0.0 <= p.composite <= 1.0:
-                    refuse(f".placements[{i}].composite", unit)
-            return
         for i, r in enumerate(result):
             if phase == "classify":
                 if len(r.relevance) != len(subcategories) or not all(
@@ -399,7 +393,12 @@ class RunState:
                 ):
                     refuse(f"[{i}].relevance", f"{unit} per domain")
                 continue
-            home(f"[{i}]", r, "category", "subcategory")
+            domain = r.category if phase == "cluster" else r.domain
+            if r.subcategory not in subcategories.get(domain, ()):
+                refuse(f"[{i}].subcategory", f"{r.subcategory!r} is not a "
+                       f"subcategory of domain {domain!r}")
+            if phase == "place" and not 0.0 <= r.composite <= 1.0:
+                refuse(f"[{i}].composite", unit)
 
     def _read(self, phase: str, path: Path) -> dict:
         if not path.exists():
@@ -441,9 +440,9 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     emit.write_atomic(path, write)
 
 
-# Rebuilding on reading: each function takes the decoded independent values
-# of its phase's artifact, rebuilds the phase's result from them with the
-# phase's own code, and returns it with the ``data`` the phase writes for it.
+# Rebuilding on reading: each function takes the decoded values of its
+# phase's artifact, rebuilds the phase's result from the independent ones
+# with the phase's own code, and returns it with the ``data`` it writes.
 
 
 def _classified(state: RunState, decoded) -> tuple[list, dict]:
@@ -476,8 +475,8 @@ def _assigned(state: RunState, decoded) -> tuple[list, dict]:
 
 
 def _placed(state: RunState, decoded) -> tuple[placement.PlacementResult, dict]:
-    composites = {(p.factor, p.domain): p.composite for p in decoded.placements}
-    subcategories = {(p.factor, p.domain): p.subcategory for p in decoded.placements}
+    composites = {(p.factor, p.domain): p.composite for p in decoded}
+    subcategories = {(p.factor, p.domain): p.subcategory for p in decoded}
     # The overrides are the only KB factor names arranging reads.
     kb = state.canonical_kb if state.kb.placement_overrides else state.kb
     # A placement the artifact lacks gets stand-in values; the comparison
@@ -489,49 +488,15 @@ def _placed(state: RunState, decoded) -> tuple[placement.PlacementResult, dict]:
         lambda name, domain: subcategories.get((name, domain), ""),
         state.config.thresholds.promotion,
     )
-    return result, _placement_data(result)
+    return result, artifact_data("place", result.placements)
 
 
-def _placement_data(result: placement.PlacementResult) -> dict:
-    metrics = asdict(placement.placement_metrics(result))
-    return {**artifact_data("place", result), "metrics": metrics}
-
-
-def _indicated(state: RunState, decoded=None) -> tuple[list, dict]:
-    """Besides the records, indicators.json holds the relevance profile of
-    each subcategory and the distribution profile of each category, over the
-    factors homed there."""
-    factor_set, kb = state.get("integrate"), state.kb
+def _indicators(state: RunState) -> list:
     homes = placement.primary_homes(state.get("cluster"), state.get("place"))
     domains = {name: home[0] for name, home in homes.items()}
-    records = applicability.indicators_for(
-        factor_set.factors, state.get("classify"), domains, kb
+    return applicability.indicators_for(
+        state.get("integrate").factors, state.get("classify"), domains, state.kb
     )
-    vectors: dict[tuple[str, str], list] = {}
-    for factor in factor_set.factors:
-        vectors.setdefault(homes[factor.canonical_name], []).append(factor.occurrence)
-    subcategory_profiles, category_profiles = [], []
-    for domain in kb.domains:
-        category = domain.identifier
-        subs = [sub for sub in domain.subcategory_ids() if (category, sub) in vectors]
-        if not subs:
-            continue
-        homed = [vectors[category, sub] for sub in subs]
-        profiles = [applicability.aggregate_subcategory(v) for v in homed]
-        for sub, profile in zip(subs, profiles):
-            relevance = dict(zip(SPACE_TYPES, profile))
-            subcategory_profiles.append(
-                {"category": category, "subcategory": sub, "relevance": relevance}
-            )
-        weights = [sum(v.total for v in sub_vectors) for sub_vectors in homed]
-        distribution = dict(
-            zip(SPACE_TYPES, applicability.aggregate_category(profiles, weights))
-        )
-        category_profiles.append({"category": category, "distribution": distribution})
-    data = artifact_data("indicate", records)
-    data["subcategory_profiles"] = subcategory_profiles
-    data["category_profiles"] = category_profiles
-    return records, data
 
 
 REBUILT = {
@@ -539,7 +504,6 @@ REBUILT = {
     "classify": _classified,
     "cluster": _assigned,
     "place": _placed,
-    "indicate": _indicated,
 }
 
 
@@ -688,17 +652,20 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
         listed += sorted(d.literature_strong | d.literature_none)
     unmatched = [name for name in dict.fromkeys(listed) if name not in names]
     _warn_unmatched("place: %d KB factor names match no factor", unmatched)
-    result = placement.place_cross_cutting(
-        factor_set,
-        state.get("classify"),
-        kb,
-        state.get("similarity"),
-        state.get("cluster"),
-        state.lexicon,
-        related_threshold=config.thresholds.related,
-        promotion_threshold=config.thresholds.promotion,
-    )
-    path = state.put("place", result, _placement_data(result))
+    try:
+        result = placement.place_cross_cutting(
+            factor_set,
+            state.get("classify"),
+            kb,
+            state.get("similarity"),
+            state.get("cluster"),
+            state.lexicon,
+            related_threshold=config.thresholds.related,
+            promotion_threshold=config.thresholds.promotion,
+        )
+    except KnowledgeBaseError as exc:  # an override outside its relevant set
+        raise KnowledgeBaseError(f"kb file {config.kb_path}: {exc}") from None
+    path = state.put("place", result, artifact_data("place", result.placements))
     rows = [
         (
             p.factor,
@@ -721,8 +688,37 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
 
 
 def phase_indicate(config: PipelineConfig, state: RunState | None = None) -> Path:
+    """Write indicators.json, a report no phase reads back: the indicator
+    records, the relevance profile of each subcategory and the distribution
+    profile of each category, over the factors homed there."""
     state = state or RunState(config)
-    return state.put("indicate", *_indicated(state))
+    factor_set, kb, records = state.get("integrate"), state.kb, _indicators(state)
+    homes = placement.primary_homes(state.get("cluster"), state.get("place"))
+    vectors: dict[tuple[str, str], list] = {}
+    for factor in factor_set.factors:
+        vectors.setdefault(homes[factor.canonical_name], []).append(factor.occurrence)
+    subcategory_profiles, category_profiles = [], []
+    for domain in kb.domains:
+        category = domain.identifier
+        subs = [sub for sub in domain.subcategory_ids() if (category, sub) in vectors]
+        if not subs:
+            continue
+        homed = [vectors[category, sub] for sub in subs]
+        profiles = [applicability.aggregate_subcategory(v) for v in homed]
+        for sub, profile in zip(subs, profiles):
+            relevance = dict(zip(SPACE_TYPES, profile))
+            subcategory_profiles.append(
+                {"category": category, "subcategory": sub, "relevance": relevance}
+            )
+        weights = [sum(v.total for v in sub_vectors) for sub_vectors in homed]
+        distribution = dict(
+            zip(SPACE_TYPES, applicability.aggregate_category(profiles, weights))
+        )
+        category_profiles.append({"category": category, "distribution": distribution})
+    data = artifact_data("indicate", records)
+    data["subcategory_profiles"] = subcategory_profiles
+    data["category_profiles"] = category_profiles
+    return state.put("indicate", records, data)
 
 
 def phase_emit(

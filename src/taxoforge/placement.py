@@ -21,7 +21,7 @@ from .cluster import (
     best_subcategory,
     related_factors,
 )
-from .errors import TaxoforgeError
+from .errors import KnowledgeBaseError
 from .integrate import IntegratedFactorSet
 from .knowledge import DomainKnowledgeBase
 from .similarity import SemanticLexicon, SimilarityMatrix
@@ -56,12 +56,19 @@ class CompositeScore:
 
 
 @dataclass(frozen=True)
-class StrategicPlacement:
+class Placement:
+    """What the place artifact keeps of a placement, in ranked order; reading
+    it rebuilds the tiers, cross-references and argmax flags with ``arrange``."""
+
     factor: str
     domain: str
     subcategory: str
-    tier: PlacementTier
     composite: float
+
+
+@dataclass(frozen=True)
+class StrategicPlacement(Placement):
+    tier: PlacementTier
 
 
 @dataclass(frozen=True)
@@ -143,8 +150,8 @@ def place(
                 factor=factor_name,
                 domain=domain_id,
                 subcategory=subcategory(factor_name, domain_id),
-                tier=tier,
                 composite=score,
+                tier=tier,
             )
         )
     return placements
@@ -213,9 +220,9 @@ def arrange(
         override = kb.placement_overrides.get(name)
         if override is not None and override != argmax_domain:
             if override not in relevant:
-                raise TaxoforgeError(
-                    f"placement override for {name!r} names domain "
-                    f"{override!r} outside its relevant set"
+                raise KnowledgeBaseError(
+                    f"placement_overrides.{name}: domain {override!r} is outside "
+                    f"the factor's relevant set {list(relevant)}"
                 )
             scored.sort(key=lambda item: item[0] != override)  # stable
         ranked = place(name, scored, subcategory, promotion_threshold)
@@ -241,30 +248,6 @@ def cross_references(
         for placement in placements
         if placement.tier is not PlacementTier.PRIMARY
     ]
-
-
-@dataclass(frozen=True)
-class PlacementMetrics:
-    total: int
-    cross_cutting_count: int
-    average_per_factor: float
-    consistency_pct: float
-
-
-def placement_metrics(result: PlacementResult) -> PlacementMetrics:
-    """Totals, the per-factor average, and the primary-at-argmax share."""
-    factors = sorted(result.argmax_flags)
-    count = len(factors)
-    total = len(result.placements)
-    average = total / count if count else 0.0
-    consistent = sum(1 for name in factors if result.argmax_flags[name])
-    consistency = 100.0 * consistent / count if count else 100.0
-    return PlacementMetrics(
-        total=total,
-        cross_cutting_count=count,
-        average_per_factor=average,
-        consistency_pct=consistency,
-    )
 
 
 def primary_homes(

@@ -589,12 +589,11 @@ def band_census(
 
 
 def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
-    """JSON-ready mirror: the edges and their components, in (i, j) order."""
+    """JSON-ready mirror: the edges and their components, in (i, j) order.
+    The factor count and the floor are not written; the reader has both."""
     return {
-        "n": matrix.n,
         "weights": list(matrix.weights.as_tuple()),
         "names": list(matrix.names),
-        "floor": matrix.floor,
         "scores": [[i, j, score] for i, j, score in matrix.scores],
         "components": [
             [i, j, comp.linguistic, comp.distributional, comp.co_occurrence]
@@ -603,12 +602,12 @@ def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
     }
 
 
-def matrix_from_dict(doc: dict) -> SimilarityMatrix:
-    """Decode the graph from the components of its edges, each edge's score
-    being their blend, and refuse an edge list ``build_matrix`` cannot
-    produce. The names, weights and floor are taken as written, and
-    ``scores`` is not read."""
-    n, floor, rows = doc["n"], doc["floor"], doc["components"]
+def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
+    """Decode the graph built at ``floor`` from the components of its edges,
+    each edge's score being their blend, and refuse an edge list
+    ``build_matrix`` cannot produce. The names and weights are taken as
+    written, and ``scores`` is not read."""
+    n, rows = len(doc["names"]), doc["components"]
     weights = SimilarityWeights(*doc["weights"])
     if not isinstance(rows, list) or not all(
         isinstance(row, list) and len(row) == 5 for row in rows

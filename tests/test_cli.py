@@ -25,7 +25,7 @@ from taxoforge.similarity import load_lexicon
 from tests.conftest import FIXTURES, assert_graph_matches_dense, dense_pairs
 
 SIMILARITY_DATA_SHA256 = (
-    "227a107477a632d67a9d3212fe01cc329138aea035ea8f2e43c396bc64143985"
+    "d607cf6ddfdad1cde74f56b6bb6ef2904c583b10227230c75c843197acd31d33"
 )
 
 # sha256 of every file `run --emit-pairs --sankey SAFETY` writes on the
@@ -34,7 +34,7 @@ SIMILARITY_DATA_SHA256 = (
 RUN_FILE_SHA256 = {
     "assignments.json": "cc563c5aaf2479cce615f003adcae27f5e566ce075334565b65b35f007a76146",
     "assignments_report.csv": "5262e98fc6caa8906013eb95edd3971dc47ef99844af6f9bb95eae04f530e7b3",
-    "classification.json": "bc0be59eb4f1bfc6ca3583bc8f9503aa7322298e5ecdf3ae2d75c452d88793c8",
+    "classification.json": "29e9f7c54436232cf0e11969f1fa108ca1d3c250d6c021471face558f8656173",
     "classification_report.csv": "28979abd9c88d2111a3ad9798a6c7aa31dd70e6fb53425124ea7fec8e90d0d72",
     "framework.json": "be0f49931097cafc4b12dad74f85c10ada7b66c0a679a85501c371a1ebacfb78",
     "framework.md": "bf3777a2bb6ed524492bdc0dd585622ecb045ef77311e518d321e390bef655bb",
@@ -42,10 +42,10 @@ RUN_FILE_SHA256 = {
     "indicators.json": "c260e117962cabec0b2c7c2fb7fdf3b1bf1a1a7fc44f06265046c75a2b154ced",
     "integrated.json": "f706c5d21cd7c72c9e22bc2e173b50046ccda3a355e14a39e4dd0e319b4cbe93",
     "pairs.csv": "a85de060a3042195a206941d160143ffa2f7b9d9c33183cc8d36a2a5549cc041",
-    "placements.json": "2f0b8cd8fb4c4907ba9fd4b6e49f45571c0b11b4c4ea445057dfeac5015e7f0f",
+    "placements.json": "bf6e71082d1712cbc40cea00685124ece5d8c34de28516602df2ebd8aab3399d",
     "placements_report.csv": "ef5bd99d19654d8ca3df5206efba72b2d4c2c2db87b40515a03952e5855a481c",
     "sankey_safety_and_security.csv": "92f4090ec581f3cab7e89cf37c8f38b984c54969ca57a2881576531e897867f3",
-    "similarity.json": "336de477102b069728b159546a0531dd1c4b4847e501ccf94fe7dd75b5c3d209",
+    "similarity.json": "64538e1232d31dea2e1c05a9cb3aea9ad780080d57b18bd3534446660d130bcd",
     "validation.json": "9f94f519f9889e18861640a5ec53d7424da3e83ed0485eec344546aa74dd80a8",
 }
 
@@ -109,7 +109,8 @@ class TestRun:
         )
         lexicon = load_lexicon(config.lexicon_path)
         dense = dense_pairs(factor_set, config.weights, lexicon)
-        assert_graph_matches_dense(similarity.matrix_from_dict(doc["data"]), dense)
+        floor = config.thresholds.graph_floor
+        assert_graph_matches_dense(similarity.matrix_from_dict(doc["data"], floor), dense)
         # sha256 of similarity.json's "data" in canonical JSON on the fixture
         # corpus; a change to any score, component or the layout moves it.
         digest = hashlib.sha256(emit.to_canonical_json(doc["data"]).encode("utf-8"))
@@ -221,8 +222,8 @@ class TestRun:
         assert pipeline.run(config) == 0
         assert sorted(calls) == ["checksum", "load_kb", "load_lexicon", "load_rules"]
         # A phase run alone reads its inputs from the artifacts on disk; it
-        # decodes their independent values and rebuilds the rest, and
-        # indicators.json has only rebuilt ones.
+        # decodes their independent values and rebuilds the rest, and builds
+        # the indicators without reading indicators.json.
         calls.clear()
         assert pipeline.phase_emit(config) == 0
         assert sorted(calls) == [
@@ -286,6 +287,24 @@ class TestPhaseChaining:
             "validation.json",
         ]:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_emit_builds_the_indicators_without_indicators_json(self, tmp_path):
+        config = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        exports = (
+            "framework.json",
+            "framework.md",
+            "framework_document.json",
+            "validation.json",
+        )
+        before = {name: (out / name).read_bytes() for name in exports}
+        (out / "indicators.json").unlink()
+        for name in exports:
+            (out / name).unlink()
+        assert cli.main(["emit", "--config", str(config)]) == 0
+        assert {name: (out / name).read_bytes() for name in exports} == before
+        assert not (out / "indicators.json").exists()
 
     def test_phase_without_upstream_fails(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -408,11 +427,12 @@ class TestKnowledgeBaseNames:
             out = tmp_path / label / "out" / "placements.json"
             placed[label] = json.loads(out.read_text(encoding="utf-8"))["data"]
         assert placed["variant"] == placed["canonical"]
-        (primary,) = [
+        # Placements are listed in ranked order, the primary first.
+        primary = next(
             p
             for p in placed["variant"]["placements"]
-            if p["factor"] == "thermal comfort" and p["tier"] == "primary"
-        ]
+            if p["factor"] == "thermal comfort"
+        )
         assert primary["domain"] == "SOCIAL"
 
     def test_unmatched_kb_names_warning_is_bounded(self, tmp_path, caplog):
@@ -440,7 +460,7 @@ class TestFlags:
         doc = json.loads(
             (tmp_path / "out" / "similarity.json").read_text(encoding="utf-8")
         )
-        matrix = matrix_from_dict(doc["data"])
+        matrix = matrix_from_dict(doc["data"], floor=0.5)
         census = band_census(matrix)
         dumped = [line.rsplit(",", 1)[1] for line in lines[1:]]
         assert dumped.count("High") == census.high
@@ -499,7 +519,7 @@ class TestFlags:
             (tmp_path / "out" / "placements.json").read_text(encoding="utf-8")
         )
         # nothing reaches 0.99 relevance in more than two domains
-        assert placements["data"]["metrics"]["cross_cutting_count"] == 0
+        assert placements["data"]["placements"] == []
 
     def test_bad_threshold_name(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -710,6 +730,14 @@ MALFORMED = [
         "weights.linguistic",
         id="config-weights-nan",
     ),
+    # A whole number beyond the float range is no finite number.
+    pytest.param(
+        "config",
+        ["thresholds"],
+        {"related": 10**400},
+        "thresholds.related",
+        id="config-threshold-huge-whole-number",
+    ),
     # A dataset read twice would count each of its rows twice.
     pytest.param(
         "config",
@@ -912,13 +940,10 @@ MALFORMED = [
         id="scores-not-blend",
     ),
     pytest.param(
-        "similarity.json", ["data", "floor"], "low", "floor", id="similarity-floor-string"
-    ),
-    pytest.param(
         "similarity.json",
         ["data"],
-        lambda data: {**data, "names": data["names"][:-1], "n": 10},
-        "data.n",
+        lambda data: {**data, "names": data["names"][:-1]},
+        "data.names",
         id="similarity-factor-dropped",
     ),
     pytest.param(
@@ -960,13 +985,6 @@ MALFORMED = [
     ),
     pytest.param(
         "classification.json",
-        ["data", "factors", 1, "relevant_domains"],
-        lambda ids: ids + ["NOWHERE"],
-        "relevant_domains",
-        id="classification-domain-unknown",
-    ),
-    pytest.param(
-        "classification.json",
         ["data", "factors", 0, "name"],
         7,
         "name",
@@ -978,13 +996,6 @@ MALFORMED = [
         7,
         "subcategory",
         id="placements-subcategory-number",
-    ),
-    pytest.param(
-        "indicators.json",
-        ["data", "indicators", 0, "name"],
-        7,
-        "name",
-        id="indicators-name-number",
     ),
     pytest.param(
         "classification.json",
@@ -1006,13 +1017,6 @@ MALFORMED = [
         ["SAFETY"],
         "primary_domain",
         id="classification-primary-domain-list",
-    ),
-    pytest.param(
-        "indicators.json",
-        ["data", "indicators", 0, "text"],
-        None,
-        "text",
-        id="indicators-text-null",
     ),
     pytest.param(
         "assignments.json",
@@ -1043,20 +1047,6 @@ MALFORMED = [
         id="placements-domain-unknown",
     ),
     pytest.param(
-        "placements.json",
-        ["data", "cross_references", 0, "to_subcategory"],
-        "NOWHERE",
-        "to_subcategory",
-        id="placements-reference-subcategory-unknown",
-    ),
-    pytest.param(
-        "indicators.json",
-        ["data", "indicators", 0, "effective_domain"],
-        "NOWHERE",
-        "effective_domain",
-        id="indicators-domain-unknown",
-    ),
-    pytest.param(
         "kb",
         ["domains", 0, "literature_support", "strong", 0],
         7,
@@ -1077,6 +1067,31 @@ MALFORMED = [
         "placement_overrides",
         id="kb-override-spellings-conflict",
     ),
+    # A weight whose square underflows gives a norm of 0.0; one whose
+    # square overflows gives an infinite norm, and every fit would be 0.0.
+    pytest.param(
+        "kb",
+        ["domains", 0, "space_profile"],
+        {"P": 1e-200},
+        "domains[0]: space_profile",
+        id="kb-profile-norm-underflow",
+    ),
+    pytest.param(
+        "kb",
+        ["domains", 0, "space_profile"],
+        {"P": 1e200},
+        "domains[0]: space_profile",
+        id="kb-profile-norm-overflow",
+    ),
+    # The fixture's lighting is relevant to COMFORT, SAFETY & SECURITY and
+    # INFRASTRUCTURE only.
+    pytest.param(
+        "kb",
+        ["placement_overrides"],
+        {"lighting": "ECONOMIC"},
+        "placement_overrides.lighting",
+        id="kb-override-outside-relevant-set",
+    ),
     # Derived values are rebuilt on reading and must equal the artifact's.
     pytest.param(
         "placements.json",
@@ -1085,33 +1100,37 @@ MALFORMED = [
         "placements",
         id="placements-factor-dropped",
     ),
+    # accessibility's four placements come first, ranked by composite, so
+    # the first is its primary and the third a tertiary one. The tiers are
+    # not written: the rebuilt ranking refuses these edits.
     pytest.param(
         "placements.json",
-        ["data", "placements", 2, "tier"],
-        "secondary",
-        "placements[2].tier",
-        id="placements-tertiary-promoted",
-    ),
-    pytest.param(
-        "placements.json",
-        ["data", "placements", 1, "tier"],
-        "primary",
-        "placements[1].tier",
+        ["data", "placements"],
+        lambda entries: [entries[1], entries[0], *entries[2:]],
+        "placements[0].domain",
         id="placements-second-primary",
     ),
     pytest.param(
         "placements.json",
-        ["data", "cross_references", 0],
-        lambda ref: {**ref, "to_domain": "SOCIAL", "to_subcategory": "INCLUSIVE DESIGN"},
-        "cross_references[0].to_domain",
-        id="placements-reference-retargeted",
+        ["data", "placements", 2, "composite"],
+        0.99,
+        "placements[0].domain",
+        id="placements-tertiary-promoted",
+    ),
+    # accessibility's primary domain is ACCESSIBILITY.
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 1, "primary_domain"],
+        "NOWHERE",
+        "factors[1].primary_domain",
+        id="classification-domain-unknown",
     ),
     pytest.param(
-        "placements.json",
-        ["data", "argmax_flags", "lighting"],
-        False,
-        "argmax_flags.lighting",
-        id="placements-argmax-flipped",
+        "classification.json",
+        ["data", "factors", 1, "primary_domain"],
+        "SOCIAL",
+        "factors[1].primary_domain",
+        id="classification-primary-domain-changed",
     ),
     pytest.param(
         "placements.json",
@@ -1128,47 +1147,11 @@ MALFORMED = [
         id="classification-flag-cleared",
     ),
     pytest.param(
-        "classification.json",
-        ["data", "factors", 2, "factor_class"],
-        "Universal",
-        "factors[2].factor_class",
-        id="classification-class-changed",
-    ),
-    pytest.param(
-        "classification.json",
-        ["data", "factors", 0, "entropy_nats"],
-        -1,
-        "factors[0].entropy_nats",
-        id="classification-entropy-range",
-    ),
-    pytest.param(
         "assignments.json",
         ["data", "assignments", 0],
         lambda a: {**a, "category": "SOCIAL", "subcategory": "INCLUSIVE DESIGN"},
         "assignments[0].category",
         id="assignments-category-not-argmax",
-    ),
-    pytest.param(
-        "indicators.json",
-        ["data", "indicators", 0, "text"],
-        "Universal",
-        "indicators[0].text",
-        id="indicators-text-edited",
-    ),
-    pytest.param(
-        "indicators.json",
-        ["data", "indicators", 0, "coverage"],
-        -1,
-        "indicators[0].coverage",
-        id="indicators-coverage-range",
-    ),
-    # Profile 4 is WATER FEATURES, whose P relevance is 1.0.
-    pytest.param(
-        "indicators.json",
-        ["data", "subcategory_profiles", 4],
-        lambda profile: {**profile, "relevance": {**profile["relevance"], "P": True}},
-        "subcategory_profiles[4].relevance.P",
-        id="indicators-relevance-bool",
     ),
     # Every per-factor artifact lists the integrated factors, in their order.
     pytest.param(
@@ -1198,13 +1181,6 @@ MALFORMED = [
         "renamed",
         "factor",
         id="placements-factor-renamed",
-    ),
-    pytest.param(
-        "indicators.json",
-        ["data", "indicators", 0, "name"],
-        "renamed",
-        "name",
-        id="indicators-factor-renamed",
     ),
     # "file" rows: the config names a path that the value's function makes.
     pytest.param(
@@ -1257,7 +1233,6 @@ READER = {
     "classification.json": "place",
     "assignments.json": "place",
     "placements.json": "indicate",
-    "indicators.json": "emit",
 }
 
 def _edit(doc, path, value):

@@ -4,7 +4,8 @@ every leaf of the fixture's artifacts through the checked read path."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import pytest
@@ -19,7 +20,7 @@ from tests.conftest import FIXTURES
 
 # Phases whose artifacts the codec writes, and those a later phase reads.
 CODEC_PHASES = ("integrate", "classify", "cluster", "place", "indicate")
-READ_PHASES = ("integrate", "similarity", "classify", "cluster", "place", "indicate")
+READ_PHASES = ("integrate", "similarity", "classify", "cluster", "place")
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,17 @@ def test_artifact_round_trip(fixture_run, phase):
     _, state = fixture_run
     _, key, kind = pipeline.ARTIFACTS[phase]
     result = state.results[phase]
+    if phase == "place":
+        result = list(result.placements)
     data = json.loads(json.dumps(pipeline.artifact_data(phase, result)))
     if key is not None:
         data = data[key]
     decoded = codec.decode(kind, data, "data")
-    if phase == "cluster":  # the artifact keeps each factor's home only
-        result = [CategoryHome(a.factor, a.category, a.subcategory) for a in result]
+    if phase in ("classify", "cluster", "place"):
+        # The artifact keeps the fields of the entries' base class only.
+        (entry,) = typing.get_args(kind)
+        names = [f.name for f in fields(entry)]
+        result = [entry(**{n: getattr(r, n) for n in names}) for r in result]
     assert decoded == result
     assert codec.encode(kind, decoded) == data
 
@@ -74,35 +80,34 @@ def test_dataclass_fields_are_inlined_only_outside_collections(fixture_run):
         "studies",
         "insertion_index",
     ]
-    classified = pipeline.artifact_data("classify", state.results["classify"])
-    assert list(classified["factors"][0]) == [
-        "name",
-        "active_type_count",
-        "entropy_nats",
-        "total_mentions",
-        "factor_class",
-        "primary_domain",
-        "relevant_domains",
-        "score",
-        "status",
-        "flagged",
-        "relevance",
-    ]
     # Dataclasses inside a mapping or a tuple stay objects.
     channels = {"semantic": 0.5, "similarity_evidence": 0.0, "distribution": 1.0}
     scored = ScoredHome("safety", "COMFORT", "THERMAL", {"COMFORT": Channels(**channels)})
     assert codec.encode(ScoredHome, scored)["scores"] == {"COMFORT": channels}
-    placed = pipeline.artifact_data("place", state.results["place"])
-    assert set(placed) == {"placements", "cross_references", "argmax_flags"}
-    assert "tier" in placed["placements"][0]
 
 
-def test_assignments_keep_only_each_factors_home(fixture_run):
+# phase -> the keys of each entry of its slimmed artifact: the independent
+# values, and the derived ones the benchmark reads (similarity names, weights
+# and scores; each classification's primary domain and flag).
+KEPT_KEYS = {
+    "similarity": {"weights", "names", "scores", "components"},
+    "classify": {"name", "primary_domain", "flagged", "relevance"},
+    "cluster": {"factor", "category", "subcategory"},
+    "place": {"factor", "domain", "subcategory", "composite"},
+}
+
+
+@pytest.mark.parametrize("phase", KEPT_KEYS)
+def test_slim_artifacts_keep_only_their_keys(fixture_run, phase):
     config, _ = fixture_run
-    path = config.out_dir / pipeline.ARTIFACTS["cluster"][0]
-    entries = json.loads(path.read_text(encoding="utf-8"))["data"]["assignments"]
-    assert entries
-    assert all(set(entry) == {"factor", "category", "subcategory"} for entry in entries)
+    name, key, _ = pipeline.ARTIFACTS[phase]
+    data = json.loads((config.out_dir / name).read_text(encoding="utf-8"))["data"]
+    if key is None:
+        assert set(data) == KEPT_KEYS[phase]
+    else:
+        assert set(data) == {key}
+        assert data[key]
+        assert all(set(entry) == KEPT_KEYS[phase] for entry in data[key])
 
 
 def test_assignments_read_back_equal_the_run(fixture_run):
@@ -112,6 +117,21 @@ def test_assignments_read_back_equal_the_run(fixture_run):
     read = pipeline.RunState(config).get("cluster")
     assert all(type(a) is CategoryAssignment for a in read)
     assert read == state.results["cluster"]
+
+
+@pytest.mark.parametrize("phase", ("similarity", "classify", "place", "indicate"))
+def test_rebuilt_results_equal_the_run(fixture_run, phase):
+    """Classes, statistics, tiers, cross-references, argmax flags and the
+    indicators are rebuilt, so each result equals the run's."""
+    config, state = fixture_run
+    read = pipeline.RunState(config).get(phase)
+    if phase == "similarity":  # the build's candidate count is not written
+        assert (read.scores, read.components) == (
+            state.results[phase].scores,
+            state.results[phase].components,
+        )
+    else:
+        assert read == state.results[phase]
 
 
 ASSIGNMENT = {
@@ -256,21 +276,24 @@ def _rebuilt(phase, leaf):
 def test_mutation_sweep_reads_or_refuses(fixture_run):
     """Each leaf of each artifact a phase reads, mutated alone, is either
     read or refused with one line naming the file; nothing else escapes.
-    No leaf that is rebuilt on reading is read with another value, not even
-    one of its own kind that every type and range check accepts."""
+    Every mutation to a null, another JSON type or -1 is refused. No leaf
+    that is rebuilt on reading is read with another value, not even one of
+    its own kind that every type and range check accepts."""
     config, computed = fixture_run
     loaded = {
         name: getattr(computed, name) for name in ("checksums", "kb", "lexicon")
     }
     outcomes = {"read": 0, "refused": 0}
-    read_rebuilt = []
+    read_rebuilt, read_wrong_kind = [], []
     for phase in READ_PHASES:
         path = config.out_dir / pipeline.ARTIFACTS[phase][0]
         original = path.read_text(encoding="utf-8")
         doc = json.loads(original)
         try:
             for leaf, value in _leaves(doc):
-                for mutated in _mutations(value) + _same_kind(leaf, value, computed.kb):
+                mutations = [(m, True) for m in _mutations(value)]
+                mutations += [(m, False) for m in _same_kind(leaf, value, computed.kb)]
+                for mutated, wrong_kind in mutations:
                     edited = json.loads(original)
                     target = edited
                     for key in leaf[:-1]:
@@ -285,6 +308,8 @@ def test_mutation_sweep_reads_or_refuses(fixture_run):
                     try:
                         state.get(phase)
                         outcomes["read"] += 1
+                        if wrong_kind:
+                            read_wrong_kind.append((phase, leaf, mutated))
                         if _rebuilt(phase, leaf):
                             read_rebuilt.append((phase, leaf, mutated))
                     except ArtifactError as exc:
@@ -293,6 +318,6 @@ def test_mutation_sweep_reads_or_refuses(fixture_run):
                         outcomes["refused"] += 1
         finally:
             path.write_text(original, encoding="utf-8")
-    assert sum(outcomes.values()) > 2500
-    assert outcomes["refused"] > 10 * outcomes["read"]
+    assert sum(outcomes.values()) > 1450
+    assert read_wrong_kind == []
     assert read_rebuilt == []

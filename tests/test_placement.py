@@ -1,4 +1,4 @@
-"""Composite scoring, the tier protocol, cross-references, and metrics."""
+"""Composite scoring, the tier protocol, cross-references, and argmax flags."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from taxoforge.placement import (
     cross_references,
     place,
     place_cross_cutting,
-    placement_metrics,
 )
 
 # Composite scores from the worked placement examples, ranked best first.
@@ -161,10 +160,9 @@ class TestPipelinePlacement:
             assert (ref.to_domain, ref.to_subcategory) == primaries[ref.factor]
 
     def test_consistency_all_argmax(self, placed):
-        _, result = placed
-        metrics = placement_metrics(result)
-        assert metrics.consistency_pct == 100.0
-        assert metrics.total == len(result.placements)
+        results, result = placed
+        flagged = {r.name for r in results if r.cross_cutting.flagged}
+        assert result.argmax_flags == dict.fromkeys(flagged, True)
 
 
 class TestOverrides:
@@ -194,7 +192,7 @@ class TestOverrides:
             if p.factor == "accessibility" and p.tier is PlacementTier.PRIMARY
         )
         assert primary.domain == "SOCIAL"
-        assert placement_metrics(result).consistency_pct < 100.0
+        assert result.argmax_flags["accessibility"] is False
 
 
 class TestCrossReferences:

@@ -255,7 +255,7 @@ class TestMatrix:
 
     def test_serialization_round_trip(self, sample_matrix):
         doc = matrix_to_dict(sample_matrix)
-        restored = matrix_from_dict(doc)
+        restored = matrix_from_dict(doc, sample_matrix.floor)
         assert matrix_to_dict(restored) == doc
         assert restored.scores == sample_matrix.scores
         assert restored.components == sample_matrix.components
