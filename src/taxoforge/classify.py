@@ -8,14 +8,11 @@ lexicon and flags factors relevant to three or more domains. That
 factor-by-domain relevance table is computed here once and carried on each
 result, so category assignment and placement read it instead of rescoring.
 
-A relevance is the best ``linguistic_similarity`` of the factor name against
-one of the domain's keywords. ``relevance_rows`` builds one
-``KeywordScorer`` over the KB's distinct domain keywords, scores each name
-against all of them from the keywords' postings, and takes each domain's
-``max`` over its keyword positions in its keyword order. A keyword sharing
-no token, trigram key or lexicon field with the name scores exactly 0.0
-under ``_linguistic`` as well, so every row equals ``relevance_row``, the
-per-keyword reference, value for value and type for type.
+A relevance is the best linguistic component (see ``similarity``) of the
+factor name against one of the domain's keywords. ``relevance_rows`` builds
+one ``KeywordScorer`` over the domains' keyword lists and takes each name's
+row from it: every domain's ``max`` over its keywords, in its keyword order.
+The per-keyword reference each row must equal lives in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from typing import Sequence
 from .errors import TaxoforgeError
 from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
 from .knowledge import Domain, DomainKnowledgeBase
-from .similarity import KeywordScorer, SemanticLexicon, linguistic_similarity
+from .similarity import KeywordScorer, SemanticLexicon
 
 CROSS_CUTTING_THRESHOLD = 0.6
 CROSS_CUTTING_MIN_DOMAINS = 3
@@ -101,36 +98,19 @@ class CrossCuttingAssessment:
     flagged: bool
 
 
+# Kept, though run never calls it: perfbench/tracing.py counts the calls of
+# this name and refuses to install without it.
 def domain_relevance(name: str, domain: Domain, lexicon: SemanticLexicon) -> float:
-    """Best linguistic match between a factor name and the domain's keywords,
-    one keyword at a time: the reference ``relevance_rows`` must equal."""
-    return max(
-        linguistic_similarity(name, keyword, lexicon) for keyword in domain.keywords
-    )
-
-
-def relevance_row(
-    name: str, kb: DomainKnowledgeBase, lexicon: SemanticLexicon
-) -> tuple[float, ...]:
-    """The factor's relevance to every domain, in KB order."""
-    return tuple(domain_relevance(name, domain, lexicon) for domain in kb.domains)
+    """The factor's relevance to one domain."""
+    return KeywordScorer([domain.keywords], lexicon).row(name)[0]
 
 
 def relevance_rows(
     names: Sequence[str], kb: DomainKnowledgeBase, lexicon: SemanticLexicon
 ) -> list[tuple[float, ...]]:
-    """``relevance_row`` of each name, from one ``KeywordScorer`` over the
-    KB's distinct domain keywords: each entry is the ``max`` over the
-    domain's keyword positions, in the domain's keyword order."""
-    keywords = list(dict.fromkeys(k for d in kb.domains for k in d.keywords))
-    position = {keyword: k for k, keyword in enumerate(keywords)}
-    positions = [[position[keyword] for keyword in d.keywords] for d in kb.domains]
-    scorer = KeywordScorer(keywords, lexicon)
-    rows = []
-    for name in names:
-        scores = scorer.scores(name)
-        rows.append(tuple(max([scores[k] for k in keys]) for keys in positions))
-    return rows
+    """Each name's relevance to every domain, in KB order."""
+    scorer = KeywordScorer([domain.keywords for domain in kb.domains], lexicon)
+    return [scorer.row(name) for name in names]
 
 
 def primary_domain(

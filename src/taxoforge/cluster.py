@@ -14,19 +14,24 @@ are one ``ChannelRow``: a tuple per channel in KB order, and their blend. The
 artifact keeps only each factor's home (``CategoryHome``): reading it
 rebuilds every row with ``channel_scores``, the helper ``assign_categories``
 scores with, and refuses a category that is not the rebuilt argmax.
+
+A subcluster's subcategory is the one whose keywords best match its names on
+average. ``best_subcategory`` reads each name's row of the domain's
+``subcategory_scorer``, a ``KeywordScorer`` over its subcategory keyword
+lists, which each call of ``assign_categories`` builds once per category.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .classify import ClassificationResult, FactorClass
 from .integrate import IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase, DomainScope, ScopePriors
-from .similarity import SemanticLexicon, SimilarityMatrix, linguistic_similarity
+from .similarity import KeywordScorer, SemanticLexicon, SimilarityMatrix
 
 SEMANTIC_WEIGHT = 0.4
 SIMILARITY_WEIGHT = 0.3
@@ -192,21 +197,24 @@ def subcluster(
     return [sorted(groups[root]) for root in sorted(groups)]
 
 
-def best_subcategory(
-    names: Sequence[str], domain: Domain, lexicon: SemanticLexicon
-) -> str:
-    """Subcategory with the highest mean keyword match over the given names.
+def subcategory_scorer(domain: Domain, lexicon: SemanticLexicon) -> KeywordScorer:
+    """The scorer over the domain's subcategory keyword lists, in order."""
+    return KeywordScorer([sub.keywords for sub in domain.subcategories], lexicon)
 
-    An all-zero match falls back to the domain's first subcategory.
+
+def best_subcategory(
+    names: Sequence[str], domain: Domain, scorer: KeywordScorer
+) -> str:
+    """Subcategory with the highest mean keyword match over the given names,
+    from the domain's ``subcategory_scorer``; the first strictly highest
+    wins. Each mean sums over the names in order, then divides by their
+    count. An all-zero match falls back to the domain's first subcategory.
     """
+    totals = [0.0] * len(domain.subcategories)
+    for name in names:
+        totals = list(map(add, totals, scorer.row(name)))
     best_id, best = domain.subcategories[0].identifier, 0.0
-    for sub in domain.subcategories:
-        total = 0.0
-        for name in names:
-            total += max(
-                linguistic_similarity(name, keyword, lexicon)
-                for keyword in sub.keywords
-            )
+    for sub, total in zip(domain.subcategories, totals):
         mean = total / len(names)
         if mean > best:
             best_id, best = sub.identifier, mean
@@ -234,9 +242,10 @@ def assign_categories(
     subcategories: dict[int, str] = {}
     for category, members in by_category.items():
         domain = kb.by_id(category)
+        scorer = subcategory_scorer(domain, lexicon)
         for cluster in subcluster(members, matrix, subcluster_threshold):
             names = [factor_set.factors[i].canonical_name for i in cluster]
-            sub_id = best_subcategory(names, domain, lexicon)
+            sub_id = best_subcategory(names, domain, scorer)
             for i in cluster:
                 subcategories[i] = sub_id
 

@@ -9,6 +9,8 @@ inputs produce byte-identical JSON, markdown, and flow-data files.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -511,15 +513,15 @@ def export_sankey(
 
 
 def render_sankey(export: SankeyExport) -> str:
-    """Two-section delimited text: nodes (id,label,layer) then links."""
-    lines = ["nodes", "id,label,layer"]
-    for node in export.nodes:
-        lines.append(f"{node.id},{node.label},{node.layer}")
-    lines.append("links")
-    lines.append("source,target,weight")
-    for link in export.links:
-        lines.append(f"{link.source},{link.target},{link.weight}")
-    return "\n".join(lines) + "\n"
+    """Two-section CSV text: nodes (id,label,layer) then links. A field
+    holding a comma, a quote or a line break is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerows([["nodes"], ["id", "label", "layer"]])
+    writer.writerows([node.id, node.label, node.layer] for node in export.nodes)
+    writer.writerows([["links"], ["source", "target", "weight"]])
+    writer.writerows([link.source, link.target, link.weight] for link in export.links)
+    return out.getvalue()
 
 
 def write_sankey(export: SankeyExport, path: str | Path) -> None:

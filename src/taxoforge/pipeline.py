@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -758,6 +759,9 @@ def phase_emit(
         export = emit.export_sankey(framework, sankey_category, sankey_subfactors)
         resolved = emit.resolve_category(framework, sankey_category)
         slug = resolved.identifier.casefold().replace(" ", "_").replace("&", "and")
+        # A path separator in the id must not lead the file out of out_dir.
+        for separator in filter(None, (os.sep, os.altsep)):
+            slug = slug.replace(separator, "_")
         emit.write_sankey(export, config.out_dir / f"sankey_{slug}.csv")
     if not report.passed:
         log.error("emit: validation failed")

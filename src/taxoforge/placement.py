@@ -20,11 +20,12 @@ from .cluster import (
     CategoryAssignment,
     best_subcategory,
     related_factors,
+    subcategory_scorer,
 )
 from .errors import KnowledgeBaseError
 from .integrate import IntegratedFactorSet
-from .knowledge import DomainKnowledgeBase
-from .similarity import SemanticLexicon, SimilarityMatrix
+from .knowledge import Domain, DomainKnowledgeBase
+from .similarity import KeywordScorer, SemanticLexicon, SimilarityMatrix
 
 PROMOTION_THRESHOLD = 0.80
 
@@ -118,10 +119,17 @@ def by_keywords(
     kb: DomainKnowledgeBase, lexicon: SemanticLexicon
 ) -> Callable[[str, str], str]:
     """(factor, domain id) -> the domain's subcategory whose keywords best
-    match the factor's name."""
-    return lambda factor, domain_id: best_subcategory(
-        [factor], kb.by_id(domain_id), lexicon
-    )
+    match the factor's name. Each domain's scorer is built on first use."""
+    scorers: dict[str, tuple[Domain, KeywordScorer]] = {}
+
+    def subcategory(factor: str, domain_id: str) -> str:
+        if domain_id not in scorers:
+            domain = kb.by_id(domain_id)
+            scorers[domain_id] = domain, subcategory_scorer(domain, lexicon)
+        domain, scorer = scorers[domain_id]
+        return best_subcategory([factor], domain, scorer)
+
+    return subcategory
 
 
 def place(

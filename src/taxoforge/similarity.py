@@ -23,9 +23,13 @@ key; a trigram's posting holds a factor once per occurrence. For each factor
 gives, for every later factor ``j``, the shared-token count, the exact
 integer trigram dot product, the shared-field count and the shared-study
 count. The pair is then scored from those counts by the same operations as
-``linguistic_similarity``, ``distributional_similarity``,
-``co_occurrence_strength`` and ``combine``, so each score and component is
-bit-for-bit what those functions give.
+the per-pair definitions, so each score and component is bit-for-bit theirs.
+The linguistic component is the token Jaccard (0.0 for two empty token
+sets), then its ``max`` with the trigram cosine when the dot product is not
+0, then its ``max`` with the field score when a field is shared;
+``distributional_similarity``, ``co_occurrence_strength`` and ``combine`` give
+the rest. ``tests/conftest.py`` keeps the per-pair linguistic score as the
+reference the build and the keyword scoring are tested against.
 
 Only candidate pairs are scored: those sharing at least one key (the exact
 candidate generation of All-Pairs, Bayardo, Ma and Srikant, WWW 2007, here
@@ -52,16 +56,19 @@ operations on numbers at most 1, stays below ``floor - 1e-9 + 3e-15``, short
 of the floor. The slack is absolute, not relative to ``t``, so the argument
 holds even when ``w_d`` lies within rounding of the floor.
 
-``KeywordScorer`` applies the same counting to a fixed tuple of keywords,
-for classify's factor-by-domain relevance. It keeps postings of the
-keywords' tokens, trigram keys (a keyword once per occurrence) and lexicon
-fields. For a name, ``collections.Counter`` over the postings of the name's
-keys gives each keyword sharing a key the shared-token count and the exact
-integer trigram dot product, and a set lookup gives the shared fields; the
-keyword is scored by ``_linguistic``'s operations in ``_linguistic``'s order.
-Every other keyword scores exactly 0.0, as under ``_linguistic``: its token
-Jaccard is 0/union (or 0.0 for two empty token sets), its trigram cosine is
-never taken, and it earns no field bonus.
+``KeywordScorer`` applies the same counting to groups of keywords: the
+domains' keyword lists for classify's factor-by-domain relevance, and one
+domain's subcategory keyword lists for cluster's and placement's subcategory
+choice. It keeps postings of the distinct keywords' tokens, trigram keys (a
+keyword once per occurrence) and lexicon fields. For a name,
+``collections.Counter`` over the postings of the name's keys gives each
+keyword sharing a key the shared-token count and the exact integer trigram
+dot product, and a set lookup gives the shared fields; the keyword is scored
+by the linguistic component's operations in their order. Every other keyword
+scores exactly 0.0 under the per-pair definition too: its token Jaccard is
+0/union (or 0.0 for two empty token sets), its trigram cosine is never taken,
+and it earns no field bonus. A group's score is the ``max`` over its
+keywords in the group's order.
 
 What the linguistic component reads of a name (its token set, trigram counts
 and their squared norm, and its lexicon fields) is computed once per name and
@@ -195,26 +202,6 @@ def _int_cosine(dot: int, norm_sq_a: int, norm_sq_b: int) -> float:
     if dot == 0:
         return 0.0
     return min(1.0, dot / math.sqrt(norm_sq_a * norm_sq_b))
-
-
-def _linguistic(fa: NameFeatures, fb: NameFeatures, field_score: float) -> float:
-    """Best of token-set Jaccard, trigram cosine, and the shared-field bonus."""
-    shared = len(fa.tokens & fb.tokens)
-    union = len(fa.tokens) + len(fb.tokens) - shared
-    score = shared / union if union else 0.0
-    common = fa.grams & fb.grams
-    if common:  # otherwise the trigram cosine is 0.0
-        ga, gb = fa.trigrams, fb.trigrams
-        dot = sum([ga[gram] * gb[gram] for gram in common])
-        score = max(score, _int_cosine(dot, fa.trigram_norm_sq, fb.trigram_norm_sq))
-    if not fa.fields.isdisjoint(fb.fields):
-        score = max(score, field_score)
-    return score
-
-
-def linguistic_similarity(a: str, b: str, lexicon: SemanticLexicon) -> float:
-    """Best of token overlap, trigram cosine, and the shared-field bonus."""
-    return _linguistic(lexicon.features(a), lexicon.features(b), lexicon.field_score)
 
 
 def distributional_similarity(va: OccurrenceVector, vb: OccurrenceVector) -> float:
@@ -382,10 +369,10 @@ class _PairScorer:
         only the ones whose trigram dot product reaches ``screen`` times the
         product of the two trigram norms.
 
-        The components equal ``linguistic_similarity``,
-        ``distributional_similarity`` and ``co_occurrence_strength`` of the
-        pair, computed by the same operations on the same integers, and the
-        score equals their ``combine``.
+        The components equal the pair's linguistic component (see the module
+        docstring), ``distributional_similarity`` and
+        ``co_occurrence_strength``, computed by the same operations on the
+        same integers, and the score equals their ``combine``.
         """
         n = self.n
         indexes: tuple[dict[str, list[int]], ...] = ({}, {}, {}, {})
@@ -433,18 +420,23 @@ class _PairScorer:
 
 
 class KeywordScorer:
-    """``linguistic_similarity`` of any name against each of a fixed tuple of
-    keywords, scored from postings of the keywords' keys.
+    """The linguistic component of any name against groups of keywords: for
+    each group, in order, the best score of one of its keywords.
 
-    A keyword sharing no token, trigram key or lexicon field with the name
-    scores exactly 0.0 under ``_linguistic``, so only the keywords a name
-    shares a key with are scored.
+    The distinct keywords are scored from postings of their keys. A keyword
+    sharing no token, trigram key or lexicon field with the name scores
+    exactly 0.0, so only the keywords a name shares a key with are scored.
     """
 
-    def __init__(self, keywords: Sequence[str], lexicon: SemanticLexicon) -> None:
-        self.keywords = tuple(keywords)
+    def __init__(
+        self, groups: Sequence[Sequence[str]], lexicon: SemanticLexicon
+    ) -> None:
+        keywords = list(dict.fromkeys(k for group in groups for k in group))
+        position = {keyword: k for k, keyword in enumerate(keywords)}
+        # Each group's keyword positions, in the group's order.
+        self.groups = [[position[keyword] for keyword in group] for group in groups]
         self.lexicon = lexicon
-        features = [lexicon.features(keyword) for keyword in self.keywords]
+        features = [lexicon.features(keyword) for keyword in keywords]
         # Postings of tokens, of trigram keys (each keyword listed once per
         # occurrence, so shared counts are the integer dot product) and of
         # lexicon fields.
@@ -461,9 +453,9 @@ class KeywordScorer:
         self.token_counts = [len(f.tokens) for f in features]
         self.gram_norms = [f.trigram_norm_sq for f in features]
 
-    def scores(self, name: str) -> list[float]:
-        """``linguistic_similarity(name, keyword)`` for every keyword, in
-        order, by ``_linguistic``'s operations on the same integers."""
+    def row(self, name: str) -> tuple[float, ...]:
+        """Each group's ``max`` over its keywords' scores against ``name``,
+        taken in the group's keyword order."""
         f = self.lexicon.features(name)
         grams = [g for g, m in f.trigrams.items() for _ in range(m)]
         tokens = Counter(_postings(self.tokens, f.tokens))
@@ -472,7 +464,7 @@ class KeywordScorer:
         token_counts, gram_norms = self.token_counts, self.gram_norms
         tokens_a, grams_a = len(f.tokens), f.trigram_norm_sq
         field_score = self.lexicon.field_score
-        out = [0.0] * len(self.keywords)
+        scores = [0.0] * len(token_counts)
         for k in tokens.keys() | dots.keys() | fields:
             shared = tokens.get(k, 0)
             union = tokens_a + token_counts[k] - shared
@@ -482,8 +474,8 @@ class KeywordScorer:
                 score = max(score, _int_cosine(dot, grams_a, gram_norms[k]))
             if k in fields:
                 score = max(score, field_score)
-            out[k] = score
-        return out
+            scores[k] = score
+        return tuple(max([scores[k] for k in group]) for group in self.groups)
 
 
 def _postings(index: dict[str, list[int]], keys: Iterable[str]) -> Iterator[int]:

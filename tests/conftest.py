@@ -1,5 +1,6 @@
-"""Shared fixtures: default config files, the worked-example corpus, and
-builders for the small factor sets the worked tables exercise."""
+"""Shared fixtures: default config files, the worked-example corpus,
+builders for the small factor sets the worked tables exercise, and the
+one-pair-at-a-time references the counting code is tested against."""
 
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from taxoforge.similarity import (
     co_occurrence_strength,
     combine,
     distributional_similarity,
-    linguistic_similarity,
     load_lexicon,
 )
 
@@ -190,6 +190,50 @@ def cosine(a, b) -> float:
     norm_a = math.sqrt(sum(x * x for x in a))
     norm_b = math.sqrt(sum(y * y for y in b))
     return min(1.0, dot / (norm_a * norm_b))
+
+
+def linguistic_similarity(a: str, b: str, lexicon) -> float:
+    """The linguistic reference, one pair of names at a time: the best of
+    token-set Jaccard, trigram cosine and the shared-field bonus, by the
+    operations the package's counting scorers must match bit for bit."""
+    fa, fb = lexicon.features(a), lexicon.features(b)
+    shared = len(fa.tokens & fb.tokens)
+    union = len(fa.tokens) + len(fb.tokens) - shared
+    score = shared / union if union else 0.0
+    common = fa.grams & fb.grams
+    if common:  # otherwise the trigram cosine is 0.0
+        dot = sum([fa.trigrams[gram] * fb.trigrams[gram] for gram in common])
+        cosine = dot / math.sqrt(fa.trigram_norm_sq * fb.trigram_norm_sq)
+        score = max(score, min(1.0, cosine))
+    if not fa.fields.isdisjoint(fb.fields):
+        score = max(score, lexicon.field_score)
+    return score
+
+
+def keyword_match(name: str, keywords, lexicon) -> float:
+    """The best reference score of the name against one of the keywords."""
+    return max(linguistic_similarity(name, keyword, lexicon) for keyword in keywords)
+
+
+def relevance_row(name: str, kb, lexicon) -> tuple[float, ...]:
+    """The factor's relevance to every domain, in KB order, one keyword at a
+    time: the reference ``classify.relevance_rows`` must equal."""
+    return tuple(keyword_match(name, domain.keywords, lexicon) for domain in kb.domains)
+
+
+def best_subcategory_reference(names, domain, lexicon) -> str:
+    """The subcategory choice one keyword at a time: the first subcategory
+    with the strictly highest mean match, summed over the names in order;
+    the first subcategory when every mean is 0.0."""
+    best_id, best = domain.subcategories[0].identifier, 0.0
+    for sub in domain.subcategories:
+        total = 0.0
+        for name in names:
+            total += keyword_match(name, sub.keywords, lexicon)
+        mean = total / len(names)
+        if mean > best:
+            best_id, best = sub.identifier, mean
+    return best_id
 
 
 def seeded_matrix(names: list[str], pairs: dict, weights=None) -> SimilarityMatrix:

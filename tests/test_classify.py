@@ -18,11 +18,18 @@ from taxoforge.classify import (
     distribution_stats,
     entropy,
     primary_domain,
-    relevance_row,
+    relevance_rows,
 )
 from taxoforge.errors import TaxoforgeError
 from taxoforge.integrate import OccurrenceVector
 from taxoforge.knowledge import default_lexicon_path
+from tests.conftest import relevance_row
+
+
+def shipped_row(name, kb, lexicon):
+    """The name's relevance row as classify scores it."""
+    (row,) = relevance_rows([name], kb, lexicon)
+    return row
 
 
 def hand_entropy(counts):
@@ -98,36 +105,36 @@ class TestPrimaryDomain:
         ],
     )
     def test_worked_examples(self, name, expected, default_kb, default_lexicon):
-        row = relevance_row(name, default_kb, default_lexicon)
+        row = shipped_row(name, default_kb, default_lexicon)
         assert primary_domain(row, default_kb) == expected
 
     def test_unassignable_is_none(self, default_kb, default_lexicon):
-        row = relevance_row("zzz", default_kb, default_lexicon)
+        row = shipped_row("zzz", default_kb, default_lexicon)
         assert primary_domain(row, default_kb) is None
 
     def test_deterministic(self, default_kb, default_lexicon):
         rows = [
-            relevance_row("lighting", default_kb, default_lexicon) for _ in range(6)
+            shipped_row("lighting", default_kb, default_lexicon) for _ in range(6)
         ]
         assert len({primary_domain(row, default_kb) for row in rows}) == 1
 
 
 class TestCrossCutting:
     def test_safety_limited(self, default_kb, default_lexicon):
-        row = relevance_row("safety", default_kb, default_lexicon)
+        row = shipped_row("safety", default_kb, default_lexicon)
         cc = assess_cross_cutting(row, default_kb)
         assert not cc.flagged
         assert cc.status is CrossCuttingStatus.LIMITED
 
     def test_accessibility_very_high(self, default_kb, default_lexicon):
-        row = relevance_row("accessibility", default_kb, default_lexicon)
+        row = shipped_row("accessibility", default_kb, default_lexicon)
         cc = assess_cross_cutting(row, default_kb)
         assert cc.flagged
         assert cc.status is CrossCuttingStatus.VERY_HIGH
         assert cc.score == 4
 
     def test_lighting_high(self, default_kb, default_lexicon):
-        row = relevance_row("lighting", default_kb, default_lexicon)
+        row = shipped_row("lighting", default_kb, default_lexicon)
         cc = assess_cross_cutting(row, default_kb)
         assert cc.flagged
         assert cc.status is CrossCuttingStatus.HIGH

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import logging
@@ -356,17 +357,19 @@ class TestClassifyPhase:
         self, tmp_path, monkeypatch
     ):
         names = []
-        original = similarity.KeywordScorer.scores
 
-        def counting(self, name):
-            names.append(name)
-            return original(self, name)
+        class Counting(similarity.KeywordScorer):
+            # Only classify's scorers count: cluster and place score
+            # subcategories through the same class.
+            def row(self, name):
+                names.append(name)
+                return super().row(name)
 
-        def per_keyword(name, domain, lexicon):
-            raise AssertionError("run scores relevance one keyword at a time")
+        def per_domain(name, domain, lexicon):
+            raise AssertionError("run scores relevance one domain at a time")
 
-        monkeypatch.setattr(similarity.KeywordScorer, "scores", counting)
-        monkeypatch.setattr(classify, "domain_relevance", per_keyword)
+        monkeypatch.setattr(classify, "KeywordScorer", Counting)
+        monkeypatch.setattr(classify, "domain_relevance", per_domain)
         config = pipeline.apply_overrides(
             pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
         )
@@ -480,6 +483,52 @@ class TestFlags:
         path = tmp_path / "out" / "sankey_safety_and_security.csv"
         assert path.exists()
         assert path.read_text(encoding="utf-8").startswith("nodes\n")
+
+    def test_sankey_quotes_a_name_holding_a_comma(self, tmp_path):
+        # Rules that strip only "." keep the comma in "lighting, street".
+        rules = tmp_path / "rules.yaml"
+        rules.write_text(
+            default_rules_path()
+            .read_text(encoding="utf-8")
+            .replace('punctuation_strip: ".,;:()/&-"', 'punctuation_strip: "."'),
+            encoding="utf-8",
+        )
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(
+            (FIXTURES / "sample_corpus.csv").read_text(encoding="utf-8")
+            + '"lighting, street",c01,P\n',
+            encoding="utf-8",
+        )
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            f"datasets:\n  - {corpus}\nrules: {rules}\nout: {tmp_path / 'out'}\n",
+            encoding="utf-8",
+        )
+        # Its P-only counts give it a home in NATURAL ELEMENTS.
+        code = cli.main(["run", "--config", str(config), "--sankey", "NATURAL"])
+        assert code == 0
+        path = tmp_path / "out" / "sankey_natural_elements.csv"
+        with path.open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert {len(row) for row in rows} == {1, 3}
+        assert ["factor:lighting, street", "lighting, street", "Subfactor"] in rows
+        assert ["factor:lighting, street", "subcat:VEGETATION", "1"] in rows
+
+    def test_sankey_file_stays_in_out_dir(self, tmp_path):
+        text = default_kb_path().read_text(encoding="utf-8")
+        kb = tmp_path / "kb.yaml"
+        kb.write_text(
+            text.replace("- id: INFRASTRUCTURE", "- id: INFRA/../../escaped"),
+            encoding="utf-8",
+        )
+        config = write_config(tmp_path, extra=f"kb: {kb}\n")
+        code = cli.main(["run", "--config", str(config), "--sankey", "INFRA"])
+        assert code == 0
+        out = tmp_path / "out"
+        sankeys = sorted(p.name for p in out.iterdir() if p.name.startswith("sankey"))
+        assert sankeys == ["sankey_infra_.._.._escaped.csv"]
+        assert (out / sankeys[0]).is_file()
+        assert not (tmp_path / "escaped.csv").exists()
 
     def test_sankey_with_subfactors(self, tmp_path):
         config = write_config(tmp_path)

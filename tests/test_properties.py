@@ -26,9 +26,9 @@ from taxoforge.classify import (
     classify_factor,
     classify_factors,
     distribution_stats,
+    domain_relevance,
     entropy,
     primary_domain,
-    relevance_row,
     relevance_rows,
 )
 from taxoforge.cluster import (
@@ -38,9 +38,11 @@ from taxoforge.cluster import (
     SIMILARITY_WEIGHT,
     argmax_domain,
     assign_categories,
+    best_subcategory,
     channel_scores,
     domain_priorities,
     related_factors,
+    subcategory_scorer,
 )
 from taxoforge.corpus import (
     SPACE_TYPES,
@@ -76,7 +78,13 @@ from taxoforge.similarity import (
     build_matrix,
     combine,
 )
-from tests.conftest import assert_graph_matches_dense, cosine, dense_pairs
+from tests.conftest import (
+    assert_graph_matches_dense,
+    best_subcategory_reference,
+    cosine,
+    dense_pairs,
+    relevance_row,
+)
 
 BULK_CASES = 10_000
 SEED = 20260809
@@ -346,11 +354,31 @@ def check_relevance_rows(domains, fields, field_score, names) -> None:
         expected = relevance_row(name, kb, reference)
         assert row == expected
         assert list(map(type, row)) == list(map(type, expected))
-        for keywords, score in zip(domains, row):
+        for domain, keywords, score in zip(kb.domains, domains, row):
+            assert domain_relevance(name, domain, reference) == score
             if name in keywords:
                 assert score == 1.0
         if not any(row):
             assert primary_domain(row, kb) is None
+
+
+def check_best_subcategory(groups, fields, field_score, names) -> None:
+    """``best_subcategory`` over a domain whose subcategories hold the keyword
+    groups equals the per-keyword reference."""
+    domain = Domain(
+        identifier="D",
+        scope=DomainScope.BROAD,
+        keywords=tuple(groups[0]),
+        subcategories=tuple(
+            Subcategory(f"S{i}", tuple(keywords)) for i, keywords in enumerate(groups)
+        ),
+        space_profile=(1.0,) * 6,
+        compatible_types=frozenset(),
+    )
+    scorer = subcategory_scorer(domain, SemanticLexicon(fields, field_score))
+    reference = SemanticLexicon(fields, field_score)  # its own feature cache
+    expected = best_subcategory_reference(names, domain, reference)
+    assert best_subcategory(names, domain, scorer) == expected
 
 
 @st.composite
@@ -676,6 +704,30 @@ def test_repeated_and_short_trigrams_equal_dense_oracle(case):
 @example(case=([["banana"], ["street lighting"]], {}, 0.85, ["xyz w"]))
 def test_keyword_relevance_rows_equal_per_keyword_reference(case):
     check_relevance_rows(*case)
+
+
+@SUITE
+@given(case=relevance_cases())
+# a tie between subcategories goes to the first
+@example(case=([["banana"], ["nana", "banana"]], {}, 0.85, ["banana"]))
+# no keyword matches: the first subcategory
+@example(case=([["qq"], ["banana"]], {}, 0.85, ["xyz w"]))
+# "banana" in both subcategories, a multi-name subcluster
+@example(case=([["banana", "na"], ["ab", "banana"]], {}, 0.85, ["nana", "ab cd"]))
+# the field bonus alone picks the second subcategory
+@example(case=([["banana"], ["qq"]], RELEVANCE_FIELDS[0], 0.85, ["zz"]))
+# the names summed in order tie (the first wins); summed last to first, the
+# second subcategory's mean is higher in the last bit
+@example(
+    case=(
+        [["f c"], ["k b"]],
+        {},
+        0.85,
+        ["b a h d i j c k", "g a c f d b h j", "e h b j c"],
+    )
+)
+def test_best_subcategory_equals_per_keyword_reference(case):
+    check_best_subcategory(*case)
 
 
 FLAT = (1.0,) * 6

@@ -14,6 +14,7 @@ from taxoforge.similarity import (
     BandCensus,
     all_pair_scores,
     ComponentScores,
+    KeywordScorer,
     SemanticLexicon,
     SimilarityBand,
     SimilarityWeights,
@@ -23,7 +24,6 @@ from taxoforge.similarity import (
     co_occurrence_strength,
     combine,
     distributional_similarity,
-    linguistic_similarity,
     load_lexicon,
     matrix_from_dict,
     matrix_to_dict,
@@ -38,24 +38,30 @@ from tests.conftest import (
 )
 
 
+def linguistic(a: str, b: str, lexicon: SemanticLexicon) -> float:
+    """The shipped scorer's linguistic component of name ``a`` against ``b``."""
+    (score,) = KeywordScorer([[b]], lexicon).row(a)
+    return score
+
+
 class TestLinguistic:
     def test_identity(self, default_lexicon):
-        assert linguistic_similarity("safety", "safety", default_lexicon) == 1.0
+        assert linguistic("safety", "safety", default_lexicon) == 1.0
 
     def test_shared_head_token(self, default_lexicon):
         # token sets {thermal, comfort} vs {comfort}: Jaccard = 1/2
         a = name_features("thermal comfort", default_lexicon).tokens
         b = name_features("comfort", default_lexicon).tokens
         assert len(a & b) / len(a | b) == 0.5
-        score = linguistic_similarity("thermal comfort", "comfort", default_lexicon)
+        score = linguistic("thermal comfort", "comfort", default_lexicon)
         assert score >= 0.5
 
     def test_distinct_domains(self, default_lexicon):
-        assert linguistic_similarity("traffic", "biodiversity", default_lexicon) <= 0.1
+        assert linguistic("traffic", "biodiversity", default_lexicon) <= 0.1
 
     def test_field_bonus(self, default_lexicon):
         assert (
-            linguistic_similarity("safety", "security", default_lexicon)
+            linguistic("safety", "security", default_lexicon)
             == default_lexicon.field_score
         )
 
@@ -63,15 +69,15 @@ class TestLinguistic:
         # Same names, two lexicons in one process: each reads its own fields.
         one = SemanticLexicon(fields={"f": frozenset({"alpha", "omega"})})
         other = SemanticLexicon(fields={"g": frozenset({"alpha"})})
-        assert linguistic_similarity("alpha", "omega", one) == one.field_score
-        assert linguistic_similarity("alpha", "omega", other) < one.field_score
+        assert linguistic("alpha", "omega", one) == one.field_score
+        assert linguistic("alpha", "omega", other) < one.field_score
         assert other.features("alpha").fields == {"g"}
         assert one.features("alpha").fields == {"f"}
 
     def test_symmetry(self, default_lexicon):
         pairs = [("safety", "security"), ("thermal comfort", "comfort"), ("a", "b c")]
         for a, b in pairs:
-            assert linguistic_similarity(a, b, default_lexicon) == linguistic_similarity(
+            assert linguistic(a, b, default_lexicon) == linguistic(
                 b, a, default_lexicon
             )
 
@@ -233,7 +239,7 @@ class TestMatrix:
         # sqrt(2) * sqrt(2) exceeds 2, so a screen without slack drops it.
         a, b = make_factor("abcd", {"P": 1}), make_factor("abce", {"S": 1})
         lexicon = SemanticLexicon(fields={})
-        assert linguistic_similarity("abcd", "abce", lexicon) == 0.5
+        assert linguistic("abcd", "abce", lexicon) == 0.5
         weights = SimilarityWeights(1.0, 0.0, 0.0)
         matrix = build_matrix(IntegratedFactorSet((a, b), 2), weights, lexicon, 0.5)
         assert matrix.scores == [(0, 1, 0.5)]
