@@ -1,9 +1,11 @@
 """Input data model: factor records, datasets, and normalization rules.
 
-A corpus is an ordered list of raw factor records, each tagged with the study
-that reported it and one of the six space typologies (codes P, S, U, G, O, F).
-The loader checks each row once, as it reads it; a record is a plain named
-tuple that checks nothing when built.
+A corpus is a multiset of raw factor records, each tagged with the study that
+reported it and one of the six space typologies (codes P, S, U, G, O, F): the
+distinct records in first-seen order, each with the number of dataset rows it
+stands for. The loader counts identical rows before it looks at them and
+checks each distinct row once; a record is a plain named tuple that checks
+nothing when built. A refused row's line is found by reading the file again.
 Normalization rewrites raw factor names onto a canonical surface form through
 a declarative rule set: case folding, whitespace collapsing, punctuation
 stripping, then a single-step synonym map guarded by a preserve-distinct list.
@@ -13,10 +15,11 @@ from __future__ import annotations
 
 import csv
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn
 
 from .codec import decode, read_yaml
 from .errors import CorpusError, RuleSetError
@@ -45,7 +48,7 @@ _BOUNDARY_HYPHEN = re.compile(r"(?<!\w)-|-(?!\w)")
 
 class FactorRecord(NamedTuple):
     """One raw factor occurrence: name, citing study, and typology. Building
-    one checks nothing: the loader checks each row it reads, and
+    one checks nothing: the loader checks each distinct row it reads, and
     ``integrate`` checks each record it folds."""
 
     raw_name: str
@@ -55,9 +58,39 @@ class FactorRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered factor records."""
+    """Distinct factor records in first-seen order, with the number of rows
+    each stands for. Without ``counts`` each listed record counts once, as in
+    a corpus built by hand. ``sources`` splits the records into runs, each
+    with the dataset file it was loaded from, or None."""
 
     records: tuple[FactorRecord, ...]
+    counts: tuple[int, ...] | None = None
+    sources: tuple[tuple[Path | None, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.counts is None:
+            object.__setattr__(self, "counts", (1,) * len(self.records))
+        if not self.sources:
+            object.__setattr__(self, "sources", ((None, len(self.records)),))
+        if len(self.counts) != len(self.records) or min(self.counts, default=1) < 1:
+            raise CorpusError("a corpus needs one positive count per record")
+
+    def locate(self, position: int) -> str:
+        """Where the record at 1-based ``position`` comes from: its dataset
+        file and the line of its first row, or ``record N`` for a record
+        built by hand. The file is read again, so call this on error paths."""
+        end = 0
+        for path, size in self.sources:
+            end += size
+            if position <= end:
+                if path is None:
+                    break
+                record = self.records[position - 1]
+                line = _first_line(
+                    path, lambda row: tuple(cell.strip() for cell in row) == record
+                )
+                return f"{path}: row {line}"
+        return f"record {position}"
 
 
 @dataclass(frozen=True)
@@ -172,14 +205,17 @@ def load_rules(path: str | Path) -> NormalizationRuleSet:
     return rules
 
 
-def _records_from_rows(
-    rows: Iterable[list[str]], source: str, expect_type: str | None = None
-) -> list[FactorRecord]:
-    # FactorRecord(...) goes through NamedTuple's Python-level __new__;
-    # tuple.__new__ builds the same record without that call.
-    records: list[FactorRecord] = []
-    append, new = records.append, tuple.__new__
-    for lineno, row in enumerate(rows, start=2):  # header is line 1
+def _count_records(
+    rows: Counter[tuple[str, ...]], path: Path, expect_type: str | None
+) -> dict[FactorRecord, int]:
+    """Check each distinct row once and sum the counts of the rows that hold
+    the same record. The records share one string per distinct name and study
+    id through a dict local to the load: with ``sys.intern`` instead, the
+    peak RSS of repeated runs in one process grew."""
+    records: dict[FactorRecord, int] = {}
+    shared: dict[str, str] = {}
+    get, share, new = records.get, shared.setdefault, tuple.__new__
+    for row, count in rows.items():
         if len(row) == 3:
             raw_name, study_id, space_type = row
             raw_name, study_id = raw_name.strip(), study_id.strip()
@@ -187,36 +223,45 @@ def _records_from_rows(
             if not raw_name:
                 if not study_id and not space_type:
                     continue
-                raise CorpusError(f"{source}: row {lineno}: empty raw_name")
+                _refuse(path, row, "empty raw_name")
         elif all(not cell.strip() for cell in row):
             continue
         else:
-            raise CorpusError(
-                f"{source}: row {lineno}: expected 3 fields, got {len(row)}"
-            )
+            _refuse(path, row, f"expected 3 fields, got {len(row)}")
         if not study_id:
-            raise CorpusError(f"{source}: row {lineno}: empty study_id")
+            _refuse(path, row, "empty study_id")
         if space_type not in SPACE_TYPES:
-            raise CorpusError(
-                f"{source}: row {lineno}: unknown space type {space_type!r}"
-            )
+            _refuse(path, row, f"unknown space type {space_type!r}")
         if expect_type is not None and space_type != expect_type:
-            raise CorpusError(
-                f"{source}: row {lineno}: space type {space_type!r} does not match "
-                f"the dataset's declared typology {expect_type!r}"
+            _refuse(
+                path,
+                row,
+                f"space type {space_type!r} does not match "
+                f"the dataset's declared typology {expect_type!r}",
             )
-        append(new(FactorRecord, (raw_name, study_id, space_type)))
+        raw_name, study_id = share(raw_name, raw_name), share(study_id, study_id)
+        # FactorRecord(...) goes through NamedTuple's Python-level __new__;
+        # tuple.__new__ builds the same record without that call.
+        record = new(FactorRecord, (raw_name, study_id, space_type))
+        records[record] = get(record, 0) + count
     return records
 
 
+def _refuse(path: Path, row: tuple[str, ...], problem: str) -> NoReturn:
+    line = _first_line(path, lambda cells: tuple(cells) == row)
+    raise CorpusError(f"{path}: row {line}: {problem}")
+
+
 def load_corpus(path: str | Path, expect_type: str | None = None) -> Corpus:
-    """Load one dataset file, preserving row order.
+    """Load one dataset file as its distinct records and their counts.
 
     The file is comma-separated UTF-8 text with the header
     ``raw_name,study_id,space_type``. ``expect_type`` restricts a
-    per-typology file to a single code. Blank rows are skipped; any other
-    row must have three cells, a name, a study and a known code, or the
-    error names its line.
+    per-typology file to a single code. Identical rows are counted, and each
+    distinct row is checked once. Blank rows are skipped; any other row must
+    have three cells, a name, a study and a known code, or the error names
+    the line the first such row starts on. Records keep the order of their
+    first rows.
     """
     path = Path(path)
     if not path.exists():
@@ -232,14 +277,41 @@ def load_corpus(path: str | Path, expect_type: str | None = None) -> Corpus:
                 raise CorpusError(
                     f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
                 )
-            records = _records_from_rows(reader, str(path), expect_type)
+            rows = Counter(map(tuple, reader))
     except UnicodeDecodeError as exc:
         raise CorpusError(
             f"{path}: line {_undecodable_line(path)}: not UTF-8 text ({exc.reason})"
         ) from None
+    except csv.Error:
+        # Reading again meets the same error and refuses it at its row's line.
+        _first_line(path, lambda row: False)
+        raise
     except OSError as exc:
         raise CorpusError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    return Corpus(records=tuple(records))
+    records = _count_records(rows, path, expect_type)
+    return Corpus(
+        records=tuple(records),
+        counts=tuple(records.values()),
+        sources=((path, len(records)),),
+    )
+
+
+def _first_line(path: Path, wanted: Callable[[list[str]], bool]) -> int:
+    """The line on which the first row of ``path`` after the header that
+    ``wanted`` accepts starts; a row the CSV reader cannot parse is refused
+    at its line. Only error paths read the file this way."""
+    with path.open(encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader, None)
+        start = reader.line_num + 1
+        try:
+            for row in reader:
+                if wanted(row):
+                    return start
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise CorpusError(f"{path}: row {start}: {exc}") from None
+    raise CorpusError(f"{path}: changed while it was read")
 
 
 def _undecodable_line(path: Path) -> int:
@@ -260,8 +332,13 @@ def _undecodable_line(path: Path) -> int:
 
 
 def merge_corpora(corpora: Iterable[Corpus]) -> Corpus:
+    """The corpora one after another: records, counts and sources."""
     records: list[FactorRecord] = []
+    counts: list[int] = []
+    sources: list[tuple[Path | None, int]] = []
     for corpus in corpora:
         records.extend(corpus.records)
-    return Corpus(records=tuple(records))
+        counts.extend(corpus.counts)
+        sources.extend(corpus.sources)
+    return Corpus(records=tuple(records), counts=tuple(counts), sources=tuple(sources))
 

@@ -416,22 +416,24 @@ class SankeyExport:
     links: tuple[SankeyLink, ...]
 
 
-def resolve_category(framework: Framework, wanted: str) -> FrameworkCategory:
-    """Exact match first, then a unique case-insensitive prefix."""
-    for category in framework.categories:
-        if category.identifier == wanted:
-            return category
-    matches = [
-        category
-        for category in framework.categories
-        if category.identifier.casefold().startswith(wanted.casefold())
-    ]
+def resolve_identifier(identifiers: Sequence[str], wanted: str) -> str:
+    """The category id ``wanted`` names among ``identifiers``: an exact match
+    first, then a unique case-insensitive prefix."""
+    if wanted in identifiers:
+        return wanted
+    matches = [i for i in identifiers if i.casefold().startswith(wanted.casefold())]
     if len(matches) == 1:
         return matches[0]
     if not matches:
         raise TaxoforgeError(f"unknown category {wanted!r}")
-    names = ", ".join(category.identifier for category in matches)
-    raise TaxoforgeError(f"category {wanted!r} is ambiguous: {names}")
+    raise TaxoforgeError(f"category {wanted!r} is ambiguous: {', '.join(matches)}")
+
+
+def resolve_category(framework: Framework, wanted: str) -> FrameworkCategory:
+    """The framework category ``wanted`` names (see ``resolve_identifier``)."""
+    identifiers = [category.identifier for category in framework.categories]
+    index = identifiers.index(resolve_identifier(identifiers, wanted))
+    return framework.categories[index]
 
 
 def export_sankey(

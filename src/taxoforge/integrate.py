@@ -1,9 +1,10 @@
 """Dataset integration: deduplicate factors and track occurrences per typology.
 
 Folds the corpus into one entry per canonical factor name, counting mentions
-per space type and retaining the contributing study sets. First-seen order is
-preserved so downstream outputs are reproducible. Each distinct raw spelling
-is normalized once per fold, however many records repeat it.
+per space type and retaining the contributing study sets. Each distinct
+record adds its count of rows at once. First-seen order is preserved so
+downstream outputs are reproducible. Each distinct raw spelling is normalized
+once per fold, however many records repeat it.
 """
 
 from __future__ import annotations
@@ -79,17 +80,19 @@ class IntegratedFactorSet:
 def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSet:
     """Fold a corpus into unique factors with occurrence tracking.
 
-    Every record needs a study and a known space type, so a hand-built
-    corpus is checked as a loaded one is. Each distinct raw spelling is
-    normalized once; one that fails is reported as ``record N``, N being
-    the position of its first record.
+    Each record adds its count to its factor's mentions of its space type,
+    and its study once to the factor's studies there. Every record needs a
+    study and a known space type, so a hand-built corpus is checked as a
+    loaded one is. Each distinct raw spelling is normalized once; one that
+    fails is reported where its first record comes from (``Corpus.locate``).
     """
     if not corpus.records:
         raise CorpusError("cannot integrate an empty corpus")
     canonical: dict[str, str] = {}  # raw spelling -> canonical name
     counts: dict[str, dict[str, int]] = {}
     studies: dict[str, dict[str, set[str]]] = {}
-    for position, (raw_name, study_id, space_type) in enumerate(corpus.records, 1):
+    pairs = zip(corpus.records, corpus.counts)
+    for position, ((raw_name, study_id, space_type), count) in enumerate(pairs, 1):
         try:
             name = canonical.get(raw_name)
             if name is None:
@@ -99,11 +102,11 @@ def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSe
             if space_type not in SPACE_TYPES:
                 raise CorpusError(f"unknown space type {space_type!r}")
         except CorpusError as exc:
-            raise CorpusError(f"record {position}: {exc}") from exc
+            raise CorpusError(f"{corpus.locate(position)}: {exc}") from exc
         if name not in counts:
             counts[name] = dict.fromkeys(SPACE_TYPES, 0)
             studies[name] = {code: set() for code in SPACE_TYPES}
-        counts[name][space_type] += 1
+        counts[name][space_type] += count
         studies[name][space_type].add(study_id)
 
     factors = tuple(
@@ -115,7 +118,7 @@ def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSe
         )
         for index, name in enumerate(counts)
     )
-    return IntegratedFactorSet(factors=factors, raw_record_count=len(corpus.records))
+    return IntegratedFactorSet(factors=factors, raw_record_count=sum(corpus.counts))
 
 
 def tracking_notation(vector: OccurrenceVector) -> str:

@@ -729,6 +729,8 @@ def phase_emit(
     state: RunState | None = None,
 ) -> int:
     state = state or RunState(config)
+    if sankey_category is not None:
+        sankey_category = _sankey_domain(state, sankey_category)
     factor_set = state.get("integrate")
     framework = emit.build_framework(
         factor_set,
@@ -769,6 +771,12 @@ def phase_emit(
     return 0
 
 
+def _sankey_domain(state: RunState, wanted: str) -> str:
+    """The KB domain id a Sankey category names, resolved before anything is
+    written; the framework's categories are a subset of the KB's domains."""
+    return emit.resolve_identifier(state.kb.domain_ids(), wanted)
+
+
 def run(
     config: PipelineConfig,
     emit_pairs: bool = False,
@@ -777,6 +785,8 @@ def run(
 ) -> int:
     """Execute all phases in order on one state; returns the process exit status."""
     state = RunState(config)
+    if sankey_category is not None:
+        sankey_category = _sankey_domain(state, sankey_category)
     phase_integrate(config, state=state)
     phase_similarity(config, emit_pairs=emit_pairs, state=state)
     phase_classify(config, state=state)

@@ -484,6 +484,18 @@ class TestFlags:
         assert path.exists()
         assert path.read_text(encoding="utf-8").startswith("nodes\n")
 
+    def test_unknown_sankey_category_writes_nothing(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config), "--sankey", "NOPE"]) == 1
+        assert capsys.readouterr().err == "taxoforge run: unknown category 'NOPE'\n"
+        assert not out.exists()
+        assert cli.main(["run", "--config", str(config)]) == 0
+        before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        assert cli.main(["emit", "--config", str(config), "--sankey", "NOPE"]) == 1
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
+
     def test_sankey_quotes_a_name_holding_a_comma(self, tmp_path):
         # Rules that strip only "." keep the comma in "lighting, street".
         rules = tmp_path / "rules.yaml"
@@ -719,6 +731,12 @@ def _move_counts(factors: list, source: int, target: int) -> list:
 def _made(path: Path, make) -> Path:
     make(path)
     return path
+
+
+def _dataset(name: str, rows: str):
+    """A maker of a dataset file ``name`` holding ``rows`` under the header."""
+    header = "raw_name,study_id,space_type\n"
+    return lambda tmp: _made(tmp / name, lambda path: path.write_text(header + rows))
 
 
 def _latin1_dataset(tmp_path: Path) -> Path:
@@ -1245,6 +1263,21 @@ MALFORMED = [
         lambda tmp: _made(tmp / "dataset.csv", Path.mkdir),
         "Is a directory",
         id="dataset-is-directory",
+    ),
+    pytest.param(
+        "file",
+        ["datasets", 0],
+        _dataset("big.csv", "safety,s1,P\n" + "x" * 131_073 + ",s2,P\n"),
+        "row 3: field larger than field limit",
+        id="dataset-oversized-cell",
+    ),
+    # The name's first row is on line 4; the fold, not the loader, refuses it.
+    pytest.param(
+        "file",
+        ["datasets", 0],
+        _dataset("dots.csv", "safety,s1,P\nlighting,s2,S\n...,s3,P\n...,s1,S\n"),
+        "row 4: factor name '...' is empty after normalization",
+        id="dataset-name-empty-after-normalization",
     ),
     pytest.param(
         "file",

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 from taxoforge.corpus import (
+    Corpus,
+    FactorRecord,
     NormalizationRuleSet,
     load_corpus,
     load_rules,
+    merge_corpora,
     normalize,
 )
 from taxoforge.errors import CorpusError, RuleSetError
+
+HEADER = "raw_name,study_id,space_type\n"
 
 
 def write(tmp_path, name, text):
@@ -77,8 +84,50 @@ class TestLoadCorpus:
 
     def test_fixture_loads(self, sample_corpus):
         # Expansion of the worked integration example: every occurrence in the
-        # final tracking column is one record.
-        assert len(sample_corpus.records) == 35
+        # final tracking column is one row. One row, accessibility,c09,O, is
+        # there twice, so it is one record counted twice.
+        assert sum(sample_corpus.counts) == 35
+        assert len(sample_corpus.records) == 34
+        twice = FactorRecord("accessibility", "c09", "O")
+        pairs = zip(sample_corpus.records, sample_corpus.counts)
+        assert [(r, n) for r, n in pairs if n > 1] == [(twice, 2)]
+
+    def test_identical_rows_are_counted_in_first_seen_order(self, tmp_path):
+        rows = (
+            "lighting,c2,S\nsafety,c1,P\n safety ,c1,P\n"
+            '"safety",c1 ,P\nlighting,c2,S\n\nsafety,c1,P\n'
+        )
+        corpus = load_corpus(write(tmp_path, "rows.csv", HEADER + rows))
+        assert corpus.records == (
+            FactorRecord("lighting", "c2", "S"),
+            FactorRecord("safety", "c1", "P"),
+        )
+        assert corpus.counts == (2, 4)
+
+    def test_records_of_one_load_share_their_strings(self, tmp_path):
+        rows = "".join(f"{name},c1,{code}\n" for name in "ab" for code in "PS")
+        corpus = load_corpus(write(tmp_path, "rows.csv", HEADER + rows))
+        a_p, a_s, b_p, b_s = corpus.records
+        assert a_p.raw_name is a_s.raw_name and b_p.raw_name is b_s.raw_name
+        assert len({id(r.study_id) for r in corpus.records}) == 1
+
+    def test_rows_are_numbered_by_the_line_they_start_on(self, tmp_path):
+        # The quoted name spans lines 2 and 3, so the empty study is on line 4.
+        rows = '"comfort,\nthermal",c1,P\nlighting,,S\n'
+        with pytest.raises(CorpusError, match="row 4: empty study_id"):
+            load_corpus(write(tmp_path, "multiline.csv", HEADER + rows))
+
+    def test_repeated_bad_row_is_named_at_its_first_line(self, tmp_path):
+        rows = "safety,c1,P\nsafety,c1,X\nlighting,c2,S\nsafety,c1,X\n"
+        with pytest.raises(CorpusError, match=r"bad.csv: row 3: unknown space"):
+            load_corpus(write(tmp_path, "bad.csv", HEADER + rows))
+
+    def test_oversized_cell_is_refused_at_its_line(self, tmp_path):
+        big = "x" * (csv.field_size_limit() + 1)
+        for cell in (big, f'"a\n{big}"'):
+            path = write(tmp_path, "big.csv", f"{HEADER}safety,c1,P\n{cell},c2,P\n")
+            with pytest.raises(CorpusError, match="big.csv: row 3: field larger"):
+                load_corpus(path)
 
     def test_expected_type_mismatch(self, tmp_path):
         path = write(
@@ -86,6 +135,28 @@ class TestLoadCorpus:
         )
         with pytest.raises(CorpusError, match="declared typology"):
             load_corpus(path, expect_type="P")
+
+
+class TestCorpus:
+    def test_hand_built_records_count_once(self):
+        record = FactorRecord("safety", "c1", "P")
+        assert Corpus(records=(record, record)).counts == (1, 1)
+
+    def test_counts_must_match_the_records(self):
+        record = FactorRecord("safety", "c1", "P")
+        for counts in ((1, 1), (0,), ()):
+            with pytest.raises(CorpusError, match="one positive count per record"):
+                Corpus(records=(record,), counts=counts)
+
+    def test_merge_keeps_counts_and_sources(self, tmp_path):
+        first = load_corpus(write(tmp_path, "a.csv", HEADER + "safety,c1,P\n" * 2))
+        hand = Corpus(records=(FactorRecord("lighting", "c2", "S"),))
+        merged = merge_corpora([first, hand, first])
+        assert merged.records == first.records + hand.records + first.records
+        assert merged.counts == (2, 1, 2)
+        assert merged.locate(1) == f"{tmp_path / 'a.csv'}: row 2"
+        assert merged.locate(2) == "record 2"
+        assert merged.locate(3) == f"{tmp_path / 'a.csv'}: row 2"
 
 
 class TestLoadRules:

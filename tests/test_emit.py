@@ -17,6 +17,7 @@ from taxoforge.emit import (
     render_sankey,
     report_to_dict,
     resolve_category,
+    resolve_identifier,
     to_canonical_json,
     validate,
 )
@@ -252,6 +253,15 @@ class TestSankey:
     def test_prefix_resolution(self, sample_framework):
         framework, _ = sample_framework
         assert resolve_category(framework, "SAFETY").identifier == "SAFETY & SECURITY"
+
+    def test_identifier_resolution(self):
+        ids = ("SAFETY", "SAFETY & SECURITY", "SOCIAL")
+        assert resolve_identifier(ids, "SAFETY") == "SAFETY"
+        assert resolve_identifier(ids, "safety &") == "SAFETY & SECURITY"
+        with pytest.raises(TaxoforgeError, match="'saf' is ambiguous: SAFETY, SAF"):
+            resolve_identifier(ids, "saf")
+        with pytest.raises(TaxoforgeError, match="unknown category 'X'"):
+            resolve_identifier(ids, "X")
 
     def test_render_sections(self, sample_framework):
         framework, _ = sample_framework

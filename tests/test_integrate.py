@@ -75,7 +75,20 @@ class TestIntegrate:
 
     def test_record_conservation(self, sample_factors, sample_corpus):
         total = sum(f.occurrence.total for f in sample_factors.factors)
-        assert total == len(sample_corpus.records) == sample_factors.raw_record_count
+        assert total == sum(sample_corpus.counts) == sample_factors.raw_record_count
+        assert total == 35
+
+    def test_counted_records_fold_as_repeated_ones(self, default_rules):
+        records = (
+            FactorRecord("safety", "c1", "P"),
+            FactorRecord("Safety", "c2", "P"),
+            FactorRecord("lighting", "c1", "S"),
+        )
+        counted = integrate(Corpus(records=records, counts=(3, 2, 1)), default_rules)
+        repeated = Corpus(records=records[:1] * 3 + records[1:2] * 2 + records[2:])
+        assert counted == integrate(repeated, default_rules)
+        assert counted.raw_record_count == 6
+        assert counted.factors[0].studies["P"] == {"c1", "c2"}
 
     def test_study_sets_bounded_by_counts(self, sample_factors):
         for factor in sample_factors.factors:
@@ -117,10 +130,12 @@ class TestIntegrate:
         monkeypatch.setattr(integrate_module, "normalize", counting)
         integrate(sample_corpus, default_rules)
         assert sorted(normalized) == sorted({r.raw_name for r in sample_corpus.records})
-        assert len(normalized) == 13 < len(sample_corpus.records) == 35
+        assert len(normalized) == 13 < len(sample_corpus.records) == 34
 
     def test_order_insensitivity_of_pairs(self, sample_corpus, default_rules):
-        reversed_corpus = Corpus(records=tuple(reversed(sample_corpus.records)))
+        reversed_corpus = Corpus(
+            records=sample_corpus.records[::-1], counts=sample_corpus.counts[::-1]
+        )
         forward = integrate(sample_corpus, default_rules)
         backward = integrate(reversed_corpus, default_rules)
         fwd = {(f.canonical_name, f.occurrence) for f in forward.factors}

@@ -9,10 +9,16 @@ packaged default to keep per-case cost low.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
+import re
 import string
+import tempfile
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -49,6 +55,7 @@ from taxoforge.corpus import (
     Corpus,
     FactorRecord,
     NormalizationRuleSet,
+    load_corpus,
     normalize,
 )
 from taxoforge.emit import build_framework, export_sankey, validate
@@ -642,6 +649,67 @@ def check_fold_against_reference(corpus: Corpus) -> None:
     assert integrate(corpus, RULES) == expected
 
 
+BLANK_ROWS = ("\n", ",,\n", " , , \n", "  \n")
+PADDING = st.sampled_from(("", " ", "  "))
+
+
+@st.composite
+def dataset_rows(draw):
+    """A dataset's rows as written text, and the record each record row holds.
+    Records come from a few spellings, so rows repeat, and each row is padded
+    and quoted at random: a space in the name may become a line break inside
+    quotes. Blank rows come between."""
+    pool = draw(st.lists(spellings(), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pool.append(UNNORMALIZABLE)
+    record_rows = st.tuples(
+        st.sampled_from(pool), st.sampled_from(("s1", "s2")), st.sampled_from("PS")
+    )
+    texts: list[str] = []
+    records: list[FactorRecord] = []
+    for cells in draw(st.lists(st.none() | record_rows, min_size=1, max_size=30)):
+        if cells is None:
+            texts.append(draw(st.sampled_from(BLANK_ROWS)))
+            continue
+        cells = [draw(PADDING) + cell + draw(PADDING) for cell in cells]
+        if draw(st.booleans()):
+            cells[0] = cells[0].replace(" ", "\n", 1)
+        quoting = draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)))
+        buffer = io.StringIO()
+        csv.writer(buffer, quoting=quoting, lineterminator="\n").writerow(cells)
+        texts.append(buffer.getvalue())
+        records.append(FactorRecord(*(cell.strip() for cell in cells)))
+    assume(records)  # an empty corpus is refused before any fold
+    return texts, records
+
+
+def check_loaded_fold_against_reference(texts: list[str], records: list[FactorRecord]):
+    """Loading the rows counts each distinct record, and folding the counted
+    records equals ``reference_fold`` over the rows taken one by one; a name
+    that cannot be normalized is named at the line of its first row."""
+    lines, line = [], 2  # the header is line 1
+    for text in texts:
+        if text not in BLANK_ROWS:
+            lines.append(line)
+        line += text.count("\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        path.write_text("raw_name,study_id,space_type\n" + "".join(texts), "utf-8")
+        corpus = load_corpus(path)
+        assert corpus.records == tuple(dict.fromkeys(records))
+        assert dict(zip(corpus.records, corpus.counts)) == Counter(records)
+        try:
+            expected = reference_fold(Corpus(records=tuple(records)), RULES)
+        except CorpusError as exc:
+            position, problem = re.fullmatch(r"record (\d+): (.*)", str(exc)).groups()
+            with pytest.raises(CorpusError) as raised:
+                integrate(corpus, RULES)
+            where = f"{path}: row {lines[int(position) - 1]}"
+            assert str(raised.value) == f"{where}: {problem}"
+            return
+        assert integrate(corpus, RULES) == expected
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis suites (edge cases, shrinking)
 # ---------------------------------------------------------------------------
@@ -791,6 +859,12 @@ def test_exactly_one_primary_home_and_sankey_conservation(factor_set):
 @given(corpus=fold_corpora())
 def test_fold_equals_per_record_reference(corpus):
     check_fold_against_reference(corpus)
+
+
+@SUITE
+@given(dataset=dataset_rows())
+def test_loaded_fold_equals_per_row_reference(dataset):
+    check_loaded_fold_against_reference(*dataset)
 
 
 @SUITE
