@@ -23,12 +23,7 @@ from .classify import ClassificationResult
 from .cluster import CategoryAssignment
 from .corpus import SPACE_TYPES, SPACE_TYPE_NAMES
 from .errors import ArtifactError, TaxoforgeError
-from .integrate import (
-    IntegratedFactorSet,
-    parse_tracking_notation,
-    reduction_rate,
-    tracking_notation,
-)
+from .integrate import IntegratedFactorSet, reduction_rate, tracking_notation
 from .knowledge import DomainKnowledgeBase
 from .placement import PlacementResult, PlacementTier, primary_homes
 
@@ -146,7 +141,7 @@ def build_framework(
 
     # (category, subcategory) -> entries
     buckets: dict[tuple[str, str], list[FrameworkEntry]] = {}
-    for factor in factor_set.factors:
+    for index, factor in enumerate(factor_set.factors):
         name = factor.canonical_name
         home = homes[name]
         placements = placements_by_name.get(name, ())
@@ -156,7 +151,7 @@ def build_framework(
             tracking_notation=tracking_notation(factor.occurrence),
             classification=class_by_name[name].factor_class.value,
             indicator=indicator_by_name[name].indicator.text,
-            insertion_index=factor.insertion_index,
+            insertion_index=index,
         )
         labels = tuple(
             f"{p.domain}/{p.subcategory} ({p.tier.value})" for p in placements
@@ -429,49 +424,40 @@ def resolve_identifier(identifiers: Sequence[str], wanted: str) -> str:
     raise TaxoforgeError(f"category {wanted!r} is ambiguous: {', '.join(matches)}")
 
 
-def resolve_category(framework: Framework, wanted: str) -> FrameworkCategory:
-    """The framework category ``wanted`` names (see ``resolve_identifier``)."""
-    identifiers = [category.identifier for category in framework.categories]
-    index = identifiers.index(resolve_identifier(identifiers, wanted))
-    return framework.categories[index]
+def check_subfactors(names: Sequence[str], wanted: Sequence[str] | None) -> None:
+    """Refuse a Sankey filter naming a factor not among ``names``."""
+    for name in wanted or ():
+        if name not in names:
+            raise TaxoforgeError(f"unknown subfactor filter {name!r}")
 
 
 def export_sankey(
     framework: Framework,
+    factor_set: IntegratedFactorSet,
     category_id: str,
     subfactors: Sequence[str] | None = None,
 ) -> SankeyExport:
-    """Flow data for one category: factors → subcategories → space types.
+    """Flow data for the category ``category_id``: factors → subcategories →
+    space types, over the primary entries ``subfactors`` names, or all.
 
-    Link weights are occurrence counts, so the per-type inbound totals equal
-    the summed occurrence counts of the included primary-home factors.
+    Link weights are the factors' occurrence counts, so the per-type inbound
+    totals equal the summed counts of the included primary-home factors. A
+    category without framework entries has no nodes and no links.
     """
-    category = resolve_category(framework, category_id)
-    all_names = {
-        entry.canonical_name
-        for cat in framework.categories
-        for sub in cat.subcategories
-        for entry in sub.entries
-    }
-    selected: set[str] | None = None
-    if subfactors is not None:
-        selected = set()
-        for name in subfactors:
-            if name not in all_names:
-                raise TaxoforgeError(f"unknown subfactor filter {name!r}")
-            selected.add(name)
-
+    occurrence = {f.canonical_name: f.occurrence for f in factor_set.factors}
+    categories = [c for c in framework.categories if c.identifier == category_id]
+    subcategories = categories[0].subcategories if categories else ()
     nodes: list[SankeyNode] = []
     links: list[SankeyLink] = []
     factor_nodes: list[tuple[int, SankeyNode]] = []
     type_totals = {code: 0 for code in SPACE_TYPES}
 
-    for sub in category.subcategories:
+    for sub in subcategories:
         entries = [
             entry
             for entry in sub.entries
             if entry.tier == "primary"
-            and (selected is None or entry.canonical_name in selected)
+            and (subfactors is None or entry.canonical_name in subfactors)
         ]
         if not entries:
             continue
@@ -479,7 +465,7 @@ def export_sankey(
         nodes.append(SankeyNode(id=sub_id, label=sub.identifier, layer="Indicator"))
         sub_type_totals = {code: 0 for code in SPACE_TYPES}
         for entry in entries:
-            vector = parse_tracking_notation(entry.tracking_notation)
+            vector = occurrence[entry.canonical_name]
             factor_id = f"factor:{entry.canonical_name}"
             factor_nodes.append(
                 (

@@ -9,7 +9,6 @@ once per fold, however many records repeat it.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -51,7 +50,6 @@ class IntegratedFactor:
     canonical_name: str
     occurrence: OccurrenceVector
     studies: Mapping[str, frozenset[str]]
-    insertion_index: int
 
     @property
     def all_studies(self) -> frozenset[str]:
@@ -114,9 +112,8 @@ def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSe
             canonical_name=name,
             occurrence=OccurrenceVector.from_mapping(counts[name]),
             studies={code: frozenset(ids) for code, ids in studies[name].items()},
-            insertion_index=index,
         )
-        for index, name in enumerate(counts)
+        for name in counts
     )
     return IntegratedFactorSet(factors=factors, raw_record_count=sum(corpus.counts))
 
@@ -134,29 +131,6 @@ def tracking_notation(vector: OccurrenceVector) -> str:
         if count > 0
     ]
     return "[" + ", ".join(terms) + "]"
-
-
-_NOTATION_TERM = re.compile(r"^([PSUGOF])×(\d+)$")
-
-
-def parse_tracking_notation(text: str) -> OccurrenceVector:
-    """Inverse of tracking_notation."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise TaxoforgeError(f"bad tracking notation: {text!r}")
-    counts = {code: 0 for code in SPACE_TYPES}
-    body = text[1:-1].strip()
-    if not body:
-        raise TaxoforgeError("tracking notation has no terms")
-    for term in body.split(","):
-        match = _NOTATION_TERM.match(term.strip())
-        if not match:
-            raise TaxoforgeError(f"bad tracking notation term: {term.strip()!r}")
-        code, count = match.group(1), int(match.group(2))
-        if counts[code]:
-            raise TaxoforgeError(f"duplicate space type {code} in notation")
-        counts[code] = count
-    return OccurrenceVector.from_mapping(counts)
 
 
 def reduction_rate(raw_count: int, unique_count: int) -> float:

@@ -281,7 +281,9 @@ class RunState:
 
     @cached_property
     def kb(self) -> DomainKnowledgeBase:
-        return load_kb(self.config.kb_path)
+        """The KB, its factor names normalized under the run's rules."""
+        path = self.config.kb_path
+        return canonical_names(load_kb(path), self.rules, path)
 
     @cached_property
     def lexicon(self) -> SemanticLexicon:
@@ -290,10 +292,6 @@ class RunState:
     @cached_property
     def rules(self) -> NormalizationRuleSet:
         return load_rules(self.config.rules_path)
-
-    @cached_property
-    def canonical_kb(self) -> DomainKnowledgeBase:
-        return canonical_names(self.kb, self.rules, self.config.kb_path)
 
     def envelope(self, phase: str, data: dict) -> dict:
         """``data`` with what reading it checks: the format, phase and config."""
@@ -365,9 +363,9 @@ class RunState:
 
         if phase == "integrate":
             for i, f in enumerate(result.factors):
-                if f.insertion_index != i or tuple(f.studies) != SPACE_TYPES:
-                    refuse(f".factors[{i}]", f"expected insertion_index {i} and "
-                           f"studies under {', '.join(SPACE_TYPES)}")
+                if tuple(f.studies) != SPACE_TYPES:
+                    refuse(f".factors[{i}].studies",
+                           f"expected studies under {', '.join(SPACE_TYPES)}")
                 if not f.occurrence.total:
                     refuse(f".factors[{i}].counts", "expected at least one mention")
             # Each mention adds one count and at most one study.
@@ -478,13 +476,11 @@ def _assigned(state: RunState, decoded) -> tuple[list, dict]:
 def _placed(state: RunState, decoded) -> tuple[placement.PlacementResult, dict]:
     composites = {(p.factor, p.domain): p.composite for p in decoded}
     subcategories = {(p.factor, p.domain): p.subcategory for p in decoded}
-    # The overrides are the only KB factor names arranging reads.
-    kb = state.canonical_kb if state.kb.placement_overrides else state.kb
     # A placement the artifact lacks gets stand-in values; the comparison
     # then refuses the artifact at the first entry that differs.
     result = placement.arrange(
         state.get("classify"),
-        kb,
+        state.kb,
         lambda name, domain: composites.get((name, domain), 0.0),
         lambda name, domain: subcategories.get((name, domain), ""),
         state.config.thresholds.promotion,
@@ -647,7 +643,7 @@ def phase_cluster(config: PipelineConfig, state: RunState | None = None) -> Path
 
 def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
     state = state or RunState(config)
-    factor_set, kb = state.get("integrate"), state.canonical_kb
+    factor_set, kb = state.get("integrate"), state.kb
     names, listed = set(factor_set.names), list(kb.placement_overrides)
     for d in kb.domains:
         listed += sorted(d.literature_strong | d.literature_none)
@@ -728,9 +724,16 @@ def phase_emit(
     sankey_subfactors: Sequence[str] | None = None,
     state: RunState | None = None,
 ) -> int:
-    state = state or RunState(config)
-    if sankey_category is not None:
-        sankey_category = _sankey_domain(state, sankey_category)
+    """Build, validate and write the exports, and the Sankey file of
+    ``sankey_category`` if given. Run alone, it resolves that category
+    against the KB's domain ids and checks ``sankey_subfactors`` before
+    writing anything; ``run``, passing its ``state``, has done both."""
+    if state is None:
+        state = RunState(config)
+        if sankey_category is not None:
+            domain_ids = state.kb.domain_ids()
+            sankey_category = emit.resolve_identifier(domain_ids, sankey_category)
+            emit.check_subfactors(state.get("integrate").names, sankey_subfactors)
     factor_set = state.get("integrate")
     framework = emit.build_framework(
         factor_set,
@@ -758,9 +761,10 @@ def phase_emit(
     )
     emit.write_json(config.out_dir / "validation.json", emit.report_to_dict(report))
     if sankey_category is not None:
-        export = emit.export_sankey(framework, sankey_category, sankey_subfactors)
-        resolved = emit.resolve_category(framework, sankey_category)
-        slug = resolved.identifier.casefold().replace(" ", "_").replace("&", "and")
+        export = emit.export_sankey(
+            framework, factor_set, sankey_category, sankey_subfactors
+        )
+        slug = sankey_category.casefold().replace(" ", "_").replace("&", "and")
         # A path separator in the id must not lead the file out of out_dir.
         for separator in filter(None, (os.sep, os.altsep)):
             slug = slug.replace(separator, "_")
@@ -771,23 +775,22 @@ def phase_emit(
     return 0
 
 
-def _sankey_domain(state: RunState, wanted: str) -> str:
-    """The KB domain id a Sankey category names, resolved before anything is
-    written; the framework's categories are a subset of the KB's domains."""
-    return emit.resolve_identifier(state.kb.domain_ids(), wanted)
-
-
 def run(
     config: PipelineConfig,
     emit_pairs: bool = False,
     sankey_category: str | None = None,
     sankey_subfactors: Sequence[str] | None = None,
 ) -> int:
-    """Execute all phases in order on one state; returns the process exit status."""
+    """Execute all phases in order on one state; returns the process exit
+    status. The Sankey category is resolved against the KB before any phase
+    runs and its filter checked right after integrate."""
     state = RunState(config)
     if sankey_category is not None:
-        sankey_category = _sankey_domain(state, sankey_category)
+        domain_ids = state.kb.domain_ids()
+        sankey_category = emit.resolve_identifier(domain_ids, sankey_category)
     phase_integrate(config, state=state)
+    if sankey_category is not None:
+        emit.check_subfactors(state.get("integrate").names, sankey_subfactors)
     phase_similarity(config, emit_pairs=emit_pairs, state=state)
     phase_classify(config, state=state)
     phase_cluster(config, state=state)

@@ -109,7 +109,7 @@ class NameFeatures:
 
     tokens: frozenset[str]
     trigrams: dict[str, int]
-    grams: frozenset[str]  # the trigram keys, for a set intersection per pair
+    grams_listed: tuple[str, ...]  # the trigram keys, each once per occurrence
     trigram_norm_sq: int
     fields: frozenset[str]
 
@@ -189,7 +189,7 @@ def name_features(name: str, lexicon: SemanticLexicon) -> NameFeatures:
     return NameFeatures(
         tokens=frozenset(name.split()),
         trigrams=trigrams,
-        grams=frozenset(trigrams),
+        grams_listed=tuple(g for g, m in trigrams.items() for _ in range(m)),
         trigram_norm_sq=sum(count * count for count in trigrams.values()),
         fields=lexicon.fields_of(name),
     )
@@ -343,7 +343,7 @@ class _PairScorer:
         # occurrence, so shared counts are the integer dot product), lexicon
         # fields and studies.
         self.keys = [
-            (f.tokens, [g for g, m in f.trigrams.items() for _ in range(m)], f.fields, s)
+            (f.tokens, f.grams_listed, f.fields, s)
             for f, s in zip(features, studies)
         ]
         self.token_counts = [len(f.tokens) for f in features]
@@ -446,8 +446,8 @@ class KeywordScorer:
         for k, f in enumerate(features):
             for token in f.tokens:
                 self.tokens.setdefault(token, []).append(k)
-            for gram, m in f.trigrams.items():
-                self.grams.setdefault(gram, []).extend([k] * m)
+            for gram in f.grams_listed:
+                self.grams.setdefault(gram, []).append(k)
             for field in f.fields:
                 self.fields.setdefault(field, []).append(k)
         self.token_counts = [len(f.tokens) for f in features]
@@ -457,9 +457,8 @@ class KeywordScorer:
         """Each group's ``max`` over its keywords' scores against ``name``,
         taken in the group's keyword order."""
         f = self.lexicon.features(name)
-        grams = [g for g, m in f.trigrams.items() for _ in range(m)]
         tokens = Counter(_postings(self.tokens, f.tokens))
-        dots = Counter(_postings(self.grams, grams))
+        dots = Counter(_postings(self.grams, f.grams_listed))
         fields = set(_postings(self.fields, f.fields))
         token_counts, gram_norms = self.token_counts, self.gram_norms
         tokens_a, grams_a = len(f.tokens), f.trigram_norm_sq

@@ -69,9 +69,7 @@ def sample_matrix(sample_factors, default_lexicon):
     return build_matrix(sample_factors, SimilarityWeights(), default_lexicon)
 
 
-def make_factor(
-    name: str, counts: dict, index: int = 0, studies: dict | None = None
-) -> IntegratedFactor:
+def make_factor(name: str, counts: dict, studies: dict | None = None) -> IntegratedFactor:
     vector = OccurrenceVector.from_mapping(counts)
     if studies is None:
         studies = {
@@ -82,15 +80,11 @@ def make_factor(
         canonical_name=name,
         occurrence=vector,
         studies=studies,
-        insertion_index=index,
     )
 
 
 def make_factor_set(patterns: dict[str, dict]) -> IntegratedFactorSet:
-    factors = tuple(
-        make_factor(name, counts, index)
-        for index, (name, counts) in enumerate(patterns.items())
-    )
+    factors = tuple(make_factor(name, counts) for name, counts in patterns.items())
     return IntegratedFactorSet(
         factors=factors,
         raw_record_count=sum(f.occurrence.total for f in factors),
@@ -200,7 +194,7 @@ def linguistic_similarity(a: str, b: str, lexicon) -> float:
     shared = len(fa.tokens & fb.tokens)
     union = len(fa.tokens) + len(fb.tokens) - shared
     score = shared / union if union else 0.0
-    common = fa.grams & fb.grams
+    common = fa.trigrams.keys() & fb.trigrams.keys()
     if common:  # otherwise the trigram cosine is 0.0
         dot = sum([fa.trigrams[gram] * fb.trigrams[gram] for gram in common])
         cosine = dot / math.sqrt(fa.trigram_norm_sq * fb.trigram_norm_sq)

@@ -41,7 +41,7 @@ RUN_FILE_SHA256 = {
     "framework.md": "bf3777a2bb6ed524492bdc0dd585622ecb045ef77311e518d321e390bef655bb",
     "framework_document.json": "7a47a53b75bc36d563944ddf459da0365396b53fed12a02182974d509cd75793",
     "indicators.json": "c260e117962cabec0b2c7c2fb7fdf3b1bf1a1a7fc44f06265046c75a2b154ced",
-    "integrated.json": "f706c5d21cd7c72c9e22bc2e173b50046ccda3a355e14a39e4dd0e319b4cbe93",
+    "integrated.json": "b4ab12ecda5e766e1cbdfde05685ca79a4909369c3d7c2490ab5bcf203950e07",
     "pairs.csv": "a85de060a3042195a206941d160143ffa2f7b9d9c33183cc8d36a2a5549cc041",
     "placements.json": "bf6e71082d1712cbc40cea00685124ece5d8c34de28516602df2ebd8aab3399d",
     "placements_report.csv": "ef5bd99d19654d8ca3df5206efba72b2d4c2c2db87b40515a03952e5855a481c",
@@ -235,6 +235,7 @@ class TestRun:
             "decode place",
             "decode similarity",
             "load_kb",
+            "load_rules",
         ]
 
     def test_framework_dict_built_once_per_emit(self, tmp_path, monkeypatch):
@@ -495,6 +496,45 @@ class TestFlags:
         before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
         assert cli.main(["emit", "--config", str(config), "--sankey", "NOPE"]) == 1
         assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
+
+    def test_unknown_subfactor_filter_stops_after_integrate(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        flags = ["--config", str(config), "--sankey", "SAFETY", "--subfactors", "nope"]
+        capsys.readouterr()
+        assert cli.main(["run", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == "taxoforge run: unknown subfactor filter 'nope'\n"
+        assert [p.name for p in out.iterdir()] == ["integrated.json"]
+        assert cli.main(["run", "--config", str(config)]) == 0
+        before = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+        assert cli.main(["emit", *flags]) == 1
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()} == before
+
+    def test_kb_category_without_factors_gets_an_empty_sankey(self, tmp_path):
+        config = write_config(tmp_path)
+        code = cli.main(["run", "--config", str(config), "--sankey", "MANAGEMENT"])
+        assert code == 0
+        text = (tmp_path / "out" / "sankey_management.csv").read_text("utf-8")
+        assert text == "nodes\nid,label,layer\nlinks\nsource,target,weight\n"
+
+    def test_sankey_category_is_the_kb_match(self, tmp_path):
+        # ACTIVITY, without factors, is an exact match; ACTIVITY COMFORT, the
+        # one framework category it prefixes, is not the category asked for.
+        text = default_kb_path().read_text(encoding="utf-8")
+        kb = tmp_path / "kb.yaml"
+        kb.write_text(
+            text.replace("  - id: COMFORT\n", "  - id: ACTIVITY COMFORT\n"),
+            encoding="utf-8",
+        )
+        config = write_config(tmp_path, extra=f"kb: {kb}\n")
+        code = cli.main(["run", "--config", str(config), "--sankey", "ACTIVITY"])
+        assert code == 0
+        out = tmp_path / "out"
+        sankeys = sorted(p.name for p in out.iterdir() if p.name.startswith("sankey"))
+        assert sankeys == ["sankey_activity.csv"]
+        text = (out / "sankey_activity.csv").read_text(encoding="utf-8")
+        assert text == "nodes\nid,label,layer\nlinks\nsource,target,weight\n"
 
     def test_sankey_quotes_a_name_holding_a_comma(self, tmp_path):
         # Rules that strip only "." keep the comma in "lighting, street".

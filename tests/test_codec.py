@@ -78,7 +78,6 @@ def test_dataclass_fields_are_inlined_only_outside_collections(fixture_run):
         "canonical_name",
         "counts",
         "studies",
-        "insertion_index",
     ]
     # Dataclasses inside a mapping or a tuple stay objects.
     channels = {"semantic": 0.5, "similarity_evidence": 0.0, "distribution": 1.0}

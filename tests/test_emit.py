@@ -10,19 +10,18 @@ import pytest
 from taxoforge.emit import (
     Framework,
     build_framework,
+    check_subfactors,
     export_document,
     export_sankey,
     framework_to_dict,
     render_markdown,
     render_sankey,
     report_to_dict,
-    resolve_category,
     resolve_identifier,
     to_canonical_json,
     validate,
 )
 from taxoforge.errors import TaxoforgeError
-from taxoforge.integrate import parse_tracking_notation
 
 
 class TestBuildFramework:
@@ -189,9 +188,9 @@ class TestExportDocument:
 
 
 class TestSankey:
-    def test_full_category_flow(self, sample_framework):
+    def test_full_category_flow(self, sample_framework, sample_factors):
         framework, _ = sample_framework
-        export = export_sankey(framework, "SAFETY & SECURITY")
+        export = export_sankey(framework, sample_factors, "SAFETY & SECURITY")
         layers = {node.layer for node in export.nodes}
         assert layers == {"Subfactor", "Indicator", "SpaceType"}
         node_ids = {node.id for node in export.nodes}
@@ -199,18 +198,23 @@ class TestSankey:
             assert link.source in node_ids and link.target in node_ids
             assert link.weight > 0
 
-    def test_weight_conservation(self, sample_framework):
+    def test_weight_conservation(self, sample_framework, sample_factors):
         framework, _ = sample_framework
         category = next(
             c for c in framework.categories if c.identifier == "SAFETY & SECURITY"
         )
-        expected = sum(
-            parse_tracking_notation(e.tracking_notation).total
+        homed = {
+            e.canonical_name
             for sub in category.subcategories
             for e in sub.entries
             if e.tier == "primary"
+        }
+        expected = sum(
+            f.occurrence.total
+            for f in sample_factors.factors
+            if f.canonical_name in homed
         )
-        export = export_sankey(framework, "SAFETY & SECURITY")
+        export = export_sankey(framework, sample_factors, "SAFETY & SECURITY")
         into_types = sum(
             link.weight for link in export.links if link.target.startswith("type:")
         )
@@ -220,39 +224,50 @@ class TestSankey:
         )
         assert out_of_factors == expected
 
-    def test_adjacent_layers_only(self, sample_framework):
+    def test_adjacent_layers_only(self, sample_framework, sample_factors):
         framework, _ = sample_framework
-        export = export_sankey(framework, "COMFORT")
+        export = export_sankey(framework, sample_factors, "COMFORT")
         layer_of = {node.id: node.layer for node in export.nodes}
         for link in export.links:
             pair = (layer_of[link.source], layer_of[link.target])
             assert pair in {("Subfactor", "Indicator"), ("Indicator", "SpaceType")}
 
-    def test_subfactor_filter(self, sample_framework):
+    def test_subfactor_filter(self, sample_framework, sample_factors):
         framework, _ = sample_framework
-        export = export_sankey(framework, "SAFETY & SECURITY", ["safety"])
+        export = export_sankey(
+            framework, sample_factors, "SAFETY & SECURITY", ["safety"]
+        )
         factor_nodes = [n for n in export.nodes if n.layer == "Subfactor"]
         assert [n.label for n in factor_nodes] == ["safety"]
 
-    def test_empty_filter_result(self, sample_framework):
+    def test_empty_filter_result(self, sample_framework, sample_factors):
         framework, _ = sample_framework
         # valid factor, but homed in a different category
-        export = export_sankey(framework, "SAFETY & SECURITY", ["water features"])
+        export = export_sankey(
+            framework, sample_factors, "SAFETY & SECURITY", ["water features"]
+        )
         assert export.links == ()
 
-    def test_unknown_category_rejected(self, sample_framework):
+    def test_category_without_primary_entries_is_empty(
+        self, sample_framework, sample_factors
+    ):
         framework, _ = sample_framework
-        with pytest.raises(TaxoforgeError, match="unknown category"):
-            export_sankey(framework, "NOPE")
+        # INFRASTRUCTURE holds only stubs; MANAGEMENT is not in the framework.
+        for category in ("INFRASTRUCTURE", "MANAGEMENT"):
+            export = export_sankey(framework, sample_factors, category)
+            assert export.nodes == () and export.links == ()
+            text = "nodes\nid,label,layer\nlinks\nsource,target,weight\n"
+            assert render_sankey(export) == text
 
-    def test_unknown_subfactor_rejected(self, sample_framework):
-        framework, _ = sample_framework
+    def test_unknown_category_rejected(self, default_kb):
+        with pytest.raises(TaxoforgeError, match="unknown category 'NOPE'"):
+            resolve_identifier(default_kb.domain_ids(), "NOPE")
+
+    def test_unknown_subfactor_rejected(self, sample_factors):
+        check_subfactors(sample_factors.names, ["safety", "water features"])
+        check_subfactors(sample_factors.names, None)
         with pytest.raises(TaxoforgeError, match="unknown subfactor"):
-            export_sankey(framework, "SAFETY & SECURITY", ["not-a-factor"])
-
-    def test_prefix_resolution(self, sample_framework):
-        framework, _ = sample_framework
-        assert resolve_category(framework, "SAFETY").identifier == "SAFETY & SECURITY"
+            check_subfactors(sample_factors.names, ["safety", "not-a-factor"])
 
     def test_identifier_resolution(self):
         ids = ("SAFETY", "SAFETY & SECURITY", "SOCIAL")
@@ -263,9 +278,10 @@ class TestSankey:
         with pytest.raises(TaxoforgeError, match="unknown category 'X'"):
             resolve_identifier(ids, "X")
 
-    def test_render_sections(self, sample_framework):
+    def test_render_sections(self, sample_framework, sample_factors):
         framework, _ = sample_framework
-        text = render_sankey(export_sankey(framework, "SAFETY & SECURITY"))
+        export = export_sankey(framework, sample_factors, "SAFETY & SECURITY")
+        text = render_sankey(export)
         lines = text.splitlines()
         assert lines[0] == "nodes"
         assert lines[1] == "id,label,layer"

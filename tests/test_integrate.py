@@ -12,7 +12,6 @@ from taxoforge.errors import CorpusError, TaxoforgeError
 from taxoforge.integrate import (
     OccurrenceVector,
     integrate,
-    parse_tracking_notation,
     reduction_rate,
     tracking_notation,
 )
@@ -154,17 +153,6 @@ class TestTrackingNotation:
     def test_all_zero_rejected(self):
         with pytest.raises(TaxoforgeError):
             tracking_notation(OccurrenceVector.from_mapping({}))
-
-    def test_round_trip(self, sample_factors):
-        for factor in sample_factors.factors:
-            text = tracking_notation(factor.occurrence)
-            assert parse_tracking_notation(text) == factor.occurrence
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(TaxoforgeError):
-            parse_tracking_notation("[P*1]")
-        with pytest.raises(TaxoforgeError):
-            parse_tracking_notation("P×1")
 
 
 class TestReductionRate:

@@ -65,8 +65,6 @@ from taxoforge.integrate import (
     IntegratedFactorSet,
     OccurrenceVector,
     integrate,
-    parse_tracking_notation,
-    tracking_notation,
 )
 from taxoforge.knowledge import (
     Domain,
@@ -164,7 +162,7 @@ def random_factor_set(rng: random.Random, max_factors: int = 4) -> IntegratedFac
     names = rng.sample(NAME_POOL, rng.randint(1, max_factors))
     study_pool = ("c1", "c2", "c3", "c4")
     factors = []
-    for index, name in enumerate(names):
+    for name in names:
         vector = random_vector(rng, max_count=3)
         studies_for = frozenset(
             rng.sample(study_pool, rng.randint(1, 3))
@@ -173,7 +171,7 @@ def random_factor_set(rng: random.Random, max_factors: int = 4) -> IntegratedFac
             code: studies_for if count else frozenset()
             for code, count in zip(SPACE_TYPES, vector.counts)
         }
-        factors.append(IntegratedFactor(name, vector, studies, index))
+        factors.append(IntegratedFactor(name, vector, studies))
     raw = sum(f.occurrence.total for f in factors)
     return IntegratedFactorSet(factors=tuple(factors), raw_record_count=raw)
 
@@ -264,13 +262,13 @@ ORACLE_FLOORS = (0.3, 0.5, 0.6, 0.75)
 def oracle_factor_set(specs) -> IntegratedFactorSet:
     """Factors from (name, counts, study ids) triples."""
     factors = []
-    for index, (name, counts, ids) in enumerate(specs):
+    for name, counts, ids in specs:
         vector = OccurrenceVector(tuple(counts))
         studies = {
             code: frozenset(ids) if count else frozenset()
             for code, count in zip(SPACE_TYPES, counts)
         }
-        factors.append(IntegratedFactor(name, vector, studies, index))
+        factors.append(IntegratedFactor(name, vector, studies))
     return IntegratedFactorSet(tuple(factors), sum(f.occurrence.total for f in factors))
 
 
@@ -461,7 +459,7 @@ def check_channel_rows(domains, priors, factors, edges, threshold) -> None:
     ids = kb.domain_ids()
     factor_set = IntegratedFactorSet(
         tuple(
-            IntegratedFactor(f"f{i}", OccurrenceVector(counts), {}, i)
+            IntegratedFactor(f"f{i}", OccurrenceVector(counts), {})
             for i, (counts, _, _) in enumerate(factors)
         ),
         sum(sum(counts) for counts, _, _ in factors),
@@ -516,7 +514,7 @@ def check_classification_partition(vectors: list[OccurrenceVector]) -> None:
         )
         assert cls is expected
     factors = tuple(
-        IntegratedFactor(f"f{i}", v, {c: frozenset({"s"}) for c in SPACE_TYPES}, i)
+        IntegratedFactor(f"f{i}", v, {c: frozenset({"s"}) for c in SPACE_TYPES})
         for i, v in enumerate(vectors)
     )
     factor_set = IntegratedFactorSet(factors, sum(v.total for v in vectors))
@@ -550,10 +548,11 @@ def check_primary_home_and_sankey(factor_set: IntegratedFactorSet) -> None:
     assert all(len(homes) == 1 for homes in locations.values())
     report = validate(framework, factor_set)
     assert report.completeness.passed and report.hierarchy_integrity.passed
+    occurrence = {f.canonical_name: f.occurrence for f in factor_set.factors}
     for category in framework.categories:
-        export = export_sankey(framework, category.identifier)
+        export = export_sankey(framework, factor_set, category.identifier)
         expected = sum(
-            parse_tracking_notation(entry.tracking_notation).total
+            occurrence[entry.canonical_name].total
             for sub in category.subcategories
             for entry in sub.entries
             if entry.tier == "primary"
@@ -585,9 +584,8 @@ def reference_fold(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFac
             canonical_name=name,
             occurrence=OccurrenceVector.from_mapping(counts[name]),
             studies={code: frozenset(ids) for code, ids in studies[name].items()},
-            insertion_index=index,
         )
-        for index, name in enumerate(order)
+        for name in order
     )
     return IntegratedFactorSet(factors=factors, raw_record_count=len(corpus.records))
 
@@ -865,12 +863,6 @@ def test_fold_equals_per_record_reference(corpus):
 @given(dataset=dataset_rows())
 def test_loaded_fold_equals_per_row_reference(dataset):
     check_loaded_fold_against_reference(*dataset)
-
-
-@SUITE
-@given(vector=occurrence_vectors(max_count=9))
-def test_tracking_notation_round_trip(vector):
-    assert parse_tracking_notation(tracking_notation(vector)) == vector
 
 
 # ---------------------------------------------------------------------------
