@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add, mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .classify import ClassificationResult, FactorClass
 from .integrate import IntegratedFactorSet
@@ -103,6 +103,16 @@ class CategoryAssignment(CategoryHome):
     scores: ChannelRow
 
 
+def fold_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right. Since Python 3.12, ``sum()`` of floats
+    compensates for rounding, so its last bit, and with it a placement's
+    composite, would differ between interpreters."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def space_fits(
     factor_set: IntegratedFactorSet, kb: DomainKnowledgeBase
 ) -> dict[tuple[int, ...], tuple[float, ...]]:
@@ -110,7 +120,7 @@ def space_fits(
     its cosine with every domain's space profile, in KB order (0.0 when the
     dot product is 0, at most 1.0). Each norm is taken once."""
     profiles = [
-        (d.space_profile, math.sqrt(sum(y * y for y in d.space_profile)))
+        (d.space_profile, math.sqrt(fold_sum(y * y for y in d.space_profile)))
         for d in kb.domains
     ]
     fits: dict[tuple[int, ...], tuple[float, ...]] = {}
@@ -121,7 +131,7 @@ def space_fits(
         norm = math.sqrt(sum(x * x for x in counts))
         row = []
         for profile, profile_norm in profiles:
-            dot = sum(x * y for x, y in zip(counts, profile))
+            dot = fold_sum(map(mul, counts, profile))
             row.append(min(1.0, dot / (norm * profile_norm)) if dot else 0.0)
         fits[counts] = tuple(row)
     return fits

@@ -138,6 +138,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     file and the field, as in ``config file PATH: out: expected a string``."""
     path = Path(path)
     doc = codec.read_yaml(path, "config", ConfigError)
+    # A misspelled key would otherwise leave its setting at the default.
+    if unknown := set(doc) - {f.name for f in fields(ConfigFile)} - {"datasets"}:
+        raise ConfigError(f"config file {path}: {min(map(str, unknown))}: unknown key")
     file = codec.decode(ConfigFile, doc, f"config file {path}: ", ConfigError)
     try:
         return _config(file, doc.get("datasets"), path)
@@ -745,31 +748,21 @@ def phase_emit(
         config_checksums=state.checksums,
     )
     report = emit.validate(framework, factor_set)
-    framework_dict = emit.framework_to_dict(framework)
-    emit.write_json(
-        config.out_dir / "framework.json", state.envelope("emit", framework_dict)
-    )
-    emit.export_document(
-        framework,
-        report,
-        config.out_dir / "framework_document.json",
-        "structured",
-        framework_dict,
-    )
-    emit.export_document(
-        framework, report, config.out_dir / "framework.md", "markdown"
-    )
-    emit.write_json(config.out_dir / "validation.json", emit.report_to_dict(report))
+    out = config.out_dir
+    emit.write_json(out / "framework.json", state.envelope("emit", framework))
+    emit.export_document(framework, report, out / "framework_document.json")
+    emit.export_document(framework, report, out / "framework.md", "markdown")
+    emit.write_json(out / "validation.json", report)
     if sankey_category is not None:
-        export = emit.export_sankey(
+        nodes, links = emit.export_sankey(
             framework, factor_set, sankey_category, sankey_subfactors
         )
         slug = sankey_category.casefold().replace(" ", "_").replace("&", "and")
         # A path separator in the id must not lead the file out of out_dir.
         for separator in filter(None, (os.sep, os.altsep)):
             slug = slug.replace(separator, "_")
-        emit.write_sankey(export, config.out_dir / f"sankey_{slug}.csv")
-    if not report.passed:
+        emit.write_sankey(nodes, links, out / f"sankey_{slug}.csv")
+    if not report["passed"]:
         log.error("emit: validation failed")
         return 2
     return 0

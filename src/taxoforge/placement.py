@@ -19,6 +19,7 @@ from .cluster import (
     RELATED_THRESHOLD,
     CategoryAssignment,
     best_subcategory,
+    fold_sum,
     related_factors,
     subcategory_scorer,
 )
@@ -53,7 +54,7 @@ class CompositeScore:
             self.theoretical_justification,
             self.space_compatibility,
         )
-        return sum(w * p for w, p in zip(COMPOSITE_WEIGHTS, parts))
+        return fold_sum(w * p for w, p in zip(COMPOSITE_WEIGHTS, parts))
 
 
 @dataclass(frozen=True)

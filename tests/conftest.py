@@ -175,14 +175,23 @@ CLUSTER_FIXTURE_PAIRS = {
 }
 
 
+def left_fold(values) -> float:
+    """``values`` added one at a time from the left, as ``sum()`` of floats
+    did before Python 3.12."""
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total
+
+
 def cosine(a, b) -> float:
     """The space fit's reference: the cosine of two vectors, 0.0 when their
-    dot product is 0, at most 1.0."""
-    dot = sum(x * y for x, y in zip(a, b))
+    dot product is 0, at most 1.0. Its sums are left folds."""
+    dot = left_fold(x * y for x, y in zip(a, b))
     if dot == 0:
         return 0.0
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(y * y for y in b))
+    norm_a = math.sqrt(left_fold(x * x for x in a))
+    norm_b = math.sqrt(left_fold(y * y for y in b))
     return min(1.0, dot / (norm_a * norm_b))
 
 

@@ -96,7 +96,7 @@ def test_c3_entropy_reproduction(sample_framework):
         _, report = sample_framework
         assert any(
             note["id"] == "entropy-row" and "1.52" in note["note"]
-            for note in report.paper_discrepancy_notes
+            for note in report["paper_discrepancy_notes"]
         )
 
 
@@ -210,7 +210,7 @@ def test_c6_placement_protocol(default_kb, default_lexicon, sample_framework):
         _, report = sample_framework
         assert any(
             note["id"] == "placement-tier-row"
-            for note in report.paper_discrepancy_notes
+            for note in report["paper_discrepancy_notes"]
         )
 
 
@@ -230,7 +230,7 @@ def test_c7_arithmetic_identities(sample_framework):
             note["id"] == "pair-count"
             and "529,506" in note["note"]
             and "528,906" in note["note"]
-            for note in report.paper_discrepancy_notes
+            for note in report["paper_discrepancy_notes"]
         )
 
 
@@ -260,9 +260,9 @@ def test_c9_fault_injection(sample_framework, sample_factors, tmp_path, monkeypa
     with criterion(9, "injected faults fail the matching check and exit with status 2"):
         framework, _ = sample_framework
         report = emit.validate(delete_factor(framework, "safety"), sample_factors)
-        assert not report.completeness.passed and not report.passed
+        assert not report["completeness"]["passed"] and not report["passed"]
         report = emit.validate(duplicate_primary(framework, "safety"), sample_factors)
-        assert not report.hierarchy_integrity.passed and not report.passed
+        assert not report["hierarchy_integrity"]["passed"] and not report["passed"]
 
         config = tmp_path / "config.yaml"
         config.write_text(

@@ -131,6 +131,31 @@ class TestRun:
         }
         assert written == RUN_FILE_SHA256
 
+    def test_written_files_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # The hash seed orders sets of strings; no written byte may follow it.
+        package_root = str(Path(pipeline.__file__).resolve().parents[1])
+        paths = [package_root, os.environ.get("PYTHONPATH", "")]
+        code = "import sys; from taxoforge.cli import main; sys.exit(main())"
+        written = []
+        for seed in ("0", "1"):
+            out = tmp_path / seed
+            env = {
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+                "PYTHONHASHSEED": seed,
+            }
+            subprocess.run(
+                [sys.executable, "-c", code, "run"]
+                + ["--config", str(FIXTURES / "config.yaml"), "--out", str(out)]
+                + ["--emit-pairs", "--sankey", "SAFETY"],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert written[0].keys() == RUN_FILE_SHA256.keys()
+        assert written[0] == written[1]
+
     def test_artifacts_are_compact_and_exports_pretty(self, tmp_path):
         config = write_config(tmp_path)
         assert cli.main(["run", "--config", str(config)]) == 0
@@ -240,13 +265,13 @@ class TestRun:
 
     def test_framework_dict_built_once_per_emit(self, tmp_path, monkeypatch):
         calls = []
-        original = emit.framework_to_dict
+        original = emit.build_framework
 
-        def counting(framework):
-            calls.append(framework)
-            return original(framework)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(emit, "framework_to_dict", counting)
+        monkeypatch.setattr(emit, "build_framework", counting)
         config = pipeline.apply_overrides(
             pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
         )
@@ -944,6 +969,13 @@ MALFORMED = [
         id="config-datasets-keys-mixed",
     ),
     pytest.param("config", ["thresholds"], [], "thresholds", id="config-thresholds-list"),
+    pytest.param(
+        "config",
+        ["treshold"],
+        {"related": 0.99},
+        "treshold: unknown key",
+        id="config-unknown-key",
+    ),
     pytest.param(
         "rules",
         ["options", "case_folding"],

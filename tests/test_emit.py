@@ -2,24 +2,22 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 import json
 
 import pytest
 
 from taxoforge.emit import (
-    Framework,
     build_framework,
     check_subfactors,
     export_document,
     export_sankey,
-    framework_to_dict,
+    primary_locations,
     render_markdown,
-    render_sankey,
-    report_to_dict,
     resolve_identifier,
     to_canonical_json,
     validate,
+    write_sankey,
 )
 from taxoforge.errors import TaxoforgeError
 
@@ -27,32 +25,56 @@ from taxoforge.errors import TaxoforgeError
 class TestBuildFramework:
     def test_fixture_framework_shape(self, sample_framework, sample_factors):
         framework, _ = sample_framework
-        assert framework.metadata.unique_factors == 11
-        locations = framework.primary_locations()
+        assert framework["metadata"]["unique_factors"] == 11
+        locations = primary_locations(framework)
         assert set(locations) == set(sample_factors.names)
         assert all(len(homes) == 1 for homes in locations.values())
 
     def test_fixture_categories(self, sample_framework):
         framework, _ = sample_framework
-        ids = [category.identifier for category in framework.categories]
+        ids = [category["identifier"] for category in framework["categories"]]
         assert {"SAFETY & SECURITY", "COMFORT", "ACCESSIBILITY", "NATURAL ELEMENTS"} <= set(ids)
 
     def test_category_totals_count_primary_homes(self, sample_framework):
         framework, _ = sample_framework
-        for category in framework.categories:
-            assert category.factor_total == sum(
-                sub.factor_count for sub in category.subcategories
+        for category in framework["categories"]:
+            assert category["factor_total"] == sum(
+                sub["factor_count"] for sub in category["subcategories"]
             )
-            for sub in category.subcategories:
-                assert sub.factor_count == sum(
-                    1 for e in sub.entries if e.tier == "primary"
+            for sub in category["subcategories"]:
+                assert sub["factor_count"] == sum(
+                    1 for e in sub["entries"] if e["tier"] == "primary"
                 )
 
     def test_metadata_identity(self, sample_framework):
         framework, _ = sample_framework
-        meta = framework.metadata
-        recomputed = 100.0 * (1 - meta.unique_factors / meta.total_original_factors)
-        assert meta.reduction_percentage == recomputed
+        meta = framework["metadata"]
+        unique, total = meta["unique_factors"], meta["total_original_factors"]
+        assert meta["reduction_percentage"] == 100.0 * (1 - unique / total)
+
+    def test_framework_is_its_json_document(self, sample_framework):
+        framework, report = sample_framework
+        assert list(framework) == ["schema_version", "metadata", "categories"]
+        entry = framework["categories"][0]["subcategories"][0]["entries"][0]
+        assert list(entry) == [
+            "canonical_name",
+            "tracking_notation",
+            "classification",
+            "indicator",
+            "tier",
+            "placements",
+            "reference",
+            "insertion_index",
+        ]
+        assert list(report) == [
+            "passed",
+            "completeness",
+            "hierarchy_integrity",
+            "indicator_consistency",
+            "paper_discrepancy_notes",
+        ]
+        for doc in (framework, report):
+            assert json.loads(json.dumps(doc)) == doc
 
     def test_empty_factor_set_rejected(self, default_kb):
         from taxoforge.integrate import IntegratedFactorSet
@@ -62,44 +84,38 @@ class TestBuildFramework:
             build_framework(empty, [], [], None, [], default_kb)
 
 
-def delete_factor(framework: Framework, name: str) -> Framework:
-    categories = []
-    for category in framework.categories:
-        subs = []
-        for sub in category.subcategories:
-            entries = tuple(
-                e for e in sub.entries if e.canonical_name != name
-            )
-            subs.append(dataclasses.replace(sub, entries=entries))
-        categories.append(dataclasses.replace(category, subcategories=tuple(subs)))
-    return dataclasses.replace(framework, categories=tuple(categories))
+def delete_factor(framework: dict, name: str) -> dict:
+    """A copy of ``framework`` without any entry of ``name``."""
+    broken = copy.deepcopy(framework)
+    for category in broken["categories"]:
+        for sub in category["subcategories"]:
+            sub["entries"] = [
+                e for e in sub["entries"] if e["canonical_name"] != name
+            ]
+    return broken
 
 
-def duplicate_primary(framework: Framework, name: str) -> Framework:
+def duplicate_primary(framework: dict, name: str) -> dict:
+    """A copy of ``framework`` whose last subcategory holds a second primary
+    entry of ``name``."""
+    broken = copy.deepcopy(framework)
     source = None
-    for category in framework.categories:
-        for sub in category.subcategories:
-            for entry in sub.entries:
-                if entry.canonical_name == name and entry.tier == "primary":
+    for category in broken["categories"]:
+        for sub in category["subcategories"]:
+            for entry in sub["entries"]:
+                if entry["canonical_name"] == name and entry["tier"] == "primary":
                     source = entry
     assert source is not None
-    category = framework.categories[-1]
-    sub = category.subcategories[-1]
-    patched_sub = dataclasses.replace(sub, entries=sub.entries + (source,))
-    patched_category = dataclasses.replace(
-        category, subcategories=category.subcategories[:-1] + (patched_sub,)
-    )
-    return dataclasses.replace(
-        framework, categories=framework.categories[:-1] + (patched_category,)
-    )
+    broken["categories"][-1]["subcategories"][-1]["entries"].append(dict(source))
+    return broken
 
 
 class TestValidate:
     def test_fixture_passes_with_notes(self, sample_framework):
         _, report = sample_framework
-        assert report.passed
-        assert len(report.paper_discrepancy_notes) == 4
-        note_ids = {note["id"] for note in report.paper_discrepancy_notes}
+        assert report["passed"]
+        assert len(report["paper_discrepancy_notes"]) == 4
+        note_ids = {note["id"] for note in report["paper_discrepancy_notes"]}
         assert note_ids == {
             "pair-count",
             "entropy-row",
@@ -111,40 +127,24 @@ class TestValidate:
         framework, _ = sample_framework
         broken = delete_factor(framework, "safety")
         report = validate(broken, sample_factors)
-        assert not report.passed
-        assert not report.completeness.passed
-        assert "safety" in report.completeness.problems
+        assert not report["passed"]
+        assert not report["completeness"]["passed"]
+        assert "safety" in report["completeness"]["problems"]
 
     def test_duplicate_primary_fails_integrity(self, sample_framework, sample_factors):
         framework, _ = sample_framework
         broken = duplicate_primary(framework, "safety")
         report = validate(broken, sample_factors)
-        assert not report.passed
-        assert not report.hierarchy_integrity.passed
+        assert not report["passed"]
+        assert not report["hierarchy_integrity"]["passed"]
 
     def test_indicator_mismatch_reported(self, sample_framework, sample_factors):
         framework, _ = sample_framework
-        category = framework.categories[0]
-        sub = category.subcategories[0]
-        entry = sub.entries[0]
-        bad_entry = dataclasses.replace(entry, indicator="Space-specific: P")
-        patched = dataclasses.replace(
-            framework,
-            categories=(
-                dataclasses.replace(
-                    category,
-                    subcategories=(
-                        dataclasses.replace(
-                            sub, entries=(bad_entry,) + sub.entries[1:]
-                        ),
-                    )
-                    + category.subcategories[1:],
-                ),
-            )
-            + framework.categories[1:],
-        )
+        patched = copy.deepcopy(framework)
+        entry = patched["categories"][0]["subcategories"][0]["entries"][0]
+        entry["indicator"] = "Space-specific: P"
         report = validate(patched, sample_factors)
-        assert not report.indicator_consistency.passed
+        assert not report["indicator_consistency"]["passed"]
 
 
 class TestExportDocument:
@@ -168,7 +168,7 @@ class TestExportDocument:
         path = tmp_path / "framework.json"
         export_document(framework, report, path, "structured")
         doc = json.loads(path.read_text(encoding="utf-8"))
-        expected = {**framework_to_dict(framework), "validation": report_to_dict(report)}
+        expected = {**framework, "validation": report}
         assert doc == json.loads(to_canonical_json(expected))
 
     def test_stub_entries_render_references(self, sample_framework):
@@ -190,74 +190,74 @@ class TestExportDocument:
 class TestSankey:
     def test_full_category_flow(self, sample_framework, sample_factors):
         framework, _ = sample_framework
-        export = export_sankey(framework, sample_factors, "SAFETY & SECURITY")
-        layers = {node.layer for node in export.nodes}
-        assert layers == {"Subfactor", "Indicator", "SpaceType"}
-        node_ids = {node.id for node in export.nodes}
-        for link in export.links:
-            assert link.source in node_ids and link.target in node_ids
-            assert link.weight > 0
+        nodes, links = export_sankey(framework, sample_factors, "SAFETY & SECURITY")
+        assert {layer for _, _, layer in nodes} == {"Subfactor", "Indicator", "SpaceType"}
+        node_ids = {node_id for node_id, _, _ in nodes}
+        for source, target, weight in links:
+            assert source in node_ids and target in node_ids
+            assert weight > 0
 
     def test_weight_conservation(self, sample_framework, sample_factors):
         framework, _ = sample_framework
         category = next(
-            c for c in framework.categories if c.identifier == "SAFETY & SECURITY"
+            c
+            for c in framework["categories"]
+            if c["identifier"] == "SAFETY & SECURITY"
         )
         homed = {
-            e.canonical_name
-            for sub in category.subcategories
-            for e in sub.entries
-            if e.tier == "primary"
+            e["canonical_name"]
+            for sub in category["subcategories"]
+            for e in sub["entries"]
+            if e["tier"] == "primary"
         }
         expected = sum(
             f.occurrence.total
             for f in sample_factors.factors
             if f.canonical_name in homed
         )
-        export = export_sankey(framework, sample_factors, "SAFETY & SECURITY")
-        into_types = sum(
-            link.weight for link in export.links if link.target.startswith("type:")
-        )
+        _, links = export_sankey(framework, sample_factors, "SAFETY & SECURITY")
+        into_types = sum(w for _, target, w in links if target.startswith("type:"))
         assert into_types == expected
         out_of_factors = sum(
-            link.weight for link in export.links if link.source.startswith("factor:")
+            w for source, _, w in links if source.startswith("factor:")
         )
         assert out_of_factors == expected
 
     def test_adjacent_layers_only(self, sample_framework, sample_factors):
         framework, _ = sample_framework
-        export = export_sankey(framework, sample_factors, "COMFORT")
-        layer_of = {node.id: node.layer for node in export.nodes}
-        for link in export.links:
-            pair = (layer_of[link.source], layer_of[link.target])
+        nodes, links = export_sankey(framework, sample_factors, "COMFORT")
+        layer_of = {node_id: layer for node_id, _, layer in nodes}
+        for source, target, _ in links:
+            pair = (layer_of[source], layer_of[target])
             assert pair in {("Subfactor", "Indicator"), ("Indicator", "SpaceType")}
 
     def test_subfactor_filter(self, sample_framework, sample_factors):
         framework, _ = sample_framework
-        export = export_sankey(
+        nodes, _ = export_sankey(
             framework, sample_factors, "SAFETY & SECURITY", ["safety"]
         )
-        factor_nodes = [n for n in export.nodes if n.layer == "Subfactor"]
-        assert [n.label for n in factor_nodes] == ["safety"]
+        factor_nodes = [node for node in nodes if node[2] == "Subfactor"]
+        assert factor_nodes == [("factor:safety", "safety", "Subfactor")]
 
     def test_empty_filter_result(self, sample_framework, sample_factors):
         framework, _ = sample_framework
         # valid factor, but homed in a different category
-        export = export_sankey(
+        _, links = export_sankey(
             framework, sample_factors, "SAFETY & SECURITY", ["water features"]
         )
-        assert export.links == ()
+        assert links == []
 
     def test_category_without_primary_entries_is_empty(
-        self, sample_framework, sample_factors
+        self, sample_framework, sample_factors, tmp_path
     ):
         framework, _ = sample_framework
         # INFRASTRUCTURE holds only stubs; MANAGEMENT is not in the framework.
         for category in ("INFRASTRUCTURE", "MANAGEMENT"):
-            export = export_sankey(framework, sample_factors, category)
-            assert export.nodes == () and export.links == ()
+            nodes, links = export_sankey(framework, sample_factors, category)
+            assert nodes == [] and links == []
+            write_sankey(nodes, links, tmp_path / "sankey.csv")
             text = "nodes\nid,label,layer\nlinks\nsource,target,weight\n"
-            assert render_sankey(export) == text
+            assert (tmp_path / "sankey.csv").read_text(encoding="utf-8") == text
 
     def test_unknown_category_rejected(self, default_kb):
         with pytest.raises(TaxoforgeError, match="unknown category 'NOPE'"):
@@ -278,13 +278,15 @@ class TestSankey:
         with pytest.raises(TaxoforgeError, match="unknown category 'X'"):
             resolve_identifier(ids, "X")
 
-    def test_render_sections(self, sample_framework, sample_factors):
+    def test_render_sections(self, sample_framework, sample_factors, tmp_path):
         framework, _ = sample_framework
-        export = export_sankey(framework, sample_factors, "SAFETY & SECURITY")
-        text = render_sankey(export)
-        lines = text.splitlines()
+        nodes, links = export_sankey(framework, sample_factors, "SAFETY & SECURITY")
+        path = tmp_path / "sankey.csv"
+        write_sankey(nodes, links, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "nodes"
         assert lines[1] == "id,label,layer"
-        assert "links" in lines
-        link_header = lines[lines.index("links") + 1]
-        assert link_header == "source,target,weight"
+        split = lines.index("links")
+        assert lines[split + 1] == "source,target,weight"
+        assert lines[2:split] == [",".join(node) for node in nodes]
+        assert lines[split + 2 :] == [f"{s},{t},{w}" for s, t, w in links]

@@ -48,6 +48,7 @@ from taxoforge.cluster import (
     channel_scores,
     domain_priorities,
     related_factors,
+    space_fits,
     subcategory_scorer,
 )
 from taxoforge.corpus import (
@@ -58,7 +59,12 @@ from taxoforge.corpus import (
     load_corpus,
     normalize,
 )
-from taxoforge.emit import build_framework, export_sankey, validate
+from taxoforge.emit import (
+    build_framework,
+    export_sankey,
+    primary_locations,
+    validate,
+)
 from taxoforge.errors import CorpusError
 from taxoforge.integrate import (
     IntegratedFactor,
@@ -73,7 +79,12 @@ from taxoforge.knowledge import (
     ScopePriors,
     Subcategory,
 )
-from taxoforge.placement import place_cross_cutting, primary_homes
+from taxoforge.placement import (
+    COMPOSITE_WEIGHTS,
+    CompositeScore,
+    place_cross_cutting,
+    primary_homes,
+)
 from taxoforge.similarity import (
     BAND_HIGH,
     ComponentScores,
@@ -88,6 +99,7 @@ from tests.conftest import (
     best_subcategory_reference,
     cosine,
     dense_pairs,
+    left_fold,
     relevance_row,
 )
 
@@ -543,23 +555,22 @@ def run_mini_pipeline(factor_set: IntegratedFactorSet):
 
 def check_primary_home_and_sankey(factor_set: IntegratedFactorSet) -> None:
     framework = run_mini_pipeline(factor_set)
-    locations = framework.primary_locations()
+    locations = primary_locations(framework)
     assert set(locations) == set(factor_set.names)
     assert all(len(homes) == 1 for homes in locations.values())
     report = validate(framework, factor_set)
-    assert report.completeness.passed and report.hierarchy_integrity.passed
+    assert report["completeness"]["passed"]
+    assert report["hierarchy_integrity"]["passed"]
     occurrence = {f.canonical_name: f.occurrence for f in factor_set.factors}
-    for category in framework.categories:
-        export = export_sankey(framework, factor_set, category.identifier)
+    for category in framework["categories"]:
+        _, links = export_sankey(framework, factor_set, category["identifier"])
         expected = sum(
-            occurrence[entry.canonical_name].total
-            for sub in category.subcategories
-            for entry in sub.entries
-            if entry.tier == "primary"
+            occurrence[entry["canonical_name"]].total
+            for sub in category["subcategories"]
+            for entry in sub["entries"]
+            if entry["tier"] == "primary"
         )
-        into_types = sum(
-            link.weight for link in export.links if link.target.startswith("type:")
-        )
+        into_types = sum(w for _, target, w in links if target.startswith("type:"))
         assert into_types == expected
 
 
@@ -851,6 +862,26 @@ def test_classification_partition_and_census_conservation(vectors):
 @given(factor_set=factor_sets())
 def test_exactly_one_primary_home_and_sankey_conservation(factor_set):
     check_primary_home_and_sankey(factor_set)
+
+
+WEIGHTS = st.floats(min_value=1e-3, max_value=10.0) | st.just(0.0)
+
+
+@SUITE
+@given(
+    parts=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 4),
+    profile=st.tuples(*[WEIGHTS] * len(SPACE_TYPES)).filter(any),
+    vector=occurrence_vectors(max_count=9),
+)
+def test_composite_and_space_fits_are_left_folds(parts, profile, vector):
+    # Compensated float sum() (Python 3.12+) would move their last bits.
+    weighted = zip(COMPOSITE_WEIGHTS, parts)
+    assert CompositeScore(*parts).composite == left_fold(w * p for w, p in weighted)
+    domain = replace(TINY_KB.domains[0], space_profile=profile)
+    factor = IntegratedFactor("alpha", vector, {})
+    factor_set = IntegratedFactorSet(factors=(factor,), raw_record_count=vector.total)
+    fits = space_fits(factor_set, DomainKnowledgeBase(domains=(domain,)))
+    assert fits == {vector.counts: (cosine(vector.counts, profile),)}
 
 
 @SUITE
