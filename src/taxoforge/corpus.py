@@ -1,14 +1,16 @@
-"""Input data model: factor records, datasets, and normalization rules.
+"""Input data model: datasets, the corpus folded from them, and normalization rules.
 
-A corpus is a multiset of raw factor records, each tagged with the study that
-reported it and one of the six space typologies (codes P, S, U, G, O, F): the
-distinct records in first-seen order, each with the number of dataset rows it
-stands for. The loader counts identical rows before it looks at them and
-checks each distinct row once; a record is a plain named tuple that checks
-nothing when built. A refused row's line is found by reading the file again.
-Normalization rewrites raw factor names onto a canonical surface form through
-a declarative rule set: case folding, whitespace collapsing, punctuation
-stripping, then a single-step synonym map guarded by a preserve-distinct list.
+A dataset row is a raw factor name, the study that reported it and one of the
+six space typologies (codes P, S, U, G, O, F). A corpus holds the rows folded
+per raw spelling: for each distinct name, in the order of its first row, the
+number of rows and the set of studies per space type. The loader counts
+identical lines before it parses any, parses each distinct line once and
+checks each distinct cell value once; a quoted cell that spans lines makes it
+parse the file row by row instead. A refused row's line is found by reading
+the file again. Normalization rewrites raw factor names onto a canonical
+surface form through a declarative rule set: case folding, whitespace
+collapsing, punctuation stripping, then a single-step synonym map guarded by a
+preserve-distinct list.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .codec import decode, read_yaml
 from .errors import CorpusError, RuleSetError
@@ -46,48 +49,66 @@ CSV_HEADER = ("raw_name", "study_id", "space_type")
 _BOUNDARY_HYPHEN = re.compile(r"(?<!\w)-|-(?!\w)")
 
 
-class FactorRecord(NamedTuple):
-    """One raw factor occurrence: name, citing study, and typology. Building
-    one checks nothing: the loader checks each distinct row it reads, and
-    ``integrate`` checks each record it folds."""
+class Spelling(NamedTuple):
+    """The rows of one raw factor name, folded: for each space type it has
+    rows of, ``[number of rows, set of study ids]``."""
 
     raw_name: str
-    study_id: str
-    space_type: str
+    tallies: dict[str, list]
 
 
 @dataclass(frozen=True)
 class Corpus:
-    """Distinct factor records in first-seen order, with the number of rows
-    each stands for. Without ``counts`` each listed record counts once, as in
-    a corpus built by hand. ``sources`` splits the records into runs, each
-    with the dataset file it was loaded from, or None."""
+    """Dataset rows folded per raw spelling. A loaded file gives one record
+    per spelling, in the order of their first rows; a record built by hand is
+    one of its own. ``sources`` splits the records into runs, each with the
+    dataset file it was loaded from, or None for records built by hand."""
 
-    records: tuple[FactorRecord, ...]
-    counts: tuple[int, ...] | None = None
-    sources: tuple[tuple[Path | None, int], ...] = ()
+    records: tuple[Spelling, ...]
+    sources: tuple[tuple[Path | None, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.counts is None:
-            object.__setattr__(self, "counts", (1,) * len(self.records))
-        if not self.sources:
-            object.__setattr__(self, "sources", ((None, len(self.records)),))
-        if len(self.counts) != len(self.records) or min(self.counts, default=1) < 1:
+    @classmethod
+    def from_records(
+        cls,
+        records: Sequence[tuple[str, str, str]],
+        counts: Sequence[int] | None = None,
+    ) -> Corpus:
+        """A corpus built by hand from ``(raw_name, study_id, space_type)``
+        records, each standing for one row or for its number in ``counts``.
+        Each record needs a study and a known space type, or the error names
+        ``record N``; its name is checked when ``integrate`` normalizes it."""
+        if counts is None:
+            counts = (1,) * len(records)
+        if len(counts) != len(records) or min(counts, default=1) < 1:
             raise CorpusError("a corpus needs one positive count per record")
+        for position, (_, study_id, space_type) in enumerate(records, 1):
+            if not study_id:
+                raise CorpusError(f"record {position}: study_id must be non-empty")
+            if space_type not in SPACE_TYPES:
+                raise CorpusError(
+                    f"record {position}: unknown space type {space_type!r}"
+                )
+        return cls(
+            records=tuple(
+                Spelling(raw_name, {space_type: [count, {study_id}]})
+                for (raw_name, study_id, space_type), count in zip(records, counts)
+            ),
+            sources=((None, len(records)),),
+        )
 
     def locate(self, position: int) -> str:
         """Where the record at 1-based ``position`` comes from: its dataset
-        file and the line of its first row, or ``record N`` for a record
-        built by hand. The file is read again, so call this on error paths."""
+        file and the line of its first row, or ``record N`` for one built by
+        hand. The file is read again, so call this on error paths."""
         end = 0
         for path, size in self.sources:
             end += size
             if position <= end:
                 if path is None:
                     break
-                record = self.records[position - 1]
+                name = self.records[position - 1].raw_name
                 line = _first_line(
-                    path, lambda row: tuple(cell.strip() for cell in row) == record
+                    path, lambda row: bool(row) and row[0].strip() == name
                 )
                 return f"{path}: row {line}"
         return f"record {position}"
@@ -205,79 +226,28 @@ def load_rules(path: str | Path) -> NormalizationRuleSet:
     return rules
 
 
-def _count_records(
-    rows: Counter[tuple[str, ...]], path: Path, expect_type: str | None
-) -> dict[FactorRecord, int]:
-    """Check each distinct row once and sum the counts of the rows that hold
-    the same record. The records share one string per distinct name and study
-    id through a dict local to the load: with ``sys.intern`` instead, the
-    peak RSS of repeated runs in one process grew."""
-    records: dict[FactorRecord, int] = {}
-    shared: dict[str, str] = {}
-    get, share, new = records.get, shared.setdefault, tuple.__new__
-    for row, count in rows.items():
-        if len(row) == 3:
-            raw_name, study_id, space_type = row
-            raw_name, study_id = raw_name.strip(), study_id.strip()
-            space_type = space_type.strip()
-            if not raw_name:
-                if not study_id and not space_type:
-                    continue
-                _refuse(path, row, "empty raw_name")
-        elif all(not cell.strip() for cell in row):
-            continue
-        else:
-            _refuse(path, row, f"expected 3 fields, got {len(row)}")
-        if not study_id:
-            _refuse(path, row, "empty study_id")
-        if space_type not in SPACE_TYPES:
-            _refuse(path, row, f"unknown space type {space_type!r}")
-        if expect_type is not None and space_type != expect_type:
-            _refuse(
-                path,
-                row,
-                f"space type {space_type!r} does not match "
-                f"the dataset's declared typology {expect_type!r}",
-            )
-        raw_name, study_id = share(raw_name, raw_name), share(study_id, study_id)
-        # FactorRecord(...) goes through NamedTuple's Python-level __new__;
-        # tuple.__new__ builds the same record without that call.
-        record = new(FactorRecord, (raw_name, study_id, space_type))
-        records[record] = get(record, 0) + count
-    return records
-
-
-def _refuse(path: Path, row: tuple[str, ...], problem: str) -> NoReturn:
-    line = _first_line(path, lambda cells: tuple(cells) == row)
-    raise CorpusError(f"{path}: row {line}: {problem}")
-
-
 def load_corpus(path: str | Path, expect_type: str | None = None) -> Corpus:
-    """Load one dataset file as its distinct records and their counts.
+    """Load one dataset file as its rows folded per raw spelling.
 
     The file is comma-separated UTF-8 text with the header
     ``raw_name,study_id,space_type``. ``expect_type`` restricts a
-    per-typology file to a single code. Identical rows are counted, and each
-    distinct row is checked once. Blank rows are skipped; any other row must
-    have three cells, a name, a study and a known code, or the error names
-    the line the first such row starts on. Records keep the order of their
-    first rows.
+    per-typology file to a single code. Identical lines are counted before
+    any is parsed, and each distinct line is parsed once; a quoted cell that
+    spans lines makes the file parse row by row, with identical rows counted.
+    Blank rows are skipped; any other row must have three cells, a name, a
+    study and a known code, or the error names the line the first such row
+    starts on. A row the CSV reader cannot parse is refused first, wherever
+    it is. Spellings keep the order of their first rows.
     """
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"dataset file not found: {path}")
     try:
-        with path.open(encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise CorpusError(f"{path}: empty file, expected header") from None
-            if tuple(cell.strip() for cell in header) != CSV_HEADER:
-                raise CorpusError(
-                    f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
-                )
-            rows = Counter(map(tuple, reader))
+        records = _fold_lines(path, expect_type)
+        if records is None:  # read row by row, identical rows counted
+            with path.open(encoding="utf-8", newline="") as handle:
+                rows = Counter(map(tuple, _reader(handle, path)))
+            records = _fold(rows.items(), path, expect_type)
     except UnicodeDecodeError as exc:
         raise CorpusError(
             f"{path}: line {_undecodable_line(path)}: not UTF-8 text ({exc.reason})"
@@ -288,23 +258,111 @@ def load_corpus(path: str | Path, expect_type: str | None = None) -> Corpus:
         raise
     except OSError as exc:
         raise CorpusError(f"{path}: cannot read: {exc.strerror or exc}") from None
-    records = _count_records(rows, path, expect_type)
-    return Corpus(
-        records=tuple(records),
-        counts=tuple(records.values()),
-        sources=((path, len(records)),),
-    )
+    return Corpus(records=tuple(records.values()), sources=((path, len(records)),))
+
+
+def _reader(handle: Iterable[str], path: Path) -> Iterable[list[str]]:
+    """A CSV reader over ``handle`` past its header, which it checks."""
+    reader = csv.reader(handle)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CorpusError(f"{path}: empty file, expected header") from None
+    if tuple(cell.strip() for cell in header) != CSV_HEADER:
+        raise CorpusError(
+            f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+        )
+    return reader
+
+
+def _fold_lines(path: Path, expect_type: str | None) -> dict[str, Spelling] | None:
+    """Fold the file's distinct lines, each parsed once, or return None when
+    a line holds only part of a row or the file does not decode, parse or
+    pass its checks: reading it row by row then finds what the whole file
+    holds, and refuses a CSV error before any row it comes after."""
+    with path.open(encoding="utf-8", newline="") as handle:
+        _reader(handle, path)
+        try:
+            lines = Counter(handle)
+        except UnicodeDecodeError:
+            return None
+    # A line parsed as one row starts and ends outside quotes, so it is that
+    # row wherever it stands. The reader makes one row of each line, and of
+    # the blank line after them, only if every line is so: a quote a line
+    # leaves open takes in the next line, the blank one after the last.
+    counts = iter(chain(lines.values(), (0,)))
+    rows = zip(csv.reader(chain(lines, ("\n",))), counts)
+    try:
+        records = _fold(rows, path, expect_type)
+    except (csv.Error, CorpusError):
+        return None
+    return records if next(counts, None) is None else None
+
+
+def _fold(
+    rows: Iterable[tuple[Sequence[str], int]], path: Path, expect_type: str | None
+) -> dict[str, Spelling]:
+    """Each spelling's record, with each counted row's rows and study added to
+    its space type's tally. Each distinct cell value is checked once, and the
+    first faulty row is refused. Each study id is one string, shared through
+    a dict local to the load: with ``sys.intern`` instead, the peak RSS of
+    repeated runs in one process grew."""
+    records: dict[str, Spelling] = {}
+    tallies: dict[str, dict[str, list]] = {}  # name cell -> code cell -> tally
+    studies: dict[str, str] = {}  # study cell -> study id
+    for row, count in rows:
+        try:
+            name, study, code = row
+            tally = tallies[name][code]
+            study = studies[study]
+        except (KeyError, ValueError):
+            cells = [cell.strip() for cell in row]
+            if not any(cells):
+                continue
+            if len(cells) != 3:
+                _refuse(path, row, f"expected 3 fields, got {len(cells)}")
+            raw_name, study_id, space_type = cells
+            if not raw_name:
+                _refuse(path, row, "empty raw_name")
+            if not study_id:
+                _refuse(path, row, "empty study_id")
+            if space_type not in SPACE_TYPES:
+                _refuse(path, row, f"unknown space type {space_type!r}")
+            if expect_type is not None and space_type != expect_type:
+                _refuse(
+                    path,
+                    row,
+                    f"space type {space_type!r} does not match "
+                    f"the dataset's declared typology {expect_type!r}",
+                )
+            name, study, code = row
+            record = records.get(raw_name)
+            if record is None:
+                record = records[raw_name] = Spelling(raw_name, {})
+            tally = record.tallies.setdefault(space_type, [0, set()])
+            tallies.setdefault(name, {})[code] = tally
+            studies[study] = study = studies.setdefault(study_id, study_id)
+        tally[0] += count
+        tally[1].add(study)
+    return records
+
+
+def _refuse(path: Path, row: Sequence[str], problem: str) -> NoReturn:
+    cells = list(row)
+    line = _first_line(path, lambda found: found == cells)
+    raise CorpusError(f"{path}: row {line}: {problem}")
 
 
 def _first_line(path: Path, wanted: Callable[[list[str]], bool]) -> int:
     """The line on which the first row of ``path`` after the header that
-    ``wanted`` accepts starts; a row the CSV reader cannot parse is refused
-    at its line. Only error paths read the file this way."""
+    ``wanted`` accepts starts; a row the CSV reader cannot parse, the header
+    too, is refused at its line. Only error paths read the file this way."""
     with path.open(encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        next(reader, None)
-        start = reader.line_num + 1
+        start = 1
         try:
+            next(reader, None)
+            start = reader.line_num + 1
             for row in reader:
                 if wanted(row):
                     return start
@@ -332,13 +390,10 @@ def _undecodable_line(path: Path) -> int:
 
 
 def merge_corpora(corpora: Iterable[Corpus]) -> Corpus:
-    """The corpora one after another: records, counts and sources."""
-    records: list[FactorRecord] = []
-    counts: list[int] = []
+    """The corpora one after another: records and sources."""
+    records: list[Spelling] = []
     sources: list[tuple[Path | None, int]] = []
     for corpus in corpora:
         records.extend(corpus.records)
-        counts.extend(corpus.counts)
         sources.extend(corpus.sources)
-    return Corpus(records=tuple(records), counts=tuple(counts), sources=tuple(sources))
-
+    return Corpus(records=tuple(records), sources=tuple(sources))

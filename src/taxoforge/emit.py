@@ -218,14 +218,31 @@ def validate(framework: dict, factor_set: IntegratedFactorSet) -> dict:
     }
 
 
-def to_canonical_json(doc: dict) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+def write_documents(out: Path, envelope: dict, framework: dict, report: dict) -> None:
+    """Write the exports of ``framework`` and its validation ``report`` into
+    ``out``: framework.json (the ``envelope`` keys, then the framework as
+    ``data``), framework_document.json (the framework, then the report as
+    ``validation``), framework.md and validation.json. Each JSON document is
+    encoded once and spliced into every file that holds it."""
+    data, validation = _indented(framework), _indented(report)
+    _write_with_last(out / "framework.json", _indented(envelope), "data", data)
+    document = out / "framework_document.json"
+    _write_with_last(document, data, "validation", validation)
+    export_document(framework, report, out / "framework.md")
+    write_atomic(out / "validation.json", lambda handle: print(validation, file=handle))
 
 
-def write_json(path: str | Path, doc: dict) -> None:
-    """Write ``doc`` as an export: pretty-printed, byte-stable JSON."""
-    text = to_canonical_json(doc)
-    write_atomic(path, lambda handle: handle.write(text))
+def _indented(doc: dict) -> str:
+    return json.dumps(doc, ensure_ascii=False, indent=2)
+
+
+def _write_with_last(path: Path, text: str, key: str, value: str) -> None:
+    """Write ``text``, an object of at least one key as ``_indented`` writes
+    it, with ``key`` added last holding ``value``, written the same way. JSON
+    strings hold no raw newline, so indenting each line of ``value`` by two
+    spaces nests it exactly as encoding the whole object would."""
+    parts = (text[:-2], f",\n  {json.dumps(key)}: ", value.replace("\n", "\n  "))
+    write_atomic(path, lambda handle: handle.writelines((*parts, "\n}\n")))
 
 
 def write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
@@ -248,16 +265,9 @@ def write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
         raise ArtifactError(f"cannot write {path}: {exc}") from exc
 
 
-def export_document(
-    framework: dict, report: dict, path: str | Path, format: str = "structured"
-) -> None:
-    """Write the framework document; ``structured`` is JSON, else markdown."""
-    if format == "structured":
-        text = to_canonical_json({**framework, "validation": report})
-    elif format == "markdown":
-        text = render_markdown(framework, report)
-    else:
-        raise TaxoforgeError(f"unknown document format {format!r}")
+def export_document(framework: dict, report: dict, path: str | Path) -> None:
+    """Write the framework document as markdown."""
+    text = render_markdown(framework, report)
     write_atomic(path, lambda handle: handle.write(text))
 
 

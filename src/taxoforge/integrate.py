@@ -1,10 +1,10 @@
 """Dataset integration: deduplicate factors and track occurrences per typology.
 
 Folds the corpus into one entry per canonical factor name, counting mentions
-per space type and retaining the contributing study sets. Each distinct
-record adds its count of rows at once. First-seen order is preserved so
-downstream outputs are reproducible. Each distinct raw spelling is normalized
-once per fold, however many records repeat it.
+per space type and retaining the contributing study sets. The corpus arrives
+folded per raw spelling, so each spelling adds its rows and studies at once
+and is normalized once per fold, however many dataset files hold it.
+First-seen order is preserved so downstream outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -78,34 +78,31 @@ class IntegratedFactorSet:
 def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSet:
     """Fold a corpus into unique factors with occurrence tracking.
 
-    Each record adds its count to its factor's mentions of its space type,
-    and its study once to the factor's studies there. Every record needs a
-    study and a known space type, so a hand-built corpus is checked as a
-    loaded one is. Each distinct raw spelling is normalized once; one that
-    fails is reported where its first record comes from (``Corpus.locate``).
+    Each spelling adds its rows of each space type to its factor's mentions
+    there, and its studies of that type to the factor's studies there.
+    Factors keep the order of their first spellings. A spelling that fails to
+    normalize is reported where its first row comes from (``Corpus.locate``).
     """
     if not corpus.records:
         raise CorpusError("cannot integrate an empty corpus")
     canonical: dict[str, str] = {}  # raw spelling -> canonical name
     counts: dict[str, dict[str, int]] = {}
     studies: dict[str, dict[str, set[str]]] = {}
-    pairs = zip(corpus.records, corpus.counts)
-    for position, ((raw_name, study_id, space_type), count) in enumerate(pairs, 1):
-        try:
-            name = canonical.get(raw_name)
-            if name is None:
+    total = 0
+    for position, (raw_name, tallies) in enumerate(corpus.records, 1):
+        name = canonical.get(raw_name)
+        if name is None:
+            try:
                 name = canonical[raw_name] = normalize(raw_name, rules)
-            if not study_id:
-                raise CorpusError("study_id must be non-empty")
-            if space_type not in SPACE_TYPES:
-                raise CorpusError(f"unknown space type {space_type!r}")
-        except CorpusError as exc:
-            raise CorpusError(f"{corpus.locate(position)}: {exc}") from exc
+            except CorpusError as exc:
+                raise CorpusError(f"{corpus.locate(position)}: {exc}") from exc
         if name not in counts:
             counts[name] = dict.fromkeys(SPACE_TYPES, 0)
             studies[name] = {code: set() for code in SPACE_TYPES}
-        counts[name][space_type] += count
-        studies[name][space_type].add(study_id)
+        for code, (rows, ids) in tallies.items():
+            counts[name][code] += rows
+            studies[name][code] |= ids
+            total += rows
 
     factors = tuple(
         IntegratedFactor(
@@ -115,7 +112,7 @@ def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSe
         )
         for name in counts
     )
-    return IntegratedFactorSet(factors=factors, raw_record_count=sum(corpus.counts))
+    return IntegratedFactorSet(factors=factors, raw_record_count=total)
 
 
 def tracking_notation(vector: OccurrenceVector) -> str:

@@ -296,13 +296,12 @@ class RunState:
     def rules(self) -> NormalizationRuleSet:
         return load_rules(self.config.rules_path)
 
-    def envelope(self, phase: str, data: dict) -> dict:
-        """``data`` with what reading it checks: the format, phase and config."""
+    def envelope(self, phase: str) -> dict:
+        """What reading a phase's data checks: the format, phase and config."""
         return {
             "schema_version": SCHEMA_VERSION,
             "phase": phase,
             "config_checksum": self.checksums["config"],
-            "data": data,
         }
 
     def put(self, phase: str, result: object, data: dict | None = None) -> Path:
@@ -311,7 +310,7 @@ class RunState:
         self.results[phase] = result
         if data is None:
             data = artifact_data(phase, result)
-        doc = self.envelope(phase, data)
+        doc = {**self.envelope(phase), "data": data}
         path = self.config.out_dir / ARTIFACTS[phase][0]
         text = json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
         emit.write_atomic(path, lambda handle: handle.write(text))
@@ -749,10 +748,7 @@ def phase_emit(
     )
     report = emit.validate(framework, factor_set)
     out = config.out_dir
-    emit.write_json(out / "framework.json", state.envelope("emit", framework))
-    emit.export_document(framework, report, out / "framework_document.json")
-    emit.export_document(framework, report, out / "framework.md", "markdown")
-    emit.write_json(out / "validation.json", report)
+    emit.write_documents(out, state.envelope("emit"), framework, report)
     if sankey_category is not None:
         nodes, links = emit.export_sankey(
             framework, factor_set, sankey_category, sankey_subfactors

@@ -349,7 +349,13 @@ class _PairScorer:
         self.token_counts = [len(f.tokens) for f in features]
         self.gram_norms = [f.trigram_norm_sq for f in features]
         self.gram_roots = [math.sqrt(norm) for norm in self.gram_norms]
-        self.counts = [f.occurrence.counts for f in factors]
+        # The factors grouped by count vector, with each group's vector and
+        # norm: a pair's distributional component depends on those alone.
+        groups: dict[tuple[int, ...], int] = {}
+        self.group = [
+            groups.setdefault(f.occurrence.counts, len(groups)) for f in factors
+        ]
+        self.counts = list(groups)
         self.norms = [sum(x * x for x in c) for c in self.counts]
         self.sizes = [len(s) for s in studies]
         self.field_score = lexicon.field_score
@@ -372,7 +378,8 @@ class _PairScorer:
         The components equal the pair's linguistic component (see the module
         docstring), ``distributional_similarity`` and
         ``co_occurrence_strength``, computed by the same operations on the
-        same integers, and the score equals their ``combine``.
+        same integers, and the score equals their ``combine``. The
+        distributional one is computed once per pair of count vectors.
         """
         n = self.n
         indexes: tuple[dict[str, list[int]], ...] = ({}, {}, {}, {})
@@ -387,8 +394,9 @@ class _PairScorer:
                     else:
                         posting.append(i)
         token_counts, gram_norms = self.token_counts, self.gram_norms
-        roots, counts, norms = self.gram_roots, self.counts, self.norms
-        sizes, field_score = self.sizes, self.field_score
+        roots, sizes, field_score = self.gram_roots, self.sizes, self.field_score
+        group, counts, norms = self.group, self.counts, self.norms
+        table: list[dict[int, float]] = [{} for _ in counts]
         w_l, w_d, w_o = self.weights.as_tuple()
         for i in range(n):
             tokens, dots, fields, studies = map(_shared, indexes, self.keys[i])
@@ -402,7 +410,8 @@ class _PairScorer:
                 linked.update([j for j, dot in dots.items() if dot >= least * roots[j]])
                 others = linked
             size_i, tokens_i, grams_i = sizes[i], token_counts[i], gram_norms[i]
-            counts_i, norm_i = counts[i], norms[i]
+            g = group[i]
+            counts_i, norm_i, dists = counts[g], norms[g], table[g]
             pairs = []
             for j in others:
                 shared = tokens.get(j, 0)
@@ -413,7 +422,12 @@ class _PairScorer:
                     lin = max(lin, _int_cosine(dot, grams_i, gram_norms[j]))
                 if j in fields:
                     lin = max(lin, field_score)
-                dist = _int_cosine(sum(map(mul, counts_i, counts[j])), norm_i, norms[j])
+                h = group[j]
+                dist = dists.get(h)
+                if dist is None:
+                    product = sum(map(mul, counts_i, counts[h]))
+                    dist = _int_cosine(product, norm_i, norms[h])
+                    dists[h] = table[h][g] = dist
                 co = studies.get(j, 0) / min(size_i, sizes[j])
                 pairs.append((j, lin, dist, co, w_l * lin + w_d * dist + w_o * co))
             yield i, candidates, pairs

@@ -114,7 +114,8 @@ class TestRun:
         assert_graph_matches_dense(similarity.matrix_from_dict(doc["data"], floor), dense)
         # sha256 of similarity.json's "data" in canonical JSON on the fixture
         # corpus; a change to any score, component or the layout moves it.
-        digest = hashlib.sha256(emit.to_canonical_json(doc["data"]).encode("utf-8"))
+        text = json.dumps(doc["data"], ensure_ascii=False, indent=2) + "\n"
+        digest = hashlib.sha256(text.encode("utf-8"))
         assert digest.hexdigest() == SIMILARITY_DATA_SHA256
 
     def test_every_written_file_is_pinned(self, tmp_path):
@@ -1491,8 +1492,9 @@ def test_cli_import_adds_only_stdlib_yaml_and_taxoforge():
         "import taxoforge.cli\n"
         "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
     )
-    package_root = Path(pipeline.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    package_root = str(Path(pipeline.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )

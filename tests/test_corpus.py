@@ -8,7 +8,6 @@ import pytest
 
 from taxoforge.corpus import (
     Corpus,
-    FactorRecord,
     NormalizationRuleSet,
     load_corpus,
     load_rules,
@@ -26,6 +25,14 @@ def write(tmp_path, name, text):
     return path
 
 
+def folded(corpus):
+    """Each spelling's rows and studies per space type."""
+    return {
+        record.raw_name: {code: tuple(tally) for code, tally in record.tallies.items()}
+        for record in corpus.records
+    }
+
+
 class TestLoadCorpus:
     def test_two_rows(self, tmp_path):
         path = write(
@@ -34,9 +41,7 @@ class TestLoadCorpus:
             "raw_name,study_id,space_type\nsafety,c1,P\nsafety,c2,S\n",
         )
         corpus = load_corpus(path)
-        assert len(corpus.records) == 2
-        assert [r.space_type for r in corpus.records] == ["P", "S"]
-        assert corpus.records[0].raw_name == "safety"
+        assert folded(corpus) == {"safety": {"P": (1, {"c1"}), "S": (1, {"c2"})}}
 
     def test_unknown_space_type(self, tmp_path):
         path = write(
@@ -85,31 +90,42 @@ class TestLoadCorpus:
     def test_fixture_loads(self, sample_corpus):
         # Expansion of the worked integration example: every occurrence in the
         # final tracking column is one row. One row, accessibility,c09,O, is
-        # there twice, so it is one record counted twice.
-        assert sum(sample_corpus.counts) == 35
-        assert len(sample_corpus.records) == 34
-        twice = FactorRecord("accessibility", "c09", "O")
-        pairs = zip(sample_corpus.records, sample_corpus.counts)
-        assert [(r, n) for r, n in pairs if n > 1] == [(twice, 2)]
+        # there twice, so its spelling has one more row than studies there.
+        tallies = folded(sample_corpus)
+        assert sum(rows for t in tallies.values() for rows, _ in t.values()) == 35
+        assert len(sample_corpus.records) == 13
+        repeated = {
+            (name, code)
+            for name, t in tallies.items()
+            for code, (rows, studies) in t.items()
+            if rows > len(studies)
+        }
+        assert repeated == {("accessibility", "O")}
+        assert tallies["accessibility"]["O"] == (4, {"c09", "c10", "c11"})
 
     def test_identical_rows_are_counted_in_first_seen_order(self, tmp_path):
         rows = (
             "lighting,c2,S\nsafety,c1,P\n safety ,c1,P\n"
-            '"safety",c1 ,P\nlighting,c2,S\n\nsafety,c1,P\n'
+            '"safety",c1 ,P\nlighting,c2,S\n\nsafety,c1,P\r\n'
         )
         corpus = load_corpus(write(tmp_path, "rows.csv", HEADER + rows))
-        assert corpus.records == (
-            FactorRecord("lighting", "c2", "S"),
-            FactorRecord("safety", "c1", "P"),
-        )
-        assert corpus.counts == (2, 4)
+        assert folded(corpus) == {
+            "lighting": {"S": (2, {"c2"})},
+            "safety": {"P": (4, {"c1"})},
+        }
+        assert [record.raw_name for record in corpus.records] == ["lighting", "safety"]
 
     def test_records_of_one_load_share_their_strings(self, tmp_path):
-        rows = "".join(f"{name},c1,{code}\n" for name in "ab" for code in "PS")
+        rows = "".join(
+            f"{name},{study},{code}\n"
+            for name in "ab"
+            for code in "PS"
+            for study in ("c1", " c1 ")
+        )
         corpus = load_corpus(write(tmp_path, "rows.csv", HEADER + rows))
-        a_p, a_s, b_p, b_s = corpus.records
-        assert a_p.raw_name is a_s.raw_name and b_p.raw_name is b_s.raw_name
-        assert len({id(r.study_id) for r in corpus.records}) == 1
+        tallies = [tally for r in corpus.records for tally in r.tallies.values()]
+        studies = [study for _, ids in tallies for study in ids]
+        assert len(studies) == 4 and len({id(study) for study in studies}) == 1
 
     def test_rows_are_numbered_by_the_line_they_start_on(self, tmp_path):
         # The quoted name spans lines 2 and 3, so the empty study is on line 4.
@@ -129,6 +145,33 @@ class TestLoadCorpus:
             with pytest.raises(CorpusError, match="big.csv: row 3: field larger"):
                 load_corpus(path)
 
+    @pytest.mark.parametrize("long_rows", [0, 2])
+    def test_cell_spanning_lines_folds_as_parsed_rows(self, tmp_path, long_rows):
+        # Line 4 continues the name opened on line 3 and is also line 2, so
+        # the file's distinct lines leave that quote open to their end; with
+        # two long names after it, that one cell is over the size limit.
+        long = [
+            f"{letter * (csv.field_size_limit() * 2 // 3)},c1,P\n"
+            for letter in "yz"[:long_rows]
+        ]
+        rows = 'tail",c1,P\n"head\ntail",c1,P\n' + "".join(long)
+        corpus = load_corpus(write(tmp_path, "span.csv", HEADER + rows))
+        names = ['tail"', "head\ntail"] + [row.split(",")[0] for row in long]
+        assert folded(corpus) == {name: {"P": (1, {"c1"})} for name in names}
+
+    @pytest.mark.parametrize("fault", ["safety,,P", "safety,c1,X", "safety,c1"])
+    def test_unparsable_row_is_refused_before_an_earlier_bad_row(self, tmp_path, fault):
+        big = "x" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, "big.csv", f"{HEADER}{fault}\n{big},c2,P\n")
+        with pytest.raises(CorpusError, match="big.csv: row 3: field larger"):
+            load_corpus(path, expect_type="P")
+
+    def test_oversized_header_cell_is_refused_at_line_one(self, tmp_path):
+        big = "x" * (csv.field_size_limit() + 1)
+        path = write(tmp_path, "big.csv", f"{big},study_id,space_type\n")
+        with pytest.raises(CorpusError, match="big.csv: row 1: field larger"):
+            load_corpus(path)
+
     def test_expected_type_mismatch(self, tmp_path):
         path = write(
             tmp_path, "p.csv", "raw_name,study_id,space_type\nsafety,c1,S\n"
@@ -139,21 +182,26 @@ class TestLoadCorpus:
 
 class TestCorpus:
     def test_hand_built_records_count_once(self):
-        record = FactorRecord("safety", "c1", "P")
-        assert Corpus(records=(record, record)).counts == (1, 1)
+        record = ("safety", "c1", "P")
+        corpus = Corpus.from_records((record, record))
+        assert [r.tallies for r in corpus.records] == [{"P": [1, {"c1"}]}] * 2
 
     def test_counts_must_match_the_records(self):
-        record = FactorRecord("safety", "c1", "P")
+        record = ("safety", "c1", "P")
         for counts in ((1, 1), (0,), ()):
             with pytest.raises(CorpusError, match="one positive count per record"):
-                Corpus(records=(record,), counts=counts)
+                Corpus.from_records((record,), counts=counts)
 
     def test_merge_keeps_counts_and_sources(self, tmp_path):
         first = load_corpus(write(tmp_path, "a.csv", HEADER + "safety,c1,P\n" * 2))
-        hand = Corpus(records=(FactorRecord("lighting", "c2", "S"),))
+        hand = Corpus.from_records((("lighting", "c2", "S"),))
         merged = merge_corpora([first, hand, first])
         assert merged.records == first.records + hand.records + first.records
-        assert merged.counts == (2, 1, 2)
+        assert [r.tallies for r in merged.records] == [
+            {"P": [2, {"c1"}]},
+            {"S": [1, {"c2"}]},
+            {"P": [2, {"c1"}]},
+        ]
         assert merged.locate(1) == f"{tmp_path / 'a.csv'}: row 2"
         assert merged.locate(2) == "record 2"
         assert merged.locate(3) == f"{tmp_path / 'a.csv'}: row 2"

@@ -10,13 +10,12 @@ import pytest
 from taxoforge.emit import (
     build_framework,
     check_subfactors,
-    export_document,
     export_sankey,
     primary_locations,
     render_markdown,
     resolve_identifier,
-    to_canonical_json,
     validate,
+    write_documents,
     write_sankey,
 )
 from taxoforge.errors import TaxoforgeError
@@ -157,19 +156,28 @@ class TestExportDocument:
 
     def test_exports_are_deterministic(self, sample_framework, tmp_path):
         framework, report = sample_framework
-        for fmt, name in (("structured", "a.json"), ("markdown", "a.md")):
-            first, second = tmp_path / f"1{name}", tmp_path / f"2{name}"
-            export_document(framework, report, first, fmt)
-            export_document(framework, report, second, fmt)
-            assert first.read_bytes() == second.read_bytes()
+        envelope = {"schema_version": 1, "phase": "emit"}
+        for name in ("1", "2"):
+            write_documents(tmp_path / name, envelope, framework, report)
+        for path in (tmp_path / "1").iterdir():
+            assert path.read_bytes() == (tmp_path / "2" / path.name).read_bytes()
 
     def test_structured_round_trip(self, sample_framework, tmp_path):
+        # Each JSON document is encoded once and spliced; every file must
+        # equal its whole document encoded on its own.
         framework, report = sample_framework
-        path = tmp_path / "framework.json"
-        export_document(framework, report, path, "structured")
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        expected = {**framework, "validation": report}
-        assert doc == json.loads(to_canonical_json(expected))
+        envelope = {"schema_version": 1, "phase": "emit", "config_checksum": "é"}
+        write_documents(tmp_path, envelope, framework, report)
+        expected = {
+            "framework.json": {**envelope, "data": framework},
+            "framework_document.json": {**framework, "validation": report},
+            "validation.json": report,
+        }
+        for name, doc in expected.items():
+            text = json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+            assert (tmp_path / name).read_text(encoding="utf-8") == text, name
+        markdown = (tmp_path / "framework.md").read_text(encoding="utf-8")
+        assert markdown == render_markdown(framework, report)
 
     def test_stub_entries_render_references(self, sample_framework):
         framework, report = sample_framework

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from taxoforge import integrate as integrate_module
-from taxoforge.corpus import SPACE_TYPES, Corpus, FactorRecord, NormalizationRuleSet
+from taxoforge.corpus import SPACE_TYPES, Corpus, NormalizationRuleSet, merge_corpora
 from taxoforge.errors import CorpusError, TaxoforgeError
 from taxoforge.integrate import (
     OccurrenceVector,
@@ -65,7 +65,7 @@ class TestIntegrate:
         assert dict(zip(SPACE_TYPES, vector.counts)) == counts
 
     def test_singleton(self, default_rules):
-        corpus = Corpus(records=(FactorRecord("safety", "c1", "P"),))
+        corpus = Corpus.from_records((("safety", "c1", "P"),))
         result = integrate(corpus, default_rules)
         assert result.unique_count == 1
         assert dict(zip(SPACE_TYPES, result.factors[0].occurrence.counts)) == {
@@ -74,17 +74,18 @@ class TestIntegrate:
 
     def test_record_conservation(self, sample_factors, sample_corpus):
         total = sum(f.occurrence.total for f in sample_factors.factors)
-        assert total == sum(sample_corpus.counts) == sample_factors.raw_record_count
+        rows = sum(n for r in sample_corpus.records for n, _ in r.tallies.values())
+        assert total == rows == sample_factors.raw_record_count
         assert total == 35
 
     def test_counted_records_fold_as_repeated_ones(self, default_rules):
         records = (
-            FactorRecord("safety", "c1", "P"),
-            FactorRecord("Safety", "c2", "P"),
-            FactorRecord("lighting", "c1", "S"),
+            ("safety", "c1", "P"),
+            ("Safety", "c2", "P"),
+            ("lighting", "c1", "S"),
         )
-        counted = integrate(Corpus(records=records, counts=(3, 2, 1)), default_rules)
-        repeated = Corpus(records=records[:1] * 3 + records[1:2] * 2 + records[2:])
+        counted = integrate(Corpus.from_records(records, (3, 2, 1)), default_rules)
+        repeated = Corpus.from_records(records[:1] * 3 + records[1:2] * 2 + records[2:])
         assert counted == integrate(repeated, default_rules)
         assert counted.raw_record_count == 6
         assert counted.factors[0].studies["P"] == {"c1", "c2"}
@@ -96,25 +97,23 @@ class TestIntegrate:
 
     def test_empty_corpus_rejected(self, default_rules):
         with pytest.raises(CorpusError, match="empty corpus"):
-            integrate(Corpus(records=()), default_rules)
+            integrate(Corpus.from_records(()), default_rules)
 
     def test_error_names_record_position(self):
         rules = NormalizationRuleSet()
-        corpus = Corpus(
-            records=(FactorRecord("safety", "c1", "P"), FactorRecord("...", "c2", "S"))
-        )
+        corpus = Corpus.from_records((("safety", "c1", "P"), ("...", "c2", "S")))
         with pytest.raises(CorpusError, match="record 2"):
             integrate(corpus, rules)
 
     def test_hand_built_records_checked(self, default_rules):
-        good = FactorRecord("safety", "c1", "P")
+        good = ("safety", "c1", "P")
         for bad, message in (
-            (FactorRecord("lighting", "", "S"), "record 2: study_id"),
-            (FactorRecord("lighting", "c2", "X"), "record 2: unknown space type"),
-            (FactorRecord(" ", "c2", "S"), "record 2: cannot normalize"),
+            (("lighting", "", "S"), "record 2: study_id"),
+            (("lighting", "c2", "X"), "record 2: unknown space type"),
+            ((" ", "c2", "S"), "record 2: cannot normalize"),
         ):
             with pytest.raises(CorpusError, match=message):
-                integrate(Corpus(records=(good, bad, bad)), default_rules)
+                integrate(Corpus.from_records((good, bad, bad)), default_rules)
 
     def test_each_spelling_normalized_once(
         self, sample_corpus, default_rules, monkeypatch
@@ -127,13 +126,15 @@ class TestIntegrate:
             return original(raw, rules)
 
         monkeypatch.setattr(integrate_module, "normalize", counting)
-        integrate(sample_corpus, default_rules)
+        # Two files holding the same spellings: each is normalized once.
+        twice = merge_corpora([sample_corpus, sample_corpus])
+        integrate(twice, default_rules)
         assert sorted(normalized) == sorted({r.raw_name for r in sample_corpus.records})
-        assert len(normalized) == 13 < len(sample_corpus.records) == 34
+        assert len(normalized) == 13 < len(twice.records) == 26
 
     def test_order_insensitivity_of_pairs(self, sample_corpus, default_rules):
         reversed_corpus = Corpus(
-            records=sample_corpus.records[::-1], counts=sample_corpus.counts[::-1]
+            records=sample_corpus.records[::-1], sources=sample_corpus.sources
         )
         forward = integrate(sample_corpus, default_rules)
         backward = integrate(reversed_corpus, default_rules)

@@ -54,7 +54,6 @@ from taxoforge.cluster import (
 from taxoforge.corpus import (
     SPACE_TYPES,
     Corpus,
-    FactorRecord,
     NormalizationRuleSet,
     load_corpus,
     normalize,
@@ -574,22 +573,27 @@ def check_primary_home_and_sankey(factor_set: IntegratedFactorSet) -> None:
         assert into_types == expected
 
 
-def reference_fold(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSet:
+Record = tuple[str, str, str]  # raw_name, study_id, space_type
+
+
+def reference_fold(
+    records: list[Record], rules: NormalizationRuleSet
+) -> IntegratedFactorSet:
     """``integrate`` without its memo: every record's name is normalized."""
     order: list[str] = []
     counts: dict[str, dict[str, int]] = {}
     studies: dict[str, dict[str, set[str]]] = {}
-    for position, record in enumerate(corpus.records, start=1):
+    for position, (raw_name, study_id, space_type) in enumerate(records, start=1):
         try:
-            name = normalize(record.raw_name, rules)
+            name = normalize(raw_name, rules)
         except CorpusError as exc:
             raise CorpusError(f"record {position}: {exc}") from exc
         if name not in counts:
             order.append(name)
             counts[name] = {code: 0 for code in SPACE_TYPES}
             studies[name] = {code: set() for code in SPACE_TYPES}
-        counts[name][record.space_type] += 1
-        studies[name][record.space_type].add(record.study_id)
+        counts[name][space_type] += 1
+        studies[name][space_type].add(study_id)
     factors = tuple(
         IntegratedFactor(
             canonical_name=name,
@@ -598,7 +602,7 @@ def reference_fold(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFac
         )
         for name in order
     )
-    return IntegratedFactorSet(factors=factors, raw_record_count=len(corpus.records))
+    return IntegratedFactorSet(factors=factors, raw_record_count=len(records))
 
 
 # Names that fold together under RULES: a synonym, a preserved name, and
@@ -632,24 +636,18 @@ def fold_corpora(draw):
     pool = draw(st.lists(spellings(), min_size=1, max_size=6))
     if draw(st.booleans()):
         pool.append(UNNORMALIZABLE)
-    records = draw(
-        st.lists(
-            st.builds(
-                FactorRecord,
-                st.sampled_from(pool),
-                st.sampled_from(("s1", "s2", "s3")),
-                st.sampled_from(SPACE_TYPES),
-            ),
-            min_size=1,
-            max_size=40,
-        )
+    record = st.tuples(
+        st.sampled_from(pool),
+        st.sampled_from(("s1", "s2", "s3")),
+        st.sampled_from(SPACE_TYPES),
     )
-    return Corpus(records=tuple(records))
+    return draw(st.lists(record, min_size=1, max_size=40))
 
 
-def check_fold_against_reference(corpus: Corpus) -> None:
+def check_fold_against_reference(records: list[Record]) -> None:
+    corpus = Corpus.from_records(records)
     try:
-        expected = reference_fold(corpus, RULES)
+        expected = reference_fold(records, RULES)
     except CorpusError as exc:
         with pytest.raises(CorpusError) as raised:
             integrate(corpus, RULES)
@@ -663,52 +661,92 @@ PADDING = st.sampled_from(("", " ", "  "))
 
 
 @st.composite
+def faulty_rows(draw, pool):
+    """The cells of a row the loader refuses, and the problem it names."""
+    name, study, code = draw(st.sampled_from(pool)), "s1", "P"
+    fault = draw(st.sampled_from(("short", "long", "name", "study", "code")))
+    if fault == "short":
+        return [name, study], "expected 3 fields, got 2"
+    if fault == "long":
+        return [name, study, code, "x"], "expected 3 fields, got 4"
+    if fault == "name":
+        return ["", study, code], "empty raw_name"
+    if fault == "study":
+        return [name, "", code], "empty study_id"
+    return [name, study, "X"], "unknown space type 'X'"
+
+
+@st.composite
 def dataset_rows(draw):
-    """A dataset's rows as written text, and the record each record row holds.
-    Records come from a few spellings, so rows repeat, and each row is padded
-    and quoted at random: a space in the name may become a line break inside
-    quotes. Blank rows come between."""
+    """A dataset's rows as written text, the record each record row holds,
+    and the first refused row, as its index in the text and its problem, if
+    any. Records come from a few spellings, so rows repeat, and each row is
+    padded and quoted at random: a space in the name may become a line break
+    inside quotes. Blank rows come between, and in some datasets rows the
+    loader refuses."""
     pool = draw(st.lists(spellings(), min_size=1, max_size=4))
     if draw(st.booleans()):
         pool.append(UNNORMALIZABLE)
     record_rows = st.tuples(
         st.sampled_from(pool), st.sampled_from(("s1", "s2")), st.sampled_from("PS")
-    )
+    ).map(lambda cells: (list(cells), None))
+    rows = st.none() | record_rows
+    if draw(st.booleans()):
+        rows |= faulty_rows(pool)
     texts: list[str] = []
-    records: list[FactorRecord] = []
-    for cells in draw(st.lists(st.none() | record_rows, min_size=1, max_size=30)):
-        if cells is None:
+    records: list[Record] = []
+    fault: tuple[int, str] | None = None
+    for row in draw(st.lists(rows, min_size=1, max_size=30)):
+        if row is None:
             texts.append(draw(st.sampled_from(BLANK_ROWS)))
             continue
+        cells, problem = row
         cells = [draw(PADDING) + cell + draw(PADDING) for cell in cells]
         if draw(st.booleans()):
             cells[0] = cells[0].replace(" ", "\n", 1)
         quoting = draw(st.sampled_from((csv.QUOTE_MINIMAL, csv.QUOTE_ALL)))
         buffer = io.StringIO()
         csv.writer(buffer, quoting=quoting, lineterminator="\n").writerow(cells)
+        if problem is None:
+            records.append(tuple(cell.strip() for cell in cells))
+        elif fault is None:
+            fault = (len(texts), problem)
         texts.append(buffer.getvalue())
-        records.append(FactorRecord(*(cell.strip() for cell in cells)))
-    assume(records)  # an empty corpus is refused before any fold
-    return texts, records
+    assume(records or fault)  # an empty corpus is refused before any fold
+    return texts, records, fault
 
 
-def check_loaded_fold_against_reference(texts: list[str], records: list[FactorRecord]):
-    """Loading the rows counts each distinct record, and folding the counted
-    records equals ``reference_fold`` over the rows taken one by one; a name
-    that cannot be normalized is named at the line of its first row."""
-    lines, line = [], 2  # the header is line 1
+def check_loaded_fold_against_reference(
+    texts: list[str], records: list[Record], fault: tuple[int, str] | None
+):
+    """Loading the rows folds them per spelling, and folding the loaded
+    corpus equals ``reference_fold`` over the rows taken one by one; a name
+    that cannot be normalized is named at the line of its first row, and a
+    refused row at the line it starts on."""
+    starts, line = [], 2  # the header is line 1
     for text in texts:
-        if text not in BLANK_ROWS:
-            lines.append(line)
+        starts.append(line)
         line += text.count("\n")
+    lines = [start for start, text in zip(starts, texts) if text not in BLANK_ROWS]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.csv"
         path.write_text("raw_name,study_id,space_type\n" + "".join(texts), "utf-8")
+        if fault is not None:
+            index, problem = fault
+            with pytest.raises(CorpusError) as raised:
+                load_corpus(path)
+            assert str(raised.value) == f"{path}: row {starts[index]}: {problem}"
+            return
         corpus = load_corpus(path)
-        assert corpus.records == tuple(dict.fromkeys(records))
-        assert dict(zip(corpus.records, corpus.counts)) == Counter(records)
+        tallies: dict[str, dict[str, list]] = {}
+        for raw_name, study_id, space_type in records:
+            tally = tallies.setdefault(raw_name, {}).setdefault(space_type, [0, set()])
+            tally[0] += 1
+            tally[1].add(study_id)
+        loaded = [(record.raw_name, record.tallies) for record in corpus.records]
+        assert loaded == list(tallies.items())
         try:
-            expected = reference_fold(Corpus(records=tuple(records)), RULES)
+            expected = reference_fold(records, RULES)
         except CorpusError as exc:
             position, problem = re.fullmatch(r"record (\d+): (.*)", str(exc)).groups()
             with pytest.raises(CorpusError) as raised:
@@ -885,9 +923,9 @@ def test_composite_and_space_fits_are_left_folds(parts, profile, vector):
 
 
 @SUITE
-@given(corpus=fold_corpora())
-def test_fold_equals_per_record_reference(corpus):
-    check_fold_against_reference(corpus)
+@given(records=fold_corpora())
+def test_fold_equals_per_record_reference(records):
+    check_fold_against_reference(records)
 
 
 @SUITE
