@@ -155,6 +155,10 @@ class NormalizationRuleSet:
                     f"preserve_distinct entry {entry!r} also appears as a synonym key"
                 )
         for key, value in self.synonym_map.items():
+            if not self.base_normalize(value):
+                raise RuleSetError(
+                    f"synonyms: the value {value!r} of {key!r} normalizes to nothing"
+                )
             if self.base_normalize(value) != value:
                 raise RuleSetError(
                     f"synonym map not idempotent: value {value!r} is not canonical"
@@ -213,12 +217,23 @@ def load_rules(path: str | Path) -> NormalizationRuleSet:
     synonyms: dict[str, str] = {}
     for key, value in (written.synonyms or {}).items():
         nkey = base.base_normalize(key)
+        if not nkey:
+            raise RuleSetError(
+                f"rules file {path}: synonyms: the key {key!r} normalizes to nothing"
+            )
         if synonyms.setdefault(nkey, value) != value:
             raise RuleSetError(
                 f"rules file {path}: synonyms: conflicting entries for {nkey!r}"
             )
-    preserve = frozenset(map(base.base_normalize, written.preserve_distinct or ()))
-    rules = replace(base, synonym_map=synonyms, preserve_distinct=preserve)
+    preserve = []
+    for k, entry in enumerate(written.preserve_distinct or ()):
+        preserve.append(base.base_normalize(entry))
+        if not preserve[-1]:
+            raise RuleSetError(
+                f"rules file {path}: preserve_distinct[{k}]: "
+                f"{entry!r} normalizes to nothing"
+            )
+    rules = replace(base, synonym_map=synonyms, preserve_distinct=frozenset(preserve))
     try:
         rules.validate()
     except RuleSetError as exc:

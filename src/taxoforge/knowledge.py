@@ -101,6 +101,11 @@ class SubcategoryEntry:
             raise KnowledgeBaseError("id: expected a name, got a blank")
         if not self.keywords:
             raise KnowledgeBaseError("keywords: expected at least one keyword")
+        for k, keyword in enumerate(self.keywords):
+            if not keyword.split():
+                raise KnowledgeBaseError(
+                    f"keywords[{k}]: expected a keyword, got a blank"
+                )
 
 
 @dataclass(frozen=True)

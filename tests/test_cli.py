@@ -183,7 +183,7 @@ class TestRun:
             if r.getMessage().startswith("similarity:")
         ]
         assert message == (
-            "similarity: 11 factors, 55 pairs, 17 scored, 7 edges >= 0.5; "
+            "similarity: 11 factors, 55 pairs, 16 scored, 7 edges >= 0.5; "
             "High 4 / Moderate 3 / Low 48"
         )
 
@@ -997,6 +997,43 @@ MALFORMED = [
         5,
         "punctuation_strip",
         id="rules-punctuation-number",
+    ),
+    # Text that normalizes to nothing: a factor named '' or a key matching
+    # no name.
+    pytest.param(
+        "rules",
+        ["synonyms", "access"],
+        "",
+        "synonyms: the value '' of 'access'",
+        id="rules-synonym-value-blank",
+    ),
+    pytest.param(
+        "rules",
+        ["synonyms"],
+        lambda synonyms: {**synonyms, "...": "safety"},
+        "synonyms: the key '...'",
+        id="rules-synonym-key-blank",
+    ),
+    pytest.param(
+        "rules",
+        ["preserve_distinct", 0],
+        " / ",
+        "preserve_distinct[0]",
+        id="rules-preserve-blank",
+    ),
+    pytest.param(
+        "kb",
+        ["domains", 0, "subcategories", 0, "keywords", 0],
+        " ",
+        "domains[0].subcategories[0]: keywords[0]",
+        id="kb-keyword-blank",
+    ),
+    pytest.param(
+        "lexicon",
+        ["fields", "protection", 0],
+        "",
+        "fields.protection[0]",
+        id="lexicon-term-blank",
     ),
     pytest.param("integrated.json", [], [], "data", id="artifact-not-object"),
     pytest.param("integrated.json", ["data"], MISSING, "data", id="artifact-no-data"),

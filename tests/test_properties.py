@@ -247,10 +247,13 @@ def check_matrix_properties(factor_set: IntegratedFactorSet) -> int:
 # but no trigram key (a name under three characters is its own key); "zz" and
 # "qq" share only a lexicon field; "xy" and "vu" share nothing, so with
 # proportional vectors and nested study sets they score exactly
-# w_d + w_c = 0.5 at the default weights.
+# w_d + w_c = 0.5 at the default weights. "cd ab" has the token set of "ab cd"
+# and "ababab" trigram counts proportional to those of "abab": linguistic 1.0,
+# so at the default weights they reach the floor even with d = 0.0.
 ORACLE_NAMES = (
     "ab", "ab cd", "cd", "xy", "vu", "zz", "qq",
     "omni", "beta", "alpha", "alphabet", "street lighting", "lighting",
+    "cd ab", "abab", "ababab",
 )
 ORACLE_LEXICON = SemanticLexicon(
     fields={
@@ -285,9 +288,13 @@ def oracle_factor_set(specs) -> IntegratedFactorSet:
 
 # Names for the repeated-trigram suite: "banana" holds "ana" twice, so its
 # trigram dot products with "bananas" and "nana" count that key twice; "na",
-# "a" and "an" are their own keys, and "na" is also a token of "ba na".
+# "a" and "an" are their own keys, and "na" is also a token of "ba na". The
+# field score of 1.0 lets "banana" and "na" reach the default floor through
+# their field alone.
 REPEAT_NAMES = ("banana", "bananas", "nana", "ana", "na", "a", "an", "ba na", "anna")
-REPEAT_LEXICON = SemanticLexicon(fields={"fruit": frozenset({"banana", "na"})})
+REPEAT_LEXICON = SemanticLexicon(
+    fields={"fruit": frozenset({"banana", "na"})}, field_score=1.0
+)
 
 
 @st.composite
@@ -316,6 +323,42 @@ def check_graph_against_oracle(specs, weights, floor, lexicon=ORACLE_LEXICON) ->
         assert matrix.scored == len(dense)  # the all-pairs path
     else:
         assert matrix.scored <= len(dense)
+
+
+# Words for the bulk single-type graph case. Names of one to three of them
+# repeat token sets in other orders, and "abab" and "ababab" have proportional
+# trigram counts; with a field score of 1.0 a shared field alone reaches the
+# default floor.
+SINGLE_TYPE_WORDS = (
+    "street", "lighting", "park", "bench", "shade", "tree", "path",
+    "ab", "abab", "ababab",
+)
+SINGLE_TYPE_LEXICONS = (
+    TINY_LEXICON,
+    SemanticLexicon(
+        fields={
+            "green": frozenset({"park", "tree", "tree park", "shade tree"}),
+            "light": frozenset({"lighting", "street lighting", "path"}),
+        },
+        field_score=1.0,
+    ),
+)
+
+
+def single_type_factor_set(rng: random.Random, size: int = 150) -> IntegratedFactorSet:
+    """``size`` factors, four in five counted in one space type, the rest in
+    two to four, each in one or two studies of a pool of 40."""
+    names: dict[str, None] = {}
+    while len(names) < size:
+        names[" ".join(rng.sample(SINGLE_TYPE_WORDS, rng.randint(1, 3)))] = None
+    specs = []
+    for name in names:
+        counts = [0] * 6
+        types = 1 if rng.random() < 0.8 else rng.randint(2, 4)
+        for code in rng.sample(range(6), types):
+            counts[code] = rng.randint(1, 3)
+        specs.append((name, counts, rng.sample(range(40), rng.randint(1, 2))))
+    return oracle_factor_set(specs)
 
 
 # Words for the keyword-relevance suite: "banana" holds "ana" twice and
@@ -790,6 +833,8 @@ def test_matrix_symmetry_range_diagonal_and_weight_degeneracy(
 
 P1 = (1, 1, 0, 0, 0, 0)
 P2 = (2, 2, 0, 0, 0, 0)
+ONLY_P = (2, 0, 0, 0, 0, 0)
+ONLY_S = (0, 1, 0, 0, 0, 0)
 
 
 @SUITE
@@ -798,6 +843,8 @@ P2 = (2, 2, 0, 0, 0, 0)
 @example(case=([("ab", P1, ["s1"]), ("ab cd", P1, ["s2"])], (0.5, 0.3, 0.2), 0.5))
 @example(case=([("zz", P1, ["s1"]), ("qq", P2, ["s2"])], (0.5, 0.3, 0.2), 0.5))
 @example(case=([("xy", P1, ["s1"]), ("vu", P2, ["s2"])], (0.0, 1.0, 0.0), 0.5))
+@example(case=([("ab cd", ONLY_P, ["s1"]), ("cd ab", ONLY_S, ["s2"])], (0.5, 0.3, 0.2), 0.5))
+@example(case=([("abab", ONLY_P, ["s1"]), ("ababab", ONLY_S, ["s2"])], (0.5, 0.3, 0.2), 0.5))
 def test_pruned_graph_equals_dense_oracle(case):
     check_graph_against_oracle(*case)
 
@@ -806,6 +853,7 @@ def test_pruned_graph_equals_dense_oracle(case):
 @given(case=oracle_cases(REPEAT_NAMES))
 @example(case=([("banana", P1, ["s1"]), ("nana", P2, ["s2"])], (1.0, 0.0, 0.0), 0.5))
 @example(case=([("na", P1, ["s1"]), ("ba na", P1, ["s2"])], (0.5, 0.3, 0.2), 0.5))
+@example(case=([("banana", ONLY_P, ["s1"]), ("na", ONLY_S, ["s2"])], (0.5, 0.3, 0.2), 0.5))
 def test_repeated_and_short_trigrams_equal_dense_oracle(case):
     check_graph_against_oracle(*case, lexicon=REPEAT_LEXICON)
 
@@ -962,6 +1010,22 @@ def test_bulk_matrix_properties_and_weight_degeneracy():
         base = (rng.random(), rng.random(), rng.random())
         check_blend_monotonicity(base, rng.randint(0, 2), rng.random())
     assert field_pairs > 0  # the field-bonus branch was exercised
+
+
+def test_bulk_single_type_graph_equals_dense_oracle():
+    # At the default weights a single-type row pairs with the factors outside
+    # its type only through a study, a field or a duplicate; at (1, 0, 0)
+    # every row is scored over all factors. Both give the reference graph.
+    rng = random.Random(SEED + 5)
+    for lexicon in SINGLE_TYPE_LEXICONS * 2:
+        factor_set = single_type_factor_set(rng)
+        for weights in ((0.5, 0.3, 0.2), (1.0, 0.0, 0.0)):
+            weights = SimilarityWeights(*weights)
+            matrix = build_matrix(factor_set, weights, lexicon)
+            dense = dense_pairs(factor_set, weights, lexicon)
+            assert_graph_matches_dense(matrix, dense)
+            zero = [c for c in matrix.components.values() if not c.distributional]
+            assert zero  # edges with d = 0.0 were found
 
 
 def test_bulk_classification_partition_and_census():

@@ -246,6 +246,19 @@ class TestMatrix:
         assert matrix.components == {(0, 1): ComponentScores(0.5, 0.0, 0.0)}
         assert matrix.scored == 1
 
+    def test_equal_token_sets_without_a_shared_type_reach_the_floor(self):
+        # Each is counted in one space type, not the other's, and they share
+        # no study: d = 0.0 and co-occurrence 0.0. Equal token sets give a
+        # Jaccard of 1.0, so at the default weights the pair scores
+        # 0.5 * 1.0 = 0.5, exactly the default floor.
+        a = make_factor("street lighting", {"P": 1})
+        b = make_factor("lighting street", {"S": 1})
+        lexicon = SemanticLexicon(fields={})
+        matrix = build_matrix(IntegratedFactorSet((a, b), 2), SimilarityWeights(), lexicon)
+        assert matrix.scores == [(0, 1, 0.5)]
+        assert matrix.components == {(0, 1): ComponentScores(1.0, 0.0, 0.0)}
+        assert matrix.scored == 1
+
     @pytest.mark.parametrize(
         "weights", [(0.5, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.2, 0.6, 0.2)]
     )
