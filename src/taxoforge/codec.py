@@ -98,8 +98,9 @@ def first_difference(expected: object, actual: object, path: str = "") -> str | 
     """``path`` and below it the path of the first leaf where the JSON value
     ``actual`` differs from ``expected``, with both values; None where none
     does. Keys ``expected`` lacks are ignored, as the reader ignores them.
-    A boolean never equals a number, though in Python ``True == 1.0``, so
-    containers are compared leaf by leaf."""
+    A boolean never equals a number, though in Python ``True == 1.0``. A
+    reader calls this only once ``expected == actual`` has failed or a
+    boolean may stand for a number, to name the leaf."""
     found = _difference(expected, actual)
     return None if found is None else path + found
 

@@ -35,8 +35,3 @@ class ArtifactError(TaxoforgeError):
 
 class ConfigError(TaxoforgeError):
     """Raised for invalid pipeline configuration."""
-
-
-def is_unit_number(value: object) -> bool:
-    """Whether ``value`` is an int or float in [0, 1]; a boolean is not."""
-    return type(value) in (int, float) and 0.0 <= value <= 1.0

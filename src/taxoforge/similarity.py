@@ -116,10 +116,10 @@ from functools import cached_property
 from itertools import chain
 from operator import mul
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .codec import decode, read_yaml
-from .errors import LexiconError, TaxoforgeError, is_unit_number
+from .errors import LexiconError, TaxoforgeError
 from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
 
 DEFAULT_FIELD_SCORE = 0.85
@@ -219,17 +219,14 @@ def load_lexicon(path: str | Path) -> SemanticLexicon:
 
 def name_features(name: str, lexicon: SemanticLexicon) -> NameFeatures:
     """Build one name's record; ``SemanticLexicon.features`` caches it."""
-    if len(name) < 3:
-        trigrams = {name: 1}
-    else:
-        trigrams = {}
-        for i in range(len(name) - 2):
-            gram = name[i : i + 3]
-            trigrams[gram] = trigrams.get(gram, 0) + 1
+    grams = [name[i : i + 3] for i in range(len(name) - 2)] or [name]
+    trigrams = Counter(grams)
+    if len(trigrams) < len(grams):  # a repeated key is listed by its first place
+        grams = [g for g, m in trigrams.items() for _ in range(m)]
     return NameFeatures(
         tokens=frozenset(name.split()),
         trigrams=trigrams,
-        grams_listed=tuple(g for g, m in trigrams.items() for _ in range(m)),
+        grams_listed=tuple(grams),
         trigram_norm_sq=sum(count * count for count in trigrams.values()),
         fields=lexicon.fields_of(name),
     )
@@ -263,16 +260,12 @@ def co_occurrence_strength(a: IntegratedFactor, b: IntegratedFactor) -> float:
     return len(sa & sb) / min(len(sa), len(sb))
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentScores:
+class ComponentScores(NamedTuple):
+    """One edge's three components, each in [0, 1]."""
+
     linguistic: float
     distributional: float
     co_occurrence: float
-
-    def __post_init__(self) -> None:
-        for value in (self.linguistic, self.distributional, self.co_occurrence):
-            if not 0.0 <= value <= 1.0:
-                raise TaxoforgeError(f"component score {value} out of range [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -733,45 +726,51 @@ def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
         "names": list(matrix.names),
         "scores": [[i, j, score] for i, j, score in matrix.scores],
         "components": [
-            [i, j, comp.linguistic, comp.distributional, comp.co_occurrence]
-            for (i, j), comp in matrix.components.items()
+            [i, j, *comp] for (i, j), comp in matrix.components.items()
         ],
     }
 
 
 def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
     """Decode the graph built at ``floor`` from the components of its edges,
-    each edge's score being their blend, and refuse an edge list
-    ``build_matrix`` cannot produce. The names and weights are taken as
-    written, and ``scores`` is not read."""
+    each edge's score being their blend, ``combine``'s to the bit, and
+    refuse an edge list ``build_matrix`` cannot produce; each edge is checked
+    inline. The names and weights are taken as written, and ``scores`` is
+    not read."""
     n, rows = len(doc["names"]), doc["components"]
     weights = SimilarityWeights(*doc["weights"])
+    w_l, w_d, w_c = weights.as_tuple()
     if not isinstance(rows, list) or not all(
         isinstance(row, list) and len(row) == 5 for row in rows
     ):
         raise TaxoforgeError("similarity components must be a list of 5-item rows")
     scores: list[tuple[int, int, float]] = []
     components: dict[tuple[int, int], ComponentScores] = {}
-    for i, j, *parts in rows:
-        if not (type(i) is int and type(j) is int and 0 <= i < j < n) or (
-            scores and (i, j) <= scores[-1][:2]
-        ):
+    before = (-1, -1)
+    for i, j, lin, dist, co in rows:
+        edge = (i, j)
+        if not (type(i) is int and type(j) is int and 0 <= i < j < n) or edge <= before:
             raise TaxoforgeError(
                 f"similarity components edge [{i!r}, {j!r}]: expected indices "
                 f"0 <= i < j < {n}, after the edge before"
             )
-        if not all(is_unit_number(x) for x in parts):
+        if not (
+            type(lin) in (int, float) and 0.0 <= lin <= 1.0
+            and type(dist) in (int, float) and 0.0 <= dist <= 1.0
+            and type(co) in (int, float) and 0.0 <= co <= 1.0
+        ):
             raise TaxoforgeError(
                 f"similarity components of edge [{i}, {j}] must be numbers in [0, 1]"
             )
-        comp = components[(i, j)] = ComponentScores(*parts)
-        score = combine(comp, weights)
+        components[edge] = ComponentScores(lin, dist, co)
+        score = w_l * lin + w_d * dist + w_c * co  # combine's operation order
         if score < floor:
             raise TaxoforgeError(
                 f"similarity components of edge [{i}, {j}] blend to {score}, "
                 f"below the floor {floor}"
             )
         scores.append((i, j, score))
+        before = edge
     return SimilarityMatrix(
         names=tuple(doc["names"]),
         scores=scores,

@@ -198,6 +198,44 @@ def test_post_init_check_is_refused_at_its_object(fixture_run):
         codec.decode(kind, data, "data")
 
 
+def _first_index_one(data):
+    row = next(k for k, edge in enumerate(data["scores"]) if 1 in edge[:2])
+    return ["scores", row, data["scores"][row].index(1)]
+
+
+@pytest.mark.parametrize(
+    "weights,leaf",
+    [
+        pytest.param(None, _first_index_one, id="scores-index"),
+        pytest.param("1,0,0", lambda data: ["weights", 0], id="weight"),
+    ],
+)
+def test_true_for_one_is_refused_at_its_leaf(tmp_path, weights, leaf):
+    """Python's ``==`` equates true with 1, and no decoder reads the scores
+    rows or weights of similarity.json; a true standing for a 1 there is
+    still refused, at its leaf."""
+    config = pipeline.apply_overrides(
+        pipeline.load_config(FIXTURES / "config.yaml"),
+        out_dir=str(tmp_path),
+        weights=weights,
+    )
+    pipeline.run(config)
+    path = tmp_path / "similarity.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    *parents, last = leaf(doc["data"])
+    target = doc["data"]
+    for key in parents:
+        target = target[key]
+    value, target[last] = target[last], True
+    assert value == 1
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    at = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in parents)
+    with pytest.raises(ArtifactError) as caught:
+        pipeline.RunState(config).get("similarity")
+    message = f"artifact {path}: data{at}[{last}]: expected {value!r}, got True"
+    assert str(caught.value) == message
+
+
 def _leaves(value, path=()):
     if isinstance(value, dict):
         for key, item in value.items():
@@ -210,14 +248,16 @@ def _leaves(value, path=()):
 
 
 def _mutations(value):
-    """Null, a value of the other kind and, for numbers, -1."""
+    """Null, a value of the other kind and, for numbers, -1; a number equal
+    to 0 or 1 also becomes false or true, which Python's ``==`` equates
+    with it."""
     if value is None:
         return ["x", 7]
     if isinstance(value, str):
         return [None, 7]
     if isinstance(value, bool):
         return [None, "true"]
-    return [None, "7", -1]
+    return [None, "7", -1] + ([value == 1] if value in (0, 1) else [])
 
 
 ENUMS = {

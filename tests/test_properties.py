@@ -92,6 +92,7 @@ from taxoforge.similarity import (
     SimilarityWeights,
     build_matrix,
     combine,
+    name_features,
 )
 from tests.conftest import (
     assert_graph_matches_dense,
@@ -856,6 +857,33 @@ def test_pruned_graph_equals_dense_oracle(case):
 @example(case=([("banana", ONLY_P, ["s1"]), ("na", ONLY_S, ["s2"])], (0.5, 0.3, 0.2), 0.5))
 def test_repeated_and_short_trigrams_equal_dense_oracle(case):
     check_graph_against_oracle(*case, lexicon=REPEAT_LEXICON)
+
+
+def trigram_reference(name: str) -> tuple[dict[str, int], tuple[str, ...], int]:
+    """A name's trigram counts, one position at a time (a name under three
+    characters is its own key), its keys each listed once per occurrence
+    in order of first place, and its squared norm."""
+    if len(name) < 3:
+        counts = {name: 1}
+    else:
+        counts = {}
+        for i in range(len(name) - 2):
+            counts[name[i : i + 3]] = counts.get(name[i : i + 3], 0) + 1
+    listed = tuple(gram for gram, m in counts.items() for _ in range(m))
+    return counts, listed, sum(m * m for m in counts.values())
+
+
+@SUITE
+@given(name=st.text("abn ", max_size=10) | st.sampled_from(REPEAT_NAMES))
+@example(name="")
+@example(name="ababa")
+def test_name_features_equal_per_position_reference(name):
+    counts, listed, norm = trigram_reference(name)
+    f = name_features(name, REPEAT_LEXICON)
+    assert list(f.trigrams.items()) == list(counts.items())
+    assert (f.grams_listed, f.trigram_norm_sq) == (listed, norm)
+    assert f.tokens == frozenset(name.split())
+    assert f.fields == REPEAT_LEXICON.fields_of(name)
 
 
 @SUITE

@@ -280,6 +280,46 @@ class TestMatrix:
         assert restored.components == sample_matrix.components
         assert restored.floor == sample_matrix.floor == 0.5
 
+    @pytest.mark.parametrize(
+        "position,value,message",
+        [
+            *(
+                pytest.param(
+                    position,
+                    value,
+                    "similarity components of edge [1, 2] must be numbers in [0, 1]",
+                    id=f"component{position}-{value}",
+                )
+                for position in (2, 3, 4)
+                for value in (True, math.nan, -0.5, 1.5)
+            ),
+            pytest.param(
+                0,
+                True,
+                "similarity components edge [True, 2]: expected indices "
+                "0 <= i < j < 3, after the edge before",
+                id="index-i-true",
+            ),
+            pytest.param(
+                1,
+                True,
+                "similarity components edge [1, True]: expected indices "
+                "0 <= i < j < 3, after the edge before",
+                id="index-j-true",
+            ),
+        ],
+    )
+    def test_decoding_refuses_an_edge_out_of_kind_or_range(self, position, value, message):
+        doc = {
+            "names": ["a", "b", "c"],
+            "weights": [0.5, 0.3, 0.2],
+            "components": [[0, 1, 0.9, 0.9, 0.9], [1, 2, 0.9, 0.9, 0.9]],
+        }
+        doc["components"][1][position] = value
+        with pytest.raises(TaxoforgeError) as caught:
+            matrix_from_dict(doc, 0.5)
+        assert str(caught.value) == message
+
 
 class TestBandCensus:
     def test_counts_partition_pairs(self, sample_matrix):
