@@ -48,14 +48,12 @@ def entropy(vector: OccurrenceVector) -> float:
 class DistributionStats:
     active_type_count: int
     entropy_nats: float
-    total_mentions: int
 
 
 def distribution_stats(vector: OccurrenceVector) -> DistributionStats:
     return DistributionStats(
         active_type_count=len(vector.active_types),
         entropy_nats=entropy(vector),
-        total_mentions=vector.total,
     )
 
 
@@ -194,27 +192,3 @@ def classify_factors(
     rows = relevance_rows(factor_set.names, kb, lexicon)
     return [classify_factor(f, row, kb, threshold) for f, row in zip(factors, rows)]
 
-
-@dataclass(frozen=True)
-class ClassificationCensus:
-    universal: int
-    multi_space: int
-    space_specific: int
-    cross_cutting: int
-
-    @property
-    def total(self) -> int:
-        return self.universal + self.multi_space + self.space_specific
-
-
-def classification_census(results: list[ClassificationResult]) -> ClassificationCensus:
-    universal = sum(1 for r in results if r.factor_class is FactorClass.UNIVERSAL)
-    multi = sum(1 for r in results if r.factor_class is FactorClass.MULTI_SPACE)
-    specific = sum(1 for r in results if r.factor_class is FactorClass.SPACE_SPECIFIC)
-    flagged = sum(1 for r in results if r.cross_cutting.flagged)
-    return ClassificationCensus(
-        universal=universal,
-        multi_space=multi,
-        space_specific=specific,
-        cross_cutting=flagged,
-    )

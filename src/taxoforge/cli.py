@@ -33,9 +33,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="NAME=VALUE",
         help="threshold override; repeatable",
     )
-    parser.add_argument(
-        "--jobs", type=int, help="accepted and validated; has no effect"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,7 +74,6 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
         out_dir=args.out,
         weights=args.weights,
         thresholds=args.threshold,
-        jobs=args.jobs,
     )
 
 
@@ -95,6 +91,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if getattr(args, "subfactors", None) is not None and args.sankey is None:
+            raise TaxoforgeError("--subfactors needs --sankey")
         config = _load_config(args)
         if args.command == "run":
             return pipeline.run(

@@ -8,8 +8,8 @@ identical lines before it parses any, parses each distinct line once and
 checks each distinct cell value once; a quoted cell that spans lines makes it
 parse the file row by row instead. A refused row's line is found by reading
 the file again. Normalization rewrites raw factor names onto a canonical
-surface form through a declarative rule set: case folding, whitespace
-collapsing, punctuation stripping, then a single-step synonym map guarded by a
+surface form through a declarative rule set: case folding, punctuation
+stripping, whitespace collapsing, then a single-step synonym map guarded by a
 preserve-distinct list.
 """
 
@@ -59,59 +59,25 @@ class Spelling(NamedTuple):
 
 @dataclass(frozen=True)
 class Corpus:
-    """Dataset rows folded per raw spelling. A loaded file gives one record
-    per spelling, in the order of their first rows; a record built by hand is
-    one of its own. ``sources`` splits the records into runs, each with the
-    dataset file it was loaded from, or None for records built by hand."""
+    """Dataset rows folded per raw spelling: one record per spelling of each
+    loaded file, in the order of their first rows. ``sources`` splits the
+    records into runs, each with the dataset file it was loaded from."""
 
     records: tuple[Spelling, ...]
-    sources: tuple[tuple[Path | None, int], ...]
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Sequence[tuple[str, str, str]],
-        counts: Sequence[int] | None = None,
-    ) -> Corpus:
-        """A corpus built by hand from ``(raw_name, study_id, space_type)``
-        records, each standing for one row or for its number in ``counts``.
-        Each record needs a study and a known space type, or the error names
-        ``record N``; its name is checked when ``integrate`` normalizes it."""
-        if counts is None:
-            counts = (1,) * len(records)
-        if len(counts) != len(records) or min(counts, default=1) < 1:
-            raise CorpusError("a corpus needs one positive count per record")
-        for position, (_, study_id, space_type) in enumerate(records, 1):
-            if not study_id:
-                raise CorpusError(f"record {position}: study_id must be non-empty")
-            if space_type not in SPACE_TYPES:
-                raise CorpusError(
-                    f"record {position}: unknown space type {space_type!r}"
-                )
-        return cls(
-            records=tuple(
-                Spelling(raw_name, {space_type: [count, {study_id}]})
-                for (raw_name, study_id, space_type), count in zip(records, counts)
-            ),
-            sources=((None, len(records)),),
-        )
+    sources: tuple[tuple[Path, int], ...]
 
     def locate(self, position: int) -> str:
         """Where the record at 1-based ``position`` comes from: its dataset
-        file and the line of its first row, or ``record N`` for one built by
-        hand. The file is read again, so call this on error paths."""
+        file and the line of its first row. The file is read again, so call
+        this on error paths."""
         end = 0
         for path, size in self.sources:
             end += size
             if position <= end:
-                if path is None:
-                    break
-                name = self.records[position - 1].raw_name
-                line = _first_line(
-                    path, lambda row: bool(row) and row[0].strip() == name
-                )
-                return f"{path}: row {line}"
-        return f"record {position}"
+                break
+        name = self.records[position - 1].raw_name
+        line = _first_line(path, lambda row: bool(row) and row[0].strip() == name)
+        return f"{path}: row {line}"
 
 
 @dataclass(frozen=True)
@@ -137,15 +103,18 @@ class NormalizationRuleSet:
         return str.maketrans(dict.fromkeys(chars, " "))
 
     def base_normalize(self, text: str) -> str:
-        """Apply the surface-form rules only (no synonym mapping)."""
+        """Apply the surface-form rules only (no synonym mapping): each
+        stripped punctuation mark becomes a space, runs of whitespace become
+        one space only under ``whitespace_collapse``, and the ends are
+        stripped."""
         if self.case_folding:
             text = text.casefold()
-        if self.whitespace_collapse:
-            text = " ".join(text.split())
         if self.punctuation_strip:
             if "-" in self.punctuation_strip:
                 text = _BOUNDARY_HYPHEN.sub(" ", text)
-            text = " ".join(text.translate(self._punctuation_table).split())
+            text = text.translate(self._punctuation_table)
+        if self.whitespace_collapse:
+            return " ".join(text.split())
         return text.strip()
 
     def validate(self) -> None:
@@ -407,7 +376,7 @@ def _undecodable_line(path: Path) -> int:
 def merge_corpora(corpora: Iterable[Corpus]) -> Corpus:
     """The corpora one after another: records and sources."""
     records: list[Spelling] = []
-    sources: list[tuple[Path | None, int]] = []
+    sources: list[tuple[Path, int]] = []
     for corpus in corpora:
         records.extend(corpus.records)
         sources.extend(corpus.sources)

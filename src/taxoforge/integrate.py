@@ -83,8 +83,6 @@ def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSe
     Factors keep the order of their first spellings. A spelling that fails to
     normalize is reported where its first row comes from (``Corpus.locate``).
     """
-    if not corpus.records:
-        raise CorpusError("cannot integrate an empty corpus")
     canonical: dict[str, str] = {}  # raw spelling -> canonical name
     counts: dict[str, dict[str, int]] = {}
     studies: dict[str, dict[str, set[str]]] = {}

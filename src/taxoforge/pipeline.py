@@ -43,7 +43,7 @@ from .similarity import SemanticLexicon, SimilarityWeights, load_lexicon
 
 log = logging.getLogger(__name__)
 
-# Unmatched factor names quoted in the classify warning; the count is always given.
+# Factor names quoted in a bounded warning; the count is always given.
 UNMATCHED_SHOWN = 5
 
 
@@ -81,7 +81,7 @@ class PipelineConfig:
     source: Path  # the config file, named in errors about what it lists
     weights: SimilarityWeights = SimilarityWeights()
     thresholds: Thresholds = Thresholds()
-    jobs: int = 1  # validated but unused: the similarity build is serial
+    jobs: int = 1  # validated but unused: the benchmark's configs still set it
 
     def __post_init__(self) -> None:
         if type(self.jobs) is not int or self.jobs < 1:
@@ -212,7 +212,6 @@ def apply_overrides(
     out_dir: str | None = None,
     weights: str | None = None,
     thresholds: Sequence[str] = (),
-    jobs: int | None = None,
 ) -> PipelineConfig:
     """Apply CLI-level overrides onto a loaded config."""
     if out_dir is not None:
@@ -233,8 +232,6 @@ def apply_overrides(
             values[name] = _flag_number("--threshold", name, value)
         thresholds = _settings(config.thresholds, values, "--threshold")
         config = replace(config, thresholds=thresholds)
-    if jobs is not None:
-        config = replace(config, jobs=jobs)
     return config
 
 
@@ -660,6 +657,12 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
         listed += sorted(d.literature_strong | d.literature_none)
     unmatched = [name for name in dict.fromkeys(listed) if name not in names]
     _warn_unmatched("place: %d KB factor names match no factor", unmatched)
+    flagged = {r.name for r in state.get("classify") if r.flagged}
+    ignored = [n for n in kb.placement_overrides if n in names and n not in flagged]
+    _warn_unmatched(
+        "place: %d placement overrides name a factor that is not cross-cutting",
+        ignored,
+    )
     try:
         result = placement.place_cross_cutting(
             factor_set,

@@ -1,16 +1,18 @@
-"""Shared fixtures: default config files, the worked-example corpus,
-builders for the small factor sets the worked tables exercise, and the
-one-pair-at-a-time references the counting code is tested against."""
+"""Shared fixtures: default config files, the worked-example corpus, a
+corpus loaded from rows written to a file, builders for the small factor
+sets the worked tables exercise, and the one-pair-at-a-time references the
+counting code is tested against."""
 
 from __future__ import annotations
 
+import csv
 import math
 from pathlib import Path
 
 import pytest
 
 from taxoforge.classify import classify_factors
-from taxoforge.corpus import SPACE_TYPES, load_corpus, load_rules
+from taxoforge.corpus import CSV_HEADER, SPACE_TYPES, Corpus, load_corpus, load_rules
 from taxoforge.integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector, integrate
 from taxoforge.knowledge import (
     default_kb_path,
@@ -67,6 +69,18 @@ def sample_factors(sample_corpus, default_rules):
 @pytest.fixture(scope="session")
 def sample_matrix(sample_factors, default_lexicon):
     return build_matrix(sample_factors, SimilarityWeights(), default_lexicon)
+
+
+def load_rows(directory: Path, rows, name: str = "rows.csv") -> Corpus:
+    """The corpus ``load_corpus`` reads from the dataset file ``name`` in
+    ``directory``, written with the header and ``rows``, each a
+    ``(raw_name, study_id, space_type)``."""
+    path = directory / name
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
+    return load_corpus(path)
 
 
 def make_factor(name: str, counts: dict, studies: dict | None = None) -> IntegratedFactor:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,6 @@ from taxoforge.classify import (
     DistributionStats,
     FactorClass,
     assess_cross_cutting,
-    classification_census,
     classify,
     classify_factors,
     distribution_stats,
@@ -82,9 +82,7 @@ class TestClassify:
         ],
     )
     def test_thresholds(self, active, expected):
-        stats = DistributionStats(
-            active_type_count=active, entropy_nats=0.0, total_mentions=active
-        )
+        stats = DistributionStats(active_type_count=active, entropy_nats=0.0)
         assert classify(stats) is expected
 
     def test_stats_invariants(self):
@@ -92,7 +90,6 @@ class TestClassify:
         stats = distribution_stats(vector)
         assert stats.active_type_count == 2
         assert stats.entropy_nats == pytest.approx(math.log(2))
-        assert stats.total_mentions == 4
 
 
 class TestPrimaryDomain:
@@ -182,11 +179,11 @@ class TestRelevanceTable:
 
 class TestCensus:
     def test_fixture_census(self, classification_fixture):
-        census = classification_census(classification_fixture)
-        assert census.universal == 4
-        assert census.multi_space == 5
-        assert census.space_specific == 3
-        assert census.total == 12
+        census = Counter(r.factor_class for r in classification_fixture)
+        assert census[FactorClass.UNIVERSAL] == 4
+        assert census[FactorClass.MULTI_SPACE] == 5
+        assert census[FactorClass.SPACE_SPECIFIC] == 3
+        assert census.total() == 12
 
     def test_fixture_class_labels(self, classification_fixture):
         by_name = {r.name: r.factor_class for r in classification_fixture}

@@ -477,6 +477,41 @@ class TestKnowledgeBaseNames:
         assert message.count("'") == 2 * pipeline.UNMATCHED_SHOWN
 
 
+    def test_override_of_a_factor_not_cross_cutting_is_warned(self, tmp_path, caplog):
+        # comfort is in the fixture corpus but not cross-cutting, so its
+        # override places nothing; one bounded line says so.
+        text = default_kb_path().read_text(encoding="utf-8")
+        kb = tmp_path / "kb.yaml"
+        kb.write_text(
+            text.replace(
+                "placement_overrides: {}",
+                "placement_overrides:\n  Comfort: SAFETY & SECURITY\n"
+                "  lighting: SAFETY & SECURITY\n  no such factor: SOCIAL",
+            ),
+            encoding="utf-8",
+        )
+        config = write_config(tmp_path, extra=f"kb: {kb}\n")
+        with caplog.at_level(logging.WARNING, logger="taxoforge.pipeline"):
+            assert cli.main(["run", "--config", str(config)]) == 0
+        messages = [r.getMessage() for r in caplog.records]
+        (message,) = [m for m in messages if "placement overrides" in m]
+        assert message == (
+            "place: 1 placement overrides name a factor that is not "
+            "cross-cutting, first names: ['comfort']"
+        )
+        assert any(m.startswith("place: 7 KB factor names match") for m in messages)
+        framework = json.loads((tmp_path / "out" / "framework.json").read_text("utf-8"))
+        homes = {
+            entry["canonical_name"]: category["identifier"]
+            for category in framework["data"]["categories"]
+            for sub in category["subcategories"]
+            for entry in sub["entries"]
+            if entry["tier"] == "primary"
+        }
+        assert homes["comfort"] == "COMFORT"
+        assert homes["lighting"] == "SAFETY & SECURITY"
+
+
 class TestFlags:
     def test_emit_pairs(self, tmp_path):
         from taxoforge.similarity import band_census, matrix_from_dict
@@ -690,16 +725,27 @@ class TestFlags:
             assert score == linguistic[(i, j)]
 
     def test_jobs_flag_byte_identical(self, tmp_path):
-        config_one = write_config(tmp_path, "one.yaml")
-        assert cli.main(["run", "--config", str(config_one), "--jobs", "1"]) == 0
-        first = {
-            p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()
-        }
-        assert cli.main(["run", "--config", str(config_one), "--jobs", "8"]) == 0
-        second = {
-            p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()
-        }
-        assert first == second
+        # The config key is read and checked, and changes nothing written.
+        written = []
+        for jobs in (1, 8):
+            config = write_config(tmp_path, f"jobs{jobs}.yaml", f"jobs: {jobs}\n")
+            assert cli.main(["run", "--config", str(config), "--sankey", "SAFETY"]) == 0
+            written.append({p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()})
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("command", ["run", "emit"])
+    def test_subfactors_without_sankey_writes_nothing(self, tmp_path, capsys, command):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        if command == "emit":
+            assert cli.main(["run", "--config", str(config)]) == 0
+        before = {p.name: p.stat().st_mtime_ns for p in out.glob("*")}
+        capsys.readouterr()
+        argv = [command, "--config", str(config), "--subfactors", "nope,zzz"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"taxoforge {command}: --subfactors needs --sankey\n"
+        assert {p.name: p.stat().st_mtime_ns for p in out.glob("*")} == before
 
 
 class TestReports:

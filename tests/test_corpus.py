@@ -7,7 +7,6 @@ import csv
 import pytest
 
 from taxoforge.corpus import (
-    Corpus,
     NormalizationRuleSet,
     load_corpus,
     load_rules,
@@ -15,6 +14,7 @@ from taxoforge.corpus import (
     normalize,
 )
 from taxoforge.errors import CorpusError, RuleSetError
+from taxoforge.integrate import integrate
 
 HEADER = "raw_name,study_id,space_type\n"
 
@@ -181,29 +181,18 @@ class TestLoadCorpus:
 
 
 class TestCorpus:
-    def test_hand_built_records_count_once(self):
-        record = ("safety", "c1", "P")
-        corpus = Corpus.from_records((record, record))
-        assert [r.tallies for r in corpus.records] == [{"P": [1, {"c1"}]}] * 2
-
-    def test_counts_must_match_the_records(self):
-        record = ("safety", "c1", "P")
-        for counts in ((1, 1), (0,), ()):
-            with pytest.raises(CorpusError, match="one positive count per record"):
-                Corpus.from_records((record,), counts=counts)
-
     def test_merge_keeps_counts_and_sources(self, tmp_path):
         first = load_corpus(write(tmp_path, "a.csv", HEADER + "safety,c1,P\n" * 2))
-        hand = Corpus.from_records((("lighting", "c2", "S"),))
-        merged = merge_corpora([first, hand, first])
-        assert merged.records == first.records + hand.records + first.records
+        second = load_corpus(write(tmp_path, "b.csv", HEADER + "\nlighting,c2,S\n"))
+        merged = merge_corpora([first, second, first])
+        assert merged.records == first.records + second.records + first.records
         assert [r.tallies for r in merged.records] == [
             {"P": [2, {"c1"}]},
             {"S": [1, {"c2"}]},
             {"P": [2, {"c1"}]},
         ]
         assert merged.locate(1) == f"{tmp_path / 'a.csv'}: row 2"
-        assert merged.locate(2) == "record 2"
+        assert merged.locate(2) == f"{tmp_path / 'b.csv'}: row 3"
         assert merged.locate(3) == f"{tmp_path / 'a.csv'}: row 2"
 
 
@@ -283,6 +272,22 @@ class TestNormalize:
         for raw in ["Accessibility", "access", "street travel safety", "A/B  test"]:
             once = normalize(raw, default_rules)
             assert normalize(once, default_rules) == once
+
+    def test_whitespace_kept_without_collapse(self, tmp_path):
+        rules = NormalizationRuleSet(whitespace_collapse=False)
+        assert rules.base_normalize("Thermal   Comfort ") == "thermal   comfort"
+        assert rules.base_normalize(" comfort / vitality") == "comfort   vitality"
+        assert NormalizationRuleSet().base_normalize("Thermal \t Comfort ") == (
+            "thermal comfort"
+        )
+        # A rules file that turns it off keeps the two spellings apart.
+        path = write(tmp_path, "rules.yaml", "options:\n  whitespace_collapse: false\n")
+        corpus = load_corpus(
+            write(tmp_path, "d.csv", HEADER + "thermal   comfort,c1,P\n"
+                  "Thermal Comfort,c2,S\n")
+        )
+        factors = integrate(corpus, load_rules(path))
+        assert factors.names == ("thermal   comfort", "thermal comfort")
 
     def test_preserved_names_never_synonym_mapped(self):
         overlapping = NormalizationRuleSet(

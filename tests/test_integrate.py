@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from taxoforge import integrate as integrate_module
-from taxoforge.corpus import SPACE_TYPES, Corpus, NormalizationRuleSet, merge_corpora
+from taxoforge import pipeline
+from taxoforge.corpus import SPACE_TYPES, Corpus, merge_corpora
 from taxoforge.errors import CorpusError, TaxoforgeError
 from taxoforge.integrate import (
     OccurrenceVector,
@@ -15,6 +16,7 @@ from taxoforge.integrate import (
     reduction_rate,
     tracking_notation,
 )
+from tests.conftest import load_rows
 
 # Final integrated list of the worked example, in first-seen order.
 WORKED_FACTOR_ORDER = [
@@ -64,8 +66,8 @@ class TestIntegrate:
         counts = {"P": 1, "S": 1, "U": 1, "G": 0, "O": 4, "F": 2}
         assert dict(zip(SPACE_TYPES, vector.counts)) == counts
 
-    def test_singleton(self, default_rules):
-        corpus = Corpus.from_records((("safety", "c1", "P"),))
+    def test_singleton(self, tmp_path, default_rules):
+        corpus = load_rows(tmp_path, [("safety", "c1", "P")])
         result = integrate(corpus, default_rules)
         assert result.unique_count == 1
         assert dict(zip(SPACE_TYPES, result.factors[0].occurrence.counts)) == {
@@ -78,42 +80,74 @@ class TestIntegrate:
         assert total == rows == sample_factors.raw_record_count
         assert total == 35
 
-    def test_counted_records_fold_as_repeated_ones(self, default_rules):
-        records = (
+    def test_counted_records_fold_as_repeated_ones(self, tmp_path, default_rules):
+        records = [
             ("safety", "c1", "P"),
             ("Safety", "c2", "P"),
             ("lighting", "c1", "S"),
+        ]
+        rows = records[:1] * 3 + records[1:2] * 2 + records[2:]
+        counted = load_rows(tmp_path, rows)
+        assert [r.tallies for r in counted.records] == [
+            {"P": [3, {"c1"}]},
+            {"P": [2, {"c2"}]},
+            {"S": [1, {"c1"}]},
+        ]
+        # One file per row: every record stands for one row.
+        repeated = merge_corpora(
+            load_rows(tmp_path, [row], f"{k}.csv") for k, row in enumerate(rows)
         )
-        counted = integrate(Corpus.from_records(records, (3, 2, 1)), default_rules)
-        repeated = Corpus.from_records(records[:1] * 3 + records[1:2] * 2 + records[2:])
-        assert counted == integrate(repeated, default_rules)
-        assert counted.raw_record_count == 6
-        assert counted.factors[0].studies["P"] == {"c1", "c2"}
+        assert len(repeated.records) == 6
+        result = integrate(counted, default_rules)
+        assert result == integrate(repeated, default_rules)
+        assert result.raw_record_count == 6
+        assert result.factors[0].studies["P"] == {"c1", "c2"}
 
     def test_study_sets_bounded_by_counts(self, sample_factors):
         for factor in sample_factors.factors:
             for code, count in zip(SPACE_TYPES, factor.occurrence.counts):
                 assert len(factor.studies[code]) <= count
 
-    def test_empty_corpus_rejected(self, default_rules):
-        with pytest.raises(CorpusError, match="empty corpus"):
-            integrate(Corpus.from_records(()), default_rules)
+    def test_empty_corpus_rejected(self, tmp_path):
+        # A dataset with a header and no rows: the integrate phase refuses
+        # the corpus, naming the config and its datasets.
+        load_rows(tmp_path, [])
+        config = tmp_path / "config.yaml"
+        text = f"datasets:\n  - rows.csv\nout: {tmp_path / 'out'}\n"
+        config.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError) as raised:
+            pipeline.phase_integrate(pipeline.load_config(config))
+        assert str(raised.value) == (
+            f"config file {config}: datasets: no records in {tmp_path / 'rows.csv'}; "
+            "cannot integrate an empty corpus"
+        )
 
-    def test_error_names_record_position(self):
-        rules = NormalizationRuleSet()
-        corpus = Corpus.from_records((("safety", "c1", "P"), ("...", "c2", "S")))
-        with pytest.raises(CorpusError, match="record 2"):
-            integrate(corpus, rules)
+    def test_error_names_record_position(self, tmp_path, default_rules):
+        # A name that normalizes to nothing is named at the file and line of
+        # its first row, here in the second of two files.
+        first = load_rows(tmp_path, [("safety", "c1", "P")], "a.csv")
+        bad = ("...", "c2", "S")
+        second = load_rows(tmp_path, [("lighting", "c1", "S"), bad, bad], "b.csv")
+        with pytest.raises(CorpusError) as raised:
+            integrate(merge_corpora([first, second]), default_rules)
+        assert str(raised.value) == (
+            f"{tmp_path / 'b.csv'}: row 3: factor name '...' is empty after "
+            "normalization"
+        )
 
-    def test_hand_built_records_checked(self, default_rules):
+    def test_hand_built_records_checked(self, tmp_path, default_rules):
+        # Each bad row is refused at the file and line where it first
+        # appears, whether the loader or the integrate phase finds it.
         good = ("safety", "c1", "P")
         for bad, message in (
-            (("lighting", "", "S"), "record 2: study_id"),
-            (("lighting", "c2", "X"), "record 2: unknown space type"),
-            ((" ", "c2", "S"), "record 2: cannot normalize"),
+            (("lighting", "", "S"), "row 3: empty study_id"),
+            (("lighting", "c2", "X"), "row 3: unknown space type 'X'"),
+            ((" ", "c2", "S"), "row 3: empty raw_name"),
+            (("...", "c2", "S"), "row 3: factor name '...' is empty after"),
         ):
-            with pytest.raises(CorpusError, match=message):
-                integrate(Corpus.from_records((good, bad, bad)), default_rules)
+            with pytest.raises(CorpusError) as raised:
+                integrate(load_rows(tmp_path, [good, bad, bad]), default_rules)
+            assert str(raised.value).startswith(f"{tmp_path / 'rows.csv'}: {message}")
 
     def test_each_spelling_normalized_once(
         self, sample_corpus, default_rules, monkeypatch

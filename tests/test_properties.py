@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from taxoforge.applicability import indicators_for
 from taxoforge.classify import (
     FactorClass,
-    classification_census,
     classify,
     classify_factor,
     classify_factors,
@@ -53,7 +52,6 @@ from taxoforge.cluster import (
 )
 from taxoforge.corpus import (
     SPACE_TYPES,
-    Corpus,
     NormalizationRuleSet,
     load_corpus,
     normalize,
@@ -574,9 +572,8 @@ def check_classification_partition(vectors: list[OccurrenceVector]) -> None:
     )
     factor_set = IntegratedFactorSet(factors, sum(v.total for v in vectors))
     results = classify_factors(factor_set, TINY_KB, TINY_LEXICON)
-    census = classification_census(results)
-    assert census.total == len(vectors)
-    assert census.universal + census.multi_space + census.space_specific == len(vectors)
+    census = Counter(r.factor_class for r in results)
+    assert census == Counter(classes) and census.total() == len(vectors)
 
 
 def run_mini_pipeline(factor_set: IntegratedFactorSet):
@@ -671,33 +668,6 @@ def spellings(draw):
     cased = "".join(c.upper() if draw(st.booleans()) else c for c in name)
     edges = st.sampled_from(("", " ", "  ", ".", "(", ";", " -", ", "))
     return draw(edges) + cased + draw(edges)
-
-
-@st.composite
-def fold_corpora(draw):
-    """Records drawn from a few spellings, so spellings repeat, with the
-    unnormalizable name among them at times."""
-    pool = draw(st.lists(spellings(), min_size=1, max_size=6))
-    if draw(st.booleans()):
-        pool.append(UNNORMALIZABLE)
-    record = st.tuples(
-        st.sampled_from(pool),
-        st.sampled_from(("s1", "s2", "s3")),
-        st.sampled_from(SPACE_TYPES),
-    )
-    return draw(st.lists(record, min_size=1, max_size=40))
-
-
-def check_fold_against_reference(records: list[Record]) -> None:
-    corpus = Corpus.from_records(records)
-    try:
-        expected = reference_fold(records, RULES)
-    except CorpusError as exc:
-        with pytest.raises(CorpusError) as raised:
-            integrate(corpus, RULES)
-        assert str(raised.value) == str(exc)
-        return
-    assert integrate(corpus, RULES) == expected
 
 
 BLANK_ROWS = ("\n", ",,\n", " , , \n", "  \n")
@@ -810,6 +780,39 @@ def check_loaded_fold_against_reference(
 @given(raw=st.text(alphabet=TEXT_ALPHABET, min_size=1, max_size=24))
 def test_normalize_idempotent_and_case_insensitive(raw):
     check_normalize(raw)
+
+
+def collapsing_reference(rules: NormalizationRuleSet, text: str) -> str:
+    """The surface-form rules as once composed, which collapsed whitespace
+    again after stripping punctuation whatever ``whitespace_collapse`` said;
+    with the option on, ``base_normalize`` must equal it on every input."""
+    if rules.case_folding:
+        text = text.casefold()
+    text = " ".join(text.split())
+    if rules.punctuation_strip:
+        if "-" in rules.punctuation_strip:
+            text = re.sub(r"(?<!\w)-|-(?!\w)", " ", text)
+        chars = rules.punctuation_strip.replace("-", "")
+        text = " ".join(text.translate(str.maketrans(dict.fromkeys(chars, " "))).split())
+    return text.strip()
+
+
+# Letters whose case folding changes their length, and the whitespace that
+# str.split() knows beyond the space.
+SURFACE_ALPHABET = TEXT_ALPHABET + "_'ßİΣς\t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"
+
+
+@SUITE
+@given(
+    raw=st.text(alphabet=SURFACE_ALPHABET, max_size=24) | st.text(max_size=12),
+    case_folding=st.booleans(),
+    punctuation=st.text(alphabet=".,;:()/&-_' \t", max_size=6),
+)
+def test_collapsing_base_normalize_equals_the_old_composition(
+    raw, case_folding, punctuation
+):
+    rules = NormalizationRuleSet(case_folding=case_folding, punctuation_strip=punctuation)
+    assert rules.base_normalize(raw) == collapsing_reference(rules, raw)
 
 
 @SUITE
@@ -996,12 +999,6 @@ def test_composite_and_space_fits_are_left_folds(parts, profile, vector):
     factor_set = IntegratedFactorSet(factors=(factor,), raw_record_count=vector.total)
     fits = space_fits(factor_set, DomainKnowledgeBase(domains=(domain,)))
     assert fits == {vector.counts: (cosine(vector.counts, profile),)}
-
-
-@SUITE
-@given(records=fold_corpora())
-def test_fold_equals_per_record_reference(records):
-    check_fold_against_reference(records)
 
 
 @SUITE
