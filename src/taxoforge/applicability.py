@@ -1,17 +1,18 @@
 """Space-type coverage and graduated applicability indicators.
 
-Universal factors render either "Universal – All Space Types" or, when any
-type carries two or more mentions, "Universal (with emphasis: ...)".
-Multi-space factors grade every type: active types are Strong, inactive types
-Moderate when the factor's primary domain marks the type compatible and
-Minimal otherwise; when nothing grades Moderate the indicator compacts to
-"Multi-space: ...". Space-specific factors list their active types.
+A factor's indicator is one string, built from its counts and, for a
+multi-space factor, its home domain's compatible types. Universal factors
+render either "Universal – All Space Types" or, when any type carries two
+or more mentions, "Universal (with emphasis: ...)". Multi-space factors
+grade every type: active types are Strong, inactive types Moderate when the
+factor's primary domain marks the type compatible and Minimal otherwise, as
+in "Strong: P, O, F | Moderate: U, G | Minimal: S"; when nothing grades
+Moderate the indicator compacts to "Multi-space: ...". Space-specific
+factors list their active types.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping, Sequence
 
 from .classify import ClassificationResult, FactorClass
@@ -28,53 +29,8 @@ def coverage(vector: OccurrenceVector) -> float:
     return len(vector.active_types) / len(SPACE_TYPES)
 
 
-class IndicatorKind(Enum):
-    UNIVERSAL_ALL_TYPES = "UniversalAllTypes"
-    UNIVERSAL_WITH_EMPHASIS = "UniversalWithEmphasis"
-    MULTI_SPACE = "MultiSpace"
-    SPACE_SPECIFIC = "SpaceSpecific"
-
-
-class TierLevel(Enum):
-    STRONG = "Strong"
-    MODERATE = "Moderate"
-    MINIMAL = "Minimal"
-
-
-@dataclass(frozen=True)
-class ApplicabilityIndicator:
-    kind: IndicatorKind
-    emphasis: tuple[str, ...] = ()
-    tiers: Mapping[str, TierLevel] = field(default_factory=dict)
-    types: tuple[str, ...] = ()
-    text: str = ""
-
-
 def _join(codes: Sequence[str]) -> str:
     return ", ".join(codes)
-
-
-def render_indicator(
-    kind: IndicatorKind,
-    emphasis: tuple[str, ...],
-    tiers: Mapping[str, TierLevel],
-    types: tuple[str, ...],
-) -> str:
-    if kind is IndicatorKind.UNIVERSAL_ALL_TYPES:
-        return "Universal – All Space Types"
-    if kind is IndicatorKind.UNIVERSAL_WITH_EMPHASIS:
-        return f"Universal (with emphasis: {_join(emphasis)})"
-    if kind is IndicatorKind.SPACE_SPECIFIC:
-        return f"Space-specific: {_join(types)}"
-    moderate = [code for code in SPACE_TYPES if tiers.get(code) is TierLevel.MODERATE]
-    if not moderate:
-        return f"Multi-space: {_join(types)}"
-    strong = [code for code in SPACE_TYPES if tiers.get(code) is TierLevel.STRONG]
-    minimal = [code for code in SPACE_TYPES if tiers.get(code) is TierLevel.MINIMAL]
-    parts = [f"Strong: {_join(strong)}", f"Moderate: {_join(moderate)}"]
-    if minimal:
-        parts.append(f"Minimal: {_join(minimal)}")
-    return " | ".join(parts)
 
 
 def indicator(
@@ -82,8 +38,8 @@ def indicator(
     factor_class: FactorClass,
     primary_domain_id: str,
     kb: DomainKnowledgeBase,
-) -> ApplicabilityIndicator:
-    """Graduated applicability indicator for one factor.
+) -> str:
+    """Graduated applicability indicator text for one factor.
 
     ``primary_domain_id`` is the factor's effective home: the strategic
     primary placement for cross-cutting factors, the assigned category
@@ -93,43 +49,25 @@ def indicator(
     vector = factor.occurrence
     active = vector.active_types
     if factor_class is FactorClass.UNIVERSAL:
-        emphasis = tuple(
+        emphasis = [
             code
             for code, count in zip(SPACE_TYPES, vector.counts)
             if count >= EMPHASIS_MIN_COUNT
-        )
+        ]
         if emphasis:
-            kind = IndicatorKind.UNIVERSAL_WITH_EMPHASIS
-        else:
-            kind = IndicatorKind.UNIVERSAL_ALL_TYPES
-        ind = ApplicabilityIndicator(
-            kind=kind,
-            emphasis=emphasis,
-            types=active,
-            text=render_indicator(kind, emphasis, {}, active),
-        )
-        return ind
+            return f"Universal (with emphasis: {_join(emphasis)})"
+        return "Universal – All Space Types"
     if factor_class is FactorClass.SPACE_SPECIFIC:
-        kind = IndicatorKind.SPACE_SPECIFIC
-        return ApplicabilityIndicator(
-            kind=kind, types=active, text=render_indicator(kind, (), {}, active)
-        )
-    domain = kb.by_id(primary_domain_id)
-    tiers: dict[str, TierLevel] = {}
-    for code in SPACE_TYPES:
-        if code in active:
-            tiers[code] = TierLevel.STRONG
-        elif code in domain.compatible_types:
-            tiers[code] = TierLevel.MODERATE
-        else:
-            tiers[code] = TierLevel.MINIMAL
-    kind = IndicatorKind.MULTI_SPACE
-    return ApplicabilityIndicator(
-        kind=kind,
-        tiers=tiers,
-        types=active,
-        text=render_indicator(kind, (), tiers, active),
-    )
+        return f"Space-specific: {_join(active)}"
+    compatible = kb.by_id(primary_domain_id).compatible_types
+    inactive = [code for code in SPACE_TYPES if code not in active]
+    moderate = [code for code in inactive if code in compatible]
+    if not moderate:
+        return f"Multi-space: {_join(active)}"
+    parts = [f"Strong: {_join(active)}", f"Moderate: {_join(moderate)}"]
+    if minimal := [code for code in inactive if code not in compatible]:
+        parts.append(f"Minimal: {_join(minimal)}")
+    return " | ".join(parts)
 
 
 def aggregate_subcategory(
@@ -161,29 +99,14 @@ def aggregate_category(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IndicatorRecord:
-    name: str
-    coverage: float
-    indicator: ApplicabilityIndicator
-    effective_domain: str
-
-
 def indicators_for(
     factors: Sequence[IntegratedFactor],
     classifications: Sequence[ClassificationResult],
     effective_domains: Mapping[str, str],
     kb: DomainKnowledgeBase,
-) -> list[IndicatorRecord]:
-    records = []
-    for factor, result in zip(factors, classifications):
-        domain_id = effective_domains[factor.canonical_name]
-        records.append(
-            IndicatorRecord(
-                name=factor.canonical_name,
-                coverage=coverage(factor.occurrence),
-                indicator=indicator(factor, result.factor_class, domain_id, kb),
-                effective_domain=domain_id,
-            )
-        )
-    return records
+) -> list[str]:
+    """The indicator text of each factor, in factor order."""
+    return [
+        indicator(f, c.factor_class, effective_domains[f.canonical_name], kb)
+        for f, c in zip(factors, classifications)
+    ]

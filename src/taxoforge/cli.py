@@ -91,8 +91,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if getattr(args, "subfactors", None) is not None and args.sankey is None:
-            raise TaxoforgeError("--subfactors needs --sankey")
+        if getattr(args, "subfactors", None) is not None:
+            if args.sankey is None:
+                raise TaxoforgeError("--subfactors needs --sankey")
+            if not _subfactors(args):
+                raise TaxoforgeError("--subfactors names no subfactor")
         config = _load_config(args)
         if args.command == "run":
             return pipeline.run(

@@ -1,11 +1,11 @@
 """One reader and one writer for the phase artifacts, derived from the field
-annotations of the phase results: str, int, float, bool, ``X | None``, Enum,
+annotations of the phase results: str, int, float, bool, ``X | None``,
 ``tuple[X, ...]``, ``list[X]``, ``frozenset[X]``, ``Mapping[str, X]`` and
 dataclasses of these. The writer works like ``dataclasses.asdict``, except
 that a field whose type is a dataclass is inlined into its parent object
-(one inside a tuple or mapping stays an object); enums are written as their
-values and frozensets as sorted lists; an instance of a subclass is written
-with the fields of the named dataclass only. The reader refuses the first
+(one inside a tuple or mapping stays an object); frozensets are written as
+sorted lists; an instance of a subclass is written with the fields of the
+named dataclass only. The reader refuses the first
 wrong leaf by its path, as in ``data.placements[3].composite: expected a
 number, got None``, ignores keys that are not fields, gives an absent key
 its field's default where it has one, and takes only text as a mapping
@@ -23,9 +23,7 @@ import math
 import types
 import typing
 from collections.abc import Mapping
-from enum import Enum
 from functools import cache
-from operator import attrgetter
 from pathlib import Path
 
 import yaml
@@ -147,17 +145,6 @@ def _codec(kind: object):
             raise _refuse("a finite number", value)
 
         return read_finite if kind is float else read_leaf, None
-    if isinstance(kind, type) and issubclass(kind, Enum):
-        members = {member.value: member for member in kind}
-        expected = "one of " + ", ".join(map(repr, members))
-
-        def read_enum(value):
-            try:
-                return members[value]
-            except (KeyError, TypeError):  # TypeError: an unhashable value
-                raise _refuse(expected, value) from None
-
-        return read_enum, attrgetter("value")
     if dataclasses.is_dataclass(kind):
         return _dataclass_codec(kind)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
@@ -214,11 +201,7 @@ def _dataclass_codec(kind: type):
         (f.name, *_codec(hints[f.name]), dataclasses.is_dataclass(hints[f.name]))
         for f in dataclasses.fields(kind)
     ]
-    required = {
-        f.name
-        for f in dataclasses.fields(kind)
-        if f.default is missing and f.default_factory is missing
-    }
+    required = {f.name for f in dataclasses.fields(kind) if f.default is missing}
 
     def read(value):
         if type(value) is not dict:

@@ -18,7 +18,6 @@ import os
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TextIO
 
-from .applicability import IndicatorRecord
 from .classify import ClassificationResult
 from .cluster import CategoryAssignment
 from .corpus import SPACE_TYPES, SPACE_TYPE_NAMES
@@ -84,17 +83,17 @@ def build_framework(
     classifications: Sequence[ClassificationResult],
     assignments: Sequence[CategoryAssignment],
     placement_result: PlacementResult,
-    indicator_records: Sequence[IndicatorRecord],
+    indicators: Sequence[str],
     kb: DomainKnowledgeBase,
     config_checksums: Mapping[str, str] | None = None,
 ) -> dict:
     """Assemble the three-tier framework from the phase outputs, as the
-    framework document."""
+    framework document; ``indicators`` holds each factor's indicator text,
+    in factor order."""
     if not factor_set.factors:
         raise TaxoforgeError("cannot build a framework from an empty factor set")
     homes = primary_homes(assignments, placement_result)
     class_by_name = {c.name: c for c in classifications}
-    indicator_by_name = {r.name: r for r in indicator_records}
 
     placements_by_name: dict[str, list] = {}
     for placement in placement_result.placements:
@@ -111,7 +110,7 @@ def build_framework(
             "canonical_name": name,
             "tracking_notation": tracking_notation(factor.occurrence),
             "classification": class_by_name[name].factor_class.value,
-            "indicator": indicator_by_name[name].indicator.text,
+            "indicator": indicators[index],
             "tier": "primary",
             "placements": labels,
             "reference": None,
@@ -216,6 +215,10 @@ def validate(framework: dict, factor_set: IntegratedFactorSet) -> dict:
         },
         "paper_discrepancy_notes": list(DISCREPANCY_NOTES),
     }
+
+
+# The files ``write_documents`` writes.
+EXPORTS = ("framework.json", "framework_document.json", "framework.md", "validation.json")
 
 
 def write_documents(out: Path, envelope: dict, framework: dict, report: dict) -> None:

@@ -243,8 +243,11 @@ def apply_overrides(
 # ``data`` is the result, the type written); the codec derives ``data`` from
 # the type. For classify, cluster and place that is the base class of the
 # result's entries: what the artifact keeps of each. similarity.json keeps
-# its own codec for the compact edge list; indicators.json is a report no
-# phase reads. Each is one line of compact JSON. The benchmark
+# its own codec for the compact edge list. indicators.json is a report no
+# phase reads, written without the codec: per factor its name, coverage and
+# indicator text, then the subcategory and category profiles; everything
+# else about an indicator follows from integrated.json, the KB or
+# framework.json. Each is one line of compact JSON. The benchmark
 # (perfbench/worker.py) reads these keys and fields, so they stay:
 # integrated.json raw_record_count and factors[*].studies (a mapping of
 # lists); each classification.json factor's flagged and primary_domain;
@@ -256,7 +259,14 @@ ARTIFACTS = {
     "classify": ("classification.json", "factors", list[classify.FactorRelevance]),
     "cluster": ("assignments.json", "assignments", list[cluster.CategoryHome]),
     "place": ("placements.json", "placements", list[placement.Placement]),
-    "indicate": ("indicators.json", "indicators", list[applicability.IndicatorRecord]),
+    "indicate": ("indicators.json", "indicators", None),
+}
+
+# The CSV report each of these phases writes beside its artifact.
+REPORTS = {
+    "classify": "classification_report.csv",
+    "cluster": "assignments_report.csv",
+    "place": "placements_report.csv",
 }
 
 
@@ -326,7 +336,8 @@ class RunState:
         leaf. A misfit is an ``ArtifactError`` naming the file and the leaf's
         path. The indicators are built from the upstream results alone."""
         if phase == "indicate" and phase not in self.results:
-            self.results[phase] = _indicators(self)
+            homes = placement.primary_homes(self.get("cluster"), self.get("place"))
+            self.results[phase] = _indicators(self, homes)
         if phase not in self.results:
             name, key, kind = ARTIFACTS[phase]
             path = self.config.out_dir / name
@@ -496,8 +507,7 @@ def _placed(state: RunState, decoded) -> tuple[placement.PlacementResult, dict]:
     return result, artifact_data("place", result.placements)
 
 
-def _indicators(state: RunState) -> list:
-    homes = placement.primary_homes(state.get("cluster"), state.get("place"))
+def _indicators(state: RunState, homes: Mapping[str, tuple[str, str]]) -> list[str]:
     domains = {name: home[0] for name, home in homes.items()}
     return applicability.indicators_for(
         state.get("integrate").factors, state.get("classify"), domains, state.kb
@@ -608,7 +618,7 @@ def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Pat
         for r, factor in zip(results, factor_set.factors)
     ]
     _write_csv(
-        config.out_dir / "classification_report.csv",
+        config.out_dir / REPORTS["classify"],
         (
             "canonical_name",
             "tracking_notation",
@@ -642,7 +652,7 @@ def phase_cluster(config: PipelineConfig, state: RunState | None = None) -> Path
         for a in assignments
     ]
     _write_csv(
-        config.out_dir / "assignments_report.csv",
+        config.out_dir / REPORTS["cluster"],
         ("factor", "category", "subcategory") + state.kb.domain_ids(),
         rows,
     )
@@ -691,7 +701,7 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
         for p in result.placements
     ]
     _write_csv(
-        config.out_dir / "placements_report.csv",
+        config.out_dir / REPORTS["place"],
         ("factor", "domain", "subcategory", "tier", "composite", "is_argmax"),
         rows,
     )
@@ -699,12 +709,14 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
 
 
 def phase_indicate(config: PipelineConfig, state: RunState | None = None) -> Path:
-    """Write indicators.json, a report no phase reads back: the indicator
-    records, the relevance profile of each subcategory and the distribution
-    profile of each category, over the factors homed there."""
+    """Write indicators.json, a report no phase reads back: each factor's
+    name, coverage and indicator text, the relevance profile of each
+    subcategory and the distribution profile of each category, over the
+    factors homed there."""
     state = state or RunState(config)
-    factor_set, kb, records = state.get("integrate"), state.kb, _indicators(state)
+    factor_set, kb = state.get("integrate"), state.kb
     homes = placement.primary_homes(state.get("cluster"), state.get("place"))
+    texts = _indicators(state, homes)
     vectors: dict[tuple[str, str], list] = {}
     for factor in factor_set.factors:
         vectors.setdefault(homes[factor.canonical_name], []).append(factor.occurrence)
@@ -726,10 +738,17 @@ def phase_indicate(config: PipelineConfig, state: RunState | None = None) -> Pat
             zip(SPACE_TYPES, applicability.aggregate_category(profiles, weights))
         )
         category_profiles.append({"category": category, "distribution": distribution})
-    data = artifact_data("indicate", records)
-    data["subcategory_profiles"] = subcategory_profiles
-    data["category_profiles"] = category_profiles
-    return state.put("indicate", records, data)
+    coverage = applicability.coverage
+    records = [
+        {"name": f.canonical_name, "coverage": coverage(f.occurrence), "indicator": t}
+        for f, t in zip(factor_set.factors, texts)
+    ]
+    data = {
+        "indicators": records,
+        "subcategory_profiles": subcategory_profiles,
+        "category_profiles": category_profiles,
+    }
+    return state.put("indicate", texts, data)
 
 
 def phase_emit(
@@ -765,15 +784,39 @@ def phase_emit(
         nodes, links = emit.export_sankey(
             framework, factor_set, sankey_category, sankey_subfactors
         )
-        slug = sankey_category.casefold().replace(" ", "_").replace("&", "and")
-        # A path separator in the id must not lead the file out of out_dir.
-        for separator in filter(None, (os.sep, os.altsep)):
-            slug = slug.replace(separator, "_")
-        emit.write_sankey(nodes, links, out / f"sankey_{slug}.csv")
+        emit.write_sankey(nodes, links, _sankey_path(out, sankey_category))
     if not report["passed"]:
         log.error("emit: validation failed")
         return 2
     return 0
+
+
+def _sankey_path(out: Path, category_id: str) -> Path:
+    slug = category_id.casefold().replace(" ", "_").replace("&", "and")
+    # A path separator in the id must not lead the file out of out_dir.
+    for separator in filter(None, (os.sep, os.altsep)):
+        slug = slug.replace(separator, "_")
+    return out / f"sankey_{slug}.csv"
+
+
+def _remove_stale(
+    config: PipelineConfig, emit_pairs: bool, sankey_category: str | None
+) -> None:
+    """Delete every file after integrated.json that ``run`` writes: the
+    artifacts, reports and exports, pairs.csv and the Sankey file when asked
+    for. Any other file in the output directory stays."""
+    out = config.out_dir
+    names = [name for phase, (name, _, _) in ARTIFACTS.items() if phase != "integrate"]
+    paths = [out / name for name in [*names, *REPORTS.values(), *emit.EXPORTS]]
+    if emit_pairs:
+        paths.append(out / "pairs.csv")
+    if sankey_category is not None:
+        paths.append(_sankey_path(out, sankey_category))
+    for path in paths:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise ArtifactError(f"cannot remove {path}: {exc}") from None
 
 
 def run(
@@ -784,12 +827,16 @@ def run(
 ) -> int:
     """Execute all phases in order on one state; returns the process exit
     status. The Sankey category is resolved against the KB before any phase
-    runs and its filter checked right after integrate."""
+    runs and its filter checked right after integrate. Once integrated.json
+    is written, every other file the run writes is deleted, so a run refused
+    at a later phase leaves none of an earlier run's files beside its own;
+    one refused before that write leaves the earlier files as they were."""
     state = RunState(config)
     if sankey_category is not None:
         domain_ids = state.kb.domain_ids()
         sankey_category = emit.resolve_identifier(domain_ids, sankey_category)
     phase_integrate(config, state=state)
+    _remove_stale(config, emit_pairs, sankey_category)
     if sankey_category is not None:
         emit.check_subfactors(state.get("integrate").names, sankey_subfactors)
     phase_similarity(config, emit_pairs=emit_pairs, state=state)

@@ -154,7 +154,7 @@ def test_c5_coverage_and_indicators(default_kb):
         for name, counts, cls, domain, frac, text in rows:
             factor = make_factor(name, counts)
             assert coverage(factor.occurrence) == pytest.approx(float(frac))
-            assert indicator(factor, cls, domain, default_kb).text == text, name
+            assert indicator(factor, cls, domain, default_kb) == text, name
 
 
 def test_c6_placement_protocol(default_kb, default_lexicon, sample_framework):

@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from taxoforge.applicability import (
-    IndicatorKind,
-    TierLevel,
     aggregate_category,
     aggregate_subcategory,
     coverage,
@@ -41,54 +39,55 @@ class TestCoverage:
 class TestIndicator:
     def test_universal_with_emphasis(self, default_kb):
         factor = make_factor("accessibility", {"P": 1, "S": 1, "U": 1, "O": 4, "F": 2})
-        ind = indicator(factor, FactorClass.UNIVERSAL, "ACCESSIBILITY", default_kb)
-        assert ind.kind is IndicatorKind.UNIVERSAL_WITH_EMPHASIS
-        assert ind.emphasis == ("O", "F")
-        assert ind.text == "Universal (with emphasis: O, F)"
+        text = indicator(factor, FactorClass.UNIVERSAL, "ACCESSIBILITY", default_kb)
+        assert text == "Universal (with emphasis: O, F)"
 
     def test_universal_all_types(self, default_kb):
         factor = make_factor("safety", {"P": 1, "S": 1, "U": 1, "O": 1, "F": 1})
-        ind = indicator(factor, FactorClass.UNIVERSAL, "SAFETY & SECURITY", default_kb)
-        assert ind.kind is IndicatorKind.UNIVERSAL_ALL_TYPES
-        assert ind.text == "Universal – All Space Types"
+        text = indicator(factor, FactorClass.UNIVERSAL, "SAFETY & SECURITY", default_kb)
+        assert text == "Universal – All Space Types"
 
     def test_multi_space_with_compatible_types(self, default_kb):
+        # COMFORT marks U and G compatible: the inactive types grade
+        # Moderate there, S Minimal.
         factor = make_factor("thermal comfort", {"P": 1, "O": 1, "F": 1})
-        ind = indicator(factor, FactorClass.MULTI_SPACE, "COMFORT", default_kb)
-        assert ind.kind is IndicatorKind.MULTI_SPACE
-        assert ind.tiers["P"] is TierLevel.STRONG
-        assert ind.tiers["U"] is TierLevel.MODERATE
-        assert ind.tiers["G"] is TierLevel.MODERATE
-        assert ind.tiers["S"] is TierLevel.MINIMAL
-        assert ind.text == "Strong: P, O, F | Moderate: U, G | Minimal: S"
+        text = indicator(factor, FactorClass.MULTI_SPACE, "COMFORT", default_kb)
+        assert text == "Strong: P, O, F | Moderate: U, G | Minimal: S"
 
     def test_multi_space_compact_form(self, default_kb):
         # No compatible inactive types under this domain, so the string
         # compacts to the active list.
         factor = make_factor("lighting", {"P": 1, "S": 1, "O": 1})
-        ind = indicator(factor, FactorClass.MULTI_SPACE, "SAFETY & SECURITY", default_kb)
-        assert ind.text == "Multi-space: P, S, O"
+        text = indicator(
+            factor, FactorClass.MULTI_SPACE, "SAFETY & SECURITY", default_kb
+        )
+        assert text == "Multi-space: P, S, O"
 
     def test_space_specific(self, default_kb):
         factor = make_factor("water features", {"P": 1})
-        ind = indicator(factor, FactorClass.SPACE_SPECIFIC, "NATURAL ELEMENTS", default_kb)
-        assert ind.kind is IndicatorKind.SPACE_SPECIFIC
-        assert ind.text == "Space-specific: P"
+        text = indicator(
+            factor, FactorClass.SPACE_SPECIFIC, "NATURAL ELEMENTS", default_kb
+        )
+        assert text == "Space-specific: P"
 
     def test_emphasis_iff_repeat_mentions(self, default_kb):
         plain = make_factor("a", {"P": 1, "S": 1, "U": 1, "G": 1, "O": 1, "F": 1})
-        ind = indicator(plain, FactorClass.UNIVERSAL, "COMFORT", default_kb)
-        assert ind.kind is IndicatorKind.UNIVERSAL_ALL_TYPES
+        text = indicator(plain, FactorClass.UNIVERSAL, "COMFORT", default_kb)
+        assert text == "Universal – All Space Types"
         emphasized = make_factor("b", {"P": 2, "S": 1, "U": 1, "G": 1, "O": 1})
-        ind = indicator(emphasized, FactorClass.UNIVERSAL, "COMFORT", default_kb)
-        assert ind.emphasis == ("P",)
+        text = indicator(emphasized, FactorClass.UNIVERSAL, "COMFORT", default_kb)
+        assert text == "Universal (with emphasis: P)"
 
-    def test_kind_independent_of_kb_except_tiers(self, default_kb):
+    def test_only_multi_space_text_reads_the_kb_domain(self, default_kb):
         factor = make_factor("x", {"P": 1, "S": 1, "O": 1})
         comfort = indicator(factor, FactorClass.MULTI_SPACE, "COMFORT", default_kb)
         safety = indicator(factor, FactorClass.MULTI_SPACE, "SAFETY & SECURITY", default_kb)
-        assert comfort.kind is safety.kind is IndicatorKind.MULTI_SPACE
-        assert comfort.tiers != safety.tiers
+        assert comfort == "Strong: P, S, O | Moderate: U, G | Minimal: F"
+        assert safety == "Multi-space: P, S, O"
+        for cls in (FactorClass.UNIVERSAL, FactorClass.SPACE_SPECIFIC):
+            assert indicator(factor, cls, "COMFORT", default_kb) == indicator(
+                factor, cls, "SAFETY & SECURITY", default_kb
+            )
 
 
 class TestAggregation:

@@ -40,7 +40,7 @@ RUN_FILE_SHA256 = {
     "framework.json": "be0f49931097cafc4b12dad74f85c10ada7b66c0a679a85501c371a1ebacfb78",
     "framework.md": "bf3777a2bb6ed524492bdc0dd585622ecb045ef77311e518d321e390bef655bb",
     "framework_document.json": "7a47a53b75bc36d563944ddf459da0365396b53fed12a02182974d509cd75793",
-    "indicators.json": "c260e117962cabec0b2c7c2fb7fdf3b1bf1a1a7fc44f06265046c75a2b154ced",
+    "indicators.json": "0a5e7170371e4f4e3408b5b1014f172ec753ceb71a1b89dc6767e536b030229c",
     "integrated.json": "b4ab12ecda5e766e1cbdfde05685ca79a4909369c3d7c2490ab5bcf203950e07",
     "pairs.csv": "a85de060a3042195a206941d160143ffa2f7b9d9c33183cc8d36a2a5549cc041",
     "placements.json": "bf6e71082d1712cbc40cea00685124ece5d8c34de28516602df2ebd8aab3399d",
@@ -156,6 +156,41 @@ class TestRun:
             written.append({path.name: path.read_bytes() for path in out.iterdir()})
         assert written[0].keys() == RUN_FILE_SHA256.keys()
         assert written[0] == written[1]
+
+    def test_refused_run_leaves_no_earlier_outputs(self, tmp_path, capsys):
+        # lighting is cross-cutting and ECONOMIC is outside its relevant set,
+        # so the second run is refused at place, after cluster has written.
+        text = default_kb_path().read_text(encoding="utf-8")
+        override = "placement_overrides: {lighting: ECONOMIC}"
+        kb = tmp_path / "kb.yaml"
+        kb.write_text(text.replace("placement_overrides: {}", override), encoding="utf-8")
+        flags = ["--emit-pairs", "--sankey", "SAFETY"]
+        assert cli.main(["run", "--config", str(write_config(tmp_path)), *flags]) == 0
+        out = tmp_path / "out"
+        (out / "notes.txt").write_text("not written by run\n", encoding="utf-8")
+        refused = write_config(tmp_path, "refused.yaml", f"kb: {kb}\n")
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(refused), *flags]) == 1
+        assert "outside the factor's relevant set" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "assignments.json",
+            "assignments_report.csv",
+            "classification.json",
+            "classification_report.csv",
+            "integrated.json",
+            "notes.txt",
+            "pairs.csv",
+            "similarity.json",
+        ]
+        checksum = pipeline.load_config(refused).checksum()["config"]
+        for name in ("integrated.json", "similarity.json", "assignments.json"):
+            doc = json.loads((out / name).read_text(encoding="utf-8"))
+            assert doc["config_checksum"] == checksum, name
+        # A file run writes that cannot be deleted is refused in one line.
+        (out / "framework.md").mkdir()
+        assert cli.main(["run", "--config", str(refused), *flags]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("taxoforge run: cannot remove ") and "framework.md" in line
 
     def test_artifacts_are_compact_and_exports_pretty(self, tmp_path):
         config = write_config(tmp_path)
@@ -735,17 +770,24 @@ class TestFlags:
 
     @pytest.mark.parametrize("command", ["run", "emit"])
     def test_subfactors_without_sankey_writes_nothing(self, tmp_path, capsys, command):
+        # Neither is the config read: a filter naming no subfactor, as " , "
+        # does, would write a Sankey file of headers alone.
         config = write_config(tmp_path)
         out = tmp_path / "out"
         if command == "emit":
             assert cli.main(["run", "--config", str(config)]) == 0
         before = {p.name: p.stat().st_mtime_ns for p in out.glob("*")}
-        capsys.readouterr()
-        argv = [command, "--config", str(config), "--subfactors", "nope,zzz"]
-        assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        assert err == f"taxoforge {command}: --subfactors needs --sankey\n"
-        assert {p.name: p.stat().st_mtime_ns for p in out.glob("*")} == before
+        no_sankey = ["--subfactors", "nope,zzz"]
+        empty = ["--sankey", "SAFETY", "--subfactors", " , "]
+        for flags, message in (
+            (no_sankey, "--subfactors needs --sankey"),
+            (empty, "--subfactors names no subfactor"),
+        ):
+            capsys.readouterr()
+            argv = [command, "--config", str(tmp_path / "absent.yaml"), *flags]
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == f"taxoforge {command}: {message}\n"
+            assert {p.name: p.stat().st_mtime_ns for p in out.glob("*")} == before
 
 
 class TestReports:

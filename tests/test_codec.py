@@ -11,15 +11,12 @@ from typing import Mapping
 import pytest
 
 from taxoforge import codec, pipeline
-from taxoforge.applicability import IndicatorKind, TierLevel
-from taxoforge.classify import CrossCuttingStatus, FactorClass
 from taxoforge.cluster import CategoryAssignment, CategoryHome
 from taxoforge.errors import ArtifactError
-from taxoforge.placement import PlacementTier
 from tests.conftest import FIXTURES
 
 # Phases whose artifacts the codec writes, and those a later phase reads.
-CODEC_PHASES = ("integrate", "classify", "cluster", "place", "indicate")
+CODEC_PHASES = ("integrate", "classify", "cluster", "place")
 READ_PHASES = ("integrate", "similarity", "classify", "cluster", "place")
 
 
@@ -260,18 +257,9 @@ def _mutations(value):
     return [None, "7", -1] + ([value == 1] if value in (0, 1) else [])
 
 
-ENUMS = {
-    "factor_class": FactorClass,
-    "status": CrossCuttingStatus,
-    "tier": PlacementTier,
-    "kind": IndicatorKind,
-    "tiers": TierLevel,
-}
-
-
 def _same_kind(leaf, value, kb):
-    """Other values of the leaf's own kind: the other bool, every other enum
-    member, another KB id, another in-range number, another string."""
+    """Other values of the leaf's own kind: the other bool, another KB id,
+    another in-range number, another string."""
     if isinstance(value, bool):
         return [not value]
     if isinstance(value, (int, float)):
@@ -280,10 +268,7 @@ def _same_kind(leaf, value, kb):
         return [value / 2 if value else 0.5]
     if not isinstance(value, str):
         return []
-    parent, key = [None, *(key for key in leaf if isinstance(key, str))][-2:]
-    enum = ENUMS.get("tiers" if parent == "tiers" else key)
-    if enum is not None and value in {member.value for member in enum}:
-        return [member.value for member in enum if member.value != value]
+    key = [key for key in leaf if isinstance(key, str)][-1]
     for domain in kb.domains:
         subs = domain.subcategory_ids()
         if "subcategory" in key and value in subs:
