@@ -18,9 +18,8 @@ The per-keyword reference each row must equal lives in ``tests/conftest.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import TaxoforgeError
 from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
@@ -44,8 +43,7 @@ def entropy(vector: OccurrenceVector) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class DistributionStats:
+class DistributionStats(NamedTuple):
     active_type_count: int
     entropy_nats: float
 
@@ -88,8 +86,7 @@ class CrossCuttingStatus(Enum):
         return cls.VERY_HIGH
 
 
-@dataclass(frozen=True)
-class CrossCuttingAssessment:
+class CrossCuttingAssessment(NamedTuple):
     relevant_domains: tuple[str, ...]
     score: int
     status: CrossCuttingStatus
@@ -144,8 +141,7 @@ def assess_cross_cutting(
     )
 
 
-@dataclass(frozen=True)
-class FactorRelevance:
+class FactorRelevance(NamedTuple):
     """What the classify artifact keeps of a result: the relevance row, and
     the primary domain and flag that reading rebuilds from it and compares."""
 
@@ -155,8 +151,13 @@ class FactorRelevance:
     relevance: tuple[float, ...]  # per KB domain, in KB order
 
 
-@dataclass(frozen=True)
-class ClassificationResult(FactorRelevance):
+class ClassificationResult(NamedTuple):
+    """All classify says of a factor; ``FactorRelevance``'s fields lead."""
+
+    name: str
+    primary_domain: str | None
+    flagged: bool  # cross_cutting.flagged
+    relevance: tuple[float, ...]  # per KB domain, in KB order
     stats: DistributionStats
     factor_class: FactorClass
     cross_cutting: CrossCuttingAssessment

@@ -24,9 +24,8 @@ lists, which each call of ``assign_categories`` builds once per category.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .classify import ClassificationResult, FactorClass
 from .integrate import IntegratedFactorSet
@@ -78,8 +77,7 @@ def related_factors(
     return hits
 
 
-@dataclass(frozen=True)
-class CategoryHome:
+class CategoryHome(NamedTuple):
     """What the cluster artifact keeps of an assignment."""
 
     factor: str
@@ -87,8 +85,7 @@ class CategoryHome:
     subcategory: str
 
 
-@dataclass(frozen=True)
-class ChannelRow:
+class ChannelRow(NamedTuple):
     """One factor's channel scores against every domain, in KB order, and
     their blend ``final``."""
 
@@ -98,8 +95,12 @@ class ChannelRow:
     final: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class CategoryAssignment(CategoryHome):
+class CategoryAssignment(NamedTuple):
+    """A home with its channel scores; ``CategoryHome``'s fields lead."""
+
+    factor: str
+    category: str
+    subcategory: str
     scores: ChannelRow
 
 

@@ -1,20 +1,21 @@
 """One reader and one writer for the phase artifacts, derived from the field
 annotations of the phase results: str, int, float, bool, ``X | None``,
 ``tuple[X, ...]``, ``list[X]``, ``frozenset[X]``, ``Mapping[str, X]`` and
-dataclasses of these. The writer works like ``dataclasses.asdict``, except
-that a field whose type is a dataclass is inlined into its parent object
-(one inside a tuple or mapping stays an object); frozensets are written as
-sorted lists; an instance of a subclass is written with the fields of the
-named dataclass only. The reader refuses the first
-wrong leaf by its path, as in ``data.placements[3].composite: expected a
-number, got None``, ignores keys that are not fields, gives an absent key
-its field's default where it has one, and takes only text as a mapping
-key. A number is never text, a boolean, NaN, infinite or a whole number
-beyond the float range. It builds the dataclasses, so each
-``__post_init__`` check runs; one that fails is refused at its object's
-path. Both are compiled once per annotation. The KB, lexicon, rules and
-config files, read by ``read_yaml``, are decoded by the same reader;
-``read_yaml`` parses with libyaml when PyYAML was built with it."""
+records of these, dataclasses or ``NamedTuple``s alike. The writer works
+like ``dataclasses.asdict``, except that a field whose type is a record is
+inlined into its parent object (one inside a tuple or mapping stays an
+object); frozensets are written as sorted lists; an entry of another record
+type is written with the named type's fields only, read by name. The reader
+refuses the first wrong leaf by its path, as in
+``data.placements[3].composite: expected a number, got None``, ignores keys
+that are not fields, gives an absent key its field's default where it has
+one, and takes only text as a mapping key. A number is never text, a
+boolean, NaN, infinite or a whole number beyond the float range. It builds
+the records, so each dataclass's ``__post_init__`` check runs; one that
+fails is refused at its object's path. Both are compiled once per
+annotation. The KB, lexicon, rules and config files, read by ``read_yaml``,
+are decoded by the same reader; ``read_yaml`` parses with libyaml when
+PyYAML was built with it."""
 
 from __future__ import annotations
 
@@ -145,8 +146,8 @@ def _codec(kind: object):
             raise _refuse("a finite number", value)
 
         return read_finite if kind is float else read_leaf, None
-    if dataclasses.is_dataclass(kind):
-        return _dataclass_codec(kind)
+    if _is_record(kind):
+        return _record_codec(kind)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin in (types.UnionType, typing.Union):  # X | None, Optional[X]
         (inner,) = set(args) - {type(None)}
@@ -195,13 +196,20 @@ def _codec(kind: object):
     raise TypeError(f"no artifact codec for {kind}")
 
 
-def _dataclass_codec(kind: type):
+def _is_record(kind: object) -> bool:
+    """Whether ``kind`` is a dataclass or a ``NamedTuple`` class."""
+    return dataclasses.is_dataclass(kind) or hasattr(kind, "_field_defaults")
+
+
+def _record_codec(kind: type):
     hints, missing = typing.get_type_hints(kind), dataclasses.MISSING
-    plan = [
-        (f.name, *_codec(hints[f.name]), dataclasses.is_dataclass(hints[f.name]))
-        for f in dataclasses.fields(kind)
-    ]
-    required = {f.name for f in dataclasses.fields(kind) if f.default is missing}
+    if dataclasses.is_dataclass(kind):
+        names = [f.name for f in dataclasses.fields(kind)]
+        required = {f.name for f in dataclasses.fields(kind) if f.default is missing}
+    else:
+        names = list(kind._fields)
+        required = set(names) - set(kind._field_defaults)
+    plan = [(name, *_codec(hints[name]), _is_record(hints[name])) for name in names]
 
     def read(value):
         if type(value) is not dict:

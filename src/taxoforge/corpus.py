@@ -57,8 +57,7 @@ class Spelling(NamedTuple):
     tallies: dict[str, list]
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """Dataset rows folded per raw spelling: one record per spelling of each
     loaded file, in the order of their first rows. ``sources`` splits the
     records into runs, each with the dataset file it was loaded from."""
@@ -155,15 +154,13 @@ def normalize(raw: str, rules: NormalizationRuleSet) -> str:
     return rules.synonym_map.get(text, text)
 
 
-@dataclass(frozen=True)
-class RuleOptions:
+class RuleOptions(NamedTuple):
     case_folding: bool = NormalizationRuleSet.case_folding
     whitespace_collapse: bool = NormalizationRuleSet.whitespace_collapse
     punctuation_strip: str = NormalizationRuleSet.punctuation_strip
 
 
-@dataclass(frozen=True)
-class RulesFile:
+class RulesFile(NamedTuple):
     """The rules file as written; ``load_rules`` reads it."""
 
     options: RuleOptions | None = None
@@ -182,7 +179,7 @@ def load_rules(path: str | Path) -> NormalizationRuleSet:
     path = Path(path)
     doc = read_yaml(path, "rules", RuleSetError)
     written = decode(RulesFile, doc, f"rules file {path}: ", RuleSetError)
-    base = NormalizationRuleSet(**vars(written.options or RuleOptions()))
+    base = NormalizationRuleSet(**(written.options or RuleOptions())._asdict())
     synonyms: dict[str, str] = {}
     for key, value in (written.synonyms or {}).items():
         nkey = base.base_normalize(key)

@@ -19,12 +19,11 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence, TextIO
 
 from .classify import ClassificationResult
-from .cluster import CategoryAssignment
 from .corpus import SPACE_TYPES, SPACE_TYPE_NAMES
 from .errors import ArtifactError, TaxoforgeError
 from .integrate import IntegratedFactorSet, reduction_rate, tracking_notation
 from .knowledge import DomainKnowledgeBase
-from .placement import PlacementResult, PlacementTier, primary_homes
+from .placement import PlacementResult, PlacementTier
 
 SCHEMA_VERSION = 1
 
@@ -81,18 +80,19 @@ def primary_locations(framework: dict) -> dict[str, list[tuple[str, str]]]:
 def build_framework(
     factor_set: IntegratedFactorSet,
     classifications: Sequence[ClassificationResult],
-    assignments: Sequence[CategoryAssignment],
+    homes: Mapping[str, tuple[str, str]],
     placement_result: PlacementResult,
     indicators: Sequence[str],
     kb: DomainKnowledgeBase,
     config_checksums: Mapping[str, str] | None = None,
 ) -> dict:
     """Assemble the three-tier framework from the phase outputs, as the
-    framework document; ``indicators`` holds each factor's indicator text,
-    in factor order."""
+    framework document; ``homes`` maps each factor to the (category,
+    subcategory) of its primary home, as ``placement.primary_homes`` gives
+    it, and ``indicators`` holds each factor's indicator text, in factor
+    order."""
     if not factor_set.factors:
         raise TaxoforgeError("cannot build a framework from an empty factor set")
-    homes = primary_homes(assignments, placement_result)
     class_by_name = {c.name: c for c in classifications}
 
     placements_by_name: dict[str, list] = {}

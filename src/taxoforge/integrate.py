@@ -10,7 +10,7 @@ First-seen order is preserved so downstream outputs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .corpus import SPACE_TYPES, Corpus, NormalizationRuleSet, normalize
 from .errors import CorpusError, TaxoforgeError
@@ -43,8 +43,7 @@ class OccurrenceVector:
         )
 
 
-@dataclass(frozen=True)
-class IntegratedFactor:
+class IntegratedFactor(NamedTuple):
     """A deduplicated factor with its occurrence vector and study sets."""
 
     canonical_name: str
@@ -59,8 +58,7 @@ class IntegratedFactor:
         return frozenset(merged)
 
 
-@dataclass(frozen=True)
-class IntegratedFactorSet:
+class IntegratedFactorSet(NamedTuple):
     """Ordered factors plus the raw record count they were folded from."""
 
     factors: tuple[IntegratedFactor, ...]

@@ -9,11 +9,12 @@ space research, and users supply richer files to grow the hierarchy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .codec import decode, read_yaml
 from .corpus import SPACE_TYPES, NormalizationRuleSet, normalize
@@ -26,14 +27,12 @@ class DomainScope(Enum):
     SPECIALIZED = "specialized"
 
 
-@dataclass(frozen=True)
-class Subcategory:
+class Subcategory(NamedTuple):
     identifier: str
     keywords: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     identifier: str
     scope: DomainScope
     keywords: tuple[str, ...]
@@ -72,11 +71,10 @@ class ScopePriors:
                 )
 
 
-@dataclass(frozen=True)
-class DomainKnowledgeBase:
+class DomainKnowledgeBase(NamedTuple):
     domains: tuple[Domain, ...]
     scope_priors: ScopePriors = ScopePriors()
-    placement_overrides: Mapping[str, str] = field(default_factory=dict)
+    placement_overrides: Mapping[str, str] = MappingProxyType({})
 
     def domain_ids(self) -> tuple[str, ...]:
         return tuple(domain.identifier for domain in self.domains)
@@ -108,8 +106,7 @@ class SubcategoryEntry:
                 )
 
 
-@dataclass(frozen=True)
-class LiteratureEntry:
+class LiteratureEntry(NamedTuple):
     strong: frozenset[str] | None = None
     none: frozenset[str] | None = None
 
@@ -229,8 +226,8 @@ def canonical_names(
         field = f"domains[{i}].literature_support"
         strong = frozenset(canonical(domain.literature_strong, field))
         none = frozenset(canonical(domain.literature_none, field))
-        domains.append(replace(domain, literature_strong=strong, literature_none=none))
-    return replace(kb, domains=tuple(domains), placement_overrides=overrides)
+        domains.append(domain._replace(literature_strong=strong, literature_none=none))
+    return kb._replace(domains=tuple(domains), placement_overrides=overrides)
 
 
 def default_kb_path() -> Path:

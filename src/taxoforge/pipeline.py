@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from . import __version__, codec
 from . import applicability, classify, cluster, emit, integrate, placement, similarity
@@ -119,8 +119,7 @@ def _file_digest(path: Path, label: str) -> str:
         raise ConfigError(f"cannot read {label} file {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ConfigFile:
+class ConfigFile(NamedTuple):
     """The config file as written but for ``datasets``, a list of paths or a
     mapping of typology codes to paths, which ``_config`` reads."""
 
@@ -140,7 +139,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     doc = codec.read_yaml(path, "config", ConfigError)
     # A misspelled key would otherwise leave its setting at the default.
-    if unknown := set(doc) - {f.name for f in fields(ConfigFile)} - {"datasets"}:
+    if unknown := set(doc) - set(ConfigFile._fields) - {"datasets"}:
         raise ConfigError(f"config file {path}: {min(map(str, unknown))}: unknown key")
     file = codec.decode(ConfigFile, doc, f"config file {path}: ", ConfigError)
     try:
@@ -241,8 +240,9 @@ def apply_overrides(
 
 # phase -> (artifact file, key of ``data`` holding the result or None when
 # ``data`` is the result, the type written); the codec derives ``data`` from
-# the type. For classify, cluster and place that is the base class of the
-# result's entries: what the artifact keeps of each. similarity.json keeps
+# the type. For classify, cluster and place that is a record type whose
+# fields the result's entries also have, by the same names: what the artifact
+# keeps of each, which the codec reads off each entry. similarity.json keeps
 # its own codec for the compact edge list. indicators.json is a report no
 # phase reads, written without the codec: per factor its name, coverage and
 # indicator text, then the subcategory and category profiles; everything
@@ -304,6 +304,11 @@ class RunState:
     def rules(self) -> NormalizationRuleSet:
         return load_rules(self.config.rules_path)
 
+    @cached_property
+    def homes(self) -> dict[str, tuple[str, str]]:
+        """Each factor's primary home, read by the indicators and framework."""
+        return placement.primary_homes(self.get("cluster"), self.get("place"))
+
     def envelope(self, phase: str) -> dict:
         """What reading a phase's data checks: the format, phase and config."""
         return {
@@ -336,8 +341,7 @@ class RunState:
         leaf. A misfit is an ``ArtifactError`` naming the file and the leaf's
         path. The indicators are built from the upstream results alone."""
         if phase == "indicate" and phase not in self.results:
-            homes = placement.primary_homes(self.get("cluster"), self.get("place"))
-            self.results[phase] = _indicators(self, homes)
+            self.results[phase] = _indicators(self)
         if phase not in self.results:
             name, key, kind = ARTIFACTS[phase]
             path = self.config.out_dir / name
@@ -507,8 +511,8 @@ def _placed(state: RunState, decoded) -> tuple[placement.PlacementResult, dict]:
     return result, artifact_data("place", result.placements)
 
 
-def _indicators(state: RunState, homes: Mapping[str, tuple[str, str]]) -> list[str]:
-    domains = {name: home[0] for name, home in homes.items()}
+def _indicators(state: RunState) -> list[str]:
+    domains = {name: home[0] for name, home in state.homes.items()}
     return applicability.indicators_for(
         state.get("integrate").factors, state.get("classify"), domains, state.kb
     )
@@ -715,8 +719,8 @@ def phase_indicate(config: PipelineConfig, state: RunState | None = None) -> Pat
     factors homed there."""
     state = state or RunState(config)
     factor_set, kb = state.get("integrate"), state.kb
-    homes = placement.primary_homes(state.get("cluster"), state.get("place"))
-    texts = _indicators(state, homes)
+    homes = state.homes
+    texts = _indicators(state)
     vectors: dict[tuple[str, str], list] = {}
     for factor in factor_set.factors:
         vectors.setdefault(homes[factor.canonical_name], []).append(factor.occurrence)
@@ -771,7 +775,7 @@ def phase_emit(
     framework = emit.build_framework(
         factor_set,
         state.get("classify"),
-        state.get("cluster"),
+        state.homes,
         state.get("place"),
         state.get("indicate"),
         state.kb,
@@ -799,19 +803,15 @@ def _sankey_path(out: Path, category_id: str) -> Path:
     return out / f"sankey_{slug}.csv"
 
 
-def _remove_stale(
-    config: PipelineConfig, emit_pairs: bool, sankey_category: str | None
-) -> None:
-    """Delete every file after integrated.json that ``run`` writes: the
-    artifacts, reports and exports, pairs.csv and the Sankey file when asked
-    for. Any other file in the output directory stays."""
+def _remove_stale(config: PipelineConfig) -> None:
+    """Delete every file after integrated.json that ``run`` can write: the
+    artifacts, reports and exports, pairs.csv and every Sankey file, asked
+    for or not, so that none is left from an earlier run with other
+    settings. Any other file in the output directory stays."""
     out = config.out_dir
     names = [name for phase, (name, _, _) in ARTIFACTS.items() if phase != "integrate"]
     paths = [out / name for name in [*names, *REPORTS.values(), *emit.EXPORTS]]
-    if emit_pairs:
-        paths.append(out / "pairs.csv")
-    if sankey_category is not None:
-        paths.append(_sankey_path(out, sankey_category))
+    paths += [out / "pairs.csv", *out.glob("sankey_*.csv")]
     for path in paths:
         try:
             path.unlink(missing_ok=True)
@@ -828,7 +828,7 @@ def run(
     """Execute all phases in order on one state; returns the process exit
     status. The Sankey category is resolved against the KB before any phase
     runs and its filter checked right after integrate. Once integrated.json
-    is written, every other file the run writes is deleted, so a run refused
+    is written, every other file a run can write is deleted, so a run refused
     at a later phase leaves none of an earlier run's files beside its own;
     one refused before that write leaves the earlier files as they were."""
     state = RunState(config)
@@ -836,7 +836,7 @@ def run(
         domain_ids = state.kb.domain_ids()
         sankey_category = emit.resolve_identifier(domain_ids, sankey_category)
     phase_integrate(config, state=state)
-    _remove_stale(config, emit_pairs, sankey_category)
+    _remove_stale(config)
     if sankey_category is not None:
         emit.check_subfactors(state.get("integrate").names, sankey_subfactors)
     phase_similarity(config, emit_pairs=emit_pairs, state=state)

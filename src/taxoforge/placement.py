@@ -10,9 +10,8 @@ placements receive cross-reference entries pointing back to the primary home.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .classify import ClassificationResult
 from .cluster import (
@@ -39,8 +38,7 @@ class PlacementTier(Enum):
     TERTIARY = "tertiary"
 
 
-@dataclass(frozen=True)
-class CompositeScore:
+class CompositeScore(NamedTuple):
     semantic_relevance: float
     functional_importance: float
     theoretical_justification: float
@@ -57,8 +55,7 @@ class CompositeScore:
         return fold_sum(w * p for w, p in zip(COMPOSITE_WEIGHTS, parts))
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """What the place artifact keeps of a placement, in ranked order; reading
     it rebuilds the tiers, cross-references and argmax flags with ``arrange``."""
 
@@ -68,13 +65,17 @@ class Placement:
     composite: float
 
 
-@dataclass(frozen=True)
-class StrategicPlacement(Placement):
+class StrategicPlacement(NamedTuple):
+    """A placement with its tier; ``Placement``'s fields lead."""
+
+    factor: str
+    domain: str
+    subcategory: str
+    composite: float
     tier: PlacementTier
 
 
-@dataclass(frozen=True)
-class CrossReference:
+class CrossReference(NamedTuple):
     factor: str
     from_domain: str
     from_subcategory: str
@@ -166,8 +167,7 @@ def place(
     return placements
 
 
-@dataclass(frozen=True)
-class PlacementResult:
+class PlacementResult(NamedTuple):
     placements: tuple[StrategicPlacement, ...]
     cross_references: tuple[CrossReference, ...]
     argmax_flags: Mapping[str, bool]

@@ -138,8 +138,7 @@ BELOW_ONE = math.nextafter(1.0, 0.0)
 GRAM_NORM_LIMIT = 2**25
 
 
-@dataclass(frozen=True)
-class NameFeatures:
+class NameFeatures(NamedTuple):
     """What linguistic similarity reads of one name."""
 
     tokens: frozenset[str]
@@ -688,8 +687,7 @@ def all_pair_scores(
             yield i, j, score
 
 
-@dataclass(frozen=True)
-class BandCensus:
+class BandCensus(NamedTuple):
     high: int
     moderate: int
     low: int

@@ -323,20 +323,20 @@ def build_pipeline_outputs(factor_set, kb, lexicon, matrix=None):
     homes = primary_homes(assignments, placements)
     domains = {name: home[0] for name, home in homes.items()}
     indicators = indicators_for(factor_set.factors, classifications, domains, kb)
-    return classifications, assignments, placements, indicators
+    return classifications, homes, placements, indicators
 
 
 @pytest.fixture(scope="session")
 def sample_framework(sample_factors, sample_matrix, default_kb, default_lexicon):
     from taxoforge.emit import build_framework, validate
 
-    classifications, assignments, placements, indicators = build_pipeline_outputs(
+    classifications, homes, placements, indicators = build_pipeline_outputs(
         sample_factors, default_kb, default_lexicon, sample_matrix
     )
     framework = build_framework(
         sample_factors,
         classifications,
-        assignments,
+        homes,
         placements,
         indicators,
         default_kb,

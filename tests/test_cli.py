@@ -192,6 +192,20 @@ class TestRun:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("taxoforge run: cannot remove ") and "framework.md" in line
 
+    def test_plain_run_leaves_no_earlier_pairs_or_sankey_file(self, tmp_path):
+        # Neither file carries a checksum, so one left by an earlier run with
+        # other settings could not be told from this run's outputs.
+        config = write_config(tmp_path)
+        flags = ["--emit-pairs", "--sankey", "SAFETY"]
+        assert cli.main(["run", "--config", str(config), *flags]) == 0
+        out = tmp_path / "out"
+        (out / "notes.txt").write_text("not written by run\n", encoding="utf-8")
+        assert cli.main(["run", "--config", str(config), "--weights", "1,0,0"]) == 0
+        asked_for = {"pairs.csv", "sankey_safety_and_security.csv"}
+        assert {p.name for p in out.iterdir()} == (
+            RUN_FILE_SHA256.keys() - asked_for | {"notes.txt"}
+        )
+
     def test_artifacts_are_compact_and_exports_pretty(self, tmp_path):
         config = write_config(tmp_path)
         assert cli.main(["run", "--config", str(config)]) == 0
@@ -319,6 +333,29 @@ class TestRun:
         assert pipeline.phase_emit(config) == 0
         assert len(calls) == 1
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
+
+    def test_primary_homes_computed_once_per_run_and_emit(self, tmp_path, monkeypatch):
+        # The indicators and the framework both read each factor's home.
+        # Every module's binding of the function is counted.
+        calls = []
+        original = pipeline.placement.primary_homes
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("taxoforge."):
+                if getattr(module, "primary_homes", None) is original:
+                    monkeypatch.setattr(module, "primary_homes", counting)
+        config = pipeline.apply_overrides(
+            pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
+        )
+        assert pipeline.run(config) == 0
+        assert len(calls) == 1
+        calls.clear()
+        assert pipeline.phase_emit(config) == 0
+        assert len(calls) == 1
 
 
 class TestPhaseChaining:

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import json
 import typing
-from dataclasses import dataclass, fields
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import pytest
 
 from taxoforge import codec, pipeline
-from taxoforge.cluster import CategoryAssignment, CategoryHome
+from taxoforge.cluster import CategoryAssignment
 from taxoforge.errors import ArtifactError
 from tests.conftest import FIXTURES
 
@@ -27,10 +27,13 @@ class Channels:
     distribution: float
 
 
-@dataclass(frozen=True)
-class ScoredHome(CategoryHome):
-    """A home with a mapping of dataclasses, as assignments once carried."""
+class ScoredHome(NamedTuple):
+    """A home with a mapping of dataclasses, as assignments once carried: a
+    ``NamedTuple`` whose fields hold dataclasses, so one decode reads both."""
 
+    factor: str
+    category: str
+    subcategory: str
     scores: Mapping[str, Channels]
 
 
@@ -60,9 +63,9 @@ def test_artifact_round_trip(fixture_run, phase):
         data = data[key]
     decoded = codec.decode(kind, data, "data")
     if phase in ("classify", "cluster", "place"):
-        # The artifact keeps the fields of the entries' base class only.
+        # The artifact keeps the fields of the named record type only.
         (entry,) = typing.get_args(kind)
-        names = [f.name for f in fields(entry)]
+        names = entry._fields
         result = [entry(**{n: getattr(r, n) for n in names}) for r in result]
     assert decoded == result
     assert codec.encode(kind, decoded) == data

@@ -80,7 +80,7 @@ class TestBuildFramework:
 
         empty = IntegratedFactorSet(factors=(), raw_record_count=0)
         with pytest.raises(TaxoforgeError):
-            build_framework(empty, [], [], None, [], default_kb)
+            build_framework(empty, [], {}, None, [], default_kb)
 
 
 def delete_factor(framework: dict, name: str) -> dict:

@@ -17,7 +17,6 @@ import re
 import string
 import tempfile
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -518,8 +517,7 @@ def check_channel_rows(domains, priors, factors, edges, threshold) -> None:
         sum(sum(counts) for counts, _, _ in factors),
     )
     classifications = [
-        replace(
-            classify_factor(factor, relevance, kb),
+        classify_factor(factor, relevance, kb)._replace(
             primary_domain=None if primary is None else ids[primary],
         )
         for factor, (_, relevance, primary) in zip(factor_set.factors, factors)
@@ -589,7 +587,7 @@ def run_mini_pipeline(factor_set: IntegratedFactorSet):
     domains = {name: home[0] for name, home in homes.items()}
     indicators = indicators_for(factor_set.factors, classifications, domains, TINY_KB)
     return build_framework(
-        factor_set, classifications, assignments, placements, indicators, TINY_KB
+        factor_set, classifications, homes, placements, indicators, TINY_KB
     )
 
 
@@ -994,7 +992,7 @@ def test_composite_and_space_fits_are_left_folds(parts, profile, vector):
     # Compensated float sum() (Python 3.12+) would move their last bits.
     weighted = zip(COMPOSITE_WEIGHTS, parts)
     assert CompositeScore(*parts).composite == left_fold(w * p for w, p in weighted)
-    domain = replace(TINY_KB.domains[0], space_profile=profile)
+    domain = TINY_KB.domains[0]._replace(space_profile=profile)
     factor = IntegratedFactor("alpha", vector, {})
     factor_set = IntegratedFactorSet(factors=(factor,), raw_record_count=vector.total)
     fits = space_fits(factor_set, DomainKnowledgeBase(domains=(domain,)))

@@ -3,7 +3,8 @@
 A definition that only tests reach is surface to keep working without
 serving a run, so it is deleted and its tests moved onto the path the
 program takes. A use is a name or attribute node in the package's code;
-a docstring or comment that mentions the name is not one.
+a docstring or comment that mentions the name is not one. The classes
+still declared as dataclasses are listed, each with its reason.
 """
 
 from __future__ import annotations
@@ -22,6 +23,37 @@ ALLOWED = {
     # it, and matrix_from_dict follows its order of operations.
     "similarity.combine": "the reference blend the tests compare against",
 }
+
+
+# Each class in the package declared with ``@dataclass`` -> why it is not a
+# ``typing.NamedTuple``, which is cheaper to define at import and to create:
+# a ``__post_init__`` check that refuses a malformed value, or a
+# ``cached_property``, which needs an instance ``__dict__``.
+POST_INIT, CACHED = "a __post_init__ check", "a cached_property"
+DATACLASSES = {
+    "integrate.OccurrenceVector": POST_INIT,
+    "knowledge.ScopePriors": POST_INIT,
+    "knowledge.SubcategoryEntry": POST_INIT,
+    "knowledge.DomainEntry": POST_INIT,
+    "knowledge.KbFile": POST_INIT,
+    "pipeline.Thresholds": POST_INIT,
+    # Also perfbench/worker.py calls dataclasses.replace on it.
+    "pipeline.PipelineConfig": POST_INIT,
+    "similarity.LexiconFile": POST_INIT,
+    "similarity.SimilarityWeights": POST_INIT,
+    "corpus.NormalizationRuleSet": CACHED,
+    "similarity.SemanticLexicon": CACHED,
+    "similarity.SimilarityMatrix": CACHED,
+}
+
+
+def _name(node: ast.expr) -> str | None:
+    """The name a decorator calls or is, as ``dataclass`` for
+    ``@dataclasses.dataclass(frozen=True)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
 
 
 def definitions_and_uses() -> tuple[dict[str, str], set[str]]:
@@ -56,3 +88,21 @@ def test_allowed_names_are_still_defined_and_unused():
     for key in ALLOWED:
         assert key in defined, key
         assert defined[key] not in used, key
+
+
+def test_dataclasses_are_the_allowed_ones_for_their_reasons():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and "dataclass" in map(
+                _name, node.decorator_list
+            ):
+                found[f"{path.stem}.{node.name}"] = node
+    assert sorted(found) == sorted(DATACLASSES)
+    for key, reason in DATACLASSES.items():
+        methods = [n for n in found[key].body if isinstance(n, ast.FunctionDef)]
+        if reason == POST_INIT:
+            assert "__post_init__" in [m.name for m in methods], key
+        else:
+            decorators = [_name(d) for m in methods for d in m.decorator_list]
+            assert "cached_property" in decorators, key
