@@ -1,25 +1,24 @@
 """One reader and one writer for the phase artifacts, derived from the field
 annotations of the phase results: str, int, float, bool, ``X | None``,
 ``tuple[X, ...]``, ``list[X]``, ``frozenset[X]``, ``Mapping[str, X]`` and
-records of these, dataclasses or ``NamedTuple``s alike. The writer works
-like ``dataclasses.asdict``, except that a field whose type is a record is
-inlined into its parent object (one inside a tuple or mapping stays an
-object); frozensets are written as sorted lists; an entry of another record
-type is written with the named type's fields only, read by name. The reader
-refuses the first wrong leaf by its path, as in
+``NamedTuple`` records of these. The writer works like ``_asdict`` applied
+all the way down, except that a field whose type is a record is inlined into
+its parent object (one inside a tuple or mapping stays an object); frozensets
+are written as sorted lists; an entry of another record type is written with
+the named type's fields only, read by name. The reader refuses the first
+wrong leaf by its path, as in
 ``data.placements[3].composite: expected a number, got None``, ignores keys
 that are not fields, gives an absent key its field's default where it has
 one, and takes only text as a mapping key. A number is never text, a
 boolean, NaN, infinite or a whole number beyond the float range. It builds
-the records, so each dataclass's ``__post_init__`` check runs; one that
-fails is refused at its object's path. Both are compiled once per
-annotation. The KB, lexicon, rules and config files, read by ``read_yaml``,
-are decoded by the same reader; ``read_yaml`` parses with libyaml when
-PyYAML was built with it."""
+each record through its class, so a check in the class's ``__new__`` runs;
+one that fails is refused at its object's path. Every empty frozenset it
+reads is ``EMPTY``. Both are compiled once per annotation. The KB, lexicon,
+rules and config files, read by ``read_yaml``, are decoded by the same
+reader; ``read_yaml`` parses with libyaml when PyYAML was built with it."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import types
 import typing
@@ -34,6 +33,10 @@ from .errors import ArtifactError, TaxoforgeError
 # libyaml's parser builds the same documents as the pure-Python one, about
 # eight times faster on a large KB.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# The one empty frozenset: most per-typology study sets and most names'
+# lexicon fields are empty, and ``frozenset()`` allocates a new one each call.
+EMPTY: frozenset = frozenset()
 
 # leaf type -> (JSON types it accepts, what a refusal says it expected)
 _LEAVES = {
@@ -158,6 +161,7 @@ def _codec(kind: object):
         )
     if origin in (tuple, list, frozenset):
         read, write = _codec(args[0])
+        build = _frozenset if origin is frozenset else origin
 
         def read_list(value):
             if type(value) is not list:
@@ -169,7 +173,7 @@ def _codec(kind: object):
             except _Refused as exc:
                 exc.path.append(f"[{len(out)}]")
                 raise
-            return origin(out)
+            return build(out)
 
         collect = sorted if origin is frozenset else list
         return read_list, collect if write is None else lambda v: collect(map(write, v))
@@ -196,19 +200,18 @@ def _codec(kind: object):
     raise TypeError(f"no artifact codec for {kind}")
 
 
+def _frozenset(items: list) -> frozenset:
+    return frozenset(items) if items else EMPTY
+
+
 def _is_record(kind: object) -> bool:
-    """Whether ``kind`` is a dataclass or a ``NamedTuple`` class."""
-    return dataclasses.is_dataclass(kind) or hasattr(kind, "_field_defaults")
+    """Whether ``kind`` is a ``NamedTuple`` class."""
+    return hasattr(kind, "_field_defaults")
 
 
 def _record_codec(kind: type):
-    hints, missing = typing.get_type_hints(kind), dataclasses.MISSING
-    if dataclasses.is_dataclass(kind):
-        names = [f.name for f in dataclasses.fields(kind)]
-        required = {f.name for f in dataclasses.fields(kind) if f.default is missing}
-    else:
-        names = list(kind._fields)
-        required = set(names) - set(kind._field_defaults)
+    hints, missing = typing.get_type_hints(kind), object()  # an absent key
+    names, required = kind._fields, set(kind._fields) - set(kind._field_defaults)
     plan = [(name, *_codec(hints[name]), _is_record(hints[name])) for name in names]
 
     def read(value):

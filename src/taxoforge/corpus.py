@@ -18,10 +18,10 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .codec import decode, read_yaml
@@ -79,20 +79,23 @@ class Corpus(NamedTuple):
         return f"{path}: row {line}"
 
 
-@dataclass(frozen=True)
-class NormalizationRuleSet:
+class _NormalizationRuleSet(NamedTuple):
+    case_folding: bool = True
+    whitespace_collapse: bool = True
+    punctuation_strip: str = DEFAULT_PUNCTUATION
+    synonym_map: Mapping[str, str] = MappingProxyType({})
+    preserve_distinct: frozenset[str] = frozenset()
+
+
+class NormalizationRuleSet(_NormalizationRuleSet):
     """Declarative normalization rules applied to raw factor names.
 
     Synonym values must already be canonical (fixed points of the rule set),
     and the map resolves in a single step: applying it twice equals applying
-    it once. Entries in preserve_distinct are never rewritten.
+    it once. Entries in preserve_distinct are never rewritten. Without
+    ``__slots__`` each rule set has a ``__dict__``, which holds its cached
+    punctuation table.
     """
-
-    case_folding: bool = True
-    whitespace_collapse: bool = True
-    punctuation_strip: str = DEFAULT_PUNCTUATION
-    synonym_map: Mapping[str, str] = field(default_factory=dict)
-    preserve_distinct: frozenset[str] = frozenset()
 
     @cached_property
     def _punctuation_table(self) -> dict[int, str]:
@@ -154,10 +157,13 @@ def normalize(raw: str, rules: NormalizationRuleSet) -> str:
     return rules.synonym_map.get(text, text)
 
 
+_RULE_DEFAULTS = NormalizationRuleSet._field_defaults
+
+
 class RuleOptions(NamedTuple):
-    case_folding: bool = NormalizationRuleSet.case_folding
-    whitespace_collapse: bool = NormalizationRuleSet.whitespace_collapse
-    punctuation_strip: str = NormalizationRuleSet.punctuation_strip
+    case_folding: bool = _RULE_DEFAULTS["case_folding"]
+    whitespace_collapse: bool = _RULE_DEFAULTS["whitespace_collapse"]
+    punctuation_strip: str = _RULE_DEFAULTS["punctuation_strip"]
 
 
 class RulesFile(NamedTuple):
@@ -199,7 +205,7 @@ def load_rules(path: str | Path) -> NormalizationRuleSet:
                 f"rules file {path}: preserve_distinct[{k}]: "
                 f"{entry!r} normalizes to nothing"
             )
-    rules = replace(base, synonym_map=synonyms, preserve_distinct=frozenset(preserve))
+    rules = base._replace(synonym_map=synonyms, preserve_distinct=frozenset(preserve))
     try:
         rules.validate()
     except RuleSetError as exc:

@@ -9,24 +9,29 @@ First-seen order is preserved so downstream outputs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
+from .codec import EMPTY
 from .corpus import SPACE_TYPES, Corpus, NormalizationRuleSet, normalize
 from .errors import CorpusError, TaxoforgeError
 
 
-@dataclass(frozen=True)
-class OccurrenceVector:
-    """Mention counts for one factor across the six space types."""
-
+class _OccurrenceVector(NamedTuple):
     counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class OccurrenceVector(_OccurrenceVector):
+    """Mention counts for one factor across the six space types."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> OccurrenceVector:
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.counts) != len(SPACE_TYPES):
             raise TaxoforgeError("occurrence vector needs exactly six counts")
         if any(count < 0 for count in self.counts):
             raise TaxoforgeError("occurrence counts must be non-negative")
+        return self
 
     @classmethod
     def from_mapping(cls, counts: Mapping[str, int]) -> "OccurrenceVector":
@@ -77,9 +82,10 @@ def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSe
     """Fold a corpus into unique factors with occurrence tracking.
 
     Each spelling adds its rows of each space type to its factor's mentions
-    there, and its studies of that type to the factor's studies there.
-    Factors keep the order of their first spellings. A spelling that fails to
-    normalize is reported where its first row comes from (``Corpus.locate``).
+    there, and its studies of that type to the factor's studies there; each
+    empty study set is the shared ``codec.EMPTY``. Factors keep the order of
+    their first spellings. A spelling that fails to normalize is reported
+    where its first row comes from (``Corpus.locate``).
     """
     canonical: dict[str, str] = {}  # raw spelling -> canonical name
     counts: dict[str, dict[str, int]] = {}
@@ -104,7 +110,10 @@ def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSe
         IntegratedFactor(
             canonical_name=name,
             occurrence=OccurrenceVector.from_mapping(counts[name]),
-            studies={code: frozenset(ids) for code, ids in studies[name].items()},
+            studies={
+                code: frozenset(ids) if ids else EMPTY
+                for code, ids in studies[name].items()
+            },
         )
         for name in counts
     )

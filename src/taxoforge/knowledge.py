@@ -9,7 +9,6 @@ space research, and users supply richer files to grow the hierarchy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -57,18 +56,23 @@ class Domain(NamedTuple):
         return 0.5
 
 
-@dataclass(frozen=True)
-class ScopePriors:
+class _ScopePriors(NamedTuple):
     preferred: float = 1.0
     adjacent: float = 0.8
     other: float = 0.6
 
-    def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
+
+class ScopePriors(_ScopePriors):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ScopePriors:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in self._asdict().items():
             if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
                 raise KnowledgeBaseError(
                     f"{name}: expected a number in [0, 1], got {value}"
                 )
+        return self
 
 
 class DomainKnowledgeBase(NamedTuple):
@@ -86,15 +90,21 @@ class DomainKnowledgeBase(NamedTuple):
         raise KeyError(identifier)
 
 
-# The KB file as written; ``load_kb`` turns it into the objects above.
+# The KB file as written; ``load_kb`` turns it into the objects above. Each
+# checked record's ``__new__`` refuses a malformed value; ``_replace`` would
+# skip it.
 
 
-@dataclass(frozen=True)
-class SubcategoryEntry:
+class _SubcategoryEntry(NamedTuple):
     id: str
     keywords: tuple[str, ...]
 
-    def __post_init__(self) -> None:
+
+class SubcategoryEntry(_SubcategoryEntry):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SubcategoryEntry:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.id.strip():
             raise KnowledgeBaseError("id: expected a name, got a blank")
         if not self.keywords:
@@ -104,6 +114,7 @@ class SubcategoryEntry:
                 raise KnowledgeBaseError(
                     f"keywords[{k}]: expected a keyword, got a blank"
                 )
+        return self
 
 
 class LiteratureEntry(NamedTuple):
@@ -111,18 +122,24 @@ class LiteratureEntry(NamedTuple):
     none: frozenset[str] | None = None
 
 
-@dataclass(frozen=True)
-class DomainEntry(SubcategoryEntry):
-    """An id and keywords, checked as a subcategory's are, and the rest."""
-
+class _DomainEntry(NamedTuple):
+    id: str
+    keywords: tuple[str, ...]
     scope: str
     subcategories: tuple[SubcategoryEntry, ...]
     space_profile: Mapping[str, float]
     compatible_types: frozenset[str] | None = None
     literature_support: LiteratureEntry | None = None
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+
+class DomainEntry(_DomainEntry):
+    """An id and keywords, checked as a subcategory's are, and the rest."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> DomainEntry:
+        self = super().__new__(cls, *args, **kwargs)
+        SubcategoryEntry(self.id, self.keywords)
         if self.scope.lower() not in {scope.value for scope in DomainScope}:
             raise KnowledgeBaseError(
                 f"scope: expected broad, moderate or specialized, got {self.scope!r}"
@@ -141,15 +158,20 @@ class DomainEntry(SubcategoryEntry):
         if not 0.0 < squares < math.inf:  # the distribution channel's divisor
             raise KnowledgeBaseError(f"space_profile: the squares of its weights "
                                      f"sum to {squares}, expected above 0 and finite")
+        return self
 
 
-@dataclass(frozen=True)
-class KbFile:
+class _KbFile(NamedTuple):
     domains: tuple[DomainEntry, ...]
     scope_priors: ScopePriors | None = None
     placement_overrides: Mapping[str, str] | None = None
 
-    def __post_init__(self) -> None:
+
+class KbFile(_KbFile):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> KbFile:
+        self = super().__new__(cls, *args, **kwargs)
         ids = [domain.id.strip() for domain in self.domains]
         if not ids:
             raise KnowledgeBaseError("domains: expected at least one domain")
@@ -160,6 +182,7 @@ class KbFile:
                 raise KnowledgeBaseError(
                     f"placement_overrides.{factor}: unknown domain {domain_id!r}"
                 )
+        return self
 
 
 def _keywords(keywords: tuple[str, ...]) -> tuple[str, ...]:
@@ -196,7 +219,7 @@ def load_kb(path: str | Path) -> DomainKnowledgeBase:
     priors = kb.scope_priors or ScopePriors()
     return DomainKnowledgeBase(
         domains=tuple(_domain(entry) for entry in kb.domains),
-        scope_priors=ScopePriors(*(float(x) for x in astuple(priors))),
+        scope_priors=ScopePriors(*map(float, priors)),
         placement_overrides=dict(kb.placement_overrides or {}),
     )
 

@@ -18,7 +18,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -47,8 +47,7 @@ log = logging.getLogger(__name__)
 UNMATCHED_SHOWN = 5
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class _Thresholds(NamedTuple):
     band_high: float = similarity.BAND_HIGH
     band_low: float = similarity.BAND_LOW
     related: float = cluster.RELATED_THRESHOLD
@@ -56,14 +55,20 @@ class Thresholds:
     cross_cutting: float = classify.CROSS_CUTTING_THRESHOLD
     promotion: float = placement.PROMOTION_THRESHOLD
 
-    def __post_init__(self) -> None:
-        for name, value in asdict(self).items():
+
+class Thresholds(_Thresholds):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Thresholds:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in self._asdict().items():
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"threshold {name}={value} out of range [0, 1]")
         if self.band_high < self.band_low:
             raise ConfigError(
                 f"threshold band_high={self.band_high} < band_low={self.band_low}"
             )
+        return self
 
     @property
     def graph_floor(self) -> float:
@@ -71,6 +76,8 @@ class Thresholds:
         return min(self.band_low, self.subcluster, self.related)
 
 
+# A dataclass, not a ``NamedTuple``: the benchmark (perfbench/worker.py) calls
+# ``dataclasses.replace`` on it.
 @dataclass(frozen=True)
 class PipelineConfig:
     datasets: tuple[tuple[Path, str | None], ...]  # (path, expected type code)
@@ -103,8 +110,8 @@ class PipelineConfig:
                 [code, _file_digest(path, "dataset")] for path, code in self.datasets
             ],
             **inputs,
-            "weights": list(self.weights.as_tuple()),
-            "thresholds": asdict(self.thresholds),
+            "weights": list(self.weights),
+            "thresholds": self.thresholds._asdict(),
         }
         blob = json.dumps(doc, sort_keys=True).encode("utf-8")
         return {"config": hashlib.sha256(blob).hexdigest(), **inputs}
@@ -189,12 +196,15 @@ def _config(file: ConfigFile, datasets_doc: object, source: Path) -> PipelineCon
 def _settings(current, values: Mapping[str, float], where: str):
     """``current``, a ``SimilarityWeights`` or ``Thresholds``, with the named
     values replaced; an unknown name or a value its own check refuses raises
-    ``ConfigError`` after ``where``, the config field or the flag."""
+    ``ConfigError`` after ``where``, the config field or the flag. The new
+    record is built through its class, so its check runs, as ``_replace``'s
+    would not."""
     noun = "threshold" if isinstance(current, Thresholds) else "similarity weight"
-    if unknown := set(values) - {f.name for f in fields(current)}:
+    if unknown := set(values) - set(current._fields):
         raise ConfigError(f"{where}: unknown {noun} {min(unknown)!r}")
+    changed = {name: float(v) for name, v in values.items()}
     try:
-        return replace(current, **{name: float(v) for name, v in values.items()})
+        return type(current)(**{**current._asdict(), **changed})
     except TaxoforgeError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -216,7 +226,7 @@ def apply_overrides(
     if out_dir is not None:
         config = replace(config, out_dir=Path(out_dir))
     if weights is not None:
-        names = [f.name for f in fields(SimilarityWeights)]
+        names = SimilarityWeights._fields
         if len(texts := weights.split(",")) != len(names):
             raise ConfigError(f"--weights expects l,d,c, got {weights!r}")
         values = {n: _flag_number("--weights", n, t) for n, t in zip(names, texts)}
@@ -349,7 +359,7 @@ class RunState:
             if phase == "similarity":
                 # Decode against the names and weights the phase writes.
                 names = list(self.get("integrate").names)
-                weights = list(self.config.weights.as_tuple())
+                weights = list(self.config.weights)
                 floor = self.config.thresholds.graph_floor
                 try:
                     result = similarity.matrix_from_dict(

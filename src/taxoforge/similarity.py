@@ -110,7 +110,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -118,7 +117,7 @@ from operator import mul
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .codec import decode, read_yaml
+from .codec import EMPTY, decode, read_yaml
 from .errors import LexiconError, TaxoforgeError
 from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
 
@@ -148,16 +147,18 @@ class NameFeatures(NamedTuple):
     fields: frozenset[str]
 
 
-@dataclass(frozen=True)
-class SemanticLexicon:
-    """Named semantic fields; co-membership earns the field score.
-
-    Each name's ``NameFeatures`` is built once and kept on the lexicon, so two
-    lexicons never share field sets and the cache lives as long as its lexicon.
-    """
-
+class _SemanticLexicon(NamedTuple):
     fields: Mapping[str, frozenset[str]]
     field_score: float = DEFAULT_FIELD_SCORE
+
+
+class SemanticLexicon(_SemanticLexicon):
+    """Named semantic fields; co-membership earns the field score.
+
+    Each name's ``NameFeatures`` is built once and kept in the lexicon's own
+    ``__dict__``, so two lexicons never share field sets and the cache lives
+    as long as its lexicon. A name in no field has the field set ``EMPTY``.
+    """
 
     @cached_property
     def _term_fields(self) -> dict[str, frozenset[str]]:
@@ -172,7 +173,7 @@ class SemanticLexicon:
         return {}
 
     def fields_of(self, name: str) -> frozenset[str]:
-        return self._term_fields.get(name, frozenset())
+        return self._term_fields.get(name, EMPTY)
 
     def features(self, name: str) -> NameFeatures:
         found = self._features.get(name)
@@ -181,14 +182,18 @@ class SemanticLexicon:
         return found
 
 
-@dataclass(frozen=True)
-class LexiconFile:
-    """The lexicon file as written; ``load_lexicon`` reads it."""
-
+class _LexiconFile(NamedTuple):
     fields: Mapping[str, tuple[str, ...]] | None = None
     field_score: float = DEFAULT_FIELD_SCORE
 
-    def __post_init__(self) -> None:
+
+class LexiconFile(_LexiconFile):
+    """The lexicon file as written; ``load_lexicon`` reads it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> LexiconFile:
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.field_score <= 1.0:
             raise LexiconError(f"field_score: {self.field_score} out of range [0, 1]")
         for name, terms in (self.fields or {}).items():
@@ -199,6 +204,7 @@ class LexiconFile:
                     raise LexiconError(
                         f"fields.{name}[{k}]: expected a term, got a blank"
                     )
+        return self
 
 
 def load_lexicon(path: str | Path) -> SemanticLexicon:
@@ -267,13 +273,17 @@ class ComponentScores(NamedTuple):
     co_occurrence: float
 
 
-@dataclass(frozen=True)
-class SimilarityWeights:
+class _SimilarityWeights(NamedTuple):
     linguistic: float = 0.5
     distributional: float = 0.3
     co_occurrence: float = 0.2
 
-    def __post_init__(self) -> None:
+
+class SimilarityWeights(_SimilarityWeights):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SimilarityWeights:
+        self = super().__new__(cls, *args, **kwargs)
         values = (self.linguistic, self.distributional, self.co_occurrence)
         if not all(v >= 0.0 for v in values):  # NaN fails the comparison too
             raise TaxoforgeError(
@@ -281,9 +291,7 @@ class SimilarityWeights:
             )
         if not abs(sum(values) - 1.0) <= 1e-9:
             raise TaxoforgeError(f"similarity weights must sum to 1, got {sum(values)}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.linguistic, self.distributional, self.co_occurrence)
+        return self
 
 
 def combine(components: ComponentScores, weights: SimilarityWeights) -> float:
@@ -318,22 +326,24 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-@dataclass
-class SimilarityMatrix:
-    """The thresholded similarity graph.
-
-    ``scores`` lists every pair scoring at least ``floor`` as ``(i, j, score)``
-    with ``i < j``, sorted by ``(i, j)``; a pair it does not list scores below
-    ``floor``. ``components`` holds the breakdown of each listed pair, in the
-    same order. A graph given in full may leave ``floor`` at 0.0.
-    """
-
+class _SimilarityMatrix(NamedTuple):
     names: tuple[str, ...]
     scores: list[tuple[int, int, float]]
     components: dict[tuple[int, int], ComponentScores]
     weights: SimilarityWeights
     floor: float = 0.0
     scored: int = 0  # candidate pairs of the build; 0 for a decoded graph
+
+
+class SimilarityMatrix(_SimilarityMatrix):
+    """The thresholded similarity graph.
+
+    ``scores`` lists every pair scoring at least ``floor`` as ``(i, j, score)``
+    with ``i < j``, sorted by ``(i, j)``; a pair it does not list scores below
+    ``floor``. ``components`` holds the breakdown of each listed pair, in the
+    same order. A graph given in full may leave ``floor`` at 0.0. The
+    neighbour lists are cached in the graph's own ``__dict__``.
+    """
 
     @property
     def n(self) -> int:
@@ -425,7 +435,7 @@ class _PairScorer:
         """
         n = self.n
         indexes: tuple[dict[str, list[int]], ...] = ({}, {}, {}, {})
-        w_l, w_d, w_o = self.weights.as_tuple()
+        w_l, w_d, w_o = self.weights
         masks, keys, grams = self.masks, self.keys, self.grams
         # Each row's type bit if it counts against the factors holding that
         # type alone, else 0; per such bit, postings of tokens and trigram
@@ -720,7 +730,7 @@ def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
     """JSON-ready mirror: the edges and their components, in (i, j) order.
     The factor count and the floor are not written; the reader has both."""
     return {
-        "weights": list(matrix.weights.as_tuple()),
+        "weights": list(matrix.weights),
         "names": list(matrix.names),
         "scores": [[i, j, score] for i, j, score in matrix.scores],
         "components": [
@@ -737,7 +747,7 @@ def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
     not read."""
     n, rows = len(doc["names"]), doc["components"]
     weights = SimilarityWeights(*doc["weights"])
-    w_l, w_d, w_c = weights.as_tuple()
+    w_l, w_d, w_c = weights
     if not isinstance(rows, list) or not all(
         isinstance(row, list) and len(row) == 5 for row in rows
     ):

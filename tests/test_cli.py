@@ -775,6 +775,8 @@ class TestFlags:
             ("--weights", "a,b,c"),
             ("--weights", "0.5,0.5"),
             ("--weights", "nan,0.5,0.5"),
+            ("--threshold", "band_low=0.9"),
+            ("--weights", "0.6,0.6,-0.2"),
         ],
     )
     def test_bad_flag_value_exits_one(self, tmp_path, capsys, flag, value):

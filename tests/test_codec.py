@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import typing
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import pytest
@@ -20,16 +19,15 @@ CODEC_PHASES = ("integrate", "classify", "cluster", "place")
 READ_PHASES = ("integrate", "similarity", "classify", "cluster", "place")
 
 
-@dataclass(frozen=True)
-class Channels:
+class Channels(NamedTuple):
     semantic: float
     similarity_evidence: float
     distribution: float
 
 
 class ScoredHome(NamedTuple):
-    """A home with a mapping of dataclasses, as assignments once carried: a
-    ``NamedTuple`` whose fields hold dataclasses, so one decode reads both."""
+    """A home with a mapping of records, as assignments once carried: a
+    record inside a mapping stays an object."""
 
     factor: str
     category: str
@@ -71,7 +69,7 @@ def test_artifact_round_trip(fixture_run, phase):
     assert codec.encode(kind, decoded) == data
 
 
-def test_dataclass_fields_are_inlined_only_outside_collections(fixture_run):
+def test_record_fields_are_inlined_only_outside_collections(fixture_run):
     _, state = fixture_run
     integrated = pipeline.artifact_data("integrate", state.results["integrate"])
     assert list(integrated["factors"][0]) == [
@@ -79,10 +77,31 @@ def test_dataclass_fields_are_inlined_only_outside_collections(fixture_run):
         "counts",
         "studies",
     ]
-    # Dataclasses inside a mapping or a tuple stay objects.
+    # Records inside a mapping or a tuple stay objects.
     channels = {"semantic": 0.5, "similarity_evidence": 0.0, "distribution": 1.0}
     scored = ScoredHome("safety", "COMFORT", "THERMAL", {"COMFORT": Channels(**channels)})
     assert codec.encode(ScoredHome, scored)["scores"] == {"COMFORT": channels}
+
+
+def test_empty_study_and_field_sets_are_one_object(fixture_run):
+    """Most per-typology study sets are empty. Each is one shared object, as
+    computed by integrate and as read back from integrated.json, and so is
+    the field set of every name in no lexicon field."""
+    config, state = fixture_run
+    computed, read_back = state.get("integrate"), pipeline.RunState(config).get("integrate")
+    assert read_back is not computed
+    empty = [
+        ids
+        for factor_set in (computed, read_back)
+        for factor in factor_set.factors
+        for ids in factor.studies.values()
+        if not ids
+    ]
+    assert len(empty) > 2
+    assert len(set(map(id, empty))) == 1
+    lexicon = state.lexicon
+    assert lexicon.fields_of("no such name") is lexicon.fields_of("nor this") is empty[0]
+    assert empty[0] is codec.EMPTY
 
 
 # phase -> the keys of each entry of its slimmed artifact: the independent
@@ -189,7 +208,7 @@ def test_refused_leaf_is_named_by_its_path(edit, message):
     assert str(caught.value).startswith(message)
 
 
-def test_post_init_check_is_refused_at_its_object(fixture_run):
+def test_record_check_is_refused_at_its_object(fixture_run):
     _, state = fixture_run
     _, key, kind = pipeline.ARTIFACTS["integrate"]
     data = pipeline.artifact_data("integrate", state.results["integrate"])
