@@ -79,6 +79,7 @@ class DomainKnowledgeBase(NamedTuple):
     domains: tuple[Domain, ...]
     scope_priors: ScopePriors = ScopePriors()
     placement_overrides: Mapping[str, str] = MappingProxyType({})
+    path: Path | None = None  # the file read, named by every refusal of it
 
     def domain_ids(self) -> tuple[str, ...]:
         return tuple(domain.identifier for domain in self.domains)
@@ -221,28 +222,28 @@ def load_kb(path: str | Path) -> DomainKnowledgeBase:
         domains=tuple(_domain(entry) for entry in kb.domains),
         scope_priors=ScopePriors(*map(float, priors)),
         placement_overrides=dict(kb.placement_overrides or {}),
+        path=path,
     )
 
 
 def canonical_names(
-    kb: DomainKnowledgeBase, rules: NormalizationRuleSet, path: Path
+    kb: DomainKnowledgeBase, rules: NormalizationRuleSet
 ) -> DomainKnowledgeBase:
-    """``kb``, read from ``path``, with the factor names of its literature
-    support and placement overrides normalized under ``rules``, as the
-    corpus names are."""
+    """``kb`` with the factor names of its literature support and placement
+    overrides normalized under ``rules``, as the corpus names are."""
 
     def canonical(names, field: str) -> list[str]:
         try:
             return [normalize(name, rules) for name in names]
         except CorpusError as exc:
-            raise KnowledgeBaseError(f"kb file {path}: {field}: {exc}") from None
+            raise KnowledgeBaseError(f"kb file {kb.path}: {field}: {exc}") from None
 
     overrides = kb.placement_overrides
     pairs = set(zip(canonical(overrides, "placement_overrides"), overrides.values()))
     overrides = dict(sorted(pairs))
     if len(overrides) < len(pairs):
         raise KnowledgeBaseError(
-            f"kb file {path}: placement_overrides: one factor, two domains"
+            f"kb file {kb.path}: placement_overrides: one factor, two domains"
         )
     domains = []
     for i, domain in enumerate(kb.domains):

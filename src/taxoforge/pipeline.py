@@ -29,7 +29,7 @@ from . import applicability, classify, cluster, emit, integrate, placement, simi
 from .corpus import SPACE_TYPES, NormalizationRuleSet, load_corpus, load_rules
 from .corpus import merge_corpora
 from .emit import SCHEMA_VERSION
-from .errors import ArtifactError, ConfigError, CorpusError, KnowledgeBaseError
+from .errors import ArtifactError, ConfigError, CorpusError
 from .errors import TaxoforgeError
 from .knowledge import (
     DomainKnowledgeBase,
@@ -303,8 +303,7 @@ class RunState:
     @cached_property
     def kb(self) -> DomainKnowledgeBase:
         """The KB, its factor names normalized under the run's rules."""
-        path = self.config.kb_path
-        return canonical_names(load_kb(path), self.rules, path)
+        return canonical_names(load_kb(self.config.kb_path), self.rules)
 
     @cached_property
     def lexicon(self) -> SemanticLexicon:
@@ -687,19 +686,16 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
         "place: %d placement overrides name a factor that is not cross-cutting",
         ignored,
     )
-    try:
-        result = placement.place_cross_cutting(
-            factor_set,
-            state.get("classify"),
-            kb,
-            state.get("similarity"),
-            state.get("cluster"),
-            state.lexicon,
-            related_threshold=config.thresholds.related,
-            promotion_threshold=config.thresholds.promotion,
-        )
-    except KnowledgeBaseError as exc:  # an override outside its relevant set
-        raise KnowledgeBaseError(f"kb file {config.kb_path}: {exc}") from None
+    result = placement.place_cross_cutting(
+        factor_set,
+        state.get("classify"),
+        kb,
+        state.get("similarity"),
+        state.get("cluster"),
+        state.lexicon,
+        related_threshold=config.thresholds.related,
+        promotion_threshold=config.thresholds.promotion,
+    )
     path = state.put("place", result, artifact_data("place", result.placements))
     rows = [
         (

@@ -230,8 +230,9 @@ def arrange(
         if override is not None and override != argmax_domain:
             if override not in relevant:
                 raise KnowledgeBaseError(
-                    f"placement_overrides.{name}: domain {override!r} is outside "
-                    f"the factor's relevant set {list(relevant)}"
+                    f"kb file {kb.path}: placement_overrides.{name}: domain "
+                    f"{override!r} is outside the factor's relevant set "
+                    f"{list(relevant)}"
                 )
             scored.sort(key=lambda item: item[0] != override)  # stable
         ranked = place(name, scored, subcategory, promotion_threshold)

@@ -58,32 +58,34 @@ of the floor. The slack is absolute, not relative to ``t``, so the argument
 holds even when ``w_d`` lies within rounding of the floor.
 
 Most pairs join factors whose counts share no space type, so their
-distributional component ``d`` is exactly 0.0. A factor is single-type when
-all its counts fall in one type. While ``w_d < floor``, a single-type row
-counts shared tokens and trigram keys only against the factors holding its
-type, from postings over those factors, and fields and studies against all
-factors; every other row counts over all factors as above. A factor outside
-the row's type has ``d = 0.0`` with it, so without a shared study the pair
-scores ``w_l * lin`` after one rounding (adding 0.0 is exact). Such a pair is
-scored only when it shares a study, shares a field while ``w_l *
-field_score >= floor``, or has the row's token set (not empty) or set of
-trigram keys, found by hashing; its shared-token count and trigram dot
-product are then taken from the two names, the integers the postings give.
-This drops no edge while ``w_l * BELOW_ONE < floor``, ``BELOW_ONE`` being the
-largest float below 1.0: rounding is monotone, so no ``lin`` below 1.0
-reaches the floor. ``lin`` is 1.0 only through a field scoring 1.0, equal
-token sets (a Jaccard below 1 is at most ``1 - 1/union`` and rounds below
-1.0) or a trigram cosine of 1.0. Integer counts give exactly 1.0 when
-proportional, and then the key sets are equal. Otherwise ``dot**2 <= P - 1``
-for ``P`` the product of the squared norms, so the cosine is at most
-``sqrt(1 - 1/P) <= 1 - 1/(2P)``; the square root and the quotient are each
-off by at most one part in 2**53, so the float cosine stays below 1.0 while
-``P < 2**51``, which holds when both squared norms are below
-``GRAM_NORM_LIMIT`` (2**25). When ``w_l * BELOW_ONE >= floor``, or when
-``w_l >= floor`` and a squared norm reaches that limit, every row counts
-over all factors. At 1,029 factors and the default settings, 896 factors are
-single-type; the rows enumerate 44,789 candidates instead of 142,744 and
-score 9,966 pairs instead of 29,489, for the same 2,314 edges.
+distributional component ``d`` is exactly 0.0. While ``w_d < floor`` and
+``by_type(floor)`` holds, a factor whose counts fall in one type is listed in
+that type's token and trigram postings, and every other factor in postings
+that all rows share; either way a factor is listed once per key. A row counts
+shared tokens and trigram keys over the shared postings and those of its own
+types, so it meets each of those factors once, and fields and studies over
+all factors. A factor it does not count against has one type, outside the
+row's, so ``d = 0.0``, and without a shared study the pair scores ``w_l *
+lin`` after one rounding (adding 0.0 is exact). Such a pair is scored only
+when it shares a study, shares a field while ``w_l * field_score >= floor``,
+or has the row's token set (not empty) or set of trigram keys, found by
+hashing; its shared-token count and trigram dot product are then taken from
+the two names, the integers the postings give. This drops no edge while
+``w_l * BELOW_ONE < floor``, ``BELOW_ONE`` being the largest float below 1.0:
+rounding is monotone, so no ``lin`` below 1.0 reaches the floor. ``lin`` is
+1.0 only through a field scoring 1.0, equal token sets (a Jaccard below 1 is
+at most ``1 - 1/union`` and rounds below 1.0) or a trigram cosine of 1.0.
+Integer counts give exactly 1.0 when proportional, and then the key sets are
+equal. Otherwise ``dot**2 <= P - 1`` for ``P`` the product of the squared
+norms, so the cosine is at most ``sqrt(1 - 1/P) <= 1 - 1/(2P)``; the square
+root and the quotient are each off by at most one part in 2**53, so the float
+cosine stays below 1.0 while ``P < 2**51``, which holds when both squared
+norms are below ``GRAM_NORM_LIMIT`` (2**25). When ``w_l * BELOW_ONE >=
+floor``, or when ``w_l >= floor`` and a squared norm reaches that limit, every
+factor is listed in the shared postings. At 1,029 factors and the default
+settings, 896 factors have one type and 133 several; the rows enumerate
+36,151 candidates instead of 142,744 and score 8,652 pairs instead of 29,489,
+for the same 2,314 edges.
 
 ``KeywordScorer`` applies the same counting to groups of keywords: the
 domains' keyword lists for classify's factor-by-domain relevance, and one
@@ -115,7 +117,7 @@ from functools import cached_property
 from itertools import chain
 from operator import mul
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .codec import EMPTY, decode, read_yaml
 from .errors import LexiconError, TaxoforgeError
@@ -410,22 +412,22 @@ class _PairScorer:
         self.weights = weights
 
     def rows(
-        self, screen: float | None, floor: float | None = None
+        self, floor: float | None
     ) -> Iterator[tuple[int, int, list[tuple[int, float, float, float, float]]]]:
         """Each ``i`` with its count of candidates ``j > i`` and, for each
         pair it scores, ``(j, linguistic, distributional, co_occurrence,
         score)``, in no fixed order of ``j``.
 
-        A candidate shares a token, a trigram key, a lexicon field or a study
-        with ``i``; any other pair has linguistic and co-occurrence components
-        of exactly 0.0. With ``screen`` None every pair is scored. Otherwise
-        only candidates are, and of those sharing nothing but trigram keys
-        only the ones whose trigram dot product reaches ``screen`` times the
-        product of the two trigram norms. With ``floor`` also given and
-        ``by_type(floor)`` true, a row whose counts fall in one space type
-        pairs with the factors outside that type (distributional component
-        0.0) only where they share a study, share a field scoring at least
-        the floor, or are duplicates; see the module docstring.
+        With ``floor`` None, or while ``w_d >= floor``, every pair is scored.
+        Otherwise only candidates are: the factors sharing a token, a trigram
+        key, a lexicon field or a study with ``i`` (any other pair has
+        linguistic and co-occurrence components of exactly 0.0), and of those
+        sharing nothing but trigram keys only the ones whose trigram dot
+        product reaches the trigram screen. While ``by_type(floor)`` holds, a
+        factor of one space type outside the types of ``i`` (distributional
+        component 0.0) pairs with it only where the two share a study, share
+        a field scoring at least the floor, or are duplicates; see the module
+        docstring.
 
         The components equal the pair's linguistic component (see the module
         docstring), ``distributional_similarity`` and
@@ -434,30 +436,33 @@ class _PairScorer:
         distributional one is computed once per pair of count vectors.
         """
         n = self.n
-        indexes: tuple[dict[str, list[int]], ...] = ({}, {}, {}, {})
         w_l, w_d, w_o = self.weights
         masks, keys, grams = self.masks, self.keys, self.grams
-        # Each row's type bit if it counts against the factors holding that
-        # type alone, else 0; per such bit, postings of tokens and trigram
-        # keys over those factors.
-        single = [0] * n
-        per_type: dict[int, tuple[dict[str, list[int]], dict[str, list[int]]]] = {}
+        # Each factor's home: the bit of its one space type if it is listed
+        # under that type alone, else 0 for the postings shared by all rows.
+        homes = [0] * n
         partners: list = [()] * n
         field_entry = False
-        if screen is not None and floor is not None and self.by_type(floor):
-            single = [m if not m & (m - 1) else 0 for m in masks]
-            per_type = {bit: ({}, {}) for bit in set(single) if bit}
-            if w_l >= floor:
-                partners = self.partners()
-            field_entry = w_l * self.field_score >= floor
-        held = [[per_type[bit] for bit in per_type if m & bit] for m in masks]
-        # Filled from the last factor down, each posting lists its factors in
-        # descending order, so the entries of the factor being scored are last.
+        screen = None
+        if floor is not None and w_d < floor:
+            screen = _trigram_screen(self.weights, floor)
+            if self.by_type(floor):
+                homes = [m if not m & (m - 1) else 0 for m in masks]
+                if w_l >= floor:
+                    partners = self.partners()
+                field_entry = w_l * self.field_score >= floor
+        # Per home, postings of tokens and of trigram keys, with the postings
+        # of fields and of studies that all homes share. Each factor is
+        # listed once per key, in its home's postings. Filled from the last
+        # factor down, each posting lists its factors in descending order, so
+        # the entries of the factor being scored are last.
+        fields_index: dict[str, list[int]] = {}
+        studies_index: dict[str, list[int]] = {}
+        indexes = {
+            home: ({}, {}, fields_index, studies_index) for home in {0, *homes}
+        }
         for i in range(n - 1, -1, -1):
-            own = keys[i]
-            for index, own_keys in chain(
-                zip(indexes, own), *(zip(pair, own) for pair in held[i])
-            ):
+            for index, own_keys in zip(indexes[homes[i]], keys[i]):
                 for key in own_keys:
                     posting = index.get(key)
                     if posting is None:
@@ -469,46 +474,38 @@ class _PairScorer:
         group, counts, norms = self.group, self.counts, self.norms
         table: list[dict[int, float]] = [{} for _ in counts]
         for i in range(n):
-            own, bit = keys[i], single[i]
-            if bit:
-                _drop(indexes[0], own[0])
-                _drop(indexes[1], own[1])
-                tokens, dots = map(_shared, per_type[bit], own)
-                fields = _shared(indexes[2], own[2]) if own[2] else {}
-                studies = _shared(indexes[3], own[3])
-            else:
-                for typed_tokens, typed_grams in held[i]:
-                    _drop(typed_tokens, own[0])
-                    _drop(typed_grams, own[1])
-                tokens, dots, fields, studies = map(_shared, indexes, own)
+            own, outside = keys[i], ~masks[i]
+            for index, own_keys in zip(indexes[homes[i]], own):
+                _drop(index, own_keys)
+            # The shared postings and those of the row's own types: a factor
+            # listed elsewhere has one type, outside the row's.
+            read = [held for home, held in indexes.items() if not home & outside]
+            tokens = Counter(_postings([held[0] for held in read], own[0]))
+            dots = Counter(_postings([held[1] for held in read], own[1]))
+            fields = set(_postings([fields_index], own[2]))
+            studies = Counter(_postings([studies_index], own[3]))
             if screen is None:
                 others: Iterable[int] = range(i + 1, n)
                 candidates = n - 1 - i
             else:
-                linked = tokens.keys() | studies.keys()
-                if bit:
-                    # A factor without type ``bit`` scores distributional 0.0
-                    # with ``i`` and is not counted above; it enters through a
-                    # study, a field at the floor or as a duplicate.
-                    entries = chain(studies, fields if field_entry else (), partners[i])
-                    zero = {j for j in entries if j > i and not masks[j] & bit}
-                    if fields:
-                        linked.update(j for j in fields if masks[j] & bit)
-                    linked |= zero
-                else:
-                    linked |= fields.keys()
+                # A factor not counted above scores distributional 0.0 with
+                # ``i``; it enters through a study, a field at the floor or
+                # as a duplicate.
+                entries = chain(studies, fields if field_entry else (), partners[i])
+                zero = {j for j in entries if j > i and homes[j] & outside}
+                linked = tokens.keys() | studies.keys() | zero
+                linked.update(j for j in fields if not homes[j] & outside)
                 candidates = len(dots) + len(linked.difference(dots))
                 least = screen * roots[i]
                 linked.update([j for j, dot in dots.items() if dot >= least * roots[j]])
-                if bit:
-                    grams_a = grams[i]
-                    for j in zero:
-                        grams_b = grams[j]
-                        tokens[j] = len(own[0] & keys[j][0])
-                        dots[j] = sum(
-                            grams_a[key] * grams_b[key]
-                            for key in grams_a.keys() & grams_b.keys()
-                        )
+                grams_a = grams[i]
+                for j in zero:
+                    grams_b = grams[j]
+                    tokens[j] = len(own[0] & keys[j][0])
+                    dots[j] = sum(
+                        grams_a[key] * grams_b[key]
+                        for key in grams_a.keys() & grams_b.keys()
+                    )
                 others = linked
             size_i, tokens_i, grams_i = sizes[i], token_counts[i], gram_norms[i]
             g = group[i]
@@ -534,9 +531,10 @@ class _PairScorer:
             yield i, candidates, pairs
 
     def by_type(self, floor: float) -> bool:
-        """Whether single-type rows may leave out the pairs with
-        distributional component 0.0 that share no study, no field scoring at
-        least ``floor`` and are no duplicates; see the module docstring."""
+        """Whether a factor of one space type may be listed under its type
+        alone, so that a row without that type meets it only through a study,
+        a field scoring at least ``floor`` or as a duplicate; see the module
+        docstring."""
         w_l = self.weights.linguistic
         if w_l * BELOW_ONE >= floor:
             return False
@@ -598,9 +596,9 @@ class KeywordScorer:
         """Each group's ``max`` over its keywords' scores against ``name``,
         taken in the group's keyword order."""
         f = self.lexicon.features(name)
-        tokens = Counter(_postings(self.tokens, f.tokens))
-        dots = Counter(_postings(self.grams, f.grams_listed))
-        fields = set(_postings(self.fields, f.fields))
+        tokens = Counter(_postings([self.tokens], f.tokens))
+        dots = Counter(_postings([self.grams], f.grams_listed))
+        fields = set(_postings([self.fields], f.fields))
         token_counts, gram_norms = self.token_counts, self.gram_norms
         tokens_a, grams_a = len(f.tokens), f.trigram_norm_sq
         field_score = self.lexicon.field_score
@@ -618,28 +616,22 @@ class KeywordScorer:
         return tuple(max([scores[k] for k in group]) for group in self.groups)
 
 
-def _postings(index: dict[str, list[int]], keys: Iterable[str]) -> Iterator[int]:
-    """The entries of every posting in ``index`` of ``keys``, chained."""
-    return chain.from_iterable([index[key] for key in keys if key in index])
+def _postings(
+    indexes: Iterable[dict[str, list[int]]], keys: Collection[str]
+) -> Iterator[int]:
+    """The entries of every posting of ``keys`` in each of ``indexes``,
+    chained; a key listed twice chains its postings twice."""
+    return chain.from_iterable(
+        [index[key] for index in indexes for key in keys if key in index]
+    )
 
 
 def _drop(index: dict[str, list[int]], keys: Iterable[str]) -> None:
-    """Drop the entries of the factor being scored, as ``_shared`` does."""
+    """Drop the entries of the factor being scored from its postings of
+    ``keys``. It holds the lowest index left, so its entries end each
+    posting; a key listed twice drops two."""
     for key in keys:
         index[key].pop()
-
-
-def _shared(index: dict[str, list[int]], keys: Iterable[str]) -> Counter[int]:
-    """How often each factor left in ``index`` meets ``keys`` in its postings.
-
-    The factor being scored holds the lowest index left, so its own entries
-    end each of its postings and are dropped first; a key listed twice drops
-    two entries and counts its posting twice.
-    """
-    postings = [index[key] for key in keys]
-    for posting in postings:
-        posting.pop()
-    return Counter(chain.from_iterable(postings))
 
 
 def _trigram_screen(weights: SimilarityWeights, floor: float) -> float:
@@ -660,18 +652,15 @@ def build_matrix(
 
     A pair that shares no key scores ``w_d * d``, at most ``w_d``. So while
     ``w_d < floor`` only the candidates are scored, less those the trigram
-    screen rules out and, in single-type rows, those with ``d = 0.0`` that
-    cannot reach ``floor``; else every pair is. The default floor is the
-    lowest default threshold.
+    screen rules out and those with ``d = 0.0`` between a row and a factor of
+    one type outside the row's that cannot reach ``floor``; else every pair
+    is. The default floor is the lowest default threshold.
     """
     scorer = _PairScorer(factor_set, weights, lexicon)
-    screen = None
-    if weights.distributional < floor:
-        screen = _trigram_screen(weights, floor)
     scores: list[tuple[int, int, float]] = []
     components: dict[tuple[int, int], ComponentScores] = {}
     scored = 0
-    for i, candidates, pairs in scorer.rows(screen, floor):
+    for i, candidates, pairs in scorer.rows(floor):
         scored += candidates
         for j, lin, dist, co, score in sorted([p for p in pairs if p[4] >= floor]):
             scores.append((i, j, score))

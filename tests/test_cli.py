@@ -50,6 +50,27 @@ RUN_FILE_SHA256 = {
     "validation.json": "9f94f519f9889e18861640a5ec53d7424da3e83ed0485eec344546aa74dd80a8",
 }
 
+# sha256 of similarity.json and pairs.csv, the config checksum replaced as in
+# RUN_FILE_SHA256, under the settings where no row is pruned by space type:
+# a distributional weight of 0 (every factor in the postings all rows read)
+# and a floor of 0 (every pair scored).
+FALLBACK_SHA256 = {
+    "weights-1-0-0": (
+        {"weights": "1,0,0"},
+        {
+            "similarity.json": "a74a0b2f53ef819b8bc7cf096688e2786f5b4f1032f1c5ae1d33c1eae6d60c48",
+            "pairs.csv": "2820aa29de4547a3642908816f2172415e99efc37cd88449b8ecdaa5ec2508e2",
+        },
+    ),
+    "subcluster-0": (
+        {"thresholds": ["subcluster=0"]},
+        {
+            "similarity.json": "29440d8d49a20e419771a2440a61eb56677897305820c29aa84c8183a8819ea4",
+            "pairs.csv": "a85de060a3042195a206941d160143ffa2f7b9d9c33183cc8d36a2a5549cc041",
+        },
+    ),
+}
+
 PHASE_COMMANDS = [
     "integrate",
     "similarity",
@@ -131,6 +152,24 @@ class TestRun:
             for path in tmp_path.iterdir()
         }
         assert written == RUN_FILE_SHA256
+
+    @pytest.mark.parametrize("setting", sorted(FALLBACK_SHA256))
+    def test_graph_files_are_pinned_under_fallback_settings(self, tmp_path, setting):
+        overrides, pins = FALLBACK_SHA256[setting]
+        config = pipeline.apply_overrides(
+            pipeline.load_config(FIXTURES / "config.yaml"),
+            out_dir=str(tmp_path),
+            **overrides,
+        )
+        assert pipeline.run(config, emit_pairs=True) == 0
+        digest = config.checksum()["config"].encode("utf-8")
+        written = {
+            name: hashlib.sha256(
+                (tmp_path / name).read_bytes().replace(digest, b"CONFIG")
+            ).hexdigest()
+            for name in pins
+        }
+        assert written == pins
 
     def test_written_files_do_not_depend_on_the_hash_seed(self, tmp_path):
         # The hash seed orders sets of strings; no written byte may follow it.
@@ -232,7 +271,7 @@ class TestRun:
             if r.getMessage().startswith("similarity:")
         ]
         assert message == (
-            "similarity: 11 factors, 55 pairs, 16 scored, 7 edges >= 0.5; "
+            "similarity: 11 factors, 55 pairs, 17 scored, 7 edges >= 0.5; "
             "High 4 / Moderate 3 / Low 48"
         )
 
@@ -1610,6 +1649,31 @@ class TestMalformedInputs:
             assert made.name in lines[0]
         else:
             assert (kind if kind in READER else f"{kind}.yaml") in lines[0]
+
+    @pytest.mark.parametrize("command", ["place", "indicate", "emit"])
+    def test_refused_override_names_the_kb_in_every_phase(
+        self, tmp_path, capsys, command
+    ):
+        # accessibility is cross-cutting with ECONOMIC among its relevant
+        # domains, so the run takes the override. With ECONOMIC's relevance
+        # lowered in the artifact the factor stays flagged, and each phase
+        # that rebuilds its placements refuses the override.
+        text = default_kb_path().read_text(encoding="utf-8")
+        override = "placement_overrides: {accessibility: ECONOMIC}"
+        kb = tmp_path / "kb.yaml"
+        kb.write_text(text.replace("placement_overrides: {}", override), encoding="utf-8")
+        config = write_config(tmp_path, extra=f"kb: {kb}\n")
+        assert cli.main(["run", "--config", str(config)]) == 0
+        artifact = tmp_path / "out" / "classification.json"
+        data = json.loads(artifact.read_text(encoding="utf-8"))
+        (factor,) = [f for f in data["data"]["factors"] if f["name"] == "accessibility"]
+        assert factor["flagged"]
+        factor["relevance"][8] = 0.5  # ECONOMIC
+        artifact.write_text(json.dumps(data), "utf-8")
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(config)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert f"kb file {kb}: placement_overrides.accessibility" in line
 
 
 class TestArtifactWrites:

@@ -96,7 +96,7 @@ def _default_rules():
 
 def _load_kb(path):
     # Reading the KB in a run also normalizes its factor names.
-    return canonical_names(load_kb(path), _default_rules(), path)
+    return canonical_names(load_kb(path), _default_rules())
 
 
 # file -> (document, loader, the error it raises)

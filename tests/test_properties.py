@@ -323,15 +323,15 @@ def check_graph_against_oracle(specs, weights, floor, lexicon=ORACLE_LEXICON) ->
         assert matrix.scored <= len(dense)
 
 
-# Words for the bulk single-type graph case. Names of one to three of them
+# Words for the bulk graph-by-space-type case. Names of one to three of them
 # repeat token sets in other orders, and "abab" and "ababab" have proportional
 # trigram counts; with a field score of 1.0 a shared field alone reaches the
 # default floor.
-SINGLE_TYPE_WORDS = (
+TYPED_WORDS = (
     "street", "lighting", "park", "bench", "shade", "tree", "path",
     "ab", "abab", "ababab",
 )
-SINGLE_TYPE_LEXICONS = (
+TYPED_LEXICONS = (
     TINY_LEXICON,
     SemanticLexicon(
         fields={
@@ -343,17 +343,16 @@ SINGLE_TYPE_LEXICONS = (
 )
 
 
-def single_type_factor_set(rng: random.Random, size: int = 150) -> IntegratedFactorSet:
-    """``size`` factors, four in five counted in one space type, the rest in
-    two to four, each in one or two studies of a pool of 40."""
+def mixed_type_factor_set(rng: random.Random, size: int = 150) -> IntegratedFactorSet:
+    """``size`` factors, each counted in one, two or three space types (one
+    in two in a single type), each in one or two studies of a pool of 40."""
     names: dict[str, None] = {}
     while len(names) < size:
-        names[" ".join(rng.sample(SINGLE_TYPE_WORDS, rng.randint(1, 3)))] = None
+        names[" ".join(rng.sample(TYPED_WORDS, rng.randint(1, 3)))] = None
     specs = []
     for name in names:
         counts = [0] * 6
-        types = 1 if rng.random() < 0.8 else rng.randint(2, 4)
-        for code in rng.sample(range(6), types):
+        for code in rng.sample(range(6), rng.choice((1, 1, 2, 3))):
             counts[code] = rng.randint(1, 3)
         specs.append((name, counts, rng.sample(range(40), rng.randint(1, 2))))
     return oracle_factor_set(specs)
@@ -837,6 +836,8 @@ P1 = (1, 1, 0, 0, 0, 0)
 P2 = (2, 2, 0, 0, 0, 0)
 ONLY_P = (2, 0, 0, 0, 0, 0)
 ONLY_S = (0, 1, 0, 0, 0, 0)
+ONLY_U = (0, 0, 1, 0, 0, 0)
+FIELD_ONE_LEXICON = SemanticLexicon(fields=ORACLE_LEXICON.fields, field_score=1.0)
 
 
 @SUITE
@@ -847,6 +848,17 @@ ONLY_S = (0, 1, 0, 0, 0, 0)
 @example(case=([("xy", P1, ["s1"]), ("vu", P2, ["s2"])], (0.0, 1.0, 0.0), 0.5))
 @example(case=([("ab cd", ONLY_P, ["s1"]), ("cd ab", ONLY_S, ["s2"])], (0.5, 0.3, 0.2), 0.5))
 @example(case=([("abab", ONLY_P, ["s1"]), ("ababab", ONLY_S, ["s2"])], (0.5, 0.3, 0.2), 0.5))
+# A row of types P and S and a factor of type U alone reach the floor through
+# an equal token set, a shared study or a shared field scoring 1.0 alone.
+@example(case=([("ab cd", P1, ["s1"]), ("cd ab", ONLY_U, ["s2"])], (0.5, 0.3, 0.2), 0.5))
+@example(
+    case=([("street lighting", P1, ["s1"]), ("lighting", ONLY_U, ["s1"])], (0.5, 0.3, 0.2), 0.5)
+)
+@example(
+    case=(
+        [("zz", P1, ["s1"]), ("qq", ONLY_U, ["s2"])], (0.5, 0.3, 0.2), 0.5, FIELD_ONE_LEXICON
+    )
+)
 def test_pruned_graph_equals_dense_oracle(case):
     check_graph_against_oracle(*case)
 
@@ -1035,13 +1047,13 @@ def test_bulk_matrix_properties_and_weight_degeneracy():
     assert field_pairs > 0  # the field-bonus branch was exercised
 
 
-def test_bulk_single_type_graph_equals_dense_oracle():
-    # At the default weights a single-type row pairs with the factors outside
-    # its type only through a study, a field or a duplicate; at (1, 0, 0)
+def test_bulk_graph_by_space_type_equals_dense_oracle():
+    # At the default weights a row pairs with the one-type factors outside
+    # its types only through a study, a field or a duplicate; at (1, 0, 0)
     # every row is scored over all factors. Both give the reference graph.
     rng = random.Random(SEED + 5)
-    for lexicon in SINGLE_TYPE_LEXICONS * 2:
-        factor_set = single_type_factor_set(rng)
+    for lexicon in TYPED_LEXICONS * 2:
+        factor_set = mixed_type_factor_set(rng)
         for weights in ((0.5, 0.3, 0.2), (1.0, 0.0, 0.0)):
             weights = SimilarityWeights(*weights)
             matrix = build_matrix(factor_set, weights, lexicon)
