@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="taxoforge",
         description="Build a hierarchical public-space quality factor framework",
     )
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="execute all phases")
@@ -86,10 +85,8 @@ def _subfactors(args: argparse.Namespace) -> list[str] | None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    log_format = "%(levelname)s %(name)s: %(message)s"
+    logging.basicConfig(level=logging.INFO, format=log_format)
     try:
         if getattr(args, "subfactors", None) is not None:
             if args.sankey is None:
@@ -104,20 +101,12 @@ def main(argv: Sequence[str] | None = None) -> int:
                 sankey_category=args.sankey,
                 sankey_subfactors=_subfactors(args),
             )
-        if args.command == "integrate":
-            pipeline.phase_integrate(config)
-        elif args.command == "similarity":
-            pipeline.phase_similarity(config, emit_pairs=args.emit_pairs)
-        elif args.command == "classify":
-            pipeline.phase_classify(config)
-        elif args.command == "cluster":
-            pipeline.phase_cluster(config)
-        elif args.command == "place":
-            pipeline.phase_place(config)
-        elif args.command == "indicate":
-            pipeline.phase_indicate(config)
-        elif args.command == "emit":
+        if args.command == "emit":
             return pipeline.phase_emit(config, args.sankey, _subfactors(args))
+        if args.command == "similarity":
+            pipeline.phase_similarity(config, emit_pairs=args.emit_pairs)
+        else:
+            getattr(pipeline, f"phase_{args.command}")(config)
         return 0
     except TaxoforgeError as exc:
         print(f"taxoforge {args.command}: {exc}", file=sys.stderr)

@@ -15,14 +15,16 @@ each record through its class, so a check in the class's ``__new__`` runs;
 one that fails is refused at its object's path. Every empty frozenset it
 reads is ``EMPTY``. Both are compiled once per annotation. The KB, lexicon,
 rules and config files, read by ``read_yaml``, are decoded by the same
-reader; ``read_yaml`` parses with libyaml when PyYAML was built with it."""
+reader; ``read_yaml`` parses with libyaml when PyYAML was built with it.
+``mismatch`` names where decoded records or a JSON list first differ from
+what a phase rebuilds, as ``[0].domain: expected 'A', got 'B'``."""
 
 from __future__ import annotations
 
 import math
 import types
 import typing
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import cache
 from pathlib import Path
 
@@ -96,36 +98,28 @@ def encode(kind: object, value: object) -> object:
     return value if write is None else write(value)
 
 
-def first_difference(expected: object, actual: object, path: str = "") -> str | None:
-    """``path`` and below it the path of the first leaf where the JSON value
-    ``actual`` differs from ``expected``, with both values; None where none
-    does. Keys ``expected`` lacks are ignored, as the reader ignores them.
-    A boolean never equals a number, though in Python ``True == 1.0``. A
-    reader calls this only once ``expected == actual`` has failed or a
-    boolean may stand for a number, to name the leaf."""
-    found = _difference(expected, actual)
-    return None if found is None else path + found
-
-
-def _difference(expected: object, actual: object) -> str | None:
-    # The path is built on the way out from a difference, not for each leaf.
-    if type(expected) is dict and type(actual) is dict:
-        for key, value in expected.items():
-            if key not in actual:
-                return f".{key}: missing"
-            if (found := _difference(value, actual[key])) is not None:
-                return f".{key}{found}"
-        return None
-    if type(expected) is list and type(actual) is list:
-        for index, (value, other) in enumerate(zip(expected, actual)):
-            if (found := _difference(value, other)) is not None:
-                return f"[{index}]{found}"
-        if len(expected) != len(actual):
-            return f": expected {len(expected)} entries, got {len(actual)}"
-        return None
-    if expected == actual and (type(expected) is bool) is (type(actual) is bool):
-        return None
-    return f": expected {_shown(expected)}, got {_shown(actual)}"
+def mismatch(expected: Sequence, actual: object) -> str | None:
+    """The path below ``actual``, a list read from JSON or a decoded record,
+    to its first entry that is not ``expected``'s, with both, as
+    ``[3].domain: expected 'A', got 'B'`` (a list or record entry compared in
+    turn, a record over its own fields); else a list length that differs.
+    A boolean never equals a number, though in Python ``True == 1``."""
+    if not isinstance(actual, (list, tuple)):
+        shown = [list(e) if type(e) is tuple else e for e in expected]
+        return f": expected {_shown(shown)}, got {_shown(actual)}"
+    fields = getattr(actual, "_fields", None)
+    for index, (want, got) in enumerate(zip(expected, actual)):
+        if isinstance(want, (list, tuple)):
+            found = mismatch(want, got)
+        elif want != got or (type(want) is bool) is not (type(got) is bool):
+            found = f": expected {_shown(want)}, got {_shown(got)}"
+        else:
+            continue
+        if found is not None:
+            return (f"[{index}]" if fields is None else f".{fields[index]}") + found
+    if fields is None and len(expected) != len(actual):
+        return f": expected {len(expected)} entries, got {len(actual)}"
+    return None
 
 
 @cache

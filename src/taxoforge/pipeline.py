@@ -3,9 +3,10 @@
 The config file is decoded by the artifact codec, as every input file is.
 A ``RunState`` holds one invocation's checksums, KB, lexicon, rules and phase
 results, each computed or loaded once. A result it has not computed is read
-from the phase's artifact: its independent values are decoded, the phase's
-own code rebuilds the rest, and the few derived values kept must equal the
-rebuilt ones. The indicators are always built from the upstream results;
+by its artifact's one reader (``READERS``): the independent values are
+decoded and checked, the phase's own code rebuilds the rest, and each
+decoded record must equal its rebuilt record's leading fields, compared as
+records. The indicators are always built from the upstream results;
 indicators.json is a report. ``run`` passes one state through every phase,
 writing each artifact once; a phase run alone reads its inputs from disk,
 with byte-identical output. Artifacts are compact JSON, exports indented.
@@ -20,7 +21,6 @@ import logging
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
@@ -339,109 +339,20 @@ class RunState:
         return path
 
     def get(self, phase: str):
-        """The result of ``phase``, from memory or else from its artifact.
-
-        This is the one checked read path. The artifact's independent values
-        must fit their type, the integrated factors and the KB; every phase
-        after integrate rebuilds the rest of its result from them with its own
-        code, and the artifact must equal what that result writes. That is
-        tested once with ``==``, with no boolean allowed for a number;
-        ``codec.first_difference`` runs only when the test fails, to name the
-        leaf. A misfit is an ``ArtifactError`` naming the file and the leaf's
-        path. The indicators are built from the upstream results alone."""
-        if phase == "indicate" and phase not in self.results:
-            self.results[phase] = _indicators(self)
+        """The result of ``phase``, from memory or else from its reader."""
         if phase not in self.results:
-            name, key, kind = ARTIFACTS[phase]
-            path = self.config.out_dir / name
-            data, where = self._read(phase, path), f"artifact {path}: data"
-            if phase == "similarity":
-                # Decode against the names and weights the phase writes.
-                names = list(self.get("integrate").names)
-                weights = list(self.config.weights)
-                floor = self.config.thresholds.graph_floor
-                try:
-                    result = similarity.matrix_from_dict(
-                        {**data, "names": names, "weights": weights}, floor
-                    )
-                except KeyError as exc:
-                    raise ArtifactError(f"{where}.{exc.args[0]}: missing") from None
-                except TaxoforgeError as exc:
-                    raise ArtifactError(f"{where}: {exc}") from None
-            else:
-                at = where if key is None else f"{where}.{key}"
-                result = codec.decode(kind, data if key is None else data.get(key), at)
-                self._check(phase, result, at)
-            if phase in REBUILT:
-                result, expected = REBUILT[phase](self, result)
-                # In Python True == 1. The decoders refuse a boolean in every
-                # number they read, which leaves the similarity weights and
-                # scores rows, read by no decoder.
-                if expected != data or phase == "similarity" and bool in map(
-                    type, chain(data["weights"], chain.from_iterable(data["scores"]))
-                ):
-                    difference = codec.first_difference(expected, data, where)
-                    if difference is not None:
-                        raise ArtifactError(difference)
-            self.results[phase] = result
+            self.results[phase] = READERS[phase](self)
         return self.results[phase]
 
-    def _check(self, phase: str, result, where: str) -> None:
-        """Refuse independent values that do not fit the integrated factors,
-        the KB's ids or their range."""
-
-        def refuse(field: str, message: str) -> None:
-            raise ArtifactError(f"{where}{field}: {message}")
-
-        if phase == "integrate":
-            for i, f in enumerate(result.factors):
-                if tuple(f.studies) != SPACE_TYPES:
-                    refuse(f".factors[{i}].studies",
-                           f"expected studies under {', '.join(SPACE_TYPES)}")
-                if not f.occurrence.total:
-                    refuse(f".factors[{i}].counts", "expected at least one mention")
-            # Each mention adds one count and at most one study.
-            for i, f in enumerate(result.factors):
-                for code, count in zip(SPACE_TYPES, f.occurrence.counts):
-                    if not min(count, 1) <= len(f.studies[code]) <= count:
-                        refuse(f".factors[{i}].studies.{code}", f"expected 1 to "
-                               f"{count} studies for {count} mentions, none for none")
-            total = sum(f.occurrence.total for f in result.factors)
-            if result.raw_record_count != total:
-                refuse(".raw_record_count", "expected the sum of the factors' counts")
-            return
-        if phase != "place":
-            key = "factor" if phase == "cluster" else "name"
-            if tuple(getattr(r, key) for r in result) != self.get("integrate").names:
-                refuse(f"[*].{key}", "expected the integrated factors, in order")
-        subcategories = {d.identifier: d.subcategory_ids() for d in self.kb.domains}
-        # The codec has checked these are numbers; NaN fails every comparison.
-        unit = "expected a number in [0, 1]"
-        for i, r in enumerate(result):
-            if phase == "classify":
-                if len(r.relevance) != len(subcategories) or not all(
-                    0.0 <= x <= 1.0 for x in r.relevance
-                ):
-                    refuse(f"[{i}].relevance", f"{unit} per domain")
-                continue
-            domain = r.category if phase == "cluster" else r.domain
-            if r.subcategory not in subcategories.get(domain, ()):
-                refuse(f"[{i}].subcategory", f"{r.subcategory!r} is not a "
-                       f"subcategory of domain {domain!r}")
-            if phase == "place" and not 0.0 <= r.composite <= 1.0:
-                refuse(f"[{i}].composite", unit)
-
-    def _read(self, phase: str, path: Path) -> dict:
+    def read(self, phase: str) -> tuple[dict, str]:
+        """``phase``'s checked artifact's ``data``, and where its refusals start."""
+        path = self.config.out_dir / ARTIFACTS[phase][0]
         if not path.exists():
             if path.parent.exists() and not path.parent.is_dir():
-                raise ArtifactError(
-                    f"phase {phase!r}: output directory {path.parent} is not a "
-                    "directory"
-                )
-            raise ArtifactError(
-                f"phase {phase!r}: missing upstream artifact {path}; "
-                "run that phase first"
-            )
+                problem = f"output directory {path.parent} is not a directory"
+            else:
+                problem = f"missing upstream artifact {path}; run that phase first"
+            raise ArtifactError(f"phase {phase!r}: {problem}")
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:
@@ -459,7 +370,15 @@ class RunState:
                 f"phase {phase!r}: artifact {path} was produced under a different "
                 "configuration (checksum mismatch); re-run the upstream phases"
             )
-        return doc["data"]
+        return doc["data"], f"artifact {path}: data"
+
+    def decoded(self, phase: str) -> tuple[object, str]:
+        """``phase``'s artifact decoded as its type, and the decoded value's path."""
+        data, where = self.read(phase)
+        _, key, kind = ARTIFACTS[phase]
+        if key is not None:
+            data, where = data.get(key), f"{where}.{key}"
+        return codec.decode(kind, data, where), where
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -471,30 +390,103 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     emit.write_atomic(path, write)
 
 
-# Rebuilding on reading: each function takes the decoded values of its
-# phase's artifact, rebuilds the phase's result from the independent ones
-# with the phase's own code, and returns it with the ``data`` it writes.
+# One reader per artifact: it decodes the artifact, refuses an independent
+# value that does not fit the integrated factors, the KB or its range, then
+# rebuilds the rest with the phase's own code and compares what is kept.
+
+UNIT = "expected a number in [0, 1]"  # the codec has checked it is a number
+IN_ORDER = "expected the integrated factors, in order"
 
 
-def _classified(state: RunState, decoded) -> tuple[list, dict]:
+def _compare(rebuilt: Sequence[tuple], decoded: Sequence[tuple], where: str) -> None:
+    """Refuse the first field of a decoded record that is not its rebuilt
+    record's field of that name; the codec has typed it, so ``==`` holds."""
+    if len(rebuilt) != len(decoded) or any(
+        record[: len(kept)] != kept for record, kept in zip(rebuilt, decoded)
+    ):
+        raise ArtifactError(where + codec.mismatch(rebuilt, decoded))
+
+
+def _subcategories_known(state: RunState, homes: list[tuple], where: str) -> None:
+    """Refuse a (domain, subcategory) whose subcategory is not the domain's."""
+    subcategories = {d.identifier: d.subcategory_ids() for d in state.kb.domains}
+    for i, (domain, sub) in enumerate(homes):
+        if sub not in subcategories.get(domain, ()):
+            raise ArtifactError(f"{where}[{i}].subcategory: {sub!r} is not a "
+                                f"subcategory of domain {domain!r}")
+
+
+def _read_integrated(state: RunState) -> integrate.IntegratedFactorSet:
+    result, where = state.decoded("integrate")
+    at = f"{where}.factors"
+    for i, f in enumerate(result.factors):
+        if tuple(f.studies) != SPACE_TYPES:
+            raise ArtifactError(f"{at}[{i}].studies: expected studies under "
+                                f"{', '.join(SPACE_TYPES)}")
+        if not f.occurrence.total:
+            raise ArtifactError(f"{at}[{i}].counts: expected at least one mention")
+    # Each mention adds one count and at most one study.
+    for i, f in enumerate(result.factors):
+        for code, count in zip(SPACE_TYPES, f.occurrence.counts):
+            if not min(count, 1) <= len(f.studies[code]) <= count:
+                raise ArtifactError(f"{at}[{i}].studies.{code}: expected 1 to {count} "
+                                    f"studies for {count} mentions, none for none")
+    if result.raw_record_count != sum(f.occurrence.total for f in result.factors):
+        raise ArtifactError(
+            f"{where}.raw_record_count: expected the sum of the factors' counts"
+        )
+    return result
+
+
+def _read_similarity(state: RunState) -> similarity.SimilarityMatrix:
+    data, where = state.read("similarity")
+    # Decoded against the weights and names the phase writes, held to them.
+    floor = state.config.thresholds.graph_floor
+    names, weights = list(state.get("integrate").names), list(state.config.weights)
+    run = {"weights": weights, "names": names}
+    try:
+        matrix = similarity.matrix_from_dict({**data, **run}, floor)
+        for key, expected in run.items():
+            if (found := codec.mismatch(expected, data[key])) is not None:
+                raise ArtifactError(key + found)
+        return matrix
+    except KeyError as exc:
+        raise ArtifactError(f"{where}.{exc.args[0]}: missing") from None
+    except ArtifactError as exc:  # a leaf named by its path below data
+        raise ArtifactError(f"{where}.{exc}") from None
+    except TaxoforgeError as exc:
+        raise ArtifactError(f"{where}: {exc}") from None
+
+
+def _read_classified(state: RunState) -> list[classify.ClassificationResult]:
+    decoded, where = state.decoded("classify")
+    if tuple(r.name for r in decoded) != state.get("integrate").names:
+        raise ArtifactError(f"{where}[*].name: {IN_ORDER}")
     kb, threshold = state.kb, state.config.thresholds.cross_cutting
+    for i, r in enumerate(decoded):
+        if len(r.relevance) != len(kb.domains) or not all(
+            0.0 <= x <= 1.0 for x in r.relevance
+        ):
+            raise ArtifactError(f"{where}[{i}].relevance: {UNIT} per domain")
     results = [
         classify.classify_factor(factor, r.relevance, kb, threshold)
         for factor, r in zip(state.get("integrate").factors, decoded)
     ]
-    return results, artifact_data("classify", results)
+    _compare(results, decoded, where)
+    placement.check_overrides(results, kb)
+    return results
 
 
-def _assigned(state: RunState, decoded) -> tuple[list, dict]:
+def _read_assigned(state: RunState) -> list[cluster.CategoryAssignment]:
+    decoded, where = state.decoded("cluster")
+    if tuple(home.factor for home in decoded) != state.get("integrate").names:
+        raise ArtifactError(f"{where}[*].factor: {IN_ORDER}")
+    _subcategories_known(state, [(h.category, h.subcategory) for h in decoded], where)
     # Every channel score and so each category is rebuilt; the subcategory,
     # which needs the lexicon, is taken as written.
-    rows = cluster.channel_scores(
-        state.get("integrate"),
-        state.get("classify"),
-        state.kb,
-        state.get("similarity"),
-        state.config.thresholds.related,
-    )
+    integrated, classified = state.get("integrate"), state.get("classify")
+    graph, related = state.get("similarity"), state.config.thresholds.related
+    rows = cluster.channel_scores(integrated, classified, state.kb, graph, related)
     domain_ids = state.kb.domain_ids()
     results = [
         cluster.CategoryAssignment(
@@ -502,22 +494,28 @@ def _assigned(state: RunState, decoded) -> tuple[list, dict]:
         )
         for home, row in zip(decoded, rows)
     ]
-    return results, artifact_data("cluster", results)
+    _compare(results, decoded, where)
+    return results
 
 
-def _placed(state: RunState, decoded) -> tuple[placement.PlacementResult, dict]:
-    composites = {(p.factor, p.domain): p.composite for p in decoded}
-    subcategories = {(p.factor, p.domain): p.subcategory for p in decoded}
-    # A placement the artifact lacks gets stand-in values; the comparison
-    # then refuses the artifact at the first entry that differs.
+def _read_placed(state: RunState) -> placement.PlacementResult:
+    decoded, where = state.decoded("place")
+    _subcategories_known(state, [(p.domain, p.subcategory) for p in decoded], where)
+    for i, p in enumerate(decoded):
+        if not 0.0 <= p.composite <= 1.0:
+            raise ArtifactError(f"{where}[{i}].composite: {UNIT}")
+    # A placement the artifact lacks gets a stand-in, which the compare refuses.
+    kept = {(p.factor, p.domain): p for p in decoded}
+    missing = placement.Placement("", "", "", 0.0)
     result = placement.arrange(
         state.get("classify"),
         state.kb,
-        lambda name, domain: composites.get((name, domain), 0.0),
-        lambda name, domain: subcategories.get((name, domain), ""),
+        lambda name, domain: kept.get((name, domain), missing).composite,
+        lambda name, domain: kept.get((name, domain), missing).subcategory,
         state.config.thresholds.promotion,
     )
-    return result, artifact_data("place", result.placements)
+    _compare(result.placements, decoded, where)
+    return result
 
 
 def _indicators(state: RunState) -> list[str]:
@@ -527,11 +525,13 @@ def _indicators(state: RunState) -> list[str]:
     )
 
 
-REBUILT = {
-    "similarity": lambda state, matrix: (matrix, similarity.matrix_to_dict(matrix)),
-    "classify": _classified,
-    "cluster": _assigned,
-    "place": _placed,
+READERS = {
+    "integrate": _read_integrated,
+    "similarity": _read_similarity,
+    "classify": _read_classified,
+    "cluster": _read_assigned,
+    "place": _read_placed,
+    "indicate": _indicators,
 }
 
 
@@ -616,6 +616,7 @@ def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Pat
     )
     unassigned = [r.name for r in results if r.primary_domain is None]
     _warn_unmatched("classify: %d factors without a domain match", unassigned)
+    placement.check_overrides(results, state.kb)
     path = state.put("classify", results)
     rows = [
         (

@@ -203,6 +203,20 @@ def place_cross_cutting(
     )
 
 
+def check_overrides(
+    classifications: Sequence[ClassificationResult], kb: DomainKnowledgeBase
+) -> None:
+    """Refuse an override naming a domain outside its flagged factor's relevant set."""
+    for result in classifications:
+        override = kb.placement_overrides.get(result.name)
+        relevant = result.cross_cutting.relevant_domains
+        if result.flagged and override not in (None, *relevant):
+            raise KnowledgeBaseError(
+                f"kb file {kb.path}: placement_overrides.{result.name}: domain "
+                f"{override!r} is outside the factor's relevant set {list(relevant)}"
+            )
+
+
 def arrange(
     classifications: Sequence[ClassificationResult],
     kb: DomainKnowledgeBase,
@@ -213,7 +227,8 @@ def arrange(
     """Placements of every flagged factor in its relevant domains, given
     each (factor, domain id)'s composite and subcategory: ranked by
     composite, KB order breaking ties and a placement override first, then
-    tiered by ``place``; with their cross-references and argmax flags."""
+    tiered by ``place``; with their cross-references and argmax flags. Every
+    override must have passed ``check_overrides``."""
     order = {domain_id: pos for pos, domain_id in enumerate(kb.domain_ids())}
     placements: list[StrategicPlacement] = []
     argmax_flags: dict[str, bool] = {}
@@ -226,15 +241,7 @@ def arrange(
             key=lambda item: (-item[1], order[item[0]]),
         )
         argmax_domain = scored[0][0]
-        override = kb.placement_overrides.get(name)
-        if override is not None and override != argmax_domain:
-            if override not in relevant:
-                raise KnowledgeBaseError(
-                    f"kb file {kb.path}: placement_overrides.{name}: domain "
-                    f"{override!r} is outside the factor's relevant set "
-                    f"{list(relevant)}"
-                )
-            scored.sort(key=lambda item: item[0] != override)  # stable
+        scored.sort(key=lambda item: item[0] != kb.placement_overrides.get(name))
         ranked = place(name, scored, subcategory, promotion_threshold)
         placements.extend(ranked)
         argmax_flags[name] = ranked[0].domain == argmax_domain

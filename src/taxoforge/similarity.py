@@ -119,8 +119,8 @@ from operator import mul
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .codec import EMPTY, decode, read_yaml
-from .errors import LexiconError, TaxoforgeError
+from .codec import EMPTY, decode, mismatch, read_yaml
+from .errors import ArtifactError, LexiconError, TaxoforgeError
 from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
 
 DEFAULT_FIELD_SCORE = 0.85
@@ -412,13 +412,13 @@ class _PairScorer:
         self.weights = weights
 
     def rows(
-        self, floor: float | None
+        self, floor: float
     ) -> Iterator[tuple[int, int, list[tuple[int, float, float, float, float]]]]:
         """Each ``i`` with its count of candidates ``j > i`` and, for each
         pair it scores, ``(j, linguistic, distributional, co_occurrence,
         score)``, in no fixed order of ``j``.
 
-        With ``floor`` None, or while ``w_d >= floor``, every pair is scored.
+        While ``w_d >= floor``, as at a ``floor`` of 0.0, every pair is scored.
         Otherwise only candidates are: the factors sharing a token, a trigram
         key, a lexicon field or a study with ``i`` (any other pair has
         linguistic and co-occurrence components of exactly 0.0), and of those
@@ -444,7 +444,7 @@ class _PairScorer:
         partners: list = [()] * n
         field_entry = False
         screen = None
-        if floor is not None and w_d < floor:
+        if w_d < floor:
             screen = _trigram_screen(self.weights, floor)
             if self.by_type(floor):
                 homes = [m if not m & (m - 1) else 0 for m in masks]
@@ -681,7 +681,7 @@ def all_pair_scores(
     lexicon: SemanticLexicon,
 ) -> Iterator[tuple[int, int, float]]:
     """Every pair's score in ``(i, j)`` order, by the graph's row kernel."""
-    for i, _, pairs in _PairScorer(factor_set, weights, lexicon).rows(None):
+    for i, _, pairs in _PairScorer(factor_set, weights, lexicon).rows(0.0):
         for j, _, _, _, score in pairs:
             yield i, j, score
 
@@ -732,8 +732,9 @@ def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
     """Decode the graph built at ``floor`` from the components of its edges,
     each edge's score being their blend, ``combine``'s to the bit, and
     refuse an edge list ``build_matrix`` cannot produce; each edge is checked
-    inline. The names and weights are taken as written, and ``scores`` is
-    not read."""
+    inline. ``scores`` must then list each edge as ``[i, j, score]`` with no
+    boolean for a number, or ``ArtifactError`` names the first leaf that
+    differs by its path below ``doc``. The names and weights are as written."""
     n, rows = len(doc["names"]), doc["components"]
     weights = SimilarityWeights(*doc["weights"])
     w_l, w_d, w_c = weights
@@ -768,6 +769,12 @@ def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
             )
         scores.append((i, j, score))
         before = edge
+    written = doc["scores"]
+    if type(written) is not list or len(written) != len(scores) or not all(
+        type(row) is list and tuple(row) == edge and bool not in map(type, row)
+        for edge, row in zip(scores, written)
+    ):
+        raise ArtifactError(f"scores{mismatch(scores, written)}")
     return SimilarityMatrix(
         names=tuple(doc["names"]),
         scores=scores,

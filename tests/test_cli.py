@@ -198,7 +198,7 @@ class TestRun:
 
     def test_refused_run_leaves_no_earlier_outputs(self, tmp_path, capsys):
         # lighting is cross-cutting and ECONOMIC is outside its relevant set,
-        # so the second run is refused at place, after cluster has written.
+        # so the second run is refused at classify, before it writes.
         text = default_kb_path().read_text(encoding="utf-8")
         override = "placement_overrides: {lighting: ECONOMIC}"
         kb = tmp_path / "kb.yaml"
@@ -212,17 +212,13 @@ class TestRun:
         assert cli.main(["run", "--config", str(refused), *flags]) == 1
         assert "outside the factor's relevant set" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == [
-            "assignments.json",
-            "assignments_report.csv",
-            "classification.json",
-            "classification_report.csv",
             "integrated.json",
             "notes.txt",
             "pairs.csv",
             "similarity.json",
         ]
         checksum = pipeline.load_config(refused).checksum()["config"]
-        for name in ("integrated.json", "similarity.json", "assignments.json"):
+        for name in ("integrated.json", "similarity.json"):
             doc = json.loads((out / name).read_text(encoding="utf-8"))
             assert doc["config_checksum"] == checksum, name
         # A file run writes that cannot be deleted is refused in one line.

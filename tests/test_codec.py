@@ -9,7 +9,7 @@ from typing import Mapping, NamedTuple
 
 import pytest
 
-from taxoforge import codec, pipeline
+from taxoforge import codec, pipeline, similarity
 from taxoforge.cluster import CategoryAssignment
 from taxoforge.errors import ArtifactError
 from tests.conftest import FIXTURES
@@ -150,6 +150,22 @@ def test_rebuilt_results_equal_the_run(fixture_run, phase):
         )
     else:
         assert read == state.results[phase]
+
+
+def test_chained_read_encodes_nothing(fixture_run, monkeypatch):
+    """A phase run alone compares each decoded artifact with the records it
+    rebuilds; it encodes no upstream result again to compare the JSON."""
+    config, _ = fixture_run
+    calls = []
+    for module, name in ((codec, "encode"), (similarity, "matrix_to_dict")):
+
+        def counted(*args, _original=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert pipeline.phase_emit(config) == 0
+    assert calls == []
 
 
 ASSIGNMENT = {
@@ -306,7 +322,7 @@ def _rebuilt(phase, leaf):
     """Whether the leaf of ``phase``'s artifact is rebuilt on reading rather
     than read as written (similarity components, relevance, assignment
     subcategories, placement composites and subcategories)."""
-    if leaf[0] != "data" or phase not in pipeline.REBUILT:
+    if leaf[0] != "data" or phase == "integrate":
         return False
     if phase == "similarity":
         return leaf[1] != "components"
