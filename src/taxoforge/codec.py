@@ -10,14 +10,14 @@ wrong leaf by its path, as in
 ``data.placements[3].composite: expected a number, got None``, ignores keys
 that are not fields, gives an absent key its field's default where it has
 one, and takes only text as a mapping key. A number is never text, a
-boolean, NaN, infinite or a whole number beyond the float range. It builds
-each record through its class, so a check in the class's ``__new__`` runs;
-one that fails is refused at its object's path. Every empty frozenset it
-reads is ``EMPTY``. Both are compiled once per annotation. The KB, lexicon,
-rules and config files, read by ``read_yaml``, are decoded by the same
-reader; ``read_yaml`` parses with libyaml when PyYAML was built with it.
-``mismatch`` names where decoded records or a JSON list first differ from
-what a phase rebuilds, as ``[0].domain: expected 'A', got 'B'``."""
+boolean, NaN, infinite or a whole number beyond the float range. It calls
+a record's ``check`` method, where its class has one, as soon as it builds
+the record; a refusal is reported at its object's path. Every empty
+frozenset it reads is ``EMPTY``. Both are compiled once per annotation. The
+KB, lexicon, rules and config files, read by ``read_yaml``, are decoded by
+the same reader; ``read_yaml`` parses with libyaml when PyYAML was built
+with it. ``mismatch`` names where decoded records or a JSON list first
+differ from what a phase rebuilds, as ``[0].domain: expected 'A', got 'B'``."""
 
 from __future__ import annotations
 
@@ -207,6 +207,7 @@ def _record_codec(kind: type):
     hints, missing = typing.get_type_hints(kind), object()  # an absent key
     names, required = kind._fields, set(kind._fields) - set(kind._field_defaults)
     plan = [(name, *_codec(hints[name]), _is_record(hints[name])) for name in names]
+    check = getattr(kind, "check", None)
 
     def read(value):
         if type(value) is not dict:
@@ -224,9 +225,12 @@ def _record_codec(kind: type):
                 exc.path.append(f".{name}")
             raise
         try:
-            return kind(**values)
+            record = kind(**values)
+            if check is not None:
+                check(record)
         except TaxoforgeError as exc:
             raise _Refused(str(exc)) from None
+        return record
 
     def write(obj):
         out = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
-from functools import cached_property
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
@@ -79,30 +79,27 @@ class Corpus(NamedTuple):
         return f"{path}: row {line}"
 
 
-class _NormalizationRuleSet(NamedTuple):
+@cache
+def _punctuation_table(punctuation_strip: str) -> dict[int, str]:
+    # Replace rather than delete so "comfort/vitality" keeps its token
+    # boundary; hyphens are handled apart, at word boundaries only.
+    chars = punctuation_strip.replace("-", "")
+    return str.maketrans(dict.fromkeys(chars, " "))
+
+
+class NormalizationRuleSet(NamedTuple):
+    """Declarative normalization rules applied to raw factor names.
+
+    Synonym values must already be canonical (fixed points of the rule set),
+    and the map resolves in a single step: applying it twice equals applying
+    it once. Entries in preserve_distinct are never rewritten.
+    """
+
     case_folding: bool = True
     whitespace_collapse: bool = True
     punctuation_strip: str = DEFAULT_PUNCTUATION
     synonym_map: Mapping[str, str] = MappingProxyType({})
     preserve_distinct: frozenset[str] = frozenset()
-
-
-class NormalizationRuleSet(_NormalizationRuleSet):
-    """Declarative normalization rules applied to raw factor names.
-
-    Synonym values must already be canonical (fixed points of the rule set),
-    and the map resolves in a single step: applying it twice equals applying
-    it once. Entries in preserve_distinct are never rewritten. Without
-    ``__slots__`` each rule set has a ``__dict__``, which holds its cached
-    punctuation table.
-    """
-
-    @cached_property
-    def _punctuation_table(self) -> dict[int, str]:
-        # Replace rather than delete so "comfort/vitality" keeps its token
-        # boundary; hyphens are handled apart, at word boundaries only.
-        chars = self.punctuation_strip.replace("-", "")
-        return str.maketrans(dict.fromkeys(chars, " "))
 
     def base_normalize(self, text: str) -> str:
         """Apply the surface-form rules only (no synonym mapping): each
@@ -114,7 +111,7 @@ class NormalizationRuleSet(_NormalizationRuleSet):
         if self.punctuation_strip:
             if "-" in self.punctuation_strip:
                 text = _BOUNDARY_HYPHEN.sub(" ", text)
-            text = text.translate(self._punctuation_table)
+            text = text.translate(_punctuation_table(self.punctuation_strip))
         if self.whitespace_collapse:
             return " ".join(text.split())
         return text.strip()

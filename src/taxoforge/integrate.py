@@ -16,22 +16,16 @@ from .corpus import SPACE_TYPES, Corpus, NormalizationRuleSet, normalize
 from .errors import CorpusError, TaxoforgeError
 
 
-class _OccurrenceVector(NamedTuple):
-    counts: tuple[int, ...]
-
-
-class OccurrenceVector(_OccurrenceVector):
+class OccurrenceVector(NamedTuple):
     """Mention counts for one factor across the six space types."""
 
-    __slots__ = ()
+    counts: tuple[int, ...]
 
-    def __new__(cls, *args, **kwargs) -> OccurrenceVector:
-        self = super().__new__(cls, *args, **kwargs)
+    def check(self) -> None:
         if len(self.counts) != len(SPACE_TYPES):
             raise TaxoforgeError("occurrence vector needs exactly six counts")
         if any(count < 0 for count in self.counts):
             raise TaxoforgeError("occurrence counts must be non-negative")
-        return self
 
     @classmethod
     def from_mapping(cls, counts: Mapping[str, int]) -> "OccurrenceVector":

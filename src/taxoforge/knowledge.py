@@ -56,23 +56,17 @@ class Domain(NamedTuple):
         return 0.5
 
 
-class _ScopePriors(NamedTuple):
+class ScopePriors(NamedTuple):
     preferred: float = 1.0
     adjacent: float = 0.8
     other: float = 0.6
 
-
-class ScopePriors(_ScopePriors):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> ScopePriors:
-        self = super().__new__(cls, *args, **kwargs)
+    def check(self) -> None:
         for name, value in self._asdict().items():
             if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
                 raise KnowledgeBaseError(
                     f"{name}: expected a number in [0, 1], got {value}"
                 )
-        return self
 
 
 class DomainKnowledgeBase(NamedTuple):
@@ -91,21 +85,16 @@ class DomainKnowledgeBase(NamedTuple):
         raise KeyError(identifier)
 
 
-# The KB file as written; ``load_kb`` turns it into the objects above. Each
-# checked record's ``__new__`` refuses a malformed value; ``_replace`` would
-# skip it.
+# The KB file as written; ``load_kb`` turns it into the objects above. The
+# codec calls a record's ``check``, where it has one, as it reads the record,
+# so a malformed value is refused at its path; one built in code is unchecked.
 
 
-class _SubcategoryEntry(NamedTuple):
+class SubcategoryEntry(NamedTuple):
     id: str
     keywords: tuple[str, ...]
 
-
-class SubcategoryEntry(_SubcategoryEntry):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> SubcategoryEntry:
-        self = super().__new__(cls, *args, **kwargs)
+    def check(self) -> None:
         if not self.id.strip():
             raise KnowledgeBaseError("id: expected a name, got a blank")
         if not self.keywords:
@@ -115,7 +104,6 @@ class SubcategoryEntry(_SubcategoryEntry):
                 raise KnowledgeBaseError(
                     f"keywords[{k}]: expected a keyword, got a blank"
                 )
-        return self
 
 
 class LiteratureEntry(NamedTuple):
@@ -123,7 +111,9 @@ class LiteratureEntry(NamedTuple):
     none: frozenset[str] | None = None
 
 
-class _DomainEntry(NamedTuple):
+class DomainEntry(NamedTuple):
+    """An id and keywords, checked as a subcategory's are, and the rest."""
+
     id: str
     keywords: tuple[str, ...]
     scope: str
@@ -132,15 +122,8 @@ class _DomainEntry(NamedTuple):
     compatible_types: frozenset[str] | None = None
     literature_support: LiteratureEntry | None = None
 
-
-class DomainEntry(_DomainEntry):
-    """An id and keywords, checked as a subcategory's are, and the rest."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> DomainEntry:
-        self = super().__new__(cls, *args, **kwargs)
-        SubcategoryEntry(self.id, self.keywords)
+    def check(self) -> None:
+        SubcategoryEntry.check(self)
         if self.scope.lower() not in {scope.value for scope in DomainScope}:
             raise KnowledgeBaseError(
                 f"scope: expected broad, moderate or specialized, got {self.scope!r}"
@@ -159,20 +142,14 @@ class DomainEntry(_DomainEntry):
         if not 0.0 < squares < math.inf:  # the distribution channel's divisor
             raise KnowledgeBaseError(f"space_profile: the squares of its weights "
                                      f"sum to {squares}, expected above 0 and finite")
-        return self
 
 
-class _KbFile(NamedTuple):
+class KbFile(NamedTuple):
     domains: tuple[DomainEntry, ...]
     scope_priors: ScopePriors | None = None
     placement_overrides: Mapping[str, str] | None = None
 
-
-class KbFile(_KbFile):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> KbFile:
-        self = super().__new__(cls, *args, **kwargs)
+    def check(self) -> None:
         ids = [domain.id.strip() for domain in self.domains]
         if not ids:
             raise KnowledgeBaseError("domains: expected at least one domain")
@@ -183,7 +160,6 @@ class KbFile(_KbFile):
                 raise KnowledgeBaseError(
                     f"placement_overrides.{factor}: unknown domain {domain_id!r}"
                 )
-        return self
 
 
 def _keywords(keywords: tuple[str, ...]) -> tuple[str, ...]:

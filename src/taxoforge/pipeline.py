@@ -47,7 +47,7 @@ log = logging.getLogger(__name__)
 UNMATCHED_SHOWN = 5
 
 
-class _Thresholds(NamedTuple):
+class Thresholds(NamedTuple):
     band_high: float = similarity.BAND_HIGH
     band_low: float = similarity.BAND_LOW
     related: float = cluster.RELATED_THRESHOLD
@@ -55,12 +55,7 @@ class _Thresholds(NamedTuple):
     cross_cutting: float = classify.CROSS_CUTTING_THRESHOLD
     promotion: float = placement.PROMOTION_THRESHOLD
 
-
-class Thresholds(_Thresholds):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> Thresholds:
-        self = super().__new__(cls, *args, **kwargs)
+    def check(self) -> None:
         for name, value in self._asdict().items():
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"threshold {name}={value} out of range [0, 1]")
@@ -68,7 +63,6 @@ class Thresholds(_Thresholds):
             raise ConfigError(
                 f"threshold band_high={self.band_high} < band_low={self.band_low}"
             )
-        return self
 
     @property
     def graph_floor(self) -> float:
@@ -195,18 +189,17 @@ def _config(file: ConfigFile, datasets_doc: object, source: Path) -> PipelineCon
 
 def _settings(current, values: Mapping[str, float], where: str):
     """``current``, a ``SimilarityWeights`` or ``Thresholds``, with the named
-    values replaced; an unknown name or a value its own check refuses raises
-    ``ConfigError`` after ``where``, the config field or the flag. The new
-    record is built through its class, so its check runs, as ``_replace``'s
-    would not."""
+    values replaced; an unknown name, or a record its ``check`` refuses,
+    raises ``ConfigError`` after ``where``, the config field or the flag."""
     noun = "threshold" if isinstance(current, Thresholds) else "similarity weight"
     if unknown := set(values) - set(current._fields):
         raise ConfigError(f"{where}: unknown {noun} {min(unknown)!r}")
-    changed = {name: float(v) for name, v in values.items()}
+    setting = current._replace(**{name: float(v) for name, v in values.items()})
     try:
-        return type(current)(**{**current._asdict(), **changed})
+        setting.check()
     except TaxoforgeError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    return setting
 
 
 def _flag_number(flag: str, name: str, text: str) -> float:

@@ -149,53 +149,50 @@ class NameFeatures(NamedTuple):
     fields: frozenset[str]
 
 
-class _SemanticLexicon(NamedTuple):
-    fields: Mapping[str, frozenset[str]]
-    field_score: float = DEFAULT_FIELD_SCORE
-
-
-class SemanticLexicon(_SemanticLexicon):
+class SemanticLexicon(NamedTuple):
     """Named semantic fields; co-membership earns the field score.
 
-    Each name's ``NameFeatures`` is built once and kept in the lexicon's own
-    ``__dict__``, so two lexicons never share field sets and the cache lives
-    as long as its lexicon. A name in no field has the field set ``EMPTY``.
+    ``build`` indexes each term's fields. Each name's ``NameFeatures`` is
+    built once and kept in the lexicon's own ``feature_cache``, so two
+    lexicons never share field sets and the cache lives as long as its
+    lexicon. A name in no field has the field set ``EMPTY``.
     """
 
-    @cached_property
-    def _term_fields(self) -> dict[str, frozenset[str]]:
+    fields: Mapping[str, frozenset[str]]
+    field_score: float
+    term_fields: dict[str, frozenset[str]]
+    feature_cache: dict[str, NameFeatures]
+
+    @classmethod
+    def build(
+        cls,
+        fields: Mapping[str, frozenset[str]],
+        field_score: float = DEFAULT_FIELD_SCORE,
+    ) -> SemanticLexicon:
         index: dict[str, set[str]] = {}
-        for field, terms in self.fields.items():
+        for field, terms in fields.items():
             for term in terms:
                 index.setdefault(term, set()).add(field)
-        return {term: frozenset(fields) for term, fields in index.items()}
-
-    @cached_property
-    def _features(self) -> dict[str, NameFeatures]:
-        return {}
+        term_fields = {term: frozenset(found) for term, found in index.items()}
+        return cls(fields, field_score, term_fields, {})
 
     def fields_of(self, name: str) -> frozenset[str]:
-        return self._term_fields.get(name, EMPTY)
+        return self.term_fields.get(name, EMPTY)
 
     def features(self, name: str) -> NameFeatures:
-        found = self._features.get(name)
+        found = self.feature_cache.get(name)
         if found is None:
-            found = self._features[name] = name_features(name, self)
+            found = self.feature_cache[name] = name_features(name, self)
         return found
 
 
-class _LexiconFile(NamedTuple):
+class LexiconFile(NamedTuple):
+    """The lexicon file as written; ``load_lexicon`` reads it."""
+
     fields: Mapping[str, tuple[str, ...]] | None = None
     field_score: float = DEFAULT_FIELD_SCORE
 
-
-class LexiconFile(_LexiconFile):
-    """The lexicon file as written; ``load_lexicon`` reads it."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> LexiconFile:
-        self = super().__new__(cls, *args, **kwargs)
+    def check(self) -> None:
         if not 0.0 <= self.field_score <= 1.0:
             raise LexiconError(f"field_score: {self.field_score} out of range [0, 1]")
         for name, terms in (self.fields or {}).items():
@@ -206,7 +203,6 @@ class LexiconFile(_LexiconFile):
                     raise LexiconError(
                         f"fields.{name}[{k}]: expected a term, got a blank"
                     )
-        return self
 
 
 def load_lexicon(path: str | Path) -> SemanticLexicon:
@@ -221,7 +217,7 @@ def load_lexicon(path: str | Path) -> SemanticLexicon:
         name: frozenset(" ".join(term.casefold().split()) for term in terms)
         for name, terms in (lexicon.fields or {}).items()
     }
-    return SemanticLexicon(fields=fields, field_score=float(lexicon.field_score))
+    return SemanticLexicon.build(fields, float(lexicon.field_score))
 
 
 def name_features(name: str, lexicon: SemanticLexicon) -> NameFeatures:
@@ -275,17 +271,12 @@ class ComponentScores(NamedTuple):
     co_occurrence: float
 
 
-class _SimilarityWeights(NamedTuple):
+class SimilarityWeights(NamedTuple):
     linguistic: float = 0.5
     distributional: float = 0.3
     co_occurrence: float = 0.2
 
-
-class SimilarityWeights(_SimilarityWeights):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> SimilarityWeights:
-        self = super().__new__(cls, *args, **kwargs)
+    def check(self) -> None:
         values = (self.linguistic, self.distributional, self.co_occurrence)
         if not all(v >= 0.0 for v in values):  # NaN fails the comparison too
             raise TaxoforgeError(
@@ -293,7 +284,6 @@ class SimilarityWeights(_SimilarityWeights):
             )
         if not abs(sum(values) - 1.0) <= 1e-9:
             raise TaxoforgeError(f"similarity weights must sum to 1, got {sum(values)}")
-        return self
 
 
 def combine(components: ComponentScores, weights: SimilarityWeights) -> float:

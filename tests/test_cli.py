@@ -996,6 +996,20 @@ MALFORMED = [
     pytest.param(
         "config",
         ["weights"],
+        {"linguistic": 0.5, "distributional": 0.3, "co_occurrence": 0.1},
+        "weights: similarity weights must sum to 1",
+        id="config-weights-sum",
+    ),
+    pytest.param(
+        "config",
+        ["thresholds"],
+        {"related": 1.5},
+        "thresholds: threshold related=1.5 out of range",
+        id="config-threshold-range",
+    ),
+    pytest.param(
+        "config",
+        ["weights"],
         {"linguistic": 0.5, "distributional": 0.3, "cooccurrence": 0.2},
         "cooccurrence",
         id="config-weights-unknown-key",
@@ -1197,6 +1211,13 @@ MALFORMED = [
         "fields.protection[0]",
         id="lexicon-term-blank",
     ),
+    pytest.param(
+        "lexicon",
+        ["field_score"],
+        1.5,
+        "field_score: 1.5 out of range",
+        id="lexicon-score-range",
+    ),
     pytest.param("integrated.json", [], [], "data", id="artifact-not-object"),
     pytest.param("integrated.json", ["data"], MISSING, "data", id="artifact-no-data"),
     pytest.param(
@@ -1298,6 +1319,13 @@ MALFORMED = [
         lambda factors: _move_counts(factors, 10, 0),
         "factors[10].counts",
         id="integrated-counts-zero",
+    ),
+    pytest.param(
+        "integrated.json",
+        ["data", "factors", 0, "counts"],
+        lambda counts: counts[:5],
+        "factors[0]: occurrence vector needs exactly six counts",
+        id="integrated-counts-short",
     ),
     # safety (factor 0) has one mention, and one study, under each of P, S,
     # U, O and F, and none under G.
@@ -1405,6 +1433,20 @@ MALFORMED = [
         {"Lighting": "SOCIAL", "lighting": "COMFORT"},
         "placement_overrides",
         id="kb-override-spellings-conflict",
+    ),
+    pytest.param(
+        "kb",
+        ["domains"],
+        lambda domains: domains + domains[:1],
+        "domains: duplicate domain ids",
+        id="kb-domains-duplicate",
+    ),
+    pytest.param(
+        "kb",
+        ["placement_overrides"],
+        {"lighting": "NOWHERE"},
+        "placement_overrides.lighting: unknown domain 'NOWHERE'",
+        id="kb-override-unknown-domain",
     ),
     # A weight whose square underflows gives a norm of 0.0; one whose
     # square overflows gives an infinite norm, and every fit would be 0.0.

@@ -148,7 +148,7 @@ TINY_KB = DomainKnowledgeBase(
     )
 )
 
-TINY_LEXICON = SemanticLexicon(
+TINY_LEXICON = SemanticLexicon.build(
     fields={"everything": frozenset({"omni", "alpha", "beta", "gamma"})}
 )
 
@@ -253,7 +253,7 @@ ORACLE_NAMES = (
     "omni", "beta", "alpha", "alphabet", "street lighting", "lighting",
     "cd ab", "abab", "ababab",
 )
-ORACLE_LEXICON = SemanticLexicon(
+ORACLE_LEXICON = SemanticLexicon.build(
     fields={
         "pair": frozenset({"zz", "qq"}),
         "everything": frozenset({"omni", "alpha", "beta"}),
@@ -290,7 +290,7 @@ def oracle_factor_set(specs) -> IntegratedFactorSet:
 # field score of 1.0 lets "banana" and "na" reach the default floor through
 # their field alone.
 REPEAT_NAMES = ("banana", "bananas", "nana", "ana", "na", "a", "an", "ba na", "anna")
-REPEAT_LEXICON = SemanticLexicon(
+REPEAT_LEXICON = SemanticLexicon.build(
     fields={"fruit": frozenset({"banana", "na"})}, field_score=1.0
 )
 
@@ -333,7 +333,7 @@ TYPED_WORDS = (
 )
 TYPED_LEXICONS = (
     TINY_LEXICON,
-    SemanticLexicon(
+    SemanticLexicon.build(
         fields={
             "green": frozenset({"park", "tree", "tree park", "shade tree"}),
             "light": frozenset({"lighting", "street lighting", "path"}),
@@ -404,8 +404,8 @@ def relevance_kb(domains) -> DomainKnowledgeBase:
 
 def check_relevance_rows(domains, fields, field_score, names) -> None:
     kb = relevance_kb(domains)
-    rows = relevance_rows(names, kb, SemanticLexicon(fields, field_score))
-    reference = SemanticLexicon(fields, field_score)  # its own feature cache
+    rows = relevance_rows(names, kb, SemanticLexicon.build(fields, field_score))
+    reference = SemanticLexicon.build(fields, field_score)  # its own feature cache
     for name, row in zip(names, rows):
         expected = relevance_row(name, kb, reference)
         assert row == expected
@@ -431,8 +431,8 @@ def check_best_subcategory(groups, fields, field_score, names) -> None:
         space_profile=(1.0,) * 6,
         compatible_types=frozenset(),
     )
-    scorer = subcategory_scorer(domain, SemanticLexicon(fields, field_score))
-    reference = SemanticLexicon(fields, field_score)  # its own feature cache
+    scorer = subcategory_scorer(domain, SemanticLexicon.build(fields, field_score))
+    reference = SemanticLexicon.build(fields, field_score)  # its own feature cache
     expected = best_subcategory_reference(names, domain, reference)
     assert best_subcategory(names, domain, scorer) == expected
 
@@ -837,7 +837,7 @@ P2 = (2, 2, 0, 0, 0, 0)
 ONLY_P = (2, 0, 0, 0, 0, 0)
 ONLY_S = (0, 1, 0, 0, 0, 0)
 ONLY_U = (0, 0, 1, 0, 0, 0)
-FIELD_ONE_LEXICON = SemanticLexicon(fields=ORACLE_LEXICON.fields, field_score=1.0)
+FIELD_ONE_LEXICON = SemanticLexicon.build(fields=ORACLE_LEXICON.fields, field_score=1.0)
 
 
 @SUITE

@@ -67,8 +67,8 @@ class TestLinguistic:
 
     def test_lexicons_keep_their_own_fields(self):
         # Same names, two lexicons in one process: each reads its own fields.
-        one = SemanticLexicon(fields={"f": frozenset({"alpha", "omega"})})
-        other = SemanticLexicon(fields={"g": frozenset({"alpha"})})
+        one = SemanticLexicon.build(fields={"f": frozenset({"alpha", "omega"})})
+        other = SemanticLexicon.build(fields={"g": frozenset({"alpha"})})
         assert linguistic("alpha", "omega", one) == one.field_score
         assert linguistic("alpha", "omega", other) < one.field_score
         assert other.features("alpha").fields == {"g"}
@@ -152,9 +152,9 @@ class TestCombine:
 
     def test_weight_validation(self):
         with pytest.raises(TaxoforgeError):
-            SimilarityWeights(0.5, 0.5, 0.5)
+            SimilarityWeights(0.5, 0.5, 0.5).check()
         with pytest.raises(TaxoforgeError):
-            SimilarityWeights(-0.2, 0.6, 0.6)
+            SimilarityWeights(-0.2, 0.6, 0.6).check()
 
 
 class TestBand:
@@ -238,7 +238,7 @@ class TestMatrix:
         # 1/sqrt(2 * 2) = 0.5 exactly, and no token, field or study. Rounded,
         # sqrt(2) * sqrt(2) exceeds 2, so a screen without slack drops it.
         a, b = make_factor("abcd", {"P": 1}), make_factor("abce", {"S": 1})
-        lexicon = SemanticLexicon(fields={})
+        lexicon = SemanticLexicon.build(fields={})
         assert linguistic("abcd", "abce", lexicon) == 0.5
         weights = SimilarityWeights(1.0, 0.0, 0.0)
         matrix = build_matrix(IntegratedFactorSet((a, b), 2), weights, lexicon, 0.5)
@@ -253,7 +253,7 @@ class TestMatrix:
         # 0.5 * 1.0 = 0.5, exactly the default floor.
         a = make_factor("street lighting", {"P": 1})
         b = make_factor("lighting street", {"S": 1})
-        lexicon = SemanticLexicon(fields={})
+        lexicon = SemanticLexicon.build(fields={})
         matrix = build_matrix(IntegratedFactorSet((a, b), 2), SimilarityWeights(), lexicon)
         assert matrix.scores == [(0, 1, 0.5)]
         assert matrix.components == {(0, 1): ComponentScores(1.0, 0.0, 0.0)}

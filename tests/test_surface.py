@@ -4,13 +4,18 @@ A definition that only tests reach is surface to keep working without
 serving a run, so it is deleted and its tests moved onto the path the
 program takes. A use is a name or attribute node in the package's code;
 a docstring or comment that mentions the name is not one. The classes
-still declared as dataclasses are listed, each with its reason.
+still declared as dataclasses are listed, each with its reason. A record
+is one class, and every record's ``check`` runs when an input is read.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import typing
 from pathlib import Path
+
+from taxoforge import corpus, knowledge, pipeline, similarity
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "taxoforge"
 
@@ -27,8 +32,9 @@ ALLOWED = {
 
 # Each class in the package declared with ``@dataclass`` -> why it is not a
 # ``typing.NamedTuple``, which is cheaper to define at import and to create.
-# A check lives in the ``__new__`` of a ``NamedTuple`` subclass, and a
-# ``cached_property`` in the ``__dict__`` of one without ``__slots__``.
+# A ``NamedTuple`` that refuses a malformed value has a ``check`` method,
+# which the readers call; a value built once per record is a field or comes
+# from a cached function of one.
 REPLACED = "perfbench/worker.py calls dataclasses.replace on it"
 DATACLASSES = {
     "pipeline.PipelineConfig": REPLACED,
@@ -91,3 +97,70 @@ def test_dataclasses_are_the_allowed_ones_for_their_reasons():
     worker = (PACKAGE.parents[1] / "perfbench" / "worker.py").read_text(encoding="utf-8")
     assert "from dataclasses import replace" in worker
     assert "replace(config, " in worker
+
+
+# "module.Class" -> why it subclasses another class of the package (the
+# exceptions in errors.py aside).
+SUBCLASSES = {
+    "similarity.SimilarityMatrix": "its cached neighbour lists need a __dict__ "
+    "until a flat form of the graph, built once, replaces them",
+}
+CACHED = {"pipeline.RunState", "similarity.SimilarityMatrix"}
+
+
+def test_records_are_one_class():
+    classes = [
+        (path.stem, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+    names = {node.name for _, node in classes}
+    subclasses, cached = set(), set()
+    for module, node in classes:
+        key = f"{module}.{node.name}"
+        if module != "errors" and names & set(map(_name, node.bases)):
+            subclasses.add(key)
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and "cached_property" in map(
+                _name, item.decorator_list
+            ):
+                cached.add(key)
+    assert subclasses == set(SUBCLASSES)
+    assert cached == CACHED
+
+
+def _add_records(kind: object, found: set[type]) -> None:
+    """Add to ``found`` every record class ``kind`` reaches through field
+    annotations, ``kind`` itself included when it is a record."""
+    if hasattr(kind, "_fields") and kind not in found:
+        found.add(kind)
+        for hint in typing.get_type_hints(kind).values():
+            _add_records(hint, found)
+    for arg in typing.get_args(kind):
+        _add_records(arg, found)
+
+
+def test_every_check_runs_on_read():
+    checked = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "taxoforge" if path.stem == "__init__" else f"taxoforge.{path.stem}"
+        for value in vars(importlib.import_module(name)).values():
+            if isinstance(value, type) and value.__module__ == name:
+                if "check" in vars(value):
+                    checked.add(value)
+    # The codec calls the check of each record it decodes: the input files'
+    # and the artifacts'. similarity.json has a reader of its own, which
+    # takes the config's weights.
+    files = [
+        pipeline.ConfigFile, knowledge.KbFile, similarity.LexiconFile, corpus.RulesFile
+    ]
+    artifacts = [
+        kind for phase, (_, _, kind) in pipeline.ARTIFACTS.items()
+        if kind and phase != "similarity"
+    ]
+    reached: set[type] = set()
+    for kind in files + artifacts:
+        _add_records(kind, reached)
+    # pipeline._settings checks each setting the config or a flag changes.
+    assert checked - reached == {pipeline.Thresholds, similarity.SimilarityWeights}
