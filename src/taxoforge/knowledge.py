@@ -226,6 +226,9 @@ def canonical_names(
         field = f"domains[{i}].literature_support"
         strong = frozenset(canonical(domain.literature_strong, field))
         none = frozenset(canonical(domain.literature_none, field))
+        if both := strong & none:
+            raise KnowledgeBaseError(f"kb file {kb.path}: {field}: {min(both)!r} "
+                                     "is listed as both strong and none")
         domains.append(domain._replace(literature_strong=strong, literature_none=none))
     return kb._replace(domains=tuple(domains), placement_overrides=overrides)
 

@@ -609,7 +609,10 @@ def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Pat
     )
     unassigned = [r.name for r in results if r.primary_domain is None]
     _warn_unmatched("classify: %d factors without a domain match", unassigned)
-    placement.check_overrides(results, state.kb)
+    _warn_unmatched(
+        "classify: %d placement overrides name a factor that is not cross-cutting",
+        placement.check_overrides(results, state.kb),
+    )
     path = state.put("classify", results)
     rows = [
         (
@@ -674,12 +677,6 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
         listed += sorted(d.literature_strong | d.literature_none)
     unmatched = [name for name in dict.fromkeys(listed) if name not in names]
     _warn_unmatched("place: %d KB factor names match no factor", unmatched)
-    flagged = {r.name for r in state.get("classify") if r.flagged}
-    ignored = [n for n in kb.placement_overrides if n in names and n not in flagged]
-    _warn_unmatched(
-        "place: %d placement overrides name a factor that is not cross-cutting",
-        ignored,
-    )
     result = placement.place_cross_cutting(
         factor_set,
         state.get("classify"),

@@ -205,16 +205,19 @@ def place_cross_cutting(
 
 def check_overrides(
     classifications: Sequence[ClassificationResult], kb: DomainKnowledgeBase
-) -> None:
-    """Refuse an override naming a domain outside its flagged factor's relevant set."""
+) -> list[str]:
+    """Refuse an override naming a domain outside its factor's relevant set;
+    return the factors whose override places nothing, not being cross-cutting."""
+    overrides = kb.placement_overrides
     for result in classifications:
-        override = kb.placement_overrides.get(result.name)
+        override = overrides.get(result.name)
         relevant = result.cross_cutting.relevant_domains
-        if result.flagged and override not in (None, *relevant):
+        if override not in (None, *relevant):
             raise KnowledgeBaseError(
                 f"kb file {kb.path}: placement_overrides.{result.name}: domain "
                 f"{override!r} is outside the factor's relevant set {list(relevant)}"
             )
+    return [r.name for r in classifications if r.name in overrides and not r.flagged]
 
 
 def arrange(

@@ -304,8 +304,6 @@ def band(
     score: float, high: float = BAND_HIGH, low: float = BAND_LOW
 ) -> SimilarityBand:
     """Band a pair score; the high boundary itself is Moderate."""
-    if not 0.0 <= score <= 1.0:
-        raise TaxoforgeError(f"score {score} out of range [0, 1]")
     if score > high:
         return SimilarityBand.HIGH
     if score >= low:
@@ -720,14 +718,13 @@ def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
 
 def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
     """Decode the graph built at ``floor`` from the components of its edges,
-    each edge's score being their blend, ``combine``'s to the bit, and
+    each edge's score being their blend by ``combine``, and
     refuse an edge list ``build_matrix`` cannot produce; each edge is checked
     inline. ``scores`` must then list each edge as ``[i, j, score]`` with no
     boolean for a number, or ``ArtifactError`` names the first leaf that
     differs by its path below ``doc``. The names and weights are as written."""
     n, rows = len(doc["names"]), doc["components"]
     weights = SimilarityWeights(*doc["weights"])
-    w_l, w_d, w_c = weights
     if not isinstance(rows, list) or not all(
         isinstance(row, list) and len(row) == 5 for row in rows
     ):
@@ -750,8 +747,8 @@ def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
             raise TaxoforgeError(
                 f"similarity components of edge [{i}, {j}] must be numbers in [0, 1]"
             )
-        components[edge] = ComponentScores(lin, dist, co)
-        score = w_l * lin + w_d * dist + w_c * co  # combine's operation order
+        components[edge] = parts = ComponentScores(lin, dist, co)
+        score = combine(parts, weights)
         if score < floor:
             raise TaxoforgeError(
                 f"similarity components of edge [{i}, {j}] blend to {score}, "

@@ -271,6 +271,27 @@ class TestRun:
             "High 4 / Moderate 3 / Low 48"
         )
 
+    def test_blend_rounded_above_one_is_high(self, tmp_path, caplog):
+        # Weights summing to 1 within rounding blend three components of 1.0
+        # to just over 1.0; that pair is High, not a refused score.
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(
+            "raw_name,study_id,space_type\nstreet lighting,S1,P\n"
+            "lighting street,S1,P\nbenches,S2,S\n",
+            encoding="utf-8",
+        )
+        config = tmp_path / "config.yaml"
+        config.write_text(f"datasets:\n  - {corpus}\nout: out\n", encoding="utf-8")
+        argv = ["run", "--config", str(config), "--weights", "0.33,0.56,0.11"]
+        with caplog.at_level(logging.INFO, logger="taxoforge.pipeline"):
+            assert cli.main(argv) == 0
+        (message,) = [
+            r.getMessage()
+            for r in caplog.records
+            if r.getMessage().startswith("similarity:")
+        ]
+        assert "High 1 /" in message
+
     def test_missing_kb_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, extra="kb: /nonexistent/kb.yaml\n")
         assert cli.main(["run", "--config", str(config)]) == 1
@@ -584,26 +605,33 @@ class TestKnowledgeBaseNames:
         assert message.count("'") == 2 * pipeline.UNMATCHED_SHOWN
 
 
-    def test_override_of_a_factor_not_cross_cutting_is_warned(self, tmp_path, caplog):
-        # comfort is in the fixture corpus but not cross-cutting, so its
-        # override places nothing; one bounded line says so.
+    def test_override_of_a_factor_not_cross_cutting_is_warned(
+        self, tmp_path, caplog, capsys
+    ):
+        # comfort is in the fixture corpus but not cross-cutting, so an
+        # override to its one relevant domain places nothing; classify says so
+        # in one bounded line. An override outside that set is refused.
         text = default_kb_path().read_text(encoding="utf-8")
         kb = tmp_path / "kb.yaml"
-        kb.write_text(
-            text.replace(
-                "placement_overrides: {}",
-                "placement_overrides:\n  Comfort: SAFETY & SECURITY\n"
-                "  lighting: SAFETY & SECURITY\n  no such factor: SOCIAL",
-            ),
-            encoding="utf-8",
-        )
-        config = write_config(tmp_path, extra=f"kb: {kb}\n")
+
+        def run_with(comfort_domain: str) -> int:
+            kb.write_text(
+                text.replace(
+                    "placement_overrides: {}",
+                    f"placement_overrides:\n  Comfort: {comfort_domain}\n"
+                    "  lighting: SAFETY & SECURITY\n  no such factor: SOCIAL",
+                ),
+                encoding="utf-8",
+            )
+            config = write_config(tmp_path, extra=f"kb: {kb}\n")
+            return cli.main(["run", "--config", str(config)])
+
         with caplog.at_level(logging.WARNING, logger="taxoforge.pipeline"):
-            assert cli.main(["run", "--config", str(config)]) == 0
+            assert run_with("COMFORT") == 0
         messages = [r.getMessage() for r in caplog.records]
         (message,) = [m for m in messages if "placement overrides" in m]
         assert message == (
-            "place: 1 placement overrides name a factor that is not "
+            "classify: 1 placement overrides name a factor that is not "
             "cross-cutting, first names: ['comfort']"
         )
         assert any(m.startswith("place: 7 KB factor names match") for m in messages)
@@ -617,6 +645,32 @@ class TestKnowledgeBaseNames:
         }
         assert homes["comfort"] == "COMFORT"
         assert homes["lighting"] == "SAFETY & SECURITY"
+        capsys.readouterr()
+        assert run_with("SAFETY & SECURITY") == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert f"kb file {kb}: placement_overrides.comfort: domain " in line
+
+    def test_override_rule_does_not_hang_on_the_cross_cutting_threshold(
+        self, tmp_path, capsys
+    ):
+        # lighting is cross-cutting at the default threshold and not at 0.99;
+        # either way ECONOMIC is outside its relevant set, so the run is refused
+        # with the same line but for the set it lists, which is empty at 0.99.
+        text = default_kb_path().read_text(encoding="utf-8")
+        override = "placement_overrides: {lighting: ECONOMIC}"
+        kb = tmp_path / "kb.yaml"
+        kb.write_text(text.replace("placement_overrides: {}", override), encoding="utf-8")
+        config = write_config(tmp_path, extra=f"kb: {kb}\n")
+        lines = []
+        for extra in ([], ["--threshold", "cross_cutting=0.99"]):
+            capsys.readouterr()
+            assert cli.main(["run", "--config", str(config), *extra]) == 1
+            (line,) = capsys.readouterr().err.strip().splitlines()
+            lines.append(line.partition(" [")[0])
+        assert lines[0] == lines[1] == (
+            f"taxoforge run: kb file {kb}: placement_overrides.lighting: domain "
+            "'ECONOMIC' is outside the factor's relevant set"
+        )
 
 
 class TestFlags:
@@ -1419,6 +1473,14 @@ MALFORMED = [
         7,
         "literature_support",
         id="kb-literature-name-number",
+    ),
+    # A name both strong and none in one domain, after normalization.
+    pytest.param(
+        "kb",
+        ["domains", 0, "literature_support", "none"],
+        ["Lighting"],
+        "domains[0].literature_support: 'lighting' is listed as both strong and none",
+        id="kb-literature-both",
     ),
     pytest.param(
         "kb",

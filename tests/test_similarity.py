@@ -168,10 +168,6 @@ class TestBand:
         assert band(0.75) is SimilarityBand.MODERATE
         assert band(0.5) is SimilarityBand.MODERATE
 
-    def test_out_of_range(self):
-        with pytest.raises(TaxoforgeError):
-            band(1.5)
-
 
 class TestMatrix:
     def test_single_factor(self, default_lexicon):

@@ -24,9 +24,6 @@ ALLOWED = {
     # perfbench/tracing.py looks the function up by name to count relevance
     # calls, and refuses to install without it.
     "classify.domain_relevance": "looked up by name by the benchmark tracer",
-    # The blend written plainly: the tests compare every pair score against
-    # it, and matrix_from_dict follows its order of operations.
-    "similarity.combine": "the reference blend the tests compare against",
 }
 
 
