@@ -156,10 +156,17 @@ def _codec(kind: object):
     if origin in (tuple, list, frozenset):
         read, write = _codec(args[0])
         build = _frozenset if origin is frozenset else origin
+        floats = args[0] is float
 
         def read_list(value):
             if type(value) is not list:
                 raise _refuse("a list", value)
+            # A list of finite floats is checked as one column; any other
+            # list is walked leaf by leaf, which names a refused leaf.
+            if not value or floats and all(type(x) is float for x in value) and all(
+                map(math.isfinite, value)
+            ):
+                return build(value)
             out = []
             try:
                 for element in value:

@@ -13,8 +13,9 @@ byte-identical JSON, markdown, and flow-data files.
 from __future__ import annotations
 
 import csv
-import json
+import math
 import os
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Mapping, Sequence, TextIO
 
@@ -236,7 +237,55 @@ def write_documents(out: Path, envelope: dict, framework: dict, report: dict) ->
 
 
 def _indented(doc: dict) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2)
+    """``doc`` as ``json.dumps(doc, ensure_ascii=False, indent=2)`` writes
+    it, about three times as fast: that call runs the pure-Python encoder."""
+    parts: list[str] = []
+    _write_json(doc, parts.append, "\n")
+    return "".join(parts)
+
+
+def _write_json(value: object, put: Callable[[str], object], newline: str) -> None:
+    """Pass the indented JSON text of ``value`` to ``put`` in pieces;
+    ``newline`` is the line break and indent that start each of its lines
+    after the first. Strings are encoded by the C ``encode_basestring``,
+    numbers by their ``repr``. ``put`` is an argument, not a name that a
+    nested function closes over, because a nested function that calls
+    itself is a reference cycle, which only the cyclic collector frees. Any
+    other value, or a key that is not a string, raises ``TypeError``."""
+    kind = type(value)
+    if kind is str:
+        put(encode_basestring(value))
+    elif kind is dict or kind is list or kind is tuple:
+        if not value:
+            put("{}" if kind is dict else "[]")
+            return
+        inner = newline + "  "
+        separator = ("{" if kind is dict else "[") + inner
+        if kind is dict:
+            for key, item in value.items():
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                put(f"{separator}{encode_basestring(key)}: ")
+                _write_json(item, put, inner)
+                separator = "," + inner
+        else:
+            for item in value:
+                put(separator)
+                _write_json(item, put, inner)
+                separator = "," + inner
+        put(newline + ("}" if kind is dict else "]"))
+    elif kind is int or kind is float and math.isfinite(value):
+        put(repr(value))
+    elif kind is float:
+        put(_NON_FINITE[str(value)])
+    elif value is None or kind is bool:
+        put("null" if value is None else "true" if value else "false")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+# The text ``json`` writes for each float that is not finite, by ``str``.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _write_with_last(path: Path, text: str, key: str, value: str) -> None:
@@ -244,7 +293,7 @@ def _write_with_last(path: Path, text: str, key: str, value: str) -> None:
     it, with ``key`` added last holding ``value``, written the same way. JSON
     strings hold no raw newline, so indenting each line of ``value`` by two
     spaces nests it exactly as encoding the whole object would."""
-    parts = (text[:-2], f",\n  {json.dumps(key)}: ", value.replace("\n", "\n  "))
+    parts = (text[:-2], f",\n  {encode_basestring(key)}: ", value.replace("\n", "\n  "))
     write_atomic(path, lambda handle: handle.writelines((*parts, "\n}\n")))
 
 

@@ -15,14 +15,15 @@ with byte-identical output. Artifacts are compact JSON, exports indented.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import logging
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, wraps
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from . import __version__, codec
 from . import applicability, classify, cluster, emit, integrate, placement, similarity
@@ -348,7 +349,7 @@ class RunState:
             raise ArtifactError(f"phase {phase!r}: {problem}")
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # or nested too deep to parse
             raise ArtifactError(f"phase {phase!r}: cannot parse {path}: {exc}") from exc
         if not isinstance(doc, dict) or not isinstance(doc.get("data"), dict):
             raise ArtifactError(f"artifact {path} has no 'data' object")
@@ -457,8 +458,8 @@ def _read_classified(state: RunState) -> list[classify.ClassificationResult]:
         raise ArtifactError(f"{where}[*].name: {IN_ORDER}")
     kb, threshold = state.kb, state.config.thresholds.cross_cutting
     for i, r in enumerate(decoded):
-        if len(r.relevance) != len(kb.domains) or not all(
-            0.0 <= x <= 1.0 for x in r.relevance
+        if len(r.relevance) != len(kb.domains) or r.relevance and not (
+            0.0 <= min(r.relevance) and max(r.relevance) <= 1.0
         ):
             raise ArtifactError(f"{where}[{i}].relevance: {UNIT} per domain")
     results = [
@@ -533,12 +534,34 @@ READERS = {
 # ---------------------------------------------------------------------------
 
 
+def _collector_paused(call: Callable) -> Callable:
+    """``call`` run with the cyclic garbage collector off, and the caller's
+    setting back on every exit, a refusal included; a nested call, or one
+    from a caller that turned it off, leaves it off. A phase allocates many
+    objects that live until it ends, which set off collector passes, but it
+    makes no reference cycle (a test holds a ``run`` to that), so those
+    passes free nothing; reference counting frees everything."""
+
+    @wraps(call)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
 def _warn_unmatched(message: str, names: Sequence[str]) -> None:
     """Log ``message`` with the count of ``names`` and the first few, if any."""
     if names:
         log.warning(f"{message}, first names: %s", len(names), names[:UNMATCHED_SHOWN])
 
 
+@_collector_paused
 def phase_integrate(config: PipelineConfig, state: RunState | None = None) -> Path:
     state = state or RunState(config)
     corpus = merge_corpora(
@@ -560,6 +583,7 @@ def phase_integrate(config: PipelineConfig, state: RunState | None = None) -> Pa
     return state.put("integrate", factor_set)
 
 
+@_collector_paused
 def phase_similarity(
     config: PipelineConfig, emit_pairs: bool = False, state: RunState | None = None
 ) -> Path:
@@ -601,6 +625,7 @@ def phase_similarity(
     return path
 
 
+@_collector_paused
 def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Path:
     state = state or RunState(config)
     factor_set = state.get("integrate")
@@ -644,6 +669,7 @@ def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Pat
     return path
 
 
+@_collector_paused
 def phase_cluster(config: PipelineConfig, state: RunState | None = None) -> Path:
     state = state or RunState(config)
     assignments = cluster.assign_categories(
@@ -669,6 +695,7 @@ def phase_cluster(config: PipelineConfig, state: RunState | None = None) -> Path
     return path
 
 
+@_collector_paused
 def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
     state = state or RunState(config)
     factor_set, kb = state.get("integrate"), state.kb
@@ -709,6 +736,7 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
     return path
 
 
+@_collector_paused
 def phase_indicate(config: PipelineConfig, state: RunState | None = None) -> Path:
     """Write indicators.json, a report no phase reads back: each factor's
     name, coverage and indicator text, the relevance profile of each
@@ -752,6 +780,7 @@ def phase_indicate(config: PipelineConfig, state: RunState | None = None) -> Pat
     return state.put("indicate", texts, data)
 
 
+@_collector_paused
 def phase_emit(
     config: PipelineConfig,
     sankey_category: str | None = None,
@@ -816,6 +845,7 @@ def _remove_stale(config: PipelineConfig) -> None:
             raise ArtifactError(f"cannot remove {path}: {exc}") from None
 
 
+@_collector_paused
 def run(
     config: PipelineConfig,
     emit_pairs: bool = False,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import logging
@@ -1285,6 +1286,15 @@ MALFORMED = [
         id="artifact-schema",
     ),
     pytest.param("integrated.json", ["data"], {}, "factors", id="artifact-data-empty"),
+    # Bytes replace the whole file as they are: JSON nested deeper than the
+    # parser's recursion limit.
+    pytest.param(
+        "classification.json",
+        [],
+        b"[" * 100_000,
+        "cannot parse",
+        id="artifact-nested-too-deep",
+    ),
     pytest.param(
         "integrated.json",
         ["data", "factors", 0, "canonical_name"],
@@ -1431,6 +1441,29 @@ MALFORMED = [
         [0.5],
         "relevance",
         id="classification-relevance-short",
+    ),
+    # The reader checks a relevance row as one column; each of these must
+    # still be refused, and a non-finite leaf named by its index.
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 0, "relevance", 3],
+        1.5,
+        "factors[0].relevance: expected a number in [0, 1]",
+        id="classification-relevance-above-one",
+    ),
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 0, "relevance", 0],
+        -0.5,
+        "factors[0].relevance: expected a number in [0, 1]",
+        id="classification-relevance-negative",
+    ),
+    pytest.param(
+        "classification.json",
+        ["data", "factors", 0, "relevance", 2],
+        float("nan"),
+        "factors[0].relevance[2]: expected a finite number, got nan",
+        id="classification-relevance-nan",
     ),
     pytest.param(
         "classification.json",
@@ -1736,7 +1769,11 @@ class TestMalformedInputs:
             assert cli.main(["run", "--config", str(config)]) == 0
             artifact = tmp_path / "out" / kind
             data = json.loads(artifact.read_text(encoding="utf-8"))
-            artifact.write_text(json.dumps(_edit(data, path, value)), "utf-8")
+            edited = _edit(data, path, value)
+            if type(edited) is bytes:
+                artifact.write_bytes(edited)
+            else:
+                artifact.write_text(json.dumps(edited), "utf-8")
             command = READER[kind]
         capsys.readouterr()
         assert cli.main([command, "--config", str(config)]) == 1
@@ -1808,6 +1845,42 @@ class TestArtifactWrites:
             pipeline._write_csv(path, ("a", "b"), rows())
         assert path.read_text(encoding="utf-8") == "a,b\n1,2\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+class TestCollector:
+    """``run`` and each phase pause the cyclic garbage collector, which is
+    safe only while they make no reference cycle."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_every_call_leaves_the_collector_as_it_found_it(self, tmp_path, enabled):
+        config = str(write_config(tmp_path))
+        not_a_directory = tmp_path / "out.txt"
+        not_a_directory.write_text("x\n", encoding="utf-8")
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for command in ["run", *PHASE_COMMANDS]:
+                assert cli.main([command, "--config", config]) == 0
+                assert gc.isenabled() is enabled, command
+                refused = [command, "--config", config, "--out", str(not_a_directory)]
+                assert cli.main(refused) == 1
+                assert gc.isenabled() is enabled, command
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_a_run_leaves_no_cyclic_garbage(self, tmp_path):
+        # A cycle made on every run would hold its objects until the
+        # collector runs again, after the phase: a higher peak RSS.
+        config = pipeline.load_config(write_config(tmp_path))
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert pipeline.run(config) == 0
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 def test_cli_import_adds_only_stdlib_yaml_and_taxoforge():

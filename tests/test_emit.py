@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from taxoforge.classify import FactorClass
 from taxoforge.emit import (
+    _indented,
     build_framework,
     check_subfactors,
     export_sankey,
@@ -193,6 +198,52 @@ class TestExportDocument:
         assert render_markdown(framework, report) == golden.read_text(
             encoding="utf-8"
         )
+
+
+def reference_indented(doc) -> str:
+    """What ``_indented`` must write: the standard library's encoder."""
+    return json.dumps(doc, ensure_ascii=False, indent=2)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 1e16, 5e-324, 0.1, -1.5e-7, math.nan, math.inf, -math.inf]
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(10**40)])
+    | st.floats()
+    | st.sampled_from(EDGE_FLOATS)
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestIndentedWriter:
+    @settings(deadline=None)
+    @given(doc=st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=5))
+    @example(doc={})
+    @example(doc={"é\"\\\n\x00\x1f\u2028\U0001f600": 'q"uote\t\x7f'})
+    @example(doc={"floats": EDGE_FLOATS, "ints": [2**64, -(10**40), 0]})
+    @example(doc={"flags": [True, False, None], "empty": [[], {}, ()]})
+    @example(doc={"nested": {"a": [{"b": ({"c": []},)}]}})
+    def test_writes_what_json_dumps_writes(self, doc):
+        assert _indented(doc) == reference_indented(doc)
+
+    @pytest.mark.parametrize(
+        "value", [{1, 2}, b"bytes", object(), FactorClass.SPACE_SPECIFIC, {(1, 2): 0}],
+        ids=["set", "bytes", "object", "enum", "tuple-key"],
+    )
+    def test_refuses_what_json_dumps_refuses(self, value):
+        with pytest.raises(TypeError):
+            reference_indented({"a": [value]})
+        with pytest.raises(TypeError):
+            _indented({"a": [value]})
 
 
 class TestSankey:
