@@ -1,23 +1,26 @@
-"""One reader and one writer for the phase artifacts, derived from the field
-annotations of the phase results: str, int, float, bool, ``X | None``,
-``tuple[X, ...]``, ``list[X]``, ``frozenset[X]``, ``Mapping[str, X]`` and
-``NamedTuple`` records of these. The writer works like ``_asdict`` applied
-all the way down, except that a field whose type is a record is inlined into
-its parent object (one inside a tuple or mapping stays an object); frozensets
-are written as sorted lists; an entry of another record type is written with
-the named type's fields only, read by name. The reader refuses the first
-wrong leaf by its path, as in
-``data.placements[3].composite: expected a number, got None``, ignores keys
-that are not fields, gives an absent key its field's default where it has
-one, and takes only text as a mapping key. A number is never text, a
-boolean, NaN, infinite or a whole number beyond the float range. It calls
-a record's ``check`` method, where its class has one, as soon as it builds
-the record; a refusal is reported at its object's path. Every empty
-frozenset it reads is ``EMPTY``. Both are compiled once per annotation. The
-KB, lexicon, rules and config files, read by ``read_yaml``, are decoded by
-the same reader; ``read_yaml`` parses with libyaml when PyYAML was built
-with it. ``mismatch`` names where decoded records or a JSON list first
-differ from what a phase rebuilds, as ``[0].domain: expected 'A', got 'B'``."""
+"""One reader and one writer for the phase artifacts and the input files,
+derived from the field annotations of their records: str, int, float, bool,
+``Literal[...]``, ``X | None``, ``tuple[X, ...]``, ``list[X]``,
+``frozenset[X]``, ``Mapping[str, X]`` and ``NamedTuple`` records of these.
+The writer works like ``_asdict`` applied all the way down, except that a
+field whose type is a record is inlined into its parent object (one inside a
+tuple or mapping stays an object); frozensets are written as sorted lists;
+an entry of another record type is written with the named type's fields
+only, read by name. The reader refuses a key that is none of its record's,
+the smallest first, before it reads a field, as in ``domains[0].typo:
+unknown key`` (an inlined record's keys are its parent's), and then the
+first wrong leaf by its path, as in ``data.placements[3].composite:
+expected a number, got None``. An absent key takes its field's default
+where it has one, a mapping key is text, and a float field reads as a
+``float`` when written as a whole number. A number is never text, a
+boolean, NaN, infinite or a whole number beyond the float range. A record's
+``check`` method, where its class has one, runs as soon as the record is
+built; a refusal is reported at its object's path. Every empty frozenset
+read is ``EMPTY``. Both are compiled once per annotation. ``read_yaml``
+parses the KB, lexicon, rules and config files, with libyaml where PyYAML
+has it, and refuses a key one mapping holds twice and nesting too deep to
+parse. ``mismatch`` names where decoded records or a JSON list first differ
+from what a phase rebuilds, as ``[0].domain: expected 'A', got 'B'``."""
 
 from __future__ import annotations
 
@@ -35,6 +38,12 @@ from .errors import ArtifactError, TaxoforgeError
 # libyaml's parser builds the same documents as the pure-Python one, about
 # eight times faster on a large KB.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# libyaml's composer recurses in C with no depth limit: tens of thousands of
+# nesting levels overflow the stack. Each level takes one of these indicators;
+# a text with more than the limit is parsed by the pure-Python parser, which
+# raises RecursionError instead.
+_NESTING_INDICATORS, _NESTING_LIMIT = "[{-:?", 10_000
 
 # The one empty frozenset: most per-typology study sets and most names'
 # lexicon fields are empty, and ``frozenset()`` allocates a new one each call.
@@ -83,13 +92,40 @@ def read_yaml(path: Path, label: str, error: type[TaxoforgeError]) -> dict:
     """The mapping a YAML input file holds, ``{}`` for an empty file; else
     ``error`` in one line naming the ``label`` file."""
     try:
-        doc = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
-    except (OSError, ValueError, yaml.YAMLError) as exc:
+        text = path.read_text(encoding="utf-8")
+        deep = sum(map(text.count, _NESTING_INDICATORS)) > _NESTING_LIMIT
+        loader = _unique_keys(yaml.SafeLoader if deep else _YAML_LOADER)
+        doc = yaml.load(text, Loader=loader)
+    except (OSError, ValueError, RecursionError, yaml.YAMLError) as exc:
         reason = " ".join(str(exc).split())  # YAML errors span lines
         raise error(f"cannot read {label} file {path}: {reason}") from None
     if doc is not None and type(doc) is not dict:
         raise error(f"{label} file {path}: expected a mapping, got {_shown(doc)}")
     return doc or {}
+
+
+@cache
+def _unique_keys(loader: type) -> type:
+    """``loader`` refusing a key one mapping holds twice, where PyYAML keeps
+    the later value; a ``<<`` merge's keys may be overridden."""
+
+    class UniqueKeys(loader):
+        def construct_mapping(self, node, deep=False):
+            entries = list(node.value)  # a merge puts the merged keys in node.value
+            mapping, seen = super().construct_mapping(node, deep), set()
+            if len(mapping) == len(node.value):  # no key given twice or overridden
+                return mapping
+            for key_node, _ in entries:  # each key is built, and so cached, by now
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                if (key := self.construct_object(key_node)) in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark
+                    )
+                seen.add(key)
+            return mapping
+
+    return UniqueKeys
 
 
 def encode(kind: object, value: object) -> object:
@@ -137,15 +173,24 @@ def _codec(kind: object):
         def read_finite(value):
             try:
                 if math.isfinite(read_leaf(value)):
-                    return value
+                    return float(value)
             except OverflowError:  # a whole number beyond the float range
                 pass
             raise _refuse("a finite number", value)
 
         return read_finite if kind is float else read_leaf, None
     if _is_record(kind):
-        return _record_codec(kind)
+        return _record_codec(kind)[:2]
     origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is typing.Literal:  # a format version
+        allowed = [(type(arg), arg) for arg in args]  # True == 1, but is no 1
+
+        def read_literal(value):
+            if (type(value), value) in allowed:
+                return value
+            raise _refuse(" or ".join(map(repr, args)), value)
+
+        return read_literal, None
     if origin in (types.UnionType, typing.Union):  # X | None, Optional[X]
         (inner,) = set(args) - {type(None)}
         read, write = _codec(inner)
@@ -210,20 +255,30 @@ def _is_record(kind: object) -> bool:
     return hasattr(kind, "_field_defaults")
 
 
+@cache
 def _record_codec(kind: type):
+    """(reader, writer, keys) of the record ``kind``: its fields' names, an
+    inlined record's keys for its field's. An inlined record's parent has
+    checked the keys, and tells its reader so."""
     hints, missing = typing.get_type_hints(kind), object()  # an absent key
     names, required = kind._fields, set(kind._fields) - set(kind._field_defaults)
     plan = [(name, *_codec(hints[name]), _is_record(hints[name])) for name in names]
+    keys = frozenset().union(
+        *(_record_codec(hints[n])[2] if inline else {n} for n, *_, inline in plan)
+    )
     check = getattr(kind, "check", None)
 
-    def read(value):
+    def read(value, keys_checked=False):
         if type(value) is not dict:
             raise _refuse("an object", value)
+        if not keys_checked and not keys.issuperset(value):
+            raise _Refused("unknown key", f".{min(value.keys() - keys, key=str)}")
         values = {}
         try:
             for name, read_field, _, inline in plan:
-                item = value if inline else value.get(name, missing)
-                if item is not missing:
+                if inline:
+                    values[name] = read_field(value, True)
+                elif (item := value.get(name, missing)) is not missing:
                     values[name] = read_field(item)
                 elif name in required:  # else the field takes its default
                     raise _Refused("missing")
@@ -249,4 +304,4 @@ def _record_codec(kind: type):
                 out[name] = field if write_field is None else write_field(field)
         return out
 
-    return read, write
+    return read, write, keys

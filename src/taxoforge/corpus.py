@@ -22,7 +22,7 @@ from functools import cache
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Literal, Mapping, NamedTuple, NoReturn, Sequence
 
 from .codec import decode, read_yaml
 from .errors import CorpusError, RuleSetError
@@ -169,6 +169,7 @@ class RulesFile(NamedTuple):
     options: RuleOptions | None = None
     synonyms: Mapping[str, str] | None = None
     preserve_distinct: tuple[str, ...] | None = None
+    version: Literal[1] = 1
 
 
 def load_rules(path: str | Path) -> NormalizationRuleSet:

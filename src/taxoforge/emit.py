@@ -132,7 +132,6 @@ def build_framework(
             entries = buckets.get((domain.identifier, sub.identifier))
             if not entries:
                 continue
-            entries.sort(key=lambda e: e["insertion_index"])
             count = sum(1 for e in entries if e["tier"] == "primary")
             subcategories.append(
                 {"identifier": sub.identifier, "factor_count": count, "entries": entries}

@@ -13,7 +13,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Literal, Mapping, NamedTuple
 
 from .codec import decode, read_yaml
 from .corpus import SPACE_TYPES, NormalizationRuleSet, normalize
@@ -138,7 +138,7 @@ class DomainEntry(NamedTuple):
                 raise KnowledgeBaseError(f"{key}: unknown codes {sorted(unknown)}")
         if any(weight < 0 for weight in self.space_profile.values()):
             raise KnowledgeBaseError("space_profile: a weight is negative")
-        squares = sum(x * x for x in map(float, self.space_profile.values()))
+        squares = sum(x * x for x in self.space_profile.values())
         if not 0.0 < squares < math.inf:  # the distribution channel's divisor
             raise KnowledgeBaseError(f"space_profile: the squares of its weights "
                                      f"sum to {squares}, expected above 0 and finite")
@@ -146,6 +146,7 @@ class DomainEntry(NamedTuple):
 
 class KbFile(NamedTuple):
     domains: tuple[DomainEntry, ...]
+    version: Literal[1] = 1
     scope_priors: ScopePriors | None = None
     placement_overrides: Mapping[str, str] | None = None
 
@@ -176,9 +177,7 @@ def _domain(entry: DomainEntry) -> Domain:
             Subcategory(sub.id.strip(), _keywords(sub.keywords))
             for sub in entry.subcategories
         ),
-        space_profile=tuple(
-            float(entry.space_profile.get(code, 0.0)) for code in SPACE_TYPES
-        ),
+        space_profile=tuple(entry.space_profile.get(code, 0.0) for code in SPACE_TYPES),
         compatible_types=entry.compatible_types or frozenset(),
         literature_strong=literature.strong or frozenset(),
         literature_none=literature.none or frozenset(),
@@ -193,10 +192,9 @@ def load_kb(path: str | Path) -> DomainKnowledgeBase:
     path = Path(path)
     doc = read_yaml(path, "kb", KnowledgeBaseError)
     kb = decode(KbFile, doc, f"kb file {path}: ", KnowledgeBaseError)
-    priors = kb.scope_priors or ScopePriors()
     return DomainKnowledgeBase(
         domains=tuple(_domain(entry) for entry in kb.domains),
-        scope_priors=ScopePriors(*map(float, priors)),
+        scope_priors=kb.scope_priors or ScopePriors(),
         placement_overrides=dict(kb.placement_overrides or {}),
         path=path,
     )

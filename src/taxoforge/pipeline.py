@@ -85,10 +85,6 @@ class PipelineConfig:
     thresholds: Thresholds = Thresholds()
     jobs: int = 1  # validated but unused: the benchmark's configs still set it
 
-    def __post_init__(self) -> None:
-        if type(self.jobs) is not int or self.jobs < 1:
-            raise ConfigError(f"jobs must be a whole number >= 1, got {self.jobs!r}")
-
     def checksum(self) -> dict[str, str]:
         """Input digests in one pass: "config" over the package version, the
         resolved settings, and the content of every input file (the version
@@ -123,15 +119,19 @@ def _file_digest(path: Path, label: str) -> str:
 
 class ConfigFile(NamedTuple):
     """The config file as written but for ``datasets``, a list of paths or a
-    mapping of typology codes to paths, which ``_config`` reads."""
+    mapping of typology codes to paths, which ``load_config`` decodes apart."""
 
     rules: str = str(default_rules_path())
     kb: str = str(default_kb_path())
     lexicon: str = str(default_lexicon_path())
     out: str = "out"
-    weights: Mapping[str, float] | None = None
-    thresholds: Mapping[str, float] | None = None
+    weights: SimilarityWeights | None = None
+    thresholds: Thresholds | None = None
     jobs: int = 1
+
+    def check(self) -> None:
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be a whole number >= 1, got {self.jobs!r}")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -139,68 +139,37 @@ def load_config(path: str | Path) -> PipelineConfig:
     from its directory; a malformed value raises ``ConfigError`` naming the
     file and the field, as in ``config file PATH: out: expected a string``."""
     path = Path(path)
+    where = f"config file {path}: "
     doc = codec.read_yaml(path, "config", ConfigError)
-    # A misspelled key would otherwise leave its setting at the default.
-    if unknown := set(doc) - set(ConfigFile._fields) - {"datasets"}:
-        raise ConfigError(f"config file {path}: {min(map(str, unknown))}: unknown key")
-    file = codec.decode(ConfigFile, doc, f"config file {path}: ", ConfigError)
-    try:
-        return _config(file, doc.get("datasets"), path)
-    except ConfigError as exc:
-        raise ConfigError(f"config file {path}: {exc}") from None
-
-
-def _config(file: ConfigFile, datasets_doc: object, source: Path) -> PipelineConfig:
-    base = source.parent
-
-    def resolve(key: str, raw: object) -> Path:
-        if type(raw) is not str:
-            raise ConfigError(f"{key}: expected a path, got {raw!r}")
-        return base / raw  # an absolute path replaces base
-
-    datasets: list[tuple[Path, str | None]] = []
-    if isinstance(datasets_doc, dict):
-        for code in SPACE_TYPES:  # canonical processing order
-            if code in datasets_doc:
-                datasets.append((resolve("datasets", datasets_doc[code]), code))
-        unknown = sorted(map(str, set(datasets_doc) - set(SPACE_TYPES)))
-        if unknown:
-            raise ConfigError(f"unknown typology keys in datasets: {unknown}")
-    elif isinstance(datasets_doc, list):
-        datasets = [(resolve("datasets", entry), None) for entry in datasets_doc]
+    listed = doc.pop("datasets", None)
+    file = codec.decode(ConfigFile, doc, where, ConfigError)
+    kind = Mapping[str, str] if type(listed) is dict else list[str] | None
+    listed = codec.decode(kind, listed, where + "datasets", ConfigError)
+    base = path.parent  # an absolute path replaces it
+    if isinstance(listed, dict):  # read in the canonical order of the codes
+        if unknown := sorted(set(listed) - set(SPACE_TYPES)):
+            raise ConfigError(f"{where}unknown typology keys in datasets: {unknown}")
+        datasets = [(base / listed[c], c) for c in SPACE_TYPES if c in listed]
+    else:
+        datasets = [(base / entry, None) for entry in listed or ()]
     if not datasets:
-        raise ConfigError("config must list at least one dataset")
+        raise ConfigError(f"{where}config must list at least one dataset")
     seen = set()
-    for path, _ in datasets:  # a file read twice would count its rows twice
-        if (resolved := path.resolve()) in seen:
-            raise ConfigError(f"datasets: {path} is listed twice")
+    for dataset, _ in datasets:  # a file read twice would count its rows twice
+        if (resolved := dataset.resolve()) in seen:
+            raise ConfigError(f"{where}datasets: {dataset} is listed twice")
         seen.add(resolved)
     return PipelineConfig(
         datasets=tuple(datasets),
-        rules_path=resolve("rules", file.rules),
-        kb_path=resolve("kb", file.kb),
-        lexicon_path=resolve("lexicon", file.lexicon),
-        out_dir=resolve("out", file.out),
-        source=source,
-        weights=_settings(SimilarityWeights(), file.weights or {}, "weights"),
-        thresholds=_settings(Thresholds(), file.thresholds or {}, "thresholds"),
+        rules_path=base / file.rules,
+        kb_path=base / file.kb,
+        lexicon_path=base / file.lexicon,
+        out_dir=base / file.out,
+        source=path,
+        weights=file.weights or SimilarityWeights(),
+        thresholds=file.thresholds or Thresholds(),
         jobs=file.jobs,
     )
-
-
-def _settings(current, values: Mapping[str, float], where: str):
-    """``current``, a ``SimilarityWeights`` or ``Thresholds``, with the named
-    values replaced; an unknown name, or a record its ``check`` refuses,
-    raises ``ConfigError`` after ``where``, the config field or the flag."""
-    noun = "threshold" if isinstance(current, Thresholds) else "similarity weight"
-    if unknown := set(values) - set(current._fields):
-        raise ConfigError(f"{where}: unknown {noun} {min(unknown)!r}")
-    setting = current._replace(**{name: float(v) for name, v in values.items()})
-    try:
-        setting.check()
-    except TaxoforgeError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    return setting
 
 
 def _flag_number(flag: str, name: str, text: str) -> float:
@@ -216,7 +185,8 @@ def apply_overrides(
     weights: str | None = None,
     thresholds: Sequence[str] = (),
 ) -> PipelineConfig:
-    """Apply CLI-level overrides onto a loaded config."""
+    """Apply CLI-level overrides onto a loaded config; the settings they
+    give are decoded and checked as the config file's are."""
     if out_dir is not None:
         config = replace(config, out_dir=Path(out_dir))
     if weights is not None:
@@ -224,16 +194,17 @@ def apply_overrides(
         if len(texts := weights.split(",")) != len(names):
             raise ConfigError(f"--weights expects l,d,c, got {weights!r}")
         values = {n: _flag_number("--weights", n, t) for n, t in zip(names, texts)}
-        config = replace(config, weights=_settings(config.weights, values, "--weights"))
+        weights = codec.decode(SimilarityWeights, values, "--weights: ", ConfigError)
+        config = replace(config, weights=weights)
     if thresholds:
-        values = {}
+        values = config.thresholds._asdict()
         for item in thresholds:
             name, sep, value = item.partition("=")
             if not sep:
                 raise ConfigError(f"--threshold expects name=value, got {item!r}")
             name = name.strip()
             values[name] = _flag_number("--threshold", name, value)
-        thresholds = _settings(config.thresholds, values, "--threshold")
+        thresholds = codec.decode(Thresholds, values, "--threshold: ", ConfigError)
         config = replace(config, thresholds=thresholds)
     return config
 

@@ -117,7 +117,7 @@ from functools import cached_property
 from itertools import chain
 from operator import mul
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from .codec import EMPTY, decode, mismatch, read_yaml
 from .errors import ArtifactError, LexiconError, TaxoforgeError
@@ -191,6 +191,7 @@ class LexiconFile(NamedTuple):
 
     fields: Mapping[str, tuple[str, ...]] | None = None
     field_score: float = DEFAULT_FIELD_SCORE
+    version: Literal[1] = 1
 
     def check(self) -> None:
         if not 0.0 <= self.field_score <= 1.0:
@@ -217,7 +218,7 @@ def load_lexicon(path: str | Path) -> SemanticLexicon:
         name: frozenset(" ".join(term.casefold().split()) for term in terms)
         for name, terms in (lexicon.fields or {}).items()
     }
-    return SemanticLexicon.build(fields, float(lexicon.field_score))
+    return SemanticLexicon.build(fields, lexicon.field_score)
 
 
 def name_features(name: str, lexicon: SemanticLexicon) -> NameFeatures:

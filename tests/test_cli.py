@@ -850,7 +850,7 @@ class TestFlags:
         assert (
             cli.main(["run", "--config", str(config), "--threshold", "nope=0.5"]) == 1
         )
-        assert "unknown threshold" in capsys.readouterr().err
+        assert "--threshold: nope: unknown key" in capsys.readouterr().err
 
     def test_threshold_flag_sets_the_value(self):
         config = pipeline.load_config(FIXTURES / "config.yaml")
@@ -1020,6 +1020,19 @@ def _dataset(name: str, rows: str):
     """A maker of a dataset file ``name`` holding ``rows`` under the header."""
     header = "raw_name,study_id,space_type\n"
     return lambda tmp: _made(tmp / name, lambda path: path.write_text(header + rows))
+
+
+# A KB whose one domain lists its keywords twice.
+TWICE = """\
+version: 1
+domains:
+  - id: COMFORT
+    keywords: [comfort]
+    keywords: [shade]
+    scope: broad
+    space_profile: {P: 1.0}
+    subcategories: [{id: SHADE, keywords: [shade]}]
+"""
 
 
 def _latin1_dataset(tmp_path: Path) -> Path:
@@ -1704,6 +1717,14 @@ MALFORMED = [
         ),
         "config.yaml: datasets",
         id="dataset-header-only",
+    ),
+    # PyYAML would keep the later of a duplicated key's values.
+    pytest.param(
+        "file",
+        ["kb"],
+        lambda tmp: _made(tmp / "kb.yaml", lambda path: path.write_text(TWICE)),
+        "found duplicate key 'keywords' in \"<unicode string>\", line 5, column 5",
+        id="kb-duplicate-key",
     ),
     # A phase name in place of "file": that subcommand, not run, reads the
     # config.

@@ -8,7 +8,11 @@ from __future__ import annotations
 import copy
 import importlib
 import math
+import os
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
 import yaml
@@ -31,6 +35,7 @@ from taxoforge.knowledge import (
 )
 from taxoforge.pipeline import load_config
 from taxoforge.similarity import load_lexicon
+from tests import test_cli
 from tests.conftest import FIXTURES, REPO_ROOT
 
 # Every field of each format is present, with two domains in the KB.
@@ -119,10 +124,6 @@ def _nodes(value, path=()):
             yield from _nodes(item, path + (index,))
 
 
-# Keys a format does not declare, and so ignores whatever they hold.
-IGNORED = {("version",)}
-
-
 def _mutations(value):
     """Null, a value of another kind, -1, and an empty list and mapping; and
     then, for a number, its own text and NaN, which a field declared as a
@@ -135,12 +136,13 @@ def _mutations(value):
 
 def _mutated(doc):
     """Each copy of ``doc`` with one node replaced, or one mapping key
-    replaced by a number, and whether the copy must be refused."""
+    replaced by a number, and whether the copy must be refused: a number
+    key is no record's field and no name, so every such copy is."""
     for path in _nodes(doc):
         parent_path, key = path[:-1], path[-1:] or None
         mutations, numbers = _mutations(_at(doc, path))
         for index, mutation in enumerate(mutations + numbers):
-            strict = index >= len(mutations) and path not in IGNORED
+            strict = index >= len(mutations)
             if key is None:
                 yield path, strict, mutation
                 continue
@@ -151,7 +153,7 @@ def _mutated(doc):
             edited = copy.deepcopy(doc)
             parent = _at(edited, parent_path)
             parent[7] = parent.pop(key[0])
-            yield path + ("key",), False, edited
+            yield path + ("key",), True, edited
 
 
 def _at(doc, path):
@@ -189,6 +191,50 @@ def test_mutation_sweep_loads_or_refuses(tmp_path):
     assert outcomes["refused"] > outcomes["loaded"] > 0
 
 
+# Mappings whose keys are names the file chooses, not a record's fields:
+# lexicon fields, synonyms, overridden factors and typology codes.
+# datasets' codes are refused by their own rule, test_cli's
+# config-datasets-keys-mixed row.
+FREE_FORM = {"fields", "synonyms", "placement_overrides", "space_profile", "datasets"}
+
+
+def _record_nodes(doc):
+    """The path of each mapping in ``doc`` that is a record, root first."""
+    for path in _nodes(doc):
+        if type(_at(doc, path)) is dict and not FREE_FORM & set(path):
+            yield path
+
+
+def test_undeclared_key_is_refused_at_its_path(tmp_path):
+    """A key no record declares, such as a misspelled ``synonym:``, would
+    leave its setting at the default; it is refused wherever it is."""
+    reached = 0
+    for name, (doc, load, error) in INPUTS.items():
+        path = tmp_path / f"{name}.yaml"
+        for where in _record_nodes(doc):
+            edited = copy.deepcopy(doc)
+            _at(edited, where)["zz_undeclared"] = 1
+            path.write_text(yaml.safe_dump(edited), encoding="utf-8")
+            at = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in where)
+            with pytest.raises(error) as refused:
+                load(path)
+            at = (at + ".zz_undeclared")[1:]  # the root's keys lead with no dot
+            assert str(refused.value) == f"{name} file {path}: {at}: unknown key"
+            reached += 1
+    # The root of each file; the KB's priors, two domains, their literature
+    # and three subcategories; the rules' options; weights and thresholds.
+    assert reached == 4 + 8 + 1 + 2
+
+
+def test_a_later_format_version_is_refused(tmp_path):
+    for name, (doc, load, error) in INPUTS.items():
+        if "version" in doc:
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump({**doc, "version": 2}), encoding="utf-8")
+            with pytest.raises(error, match=f"{name} file {path}: version: expected 1"):
+                load(path)
+
+
 # The two parsers ``codec.read_yaml`` may use; each test below runs with both.
 LOADERS = [
     pytest.param(
@@ -221,7 +267,10 @@ def test_read_yaml_parses_with_libyaml_when_built_with_it(tmp_path, monkeypatch)
     path = tmp_path / "kb.yaml"
     path.write_text("version: 1\n", encoding="utf-8")
     assert codec.read_yaml(path, "kb", KnowledgeBaseError) == {"version": 1}
-    assert used == [yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader]
+    # read_yaml passes a subclass that refuses a duplicated key.
+    assert [loader.__base__ for loader in used] == [
+        yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    ]
 
 
 def test_each_loader_builds_the_inputs_safe_load_builds(
@@ -270,3 +319,52 @@ def test_yaml_syntax_error_exits_one_naming_the_file(
 
 def test_mutation_sweep_under_each_loader(yaml_loader, tmp_path):
     test_mutation_sweep_loads_or_refuses(tmp_path)
+
+
+def test_duplicated_key_is_refused_naming_its_line(yaml_loader, tmp_path, capsys):
+    # PyYAML would keep the later list, and the domain the second keywords.
+    row = next(row for row in test_cli.MALFORMED if row.id == "kb-duplicate-key")
+    test_cli.TestMalformedInputs().test_exits_one_with_one_line(
+        tmp_path, capsys, *row.values
+    )
+
+
+def test_merged_keys_may_be_overridden(yaml_loader, tmp_path):
+    path = tmp_path / "merge.yaml"
+    path.write_text("a: &x {k: 1, j: 2}\nb: {<<: *x, k: 3}\n", encoding="utf-8")
+    doc = codec.read_yaml(path, "kb", KnowledgeBaseError)
+    assert doc == {"a": {"k": 1, "j": 2}, "b": {"k": 3, "j": 2}}
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_deep_nesting_is_refused_in_one_line(loader, tmp_path):
+    # libyaml's composer overflows the C stack at tens of thousands of
+    # levels, killing the process; so the run is a process of its own.
+    config = tmp_path / "config.yaml"
+    config.write_text("datasets: " + "[" * 100_000, encoding="utf-8")
+    code = (
+        "import sys, yaml\n"
+        "from taxoforge import cli, codec\n"
+        "codec._YAML_LOADER = getattr(yaml, sys.argv[1])\n"
+        "sys.exit(cli.main(sys.argv[2:]))"
+    )
+    package_root = str(Path(codec.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    command = [sys.executable, "-c", code, loader.__name__, "run", "--config"]
+    result = subprocess.run(
+        [*command, str(config)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert result.returncode == 1, result.stderr[-300:]
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"taxoforge run: cannot read config file {config}: ")
+
+
+def test_many_nesting_indicators_still_load(yaml_loader, tmp_path):
+    # More indicators than libyaml is trusted with sends the text to the
+    # pure-Python parser, which builds the same document.
+    path = tmp_path / "flat.yaml"
+    path.write_text("a:\n" + "- 0\n" * (codec._NESTING_LIMIT + 1), encoding="utf-8")
+    assert codec.read_yaml(path, "kb", KnowledgeBaseError) == {
+        "a": [0] * (codec._NESTING_LIMIT + 1)
+    }

@@ -159,5 +159,4 @@ def test_every_check_runs_on_read():
     reached: set[type] = set()
     for kind in files + artifacts:
         _add_records(kind, reached)
-    # pipeline._settings checks each setting the config or a flag changes.
-    assert checked - reached == {pipeline.Thresholds, similarity.SimilarityWeights}
+    assert checked <= reached
