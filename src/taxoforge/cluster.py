@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .classify import ClassificationResult, FactorClass
 from .integrate import IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase, DomainScope, ScopePriors
-from .similarity import KeywordScorer, SemanticLexicon, SimilarityMatrix
+from .similarity import KeywordScorer, Neighbours, SemanticLexicon
 
 SEMANTIC_WEIGHT = 0.4
 SIMILARITY_WEIGHT = 0.3
@@ -68,13 +68,11 @@ def domain_priorities(
 
 
 def related_factors(
-    index: int, matrix: SimilarityMatrix, threshold: float = RELATED_THRESHOLD
+    index: int, neighbours: Neighbours, threshold: float = RELATED_THRESHOLD
 ) -> list[tuple[int, float]]:
-    """Indices of factors scoring strictly above the threshold, best first;
-    the graph's floor must not exceed the threshold."""
-    hits = [(j, score) for j, score in matrix.neighbours[index] if score > threshold]
-    hits.sort(key=lambda item: (-item[1], item[0]))
-    return hits
+    """The factor's neighbours scoring strictly above the threshold, in list
+    order; the graph's floor must not exceed the threshold."""
+    return [(j, score) for j, score in neighbours[index] if score > threshold]
 
 
 class CategoryHome(NamedTuple):
@@ -142,7 +140,7 @@ def channel_scores(
     factor_set: IntegratedFactorSet,
     classifications: Sequence[ClassificationResult],
     kb: DomainKnowledgeBase,
-    matrix: SimilarityMatrix,
+    neighbours: Neighbours,
     related_threshold: float = RELATED_THRESHOLD,
 ) -> list[ChannelRow]:
     """Every factor's channel row, in factor order."""
@@ -157,7 +155,7 @@ def channel_scores(
     rows = []
     for index, (factor, c) in enumerate(zip(factor_set.factors, classifications)):
         semantic = tuple(map(mul, priors[c.factor_class], c.relevance))
-        related = related_factors(index, matrix, related_threshold)
+        related = related_factors(index, neighbours, related_threshold)
         evidence = no_evidence
         if related:
             counts = [0] * len(kb.domains)
@@ -181,7 +179,7 @@ def argmax_domain(row: ChannelRow, domain_ids: Sequence[str]) -> str:
 
 def subcluster(
     member_indices: Sequence[int],
-    matrix: SimilarityMatrix,
+    neighbours: Neighbours,
     threshold: float = SUBCLUSTER_THRESHOLD,
 ) -> list[list[int]]:
     """Single-linkage connected components over within-category pairs; the
@@ -196,7 +194,7 @@ def subcluster(
         return i
 
     for i in members:
-        for j, score in matrix.neighbours[i]:
+        for j, score in neighbours[i]:
             if j > i and j in parent and score >= threshold:
                 ri, rj = find(i), find(j)
                 if ri != rj:
@@ -236,13 +234,13 @@ def assign_categories(
     factor_set: IntegratedFactorSet,
     classifications: Sequence[ClassificationResult],
     kb: DomainKnowledgeBase,
-    matrix: SimilarityMatrix,
+    neighbours: Neighbours,
     lexicon: SemanticLexicon,
     related_threshold: float = RELATED_THRESHOLD,
     subcluster_threshold: float = SUBCLUSTER_THRESHOLD,
 ) -> list[CategoryAssignment]:
     """Assign every factor to one (category, subcategory) pair."""
-    rows = channel_scores(factor_set, classifications, kb, matrix, related_threshold)
+    rows = channel_scores(factor_set, classifications, kb, neighbours, related_threshold)
     domain_ids = kb.domain_ids()
     categories = [argmax_domain(row, domain_ids) for row in rows]
 
@@ -254,7 +252,7 @@ def assign_categories(
     for category, members in by_category.items():
         domain = kb.by_id(category)
         scorer = subcategory_scorer(domain, lexicon)
-        for cluster in subcluster(members, matrix, subcluster_threshold):
+        for cluster in subcluster(members, neighbours, subcluster_threshold):
             names = [factor_set.factors[i].canonical_name for i in cluster]
             sub_id = best_subcategory(names, domain, scorer)
             for i in cluster:

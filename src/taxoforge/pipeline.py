@@ -254,8 +254,9 @@ def artifact_data(phase: str, result: object) -> dict:
 
 class RunState:
     """What one invocation knows: the input checksums, KB, lexicon and rules,
-    and each phase's result, each computed or loaded once. A result this
-    process has not computed is read from its artifact on first use."""
+    each phase's result and the graph's neighbour lists, each computed or
+    loaded once. A result this process has not computed is read from its
+    artifact on first use."""
 
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
@@ -277,6 +278,11 @@ class RunState:
     @cached_property
     def rules(self) -> NormalizationRuleSet:
         return load_rules(self.config.rules_path)
+
+    @cached_property
+    def neighbours(self) -> list[list[tuple[int, float]]]:
+        """Each factor's graph neighbours, read by cluster and place."""
+        return similarity.neighbours(self.get("similarity"))
 
     @cached_property
     def homes(self) -> dict[str, tuple[str, str]]:
@@ -330,6 +336,7 @@ class RunState:
                 raise ArtifactError(
                     f"artifact {path}: {field} is {value!r}, expected {expected!r}"
                 )
+        _known_keys(doc, [*self.envelope(phase), "data"], f"artifact {path}: ")
         if doc.get("config_checksum") != self.checksums["config"]:
             raise ArtifactError(
                 f"phase {phase!r}: artifact {path} was produced under a different "
@@ -342,8 +349,16 @@ class RunState:
         data, where = self.read(phase)
         _, key, kind = ARTIFACTS[phase]
         if key is not None:
+            _known_keys(data, [key], f"{where}.")
             data, where = data.get(key), f"{where}.{key}"
         return codec.decode(kind, data, where), where
+
+
+def _known_keys(doc: dict, keys: Iterable[str], where: str) -> None:
+    """Refuse the smallest key of ``doc`` that is none of ``keys``, at its
+    path after ``where``, as the codec refuses a key that is no field."""
+    if unknown := doc.keys() - set(keys):
+        raise ArtifactError(f"{where}{min(unknown)}: unknown key")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -450,8 +465,8 @@ def _read_assigned(state: RunState) -> list[cluster.CategoryAssignment]:
     # Every channel score and so each category is rebuilt; the subcategory,
     # which needs the lexicon, is taken as written.
     integrated, classified = state.get("integrate"), state.get("classify")
-    graph, related = state.get("similarity"), state.config.thresholds.related
-    rows = cluster.channel_scores(integrated, classified, state.kb, graph, related)
+    neighbours, related = state.neighbours, state.config.thresholds.related
+    rows = cluster.channel_scores(integrated, classified, state.kb, neighbours, related)
     domain_ids = state.kb.domain_ids()
     results = [
         cluster.CategoryAssignment(
@@ -566,7 +581,7 @@ def phase_similarity(
     log.info(
         "similarity: %d factors, %d pairs, %d scored, %d edges >= %g; "
         "High %d / Moderate %d / Low %d",
-        matrix.n,
+        len(matrix.names),
         census.total,
         matrix.scored,
         len(matrix.scores),
@@ -647,7 +662,7 @@ def phase_cluster(config: PipelineConfig, state: RunState | None = None) -> Path
         state.get("integrate"),
         state.get("classify"),
         state.kb,
-        state.get("similarity"),
+        state.neighbours,
         state.lexicon,
         related_threshold=config.thresholds.related,
         subcluster_threshold=config.thresholds.subcluster,
@@ -679,7 +694,7 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
         factor_set,
         state.get("classify"),
         kb,
-        state.get("similarity"),
+        state.neighbours,
         state.get("cluster"),
         state.lexicon,
         related_threshold=config.thresholds.related,

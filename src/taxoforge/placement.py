@@ -25,7 +25,7 @@ from .cluster import (
 from .errors import KnowledgeBaseError
 from .integrate import IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase
-from .similarity import KeywordScorer, SemanticLexicon, SimilarityMatrix
+from .similarity import KeywordScorer, Neighbours, SemanticLexicon
 
 PROMOTION_THRESHOLD = 0.80
 
@@ -177,7 +177,7 @@ def place_cross_cutting(
     factor_set: IntegratedFactorSet,
     classifications: Sequence[ClassificationResult],
     kb: DomainKnowledgeBase,
-    matrix: SimilarityMatrix,
+    neighbours: Neighbours,
     assignments: Sequence[CategoryAssignment],
     lexicon: SemanticLexicon,
     related_threshold: float = RELATED_THRESHOLD,
@@ -188,7 +188,7 @@ def place_cross_cutting(
     for index, result in enumerate(classifications):
         if not result.cross_cutting.flagged:
             continue
-        related = related_factors(index, matrix, related_threshold)
+        related = related_factors(index, neighbours, related_threshold)
         for domain_id in result.cross_cutting.relevant_domains:
             score = composite(
                 index, domain_id, factor_set, result, kb, related, assignments

@@ -13,8 +13,9 @@ The blend uses configurable weights (defaults 0.5 / 0.3 / 0.2). Scores above
 
 Downstream phases read only pairs at or above ``floor``, the lowest of the
 band_low, subcluster and related thresholds, so ``build_matrix`` returns the
-exact thresholded graph: the edges scoring at least ``floor``, each with its
-components, plus per-factor neighbour lists.
+exact thresholded graph: the edges scoring at least ``floor``, as the rows of
+scores and of components ``similarity.json`` holds. ``neighbours`` turns the
+score rows into per-factor neighbour lists, built once per invocation.
 
 The build counts instead of intersecting. One inverted index per kind of key
 (tokens, trigrams, lexicon fields, studies) lists the factors holding each
@@ -113,7 +114,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from operator import mul
 from pathlib import Path
@@ -287,12 +287,12 @@ class SimilarityWeights(NamedTuple):
             raise TaxoforgeError(f"similarity weights must sum to 1, got {sum(values)}")
 
 
-def combine(components: ComponentScores, weights: SimilarityWeights) -> float:
-    return (
-        weights.linguistic * components.linguistic
-        + weights.distributional * components.distributional
-        + weights.co_occurrence * components.co_occurrence
-    )
+def combine(
+    components: ComponentScores | tuple[float, float, float],
+    weights: SimilarityWeights,
+) -> float:
+    (w_l, w_d, w_o), (lin, dist, co) = weights, components
+    return w_l * lin + w_d * dist + w_o * co
 
 
 class SimilarityBand(Enum):
@@ -317,37 +317,34 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-class _SimilarityMatrix(NamedTuple):
+class SimilarityMatrix(NamedTuple):
+    """The thresholded similarity graph.
+
+    ``scores`` lists every pair scoring at least ``floor`` as ``(i, j, score)``
+    with ``i < j``, sorted by ``(i, j)``; a pair it does not list scores below
+    ``floor``. ``components`` lists the same pairs, in the same order, as
+    ``(i, j, linguistic, distributional, co_occurrence)``. A graph given in
+    full may leave ``floor`` at 0.0.
+    """
+
     names: tuple[str, ...]
     scores: list[tuple[int, int, float]]
-    components: dict[tuple[int, int], ComponentScores]
+    components: list[tuple[int, int, float, float, float]]
     weights: SimilarityWeights
     floor: float = 0.0
     scored: int = 0  # candidate pairs of the build; 0 for a decoded graph
 
 
-class SimilarityMatrix(_SimilarityMatrix):
-    """The thresholded similarity graph.
+Neighbours = Sequence[Sequence[tuple[int, float]]]
 
-    ``scores`` lists every pair scoring at least ``floor`` as ``(i, j, score)``
-    with ``i < j``, sorted by ``(i, j)``; a pair it does not list scores below
-    ``floor``. ``components`` holds the breakdown of each listed pair, in the
-    same order. A graph given in full may leave ``floor`` at 0.0. The
-    neighbour lists are cached in the graph's own ``__dict__``.
-    """
 
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @cached_property
-    def neighbours(self) -> list[list[tuple[int, float]]]:
-        """Per factor, ``(other, score)`` of each of its edges, by index."""
-        out: list[list[tuple[int, float]]] = [[] for _ in self.names]
-        for i, j, score in self.scores:
-            out[i].append((j, score))
-            out[j].append((i, score))
-        return out
+def neighbours(matrix: SimilarityMatrix) -> list[list[tuple[int, float]]]:
+    """Per factor, ``(other, score)`` of each of its edges, by index."""
+    out: list[list[tuple[int, float]]] = [[] for _ in matrix.names]
+    for i, j, score in matrix.scores:
+        out[i].append((j, score))
+        out[j].append((i, score))
+    return out
 
 
 class _PairScorer:
@@ -647,13 +644,13 @@ def build_matrix(
     """
     scorer = _PairScorer(factor_set, weights, lexicon)
     scores: list[tuple[int, int, float]] = []
-    components: dict[tuple[int, int], ComponentScores] = {}
+    components: list[tuple[int, int, float, float, float]] = []
     scored = 0
     for i, candidates, pairs in scorer.rows(floor):
         scored += candidates
         for j, lin, dist, co, score in sorted([p for p in pairs if p[4] >= floor]):
             scores.append((i, j, score))
-            components[(i, j)] = ComponentScores(lin, dist, co)
+            components.append((i, j, lin, dist, co))
     return SimilarityMatrix(
         names=factor_set.names,
         scores=scores,
@@ -700,7 +697,7 @@ def band_census(
     return BandCensus(
         high=counts[SimilarityBand.HIGH],
         moderate=counts[SimilarityBand.MODERATE],
-        low=pair_count(matrix.n) - above,
+        low=pair_count(len(matrix.names)) - above,
     )
 
 
@@ -710,10 +707,8 @@ def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
     return {
         "weights": list(matrix.weights),
         "names": list(matrix.names),
-        "scores": [[i, j, score] for i, j, score in matrix.scores],
-        "components": [
-            [i, j, *comp] for (i, j), comp in matrix.components.items()
-        ],
+        "scores": matrix.scores,
+        "components": matrix.components,
     }
 
 
@@ -721,9 +716,13 @@ def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
     """Decode the graph built at ``floor`` from the components of its edges,
     each edge's score being their blend by ``combine``, and
     refuse an edge list ``build_matrix`` cannot produce; each edge is checked
-    inline. ``scores`` must then list each edge as ``[i, j, score]`` with no
-    boolean for a number, or ``ArtifactError`` names the first leaf that
-    differs by its path below ``doc``. The names and weights are as written."""
+    inline and its row kept as a tuple, so the graph equals the one built.
+    ``scores`` must then list each edge as ``[i, j, score]`` with no boolean
+    for a number, or ``ArtifactError`` names the first leaf that differs by
+    its path below ``doc``, as it names a key ``matrix_to_dict`` does not
+    write. The names and weights are as written."""
+    if unknown := doc.keys() - {"weights", "names", "scores", "components"}:
+        raise ArtifactError(f"{min(unknown)}: unknown key")
     n, rows = len(doc["names"]), doc["components"]
     weights = SimilarityWeights(*doc["weights"])
     if not isinstance(rows, list) or not all(
@@ -731,7 +730,7 @@ def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
     ):
         raise TaxoforgeError("similarity components must be a list of 5-item rows")
     scores: list[tuple[int, int, float]] = []
-    components: dict[tuple[int, int], ComponentScores] = {}
+    components: list[tuple[int, int, float, float, float]] = []
     before = (-1, -1)
     for i, j, lin, dist, co in rows:
         edge = (i, j)
@@ -748,14 +747,14 @@ def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
             raise TaxoforgeError(
                 f"similarity components of edge [{i}, {j}] must be numbers in [0, 1]"
             )
-        components[edge] = parts = ComponentScores(lin, dist, co)
-        score = combine(parts, weights)
+        score = combine((lin, dist, co), weights)
         if score < floor:
             raise TaxoforgeError(
                 f"similarity components of edge [{i}, {j}] blend to {score}, "
                 f"below the floor {floor}"
             )
         scores.append((i, j, score))
+        components.append((i, j, lin, dist, co))
         before = edge
     written = doc["scores"]
     if type(written) is not list or len(written) != len(scores) or not all(

@@ -35,6 +35,7 @@ from taxoforge.similarity import (
     combine,
     distributional_similarity,
     load_lexicon,
+    neighbours,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -263,7 +264,7 @@ def seeded_matrix(names: list[str], pairs: dict, weights=None) -> SimilarityMatr
     return SimilarityMatrix(
         names=tuple(names),
         scores=edges,
-        components={},
+        components=[],
         weights=weights or SimilarityWeights(),
     )
 
@@ -289,9 +290,9 @@ def assert_graph_matches_dense(matrix, dense: dict, high=BAND_HIGH, low=BAND_LOW
     """The graph's edges, components and census equal the reference's."""
     expected = {pair: hit for pair, hit in dense.items() if hit[1] >= matrix.floor}
     assert [(i, j) for i, j, _ in matrix.scores] == sorted(expected)
-    assert list(matrix.components) == sorted(expected)
-    for i, j, score in matrix.scores:
-        assert (matrix.components[(i, j)], score) == expected[(i, j)]
+    assert [(i, j) for i, j, *_ in matrix.components] == sorted(expected)
+    for (i, j, score), (_, _, *parts) in zip(matrix.scores, matrix.components):
+        assert (ComponentScores(*parts), score) == expected[(i, j)]
     bands = [band(score, high, low) for _, score in dense.values()]
     assert band_census(matrix, high, low) == BandCensus(
         high=bands.count(SimilarityBand.HIGH),
@@ -315,10 +316,11 @@ def build_pipeline_outputs(factor_set, kb, lexicon, matrix=None):
 
     if matrix is None:
         matrix = build_matrix(factor_set, SimilarityWeights(), lexicon)
+    edges = neighbours(matrix)
     classifications = classify_factors(factor_set, kb, lexicon)
-    assignments = assign_categories(factor_set, classifications, kb, matrix, lexicon)
+    assignments = assign_categories(factor_set, classifications, kb, edges, lexicon)
     placements = place_cross_cutting(
-        factor_set, classifications, kb, matrix, assignments, lexicon
+        factor_set, classifications, kb, edges, assignments, lexicon
     )
     homes = primary_homes(assignments, placements)
     domains = {name: home[0] for name, home in homes.items()}

@@ -414,6 +414,27 @@ class TestRun:
         assert pipeline.phase_emit(config) == 0
         assert len(calls) == 1
 
+    def test_neighbour_lists_built_once_per_invocation(self, tmp_path, monkeypatch):
+        # Cluster and place read each factor's graph neighbours, and a chained
+        # phase that reads assignments.json rebuilds its channel rows with them.
+        calls = []
+        original = similarity.neighbours
+
+        def counting(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(similarity, "neighbours", counting)
+        config = pipeline.apply_overrides(
+            pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
+        )
+        assert pipeline.run(config) == 0
+        assert len(calls) == 1
+        for phase in ("cluster", "place", "indicate", "emit"):
+            calls.clear()
+            getattr(pipeline, f"phase_{phase}")(config)
+            assert len(calls) <= 1, phase
+
 
 class TestPhaseChaining:
     def test_chained_phases_match_run_byte_for_byte(self, tmp_path):
@@ -1314,6 +1335,29 @@ MALFORMED = [
         MISSING,
         "canonical_name",
         id="artifact-factor-no-name",
+    ),
+    # A key no phase writes is refused at its path, as the codec refuses one
+    # inside the data.
+    pytest.param(
+        "classification.json",
+        ["extra"],
+        1,
+        "classification.json: extra: unknown key",
+        id="artifact-envelope-unknown-key",
+    ),
+    pytest.param(
+        "classification.json",
+        ["data", "extra"],
+        1,
+        "classification.json: data.extra: unknown key",
+        id="artifact-data-unknown-key",
+    ),
+    pytest.param(
+        "similarity.json",
+        ["data", "typo"],
+        1,
+        "similarity.json: data.typo: unknown key",
+        id="similarity-data-unknown-key",
     ),
     pytest.param(
         "similarity.json", ["data", "scores", 0], [1.0], "scores", id="scores-short-row"

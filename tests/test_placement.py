@@ -15,6 +15,7 @@ from taxoforge.placement import (
     place,
     place_cross_cutting,
 )
+from taxoforge.similarity import neighbours
 
 # Composite scores from the worked placement examples, ranked best first.
 WORKED_COMPOSITES = {
@@ -121,12 +122,13 @@ class TestPipelinePlacement:
     @pytest.fixture()
     def placed(self, cluster_fixture, default_kb, default_lexicon):
         factor_set, matrix = cluster_fixture
+        edges = neighbours(matrix)
         results = classify_factors(factor_set, default_kb, default_lexicon)
         assignments = assign_categories(
-            factor_set, results, default_kb, matrix, default_lexicon
+            factor_set, results, default_kb, edges, default_lexicon
         )
         result = place_cross_cutting(
-            factor_set, results, default_kb, matrix, assignments, default_lexicon
+            factor_set, results, default_kb, edges, assignments, default_lexicon
         )
         return results, result
 
@@ -181,10 +183,11 @@ class TestOverrides:
         kb = load_kb(kb_path)
 
         factor_set, matrix = cluster_fixture
+        edges = neighbours(matrix)
         results = classify_factors(factor_set, kb, default_lexicon)
-        assignments = assign_categories(factor_set, results, kb, matrix, default_lexicon)
+        assignments = assign_categories(factor_set, results, kb, edges, default_lexicon)
         result = place_cross_cutting(
-            factor_set, results, kb, matrix, assignments, default_lexicon
+            factor_set, results, kb, edges, assignments, default_lexicon
         )
         primary = next(
             p

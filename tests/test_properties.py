@@ -90,6 +90,7 @@ from taxoforge.similarity import (
     build_matrix,
     combine,
     name_features,
+    neighbours,
 )
 from tests.conftest import (
     assert_graph_matches_dense,
@@ -476,7 +477,7 @@ def reference_scores(
     """The per-domain arithmetic the channel rows replaced: for each domain
     id, (semantic, similarity evidence, distribution, final)."""
     priors = domain_priorities(classification.factor_class, kb.scope_priors)
-    related = related_factors(index, matrix, related_threshold)
+    related = related_factors(index, neighbours(matrix), related_threshold)
     evidence_counts: dict[str, int] = {}
     for j, _score in related:
         domain_id = primary_domains[j]
@@ -524,11 +525,11 @@ def check_channel_rows(domains, priors, factors, edges, threshold) -> None:
     matrix = SimilarityMatrix(
         names=factor_set.names,
         scores=sorted((i, j, score) for (i, j), score in edges.items()),
-        components={},
+        components=[],
         weights=SimilarityWeights(),
     )
     primary_domains = [c.primary_domain for c in classifications]
-    rows = channel_scores(factor_set, classifications, kb, matrix, threshold)
+    rows = channel_scores(factor_set, classifications, kb, neighbours(matrix), threshold)
     assert len(rows) == len(factors)
     for index, (factor, row) in enumerate(zip(factor_set.factors, rows)):
         fits = [cosine(factor.occurrence.counts, d.space_profile) for d in kb.domains]
@@ -574,13 +575,13 @@ def check_classification_partition(vectors: list[OccurrenceVector]) -> None:
 
 
 def run_mini_pipeline(factor_set: IntegratedFactorSet):
-    matrix = build_matrix(factor_set, SimilarityWeights(), TINY_LEXICON)
+    edges = neighbours(build_matrix(factor_set, SimilarityWeights(), TINY_LEXICON))
     classifications = classify_factors(factor_set, TINY_KB, TINY_LEXICON)
     assignments = assign_categories(
-        factor_set, classifications, TINY_KB, matrix, TINY_LEXICON
+        factor_set, classifications, TINY_KB, edges, TINY_LEXICON
     )
     placements = place_cross_cutting(
-        factor_set, classifications, TINY_KB, matrix, assignments, TINY_LEXICON
+        factor_set, classifications, TINY_KB, edges, assignments, TINY_LEXICON
     )
     homes = primary_homes(assignments, placements)
     domains = {name: home[0] for name, home in homes.items()}
@@ -1059,7 +1060,7 @@ def test_bulk_graph_by_space_type_equals_dense_oracle():
             matrix = build_matrix(factor_set, weights, lexicon)
             dense = dense_pairs(factor_set, weights, lexicon)
             assert_graph_matches_dense(matrix, dense)
-            zero = [c for c in matrix.components.values() if not c.distributional]
+            zero = [row for row in matrix.components if not row[3]]
             assert zero  # edges with d = 0.0 were found
 
 

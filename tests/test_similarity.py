@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -173,12 +174,12 @@ class TestMatrix:
     def test_single_factor(self, default_lexicon):
         factor_set = make_factor_set({"safety": {"P": 1}})
         matrix = build_matrix(factor_set, SimilarityWeights(), default_lexicon)
-        assert matrix.n == 1
-        assert matrix.scores == [] and matrix.components == {}
+        assert len(matrix.names) == 1
+        assert matrix.scores == [] and matrix.components == []
         assert band_census(matrix) == BandCensus(0, 0, 0)
 
     def test_fixture_pair_count(self, sample_matrix, sample_factors, default_lexicon):
-        n = sample_matrix.n
+        n = len(sample_matrix.names)
         assert n == 11
         assert pair_count(n) == 55
         # Every one of the 55 pairs is an edge or scores below the floor.
@@ -195,9 +196,9 @@ class TestMatrix:
         # factors' neighbour lists with one score in [floor, 1].
         pairs = [(i, j) for i, j, _ in sample_matrix.scores]
         assert pairs == sorted(set(pairs))
-        neighbours = sample_matrix.neighbours
+        neighbours = similarity.neighbours(sample_matrix)
         for i, j, score in sample_matrix.scores:
-            assert 0 <= i < j < sample_matrix.n
+            assert 0 <= i < j < len(sample_matrix.names)
             assert sample_matrix.floor <= score <= 1.0
             assert (j, score) in neighbours[i] and (i, score) in neighbours[j]
         assert sum(map(len, neighbours)) == 2 * len(pairs)
@@ -222,7 +223,8 @@ class TestMatrix:
         no_studies = make_factor("comfort", {"P": 1}, studies={})
         for bad, message in ((zero, "non-zero vectors"), (no_studies, "study sets")):
             alone = IntegratedFactorSet((bad,), 1)
-            assert build_matrix(alone, SimilarityWeights(), default_lexicon).n == 1
+            matrix = build_matrix(alone, SimilarityWeights(), default_lexicon)
+            assert len(matrix.names) == 1
             for pair in ((good, bad), (bad, good)):
                 with pytest.raises(TaxoforgeError, match=message):
                     build_matrix(
@@ -239,7 +241,7 @@ class TestMatrix:
         weights = SimilarityWeights(1.0, 0.0, 0.0)
         matrix = build_matrix(IntegratedFactorSet((a, b), 2), weights, lexicon, 0.5)
         assert matrix.scores == [(0, 1, 0.5)]
-        assert matrix.components == {(0, 1): ComponentScores(0.5, 0.0, 0.0)}
+        assert matrix.components == [(0, 1, 0.5, 0.0, 0.0)]
         assert matrix.scored == 1
 
     def test_equal_token_sets_without_a_shared_type_reach_the_floor(self):
@@ -252,7 +254,7 @@ class TestMatrix:
         lexicon = SemanticLexicon.build(fields={})
         matrix = build_matrix(IntegratedFactorSet((a, b), 2), SimilarityWeights(), lexicon)
         assert matrix.scores == [(0, 1, 0.5)]
-        assert matrix.components == {(0, 1): ComponentScores(1.0, 0.0, 0.0)}
+        assert matrix.components == [(0, 1, 1.0, 0.0, 0.0)]
         assert matrix.scored == 1
 
     @pytest.mark.parametrize(
@@ -269,12 +271,14 @@ class TestMatrix:
         ]
 
     def test_serialization_round_trip(self, sample_matrix):
-        doc = matrix_to_dict(sample_matrix)
-        restored = matrix_from_dict(doc, sample_matrix.floor)
-        assert matrix_to_dict(restored) == doc
+        # Through the JSON text the artifact holds: its rows are lists.
+        text = json.dumps(matrix_to_dict(sample_matrix))
+        restored = matrix_from_dict(json.loads(text), sample_matrix.floor)
+        assert json.dumps(matrix_to_dict(restored)) == text
         assert restored.scores == sample_matrix.scores
         assert restored.components == sample_matrix.components
         assert restored.floor == sample_matrix.floor == 0.5
+        assert restored == sample_matrix._replace(scored=0)
 
     @pytest.mark.parametrize(
         "position,value,message",
@@ -320,7 +324,7 @@ class TestMatrix:
 class TestBandCensus:
     def test_counts_partition_pairs(self, sample_matrix):
         census = band_census(sample_matrix)
-        assert census.total == pair_count(sample_matrix.n)
+        assert census.total == pair_count(len(sample_matrix.names))
 
     def test_reported_scale_fractions(self):
         total = pair_count(1029)

@@ -5,7 +5,9 @@ serving a run, so it is deleted and its tests moved onto the path the
 program takes. A use is a name or attribute node in the package's code;
 a docstring or comment that mentions the name is not one. The classes
 still declared as dataclasses are listed, each with its reason. A record
-is one class, and every record's ``check`` runs when an input is read.
+is one class with no cache: a value derived from records, such as the
+similarity graph's neighbour lists, is kept by the run state, which builds
+it once per invocation. Every record's ``check`` runs when an input is read.
 """
 
 from __future__ import annotations
@@ -97,12 +99,10 @@ def test_dataclasses_are_the_allowed_ones_for_their_reasons():
 
 
 # "module.Class" -> why it subclasses another class of the package (the
-# exceptions in errors.py aside).
-SUBCLASSES = {
-    "similarity.SimilarityMatrix": "its cached neighbour lists need a __dict__ "
-    "until a flat form of the graph, built once, replaces them",
-}
-CACHED = {"pipeline.RunState", "similarity.SimilarityMatrix"}
+# exceptions in errors.py aside). The classes with a cached property: only
+# the run state, which computes or loads each of one invocation's values once.
+SUBCLASSES: dict[str, str] = {}
+CACHED = {"pipeline.RunState"}
 
 
 def test_records_are_one_class():
