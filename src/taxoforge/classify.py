@@ -11,8 +11,10 @@ result, so category assignment and placement read it instead of rescoring.
 A relevance is the best linguistic component (see ``similarity``) of the
 factor name against one of the domain's keywords. ``relevance_rows`` builds
 one ``KeywordScorer`` over the domains' keyword lists and takes each name's
-row from it: every domain's ``max`` over its keywords, in its keyword order.
-The per-keyword reference each row must equal lives in ``tests/conftest.py``.
+row from it. ``classify_rows`` turns the rows into results, for the phase
+and for reading its artifact back: statistics and class once per distinct
+count vector, the assessment once per distinct tuple of relevant domains.
+The per-keyword and per-factor references live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -115,11 +117,8 @@ def primary_domain(
 
     Ties break by KB domain order; the pipeline reports unassignable factors.
     """
-    best_id, best_score = None, 0.0
-    for domain, score in zip(kb.domains, relevance):
-        if score > best_score:
-            best_id, best_score = domain.identifier, score
-    return best_id
+    best = max(relevance, default=0.0)
+    return kb.domains[relevance.index(best)].identifier if best > 0.0 else None
 
 
 def assess_cross_cutting(
@@ -163,24 +162,30 @@ class ClassificationResult(NamedTuple):
     cross_cutting: CrossCuttingAssessment
 
 
-def classify_factor(
-    factor: IntegratedFactor,
-    relevance: tuple[float, ...],
+def classify_rows(
+    factors: Sequence[IntegratedFactor],
+    rows: Sequence[tuple[float, ...]],
     kb: DomainKnowledgeBase,
     threshold: float = CROSS_CUTTING_THRESHOLD,
-) -> ClassificationResult:
-    """Everything classify says about one factor, given its relevance row."""
-    stats = distribution_stats(factor.occurrence)
-    cross_cutting = assess_cross_cutting(relevance, kb, threshold)
-    return ClassificationResult(
-        name=factor.canonical_name,
-        primary_domain=primary_domain(relevance, kb),
-        flagged=cross_cutting.flagged,
-        relevance=relevance,
-        stats=stats,
-        factor_class=classify(stats),
-        cross_cutting=cross_cutting,
-    )
+) -> list[ClassificationResult]:
+    """Everything classify says about each factor, given its relevance row."""
+    ids = kb.domain_ids()
+    by_counts: dict[tuple[int, ...], tuple[DistributionStats, FactorClass]] = {}
+    by_relevant: dict[tuple[str, ...], CrossCuttingAssessment] = {}
+    results = []
+    for factor, row in zip(factors, rows):
+        counts = factor.occurrence.counts
+        if (known := by_counts.get(counts)) is None:
+            stats = distribution_stats(factor.occurrence)
+            known = by_counts[counts] = stats, classify(stats)
+        relevant = tuple(d for d, score in zip(ids, row) if score >= threshold)
+        if (cross := by_relevant.get(relevant)) is None:
+            cross = by_relevant[relevant] = assess_cross_cutting(row, kb, threshold)
+        primary = primary_domain(row, kb)
+        results.append(ClassificationResult(
+            factor.canonical_name, primary, cross.flagged, row, *known, cross
+        ))
+    return results
 
 
 def classify_factors(
@@ -189,7 +194,5 @@ def classify_factors(
     lexicon: SemanticLexicon,
     threshold: float = CROSS_CUTTING_THRESHOLD,
 ) -> list[ClassificationResult]:
-    factors = factor_set.factors
     rows = relevance_rows(factor_set.names, kb, lexicon)
-    return [classify_factor(f, row, kb, threshold) for f, row in zip(factors, rows)]
-
+    return classify_rows(factor_set.factors, rows, kb, threshold)

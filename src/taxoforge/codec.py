@@ -16,7 +16,10 @@ where it has one, a mapping key is text, and a float field reads as a
 boolean, NaN, infinite or a whole number beyond the float range. A record's
 ``check`` method, where its class has one, runs as soon as the record is
 built; a refusal is reported at its object's path. Every empty frozenset
-read is ``EMPTY``. Both are compiled once per annotation. ``read_yaml``
+read is ``EMPTY``. A value is read as columns first: a list of records one
+field at a time, a list of leaves by one type check; on a refusal the
+reader walks it leaf by leaf, record by record, which names the first
+wrong leaf. All are compiled once per annotation. ``read_yaml``
 parses the KB, lexicon, rules and config files, with libyaml where PyYAML
 has it, and refuses a key one mapping holds twice and nesting too deep to
 parse. ``mismatch`` names where decoded records or a JSON list first differ
@@ -27,8 +30,9 @@ from __future__ import annotations
 import math
 import types
 import typing
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cache
+from itertools import chain, islice
 from pathlib import Path
 
 import yaml
@@ -80,7 +84,10 @@ def decode(kind: object, data: object, where: str, error=ArtifactError):
     ``where`` and then the leaf's path below it, which follows a ``where``
     ending in ": ", a file's label, as ``domains[0].id``."""
     try:
-        return _codec(kind)[0](data)
+        try:  # read as columns; the walk finds again what they refuse
+            return _column(kind)([data])[0]
+        except (_Refused, KeyError, TaxoforgeError):  # or a missing key, a check
+            return _codec(kind)[0](data)
     except _Refused as exc:
         at = "".join(reversed(exc.path))
         if where.endswith(": "):
@@ -201,17 +208,10 @@ def _codec(kind: object):
     if origin in (tuple, list, frozenset):
         read, write = _codec(args[0])
         build = _frozenset if origin is frozenset else origin
-        floats = args[0] is float
 
         def read_list(value):
             if type(value) is not list:
                 raise _refuse("a list", value)
-            # A list of finite floats is checked as one column; any other
-            # list is walked leaf by leaf, which names a refused leaf.
-            if not value or floats and all(type(x) is float for x in value) and all(
-                map(math.isfinite, value)
-            ):
-                return build(value)
             out = []
             try:
                 for element in value:
@@ -246,8 +246,58 @@ def _codec(kind: object):
     raise TypeError(f"no artifact codec for {kind}")
 
 
-def _frozenset(items: list) -> frozenset:
-    return frozenset(items) if items else EMPTY
+@cache
+def _column(kind: object):
+    """The reader of a list of ``kind`` values as one column, which refuses
+    naming no leaf; a list read as it stands comes back itself. Lists and
+    mappings are read through one column of their entries."""
+    read = _codec(kind)[0]
+    if kind in _LEAVES:
+        accepted = _LEAVES[kind][0][0]
+
+        def read_leaves(values):
+            if _only(accepted, values) and (
+                kind is not float or all(map(math.isfinite, values))
+            ):
+                return values
+            return list(map(read, values))  # a whole number as a float, or refused
+
+        return read_leaves
+    if _is_record(kind):
+        return _record_codec(kind)[3]
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (tuple, list, frozenset):
+        column, build = _column(args[0]), _frozenset if origin is frozenset else origin
+
+        def read_lists(values):
+            if not _only(list, values):
+                raise _Refused("")
+            if (held := column(flat := [*chain.from_iterable(values)])) is flat:
+                return list(map(build, values))
+            held = iter(held)
+            return [build(islice(held, len(value))) for value in values]
+
+        return read_lists
+    if origin is Mapping:
+        column = _column(args[1])
+
+        def read_mappings(values):
+            if not (_only(dict, values) and _only(str, chain.from_iterable(values))):
+                raise _Refused("")
+            held = iter(column([*chain.from_iterable(map(dict.values, values))]))
+            return [dict(zip(value, held)) for value in values]
+
+        return read_mappings
+    return lambda values: list(map(read, values))
+
+
+def _only(kind: type, values: Iterable) -> bool:
+    """Whether every one of ``values`` is of type ``kind`` itself."""
+    return {*map(type, values)} <= {kind}
+
+
+def _frozenset(items: Iterable) -> frozenset:
+    return frozenset(items) or EMPTY
 
 
 def _is_record(kind: object) -> bool:
@@ -257,9 +307,9 @@ def _is_record(kind: object) -> bool:
 
 @cache
 def _record_codec(kind: type):
-    """(reader, writer, keys) of the record ``kind``: its fields' names, an
-    inlined record's keys for its field's. An inlined record's parent has
-    checked the keys, and tells its reader so."""
+    """(reader, writer, keys, column reader) of the record ``kind``: its
+    fields' names, an inlined record's keys for its field's. An inlined
+    record's parent has checked the keys, and tells its readers so."""
     hints, missing = typing.get_type_hints(kind), object()  # an absent key
     names, required = kind._fields, set(kind._fields) - set(kind._field_defaults)
     plan = [(name, *_codec(hints[name]), _is_record(hints[name])) for name in names]
@@ -294,6 +344,27 @@ def _record_codec(kind: type):
             raise _Refused(str(exc)) from None
         return record
 
+    def read_rows(rows, keys_checked=False):
+        """The records of ``rows`` read one field at a time, as columns."""
+        if not (keys_checked or _only(dict, rows) and all(map(keys.issuperset, rows))):
+            raise _Refused("")
+        columns = []
+        for name, read_field, _, inline in plan:
+            if inline:
+                columns.append(_record_codec(hints[name])[3](rows, True))
+                continue
+            try:
+                columns.append(_column(hints[name])([row[name] for row in rows]))
+            except KeyError:  # an absent key takes its field's default, if any
+                default = kind._field_defaults[name]
+                columns.append([read_field(r[name]) if name in r else default
+                                for r in rows])
+        records = list(map(kind._make, zip(*columns)))
+        if check is not None:
+            for record in records:
+                check(record)
+        return records
+
     def write(obj):
         out = {}
         for name, _, write_field, inline in plan:
@@ -304,4 +375,4 @@ def _record_codec(kind: type):
                 out[name] = field if write_field is None else write_field(field)
         return out
 
-    return read, write, keys
+    return read, write, keys, read_rows

@@ -448,10 +448,9 @@ def _read_classified(state: RunState) -> list[classify.ClassificationResult]:
             0.0 <= min(r.relevance) and max(r.relevance) <= 1.0
         ):
             raise ArtifactError(f"{where}[{i}].relevance: {UNIT} per domain")
-    results = [
-        classify.classify_factor(factor, r.relevance, kb, threshold)
-        for factor, r in zip(state.get("integrate").factors, decoded)
-    ]
+    results = classify.classify_rows(
+        state.get("integrate").factors, [r.relevance for r in decoded], kb, threshold
+    )
     _compare(results, decoded, where)
     placement.check_overrides(results, kb)
     return results

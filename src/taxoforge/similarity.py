@@ -99,8 +99,9 @@ dot product, and a set lookup gives the shared fields; the keyword is scored
 by the linguistic component's operations in their order. Every other keyword
 scores exactly 0.0 under the per-pair definition too: its token Jaccard is
 0/union (or 0.0 for two empty token sets), its trigram cosine is never taken,
-and it earns no field bonus. A group's score is the ``max`` over its
-keywords in the group's order.
+and it earns no field bonus. Each keyword scored raises in place the
+maximum of each group it is in; scores are never negative, so a group's
+maximum is the same in any order of its keywords.
 
 What the linguistic component reads of a name (its token set, trigram counts
 and their squared norm, and its lexicon fields) is computed once per name and
@@ -558,8 +559,12 @@ class KeywordScorer:
     ) -> None:
         keywords = list(dict.fromkeys(k for group in groups for k in group))
         position = {keyword: k for k, keyword in enumerate(keywords)}
-        # Each group's keyword positions, in the group's order.
-        self.groups = [[position[keyword] for keyword in group] for group in groups]
+        # The groups each distinct keyword belongs to, each listed once.
+        self.memberships = [
+            [g for g, group in enumerate(groups) if keyword in group]
+            for keyword in keywords
+        ]
+        self.size = len(groups)
         self.lexicon = lexicon
         features = [lexicon.features(keyword) for keyword in keywords]
         # Postings of tokens, of trigram keys (each keyword listed once per
@@ -579,27 +584,28 @@ class KeywordScorer:
         self.gram_norms = [f.trigram_norm_sq for f in features]
 
     def row(self, name: str) -> tuple[float, ...]:
-        """Each group's ``max`` over its keywords' scores against ``name``,
-        taken in the group's keyword order."""
+        """Each group's best score of one of its keywords against ``name``."""
         f = self.lexicon.features(name)
         tokens = Counter(_postings([self.tokens], f.tokens))
         dots = Counter(_postings([self.grams], f.grams_listed))
         fields = set(_postings([self.fields], f.fields))
         token_counts, gram_norms = self.token_counts, self.gram_norms
+        memberships, sqrt = self.memberships, math.sqrt
         tokens_a, grams_a = len(f.tokens), f.trigram_norm_sq
         field_score = self.lexicon.field_score
-        scores = [0.0] * len(token_counts)
+        best = [0.0] * self.size
         for k in tokens.keys() | dots.keys() | fields:
-            shared = tokens.get(k, 0)
-            union = tokens_a + token_counts[k] - shared
-            score = shared / union if union else 0.0
-            dot = dots.get(k, 0)
-            if dot:
-                score = max(score, _int_cosine(dot, grams_a, gram_norms[k]))
-            if k in fields:
-                score = max(score, field_score)
-            scores[k] = score
-        return tuple(max([scores[k] for k in group]) for group in self.groups)
+            shared = tokens.get(k)  # 0/union, or 0.0 for two empty token sets
+            score = shared / (tokens_a + token_counts[k] - shared) if shared else 0.0
+            if dot := dots.get(k):  # _int_cosine's operations
+                if (cosine := dot / sqrt(grams_a * gram_norms[k])) > score:
+                    score = min(1.0, cosine)
+            if k in fields and field_score > score:
+                score = field_score
+            for g in memberships[k]:
+                if score > best[g]:
+                    best[g] = score
+        return tuple(best)
 
 
 def _postings(

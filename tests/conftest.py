@@ -11,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from taxoforge.classify import classify_factors
+from taxoforge.classify import (
+    CROSS_CUTTING_MIN_DOMAINS,
+    ClassificationResult,
+    CrossCuttingAssessment,
+    CrossCuttingStatus,
+    classify,
+    classify_factors,
+    distribution_stats,
+)
 from taxoforge.corpus import CSV_HEADER, SPACE_TYPES, Corpus, load_corpus, load_rules
 from taxoforge.integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector, integrate
 from taxoforge.knowledge import (
@@ -252,6 +260,31 @@ def best_subcategory_reference(names, domain, lexicon) -> str:
         if mean > best:
             best_id, best = sub.identifier, mean
     return best_id
+
+
+def classification_reference(factor, relevance, kb, threshold) -> ClassificationResult:
+    """What classify says of one factor given its relevance row, one domain
+    at a time: the reference ``classify.classify_rows`` must equal per
+    factor. The primary domain is the first strictly highest relevance,
+    None when every relevance is 0.0."""
+    stats = distribution_stats(factor.occurrence)
+    relevant = tuple(
+        domain.identifier for domain, score in zip(kb.domains, relevance)
+        if score >= threshold
+    )
+    best_id, best = None, 0.0
+    for domain, score in zip(kb.domains, relevance):
+        if score > best:
+            best_id, best = domain.identifier, score
+    count = len(relevant)
+    cross_cutting = CrossCuttingAssessment(
+        relevant, count, CrossCuttingStatus.from_score(count),
+        count >= CROSS_CUTTING_MIN_DOMAINS,
+    )
+    return ClassificationResult(
+        factor.canonical_name, best_id, cross_cutting.flagged, relevance,
+        stats, classify(stats), cross_cutting,
+    )
 
 
 def seeded_matrix(names: list[str], pairs: dict, weights=None) -> SimilarityMatrix:

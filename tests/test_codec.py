@@ -4,14 +4,16 @@ every leaf of the fixture's artifacts through the checked read path."""
 from __future__ import annotations
 
 import json
+import re
 import typing
 from typing import Mapping, NamedTuple
 
 import pytest
 
-from taxoforge import codec, pipeline, similarity
+from taxoforge import codec, knowledge, pipeline, similarity
 from taxoforge.cluster import CategoryAssignment
 from taxoforge.errors import ArtifactError
+from taxoforge.integrate import IntegratedFactor
 from tests.conftest import FIXTURES
 
 # Phases whose artifacts the codec writes, and those a later phase reads.
@@ -178,50 +180,128 @@ ASSIGNMENT = {
 }
 
 
+FACTOR = {
+    "canonical_name": "safety",
+    "counts": [1, 0, 0, 0, 0, 0],
+    "studies": {"P": ["s1"]},
+}
+
+
+def _put(entries, row, *path_and_value):
+    """Set the leaf at ``path`` below ``entries[row]`` to ``value``."""
+    *path, key, value = path_and_value
+    target = entries[row]
+    for step in path:
+        target = target[step]
+    target[key] = value
+
+
 @pytest.mark.parametrize(
-    "edit,message",
+    "kind,edit,message",
     [
         pytest.param(
-            lambda a: a["scores"]["COMFORT"].update(semantic=None),
+            ScoredHome,
+            lambda e: e[1]["scores"]["COMFORT"].update(semantic=None),
             "data[1].scores.COMFORT.semantic: expected a number, got None",
             id="null-number",
         ),
         pytest.param(
-            lambda a: a["scores"]["COMFORT"].update(semantic=True),
+            ScoredHome,
+            lambda e: e[1]["scores"]["COMFORT"].update(semantic=True),
             "data[1].scores.COMFORT.semantic: expected a number, got True",
             id="bool-number",
         ),
         pytest.param(
-            lambda a: a["scores"]["COMFORT"].update(semantic=float("nan")),
+            ScoredHome,
+            lambda e: e[1]["scores"]["COMFORT"].update(semantic=float("nan")),
             "data[1].scores.COMFORT.semantic: expected a finite number, got nan",
             id="nan-number",
         ),
         pytest.param(
-            lambda a: a["scores"]["COMFORT"].update(distribution=float("-inf")),
+            ScoredHome,
+            lambda e: e[1]["scores"]["COMFORT"].update(distribution=float("-inf")),
             "data[1].scores.COMFORT.distribution: expected a finite number, got -inf",
             id="infinite-number",
         ),
         pytest.param(
-            lambda a: a.pop("category"), "data[1].category: missing", id="missing"
+            ScoredHome, lambda e: e[1].pop("category"), "data[1].category: missing",
+            id="missing",
         ),
         pytest.param(
-            lambda a: a.update(subcategory=7),
+            ScoredHome,
+            lambda e: e[1].update(subcategory=7),
             "data[1].subcategory: expected a string, got 7",
             id="number-string",
         ),
         pytest.param(
-            lambda a: a.update(scores=[]),
+            ScoredHome,
+            lambda e: e[1].update(scores=[]),
             "data[1].scores: expected an object, got []",
             id="list-mapping",
         ),
+        # Two faults in different rows and fields: the first one a reader
+        # meets going row by row is named, not the first of a column.
+        pytest.param(
+            ScoredHome,
+            lambda e: (
+                _put(e, 0, "scores", "COMFORT", "semantic", None),
+                _put(e, 1, "factor", 7),
+            ),
+            "data[0].scores.COMFORT.semantic: expected a number, got None",
+            id="last-field-before-next-row",
+        ),
+        pytest.param(
+            ScoredHome,
+            lambda e: (_put(e, 1, "typo", 1), _put(e, 0, "subcategory", 7)),
+            "data[0].subcategory: expected a string, got 7",
+            id="wrong-leaf-before-later-unknown-key",
+        ),
+        pytest.param(
+            IntegratedFactor,
+            lambda e: (_put(e, 0, "counts", 2, -1), _put(e, 1, "canonical_name", 7)),
+            "data[0]: occurrence counts must be non-negative",
+            id="check-before-later-wrong-leaf",
+        ),
+        pytest.param(
+            IntegratedFactor,
+            lambda e: (_put(e, 1, "counts", 2, -1), _put(e, 0, "studies", "P", 0, 7)),
+            "data[0].studies.P[0]: expected a string, got 7",
+            id="wrong-leaf-before-later-check",
+        ),
     ],
 )
-def test_refused_leaf_is_named_by_its_path(edit, message):
-    entries = json.loads(json.dumps([ASSIGNMENT, ASSIGNMENT]))
-    edit(entries[1])
+def test_refused_leaf_is_named_by_its_path(kind, edit, message):
+    base = ASSIGNMENT if kind is ScoredHome else FACTOR
+    entries = json.loads(json.dumps([base, base]))
+    edit(entries)
     with pytest.raises(ArtifactError) as caught:
-        codec.decode(list[ScoredHome], entries, "data")
+        codec.decode(list[kind], entries, "data")
     assert str(caught.value).startswith(message)
+
+
+def _kb_without_scope_priors():
+    doc = codec.read_yaml(knowledge.default_kb_path(), "kb", ArtifactError)
+    del doc["scope_priors"]  # an absent key takes its field's default
+    return doc
+
+
+@pytest.mark.parametrize("phase", [*CODEC_PHASES, "kb"])
+def test_columns_read_what_the_walk_reads(fixture_run, phase):
+    """Reading as columns gives what the record-by-record walk gives, to the
+    type of each leaf: a float written as a whole number reads as a float."""
+    config, _ = fixture_run
+    if phase == "kb":
+        kind, data = knowledge.KbFile, _kb_without_scope_priors()
+    else:
+        name, key, kind = pipeline.ARTIFACTS[phase]
+        data = json.loads((config.out_dir / name).read_text(encoding="utf-8"))["data"]
+        data = data if key is None else data[key]
+    text = json.dumps(data)
+    whole = re.sub(r"(?<=\d)\.0\b", "", text)
+    assert (whole != text) is (phase in ("classify", "kb"))  # floats written as x.0
+    for value in (data, json.loads(whole)):
+        columns = codec._column(kind)([value])[0]
+        assert repr(columns) == repr(codec._codec(kind)[0](value))
 
 
 def test_record_check_is_refused_at_its_object(fixture_run):
@@ -335,12 +415,63 @@ def _rebuilt(phase, leaf):
     return True
 
 
+# A cross-field check refuses the value it holds a mutated leaf against, not
+# the leaf: (phase, leaf) -> the paths such a refusal may name. "[*]" is any
+# index, ".*" any key.
+CROSS_FIELD = {
+    ("integrate", "data.factors[*].counts[*]"): (
+        "data.factors[*].studies.*", "data.raw_record_count"
+    ),
+    ("similarity", "data.components[*][*]"): ("data.scores[*][*]",),
+    ("classify", "data.factors[*].relevance[*]"): (
+        "data.factors[*].flagged", "data.factors[*].primary_domain"
+    ),
+    ("cluster", "data.assignments[*].category"): ("data.assignments[*].subcategory",),
+    ("place", "data.placements[*].composite"): ("data.placements[*].domain",),
+    ("place", "data.placements[*].domain"): ("data.placements[*].subcategory",),
+}
+
+
+def _steps(path: str) -> list[str]:
+    """``data.factors[3].counts`` as ``["data", ".factors", "[3]", ".counts"]``."""
+    return re.findall(r"^[^.\[]+|\.[^.\[]+|\[[^\]]*\]", path)
+
+
+def _matches(pattern: list[str], steps: list[str]) -> bool:
+    """Whether ``pattern`` is ``steps`` or a prefix of it, step by step, a
+    ``[*]`` or ``.*`` step matching any index or key."""
+    return len(pattern) <= len(steps) and all(
+        p == s or p == "[*]" and s[0] == "[" or p == ".*" and s[0] == "."
+        for p, s in zip(pattern, steps)
+    )
+
+
+def _names_its_leaf(phase, leaf, message, path) -> bool:
+    """Whether the refusal names the leaf, an ancestor of it, or a value a
+    cross-field check holds it against; a changed config checksum is named
+    as such."""
+    if leaf == ("config_checksum",):
+        return "(checksum mismatch)" in message
+    named = re.match(r"\w[^\s:]*", message.removeprefix(f"artifact {path}: "))
+    if named is None:
+        return False
+    found = _steps(named.group())
+    steps = _steps("".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in leaf)[1:])
+    general = "".join("[*]" if s[0] == "[" else s for s in steps)
+    allowed = [_steps(p) for p in CROSS_FIELD.get((phase, general), ())]
+    return _matches(found, steps) or any(
+        len(p) == len(found) and _matches(p, found) for p in allowed
+    )
+
+
 def test_mutation_sweep_reads_or_refuses(fixture_run):
     """Each leaf of each artifact a phase reads, mutated alone, is either
-    read or refused with one line naming the file; nothing else escapes.
-    Every mutation to a null, another JSON type or -1 is refused. No leaf
-    that is rebuilt on reading is read with another value, not even one of
-    its own kind that every type and range check accepts."""
+    read or refused with one line naming the file and the leaf's path, an
+    ancestor of it, or the value a cross-field check holds it against;
+    nothing else escapes. Every mutation to a null, another JSON type or -1
+    is refused. No leaf that is rebuilt on reading is read with another
+    value, not even one of its own kind that every type and range check
+    accepts."""
     config, computed = fixture_run
     loaded = {
         name: getattr(computed, name) for name in ("checksums", "kb", "lexicon")
@@ -377,6 +508,9 @@ def test_mutation_sweep_reads_or_refuses(fixture_run):
                     except ArtifactError as exc:
                         assert str(path) in str(exc), (leaf, mutated)
                         assert "\n" not in str(exc), (leaf, mutated)
+                        assert _names_its_leaf(phase, leaf, str(exc), path), (
+                            leaf, mutated, str(exc)
+                        )
                         outcomes["refused"] += 1
         finally:
             path.write_text(original, encoding="utf-8")

@@ -25,10 +25,11 @@ from hypothesis import strategies as st
 
 from taxoforge.applicability import indicators_for
 from taxoforge.classify import (
+    CROSS_CUTTING_THRESHOLD,
     FactorClass,
     classify,
-    classify_factor,
     classify_factors,
+    classify_rows,
     distribution_stats,
     domain_relevance,
     entropy,
@@ -95,6 +96,7 @@ from taxoforge.similarity import (
 from tests.conftest import (
     assert_graph_matches_dense,
     best_subcategory_reference,
+    classification_reference,
     cosine,
     dense_pairs,
     left_fold,
@@ -516,11 +518,12 @@ def check_channel_rows(domains, priors, factors, edges, threshold) -> None:
         ),
         sum(sum(counts) for counts, _, _ in factors),
     )
+    relevance = [row for _, row, _ in factors]
     classifications = [
-        classify_factor(factor, relevance, kb)._replace(
-            primary_domain=None if primary is None else ids[primary],
+        result._replace(primary_domain=None if primary is None else ids[primary])
+        for result, (_, _, primary) in zip(
+            classify_rows(factor_set.factors, relevance, kb), factors
         )
-        for factor, (_, relevance, primary) in zip(factor_set.factors, factors)
     ]
     matrix = SimilarityMatrix(
         names=factor_set.names,
@@ -542,6 +545,41 @@ def check_channel_rows(domains, priors, factors, edges, threshold) -> None:
             assert [v.hex() for v in channel] == [expected[d][k].hex() for d in ids]
         best = max(ids, key=lambda domain_id: expected[domain_id][3])
         assert argmax_domain(row, ids) == best
+
+
+@st.composite
+def classify_cases(draw):
+    """(KB size, factors as (counts, relevance row), cross-cutting
+    threshold). Counts come from a pool of up to three vectors and scores
+    from a few values the threshold is drawn among, so that repeated
+    vectors, all-zero rows, ties and scores exactly at the threshold are
+    common."""
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(occurrence_vectors(max_count=2), min_size=1, max_size=3))
+    levels = (0.0, 0.25, CROSS_CUTTING_THRESHOLD, 0.99, 1.0)
+    scores = st.sampled_from(levels) | st.floats(0.0, 1.0)
+    factors = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool).map(lambda v: v.counts),
+                      st.tuples(*[scores] * n)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return n, factors, draw(st.sampled_from(levels))
+
+
+def check_classify_rows(n, factors, threshold) -> None:
+    kb = relevance_kb([[f"k{i}"] for i in range(n)])
+    built = tuple(
+        IntegratedFactor(f"f{i}", OccurrenceVector(counts), {})
+        for i, (counts, _) in enumerate(factors)
+    )
+    rows = [row for _, row in factors]
+    assert classify_rows(built, rows, kb, threshold) == [
+        classification_reference(factor, row, kb, threshold)
+        for factor, row in zip(built, rows)
+    ]
 
 
 def check_blend_monotonicity(base: tuple, index: int, bump: float) -> None:
@@ -907,6 +945,9 @@ def test_name_features_equal_per_position_reference(name):
 @example(case=([["qq"], ["banana"]], RELEVANCE_FIELDS[0], 0.85, ["zz"]))
 @example(case=([["banana", "zz"], ["banana"]], {}, 1.0, ["banana", "lighting"]))
 @example(case=([["banana"], ["street lighting"]], {}, 0.85, ["xyz w"]))
+# a keyword twice in one group and in two groups
+@example(case=([["banana", "na", "banana"], ["na"]], {}, 0.85, ["nana", "banana"]))
+@example(case=([["zz", "zz"], ["qq", "zz"]], RELEVANCE_FIELDS[0], 0.4, ["qq", "zz"]))
 def test_keyword_relevance_rows_equal_per_keyword_reference(case):
     check_relevance_rows(*case)
 
@@ -931,6 +972,9 @@ def test_keyword_relevance_rows_equal_per_keyword_reference(case):
         ["b a h d i j c k", "g a c f d b h j", "e h b j c"],
     )
 )
+# a keyword twice in one subcategory and in both
+@example(case=([["na", "ab", "na"], ["banana", "na"]], {}, 0.85, ["nana", "ab cd"]))
+@example(case=([["qq", "qq"], ["zz", "qq"]], RELEVANCE_FIELDS[0], 1.0, ["zz"]))
 def test_best_subcategory_equals_per_keyword_reference(case):
     check_best_subcategory(*case)
 
@@ -938,6 +982,34 @@ def test_best_subcategory_equals_per_keyword_reference(case):
 FLAT = (1.0,) * 6
 # a factor with no relevance and no primary domain, against two domains
 UNMATCHED = ((1, 0, 0, 0, 0, 0), (0.0, 0.0), None)
+
+
+@SUITE
+@given(case=classify_cases())
+# all-zero rows, each domain relevant at a threshold of 0.0
+@example(case=(2, [((1, 0, 0, 0, 0, 0), (0.0, 0.0))] * 2, 0.0))
+@example(case=(2, [((1, 0, 0, 0, 0, 0), (0.0, 0.0))] * 2, CROSS_CUTTING_THRESHOLD))
+# ties between domains go to the first in KB order
+@example(
+    case=(
+        3,
+        [((1, 1, 0, 0, 0, 0), (0.5, 0.9, 0.9)), ((0, 1, 0, 0, 0, 0), (0.9,) * 3)],
+        0.99,
+    )
+)
+# scores exactly at the threshold count as relevant
+@example(
+    case=(
+        4,
+        [
+            ((1, 1, 1, 0, 0, 0), (0.6, 0.6, 0.6, 0.0)),
+            ((1, 1, 1, 0, 0, 0), (0.6, 0.59, 0.6, 0.6)),
+        ],
+        CROSS_CUTTING_THRESHOLD,
+    )
+)
+def test_classify_rows_equal_per_factor_reference(case):
+    check_classify_rows(*case)
 
 
 @SUITE
