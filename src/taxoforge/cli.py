@@ -17,7 +17,7 @@ from typing import Sequence
 from . import pipeline
 from .errors import TaxoforgeError
 
-PHASES = ("integrate", "similarity", "classify", "cluster", "place", "indicate", "emit")
+PHASES = (*pipeline.ARTIFACTS, "emit")
 
 CONFIG_ENV_VAR = "TAXOFORGE_CONFIG"
 
@@ -42,20 +42,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="execute all phases")
-    _add_common(run_parser)
-    run_parser.add_argument("--emit-pairs", action="store_true")
-    run_parser.add_argument("--sankey", metavar="CATEGORY")
-    run_parser.add_argument("--subfactors", help="comma-separated subfactor filter")
-
-    for phase in PHASES:
-        phase_parser = sub.add_parser(phase, help=f"run only the {phase} phase")
-        _add_common(phase_parser)
-        if phase == "similarity":
-            phase_parser.add_argument("--emit-pairs", action="store_true")
-        if phase == "emit":
-            phase_parser.add_argument("--sankey", metavar="CATEGORY")
-            phase_parser.add_argument(
+    helps = {"run": "execute all phases"}
+    helps.update((phase, f"run only the {phase} phase") for phase in PHASES)
+    for command, what in helps.items():
+        command_parser = sub.add_parser(command, help=what)
+        _add_common(command_parser)
+        if command in ("run", "similarity"):
+            command_parser.add_argument("--emit-pairs", action="store_true")
+        if command in ("run", "emit"):
+            command_parser.add_argument("--sankey", metavar="CATEGORY")
+            command_parser.add_argument(
                 "--subfactors", help="comma-separated subfactor filter"
             )
     return parser
@@ -76,8 +72,7 @@ def _load_config(args: argparse.Namespace) -> pipeline.PipelineConfig:
     )
 
 
-def _subfactors(args: argparse.Namespace) -> list[str] | None:
-    raw = getattr(args, "subfactors", None)
+def _subfactors(raw: str | None) -> list[str] | None:
     if raw is None:
         return None
     return [name.strip() for name in raw.split(",") if name.strip()]
@@ -88,26 +83,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     log_format = "%(levelname)s %(name)s: %(message)s"
     logging.basicConfig(level=logging.INFO, format=log_format)
     try:
-        if getattr(args, "subfactors", None) is not None:
-            if args.sankey is None:
+        options = {}  # the options of the subcommand's parser
+        if "emit_pairs" in args:
+            options["emit_pairs"] = args.emit_pairs
+        if "sankey" in args:
+            subfactors = _subfactors(args.subfactors)
+            if args.sankey == "":
+                raise TaxoforgeError("--sankey names no category")
+            if subfactors is not None and args.sankey is None:
                 raise TaxoforgeError("--subfactors needs --sankey")
-            if not _subfactors(args):
+            if subfactors == []:
                 raise TaxoforgeError("--subfactors names no subfactor")
+            options.update(sankey_category=args.sankey, sankey_subfactors=subfactors)
         config = _load_config(args)
-        if args.command == "run":
-            return pipeline.run(
-                config,
-                emit_pairs=args.emit_pairs,
-                sankey_category=args.sankey,
-                sankey_subfactors=_subfactors(args),
-            )
-        if args.command == "emit":
-            return pipeline.phase_emit(config, args.sankey, _subfactors(args))
-        if args.command == "similarity":
-            pipeline.phase_similarity(config, emit_pairs=args.emit_pairs)
-        else:
-            getattr(pipeline, f"phase_{args.command}")(config)
-        return 0
+        name = "run" if args.command == "run" else f"phase_{args.command}"
+        return getattr(pipeline, name)(config, **options) or 0
     except TaxoforgeError as exc:
         print(f"taxoforge {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -374,6 +374,10 @@ def render_markdown(framework: dict, report: dict) -> str:
     return "\n".join(lines)
 
 
+# Category ids quoted when a prefix names several; the count is always given.
+AMBIGUOUS_SHOWN = 5
+
+
 def resolve_identifier(identifiers: Sequence[str], wanted: str) -> str:
     """The category id ``wanted`` names among ``identifiers``: an exact match
     first, then a unique case-insensitive prefix."""
@@ -384,7 +388,10 @@ def resolve_identifier(identifiers: Sequence[str], wanted: str) -> str:
         return matches[0]
     if not matches:
         raise TaxoforgeError(f"unknown category {wanted!r}")
-    raise TaxoforgeError(f"category {wanted!r} is ambiguous: {', '.join(matches)}")
+    shown = ", ".join(matches[:AMBIGUOUS_SHOWN])
+    more = ", ..." if len(matches) > AMBIGUOUS_SHOWN else ""
+    raise TaxoforgeError(f"category {wanted!r} is ambiguous: {shown}{more} "
+                         f"({len(matches)} categories match)")
 
 
 def check_subfactors(names: Sequence[str], wanted: Sequence[str] | None) -> None:

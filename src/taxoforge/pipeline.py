@@ -10,6 +10,13 @@ records. The indicators are always built from the upstream results;
 indicators.json is a report. ``run`` passes one state through every phase,
 writing each artifact once; a phase run alone reads its inputs from disk,
 with byte-identical output. Artifacts are compact JSON, exports indented.
+
+Each phase, and ``run``, is a step under ``_phase``: called as
+``phase(config, state=None, **options)``, it runs on the caller's state or a
+fresh one with the cyclic collector paused, and writes its artifact, then
+its CSV report (pairs.csv for similarity, when asked for), through
+``RunState.put``. emit resolves its Sankey category and checks the filter
+itself, run alone or by ``run``; an exact id resolves to itself.
 """
 
 from __future__ import annotations
@@ -132,6 +139,8 @@ class ConfigFile(NamedTuple):
     def check(self) -> None:
         if self.jobs < 1:
             raise ConfigError(f"jobs must be a whole number >= 1, got {self.jobs!r}")
+        if not self.out:  # would write, and sweep, the config's own directory
+            raise ConfigError("out: expected a non-empty path")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -187,6 +196,8 @@ def apply_overrides(
 ) -> PipelineConfig:
     """Apply CLI-level overrides onto a loaded config; the settings they
     give are decoded and checked as the config file's are."""
+    if out_dir == "":  # would write, and sweep, the working directory
+        raise ConfigError("--out: expected a non-empty path")
     if out_dir is not None:
         config = replace(config, out_dir=Path(out_dir))
     if weights is not None:
@@ -214,40 +225,37 @@ def apply_overrides(
 # ---------------------------------------------------------------------------
 
 # phase -> (artifact file, key of ``data`` holding the result or None when
-# ``data`` is the result, the type written); the codec derives ``data`` from
-# the type. For classify, cluster and place that is a record type whose
-# fields the result's entries also have, by the same names: what the artifact
-# keeps of each, which the codec reads off each entry. similarity.json keeps
-# its own codec for the compact edge list. indicators.json is a report no
-# phase reads, written without the codec: per factor its name, coverage and
-# indicator text, then the subcategory and category profiles; everything
-# else about an indicator follows from integrated.json, the KB or
-# framework.json. Each is one line of compact JSON. The benchmark
-# (perfbench/worker.py) reads these keys and fields, so they stay:
-# integrated.json raw_record_count and factors[*].studies (a mapping of
-# lists); each classification.json factor's flagged and primary_domain;
-# similarity.json names, weights and scores; and the results' placements,
-# cross_references, cross_cutting.flagged and primary_domain.
+# ``data`` is the result, the type written, the CSV report written beside it
+# or None); the codec derives ``data`` from the type. For classify, cluster
+# and place that is a record type whose fields the result's entries also
+# have, by the same names: what the artifact keeps of each, which the codec
+# reads off each entry. similarity.json keeps its own codec for the compact
+# edge list; its report, pairs.csv, is written only when asked for.
+# indicators.json is a report no phase reads, written without the codec: per
+# factor its name, coverage and indicator text, then the subcategory and
+# category profiles; everything else about an indicator follows from
+# integrated.json, the KB or framework.json. Each is one line of compact
+# JSON. The benchmark (perfbench/worker.py) reads these keys and fields, so
+# they stay: integrated.json raw_record_count and factors[*].studies (a
+# mapping of lists); each classification.json factor's flagged and
+# primary_domain; similarity.json names, weights and scores; and the results'
+# placements, cross_references, cross_cutting.flagged and primary_domain.
 ARTIFACTS = {
-    "integrate": ("integrated.json", None, integrate.IntegratedFactorSet),
-    "similarity": ("similarity.json", None, similarity.SimilarityMatrix),
-    "classify": ("classification.json", "factors", list[classify.FactorRelevance]),
-    "cluster": ("assignments.json", "assignments", list[cluster.CategoryHome]),
-    "place": ("placements.json", "placements", list[placement.Placement]),
-    "indicate": ("indicators.json", "indicators", None),
-}
-
-# The CSV report each of these phases writes beside its artifact.
-REPORTS = {
-    "classify": "classification_report.csv",
-    "cluster": "assignments_report.csv",
-    "place": "placements_report.csv",
+    "integrate": ("integrated.json", None, integrate.IntegratedFactorSet, None),
+    "similarity": ("similarity.json", None, similarity.SimilarityMatrix, "pairs.csv"),
+    "classify": ("classification.json", "factors", list[classify.FactorRelevance],
+                 "classification_report.csv"),
+    "cluster": ("assignments.json", "assignments", list[cluster.CategoryHome],
+                "assignments_report.csv"),
+    "place": ("placements.json", "placements", list[placement.Placement],
+              "placements_report.csv"),
+    "indicate": ("indicators.json", "indicators", None, None),
 }
 
 
 def artifact_data(phase: str, result: object) -> dict:
     """The codec's ``data`` for ``phase``'s result, under its key if it has one."""
-    _, key, kind = ARTIFACTS[phase]
+    _, key, kind, _ = ARTIFACTS[phase]
     data = codec.encode(kind, result)
     return data if key is None else {key: data}
 
@@ -297,17 +305,25 @@ class RunState:
             "config_checksum": self.checksums["config"],
         }
 
-    def put(self, phase: str, result: object, data: dict | None = None) -> Path:
+    def put(
+        self,
+        phase: str,
+        result: object,
+        data: dict | None = None,
+        report: tuple[Sequence[str], Iterable[Sequence]] | None = None,
+    ) -> None:
         """Keep ``result``; write ``data``, by default the codec's, as its
-        artifact in compact JSON, which the C encoder writes."""
+        artifact in compact JSON, which the C encoder writes; then the
+        ``(header, rows)`` of ``report``, if given, as the phase's CSV report."""
         self.results[phase] = result
         if data is None:
             data = artifact_data(phase, result)
+        artifact, _, _, report_name = ARTIFACTS[phase]
         doc = {**self.envelope(phase), "data": data}
-        path = self.config.out_dir / ARTIFACTS[phase][0]
         text = json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
-        emit.write_atomic(path, lambda handle: handle.write(text))
-        return path
+        emit.write_atomic(self.config.out_dir / artifact, lambda f: f.write(text))
+        if report is not None:
+            _write_csv(self.config.out_dir / report_name, *report)
 
     def get(self, phase: str):
         """The result of ``phase``, from memory or else from its reader."""
@@ -347,7 +363,7 @@ class RunState:
     def decoded(self, phase: str) -> tuple[object, str]:
         """``phase``'s artifact decoded as its type, and the decoded value's path."""
         data, where = self.read(phase)
-        _, key, kind = ARTIFACTS[phase]
+        _, key, kind, _ = ARTIFACTS[phase]
         if key is not None:
             _known_keys(data, [key], f"{where}.")
             data, where = data.get(key), f"{where}.{key}"
@@ -519,25 +535,27 @@ READERS = {
 # ---------------------------------------------------------------------------
 
 
-def _collector_paused(call: Callable) -> Callable:
-    """``call`` run with the cyclic garbage collector off, and the caller's
-    setting back on every exit, a refusal included; a nested call, or one
-    from a caller that turned it off, leaves it off. A phase allocates many
-    objects that live until it ends, which set off collector passes, but it
-    makes no reference cycle (a test holds a ``run`` to that), so those
-    passes free nothing; reference counting frees everything."""
+def _phase(step: Callable) -> Callable:
+    """``step`` as a phase: ``phase(config, state=None, **options)`` runs
+    ``step(state, **options)`` on the caller's state, or on a fresh one, with
+    the cyclic garbage collector off, and gives the caller's setting back on
+    every exit, a refusal included; a nested call, or one from a caller that
+    turned it off, leaves it off. A phase allocates many objects that live
+    until it ends, which set off collector passes, but it makes no reference
+    cycle (a test holds a ``run`` to that), so those passes free nothing;
+    reference counting frees everything."""
 
-    @wraps(call)
-    def paused(*args, **kwargs):
+    @wraps(step)
+    def phase(config: PipelineConfig, state: RunState | None = None, **options):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return call(*args, **kwargs)
+            return step(RunState(config) if state is None else state, **options)
         finally:
             if enabled:
                 gc.enable()
 
-    return paused
+    return phase
 
 
 def _warn_unmatched(message: str, names: Sequence[str]) -> None:
@@ -546,9 +564,9 @@ def _warn_unmatched(message: str, names: Sequence[str]) -> None:
         log.warning(f"{message}, first names: %s", len(names), names[:UNMATCHED_SHOWN])
 
 
-@_collector_paused
-def phase_integrate(config: PipelineConfig, state: RunState | None = None) -> Path:
-    state = state or RunState(config)
+@_phase
+def phase_integrate(state: RunState) -> None:
+    config = state.config
     corpus = merge_corpora(
         load_corpus(path, expect_type=code) for path, code in config.datasets
     )
@@ -565,17 +583,16 @@ def phase_integrate(config: PipelineConfig, state: RunState | None = None) -> Pa
         len({record.raw_name for record in corpus.records}),
         factor_set.unique_count,
     )
-    return state.put("integrate", factor_set)
+    state.put("integrate", factor_set)
 
 
-@_collector_paused
-def phase_similarity(
-    config: PipelineConfig, emit_pairs: bool = False, state: RunState | None = None
-) -> Path:
-    state = state or RunState(config)
-    factor_set, t = state.get("integrate"), config.thresholds
-    floor = t.graph_floor
-    matrix = similarity.build_matrix(factor_set, config.weights, state.lexicon, floor)
+@_phase
+def phase_similarity(state: RunState, emit_pairs: bool = False) -> None:
+    """Build the similarity graph; with ``emit_pairs``, its report lists
+    every pair's score and band, not only the graph's edges."""
+    factor_set, config = state.get("integrate"), state.config
+    weights, t = config.weights, config.thresholds
+    matrix = similarity.build_matrix(factor_set, weights, state.lexicon, t.graph_floor)
     census = similarity.band_census(matrix, t.band_high, t.band_low)
     log.info(
         "similarity: %d factors, %d pairs, %d scored, %d edges >= %g; "
@@ -589,33 +606,27 @@ def phase_similarity(
         census.moderate,
         census.low,
     )
-    path = state.put("similarity", matrix, similarity.matrix_to_dict(matrix))
-    if emit_pairs:
-        names = matrix.names
-        _write_csv(
-            config.out_dir / "pairs.csv",
-            ("factor_a", "factor_b", "score", "band"),
+    names, pairs = matrix.names, None
+    if emit_pairs:  # rows made as they are written, after the artifact
+        pairs = ("factor_a", "factor_b", "score", "band"), (
             (
-                (
-                    names[i],
-                    names[j],
-                    f"{score:.6f}",
-                    similarity.band(score, t.band_high, t.band_low).value,
-                )
-                for i, j, score in similarity.all_pair_scores(
-                    factor_set, config.weights, state.lexicon
-                )
-            ),
+                names[i],
+                names[j],
+                f"{score:.6f}",
+                similarity.band(score, t.band_high, t.band_low).value,
+            )
+            for i, j, score in similarity.all_pair_scores(
+                factor_set, weights, state.lexicon
+            )
         )
-    return path
+    state.put("similarity", matrix, similarity.matrix_to_dict(matrix), pairs)
 
 
-@_collector_paused
-def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Path:
-    state = state or RunState(config)
-    factor_set = state.get("integrate")
+@_phase
+def phase_classify(state: RunState) -> None:
+    factor_set, thresholds = state.get("integrate"), state.config.thresholds
     results = classify.classify_factors(
-        factor_set, state.kb, state.lexicon, threshold=config.thresholds.cross_cutting
+        factor_set, state.kb, state.lexicon, threshold=thresholds.cross_cutting
     )
     unassigned = [r.name for r in results if r.primary_domain is None]
     _warn_unmatched("classify: %d factors without a domain match", unassigned)
@@ -623,7 +634,16 @@ def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Pat
         "classify: %d placement overrides name a factor that is not cross-cutting",
         placement.check_overrides(results, state.kb),
     )
-    path = state.put("classify", results)
+    header = (
+        "canonical_name",
+        "tracking_notation",
+        "active_type_count",
+        "entropy",
+        "class",
+        "primary_domain",
+        "cross_cutting_score",
+        "status",
+    )
     rows = [
         (
             r.name,
@@ -637,53 +657,34 @@ def phase_classify(config: PipelineConfig, state: RunState | None = None) -> Pat
         )
         for r, factor in zip(results, factor_set.factors)
     ]
-    _write_csv(
-        config.out_dir / REPORTS["classify"],
-        (
-            "canonical_name",
-            "tracking_notation",
-            "active_type_count",
-            "entropy",
-            "class",
-            "primary_domain",
-            "cross_cutting_score",
-            "status",
-        ),
-        rows,
-    )
-    return path
+    state.put("classify", results, report=(header, rows))
 
 
-@_collector_paused
-def phase_cluster(config: PipelineConfig, state: RunState | None = None) -> Path:
-    state = state or RunState(config)
+@_phase
+def phase_cluster(state: RunState) -> None:
+    thresholds = state.config.thresholds
     assignments = cluster.assign_categories(
         state.get("integrate"),
         state.get("classify"),
         state.kb,
         state.neighbours,
         state.lexicon,
-        related_threshold=config.thresholds.related,
-        subcluster_threshold=config.thresholds.subcluster,
+        related_threshold=thresholds.related,
+        subcluster_threshold=thresholds.subcluster,
     )
-    path = state.put("cluster", assignments)
+    header = ("factor", "category", "subcategory") + state.kb.domain_ids()
     rows = [
         (a.factor, a.category, a.subcategory)
         + tuple(f"{final:.6f}" for final in a.scores.final)
         for a in assignments
     ]
-    _write_csv(
-        config.out_dir / REPORTS["cluster"],
-        ("factor", "category", "subcategory") + state.kb.domain_ids(),
-        rows,
-    )
-    return path
+    state.put("cluster", assignments, report=(header, rows))
 
 
-@_collector_paused
-def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
-    state = state or RunState(config)
+@_phase
+def phase_place(state: RunState) -> None:
     factor_set, kb = state.get("integrate"), state.kb
+    thresholds = state.config.thresholds
     names, listed = set(factor_set.names), list(kb.placement_overrides)
     for d in kb.domains:
         listed += sorted(d.literature_strong | d.literature_none)
@@ -696,10 +697,10 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
         state.neighbours,
         state.get("cluster"),
         state.lexicon,
-        related_threshold=config.thresholds.related,
-        promotion_threshold=config.thresholds.promotion,
+        related_threshold=thresholds.related,
+        promotion_threshold=thresholds.promotion,
     )
-    path = state.put("place", result, artifact_data("place", result.placements))
+    header = ("factor", "domain", "subcategory", "tier", "composite", "is_argmax")
     rows = [
         (
             p.factor,
@@ -713,21 +714,16 @@ def phase_place(config: PipelineConfig, state: RunState | None = None) -> Path:
         )
         for p in result.placements
     ]
-    _write_csv(
-        config.out_dir / REPORTS["place"],
-        ("factor", "domain", "subcategory", "tier", "composite", "is_argmax"),
-        rows,
-    )
-    return path
+    data = artifact_data("place", result.placements)
+    state.put("place", result, data, (header, rows))
 
 
-@_collector_paused
-def phase_indicate(config: PipelineConfig, state: RunState | None = None) -> Path:
+@_phase
+def phase_indicate(state: RunState) -> None:
     """Write indicators.json, a report no phase reads back: each factor's
     name, coverage and indicator text, the relevance profile of each
     subcategory and the distribution profile of each category, over the
     factors homed there."""
-    state = state or RunState(config)
     factor_set, kb = state.get("integrate"), state.kb
     homes = state.homes
     texts = _indicators(state)
@@ -762,26 +758,23 @@ def phase_indicate(config: PipelineConfig, state: RunState | None = None) -> Pat
         "subcategory_profiles": subcategory_profiles,
         "category_profiles": category_profiles,
     }
-    return state.put("indicate", texts, data)
+    state.put("indicate", texts, data)
 
 
-@_collector_paused
+@_phase
 def phase_emit(
-    config: PipelineConfig,
+    state: RunState,
     sankey_category: str | None = None,
     sankey_subfactors: Sequence[str] | None = None,
-    state: RunState | None = None,
 ) -> int:
     """Build, validate and write the exports, and the Sankey file of
-    ``sankey_category`` if given. Run alone, it resolves that category
-    against the KB's domain ids and checks ``sankey_subfactors`` before
-    writing anything; ``run``, passing its ``state``, has done both."""
-    if state is None:
-        state = RunState(config)
-        if sankey_category is not None:
-            domain_ids = state.kb.domain_ids()
-            sankey_category = emit.resolve_identifier(domain_ids, sankey_category)
-            emit.check_subfactors(state.get("integrate").names, sankey_subfactors)
+    ``sankey_category`` if given. That category is resolved against the KB's
+    domain ids, before any artifact is read, and ``sankey_subfactors``
+    checked, before anything is written; an id resolves to itself."""
+    if sankey_category is not None:
+        domain_ids = state.kb.domain_ids()
+        sankey_category = emit.resolve_identifier(domain_ids, sankey_category)
+        emit.check_subfactors(state.get("integrate").names, sankey_subfactors)
     factor_set = state.get("integrate")
     framework = emit.build_framework(
         factor_set,
@@ -793,7 +786,7 @@ def phase_emit(
         config_checksums=state.checksums,
     )
     report = emit.validate(framework, factor_set)
-    out = config.out_dir
+    out = state.config.out_dir
     emit.write_documents(out, state.envelope("emit"), framework, report)
     if sankey_category is not None:
         nodes, links = emit.export_sankey(
@@ -820,19 +813,19 @@ def _remove_stale(config: PipelineConfig) -> None:
     for or not, so that none is left from an earlier run with other
     settings. Any other file in the output directory stays."""
     out = config.out_dir
-    names = [name for phase, (name, _, _) in ARTIFACTS.items() if phase != "integrate"]
-    paths = [out / name for name in [*names, *REPORTS.values(), *emit.EXPORTS]]
-    paths += [out / "pairs.csv", *out.glob("sankey_*.csv")]
-    for path in paths:
+    names = [name for phase, (artifact, _, _, report) in ARTIFACTS.items()
+             if phase != "integrate" for name in (artifact, report) if name]
+    paths = [out / name for name in [*names, *emit.EXPORTS]]
+    for path in [*paths, *out.glob("sankey_*.csv")]:
         try:
             path.unlink(missing_ok=True)
         except OSError as exc:
             raise ArtifactError(f"cannot remove {path}: {exc}") from None
 
 
-@_collector_paused
+@_phase
 def run(
-    config: PipelineConfig,
+    state: RunState,
     emit_pairs: bool = False,
     sankey_category: str | None = None,
     sankey_subfactors: Sequence[str] | None = None,
@@ -842,18 +835,25 @@ def run(
     runs and its filter checked right after integrate. Once integrated.json
     is written, every other file a run can write is deleted, so a run refused
     at a later phase leaves none of an earlier run's files beside its own;
-    one refused before that write leaves the earlier files as they were."""
-    state = RunState(config)
+    one refused before that write leaves the earlier files as they were.
+    Each phase is called by its module-level name, so that a wrapper set on
+    that name sees the call."""
+    config = state.config
     if sankey_category is not None:
         domain_ids = state.kb.domain_ids()
         sankey_category = emit.resolve_identifier(domain_ids, sankey_category)
-    phase_integrate(config, state=state)
+    phase_integrate(config, state)
     _remove_stale(config)
     if sankey_category is not None:
         emit.check_subfactors(state.get("integrate").names, sankey_subfactors)
-    phase_similarity(config, emit_pairs=emit_pairs, state=state)
-    phase_classify(config, state=state)
-    phase_cluster(config, state=state)
-    phase_place(config, state=state)
-    phase_indicate(config, state=state)
-    return phase_emit(config, sankey_category, sankey_subfactors, state=state)
+    phase_similarity(config, state, emit_pairs=emit_pairs)
+    phase_classify(config, state)
+    phase_cluster(config, state)
+    phase_place(config, state)
+    phase_indicate(config, state)
+    return phase_emit(
+        config,
+        state,
+        sankey_category=sankey_category,
+        sankey_subfactors=sankey_subfactors,
+    )

@@ -248,7 +248,7 @@ class TestRun:
         out = tmp_path / "out"
         # What a phase reads is one line of compact JSON; what a user reads
         # is indented, as it has always been.
-        for name, _, _ in pipeline.ARTIFACTS.values():
+        for name, _, _, _ in pipeline.ARTIFACTS.values():
             text = (out / name).read_text(encoding="utf-8")
             doc = json.loads(text)
             compact = json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
@@ -335,7 +335,7 @@ class TestRun:
             monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
         checksum = counted("checksum", pipeline.PipelineConfig.checksum)
         monkeypatch.setattr(pipeline.PipelineConfig, "checksum", checksum)
-        phase_of = {kind: phase for phase, (_, _, kind) in pipeline.ARTIFACTS.items()}
+        phase_of = {kind: phase for phase, (_, _, kind, _) in pipeline.ARTIFACTS.items()}
         decode = codec.decode
 
         def decoding(kind, data, where, *error):
@@ -436,8 +436,21 @@ class TestRun:
             assert len(calls) <= 1, phase
 
 
+# The settings CI runs the chain at: (flags for every command, flags only
+# run and similarity take, flags only run and emit take).
+CHAIN_SETTINGS = {
+    "default": ([], [], []),
+    "weights-1-0-0": (["--weights", "1,0,0"], ["--emit-pairs"], []),
+    "weights-dense": (["--weights", "0.2,0.6,0.2"], ["--emit-pairs"], []),
+    "unplaced": (["--threshold", "cross_cutting=0.99"], [], []),
+    "sankey": ([], [], ["--sankey", "COMFORT"]),
+}
+
+
 class TestPhaseChaining:
-    def test_chained_phases_match_run_byte_for_byte(self, tmp_path):
+    @pytest.mark.parametrize("setting", CHAIN_SETTINGS)
+    def test_chained_phases_match_run_byte_for_byte(self, tmp_path, setting):
+        flags, pairs, sankey = CHAIN_SETTINGS[setting]
         config_a = write_config(tmp_path, "a.yaml")
         (tmp_path / "b").mkdir()
         corpus = FIXTURES / "sample_corpus.csv"
@@ -446,25 +459,21 @@ class TestPhaseChaining:
             f"datasets:\n  - {corpus}\nout: {tmp_path / 'out_b'}\n", encoding="utf-8"
         )
 
-        assert cli.main(["run", "--config", str(config_a)]) == 0
+        argv = ["run", "--config", str(config_a), *flags, *pairs, *sankey]
+        assert cli.main(argv) == 0
+        extra = {"similarity": pairs, "emit": sankey}
         for command in PHASE_COMMANDS:
-            assert cli.main([command, "--config", str(config_b)]) == 0
+            argv = [command, "--config", str(config_b), *flags, *extra.get(command, [])]
+            assert cli.main(argv) == 0
 
-        out_a = tmp_path / "out"
-        out_b = tmp_path / "out_b"
-        for name in [
-            "integrated.json",
-            "similarity.json",
-            "classification.json",
-            "assignments.json",
-            "placements.json",
-            "indicators.json",
-            "framework.json",
-            "framework.md",
-            "framework_document.json",
-            "validation.json",
-        ]:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        # Every file, the reports, pairs.csv and the Sankey file included.
+        written = [
+            {p.name: p.read_bytes() for p in (tmp_path / out).iterdir()}
+            for out in ("out", "out_b")
+        ]
+        assert written[0].keys() == written[1].keys()
+        for name, data in written[0].items():
+            assert data == written[1][name], name
 
     def test_emit_builds_the_indicators_without_indicators_json(self, tmp_path):
         config = write_config(tmp_path)
@@ -939,6 +948,47 @@ class TestFlags:
             assert capsys.readouterr().err == f"taxoforge {command}: {message}\n"
             assert {p.name: p.stat().st_mtime_ns for p in out.glob("*")} == before
 
+    @pytest.mark.parametrize("command", ["run", "emit"])
+    def test_empty_sankey_writes_nothing(self, tmp_path, capsys, command):
+        # An empty name is a prefix of every category id; it is refused
+        # before the config is read, as an empty subfactor filter is.
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        if command == "emit":
+            assert cli.main(["run", "--config", str(config)]) == 0
+        before = {p.name: p.stat().st_mtime_ns for p in out.glob("*")}
+        capsys.readouterr()
+        argv = [command, "--config", str(tmp_path / "absent.yaml"), "--sankey", ""]
+        assert cli.main(argv) == 1
+        message = "--sankey names no category"
+        assert capsys.readouterr().err == f"taxoforge {command}: {message}\n"
+        assert {p.name: p.stat().st_mtime_ns for p in out.glob("*")} == before
+
+    def test_ambiguous_sankey_names_the_count_and_a_few_ids(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config), "--sankey", "s"]) == 1
+        assert capsys.readouterr().err == (
+            "taxoforge run: category 's' is ambiguous: SAFETY & SECURITY, SOCIAL, "
+            "SPATIAL AESTHETICS (3 categories match)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_out_flag_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # An empty path would be the working directory, which run would
+        # write into and sweep of every file it can write.
+        config = write_config(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "framework.md").write_text("not written by run\n", encoding="utf-8")
+        monkeypatch.chdir(work)
+        capsys.readouterr()
+        for command in ["run", *PHASE_COMMANDS]:
+            assert cli.main([command, "--config", str(config), "--out", ""]) == 1
+            err = capsys.readouterr().err
+            assert err == f"taxoforge {command}: --out: expected a non-empty path\n"
+        assert [p.name for p in work.iterdir()] == ["framework.md"]
+
 
 class TestReports:
     def test_classification_report_schema(self, tmp_path):
@@ -1069,6 +1119,10 @@ def _latin1_dataset(tmp_path: Path) -> Path:
 # callable maps the old value to the new one.
 MALFORMED = [
     pytest.param("config", ["jobs"], "two", "jobs", id="config-jobs"),
+    # An empty path would be the config file's own directory.
+    pytest.param(
+        "config", ["out"], "", "out: expected a non-empty path", id="config-out-empty"
+    ),
     pytest.param(
         "config", ["thresholds"], {"related": "high"}, "related", id="config-threshold"
     ),

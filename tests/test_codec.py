@@ -54,7 +54,7 @@ def fixture_run(tmp_path_factory):
 @pytest.mark.parametrize("phase", CODEC_PHASES)
 def test_artifact_round_trip(fixture_run, phase):
     _, state = fixture_run
-    _, key, kind = pipeline.ARTIFACTS[phase]
+    _, key, kind, _ = pipeline.ARTIFACTS[phase]
     result = state.results[phase]
     if phase == "place":
         result = list(result.placements)
@@ -120,7 +120,7 @@ KEPT_KEYS = {
 @pytest.mark.parametrize("phase", KEPT_KEYS)
 def test_slim_artifacts_keep_only_their_keys(fixture_run, phase):
     config, _ = fixture_run
-    name, key, _ = pipeline.ARTIFACTS[phase]
+    name, key, _, _ = pipeline.ARTIFACTS[phase]
     data = json.loads((config.out_dir / name).read_text(encoding="utf-8"))["data"]
     if key is None:
         assert set(data) == KEPT_KEYS[phase]
@@ -293,7 +293,7 @@ def test_columns_read_what_the_walk_reads(fixture_run, phase):
     if phase == "kb":
         kind, data = knowledge.KbFile, _kb_without_scope_priors()
     else:
-        name, key, kind = pipeline.ARTIFACTS[phase]
+        name, key, kind, _ = pipeline.ARTIFACTS[phase]
         data = json.loads((config.out_dir / name).read_text(encoding="utf-8"))["data"]
         data = data if key is None else data[key]
     text = json.dumps(data)
@@ -306,7 +306,7 @@ def test_columns_read_what_the_walk_reads(fixture_run, phase):
 
 def test_record_check_is_refused_at_its_object(fixture_run):
     _, state = fixture_run
-    _, key, kind = pipeline.ARTIFACTS["integrate"]
+    _, key, kind, _ = pipeline.ARTIFACTS["integrate"]
     data = pipeline.artifact_data("integrate", state.results["integrate"])
     data["factors"][2]["counts"] = [1, 2, 3]
     with pytest.raises(ArtifactError, match=r"^data\.factors\[2\]: occurrence vector"):

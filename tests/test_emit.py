@@ -337,6 +337,15 @@ class TestSankey:
         with pytest.raises(TaxoforgeError, match="unknown category 'X'"):
             resolve_identifier(ids, "X")
 
+    def test_ambiguous_prefix_names_the_count_and_five_ids(self):
+        ids = tuple(f"D{i:02d}" for i in range(48))
+        with pytest.raises(TaxoforgeError) as refused:
+            resolve_identifier(ids, "d")
+        assert str(refused.value) == (
+            "category 'd' is ambiguous: D00, D01, D02, D03, D04, ... "
+            "(48 categories match)"
+        )
+
     def test_render_sections(self, sample_framework, sample_factors, tmp_path):
         framework, _ = sample_framework
         nodes, links = export_sankey(framework, sample_factors, "SAFETY & SECURITY")

@@ -153,7 +153,7 @@ def test_every_check_runs_on_read():
         pipeline.ConfigFile, knowledge.KbFile, similarity.LexiconFile, corpus.RulesFile
     ]
     artifacts = [
-        kind for phase, (_, _, kind) in pipeline.ARTIFACTS.items()
+        kind for phase, (_, _, kind, _) in pipeline.ARTIFACTS.items()
         if kind and phase != "similarity"
     ]
     reached: set[type] = set()
