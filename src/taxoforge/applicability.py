@@ -18,15 +18,15 @@ from typing import Mapping, Sequence
 from .classify import ClassificationResult, FactorClass
 from .corpus import SPACE_TYPES
 from .errors import TaxoforgeError
-from .integrate import IntegratedFactor, OccurrenceVector
+from .integrate import IntegratedFactor
 from .knowledge import DomainKnowledgeBase
 
 EMPHASIS_MIN_COUNT = 2
 
 
-def coverage(vector: OccurrenceVector) -> float:
+def coverage(counts: tuple[int, ...]) -> float:
     """Active-type count over six."""
-    return len(vector.active_types) / len(SPACE_TYPES)
+    return sum(count > 0 for count in counts) / len(SPACE_TYPES)
 
 
 def _join(codes: Sequence[str]) -> str:
@@ -46,12 +46,11 @@ def indicator(
     otherwise. Only the Moderate/Minimal grading of inactive types reads the
     knowledge base.
     """
-    vector = factor.occurrence
-    active = vector.active_types
+    active = [code for code, count in zip(SPACE_TYPES, factor.counts) if count > 0]
     if factor_class is FactorClass.UNIVERSAL:
         emphasis = [
             code
-            for code, count in zip(SPACE_TYPES, vector.counts)
+            for code, count in zip(SPACE_TYPES, factor.counts)
             if count >= EMPHASIS_MIN_COUNT
         ]
         if emphasis:
@@ -71,14 +70,15 @@ def indicator(
 
 
 def aggregate_subcategory(
-    vectors: Sequence[OccurrenceVector],
+    vectors: Sequence[tuple[int, ...]],
 ) -> tuple[float, ...]:
-    """Per-type relevance of a subcategory: summed counts over total mentions."""
+    """Per-type relevance of a subcategory: its factors' summed counts over
+    total mentions."""
     if not vectors:
         raise TaxoforgeError("cannot aggregate an empty subcategory")
     sums = [0] * len(SPACE_TYPES)
     for vector in vectors:
-        for i, count in enumerate(vector.counts):
+        for i, count in enumerate(vector):
             sums[i] += count
     total = sum(sums)
     if total == 0:

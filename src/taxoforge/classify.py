@@ -24,7 +24,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .errors import TaxoforgeError
-from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
+from .integrate import IntegratedFactor, IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase
 from .similarity import KeywordScorer, SemanticLexicon
 
@@ -32,13 +32,13 @@ CROSS_CUTTING_THRESHOLD = 0.6
 CROSS_CUTTING_MIN_DOMAINS = 3
 
 
-def entropy(vector: OccurrenceVector) -> float:
+def entropy(counts: tuple[int, ...]) -> float:
     """Shannon entropy in nats over the active-type count shares."""
-    total = vector.total
+    total = sum(counts)
     if total == 0:
         raise TaxoforgeError("entropy is undefined for an all-zero vector")
     value = 0.0
-    for count in vector.counts:
+    for count in counts:
         if count > 0:
             p = count / total
             value -= p * math.log(p)
@@ -50,10 +50,10 @@ class DistributionStats(NamedTuple):
     entropy_nats: float
 
 
-def distribution_stats(vector: OccurrenceVector) -> DistributionStats:
+def distribution_stats(counts: tuple[int, ...]) -> DistributionStats:
     return DistributionStats(
-        active_type_count=len(vector.active_types),
-        entropy_nats=entropy(vector),
+        active_type_count=sum(count > 0 for count in counts),
+        entropy_nats=entropy(counts),
     )
 
 
@@ -174,9 +174,9 @@ def classify_rows(
     by_relevant: dict[tuple[str, ...], CrossCuttingAssessment] = {}
     results = []
     for factor, row in zip(factors, rows):
-        counts = factor.occurrence.counts
+        counts = factor.counts
         if (known := by_counts.get(counts)) is None:
-            stats = distribution_stats(factor.occurrence)
+            stats = distribution_stats(counts)
             known = by_counts[counts] = stats, classify(stats)
         relevant = tuple(d for d, score in zip(ids, row) if score >= threshold)
         if (cross := by_relevant.get(relevant)) is None:

@@ -124,7 +124,7 @@ def space_fits(
     ]
     fits: dict[tuple[int, ...], tuple[float, ...]] = {}
     for factor in factor_set.factors:
-        counts = factor.occurrence.counts
+        counts = factor.counts
         if counts in fits:
             continue
         norm = math.sqrt(sum(x * x for x in counts))
@@ -163,7 +163,7 @@ def channel_scores(
                 if homes[j] is not None:
                     counts[homes[j]] += 1
             evidence = tuple(count / len(related) for count in counts)
-        distribution = fits[factor.occurrence.counts]
+        distribution = fits[factor.counts]
         final = tuple(
             SEMANTIC_WEIGHT * s + SIMILARITY_WEIGHT * e + DISTRIBUTION_WEIGHT * d
             for s, e, d in zip(semantic, evidence, distribution)

@@ -2,13 +2,11 @@
 derived from the field annotations of their records: str, int, float, bool,
 ``Literal[...]``, ``X | None``, ``tuple[X, ...]``, ``list[X]``,
 ``frozenset[X]``, ``Mapping[str, X]`` and ``NamedTuple`` records of these.
-The writer works like ``_asdict`` applied all the way down, except that a
-field whose type is a record is inlined into its parent object (one inside a
-tuple or mapping stays an object); frozensets are written as sorted lists;
-an entry of another record type is written with the named type's fields
-only, read by name. The reader refuses a key that is none of its record's,
-the smallest first, before it reads a field, as in ``domains[0].typo:
-unknown key`` (an inlined record's keys are its parent's), and then the
+The writer works like ``_asdict`` applied all the way down, each record an
+object; frozensets are written as sorted lists; an entry of another record
+type is written with the named type's fields only, read by name. The reader
+refuses a key that is none of its record's, the smallest first, before it
+reads a field, as in ``domains[0].typo: unknown key``, and then the
 first wrong leaf by its path, as in ``data.placements[3].composite:
 expected a number, got None``. An absent key takes its field's default
 where it has one, a mapping key is text, and a float field reads as a
@@ -70,13 +68,21 @@ class _Refused(Exception):
         self.path = list(path)
 
 
-def _shown(value: object) -> str:
-    shown = repr(value)
-    return shown if len(shown) <= 60 else shown[:57] + "..."
+def shown(value: object) -> str:
+    """``repr(value)``, cut to 60 characters: how a refusal quotes a value."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def listed(values: Sequence, most: int = 5) -> str:
+    """``values`` as a refusal lists them: each one ``shown``, as a list of
+    its first ``most``, then ``, ...`` and the count if there are more."""
+    more = f", ...] ({len(values)} in all)" if len(values) > most else "]"
+    return "[" + ", ".join(map(shown, values[:most])) + more
 
 
 def _refuse(expected: str, value: object) -> _Refused:
-    return _Refused(f"expected {expected}, got {_shown(value)}")
+    return _Refused(f"expected {expected}, got {shown(value)}")
 
 
 def decode(kind: object, data: object, where: str, error=ArtifactError):
@@ -107,7 +113,7 @@ def read_yaml(path: Path, label: str, error: type[TaxoforgeError]) -> dict:
         reason = " ".join(str(exc).split())  # YAML errors span lines
         raise error(f"cannot read {label} file {path}: {reason}") from None
     if doc is not None and type(doc) is not dict:
-        raise error(f"{label} file {path}: expected a mapping, got {_shown(doc)}")
+        raise error(f"{label} file {path}: expected a mapping, got {shown(doc)}")
     return doc or {}
 
 
@@ -148,14 +154,14 @@ def mismatch(expected: Sequence, actual: object) -> str | None:
     turn, a record over its own fields); else a list length that differs.
     A boolean never equals a number, though in Python ``True == 1``."""
     if not isinstance(actual, (list, tuple)):
-        shown = [list(e) if type(e) is tuple else e for e in expected]
-        return f": expected {_shown(shown)}, got {_shown(actual)}"
+        lists = [list(e) if type(e) is tuple else e for e in expected]
+        return f": expected {shown(lists)}, got {shown(actual)}"
     fields = getattr(actual, "_fields", None)
     for index, (want, got) in enumerate(zip(expected, actual)):
         if isinstance(want, (list, tuple)):
             found = mismatch(want, got)
         elif want != got or (type(want) is bool) is not (type(got) is bool):
-            found = f": expected {_shown(want)}, got {_shown(got)}"
+            found = f": expected {shown(want)}, got {shown(got)}"
         else:
             continue
         if found is not None:
@@ -264,7 +270,7 @@ def _column(kind: object):
 
         return read_leaves
     if _is_record(kind):
-        return _record_codec(kind)[3]
+        return _record_codec(kind)[2]
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin in (tuple, list, frozenset):
         column, build = _column(args[0]), _frozenset if origin is frozenset else origin
@@ -307,34 +313,28 @@ def _is_record(kind: object) -> bool:
 
 @cache
 def _record_codec(kind: type):
-    """(reader, writer, keys, column reader) of the record ``kind``: its
-    fields' names, an inlined record's keys for its field's. An inlined
-    record's parent has checked the keys, and tells its readers so."""
+    """(reader, writer, column reader) of the record ``kind``, whose keys are
+    its fields' names."""
     hints, missing = typing.get_type_hints(kind), object()  # an absent key
     names, required = kind._fields, set(kind._fields) - set(kind._field_defaults)
-    plan = [(name, *_codec(hints[name]), _is_record(hints[name])) for name in names]
-    keys = frozenset().union(
-        *(_record_codec(hints[n])[2] if inline else {n} for n, *_, inline in plan)
-    )
+    plan = [(name, *_codec(hints[name])) for name in names]
+    keys = frozenset(names)
     check = getattr(kind, "check", None)
 
-    def read(value, keys_checked=False):
+    def read(value):
         if type(value) is not dict:
             raise _refuse("an object", value)
-        if not keys_checked and not keys.issuperset(value):
+        if not keys.issuperset(value):
             raise _Refused("unknown key", f".{min(value.keys() - keys, key=str)}")
         values = {}
         try:
-            for name, read_field, _, inline in plan:
-                if inline:
-                    values[name] = read_field(value, True)
-                elif (item := value.get(name, missing)) is not missing:
+            for name, read_field, _ in plan:
+                if (item := value.get(name, missing)) is not missing:
                     values[name] = read_field(item)
                 elif name in required:  # else the field takes its default
                     raise _Refused("missing")
         except _Refused as exc:
-            if not inline:
-                exc.path.append(f".{name}")
+            exc.path.append(f".{name}")
             raise
         try:
             record = kind(**values)
@@ -344,15 +344,12 @@ def _record_codec(kind: type):
             raise _Refused(str(exc)) from None
         return record
 
-    def read_rows(rows, keys_checked=False):
+    def read_rows(rows):
         """The records of ``rows`` read one field at a time, as columns."""
-        if not (keys_checked or _only(dict, rows) and all(map(keys.issuperset, rows))):
+        if not (_only(dict, rows) and all(map(keys.issuperset, rows))):
             raise _Refused("")
         columns = []
-        for name, read_field, _, inline in plan:
-            if inline:
-                columns.append(_record_codec(hints[name])[3](rows, True))
-                continue
+        for name, read_field, _ in plan:
             try:
                 columns.append(_column(hints[name])([row[name] for row in rows]))
             except KeyError:  # an absent key takes its field's default, if any
@@ -367,12 +364,9 @@ def _record_codec(kind: type):
 
     def write(obj):
         out = {}
-        for name, _, write_field, inline in plan:
+        for name, _, write_field in plan:
             field = getattr(obj, name)
-            if inline:
-                out.update(write_field(field))
-            else:
-                out[name] = field if write_field is None else write_field(field)
+            out[name] = field if write_field is None else write_field(field)
         return out
 
-    return read, write, keys, read_rows
+    return read, write, read_rows

@@ -24,7 +24,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple, NoReturn, Sequence
 
-from .codec import decode, read_yaml
+from .codec import decode, read_yaml, shown
 from .errors import CorpusError, RuleSetError
 
 # Fixed, ordered typology codes: Parks & Waterfronts, Streets & Squares,
@@ -119,22 +119,20 @@ class NormalizationRuleSet(NamedTuple):
     def validate(self) -> None:
         for entry in self.preserve_distinct:
             if entry in self.synonym_map:
-                raise RuleSetError(
-                    f"preserve_distinct entry {entry!r} also appears as a synonym key"
-                )
+                raise RuleSetError(f"preserve_distinct entry {shown(entry)} "
+                                   "also appears as a synonym key")
         for key, value in self.synonym_map.items():
             if not self.base_normalize(value):
-                raise RuleSetError(
-                    f"synonyms: the value {value!r} of {key!r} normalizes to nothing"
-                )
+                raise RuleSetError(f"synonyms: the value {shown(value)} of "
+                                   f"{shown(key)} normalizes to nothing")
             if self.base_normalize(value) != value:
                 raise RuleSetError(
-                    f"synonym map not idempotent: value {value!r} is not canonical"
+                    f"synonym map not idempotent: value {shown(value)} is not canonical"
                 )
             if value in self.synonym_map and self.synonym_map[value] != value:
                 raise RuleSetError(
-                    f"synonym map not idempotent: {key!r} -> {value!r} -> "
-                    f"{self.synonym_map[value]!r}"
+                    f"synonym map not idempotent: {shown(key)} -> {shown(value)} -> "
+                    f"{shown(self.synonym_map[value])}"
                 )
 
 
@@ -148,7 +146,7 @@ def normalize(raw: str, rules: NormalizationRuleSet) -> str:
         raise CorpusError("cannot normalize empty factor name")
     text = rules.base_normalize(raw)
     if not text:
-        raise CorpusError(f"factor name {raw!r} is empty after normalization")
+        raise CorpusError(f"factor name {shown(raw)} is empty after normalization")
     if text in rules.preserve_distinct:
         return text
     return rules.synonym_map.get(text, text)
@@ -188,12 +186,11 @@ def load_rules(path: str | Path) -> NormalizationRuleSet:
     for key, value in (written.synonyms or {}).items():
         nkey = base.base_normalize(key)
         if not nkey:
-            raise RuleSetError(
-                f"rules file {path}: synonyms: the key {key!r} normalizes to nothing"
-            )
+            raise RuleSetError(f"rules file {path}: synonyms: the key "
+                               f"{shown(key)} normalizes to nothing")
         if synonyms.setdefault(nkey, value) != value:
             raise RuleSetError(
-                f"rules file {path}: synonyms: conflicting entries for {nkey!r}"
+                f"rules file {path}: synonyms: conflicting entries for {shown(nkey)}"
             )
     preserve = []
     for k, entry in enumerate(written.preserve_distinct or ()):
@@ -201,7 +198,7 @@ def load_rules(path: str | Path) -> NormalizationRuleSet:
         if not preserve[-1]:
             raise RuleSetError(
                 f"rules file {path}: preserve_distinct[{k}]: "
-                f"{entry!r} normalizes to nothing"
+                f"{shown(entry)} normalizes to nothing"
             )
     rules = base._replace(synonym_map=synonyms, preserve_distinct=frozenset(preserve))
     try:
@@ -255,7 +252,7 @@ def _reader(handle: Iterable[str], path: Path) -> Iterable[list[str]]:
         raise CorpusError(f"{path}: empty file, expected header") from None
     if tuple(cell.strip() for cell in header) != CSV_HEADER:
         raise CorpusError(
-            f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+            f"{path}: bad header {shown(header)}, expected {','.join(CSV_HEADER)}"
         )
     return reader
 
@@ -312,12 +309,12 @@ def _fold(
             if not study_id:
                 _refuse(path, row, "empty study_id")
             if space_type not in SPACE_TYPES:
-                _refuse(path, row, f"unknown space type {space_type!r}")
+                _refuse(path, row, f"unknown space type {shown(space_type)}")
             if expect_type is not None and space_type != expect_type:
                 _refuse(
                     path,
                     row,
-                    f"space type {space_type!r} does not match "
+                    f"space type {shown(space_type)} does not match "
                     f"the dataset's declared typology {expect_type!r}",
                 )
             name, study, code = row

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence, TextIO
 
 from .classify import ClassificationResult
+from .codec import shown
 from .corpus import SPACE_TYPES, SPACE_TYPE_NAMES
 from .errors import ArtifactError, TaxoforgeError
 from .integrate import IntegratedFactorSet, reduction_rate, tracking_notation
@@ -109,7 +110,7 @@ def build_framework(
         labels = [f"{p.domain}/{p.subcategory} ({p.tier.value})" for p in placements]
         primary = {
             "canonical_name": name,
-            "tracking_notation": tracking_notation(factor.occurrence),
+            "tracking_notation": tracking_notation(factor.counts),
             "classification": class_by_name[name].factor_class.value,
             "indicator": indicators[index],
             "tier": "primary",
@@ -387,10 +388,10 @@ def resolve_identifier(identifiers: Sequence[str], wanted: str) -> str:
     if len(matches) == 1:
         return matches[0]
     if not matches:
-        raise TaxoforgeError(f"unknown category {wanted!r}")
-    shown = ", ".join(matches[:AMBIGUOUS_SHOWN])
+        raise TaxoforgeError(f"unknown category {shown(wanted)}")
+    ids = ", ".join(matches[:AMBIGUOUS_SHOWN])
     more = ", ..." if len(matches) > AMBIGUOUS_SHOWN else ""
-    raise TaxoforgeError(f"category {wanted!r} is ambiguous: {shown}{more} "
+    raise TaxoforgeError(f"category {wanted!r} is ambiguous: {ids}{more} "
                          f"({len(matches)} categories match)")
 
 
@@ -398,7 +399,7 @@ def check_subfactors(names: Sequence[str], wanted: Sequence[str] | None) -> None
     """Refuse a Sankey filter naming a factor not among ``names``."""
     for name in wanted or ():
         if name not in names:
-            raise TaxoforgeError(f"unknown subfactor filter {name!r}")
+            raise TaxoforgeError(f"unknown subfactor filter {shown(name)}")
 
 
 def export_sankey(
@@ -416,7 +417,7 @@ def export_sankey(
     included primary-home factors. A category without framework entries has
     no nodes and no links.
     """
-    occurrence = {f.canonical_name: f.occurrence for f in factor_set.factors}
+    counts = {f.canonical_name: f.counts for f in factor_set.factors}
     categories = [c for c in framework["categories"] if c["identifier"] == category_id]
     subcategories = categories[0]["subcategories"] if categories else ()
     nodes: list[tuple[str, str, str]] = []
@@ -438,13 +439,12 @@ def export_sankey(
         sub_type_totals = {code: 0 for code in SPACE_TYPES}
         for entry in entries:
             name = entry["canonical_name"]
-            vector = occurrence[name]
             factor_id = f"factor:{name}"
             factor_nodes.append(
                 (entry["insertion_index"], (factor_id, name, "Subfactor"))
             )
-            links.append((factor_id, sub_id, vector.total))
-            for code, count in zip(SPACE_TYPES, vector.counts):
+            links.append((factor_id, sub_id, sum(counts[name])))
+            for code, count in zip(SPACE_TYPES, counts[name]):
                 sub_type_totals[code] += count
         for code in SPACE_TYPES:
             count = sub_type_totals[code]

@@ -16,38 +16,19 @@ from .corpus import SPACE_TYPES, Corpus, NormalizationRuleSet, normalize
 from .errors import CorpusError, TaxoforgeError
 
 
-class OccurrenceVector(NamedTuple):
-    """Mention counts for one factor across the six space types."""
+class IntegratedFactor(NamedTuple):
+    """A deduplicated factor: its mentions per space type, in
+    ``SPACE_TYPES`` order, and its study sets."""
 
+    canonical_name: str
     counts: tuple[int, ...]
+    studies: Mapping[str, frozenset[str]]
 
     def check(self) -> None:
         if len(self.counts) != len(SPACE_TYPES):
             raise TaxoforgeError("occurrence vector needs exactly six counts")
         if any(count < 0 for count in self.counts):
             raise TaxoforgeError("occurrence counts must be non-negative")
-
-    @classmethod
-    def from_mapping(cls, counts: Mapping[str, int]) -> "OccurrenceVector":
-        return cls(tuple(int(counts.get(code, 0)) for code in SPACE_TYPES))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def active_types(self) -> tuple[str, ...]:
-        return tuple(
-            code for code, count in zip(SPACE_TYPES, self.counts) if count > 0
-        )
-
-
-class IntegratedFactor(NamedTuple):
-    """A deduplicated factor with its occurrence vector and study sets."""
-
-    canonical_name: str
-    occurrence: OccurrenceVector
-    studies: Mapping[str, frozenset[str]]
 
     @property
     def all_studies(self) -> frozenset[str]:
@@ -73,9 +54,9 @@ class IntegratedFactorSet(NamedTuple):
 
 
 def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSet:
-    """Fold a corpus into unique factors with occurrence tracking.
+    """Fold a corpus into unique factors, each with its counts and studies.
 
-    Each spelling adds its rows of each space type to its factor's mentions
+    Each spelling adds its rows of each space type to its factor's count
     there, and its studies of that type to the factor's studies there; each
     empty study set is the shared ``codec.EMPTY``. Factors keep the order of
     their first spellings. A spelling that fails to normalize is reported
@@ -103,7 +84,7 @@ def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSe
     factors = tuple(
         IntegratedFactor(
             canonical_name=name,
-            occurrence=OccurrenceVector.from_mapping(counts[name]),
+            counts=tuple(counts[name].values()),
             studies={
                 code: frozenset(ids) if ids else EMPTY
                 for code, ids in studies[name].items()
@@ -114,18 +95,15 @@ def integrate(corpus: Corpus, rules: NormalizationRuleSet) -> IntegratedFactorSe
     return IntegratedFactorSet(factors=factors, raw_record_count=total)
 
 
-def tracking_notation(vector: OccurrenceVector) -> str:
-    """Render an occurrence vector as ``[P×1, S×2, ...]`` in canonical order.
+def tracking_notation(counts: tuple[int, ...]) -> str:
+    """Render a factor's counts as ``[P×1, S×2, ...]`` in canonical order.
 
-    Zero-count types are omitted; an all-zero vector is invalid.
+    Zero-count types are omitted; all-zero counts are invalid.
     """
-    if vector.total == 0:
+    if not sum(counts):
         raise TaxoforgeError("cannot render notation for an all-zero vector")
-    terms = [
-        f"{code}×{count}"
-        for code, count in zip(SPACE_TYPES, vector.counts)
-        if count > 0
-    ]
+    pairs = zip(SPACE_TYPES, counts)
+    terms = [f"{code}×{count}" for code, count in pairs if count > 0]
     return "[" + ", ".join(terms) + "]"
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Literal, Mapping, NamedTuple
 
-from .codec import decode, read_yaml
+from .codec import decode, listed, read_yaml, shown
 from .corpus import SPACE_TYPES, NormalizationRuleSet, normalize
 from .errors import CorpusError, KnowledgeBaseError
 
@@ -125,9 +125,8 @@ class DomainEntry(NamedTuple):
     def check(self) -> None:
         SubcategoryEntry.check(self)
         if self.scope.lower() not in {scope.value for scope in DomainScope}:
-            raise KnowledgeBaseError(
-                f"scope: expected broad, moderate or specialized, got {self.scope!r}"
-            )
+            raise KnowledgeBaseError("scope: expected broad, moderate or "
+                                     f"specialized, got {shown(self.scope)}")
         ids = [sub.id.strip() for sub in self.subcategories]
         if not ids:
             raise KnowledgeBaseError("subcategories: expected at least one")
@@ -135,7 +134,8 @@ class DomainEntry(NamedTuple):
             raise KnowledgeBaseError("subcategories: duplicate subcategory ids")
         for key in ("space_profile", "compatible_types"):
             if unknown := set(getattr(self, key) or ()) - set(SPACE_TYPES):
-                raise KnowledgeBaseError(f"{key}: unknown codes {sorted(unknown)}")
+                codes = listed(sorted(unknown))
+                raise KnowledgeBaseError(f"{key}: unknown codes {codes}")
         if any(weight < 0 for weight in self.space_profile.values()):
             raise KnowledgeBaseError("space_profile: a weight is negative")
         squares = sum(x * x for x in self.space_profile.values())
@@ -159,7 +159,7 @@ class KbFile(NamedTuple):
         for factor, domain_id in (self.placement_overrides or {}).items():
             if domain_id not in ids:
                 raise KnowledgeBaseError(
-                    f"placement_overrides.{factor}: unknown domain {domain_id!r}"
+                    f"placement_overrides.{factor}: unknown domain {shown(domain_id)}"
                 )
 
 
@@ -225,7 +225,7 @@ def canonical_names(
         strong = frozenset(canonical(domain.literature_strong, field))
         none = frozenset(canonical(domain.literature_none, field))
         if both := strong & none:
-            raise KnowledgeBaseError(f"kb file {kb.path}: {field}: {min(both)!r} "
+            raise KnowledgeBaseError(f"kb file {kb.path}: {field}: {shown(min(both))} "
                                      "is listed as both strong and none")
         domains.append(domain._replace(literature_strong=strong, literature_none=none))
     return kb._replace(domains=tuple(domains), placement_overrides=overrides)

@@ -157,7 +157,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     base = path.parent  # an absolute path replaces it
     if isinstance(listed, dict):  # read in the canonical order of the codes
         if unknown := sorted(set(listed) - set(SPACE_TYPES)):
-            raise ConfigError(f"{where}unknown typology keys in datasets: {unknown}")
+            raise ConfigError(f"{where}unknown typology keys in datasets: "
+                              f"{codec.listed(unknown)}")
         datasets = [(base / listed[c], c) for c in SPACE_TYPES if c in listed]
     else:
         datasets = [(base / entry, None) for entry in listed or ()]
@@ -185,7 +186,9 @@ def _flag_number(flag: str, name: str, text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ConfigError(f"{flag} {name}: expected a number, got {text!r}") from None
+        raise ConfigError(
+            f"{flag} {name}: expected a number, got {codec.shown(text)}"
+        ) from None
 
 
 def apply_overrides(
@@ -203,7 +206,7 @@ def apply_overrides(
     if weights is not None:
         names = SimilarityWeights._fields
         if len(texts := weights.split(",")) != len(names):
-            raise ConfigError(f"--weights expects l,d,c, got {weights!r}")
+            raise ConfigError(f"--weights expects l,d,c, got {codec.shown(weights)}")
         values = {n: _flag_number("--weights", n, t) for n, t in zip(names, texts)}
         weights = codec.decode(SimilarityWeights, values, "--weights: ", ConfigError)
         config = replace(config, weights=weights)
@@ -212,7 +215,9 @@ def apply_overrides(
         for item in thresholds:
             name, sep, value = item.partition("=")
             if not sep:
-                raise ConfigError(f"--threshold expects name=value, got {item!r}")
+                raise ConfigError(
+                    f"--threshold expects name=value, got {codec.shown(item)}"
+                )
             name = name.strip()
             values[name] = _flag_number("--threshold", name, value)
         thresholds = codec.decode(Thresholds, values, "--threshold: ", ConfigError)
@@ -349,9 +354,8 @@ class RunState:
         for field, expected in (("schema_version", SCHEMA_VERSION), ("phase", phase)):
             value = doc.get(field)
             if value != expected or type(value) is bool:  # True == 1
-                raise ArtifactError(
-                    f"artifact {path}: {field} is {value!r}, expected {expected!r}"
-                )
+                raise ArtifactError(f"artifact {path}: {field} is "
+                                    f"{codec.shown(value)}, expected {expected!r}")
         _known_keys(doc, [*self.envelope(phase), "data"], f"artifact {path}: ")
         if doc.get("config_checksum") != self.checksums["config"]:
             raise ArtifactError(
@@ -408,26 +412,28 @@ def _subcategories_known(state: RunState, homes: list[tuple], where: str) -> Non
     subcategories = {d.identifier: d.subcategory_ids() for d in state.kb.domains}
     for i, (domain, sub) in enumerate(homes):
         if sub not in subcategories.get(domain, ()):
-            raise ArtifactError(f"{where}[{i}].subcategory: {sub!r} is not a "
-                                f"subcategory of domain {domain!r}")
+            raise ArtifactError(f"{where}[{i}].subcategory: {codec.shown(sub)} is "
+                                f"not a subcategory of domain {codec.shown(domain)}")
 
 
 def _read_integrated(state: RunState) -> integrate.IntegratedFactorSet:
     result, where = state.decoded("integrate")
     at = f"{where}.factors"
+    if not result.factors:  # integrate refuses an empty corpus
+        raise ArtifactError(f"{at}: expected at least one factor")
     for i, f in enumerate(result.factors):
         if tuple(f.studies) != SPACE_TYPES:
             raise ArtifactError(f"{at}[{i}].studies: expected studies under "
                                 f"{', '.join(SPACE_TYPES)}")
-        if not f.occurrence.total:
+        if not sum(f.counts):
             raise ArtifactError(f"{at}[{i}].counts: expected at least one mention")
     # Each mention adds one count and at most one study.
     for i, f in enumerate(result.factors):
-        for code, count in zip(SPACE_TYPES, f.occurrence.counts):
+        for code, count in zip(SPACE_TYPES, f.counts):
             if not min(count, 1) <= len(f.studies[code]) <= count:
                 raise ArtifactError(f"{at}[{i}].studies.{code}: expected 1 to {count} "
                                     f"studies for {count} mentions, none for none")
-    if result.raw_record_count != sum(f.occurrence.total for f in result.factors):
+    if result.raw_record_count != sum(sum(f.counts) for f in result.factors):
         raise ArtifactError(
             f"{where}.raw_record_count: expected the sum of the factors' counts"
         )
@@ -647,7 +653,7 @@ def phase_classify(state: RunState) -> None:
     rows = [
         (
             r.name,
-            integrate.tracking_notation(factor.occurrence),
+            integrate.tracking_notation(factor.counts),
             r.stats.active_type_count,
             f"{r.stats.entropy_nats:.3f}",
             r.factor_class.value,
@@ -729,7 +735,7 @@ def phase_indicate(state: RunState) -> None:
     texts = _indicators(state)
     vectors: dict[tuple[str, str], list] = {}
     for factor in factor_set.factors:
-        vectors.setdefault(homes[factor.canonical_name], []).append(factor.occurrence)
+        vectors.setdefault(homes[factor.canonical_name], []).append(factor.counts)
     subcategory_profiles, category_profiles = [], []
     for domain in kb.domains:
         category = domain.identifier
@@ -743,14 +749,14 @@ def phase_indicate(state: RunState) -> None:
             subcategory_profiles.append(
                 {"category": category, "subcategory": sub, "relevance": relevance}
             )
-        weights = [sum(v.total for v in sub_vectors) for sub_vectors in homed]
+        weights = [sum(map(sum, sub_vectors)) for sub_vectors in homed]
         distribution = dict(
             zip(SPACE_TYPES, applicability.aggregate_category(profiles, weights))
         )
         category_profiles.append({"category": category, "distribution": distribution})
     coverage = applicability.coverage
     records = [
-        {"name": f.canonical_name, "coverage": coverage(f.occurrence), "indicator": t}
+        {"name": f.canonical_name, "coverage": coverage(f.counts), "indicator": t}
         for f, t in zip(factor_set.factors, texts)
     ]
     data = {

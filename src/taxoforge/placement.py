@@ -22,6 +22,7 @@ from .cluster import (
     related_factors,
     subcategory_scorer,
 )
+from .codec import listed, shown
 from .errors import KnowledgeBaseError
 from .integrate import IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase
@@ -215,7 +216,8 @@ def check_overrides(
         if override not in (None, *relevant):
             raise KnowledgeBaseError(
                 f"kb file {kb.path}: placement_overrides.{result.name}: domain "
-                f"{override!r} is outside the factor's relevant set {list(relevant)}"
+                f"{shown(override)} is outside the factor's relevant set "
+                f"{listed(relevant)}"
             )
     return [r.name for r in classifications if r.name in overrides and not r.flagged]
 

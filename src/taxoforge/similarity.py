@@ -27,10 +27,12 @@ count. The pair is then scored from those counts by the same operations as
 the per-pair definitions, so each score and component is bit-for-bit theirs.
 The linguistic component is the token Jaccard (0.0 for two empty token
 sets), then its ``max`` with the trigram cosine when the dot product is not
-0, then its ``max`` with the field score when a field is shared;
-``distributional_similarity``, ``co_occurrence_strength`` and ``combine`` give
-the rest. ``tests/conftest.py`` keeps the per-pair linguistic score as the
-reference the build and the keyword scoring are tested against.
+0, then its ``max`` with the field score when a field is shared. The
+distributional component is the integer cosine of the two count vectors, the
+co-occurrence component the shared-study count over the smaller study set,
+and ``combine`` blends the three. ``tests/conftest.py`` keeps the per-pair
+definitions of the three components as the references the build and the
+keyword scoring are tested against.
 
 Only candidate pairs are scored: those sharing at least one key (the exact
 candidate generation of All-Pairs, Bayardo, Ma and Srikant, WWW 2007, here
@@ -120,9 +122,9 @@ from operator import mul
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from .codec import EMPTY, decode, mismatch, read_yaml
+from .codec import EMPTY, decode, mismatch, read_yaml, shown
 from .errors import ArtifactError, LexiconError, TaxoforgeError
-from .integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector
+from .integrate import IntegratedFactorSet
 
 DEFAULT_FIELD_SCORE = 0.85
 
@@ -246,33 +248,6 @@ def _int_cosine(dot: int, norm_sq_a: int, norm_sq_b: int) -> float:
     return min(1.0, dot / math.sqrt(norm_sq_a * norm_sq_b))
 
 
-def distributional_similarity(va: OccurrenceVector, vb: OccurrenceVector) -> float:
-    """Cosine over the raw six-type count vectors."""
-    if va.total == 0 or vb.total == 0:
-        raise TaxoforgeError("distributional similarity needs non-zero vectors")
-    return _int_cosine(
-        sum(x * y for x, y in zip(va.counts, vb.counts)),
-        sum(x * x for x in va.counts),
-        sum(y * y for y in vb.counts),
-    )
-
-
-def co_occurrence_strength(a: IntegratedFactor, b: IntegratedFactor) -> float:
-    """Overlap coefficient over the union-across-typologies study sets."""
-    sa, sb = a.all_studies, b.all_studies
-    if not sa or not sb:
-        raise TaxoforgeError("co-occurrence needs non-empty study sets")
-    return len(sa & sb) / min(len(sa), len(sb))
-
-
-class ComponentScores(NamedTuple):
-    """One edge's three components, each in [0, 1]."""
-
-    linguistic: float
-    distributional: float
-    co_occurrence: float
-
-
 class SimilarityWeights(NamedTuple):
     linguistic: float = 0.5
     distributional: float = 0.3
@@ -288,10 +263,8 @@ class SimilarityWeights(NamedTuple):
             raise TaxoforgeError(f"similarity weights must sum to 1, got {sum(values)}")
 
 
-def combine(
-    components: ComponentScores | tuple[float, float, float],
-    weights: SimilarityWeights,
-) -> float:
+def combine(components: Sequence[float], weights: SimilarityWeights) -> float:
+    """One edge's score: the blend of its three components, each in [0, 1]."""
     (w_l, w_d, w_o), (lin, dist, co) = weights, components
     return w_l * lin + w_d * dist + w_o * co
 
@@ -361,14 +334,8 @@ class _PairScorer:
         factors = factor_set.factors
         if not factors:
             raise TaxoforgeError("cannot build a similarity matrix for an empty set")
-        self.n = n = len(factors)
+        self.n = len(factors)
         studies = [f.all_studies for f in factors]
-        for k, factor in enumerate(factors if n > 1 else ()):
-            if factor.occurrence.total == 0 or not studies[k]:
-                # Raise what the first pair holding this factor raises.
-                other = factors[1] if k == 0 else factor
-                distributional_similarity(factors[0].occurrence, other.occurrence)
-                co_occurrence_strength(factors[0], other)
         features = [lexicon.features(f.canonical_name) for f in factors]
         # Each factor's keys of each kind: tokens, trigrams (each once per
         # occurrence, so shared counts are the integer dot product), lexicon
@@ -385,13 +352,13 @@ class _PairScorer:
         # norm: a pair's distributional component depends on those alone.
         groups: dict[tuple[int, ...], int] = {}
         self.group = [
-            groups.setdefault(f.occurrence.counts, len(groups)) for f in factors
+            groups.setdefault(f.counts, len(groups)) for f in factors
         ]
         self.counts = list(groups)
         self.norms = [sum(x * x for x in c) for c in self.counts]
         # Each factor's space types as a bit mask, bit t for type t.
         self.masks = [
-            sum(1 << t for t, count in enumerate(f.occurrence.counts) if count)
+            sum(1 << t for t, count in enumerate(f.counts) if count)
             for f in factors
         ]
         self.sizes = [len(s) for s in studies]
@@ -416,11 +383,10 @@ class _PairScorer:
         a field scoring at least the floor, or are duplicates; see the module
         docstring.
 
-        The components equal the pair's linguistic component (see the module
-        docstring), ``distributional_similarity`` and
-        ``co_occurrence_strength``, computed by the same operations on the
-        same integers, and the score equals their ``combine``. The
-        distributional one is computed once per pair of count vectors.
+        The components equal the per-pair references in
+        ``tests/conftest.py``, computed by the same operations on the same
+        integers, and the score equals their ``combine``. The distributional
+        one is computed once per pair of count vectors.
         """
         n = self.n
         w_l, w_d, w_o = self.weights
@@ -742,8 +708,8 @@ def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
         edge = (i, j)
         if not (type(i) is int and type(j) is int and 0 <= i < j < n) or edge <= before:
             raise TaxoforgeError(
-                f"similarity components edge [{i!r}, {j!r}]: expected indices "
-                f"0 <= i < j < {n}, after the edge before"
+                f"similarity components edge [{shown(i)}, {shown(j)}]: expected "
+                f"indices 0 <= i < j < {n}, after the edge before"
             )
         if not (
             type(lin) in (int, float) and 0.0 <= lin <= 1.0

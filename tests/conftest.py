@@ -21,7 +21,8 @@ from taxoforge.classify import (
     distribution_stats,
 )
 from taxoforge.corpus import CSV_HEADER, SPACE_TYPES, Corpus, load_corpus, load_rules
-from taxoforge.integrate import IntegratedFactor, IntegratedFactorSet, OccurrenceVector, integrate
+from taxoforge.errors import TaxoforgeError
+from taxoforge.integrate import IntegratedFactor, IntegratedFactorSet, integrate
 from taxoforge.knowledge import (
     default_kb_path,
     default_lexicon_path,
@@ -32,16 +33,13 @@ from taxoforge.similarity import (
     BAND_HIGH,
     BAND_LOW,
     BandCensus,
-    ComponentScores,
     SimilarityBand,
     SimilarityMatrix,
     SimilarityWeights,
     band,
     band_census,
     build_matrix,
-    co_occurrence_strength,
     combine,
-    distributional_similarity,
     load_lexicon,
     neighbours,
 )
@@ -92,25 +90,27 @@ def load_rows(directory: Path, rows, name: str = "rows.csv") -> Corpus:
     return load_corpus(path)
 
 
+def counts_of(mapping: dict) -> tuple[int, ...]:
+    """The counts ``mapping`` gives per typology code, in ``SPACE_TYPES``
+    order, 0 for a code it does not name."""
+    return tuple(mapping.get(code, 0) for code in SPACE_TYPES)
+
+
 def make_factor(name: str, counts: dict, studies: dict | None = None) -> IntegratedFactor:
-    vector = OccurrenceVector.from_mapping(counts)
+    vector = counts_of(counts)
     if studies is None:
         studies = {
             code: frozenset({f"{name}-{code}"}) if count else frozenset()
-            for code, count in zip(SPACE_TYPES, vector.counts)
+            for code, count in zip(SPACE_TYPES, vector)
         }
-    return IntegratedFactor(
-        canonical_name=name,
-        occurrence=vector,
-        studies=studies,
-    )
+    return IntegratedFactor(canonical_name=name, counts=vector, studies=studies)
 
 
 def make_factor_set(patterns: dict[str, dict]) -> IntegratedFactorSet:
     factors = tuple(make_factor(name, counts) for name, counts in patterns.items())
     return IntegratedFactorSet(
         factors=factors,
-        raw_record_count=sum(f.occurrence.total for f in factors),
+        raw_record_count=sum(sum(f.counts) for f in factors),
     )
 
 
@@ -236,6 +236,27 @@ def linguistic_similarity(a: str, b: str, lexicon) -> float:
     return score
 
 
+def distributional_similarity(a: tuple[int, ...], b: tuple[int, ...]) -> float:
+    """The distributional reference: the cosine of two factors' counts, from
+    integer sums, as the graph's build computes it."""
+    if not sum(a) or not sum(b):
+        raise TaxoforgeError("distributional similarity needs non-zero vectors")
+    dot = sum(x * y for x, y in zip(a, b))
+    if dot == 0:
+        return 0.0
+    norm_sq = sum(x * x for x in a) * sum(y * y for y in b)
+    return min(1.0, dot / math.sqrt(norm_sq))
+
+
+def co_occurrence_strength(a: IntegratedFactor, b: IntegratedFactor) -> float:
+    """The co-occurrence reference: the overlap coefficient of two factors'
+    studies, merged across the space types."""
+    sa, sb = a.all_studies, b.all_studies
+    if not sa or not sb:
+        raise TaxoforgeError("co-occurrence needs non-empty study sets")
+    return len(sa & sb) / min(len(sa), len(sb))
+
+
 def keyword_match(name: str, keywords, lexicon) -> float:
     """The best reference score of the name against one of the keywords."""
     return max(linguistic_similarity(name, keyword, lexicon) for keyword in keywords)
@@ -267,7 +288,7 @@ def classification_reference(factor, relevance, kb, threshold) -> Classification
     at a time: the reference ``classify.classify_rows`` must equal per
     factor. The primary domain is the first strictly highest relevance,
     None when every relevance is 0.0."""
-    stats = distribution_stats(factor.occurrence)
+    stats = distribution_stats(factor.counts)
     relevant = tuple(
         domain.identifier for domain, score in zip(kb.domains, relevance)
         if score >= threshold
@@ -310,9 +331,9 @@ def dense_pairs(factor_set, weights, lexicon) -> dict:
     for i, a in enumerate(factors):
         for j in range(i + 1, len(factors)):
             b = factors[j]
-            comp = ComponentScores(
+            comp = (
                 linguistic_similarity(a.canonical_name, b.canonical_name, lexicon),
-                distributional_similarity(a.occurrence, b.occurrence),
+                distributional_similarity(a.counts, b.counts),
                 co_occurrence_strength(a, b),
             )
             out[(i, j)] = (comp, combine(comp, weights))
@@ -325,7 +346,7 @@ def assert_graph_matches_dense(matrix, dense: dict, high=BAND_HIGH, low=BAND_LOW
     assert [(i, j) for i, j, _ in matrix.scores] == sorted(expected)
     assert [(i, j) for i, j, *_ in matrix.components] == sorted(expected)
     for (i, j, score), (_, _, *parts) in zip(matrix.scores, matrix.components):
-        assert (ComponentScores(*parts), score) == expected[(i, j)]
+        assert (tuple(parts), score) == expected[(i, j)]
     bands = [band(score, high, low) for _, score in dense.values()]
     assert band_census(matrix, high, low) == BandCensus(
         high=bands.count(SimilarityBand.HIGH),

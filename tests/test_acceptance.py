@@ -23,10 +23,10 @@ from taxoforge.classify import (
     entropy,
 )
 from taxoforge.corpus import SPACE_TYPES, load_corpus
-from taxoforge.integrate import OccurrenceVector, integrate
+from taxoforge.integrate import integrate
 from taxoforge.placement import PlacementTier, by_keywords, place
-from taxoforge.similarity import ComponentScores, SimilarityWeights, combine, pair_count
-from tests.conftest import FIXTURES, make_factor
+from taxoforge.similarity import SimilarityWeights, combine, pair_count
+from tests.conftest import FIXTURES, counts_of, make_factor
 from tests.test_emit import delete_factor, duplicate_primary
 from tests.test_integrate import WORKED_FACTOR_ORDER, WORKED_VECTORS
 
@@ -53,7 +53,7 @@ def test_c1_integration_fixture_reproduction(default_rules):
         by_name = dict(zip(factor_set.names, factor_set.factors))
         for name, expected in WORKED_VECTORS.items():
             full = {code: expected.get(code, 0) for code in "PSUGOF"}
-            counts = by_name[name].occurrence.counts
+            counts = by_name[name].counts
             assert dict(zip(SPACE_TYPES, counts)) == full, name
 
 
@@ -67,7 +67,7 @@ def test_c2_combiner_reproduction():
     ]
     with criterion(2, "all five worked component triples blend to the printed scores (±0.015)"):
         for components, expected in rows:
-            blended = combine(ComponentScores(*components), SimilarityWeights())
+            blended = combine(components, SimilarityWeights())
             assert blended == pytest.approx(expected, abs=0.015), components
 
 
@@ -81,9 +81,9 @@ def test_c3_entropy_reproduction(sample_framework):
             ("S",): 0.00,
         }
         for types, expected in uniform.items():
-            vector = OccurrenceVector.from_mapping({code: 1 for code in types})
+            vector = counts_of({code: 1 for code in types})
             assert entropy(vector) == pytest.approx(expected, abs=0.005)
-        skewed = OccurrenceVector.from_mapping(
+        skewed = counts_of(
             {"P": 1, "S": 1, "U": 1, "O": 4, "F": 2}
         )
         total = 9
@@ -153,7 +153,7 @@ def test_c5_coverage_and_indicators(default_kb):
     with criterion(5, "the five worked coverage fractions and indicator strings reproduce verbatim"):
         for name, counts, cls, domain, frac, text in rows:
             factor = make_factor(name, counts)
-            assert coverage(factor.occurrence) == pytest.approx(float(frac))
+            assert coverage(factor.counts) == pytest.approx(float(frac))
             assert indicator(factor, cls, domain, default_kb) == text, name
 
 

@@ -12,8 +12,7 @@ from taxoforge.applicability import (
 )
 from taxoforge.classify import FactorClass
 from taxoforge.errors import TaxoforgeError
-from taxoforge.integrate import OccurrenceVector
-from tests.conftest import make_factor
+from tests.conftest import counts_of, make_factor
 
 
 class TestCoverage:
@@ -27,7 +26,7 @@ class TestCoverage:
         ],
     )
     def test_fractions(self, counts, expected):
-        assert coverage(OccurrenceVector.from_mapping(counts)) == pytest.approx(
+        assert coverage(counts_of(counts)) == pytest.approx(
             expected
         )
 
@@ -93,8 +92,8 @@ class TestIndicator:
 class TestAggregation:
     def test_subcategory_profile(self):
         vectors = [
-            OccurrenceVector.from_mapping({"P": 2}),
-            OccurrenceVector.from_mapping({"P": 1, "S": 1}),
+            counts_of({"P": 2}),
+            counts_of({"P": 1, "S": 1}),
         ]
         profile = aggregate_subcategory(vectors)
         assert profile[0] == pytest.approx(0.75)  # P: (2+1)/4
@@ -102,13 +101,13 @@ class TestAggregation:
         assert sum(profile) == pytest.approx(1.0)
 
     def test_single_factor_profile(self):
-        vector = OccurrenceVector.from_mapping({"P": 1, "O": 3})
+        vector = counts_of({"P": 1, "O": 3})
         profile = aggregate_subcategory([vector])
         assert profile[0] == pytest.approx(0.25)
         assert profile[4] == pytest.approx(0.75)
 
     def test_uniform_profile(self):
-        vectors = [OccurrenceVector.from_mapping({"P": 1, "S": 1, "U": 1})]
+        vectors = [counts_of({"P": 1, "S": 1, "U": 1})]
         profile = aggregate_subcategory(vectors)
         assert profile[:3] == pytest.approx((1 / 3, 1 / 3, 1 / 3))
 

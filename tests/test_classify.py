@@ -21,9 +21,8 @@ from taxoforge.classify import (
     relevance_rows,
 )
 from taxoforge.errors import TaxoforgeError
-from taxoforge.integrate import OccurrenceVector
 from taxoforge.knowledge import default_lexicon_path
-from tests.conftest import relevance_row
+from tests.conftest import counts_of, relevance_row
 
 
 def shipped_row(name, kb, lexicon):
@@ -40,17 +39,17 @@ def hand_entropy(counts):
 
 class TestEntropy:
     def test_uniform_five(self):
-        vector = OccurrenceVector.from_mapping(
+        vector = counts_of(
             {"P": 1, "S": 1, "U": 1, "O": 1, "F": 1}
         )
         assert entropy(vector) == pytest.approx(1.609, abs=5e-4)
         assert entropy(vector) == pytest.approx(math.log(5), abs=1e-12)
 
     def test_single_type(self):
-        assert entropy(OccurrenceVector.from_mapping({"P": 1})) == 0.0
+        assert entropy(counts_of({"P": 1})) == 0.0
 
     def test_skewed_counts(self):
-        vector = OccurrenceVector.from_mapping(
+        vector = counts_of(
             {"P": 1, "S": 1, "U": 1, "O": 4, "F": 2}
         )
         oracle = hand_entropy([1, 1, 1, 4, 2])
@@ -60,13 +59,13 @@ class TestEntropy:
     @pytest.mark.parametrize("k,expected", [(5, 1.61), (4, 1.39), (3, 1.10), (2, 0.69)])
     def test_uniform_values(self, k, expected):
         counts = {code: 1 for code in "PSUGOF"[:k]}
-        assert entropy(OccurrenceVector.from_mapping(counts)) == pytest.approx(
+        assert entropy(counts_of(counts)) == pytest.approx(
             expected, abs=5e-3
         )
 
     def test_zero_vector_rejected(self):
         with pytest.raises(TaxoforgeError):
-            entropy(OccurrenceVector.from_mapping({}))
+            entropy(counts_of({}))
 
 
 class TestClassify:
@@ -86,7 +85,7 @@ class TestClassify:
         assert classify(stats) is expected
 
     def test_stats_invariants(self):
-        vector = OccurrenceVector.from_mapping({"P": 2, "S": 2})
+        vector = counts_of({"P": 2, "S": 2})
         stats = distribution_stats(vector)
         assert stats.active_type_count == 2
         assert stats.entropy_nats == pytest.approx(math.log(2))

@@ -12,12 +12,16 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taxoforge import classify, cli, codec, emit, integrate, pipeline, similarity
+from taxoforge.errors import TaxoforgeError
 from taxoforge.knowledge import (
     default_kb_path,
     default_lexicon_path,
@@ -446,8 +450,71 @@ CHAIN_SETTINGS = {
     "sankey": ([], [], ["--sankey", "COMFORT"]),
 }
 
+# A threshold the chain property draws: either end of [0, 1], or any value.
+UNIT_VALUES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def chain_settings(draw):
+    """Weights ``(w_l, w_d, 1 - w_l - w_d)`` and all six thresholds, with
+    band_low at most band_high."""
+    w_l = draw(st.floats(0.0, 1.0))
+    w_d = draw(st.floats(0.0, 1.0 - w_l))
+    low, high = sorted(draw(st.tuples(UNIT_VALUES, UNIT_VALUES)))
+    rest = draw(st.tuples(*[UNIT_VALUES] * 4))
+    return (w_l, w_d, 1.0 - w_l - w_d), pipeline.Thresholds(high, low, *rest)
+
+
+def _outcome(steps) -> tuple[int, str | None]:
+    """The exit status of ``steps``, called in turn until one refuses or
+    gives a non-zero status, and the refusal's text if one refused."""
+    status = 0
+    try:
+        for step in steps:
+            if status := step() or 0:
+                break
+    except TaxoforgeError as exc:
+        return 1, str(exc)
+    return status, None
+
 
 class TestPhaseChaining:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=chain_settings(), emit_pairs=st.booleans())
+    @example(drawn=((1.0, 0.0, 0.0), pipeline.Thresholds()), emit_pairs=True)
+    @example(drawn=((0.2, 0.6, 0.2), pipeline.Thresholds()), emit_pairs=True)
+    def test_chain_matches_run_under_drawn_settings(self, drawn, emit_pairs):
+        # The examples: w_l = 1, and a w_d of 0.6, at least the default
+        # graph floor of 0.5. Both invocations write to one directory,
+        # emptied between them, so a refusal naming a path names the same one.
+        weights, thresholds = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            config = pipeline.apply_overrides(
+                pipeline.load_config(FIXTURES / "config.yaml"),
+                out_dir=str(out),
+                weights=",".join(map(repr, weights)),
+                thresholds=[f"{k}={v!r}" for k, v in thresholds._asdict().items()],
+            )
+            options = {"similarity": {"emit_pairs": emit_pairs}}
+            chain = [
+                lambda phase=phase: getattr(pipeline, f"phase_{phase}")(
+                    config, **options.get(phase, {})
+                )
+                for phase in PHASE_COMMANDS
+            ]
+            written = []
+            for steps in ([lambda: pipeline.run(config, emit_pairs=emit_pairs)], chain):
+                outcome = _outcome(steps)
+                files = {p.name: p.read_bytes() for p in out.glob("*")}
+                written.append((outcome, files))
+                shutil.rmtree(out, ignore_errors=True)
+        (ran, by_run), (chained, by_chain) = written
+        assert ran == chained
+        assert by_run.keys() == by_chain.keys()
+        for name, data in by_run.items():
+            assert data == by_chain[name], name
+
     @pytest.mark.parametrize("setting", CHAIN_SETTINGS)
     def test_chained_phases_match_run_byte_for_byte(self, tmp_path, setting):
         flags, pairs, sankey = CHAIN_SETTINGS[setting]
@@ -1495,6 +1562,14 @@ MALFORMED = [
         "factors[10].counts",
         id="integrated-counts-zero",
     ),
+    # integrate refuses an empty corpus, so it never writes this file.
+    pytest.param(
+        "integrated.json",
+        ["data"],
+        {"factors": [], "raw_record_count": 0},
+        "data.factors: expected at least one factor",
+        id="integrated-no-factors",
+    ),
     pytest.param(
         "integrated.json",
         ["data", "factors", 0, "counts"],
@@ -1930,6 +2005,87 @@ class TestMalformedInputs:
         assert cli.main([command, "--config", str(config)]) == 1
         (line,) = capsys.readouterr().err.strip().splitlines()
         assert f"kb file {kb}: placement_overrides.accessibility" in line
+
+
+# A refusal quotes each value at most 60 characters long and lists at most
+# five unknown codes, so its one line stays short at any input size. Each
+# row: the config keys it sets beside ``out``, the flags given to ``run``,
+# and the file or flag the refusal must name.
+LONG = "x" * 5_000
+FIXTURE_DATASETS = {"datasets": [str(FIXTURES / "sample_corpus.csv")]}
+
+BOUNDED = [
+    pytest.param(
+        lambda tmp: {"datasets": [str(_dataset("type.csv", f"safety,s1,{LONG}\n")(tmp))]},
+        [],
+        "type.csv",
+        id="space-type-cell",
+    ),
+    pytest.param(
+        lambda tmp: {"datasets": [str(_made(
+            tmp / "header.csv",
+            lambda path: path.write_text(f"raw_name,study_id,{LONG}\nsafety,s1,P\n"),
+        ))]},
+        [],
+        "header.csv",
+        id="header-cell",
+    ),
+    pytest.param(
+        lambda tmp: {"datasets": [str(_dataset("dots.csv", "." * 5_000 + ",s1,P\n")(tmp))]},
+        [],
+        "dots.csv",
+        id="name-of-periods",
+    ),
+    pytest.param(
+        lambda tmp: {"datasets": {f"X{k}": "a.csv" for k in range(400)}},
+        [],
+        "config.yaml",
+        id="unknown-typology-codes",
+    ),
+    pytest.param(lambda tmp: FIXTURE_DATASETS, ["--weights", LONG], "--weights",
+                 id="weights-flag"),
+    pytest.param(lambda tmp: FIXTURE_DATASETS, ["--threshold", LONG], "--threshold",
+                 id="threshold-flag"),
+    pytest.param(lambda tmp: FIXTURE_DATASETS, ["--sankey", LONG], "unknown category",
+                 id="sankey-flag"),
+]
+
+
+def _one_short_line(capsys, named: str) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert len(lines[0]) <= 300 and named in lines[0]
+    return lines[0]
+
+
+class TestBoundedRefusals:
+    @pytest.mark.parametrize("make,flags,named", BOUNDED)
+    def test_long_input_value(self, tmp_path, capsys, make, flags, named):
+        config = tmp_path / "config.yaml"
+        doc = {"out": str(tmp_path / "out"), **make(tmp_path)}
+        config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config), *flags]) == 1
+        _one_short_line(capsys, named)
+
+    @pytest.mark.parametrize(
+        "artifact,path,command",
+        [
+            ("integrated.json", ["phase"], "similarity"),
+            ("similarity.json", ["data", "components", 0, 0], "cluster"),
+            ("assignments.json", ["data", "assignments", 0, "subcategory"], "place"),
+        ],
+        ids=["envelope-phase", "edge-index", "assignment-subcategory"],
+    )
+    def test_long_artifact_value(self, tmp_path, capsys, artifact, path, command):
+        config = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        written = tmp_path / "out" / artifact
+        data = _edit(json.loads(written.read_text(encoding="utf-8")), path, LONG)
+        written.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(config)]) == 1
+        assert "'xxx" in _one_short_line(capsys, artifact)
 
 
 class TestArtifactWrites:

@@ -105,7 +105,7 @@ class TestAssignment:
     ):
         factor_set, matrix = cluster_fixture
         fits = space_fits(factor_set, default_kb)
-        assert fits.keys() == {f.occurrence.counts for f in factor_set.factors}
+        assert fits.keys() == {f.counts for f in factor_set.factors}
         for counts, row in fits.items():
             assert row == tuple(
                 cosine(counts, domain.space_profile) for domain in default_kb.domains
@@ -115,7 +115,7 @@ class TestAssignment:
             factor_set, results, default_kb, neighbours(matrix), default_lexicon
         )
         for factor, a in zip(factor_set.factors, assignments):
-            assert a.scores.distribution == fits[factor.occurrence.counts]
+            assert a.scores.distribution == fits[factor.counts]
 
     def test_argmax_reproducible(self, cluster_fixture, default_kb, default_lexicon):
         factor_set, matrix = cluster_fixture

@@ -71,7 +71,7 @@ def test_artifact_round_trip(fixture_run, phase):
     assert codec.encode(kind, decoded) == data
 
 
-def test_record_fields_are_inlined_only_outside_collections(fixture_run):
+def test_factor_keys_are_flat_and_nested_records_are_objects(fixture_run):
     _, state = fixture_run
     integrated = pipeline.artifact_data("integrate", state.results["integrate"])
     assert list(integrated["factors"][0]) == [
@@ -79,7 +79,7 @@ def test_record_fields_are_inlined_only_outside_collections(fixture_run):
         "counts",
         "studies",
     ]
-    # Records inside a mapping or a tuple stay objects.
+    # A record inside a mapping is written as an object.
     channels = {"semantic": 0.5, "similarity_evidence": 0.0, "distribution": 1.0}
     scored = ScoredHome("safety", "COMFORT", "THERMAL", {"COMFORT": Channels(**channels)})
     assert codec.encode(ScoredHome, scored)["scores"] == {"COMFORT": channels}

@@ -270,7 +270,7 @@ class TestSankey:
             if e["tier"] == "primary"
         }
         expected = sum(
-            f.occurrence.total
+            sum(f.counts)
             for f in sample_factors.factors
             if f.canonical_name in homed
         )

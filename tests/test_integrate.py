@@ -11,12 +11,11 @@ from taxoforge import pipeline
 from taxoforge.corpus import SPACE_TYPES, Corpus, merge_corpora
 from taxoforge.errors import CorpusError, TaxoforgeError
 from taxoforge.integrate import (
-    OccurrenceVector,
     integrate,
     reduction_rate,
     tracking_notation,
 )
-from tests.conftest import load_rows
+from tests.conftest import counts_of, load_rows
 
 # Final integrated list of the worked example, in first-seen order.
 WORKED_FACTOR_ORDER = [
@@ -56,26 +55,26 @@ class TestIntegrate:
     def test_fixture_occurrence_vectors(self, sample_factors):
         by_name = dict(zip(sample_factors.names, sample_factors.factors))
         for name, expected in WORKED_VECTORS.items():
-            vector = by_name[name].occurrence
+            vector = by_name[name].counts
             full = {code: expected.get(code, 0) for code in "PSUGOF"}
-            assert dict(zip(SPACE_TYPES, vector.counts)) == full, name
+            assert dict(zip(SPACE_TYPES, vector)) == full, name
 
     def test_accessibility_vector(self, sample_factors):
         index = sample_factors.names.index("accessibility")
-        vector = sample_factors.factors[index].occurrence
+        vector = sample_factors.factors[index].counts
         counts = {"P": 1, "S": 1, "U": 1, "G": 0, "O": 4, "F": 2}
-        assert dict(zip(SPACE_TYPES, vector.counts)) == counts
+        assert dict(zip(SPACE_TYPES, vector)) == counts
 
     def test_singleton(self, tmp_path, default_rules):
         corpus = load_rows(tmp_path, [("safety", "c1", "P")])
         result = integrate(corpus, default_rules)
         assert result.unique_count == 1
-        assert dict(zip(SPACE_TYPES, result.factors[0].occurrence.counts)) == {
+        assert dict(zip(SPACE_TYPES, result.factors[0].counts)) == {
             "P": 1, "S": 0, "U": 0, "G": 0, "O": 0, "F": 0,
         }
 
     def test_record_conservation(self, sample_factors, sample_corpus):
-        total = sum(f.occurrence.total for f in sample_factors.factors)
+        total = sum(sum(f.counts) for f in sample_factors.factors)
         rows = sum(n for r in sample_corpus.records for n, _ in r.tallies.values())
         assert total == rows == sample_factors.raw_record_count
         assert total == 35
@@ -105,7 +104,7 @@ class TestIntegrate:
 
     def test_study_sets_bounded_by_counts(self, sample_factors):
         for factor in sample_factors.factors:
-            for code, count in zip(SPACE_TYPES, factor.occurrence.counts):
+            for code, count in zip(SPACE_TYPES, factor.counts):
                 assert len(factor.studies[code]) <= count
 
     def test_empty_corpus_rejected(self, tmp_path):
@@ -172,22 +171,22 @@ class TestIntegrate:
         )
         forward = integrate(sample_corpus, default_rules)
         backward = integrate(reversed_corpus, default_rules)
-        fwd = {(f.canonical_name, f.occurrence) for f in forward.factors}
-        bwd = {(f.canonical_name, f.occurrence) for f in backward.factors}
+        fwd = {(f.canonical_name, f.counts) for f in forward.factors}
+        bwd = {(f.canonical_name, f.counts) for f in backward.factors}
         assert fwd == bwd
 
 
 class TestTrackingNotation:
     def test_multi_type(self):
-        vector = OccurrenceVector.from_mapping({"P": 1, "S": 1, "U": 1, "O": 4, "F": 2})
+        vector = counts_of({"P": 1, "S": 1, "U": 1, "O": 4, "F": 2})
         assert tracking_notation(vector) == "[P×1, S×1, U×1, O×4, F×2]"
 
     def test_single_type(self):
-        assert tracking_notation(OccurrenceVector.from_mapping({"P": 1})) == "[P×1]"
+        assert tracking_notation(counts_of({"P": 1})) == "[P×1]"
 
     def test_all_zero_rejected(self):
         with pytest.raises(TaxoforgeError):
-            tracking_notation(OccurrenceVector.from_mapping({}))
+            tracking_notation(counts_of({}))
 
 
 class TestReductionRate:

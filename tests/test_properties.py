@@ -66,7 +66,6 @@ from taxoforge.errors import CorpusError
 from taxoforge.integrate import (
     IntegratedFactor,
     IntegratedFactorSet,
-    OccurrenceVector,
     integrate,
 )
 from taxoforge.knowledge import (
@@ -84,7 +83,6 @@ from taxoforge.placement import (
 )
 from taxoforge.similarity import (
     BAND_HIGH,
-    ComponentScores,
     SemanticLexicon,
     SimilarityMatrix,
     SimilarityWeights,
@@ -163,11 +161,11 @@ NAME_POOL = ("alpha", "apple pie", "beta", "berry", "gamma", "delta site", "omni
 # ---------------------------------------------------------------------------
 
 
-def random_vector(rng: random.Random, max_count: int = 4) -> OccurrenceVector:
+def random_vector(rng: random.Random, max_count: int = 4) -> tuple[int, ...]:
     while True:
         counts = tuple(rng.randint(0, max_count) for _ in range(6))
         if any(counts):
-            return OccurrenceVector(counts)
+            return counts
 
 
 def random_factor_set(rng: random.Random, max_factors: int = 4) -> IntegratedFactorSet:
@@ -181,10 +179,10 @@ def random_factor_set(rng: random.Random, max_factors: int = 4) -> IntegratedFac
         )
         studies = {
             code: studies_for if count else frozenset()
-            for code, count in zip(SPACE_TYPES, vector.counts)
+            for code, count in zip(SPACE_TYPES, vector)
         }
         factors.append(IntegratedFactor(name, vector, studies))
-    raw = sum(f.occurrence.total for f in factors)
+    raw = sum(sum(f.counts) for f in factors)
     return IntegratedFactorSet(factors=tuple(factors), raw_record_count=raw)
 
 
@@ -194,7 +192,7 @@ def occurrence_vectors(draw, max_count=4):
         st.tuples(*(st.integers(min_value=0, max_value=max_count) for _ in range(6)))
     )
     assume(any(counts))
-    return OccurrenceVector(counts)
+    return counts
 
 
 @st.composite
@@ -217,15 +215,15 @@ def check_normalize(raw: str) -> None:
     assert normalize(raw.upper(), RULES) == once
 
 
-def check_entropy(vector: OccurrenceVector, scale: int) -> None:
+def check_entropy(vector: tuple[int, ...], scale: int) -> None:
     value = entropy(vector)
-    active = len(vector.active_types)
+    active = sum(count > 0 for count in vector)
     assert 0.0 <= value <= math.log(6) + 1e-12
     assert value <= math.log(active) + 1e-12
     assert (value == 0.0) == (active == 1)
-    scaled = OccurrenceVector(tuple(count * scale for count in vector.counts))
+    scaled = tuple(count * scale for count in vector)
     assert entropy(scaled) == pytest.approx(value, abs=1e-9)
-    if len({count for count in vector.counts if count}) == 1:
+    if len({count for count in vector if count}) == 1:
         assert value == pytest.approx(math.log(active), abs=1e-12)
 
 
@@ -239,7 +237,7 @@ def check_matrix_properties(factor_set: IntegratedFactorSet) -> int:
     degenerate = SimilarityWeights(1.0, 0.0, 0.0)
     for comp, score in dense.values():
         assert 0.0 <= score <= 1.0
-        assert combine(comp, degenerate) == comp.linguistic
+        assert combine(comp, degenerate) == comp[0]
     fields = [TINY_LEXICON.fields_of(name) for name in matrix.names]
     return sum(bool(fields[i] & fields[j]) for i, j in dense)
 
@@ -278,13 +276,12 @@ def oracle_factor_set(specs) -> IntegratedFactorSet:
     """Factors from (name, counts, study ids) triples."""
     factors = []
     for name, counts, ids in specs:
-        vector = OccurrenceVector(tuple(counts))
         studies = {
             code: frozenset(ids) if count else frozenset()
             for code, count in zip(SPACE_TYPES, counts)
         }
-        factors.append(IntegratedFactor(name, vector, studies))
-    return IntegratedFactorSet(tuple(factors), sum(f.occurrence.total for f in factors))
+        factors.append(IntegratedFactor(name, tuple(counts), studies))
+    return IntegratedFactorSet(tuple(factors), sum(sum(f.counts) for f in factors))
 
 
 # Names for the repeated-trigram suite: "banana" holds "ana" twice, so its
@@ -301,13 +298,13 @@ REPEAT_LEXICON = SemanticLexicon.build(
 @st.composite
 def oracle_cases(draw, names=ORACLE_NAMES):
     names = draw(st.lists(st.sampled_from(names), min_size=1, max_size=6, unique=True))
-    base = draw(occurrence_vectors(max_count=3)).counts
+    base = draw(occurrence_vectors(max_count=3))
     specs = []
     for name in names:
         if draw(st.booleans()):  # proportional to the others that are: d = 1
             counts = tuple(c * draw(st.integers(1, 3)) for c in base)
         else:
-            counts = draw(occurrence_vectors(max_count=3)).counts
+            counts = draw(occurrence_vectors(max_count=3))
         ids = draw(st.sets(st.sampled_from(("s1", "s2", "s3")), min_size=1))
         specs.append((name, counts, sorted(ids)))
     weights = draw(st.sampled_from(ORACLE_WEIGHTS))
@@ -460,7 +457,7 @@ def channel_cases(draw):
     size = draw(st.integers(1, 7))
     factors = [
         (
-            draw(occurrence_vectors(max_count=2)).counts,
+            draw(occurrence_vectors(max_count=2)),
             values(n, 0.5),
             draw(st.none() | st.integers(0, n - 1)),
         )
@@ -513,7 +510,7 @@ def check_channel_rows(domains, priors, factors, edges, threshold) -> None:
     ids = kb.domain_ids()
     factor_set = IntegratedFactorSet(
         tuple(
-            IntegratedFactor(f"f{i}", OccurrenceVector(counts), {})
+            IntegratedFactor(f"f{i}", counts, {})
             for i, (counts, _, _) in enumerate(factors)
         ),
         sum(sum(counts) for counts, _, _ in factors),
@@ -535,7 +532,7 @@ def check_channel_rows(domains, priors, factors, edges, threshold) -> None:
     rows = channel_scores(factor_set, classifications, kb, neighbours(matrix), threshold)
     assert len(rows) == len(factors)
     for index, (factor, row) in enumerate(zip(factor_set.factors, rows)):
-        fits = [cosine(factor.occurrence.counts, d.space_profile) for d in kb.domains]
+        fits = [cosine(factor.counts, d.space_profile) for d in kb.domains]
         expected = reference_scores(
             index, fits, classifications[index], kb, matrix, primary_domains, threshold
         )
@@ -560,7 +557,7 @@ def classify_cases(draw):
     scores = st.sampled_from(levels) | st.floats(0.0, 1.0)
     factors = draw(
         st.lists(
-            st.tuples(st.sampled_from(pool).map(lambda v: v.counts),
+            st.tuples(st.sampled_from(pool),
                       st.tuples(*[scores] * n)),
             min_size=1,
             max_size=8,
@@ -572,7 +569,7 @@ def classify_cases(draw):
 def check_classify_rows(n, factors, threshold) -> None:
     kb = relevance_kb([[f"k{i}"] for i in range(n)])
     built = tuple(
-        IntegratedFactor(f"f{i}", OccurrenceVector(counts), {})
+        IntegratedFactor(f"f{i}", counts, {})
         for i, (counts, _) in enumerate(factors)
     )
     rows = [row for _, row in factors]
@@ -585,15 +582,13 @@ def check_classify_rows(n, factors, threshold) -> None:
 def check_blend_monotonicity(base: tuple, index: int, bump: float) -> None:
     bumped = list(base)
     bumped[index] = min(1.0, bumped[index] + bump)
-    assert combine(ComponentScores(*bumped), SimilarityWeights()) >= combine(
-        ComponentScores(*base), SimilarityWeights()
-    )
+    assert combine(bumped, SimilarityWeights()) >= combine(base, SimilarityWeights())
 
 
-def check_classification_partition(vectors: list[OccurrenceVector]) -> None:
+def check_classification_partition(vectors: list[tuple[int, ...]]) -> None:
     classes = [classify(distribution_stats(v)) for v in vectors]
     for vector, cls in zip(vectors, classes):
-        active = len(vector.active_types)
+        active = sum(count > 0 for count in vector)
         expected = (
             FactorClass.UNIVERSAL
             if active >= 5
@@ -606,7 +601,7 @@ def check_classification_partition(vectors: list[OccurrenceVector]) -> None:
         IntegratedFactor(f"f{i}", v, {c: frozenset({"s"}) for c in SPACE_TYPES})
         for i, v in enumerate(vectors)
     )
-    factor_set = IntegratedFactorSet(factors, sum(v.total for v in vectors))
+    factor_set = IntegratedFactorSet(factors, sum(map(sum, vectors)))
     results = classify_factors(factor_set, TINY_KB, TINY_LEXICON)
     census = Counter(r.factor_class for r in results)
     assert census == Counter(classes) and census.total() == len(vectors)
@@ -637,11 +632,11 @@ def check_primary_home_and_sankey(factor_set: IntegratedFactorSet) -> None:
     report = validate(framework, factor_set)
     assert report["completeness"]["passed"]
     assert report["hierarchy_integrity"]["passed"]
-    occurrence = {f.canonical_name: f.occurrence for f in factor_set.factors}
+    counts = {f.canonical_name: f.counts for f in factor_set.factors}
     for category in framework["categories"]:
         _, links = export_sankey(framework, factor_set, category["identifier"])
         expected = sum(
-            occurrence[entry["canonical_name"]].total
+            sum(counts[entry["canonical_name"]])
             for sub in category["subcategories"]
             for entry in sub["entries"]
             if entry["tier"] == "primary"
@@ -674,7 +669,7 @@ def reference_fold(
     factors = tuple(
         IntegratedFactor(
             canonical_name=name,
-            occurrence=OccurrenceVector.from_mapping(counts[name]),
+            counts=tuple(counts[name].values()),
             studies={code: frozenset(ids) for code, ids in studies[name].items()},
         )
         for name in order
@@ -1079,9 +1074,9 @@ def test_composite_and_space_fits_are_left_folds(parts, profile, vector):
     assert CompositeScore(*parts).composite == left_fold(w * p for w, p in weighted)
     domain = TINY_KB.domains[0]._replace(space_profile=profile)
     factor = IntegratedFactor("alpha", vector, {})
-    factor_set = IntegratedFactorSet(factors=(factor,), raw_record_count=vector.total)
+    factor_set = IntegratedFactorSet(factors=(factor,), raw_record_count=sum(vector))
     fits = space_fits(factor_set, DomainKnowledgeBase(domains=(domain,)))
-    assert fits == {vector.counts: (cosine(vector.counts, profile),)}
+    assert fits == {vector: (cosine(vector, profile),)}
 
 
 @SUITE

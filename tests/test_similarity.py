@@ -9,12 +9,11 @@ import pytest
 
 from taxoforge import similarity
 from taxoforge.errors import TaxoforgeError
-from taxoforge.integrate import IntegratedFactorSet, OccurrenceVector
+from taxoforge.integrate import IntegratedFactorSet
 from taxoforge.knowledge import default_lexicon_path
 from taxoforge.similarity import (
     BandCensus,
     all_pair_scores,
-    ComponentScores,
     KeywordScorer,
     SemanticLexicon,
     SimilarityBand,
@@ -22,9 +21,7 @@ from taxoforge.similarity import (
     band,
     band_census,
     build_matrix,
-    co_occurrence_strength,
     combine,
-    distributional_similarity,
     load_lexicon,
     matrix_from_dict,
     matrix_to_dict,
@@ -33,7 +30,10 @@ from taxoforge.similarity import (
 )
 from tests.conftest import (
     assert_graph_matches_dense,
+    co_occurrence_strength,
+    counts_of,
     dense_pairs,
+    distributional_similarity,
     make_factor,
     make_factor_set,
 )
@@ -85,25 +85,25 @@ class TestLinguistic:
 
 class TestDistributional:
     def test_proportional_vectors(self):
-        a = OccurrenceVector.from_mapping({"P": 1, "O": 1})
-        b = OccurrenceVector.from_mapping({"P": 2, "O": 2})
+        a = counts_of({"P": 1, "O": 1})
+        b = counts_of({"P": 2, "O": 2})
         assert distributional_similarity(a, b) == 1.0
 
     def test_disjoint_supports(self):
-        a = OccurrenceVector.from_mapping({"S": 1, "U": 1})
-        b = OccurrenceVector.from_mapping({"G": 1, "P": 1})
+        a = counts_of({"S": 1, "U": 1})
+        b = counts_of({"G": 1, "P": 1})
         assert distributional_similarity(a, b) == 0.0
 
     def test_partial_overlap(self):
-        a = OccurrenceVector.from_mapping({"P": 1, "S": 1, "U": 1, "O": 1, "F": 1})
-        b = OccurrenceVector.from_mapping({"P": 1, "U": 1})
+        a = counts_of({"P": 1, "S": 1, "U": 1, "O": 1, "F": 1})
+        b = counts_of({"P": 1, "U": 1})
         oracle = 2 / (math.sqrt(5) * math.sqrt(2))
         assert distributional_similarity(a, b) == pytest.approx(0.632, abs=5e-4)
         assert distributional_similarity(a, b) == pytest.approx(oracle, abs=1e-12)
 
     def test_zero_vector_rejected(self):
-        a = OccurrenceVector.from_mapping({"P": 1})
-        zero = OccurrenceVector.from_mapping({})
+        a = counts_of({"P": 1})
+        zero = counts_of({})
         with pytest.raises(TaxoforgeError):
             distributional_similarity(a, zero)
 
@@ -144,11 +144,11 @@ class TestCombine:
 
     @pytest.mark.parametrize("components,expected", WORKED_ROWS)
     def test_worked_rows(self, components, expected):
-        blended = combine(ComponentScores(*components), SimilarityWeights())
+        blended = combine(components, SimilarityWeights())
         assert blended == pytest.approx(expected, abs=0.015)
 
     def test_exact_arithmetic(self):
-        blended = combine(ComponentScores(0.85, 0.53, 0.91), SimilarityWeights())
+        blended = combine((0.85, 0.53, 0.91), SimilarityWeights())
         assert blended == pytest.approx(0.766, abs=5e-4)
 
     def test_weight_validation(self):
@@ -216,20 +216,6 @@ class TestMatrix:
         build_matrix(sample_factors, SimilarityWeights(), lexicon)
         assert sorted(built) == sorted(sample_factors.names)
         assert len(built) == 11
-
-    def test_unpairable_factor_raises_in_a_pair(self, default_lexicon):
-        good = make_factor("safety", {"P": 1})
-        zero = make_factor("lighting", {})
-        no_studies = make_factor("comfort", {"P": 1}, studies={})
-        for bad, message in ((zero, "non-zero vectors"), (no_studies, "study sets")):
-            alone = IntegratedFactorSet((bad,), 1)
-            matrix = build_matrix(alone, SimilarityWeights(), default_lexicon)
-            assert len(matrix.names) == 1
-            for pair in ((good, bad), (bad, good)):
-                with pytest.raises(TaxoforgeError, match=message):
-                    build_matrix(
-                        IntegratedFactorSet(pair, 2), SimilarityWeights(), default_lexicon
-                    )
 
     def test_trigram_cosine_at_the_floor_is_an_edge(self):
         # abcd and abce share one of their two trigram keys each: cosine
