@@ -156,18 +156,23 @@ def channel_scores(
     for index, (factor, c) in enumerate(zip(factor_set.factors, classifications)):
         semantic = tuple(map(mul, priors[c.factor_class], c.relevance))
         related = related_factors(index, neighbours, related_threshold)
-        evidence = no_evidence
+        distribution = fits[factor.counts]
         if related:
             counts = [0] * len(kb.domains)
             for j, _score in related:
                 if homes[j] is not None:
                     counts[homes[j]] += 1
             evidence = tuple(count / len(related) for count in counts)
-        distribution = fits[factor.counts]
-        final = tuple(
-            SEMANTIC_WEIGHT * s + SIMILARITY_WEIGHT * e + DISTRIBUTION_WEIGHT * d
-            for s, e, d in zip(semantic, evidence, distribution)
-        )
+            final = tuple(
+                SEMANTIC_WEIGHT * s + SIMILARITY_WEIGHT * e + DISTRIBUTION_WEIGHT * d
+                for s, e, d in zip(semantic, evidence, distribution)
+            )
+        else:  # the same floats: s >= 0, and adding 0.3 * 0.0 adds exactly 0.0
+            evidence = no_evidence
+            final = tuple(
+                SEMANTIC_WEIGHT * s + DISTRIBUTION_WEIGHT * d
+                for s, d in zip(semantic, distribution)
+            )
         rows.append(ChannelRow(semantic, evidence, distribution, final))
     return rows
 

@@ -17,11 +17,16 @@ built; a refusal is reported at its object's path. Every empty frozenset
 read is ``EMPTY``. A value is read as columns first: a list of records one
 field at a time, a list of leaves by one type check; on a refusal the
 reader walks it leaf by leaf, record by record, which names the first
-wrong leaf. All are compiled once per annotation. ``read_yaml``
-parses the KB, lexicon, rules and config files, with libyaml where PyYAML
-has it, and refuses a key one mapping holds twice and nesting too deep to
-parse. ``mismatch`` names where decoded records or a JSON list first differ
-from what a phase rebuilds, as ``[0].domain: expected 'A', got 'B'``."""
+wrong leaf. All are compiled once per annotation. A key a refusal names
+is cut to 60 characters, as a value is. ``read_yaml`` parses the KB,
+lexicon, rules and config files with libyaml where PyYAML has it, and
+builds each document from its nodes: strings, lists, mappings of distinct
+string keys and the scalars of ``_SCALARS``; a document holding anything
+else, such as a merge, a duplicate key or a shared alias, is built or
+refused whole by PyYAML's constructor, as ``yaml.load`` builds it. It
+refuses a key one mapping holds twice and nesting too deep to parse.
+``mismatch`` names where decoded records or a JSON list first differ from
+what a phase rebuilds, as ``[0].domain: expected 'A', got 'B'``."""
 
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ from itertools import chain, islice
 from pathlib import Path
 
 import yaml
+from yaml.nodes import MappingNode, Node, ScalarNode, SequenceNode
 
 from .errors import ArtifactError, TaxoforgeError
 
@@ -46,6 +52,12 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # a text with more than the limit is parsed by the pure-Python parser, which
 # raises RecursionError instead.
 _NESTING_INDICATORS, _NESTING_LIMIT = "[{-:?", 10_000
+
+# The node tags ``read_yaml`` builds a document from itself; PyYAML's
+# pure-Python constructor would take nearly as long as libyaml's parser.
+_TAG = "tag:yaml.org,2002:"
+_STR, _SEQ, _MAP = _TAG + "str", _TAG + "seq", _TAG + "map"
+_SCALARS = [_TAG + name for name in ("null", "bool", "int", "float", "timestamp")]
 
 # The one empty frozenset: most per-typology study sets and most names'
 # lexicon fields are empty, and ``frozenset()`` allocates a new one each call.
@@ -70,7 +82,12 @@ class _Refused(Exception):
 
 def shown(value: object) -> str:
     """``repr(value)``, cut to 60 characters: how a refusal quotes a value."""
-    text = repr(value)
+    return clipped(repr(value))
+
+
+def clipped(text: str) -> str:
+    """``text`` cut to 60 characters, the last three ``...``: how a refusal
+    names a key, which a file or a flag may make of any length."""
     return text if len(text) <= 60 else text[:57] + "..."
 
 
@@ -107,14 +124,56 @@ def read_yaml(path: Path, label: str, error: type[TaxoforgeError]) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
         deep = sum(map(text.count, _NESTING_INDICATORS)) > _NESTING_LIMIT
-        loader = _unique_keys(yaml.SafeLoader if deep else _YAML_LOADER)
-        doc = yaml.load(text, Loader=loader)
+        loader = _unique_keys(yaml.SafeLoader if deep else _YAML_LOADER)(text)
+        try:
+            doc = _document(loader)
+        finally:
+            loader.dispose()
     except (OSError, ValueError, RecursionError, yaml.YAMLError) as exc:
         reason = " ".join(str(exc).split())  # YAML errors span lines
         raise error(f"cannot read {label} file {path}: {reason}") from None
     if doc is not None and type(doc) is not dict:
         raise error(f"{label} file {path}: expected a mapping, got {shown(doc)}")
     return doc or {}
+
+
+def _document(loader: yaml.SafeLoader) -> object:
+    """The one document ``loader`` holds, None for an empty stream, as
+    ``yaml.load`` builds it: by ``_built`` where it can, else, as on any
+    error, by PyYAML's constructor, which builds or refuses the whole."""
+    if (root := loader.get_single_node()) is None:
+        return None
+    scalars = {tag: loader.yaml_constructors[tag].__get__(loader) for tag in _SCALARS}
+    try:
+        return _built(root, scalars, set())
+    except Exception:  # built as yaml.load builds it, or refused as it refuses
+        return loader.construct_document(root)
+
+
+def _built(node: Node, scalars: dict, seen: set) -> object:
+    """``node`` built where it and each node below it is a string, a scalar
+    ``scalars`` builds, a list or a mapping of distinct string keys, and no
+    list or mapping is met twice, so that an alias is one object (``seen``
+    holds those met); else ValueError, or an error of a constructor."""
+    kind = type(node)
+    if kind is ScalarNode:
+        tag = node.tag
+        return node.value if tag == _STR else scalars[tag](node)
+    if id(node) in seen:
+        raise ValueError("an alias")
+    seen.add(id(node))
+    if kind is SequenceNode and node.tag == _SEQ:
+        return [_built(child, scalars, seen) for child in node.value]
+    if kind is not MappingNode or node.tag != _MAP:
+        raise ValueError(node.tag)
+    out = {}
+    for key, value in node.value:
+        if type(key) is not ScalarNode or key.tag != _STR:  # a merge key too
+            raise ValueError(key.tag)
+        out[key.value] = _built(value, scalars, seen)
+    if len(out) < len(node.value):
+        raise ValueError("a key given twice")
+    return out
 
 
 @cache
@@ -242,7 +301,7 @@ def _codec(kind: object):
                         raise _refuse("a string key", key)
                     out[key] = read(element)
             except _Refused as exc:
-                exc.path.append(f".{key}")
+                exc.path.append(f".{clipped(str(key))}")
                 raise
             return out
 
@@ -279,6 +338,8 @@ def _column(kind: object):
             if not _only(list, values):
                 raise _Refused("")
             if (held := column(flat := [*chain.from_iterable(values)])) is flat:
+                if origin is frozenset:  # most study sets are empty: no call for one
+                    return [frozenset(value) if value else EMPTY for value in values]
                 return list(map(build, values))
             held = iter(held)
             return [build(islice(held, len(value))) for value in values]
@@ -325,7 +386,8 @@ def _record_codec(kind: type):
         if type(value) is not dict:
             raise _refuse("an object", value)
         if not keys.issuperset(value):
-            raise _Refused("unknown key", f".{min(value.keys() - keys, key=str)}")
+            unknown = str(min(value.keys() - keys, key=str))
+            raise _Refused("unknown key", f".{clipped(unknown)}")
         values = {}
         try:
             for name, read_field, _ in plan:

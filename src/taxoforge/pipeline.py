@@ -187,7 +187,7 @@ def _flag_number(flag: str, name: str, text: str) -> float:
         return float(text)
     except ValueError:
         raise ConfigError(
-            f"{flag} {name}: expected a number, got {codec.shown(text)}"
+            f"{flag} {codec.clipped(name)}: expected a number, got {codec.shown(text)}"
         ) from None
 
 
@@ -378,7 +378,7 @@ def _known_keys(doc: dict, keys: Iterable[str], where: str) -> None:
     """Refuse the smallest key of ``doc`` that is none of ``keys``, at its
     path after ``where``, as the codec refuses a key that is no field."""
     if unknown := doc.keys() - set(keys):
-        raise ArtifactError(f"{where}{min(unknown)}: unknown key")
+        raise ArtifactError(f"{where}{codec.clipped(min(unknown))}: unknown key")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -428,9 +428,9 @@ def _read_integrated(state: RunState) -> integrate.IntegratedFactorSet:
         if not sum(f.counts):
             raise ArtifactError(f"{at}[{i}].counts: expected at least one mention")
     # Each mention adds one count and at most one study.
-    for i, f in enumerate(result.factors):
-        for code, count in zip(SPACE_TYPES, f.counts):
-            if not min(count, 1) <= len(f.studies[code]) <= count:
+    for i, f in enumerate(result.factors):  # studies keyed in SPACE_TYPES order
+        for code, count, studies in zip(SPACE_TYPES, f.counts, f.studies.values()):
+            if not min(count, 1) <= len(studies) <= count:
                 raise ArtifactError(f"{at}[{i}].studies.{code}: expected 1 to {count} "
                                     f"studies for {count} mentions, none for none")
     if result.raw_record_count != sum(sum(f.counts) for f in result.factors):

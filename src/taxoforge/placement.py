@@ -22,7 +22,7 @@ from .cluster import (
     related_factors,
     subcategory_scorer,
 )
-from .codec import listed, shown
+from .codec import clipped, listed, shown
 from .errors import KnowledgeBaseError
 from .integrate import IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase
@@ -215,8 +215,8 @@ def check_overrides(
         relevant = result.cross_cutting.relevant_domains
         if override not in (None, *relevant):
             raise KnowledgeBaseError(
-                f"kb file {kb.path}: placement_overrides.{result.name}: domain "
-                f"{shown(override)} is outside the factor's relevant set "
+                f"kb file {kb.path}: placement_overrides.{clipped(result.name)}: "
+                f"domain {shown(override)} is outside the factor's relevant set "
                 f"{listed(relevant)}"
             )
     return [r.name for r in classifications if r.name in overrides and not r.flagged]

@@ -122,7 +122,7 @@ from operator import mul
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from .codec import EMPTY, decode, mismatch, read_yaml, shown
+from .codec import EMPTY, clipped, decode, mismatch, read_yaml, shown
 from .errors import ArtifactError, LexiconError, TaxoforgeError
 from .integrate import IntegratedFactorSet
 
@@ -201,11 +201,13 @@ class LexiconFile(NamedTuple):
             raise LexiconError(f"field_score: {self.field_score} out of range [0, 1]")
         for name, terms in (self.fields or {}).items():
             if not terms:
-                raise LexiconError(f"fields.{name}: expected at least one term")
+                raise LexiconError(
+                    f"fields.{clipped(name)}: expected at least one term"
+                )
             for k, term in enumerate(terms):
                 if not term.split():
                     raise LexiconError(
-                        f"fields.{name}[{k}]: expected a term, got a blank"
+                        f"fields.{clipped(name)}[{k}]: expected a term, got a blank"
                     )
 
 
@@ -694,7 +696,7 @@ def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
     its path below ``doc``, as it names a key ``matrix_to_dict`` does not
     write. The names and weights are as written."""
     if unknown := doc.keys() - {"weights", "names", "scores", "components"}:
-        raise ArtifactError(f"{min(unknown)}: unknown key")
+        raise ArtifactError(f"{clipped(min(unknown))}: unknown key")
     n, rows = len(doc["names"]), doc["components"]
     weights = SimilarityWeights(*doc["weights"])
     if not isinstance(rows, list) or not all(

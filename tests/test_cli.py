@@ -2048,6 +2048,24 @@ BOUNDED = [
                  id="threshold-flag"),
     pytest.param(lambda tmp: FIXTURE_DATASETS, ["--sankey", LONG], "unknown category",
                  id="sankey-flag"),
+    # A refusal names a key of any length cut as it quotes a value. The
+    # emitter writes a key this long in explicit ``? key`` form.
+    pytest.param(lambda tmp: {**FIXTURE_DATASETS, "thresholds": {LONG: 0.5}}, [],
+                 "config.yaml", id="config-key"),
+    pytest.param(
+        lambda tmp: {**FIXTURE_DATASETS, "kb": str(_made(
+            tmp / "kb.yaml",
+            lambda path: path.write_text(yaml.safe_dump({
+                **yaml.safe_load(default_kb_path().read_text(encoding="utf-8")),
+                "placement_overrides": {LONG: "NOWHERE"},
+            }), encoding="utf-8"),
+        ))},
+        [],
+        "kb.yaml",
+        id="kb-override-key",
+    ),
+    pytest.param(lambda tmp: FIXTURE_DATASETS, ["--threshold", f"{LONG}=0.5"],
+                 "--threshold", id="threshold-name"),
 ]
 
 

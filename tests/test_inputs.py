@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import copy
 import importlib
+import json
 import math
 import os
 import subprocess
@@ -16,6 +17,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taxoforge import cli, codec
 from taxoforge.corpus import load_rules
@@ -256,14 +259,15 @@ def yaml_loader(request, monkeypatch):
 
 def test_read_yaml_parses_with_libyaml_when_built_with_it(tmp_path, monkeypatch):
     # The pure-Python parser is several times slower on a large KB, and a
-    # return to it would change no output.
-    used, load = [], yaml.load
+    # return to it would change no output. The loader that composes the
+    # document is observed as it is handed to the builder.
+    used, document = [], codec._document
 
-    def spy(stream, Loader):
-        used.append(Loader)
-        return load(stream, Loader)
+    def spy(loader):
+        used.append(type(loader))
+        return document(loader)
 
-    monkeypatch.setattr(yaml, "load", spy)
+    monkeypatch.setattr(codec, "_document", spy)
     path = tmp_path / "kb.yaml"
     path.write_text("version: 1\n", encoding="utf-8")
     assert codec.read_yaml(path, "kb", KnowledgeBaseError) == {"version": 1}
@@ -368,3 +372,126 @@ def test_many_nesting_indicators_still_load(yaml_loader, tmp_path):
     assert codec.read_yaml(path, "kb", KnowledgeBaseError) == {
         "a": [0] * (codec._NESTING_LIMIT + 1)
     }
+
+
+# Plain spellings of each type SafeLoader's resolver gives a scalar (null,
+# bool, int, float, timestamp, str, and the ``=`` value key, which it builds
+# as a string key and refuses as a value), then explicit tags.
+SPELLINGS = [
+    "~", "null", "Null", "true", "False", "yes", "off",
+    "0", "-12", "0x1F", "0o17", "017", "0b101", "1_000", "+685_230", "1:30",
+    "190:20:30", "1.5", "-.5e3", "6.8523015e+5", "1_000.5", ".inf", "-.Inf",
+    ".NaN", "2020-01-01", "2001-12-14t21:59:43.10-05:00",
+    "2001-12-14 21:59:43.10", "=", "a b", "text",
+    "!!str 5", "!!int '7'", "!!float 3", "!!null ''", "!!bool yes",
+]
+WORDS = st.text("abcdefxyz019", min_size=1, max_size=6)
+TEXTS = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Cn")), max_size=8)
+SCALAR_TOKENS = st.one_of(
+    st.sampled_from(SPELLINGS),
+    WORDS,
+    TEXTS.map(lambda text: "'" + text.replace("'", "''") + "'"),
+    # a JSON string is a double-quoted YAML one
+    TEXTS.map(lambda text: json.dumps(text, ensure_ascii=False)),
+)
+KEYS = st.one_of(st.sampled_from(["a", "b", "id", "keywords", "'a'"]), SCALAR_TOKENS)
+# A tree: a scalar token, or (list or dict, entries, whether in flow style).
+TREES = st.recursive(
+    SCALAR_TOKENS,
+    lambda children: st.one_of(
+        st.tuples(st.just(list), st.lists(children, max_size=4), st.booleans()),
+        st.tuples(
+            st.just(dict),
+            st.lists(st.tuples(KEYS, children), max_size=4),
+            st.booleans(),
+        ),
+    ),
+    max_leaves=16,
+)
+# A document: mostly a mapping, as every input file holds.
+DOCUMENTS = st.one_of(
+    st.tuples(
+        st.just(dict), st.lists(st.tuples(KEYS, TREES), max_size=5), st.booleans()
+    ),
+    TREES,
+)
+
+
+def _flow(tree) -> str:
+    if type(tree) is str:
+        return tree
+    kind, entries, _ = tree
+    if kind is list:
+        return "[" + ", ".join(map(_flow, entries)) + "]"
+    return "{" + ", ".join(f"{key}: {_flow(value)}" for key, value in entries) + "}"
+
+
+def _yaml_text(tree, indent: int = 0) -> str:
+    """``tree`` written as YAML: a collection in block style unless it is
+    drawn in flow style, empty, or inside a flow collection."""
+    if type(tree) is str or tree[2] or not tree[1]:
+        return " " * indent + _flow(tree) + "\n"
+    kind, entries, _ = tree
+    lines = []
+    for entry in entries:
+        head, value = ("-", entry) if kind is list else (f"{entry[0]}:", entry[1])
+        if type(value) is str or value[2] or not value[1]:
+            lines.append(f"{' ' * indent}{head} {_flow(value)}\n")
+        else:
+            lines.append(f"{' ' * indent}{head}\n{_yaml_text(value, indent + 2)}")
+    return "".join(lines)
+
+
+def _flat(doc) -> list:
+    """``doc`` as a flat list: each leaf's type and repr; each list or dict
+    its type and length before its entries, or, if met before, the number of
+    that meeting. Equal lists are values equal in type, repr and order that
+    share the same objects; a deep or recursive value needs no recursion."""
+    out, met, stack = [], {}, [doc]
+    while stack:
+        value = stack.pop()
+        if type(value) not in (list, dict):
+            out.append((type(value), repr(value)))
+        elif id(value) in met:
+            out.append(("met", met[id(value)]))
+        else:
+            met[id(value)] = len(met)
+            out.append((type(value), len(value)))
+            items = value.items() if type(value) is dict else enumerate(value)
+            for key, item in reversed(list(items)):
+                stack += [item, key] if type(value) is dict else [item]
+    return out
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@settings(max_examples=100, deadline=None)
+@given(text=DOCUMENTS.map(_yaml_text))
+@example(text="a:\n" + "- " * 3_000 + "x\n")
+@example(text="a: &x [1, {k: v}]\nb: *x\n")
+@example(text="a: &x [1, *x]\n")
+@example(text="a: &x {k: 1, j: 2}\nb: {<<: *x, k: 3}\n")
+@example(text="a: 1\nb: 2\na: 3\n")
+@example(text="a: 1_000\nb: 1:30\nc: 2020-01-01\nd: ~\ne: !!str 5\n")
+@example(text="a: !!omap [{k: 1}]\n")
+@example(text="a: !!set {x: ~}\n")
+@example(text="a: 1\n---\nb: 2\n")
+@example(text="")
+def test_read_yaml_builds_what_yaml_load_builds(loader, text, tmp_path_factory):
+    """``read_yaml`` gives the mapping ``yaml.load`` builds with the same
+    loader, the same objects shared, or refuses with the same text."""
+    path = tmp_path_factory.getbasetemp() / "drawn.yaml"
+    path.write_text(text, encoding="utf-8")
+    try:
+        want = yaml.load(text, Loader=codec._unique_keys(loader))
+    except (ValueError, RecursionError, yaml.YAMLError) as exc:
+        want = f"cannot read kb file {path}: " + " ".join(str(exc).split())
+    else:
+        if want is not None and type(want) is not dict:
+            want = f"kb file {path}: expected a mapping, got {codec.shown(want)}"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_YAML_LOADER", loader)
+        try:
+            got = codec.read_yaml(path, "kb", KnowledgeBaseError)
+        except KnowledgeBaseError as exc:
+            got = str(exc)
+    assert _flat(got) == _flat(want or {})
