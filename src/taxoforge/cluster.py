@@ -156,23 +156,18 @@ def channel_scores(
     for index, (factor, c) in enumerate(zip(factor_set.factors, classifications)):
         semantic = tuple(map(mul, priors[c.factor_class], c.relevance))
         related = related_factors(index, neighbours, related_threshold)
-        distribution = fits[factor.counts]
+        evidence = no_evidence
         if related:
             counts = [0] * len(kb.domains)
             for j, _score in related:
                 if homes[j] is not None:
                     counts[homes[j]] += 1
             evidence = tuple(count / len(related) for count in counts)
-            final = tuple(
-                SEMANTIC_WEIGHT * s + SIMILARITY_WEIGHT * e + DISTRIBUTION_WEIGHT * d
-                for s, e, d in zip(semantic, evidence, distribution)
-            )
-        else:  # the same floats: s >= 0, and adding 0.3 * 0.0 adds exactly 0.0
-            evidence = no_evidence
-            final = tuple(
-                SEMANTIC_WEIGHT * s + DISTRIBUTION_WEIGHT * d
-                for s, d in zip(semantic, distribution)
-            )
+        distribution = fits[factor.counts]
+        final = tuple(
+            SEMANTIC_WEIGHT * s + SIMILARITY_WEIGHT * e + DISTRIBUTION_WEIGHT * d
+            for s, e, d in zip(semantic, evidence, distribution)
+        )
         rows.append(ChannelRow(semantic, evidence, distribution, final))
     return rows
 

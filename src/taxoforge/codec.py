@@ -17,13 +17,13 @@ built; a refusal is reported at its object's path. Every empty frozenset
 read is ``EMPTY``. A value is read as columns first: a list of records one
 field at a time, a list of leaves by one type check; on a refusal the
 reader walks it leaf by leaf, record by record, which names the first
-wrong leaf. All are compiled once per annotation. A key a refusal names
-is cut to 60 characters, as a value is. ``read_yaml`` parses the KB,
-lexicon, rules and config files with libyaml where PyYAML has it, and
-builds each document from its nodes: strings, lists, mappings of distinct
-string keys and the scalars of ``_SCALARS``; a document holding anything
-else, such as a merge, a duplicate key or a shared alias, is built or
-refused whole by PyYAML's constructor, as ``yaml.load`` builds it. It
+wrong leaf. All are compiled once per annotation. ``keyed`` cuts a key a
+refusal names to 60 characters, as ``shown`` cuts a value. ``read_yaml``
+parses the KB, lexicon, rules and config files with libyaml where PyYAML
+has it, and builds each document from its nodes: strings, lists, mappings
+of distinct string keys and the scalars of ``_SCALARS``; a document holding
+anything else, such as a merge, a duplicate key or a shared alias, is built
+or refused whole by PyYAML's constructor, as ``yaml.load`` builds it. It
 refuses a key one mapping holds twice and nesting too deep to parse.
 ``mismatch`` names where decoded records or a JSON list first differ from
 what a phase rebuilds, as ``[0].domain: expected 'A', got 'B'``."""
@@ -82,12 +82,23 @@ class _Refused(Exception):
 
 def shown(value: object) -> str:
     """``repr(value)``, cut to 60 characters: how a refusal quotes a value."""
-    return clipped(repr(value))
+    return _clipped(repr(value))
 
 
-def clipped(text: str) -> str:
-    """``text`` cut to 60 characters, the last three ``...``: how a refusal
+def keyed(where: str, key: object) -> str:
+    """``where`` then ``key``, cut as ``shown`` cuts a value: how a refusal
     names a key, which a file or a flag may make of any length."""
+    return where + _clipped(str(key))
+
+
+def known_keys(doc: dict, keys: Iterable[str], where: str) -> None:
+    """Refuse the smallest key of ``doc`` that is none of ``keys``, at its
+    path after ``where``, as a record refuses a key that is no field."""
+    if unknown := doc.keys() - set(keys):
+        raise ArtifactError(f"{keyed(where, min(unknown))}: unknown key")
+
+
+def _clipped(text: str) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
@@ -301,7 +312,7 @@ def _codec(kind: object):
                         raise _refuse("a string key", key)
                     out[key] = read(element)
             except _Refused as exc:
-                exc.path.append(f".{clipped(str(key))}")
+                exc.path.append(keyed(".", key))
                 raise
             return out
 
@@ -333,14 +344,13 @@ def _column(kind: object):
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin in (tuple, list, frozenset):
         column, build = _column(args[0]), _frozenset if origin is frozenset else origin
+        whole = _frozensets if origin is frozenset else lambda vs: list(map(build, vs))
 
         def read_lists(values):
             if not _only(list, values):
                 raise _Refused("")
             if (held := column(flat := [*chain.from_iterable(values)])) is flat:
-                if origin is frozenset:  # most study sets are empty: no call for one
-                    return [frozenset(value) if value else EMPTY for value in values]
-                return list(map(build, values))
+                return whole(values)
             held = iter(held)
             return [build(islice(held, len(value))) for value in values]
 
@@ -367,6 +377,12 @@ def _frozenset(items: Iterable) -> frozenset:
     return frozenset(items) or EMPTY
 
 
+def _frozensets(lists: Iterable[list]) -> list[frozenset]:
+    """A frozenset of each of ``lists``; most study lists are empty, and each
+    empty one is ``EMPTY`` with no call."""
+    return [frozenset(items) if items else EMPTY for items in lists]
+
+
 def _is_record(kind: object) -> bool:
     """Whether ``kind`` is a ``NamedTuple`` class."""
     return hasattr(kind, "_field_defaults")
@@ -386,8 +402,8 @@ def _record_codec(kind: type):
         if type(value) is not dict:
             raise _refuse("an object", value)
         if not keys.issuperset(value):
-            unknown = str(min(value.keys() - keys, key=str))
-            raise _Refused("unknown key", f".{clipped(unknown)}")
+            unknown = min(value.keys() - keys, key=str)
+            raise _Refused("unknown key", keyed(".", unknown))
         values = {}
         try:
             for name, read_field, _ in plan:

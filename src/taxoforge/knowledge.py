@@ -15,7 +15,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Literal, Mapping, NamedTuple
 
-from .codec import clipped, decode, listed, read_yaml, shown
+from .codec import decode, keyed, listed, read_yaml, shown
 from .corpus import SPACE_TYPES, NormalizationRuleSet, normalize
 from .errors import CorpusError, KnowledgeBaseError
 
@@ -159,7 +159,7 @@ class KbFile(NamedTuple):
         for factor, domain_id in (self.placement_overrides or {}).items():
             if domain_id not in ids:
                 raise KnowledgeBaseError(
-                    f"placement_overrides.{clipped(factor)}: unknown domain "
+                    f"{keyed('placement_overrides.', factor)}: unknown domain "
                     f"{shown(domain_id)}"
                 )
 

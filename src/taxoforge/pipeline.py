@@ -187,7 +187,8 @@ def _flag_number(flag: str, name: str, text: str) -> float:
         return float(text)
     except ValueError:
         raise ConfigError(
-            f"{flag} {codec.clipped(name)}: expected a number, got {codec.shown(text)}"
+            f"{codec.keyed(flag + ' ', name)}: expected a number, got "
+            f"{codec.shown(text)}"
         ) from None
 
 
@@ -356,7 +357,7 @@ class RunState:
             if value != expected or type(value) is bool:  # True == 1
                 raise ArtifactError(f"artifact {path}: {field} is "
                                     f"{codec.shown(value)}, expected {expected!r}")
-        _known_keys(doc, [*self.envelope(phase), "data"], f"artifact {path}: ")
+        codec.known_keys(doc, [*self.envelope(phase), "data"], f"artifact {path}: ")
         if doc.get("config_checksum") != self.checksums["config"]:
             raise ArtifactError(
                 f"phase {phase!r}: artifact {path} was produced under a different "
@@ -369,16 +370,9 @@ class RunState:
         data, where = self.read(phase)
         _, key, kind, _ = ARTIFACTS[phase]
         if key is not None:
-            _known_keys(data, [key], f"{where}.")
+            codec.known_keys(data, [key], f"{where}.")
             data, where = data.get(key), f"{where}.{key}"
         return codec.decode(kind, data, where), where
-
-
-def _known_keys(doc: dict, keys: Iterable[str], where: str) -> None:
-    """Refuse the smallest key of ``doc`` that is none of ``keys``, at its
-    path after ``where``, as the codec refuses a key that is no field."""
-    if unknown := doc.keys() - set(keys):
-        raise ArtifactError(f"{where}{codec.clipped(min(unknown))}: unknown key")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

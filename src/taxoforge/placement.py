@@ -22,7 +22,7 @@ from .cluster import (
     related_factors,
     subcategory_scorer,
 )
-from .codec import clipped, listed, shown
+from .codec import keyed, listed, shown
 from .errors import KnowledgeBaseError
 from .integrate import IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase
@@ -215,7 +215,7 @@ def check_overrides(
         relevant = result.cross_cutting.relevant_domains
         if override not in (None, *relevant):
             raise KnowledgeBaseError(
-                f"kb file {kb.path}: placement_overrides.{clipped(result.name)}: "
+                f"kb file {kb.path}: {keyed('placement_overrides.', result.name)}: "
                 f"domain {shown(override)} is outside the factor's relevant set "
                 f"{listed(relevant)}"
             )

@@ -122,7 +122,7 @@ from operator import mul
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from .codec import EMPTY, clipped, decode, mismatch, read_yaml, shown
+from .codec import EMPTY, decode, keyed, known_keys, mismatch, read_yaml, shown
 from .errors import ArtifactError, LexiconError, TaxoforgeError
 from .integrate import IntegratedFactorSet
 
@@ -202,12 +202,12 @@ class LexiconFile(NamedTuple):
         for name, terms in (self.fields or {}).items():
             if not terms:
                 raise LexiconError(
-                    f"fields.{clipped(name)}: expected at least one term"
+                    f"{keyed('fields.', name)}: expected at least one term"
                 )
             for k, term in enumerate(terms):
                 if not term.split():
                     raise LexiconError(
-                        f"fields.{clipped(name)}[{k}]: expected a term, got a blank"
+                        f"{keyed('fields.', name)}[{k}]: expected a term, got a blank"
                     )
 
 
@@ -695,8 +695,7 @@ def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
     for a number, or ``ArtifactError`` names the first leaf that differs by
     its path below ``doc``, as it names a key ``matrix_to_dict`` does not
     write. The names and weights are as written."""
-    if unknown := doc.keys() - {"weights", "names", "scores", "components"}:
-        raise ArtifactError(f"{clipped(min(unknown))}: unknown key")
+    known_keys(doc, {"weights", "names", "scores", "components"}, "")
     n, rows = len(doc["names"]), doc["components"]
     weights = SimilarityWeights(*doc["weights"])
     if not isinstance(rows, list) or not all(

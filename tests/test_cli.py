@@ -2010,8 +2010,10 @@ class TestMalformedInputs:
 # A refusal quotes each value at most 60 characters long and lists at most
 # five unknown codes, so its one line stays short at any input size. Each
 # row: the config keys it sets beside ``out``, the flags given to ``run``,
-# and the file or flag the refusal must name.
+# and the file or flag the refusal must name, with the cut key where a
+# key is long.
 LONG = "x" * 5_000
+CLIPPED = "x" * 57 + "..."  # LONG as a refusal names it as a key
 FIXTURE_DATASETS = {"datasets": [str(FIXTURES / "sample_corpus.csv")]}
 
 BOUNDED = [
@@ -2051,7 +2053,7 @@ BOUNDED = [
     # A refusal names a key of any length cut as it quotes a value. The
     # emitter writes a key this long in explicit ``? key`` form.
     pytest.param(lambda tmp: {**FIXTURE_DATASETS, "thresholds": {LONG: 0.5}}, [],
-                 "config.yaml", id="config-key"),
+                 f"config.yaml: thresholds.{CLIPPED}: unknown key", id="config-key"),
     pytest.param(
         lambda tmp: {**FIXTURE_DATASETS, "kb": str(_made(
             tmp / "kb.yaml",
@@ -2061,11 +2063,11 @@ BOUNDED = [
             }), encoding="utf-8"),
         ))},
         [],
-        "kb.yaml",
+        f"kb.yaml: placement_overrides.{CLIPPED}: unknown domain",
         id="kb-override-key",
     ),
     pytest.param(lambda tmp: FIXTURE_DATASETS, ["--threshold", f"{LONG}=0.5"],
-                 "--threshold", id="threshold-name"),
+                 f"--threshold: {CLIPPED}: unknown key", id="threshold-name"),
 ]
 
 
