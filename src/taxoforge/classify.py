@@ -149,6 +149,11 @@ class FactorRelevance(NamedTuple):
     flagged: bool  # cross_cutting.flagged
     relevance: tuple[float, ...]  # per KB domain, in KB order
 
+    def check(self) -> None:
+        row = self.relevance
+        if row and not 0.0 <= min(row) <= max(row) <= 1.0:
+            raise TaxoforgeError("expected a number in [0, 1] per domain", "relevance")
+
 
 class ClassificationResult(NamedTuple):
     """All classify says of a factor; ``FactorRelevance``'s fields lead."""

@@ -13,7 +13,8 @@ where it has one, a mapping key is text, and a float field reads as a
 ``float`` when written as a whole number. A number is never text, a
 boolean, NaN, infinite or a whole number beyond the float range. A record's
 ``check`` method, where its class has one, runs as soon as the record is
-built; a refusal is reported at its object's path. Every empty frozenset
+built; a refusal is reported at its object's path and then at the keys and
+indices its ``at`` names, as ``factors[3].studies.G``. Every empty frozenset
 read is ``EMPTY``. A value is read as columns first: a list of records one
 field at a time, a list of leaves by one type check; on a refusal the
 reader walks it leaf by leaf, record by record, which names the first
@@ -81,8 +82,12 @@ class _Refused(Exception):
 
 
 def shown(value: object) -> str:
-    """``repr(value)``, cut to 60 characters: how a refusal quotes a value."""
-    return _clipped(repr(value))
+    """``repr(value)``, cut to 60 characters: how a refusal quotes a value;
+    one nested too deep for ``repr`` is named by its type."""
+    try:
+        return _clipped(repr(value))
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deep to show"
 
 
 def keyed(where: str, key: object) -> str:
@@ -418,8 +423,9 @@ def _record_codec(kind: type):
             record = kind(**values)
             if check is not None:
                 check(record)
-        except TaxoforgeError as exc:
-            raise _Refused(str(exc)) from None
+        except TaxoforgeError as exc:  # ``at`` as the mapping reader writes it
+            steps = [f"[{s}]" if type(s) is int else keyed(".", s) for s in exc.at]
+            raise _Refused(str(exc), *reversed(steps)) from None
         return record
 
     def read_rows(rows):

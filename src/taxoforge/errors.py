@@ -10,7 +10,12 @@ from __future__ import annotations
 
 
 class TaxoforgeError(Exception):
-    """Base class for all input/config/artifact errors."""
+    """Base class for all input/config/artifact errors. A record's check
+    names the leaf it refuses by ``at``: keys and indices, outermost first."""
+
+    def __init__(self, message: str, *at: str | int) -> None:
+        super().__init__(message)
+        self.at = at
 
 
 class CorpusError(TaxoforgeError):

@@ -29,6 +29,17 @@ class IntegratedFactor(NamedTuple):
             raise TaxoforgeError("occurrence vector needs exactly six counts")
         if any(count < 0 for count in self.counts):
             raise TaxoforgeError("occurrence counts must be non-negative")
+        if tuple(self.studies) != SPACE_TYPES:
+            raise TaxoforgeError(
+                f"expected studies under {', '.join(SPACE_TYPES)}", "studies"
+            )
+        if not sum(self.counts):
+            raise TaxoforgeError("expected at least one mention", "counts")
+        # Each mention adds one count and at most one study.
+        for (code, studies), count in zip(self.studies.items(), self.counts):
+            if not min(count, 1) <= len(studies) <= count:
+                raise TaxoforgeError(f"expected 1 to {count} studies for {count} "
+                                     "mentions, none for none", "studies", code)
 
     @property
     def all_studies(self) -> frozenset[str]:
@@ -43,6 +54,13 @@ class IntegratedFactorSet(NamedTuple):
 
     factors: tuple[IntegratedFactor, ...]
     raw_record_count: int
+
+    def check(self) -> None:
+        if not self.factors:  # integrate refuses an empty corpus
+            raise TaxoforgeError("expected at least one factor", "factors")
+        if self.raw_record_count != sum(sum(f.counts) for f in self.factors):
+            raise TaxoforgeError("expected the sum of the factors' counts",
+                                 "raw_record_count")
 
     @property
     def unique_count(self) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Literal, Mapping, NamedTuple
 
-from .codec import decode, keyed, listed, read_yaml, shown
+from .codec import decode, listed, read_yaml, shown
 from .corpus import SPACE_TYPES, NormalizationRuleSet, normalize
 from .errors import CorpusError, KnowledgeBaseError
 
@@ -158,10 +158,8 @@ class KbFile(NamedTuple):
             raise KnowledgeBaseError("domains: duplicate domain ids")
         for factor, domain_id in (self.placement_overrides or {}).items():
             if domain_id not in ids:
-                raise KnowledgeBaseError(
-                    f"{keyed('placement_overrides.', factor)}: unknown domain "
-                    f"{shown(domain_id)}"
-                )
+                raise KnowledgeBaseError(f"unknown domain {shown(domain_id)}",
+                                         "placement_overrides", factor)
 
 
 def _keywords(keywords: tuple[str, ...]) -> tuple[str, ...]:

@@ -3,10 +3,11 @@
 The config file is decoded by the artifact codec, as every input file is.
 A ``RunState`` holds one invocation's checksums, KB, lexicon, rules and phase
 results, each computed or loaded once. A result it has not computed is read
-by its artifact's one reader (``READERS``): the independent values are
-decoded and checked, the phase's own code rebuilds the rest, and each
-decoded record must equal its rebuilt record's leading fields, compared as
-records. The indicators are always built from the upstream results;
+by its artifact's one reader (``READERS``): the codec decodes the
+independent values, each record checking what it alone shows; the reader
+checks what needs another file or the KB, the phase's own code rebuilds the
+rest, and each decoded record must equal its rebuilt record's leading
+fields. The indicators are always built from the upstream results;
 indicators.json is a report. ``run`` passes one state through every phase,
 writing each artifact once; a phase run alone reads its inputs from disk,
 with byte-identical output. Artifacts are compact JSON, exports indented.
@@ -384,9 +385,9 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     emit.write_atomic(path, write)
 
 
-# One reader per artifact: it decodes the artifact, refuses an independent
-# value that does not fit the integrated factors, the KB or its range, then
-# rebuilds the rest with the phase's own code and compares what is kept.
+# One reader per artifact: the codec decodes it and checks each record, all
+# integrated.json needs; the others then refuse a value that does not fit the
+# integrated factors or the KB, rebuild the rest and compare what is kept.
 
 UNIT = "expected a number in [0, 1]"  # the codec has checked it is a number
 IN_ORDER = "expected the integrated factors, in order"
@@ -408,30 +409,6 @@ def _subcategories_known(state: RunState, homes: list[tuple], where: str) -> Non
         if sub not in subcategories.get(domain, ()):
             raise ArtifactError(f"{where}[{i}].subcategory: {codec.shown(sub)} is "
                                 f"not a subcategory of domain {codec.shown(domain)}")
-
-
-def _read_integrated(state: RunState) -> integrate.IntegratedFactorSet:
-    result, where = state.decoded("integrate")
-    at = f"{where}.factors"
-    if not result.factors:  # integrate refuses an empty corpus
-        raise ArtifactError(f"{at}: expected at least one factor")
-    for i, f in enumerate(result.factors):
-        if tuple(f.studies) != SPACE_TYPES:
-            raise ArtifactError(f"{at}[{i}].studies: expected studies under "
-                                f"{', '.join(SPACE_TYPES)}")
-        if not sum(f.counts):
-            raise ArtifactError(f"{at}[{i}].counts: expected at least one mention")
-    # Each mention adds one count and at most one study.
-    for i, f in enumerate(result.factors):  # studies keyed in SPACE_TYPES order
-        for code, count, studies in zip(SPACE_TYPES, f.counts, f.studies.values()):
-            if not min(count, 1) <= len(studies) <= count:
-                raise ArtifactError(f"{at}[{i}].studies.{code}: expected 1 to {count} "
-                                    f"studies for {count} mentions, none for none")
-    if result.raw_record_count != sum(sum(f.counts) for f in result.factors):
-        raise ArtifactError(
-            f"{where}.raw_record_count: expected the sum of the factors' counts"
-        )
-    return result
 
 
 def _read_similarity(state: RunState) -> similarity.SimilarityMatrix:
@@ -460,9 +437,7 @@ def _read_classified(state: RunState) -> list[classify.ClassificationResult]:
         raise ArtifactError(f"{where}[*].name: {IN_ORDER}")
     kb, threshold = state.kb, state.config.thresholds.cross_cutting
     for i, r in enumerate(decoded):
-        if len(r.relevance) != len(kb.domains) or r.relevance and not (
-            0.0 <= min(r.relevance) and max(r.relevance) <= 1.0
-        ):
+        if len(r.relevance) != len(kb.domains):
             raise ArtifactError(f"{where}[{i}].relevance: {UNIT} per domain")
     results = classify.classify_rows(
         state.get("integrate").factors, [r.relevance for r in decoded], kb, threshold
@@ -496,9 +471,6 @@ def _read_assigned(state: RunState) -> list[cluster.CategoryAssignment]:
 def _read_placed(state: RunState) -> placement.PlacementResult:
     decoded, where = state.decoded("place")
     _subcategories_known(state, [(p.domain, p.subcategory) for p in decoded], where)
-    for i, p in enumerate(decoded):
-        if not 0.0 <= p.composite <= 1.0:
-            raise ArtifactError(f"{where}[{i}].composite: {UNIT}")
     # A placement the artifact lacks gets a stand-in, which the compare refuses.
     kept = {(p.factor, p.domain): p for p in decoded}
     missing = placement.Placement("", "", "", 0.0)
@@ -521,7 +493,7 @@ def _indicators(state: RunState) -> list[str]:
 
 
 READERS = {
-    "integrate": _read_integrated,
+    "integrate": lambda state: state.decoded("integrate")[0],
     "similarity": _read_similarity,
     "classify": _read_classified,
     "cluster": _read_assigned,

@@ -23,7 +23,7 @@ from .cluster import (
     subcategory_scorer,
 )
 from .codec import keyed, listed, shown
-from .errors import KnowledgeBaseError
+from .errors import KnowledgeBaseError, TaxoforgeError
 from .integrate import IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase
 from .similarity import KeywordScorer, Neighbours, SemanticLexicon
@@ -64,6 +64,10 @@ class Placement(NamedTuple):
     domain: str
     subcategory: str
     composite: float
+
+    def check(self) -> None:
+        if not 0.0 <= self.composite <= 1.0:
+            raise TaxoforgeError("expected a number in [0, 1]", "composite")
 
 
 class StrategicPlacement(NamedTuple):

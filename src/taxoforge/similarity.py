@@ -122,7 +122,7 @@ from operator import mul
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from .codec import EMPTY, decode, keyed, known_keys, mismatch, read_yaml, shown
+from .codec import EMPTY, decode, known_keys, mismatch, read_yaml, shown
 from .errors import ArtifactError, LexiconError, TaxoforgeError
 from .integrate import IntegratedFactorSet
 
@@ -201,14 +201,10 @@ class LexiconFile(NamedTuple):
             raise LexiconError(f"field_score: {self.field_score} out of range [0, 1]")
         for name, terms in (self.fields or {}).items():
             if not terms:
-                raise LexiconError(
-                    f"{keyed('fields.', name)}: expected at least one term"
-                )
+                raise LexiconError("expected at least one term", "fields", name)
             for k, term in enumerate(terms):
                 if not term.split():
-                    raise LexiconError(
-                        f"{keyed('fields.', name)}[{k}]: expected a term, got a blank"
-                    )
+                    raise LexiconError("expected a term, got a blank", "fields", name, k)
 
 
 def load_lexicon(path: str | Path) -> SemanticLexicon:

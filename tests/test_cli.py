@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -441,14 +442,34 @@ class TestRun:
 
 
 # The settings CI runs the chain at: (flags for every command, flags only
-# run and similarity take, flags only run and emit take).
+# run and similarity take, flags only run and emit take, the placement
+# overrides of the packaged KB the config names, or None for no KB).
 CHAIN_SETTINGS = {
-    "default": ([], [], []),
-    "weights-1-0-0": (["--weights", "1,0,0"], ["--emit-pairs"], []),
-    "weights-dense": (["--weights", "0.2,0.6,0.2"], ["--emit-pairs"], []),
-    "unplaced": (["--threshold", "cross_cutting=0.99"], [], []),
-    "sankey": ([], [], ["--sankey", "COMFORT"]),
+    "default": ([], [], [], None),
+    "weights-1-0-0": (["--weights", "1,0,0"], ["--emit-pairs"], [], None),
+    "weights-dense": (["--weights", "0.2,0.6,0.2"], ["--emit-pairs"], [], None),
+    "unplaced": (["--threshold", "cross_cutting=0.99"], [], [], None),
+    "sankey": ([], [], ["--sankey", "COMFORT"], None),
+    # accessibility is cross-cutting with ECONOMIC among its relevant
+    # domains, but not first: the override moves its primary placement.
+    "override": ([], [], [], {"accessibility": "ECONOMIC"}),
 }
+
+PACKAGED_KB = yaml.safe_load(default_kb_path().read_text(encoding="utf-8"))
+KB_IDS = [domain["id"] for domain in PACKAGED_KB["domains"]]
+with open(FIXTURES / "sample_corpus.csv", encoding="utf-8", newline="") as rows:
+    FIXTURE_NAMES = sorted({row["raw_name"] for row in csv.DictReader(rows)})
+
+
+def write_kb(directory: Path, overrides: dict, domains=KB_IDS) -> Path:
+    """``directory/kb.yaml``: the packaged KB cut to the ``domains`` ids, in
+    its order, with ``overrides`` as its placement overrides."""
+    kept = [domain for domain in PACKAGED_KB["domains"] if domain["id"] in domains]
+    kb = {**PACKAGED_KB, "domains": kept, "placement_overrides": overrides}
+    path = directory / "kb.yaml"
+    path.write_text(yaml.safe_dump(kb), encoding="utf-8")
+    return path
+
 
 # A threshold the chain property draws: either end of [0, 1], or any value.
 UNIT_VALUES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -463,6 +484,16 @@ def chain_settings(draw):
     low, high = sorted(draw(st.tuples(UNIT_VALUES, UNIT_VALUES)))
     rest = draw(st.tuples(*[UNIT_VALUES] * 4))
     return (w_l, w_d, 1.0 - w_l - w_d), pipeline.Thresholds(high, low, *rest)
+
+
+@st.composite
+def kb_cuts(draw):
+    """The packaged KB's domain ids, all or some, and placement overrides of
+    fixture names as written onto any of its domains: one cut away, outside
+    its factor's relevant set, or given two for one factor is refused."""
+    domains = draw(st.just(KB_IDS) | st.sets(st.sampled_from(KB_IDS), min_size=1))
+    names, ids = st.sampled_from(FIXTURE_NAMES), st.sampled_from(KB_IDS)
+    return domains, draw(st.dictionaries(names, ids, max_size=3))
 
 
 def _outcome(steps) -> tuple[int, str | None]:
@@ -480,14 +511,20 @@ def _outcome(steps) -> tuple[int, str | None]:
 
 class TestPhaseChaining:
     @settings(max_examples=60, deadline=None)
-    @given(drawn=chain_settings(), emit_pairs=st.booleans())
-    @example(drawn=((1.0, 0.0, 0.0), pipeline.Thresholds()), emit_pairs=True)
-    @example(drawn=((0.2, 0.6, 0.2), pipeline.Thresholds()), emit_pairs=True)
-    def test_chain_matches_run_under_drawn_settings(self, drawn, emit_pairs):
-        # The examples: w_l = 1, and a w_d of 0.6, at least the default
-        # graph floor of 0.5. Both invocations write to one directory,
-        # emptied between them, so a refusal naming a path names the same one.
+    @given(drawn=chain_settings(), emit_pairs=st.booleans(), kb=kb_cuts())
+    @example(drawn=((1.0, 0.0, 0.0), pipeline.Thresholds()), emit_pairs=True,
+             kb=(KB_IDS, {}))
+    @example(drawn=((0.2, 0.6, 0.2), pipeline.Thresholds()), emit_pairs=True,
+             kb=(KB_IDS, {}))
+    @example(drawn=((0.5, 0.3, 0.2), pipeline.Thresholds()), emit_pairs=False,
+             kb=(KB_IDS, {"accessibility": "ECONOMIC"}))
+    def test_chain_matches_run_under_drawn_settings(self, drawn, emit_pairs, kb):
+        # The examples: w_l = 1; a w_d of 0.6, at least the default graph
+        # floor of 0.5; and an override that moves a primary placement. Both
+        # invocations write to one directory, emptied between them, so a
+        # refusal naming a path names the same one.
         weights, thresholds = drawn
+        domains, overrides = kb
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             config = pipeline.apply_overrides(
@@ -496,6 +533,7 @@ class TestPhaseChaining:
                 weights=",".join(map(repr, weights)),
                 thresholds=[f"{k}={v!r}" for k, v in thresholds._asdict().items()],
             )
+            config = replace(config, kb_path=write_kb(Path(tmp), overrides, domains))
             options = {"similarity": {"emit_pairs": emit_pairs}}
             chain = [
                 lambda phase=phase: getattr(pipeline, f"phase_{phase}")(
@@ -517,13 +555,14 @@ class TestPhaseChaining:
 
     @pytest.mark.parametrize("setting", CHAIN_SETTINGS)
     def test_chained_phases_match_run_byte_for_byte(self, tmp_path, setting):
-        flags, pairs, sankey = CHAIN_SETTINGS[setting]
-        config_a = write_config(tmp_path, "a.yaml")
+        flags, pairs, sankey, overrides = CHAIN_SETTINGS[setting]
+        kb = "" if overrides is None else f"kb: {write_kb(tmp_path, overrides)}\n"
+        config_a = write_config(tmp_path, "a.yaml", extra=kb)
         (tmp_path / "b").mkdir()
         corpus = FIXTURES / "sample_corpus.csv"
         config_b = tmp_path / "b" / "b.yaml"
         config_b.write_text(
-            f"datasets:\n  - {corpus}\nout: {tmp_path / 'out_b'}\n", encoding="utf-8"
+            f"datasets:\n  - {corpus}\nout: {tmp_path / 'out_b'}\n{kb}", encoding="utf-8"
         )
 
         argv = ["run", "--config", str(config_a), *flags, *pairs, *sankey]
@@ -1140,12 +1179,17 @@ class TestConfigParsing:
 MISSING = object()
 
 
-def _move_counts(factors: list, source: int, target: int) -> list:
+def _move_counts(factors: list, source: int, target: int, studies=True) -> list:
     """``factors`` with every mention of ``source`` moved onto ``target``,
-    so the record total still matches."""
+    so the record total still matches; its studies too, unless ``studies``
+    is false."""
     moved = factors[source]["counts"]
     factors[target]["counts"] = [a + b for a, b in zip(factors[target]["counts"], moved)]
     factors[source]["counts"] = [0] * len(moved)
+    if studies:
+        held, given = factors[target]["studies"], factors[source]["studies"]
+        for code, ids in given.items():
+            held[code], given[code] = sorted({*held[code], *ids}), []
     return factors
 
 
@@ -1561,6 +1605,16 @@ MALFORMED = [
         lambda factors: _move_counts(factors, 10, 0),
         "factors[10].counts",
         id="integrated-counts-zero",
+    ),
+    # Two faults: factor 0 gains factor 10's mentions but not its studies,
+    # so its one G mention has none, and factor 10 has no mention left. The
+    # first in the file is named, factor by factor.
+    pytest.param(
+        "integrated.json",
+        ["data", "factors"],
+        lambda factors: _move_counts(factors, 10, 0, studies=False),
+        "data.factors[0].studies.G: expected 1 to 1 studies",
+        id="integrated-two-faults-in-file-order",
     ),
     # integrate refuses an empty corpus, so it never writes this file.
     pytest.param(
@@ -1989,10 +2043,7 @@ class TestMalformedInputs:
         # domains, so the run takes the override. With ECONOMIC's relevance
         # lowered in the artifact the factor stays flagged, and each phase
         # that rebuilds its placements refuses the override.
-        text = default_kb_path().read_text(encoding="utf-8")
-        override = "placement_overrides: {accessibility: ECONOMIC}"
-        kb = tmp_path / "kb.yaml"
-        kb.write_text(text.replace("placement_overrides: {}", override), encoding="utf-8")
+        kb = write_kb(tmp_path, {"accessibility": "ECONOMIC"})
         config = write_config(tmp_path, extra=f"kb: {kb}\n")
         assert cli.main(["run", "--config", str(config)]) == 0
         artifact = tmp_path / "out" / "classification.json"
@@ -2066,6 +2117,27 @@ BOUNDED = [
         f"kb.yaml: placement_overrides.{CLIPPED}: unknown domain",
         id="kb-override-key",
     ),
+    pytest.param(
+        lambda tmp: {**FIXTURE_DATASETS, "lexicon": str(_made(
+            tmp / "lexicon.yaml",
+            lambda path: path.write_text(
+                yaml.safe_dump({"fields": {LONG: []}}), encoding="utf-8"
+            ),
+        ))},
+        [],
+        f"lexicon.yaml: fields.{CLIPPED}: expected at least one term",
+        id="lexicon-field-name",
+    ),
+    # A value nested deeper than ``repr`` can show is named by its type.
+    # PyYAML's emitter recurses too, so the file is written as text.
+    pytest.param(
+        lambda tmp: {**FIXTURE_DATASETS, "kb": str(_made(
+            tmp / "kb.yaml", lambda path: path.write_text("- " * 3_000 + "x\n")
+        ))},
+        [],
+        "kb.yaml",
+        id="kb-deep-list",
+    ),
     pytest.param(lambda tmp: FIXTURE_DATASETS, ["--threshold", f"{LONG}=0.5"],
                  f"--threshold: {CLIPPED}: unknown key", id="threshold-name"),
 ]
@@ -2106,6 +2178,17 @@ class TestBoundedRefusals:
         capsys.readouterr()
         assert cli.main([command, "--config", str(config)]) == 1
         assert "'xxx" in _one_short_line(capsys, artifact)
+
+    def test_deep_config_value(self, tmp_path, capsys):
+        # As the kb-deep-list row, in the config file itself: a 3,000-level
+        # flow list where ``out`` takes a string.
+        config = tmp_path / "config.yaml"
+        deep = "[" * 3_000 + "]" * 3_000
+        corpus = FIXTURES / "sample_corpus.csv"
+        config.write_text(f"datasets: [{corpus}]\nout: {deep}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(config)]) == 1
+        _one_short_line(capsys, "config.yaml")
 
 
 class TestArtifactWrites:
