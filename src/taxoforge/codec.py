@@ -8,13 +8,14 @@ type is written with the named type's fields only, read by name. The reader
 refuses a key that is none of its record's, the smallest first, before it
 reads a field, as in ``domains[0].typo: unknown key``, and then the
 first wrong leaf by its path, as in ``data.placements[3].composite:
-expected a number, got None``. An absent key takes its field's default
-where it has one, a mapping key is text, and a float field reads as a
-``float`` when written as a whole number. A number is never text, a
-boolean, NaN, infinite or a whole number beyond the float range. A record's
-``check`` method, where its class has one, runs as soon as the record is
-built; a refusal is reported at its object's path and then at the keys and
-indices its ``at`` names, as ``factors[3].studies.G``. Every empty frozenset
+expected a number, got None``: each reader puts its step in front of the
+refusal's ``at`` as it passes, and ``located`` alone writes the path. An
+absent key takes its field's default where it has one, a mapping key is
+text, and a float field reads as a ``float`` when written as a whole
+number. A number is never text, a boolean, NaN, infinite or a whole number
+beyond the float range. A record's ``check`` method, where its class has
+one, runs as soon as the record is built; its refusal names the leaf below
+the record by ``at``, as ``factors[3].studies.G``. Every empty frozenset
 read is ``EMPTY``. A value is read as columns first: a list of records one
 field at a time, a list of leaves by one type check; on a refusal the
 reader walks it leaf by leaf, record by record, which names the first
@@ -26,8 +27,8 @@ of distinct string keys and the scalars of ``_SCALARS``; a document holding
 anything else, such as a merge, a duplicate key or a shared alias, is built
 or refused whole by PyYAML's constructor, as ``yaml.load`` builds it. It
 refuses a key one mapping holds twice and nesting too deep to parse.
-``mismatch`` names where decoded records or a JSON list first differ from
-what a phase rebuilds, as ``[0].domain: expected 'A', got 'B'``."""
+``mismatch`` refuses where decoded records or a JSON list first differ
+from what a phase rebuilds, as ``[0].domain: expected 'A', got 'B'``."""
 
 from __future__ import annotations
 
@@ -73,14 +74,6 @@ _LEAVES = {
 }
 
 
-class _Refused(Exception):
-    """A wrong leaf; ``path`` gathers its location, innermost step first."""
-
-    def __init__(self, message: str, *path: str) -> None:
-        super().__init__(message)
-        self.path = list(path)
-
-
 def shown(value: object) -> str:
     """``repr(value)``, cut to 60 characters: how a refusal quotes a value;
     one nested too deep for ``repr`` is named by its type."""
@@ -96,11 +89,22 @@ def keyed(where: str, key: object) -> str:
     return where + _clipped(str(key))
 
 
+def located(where: str, exc: TaxoforgeError) -> str:
+    """``exc``'s message after ``where`` and the path its ``at`` names, an
+    index as ``[i]`` and any other step as ``.key`` cut by ``keyed``; after a
+    file's label, a ``where`` ending in ": ", the path starts with no dot."""
+    at = "".join(f"[{step}]" if type(step) is int else keyed(".", step)
+                 for step in exc.at)
+    if where.endswith(": "):
+        where, at = where[:-2], at and ": " + at.removeprefix(".")
+    return f"{where}{at}: {exc}"
+
+
 def known_keys(doc: dict, keys: Iterable[str], where: str) -> None:
     """Refuse the smallest key of ``doc`` that is none of ``keys``, at its
     path after ``where``, as a record refuses a key that is no field."""
     if unknown := doc.keys() - set(keys):
-        raise ArtifactError(f"{keyed(where, min(unknown))}: unknown key")
+        raise ArtifactError(located(where, TaxoforgeError("unknown key", min(unknown))))
 
 
 def _clipped(text: str) -> str:
@@ -114,24 +118,22 @@ def listed(values: Sequence, most: int = 5) -> str:
     return "[" + ", ".join(map(shown, values[:most])) + more
 
 
-def _refuse(expected: str, value: object) -> _Refused:
-    return _Refused(f"expected {expected}, got {shown(value)}")
+def _refuse(expected: str, value: object) -> TaxoforgeError:
+    return TaxoforgeError(f"expected {expected}, got {shown(value)}")
 
 
-def decode(kind: object, data: object, where: str, error=ArtifactError):
-    """``data`` read as ``kind``; a wrong leaf raises ``error`` naming
-    ``where`` and then the leaf's path below it, which follows a ``where``
-    ending in ": ", a file's label, as ``domains[0].id``."""
+def decode(kind: object, data: object, where: str, error=ArtifactError, *at):
+    """``data``, found at the path ``at`` after ``where``, read as ``kind``;
+    a wrong leaf raises ``error`` naming ``where`` and then the leaf's path,
+    as ``located`` writes it."""
     try:
         try:  # read as columns; the walk finds again what they refuse
             return _column(kind)([data])[0]
-        except (_Refused, KeyError, TaxoforgeError):  # or a missing key, a check
+        except (KeyError, TaxoforgeError):  # a missing key, a wrong leaf, a check
             return _codec(kind)[0](data)
-    except _Refused as exc:
-        at = "".join(reversed(exc.path))
-        if where.endswith(": "):
-            where, at = where[:-2], at and ": " + at.removeprefix(".")
-        raise error(f"{where}{at}: {exc}") from None
+    except TaxoforgeError as exc:
+        exc.at = (*at, *exc.at)
+        raise error(located(where, exc)) from None
 
 
 def read_yaml(path: Path, label: str, error: type[TaxoforgeError]) -> dict:
@@ -222,28 +224,24 @@ def encode(kind: object, value: object) -> object:
     return value if write is None else write(value)
 
 
-def mismatch(expected: Sequence, actual: object) -> str | None:
-    """The path below ``actual``, a list read from JSON or a decoded record,
-    to its first entry that is not ``expected``'s, with both, as
-    ``[3].domain: expected 'A', got 'B'`` (a list or record entry compared in
-    turn, a record over its own fields); else a list length that differs.
+def mismatch(expected: Sequence, actual: object, *at: str | int) -> None:
+    """Refuse the first entry of ``actual``, a list read from JSON or a
+    decoded record found at ``at``, that is not ``expected``'s, naming both,
+    as ``[3].domain: expected 'A', got 'B'`` (a list or record entry compared
+    in turn, a record over its own fields); else a list length that differs.
     A boolean never equals a number, though in Python ``True == 1``."""
     if not isinstance(actual, (list, tuple)):
         lists = [list(e) if type(e) is tuple else e for e in expected]
-        return f": expected {shown(lists)}, got {shown(actual)}"
+        raise TaxoforgeError(f"expected {shown(lists)}, got {shown(actual)}", *at)
     fields = getattr(actual, "_fields", None)
     for index, (want, got) in enumerate(zip(expected, actual)):
+        step = index if fields is None else fields[index]
         if isinstance(want, (list, tuple)):
-            found = mismatch(want, got)
+            mismatch(want, got, *at, step)
         elif want != got or (type(want) is bool) is not (type(got) is bool):
-            found = f": expected {shown(want)}, got {shown(got)}"
-        else:
-            continue
-        if found is not None:
-            return (f"[{index}]" if fields is None else f".{fields[index]}") + found
+            raise TaxoforgeError(f"expected {shown(want)}, got {shown(got)}", *at, step)
     if fields is None and len(expected) != len(actual):
-        return f": expected {len(expected)} entries, got {len(actual)}"
-    return None
+        raise TaxoforgeError(f"expected {len(expected)} entries, got {len(actual)}", *at)
 
 
 @cache
@@ -297,8 +295,8 @@ def _codec(kind: object):
             try:
                 for element in value:
                     out.append(read(element))
-            except _Refused as exc:
-                exc.path.append(f"[{len(out)}]")
+            except TaxoforgeError as exc:  # each reader puts its step in front
+                exc.at = (len(out), *exc.at)
                 raise
             return build(out)
 
@@ -316,8 +314,8 @@ def _codec(kind: object):
                     if type(key) is not str:
                         raise _refuse("a string key", key)
                     out[key] = read(element)
-            except _Refused as exc:
-                exc.path.append(keyed(".", key))
+            except TaxoforgeError as exc:  # a key that is no string reads as .7
+                exc.at = (str(key), *exc.at)
                 raise
             return out
 
@@ -353,7 +351,7 @@ def _column(kind: object):
 
         def read_lists(values):
             if not _only(list, values):
-                raise _Refused("")
+                raise TaxoforgeError("not a column")
             if (held := column(flat := [*chain.from_iterable(values)])) is flat:
                 return whole(values)
             held = iter(held)
@@ -365,7 +363,7 @@ def _column(kind: object):
 
         def read_mappings(values):
             if not (_only(dict, values) and _only(str, chain.from_iterable(values))):
-                raise _Refused("")
+                raise TaxoforgeError("not a column")
             held = iter(column([*chain.from_iterable(map(dict.values, values))]))
             return [dict(zip(value, held)) for value in values]
 
@@ -408,30 +406,26 @@ def _record_codec(kind: type):
             raise _refuse("an object", value)
         if not keys.issuperset(value):
             unknown = min(value.keys() - keys, key=str)
-            raise _Refused("unknown key", keyed(".", unknown))
+            raise TaxoforgeError("unknown key", str(unknown))
         values = {}
         try:
             for name, read_field, _ in plan:
                 if (item := value.get(name, missing)) is not missing:
                     values[name] = read_field(item)
                 elif name in required:  # else the field takes its default
-                    raise _Refused("missing")
-        except _Refused as exc:
-            exc.path.append(f".{name}")
+                    raise TaxoforgeError("missing")
+        except TaxoforgeError as exc:
+            exc.at = (name, *exc.at)
             raise
-        try:
-            record = kind(**values)
-            if check is not None:
-                check(record)
-        except TaxoforgeError as exc:  # ``at`` as the mapping reader writes it
-            steps = [f"[{s}]" if type(s) is int else keyed(".", s) for s in exc.at]
-            raise _Refused(str(exc), *reversed(steps)) from None
+        record = kind(**values)
+        if check is not None:  # a refusal names the leaf below by its ``at``
+            check(record)
         return record
 
     def read_rows(rows):
         """The records of ``rows`` read one field at a time, as columns."""
         if not (_only(dict, rows) and all(map(keys.issuperset, rows))):
-            raise _Refused("")
+            raise TaxoforgeError("not a column")
         columns = []
         for name, read_field, _ in plan:
             try:

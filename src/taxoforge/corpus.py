@@ -24,7 +24,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple, NoReturn, Sequence
 
-from .codec import decode, read_yaml, shown
+from .codec import decode, located, read_yaml, shown
 from .errors import CorpusError, RuleSetError
 
 # Fixed, ordered typology codes: Parks & Waterfronts, Streets & Squares,
@@ -123,8 +123,8 @@ class NormalizationRuleSet(NamedTuple):
                                    "also appears as a synonym key")
         for key, value in self.synonym_map.items():
             if not self.base_normalize(value):
-                raise RuleSetError(f"synonyms: the value {shown(value)} of "
-                                   f"{shown(key)} normalizes to nothing")
+                raise RuleSetError(f"the value {shown(value)} of {shown(key)} "
+                                   "normalizes to nothing", "synonyms")
             if self.base_normalize(value) != value:
                 raise RuleSetError(
                     f"synonym map not idempotent: value {shown(value)} is not canonical"
@@ -183,28 +183,24 @@ def load_rules(path: str | Path) -> NormalizationRuleSet:
     written = decode(RulesFile, doc, f"rules file {path}: ", RuleSetError)
     base = NormalizationRuleSet(**(written.options or RuleOptions())._asdict())
     synonyms: dict[str, str] = {}
-    for key, value in (written.synonyms or {}).items():
-        nkey = base.base_normalize(key)
-        if not nkey:
-            raise RuleSetError(f"rules file {path}: synonyms: the key "
-                               f"{shown(key)} normalizes to nothing")
-        if synonyms.setdefault(nkey, value) != value:
-            raise RuleSetError(
-                f"rules file {path}: synonyms: conflicting entries for {shown(nkey)}"
-            )
     preserve = []
-    for k, entry in enumerate(written.preserve_distinct or ()):
-        preserve.append(base.base_normalize(entry))
-        if not preserve[-1]:
-            raise RuleSetError(
-                f"rules file {path}: preserve_distinct[{k}]: "
-                f"{shown(entry)} normalizes to nothing"
-            )
-    rules = base._replace(synonym_map=synonyms, preserve_distinct=frozenset(preserve))
     try:
+        for key, value in (written.synonyms or {}).items():
+            nkey = base.base_normalize(key)
+            if not nkey:
+                raise RuleSetError(f"the key {shown(key)} normalizes to nothing",
+                                   "synonyms")
+            if synonyms.setdefault(nkey, value) != value:
+                raise RuleSetError(f"conflicting entries for {shown(nkey)}", "synonyms")
+        for k, entry in enumerate(written.preserve_distinct or ()):
+            preserve.append(base.base_normalize(entry))
+            if not preserve[-1]:
+                raise RuleSetError(f"{shown(entry)} normalizes to nothing",
+                                   "preserve_distinct", k)
+        rules = base._replace(synonym_map=synonyms, preserve_distinct=frozenset(preserve))
         rules.validate()
     except RuleSetError as exc:
-        raise RuleSetError(f"rules file {path}: {exc}") from None
+        raise RuleSetError(located(f"rules file {path}: ", exc)) from None
     return rules
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 
 class TaxoforgeError(Exception):
-    """Base class for all input/config/artifact errors. A record's check
-    names the leaf it refuses by ``at``: keys and indices, outermost first."""
+    """Base class for all input/config/artifact errors. ``at`` is the only
+    location a refusal carries: the keys and indices of the leaf it refuses,
+    outermost first; ``codec.located`` alone writes it as a path."""
 
     def __init__(self, message: str, *at: str | int) -> None:
         super().__init__(message)

@@ -15,7 +15,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Literal, Mapping, NamedTuple
 
-from .codec import decode, listed, read_yaml, shown
+from .codec import decode, listed, located, read_yaml, shown
 from .corpus import SPACE_TYPES, NormalizationRuleSet, normalize
 from .errors import CorpusError, KnowledgeBaseError
 
@@ -64,9 +64,7 @@ class ScopePriors(NamedTuple):
     def check(self) -> None:
         for name, value in self._asdict().items():
             if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
-                raise KnowledgeBaseError(
-                    f"{name}: expected a number in [0, 1], got {value}"
-                )
+                raise KnowledgeBaseError(f"expected a number in [0, 1], got {value}", name)
 
 
 class DomainKnowledgeBase(NamedTuple):
@@ -96,14 +94,12 @@ class SubcategoryEntry(NamedTuple):
 
     def check(self) -> None:
         if not self.id.strip():
-            raise KnowledgeBaseError("id: expected a name, got a blank")
+            raise KnowledgeBaseError("expected a name, got a blank", "id")
         if not self.keywords:
-            raise KnowledgeBaseError("keywords: expected at least one keyword")
+            raise KnowledgeBaseError("expected at least one keyword", "keywords")
         for k, keyword in enumerate(self.keywords):
             if not keyword.split():
-                raise KnowledgeBaseError(
-                    f"keywords[{k}]: expected a keyword, got a blank"
-                )
+                raise KnowledgeBaseError("expected a keyword, got a blank", "keywords", k)
 
 
 class LiteratureEntry(NamedTuple):
@@ -125,23 +121,22 @@ class DomainEntry(NamedTuple):
     def check(self) -> None:
         SubcategoryEntry.check(self)
         if self.scope.lower() not in {scope.value for scope in DomainScope}:
-            raise KnowledgeBaseError("scope: expected broad, moderate or "
-                                     f"specialized, got {shown(self.scope)}")
+            raise KnowledgeBaseError("expected broad, moderate or specialized, "
+                                     f"got {shown(self.scope)}", "scope")
         ids = [sub.id.strip() for sub in self.subcategories]
         if not ids:
-            raise KnowledgeBaseError("subcategories: expected at least one")
+            raise KnowledgeBaseError("expected at least one", "subcategories")
         if len(set(ids)) != len(ids):
-            raise KnowledgeBaseError("subcategories: duplicate subcategory ids")
+            raise KnowledgeBaseError("duplicate subcategory ids", "subcategories")
         for key in ("space_profile", "compatible_types"):
             if unknown := set(getattr(self, key) or ()) - set(SPACE_TYPES):
-                codes = listed(sorted(unknown))
-                raise KnowledgeBaseError(f"{key}: unknown codes {codes}")
+                raise KnowledgeBaseError(f"unknown codes {listed(sorted(unknown))}", key)
         if any(weight < 0 for weight in self.space_profile.values()):
-            raise KnowledgeBaseError("space_profile: a weight is negative")
+            raise KnowledgeBaseError("a weight is negative", "space_profile")
         squares = sum(x * x for x in self.space_profile.values())
         if not 0.0 < squares < math.inf:  # the distribution channel's divisor
-            raise KnowledgeBaseError(f"space_profile: the squares of its weights "
-                                     f"sum to {squares}, expected above 0 and finite")
+            raise KnowledgeBaseError(f"the squares of its weights sum to {squares}, "
+                                     "expected above 0 and finite", "space_profile")
 
 
 class KbFile(NamedTuple):
@@ -153,9 +148,9 @@ class KbFile(NamedTuple):
     def check(self) -> None:
         ids = [domain.id.strip() for domain in self.domains]
         if not ids:
-            raise KnowledgeBaseError("domains: expected at least one domain")
+            raise KnowledgeBaseError("expected at least one domain", "domains")
         if len(set(ids)) != len(ids):
-            raise KnowledgeBaseError("domains: duplicate domain ids")
+            raise KnowledgeBaseError("duplicate domain ids", "domains")
         for factor, domain_id in (self.placement_overrides or {}).items():
             if domain_id not in ids:
                 raise KnowledgeBaseError(f"unknown domain {shown(domain_id)}",
@@ -205,28 +200,29 @@ def canonical_names(
     """``kb`` with the factor names of its literature support and placement
     overrides normalized under ``rules``, as the corpus names are."""
 
-    def canonical(names, field: str) -> list[str]:
+    def canonical(names, *at: str | int) -> list[str]:
         try:
             return [normalize(name, rules) for name in names]
         except CorpusError as exc:
-            raise KnowledgeBaseError(f"kb file {kb.path}: {field}: {exc}") from None
+            raise KnowledgeBaseError(str(exc), *at) from None
 
-    overrides = kb.placement_overrides
-    pairs = set(zip(canonical(overrides, "placement_overrides"), overrides.values()))
-    overrides = dict(sorted(pairs))
-    if len(overrides) < len(pairs):
-        raise KnowledgeBaseError(
-            f"kb file {kb.path}: placement_overrides: one factor, two domains"
-        )
-    domains = []
-    for i, domain in enumerate(kb.domains):
-        field = f"domains[{i}].literature_support"
-        strong = frozenset(canonical(domain.literature_strong, field))
-        none = frozenset(canonical(domain.literature_none, field))
-        if both := strong & none:
-            raise KnowledgeBaseError(f"kb file {kb.path}: {field}: {shown(min(both))} "
-                                     "is listed as both strong and none")
-        domains.append(domain._replace(literature_strong=strong, literature_none=none))
+    try:
+        overrides = kb.placement_overrides
+        pairs = set(zip(canonical(overrides, "placement_overrides"), overrides.values()))
+        overrides = dict(sorted(pairs))
+        if len(overrides) < len(pairs):
+            raise KnowledgeBaseError("one factor, two domains", "placement_overrides")
+        domains = []
+        for i, domain in enumerate(kb.domains):
+            at = ("domains", i, "literature_support")
+            strong = frozenset(canonical(domain.literature_strong, *at))
+            none = frozenset(canonical(domain.literature_none, *at))
+            if both := strong & none:
+                raise KnowledgeBaseError(f"{shown(min(both))} is listed as both "
+                                         "strong and none", *at)
+            domains.append(domain._replace(literature_strong=strong, literature_none=none))
+    except KnowledgeBaseError as exc:
+        raise KnowledgeBaseError(located(f"kb file {kb.path}: ", exc)) from None
     return kb._replace(domains=tuple(domains), placement_overrides=overrides)
 
 

@@ -141,7 +141,7 @@ class ConfigFile(NamedTuple):
         if self.jobs < 1:
             raise ConfigError(f"jobs must be a whole number >= 1, got {self.jobs!r}")
         if not self.out:  # would write, and sweep, the config's own directory
-            raise ConfigError("out: expected a non-empty path")
+            raise ConfigError("expected a non-empty path", "out")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -154,7 +154,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     listed = doc.pop("datasets", None)
     file = codec.decode(ConfigFile, doc, where, ConfigError)
     kind = Mapping[str, str] if type(listed) is dict else list[str] | None
-    listed = codec.decode(kind, listed, where + "datasets", ConfigError)
+    listed = codec.decode(kind, listed, where, ConfigError, "datasets")
     base = path.parent  # an absolute path replaces it
     if isinstance(listed, dict):  # read in the canonical order of the codes
         if unknown := sorted(set(listed) - set(SPACE_TYPES)):
@@ -367,13 +367,13 @@ class RunState:
         return doc["data"], f"artifact {path}: data"
 
     def decoded(self, phase: str) -> tuple[object, str]:
-        """``phase``'s artifact decoded as its type, and the decoded value's path."""
+        """``phase``'s artifact decoded as its type, and where its refusals start."""
         data, where = self.read(phase)
         _, key, kind, _ = ARTIFACTS[phase]
-        if key is not None:
-            codec.known_keys(data, [key], f"{where}.")
-            data, where = data.get(key), f"{where}.{key}"
-        return codec.decode(kind, data, where), where
+        if key is None:
+            return codec.decode(kind, data, where), where
+        codec.known_keys(data, [key], where)
+        return codec.decode(kind, data.get(key), where, ArtifactError, key), where
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -388,100 +388,107 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 # One reader per artifact: the codec decodes it and checks each record, all
 # integrated.json needs; the others then refuse a value that does not fit the
 # integrated factors or the KB, rebuild the rest and compare what is kept.
+# A rule raises ``ArtifactError(message, *at)``, ``at`` below the data, and
+# its reader, having loaded every other input first, names the file and path.
 
-UNIT = "expected a number in [0, 1]"  # the codec has checked it is a number
-IN_ORDER = "expected the integrated factors, in order"
 
-
-def _compare(rebuilt: Sequence[tuple], decoded: Sequence[tuple], where: str) -> None:
-    """Refuse the first field of a decoded record that is not its rebuilt
-    record's field of that name; the codec has typed it, so ``==`` holds."""
+def _compare(rebuilt: Sequence[tuple], decoded: Sequence[tuple], key: str) -> None:
+    """Refuse, below ``key``, the first field of a decoded record that is not
+    its rebuilt record's field of that name, or a count that differs; the
+    codec has typed each field, so ``==`` holds. One-field records of names
+    hold each decoded record's first field, its name, to them."""
     if len(rebuilt) != len(decoded) or any(
-        record[: len(kept)] != kept for record, kept in zip(rebuilt, decoded)
+        record[: len(kept)] != kept[: len(record)]
+        for record, kept in zip(rebuilt, decoded)
     ):
-        raise ArtifactError(where + codec.mismatch(rebuilt, decoded))
+        codec.mismatch(rebuilt, decoded, key)
 
 
-def _subcategories_known(state: RunState, homes: list[tuple], where: str) -> None:
+def _subcategories_known(kb: DomainKnowledgeBase, homes: list[tuple], key: str) -> None:
     """Refuse a (domain, subcategory) whose subcategory is not the domain's."""
-    subcategories = {d.identifier: d.subcategory_ids() for d in state.kb.domains}
+    subcategories = {d.identifier: d.subcategory_ids() for d in kb.domains}
     for i, (domain, sub) in enumerate(homes):
         if sub not in subcategories.get(domain, ()):
-            raise ArtifactError(f"{where}[{i}].subcategory: {codec.shown(sub)} is "
-                                f"not a subcategory of domain {codec.shown(domain)}")
+            raise ArtifactError(f"{codec.shown(sub)} is not a subcategory of domain "
+                                f"{codec.shown(domain)}", key, i, "subcategory")
 
 
 def _read_similarity(state: RunState) -> similarity.SimilarityMatrix:
     data, where = state.read("similarity")
-    # Decoded against the weights and names the phase writes, held to them.
+    # Held to the weights and names the phase writes, then decoded with them;
+    # a missing key passes the hold and is refused by the decoder.
     floor = state.config.thresholds.graph_floor
     names, weights = list(state.get("integrate").names), list(state.config.weights)
-    run = {"weights": weights, "names": names}
     try:
-        matrix = similarity.matrix_from_dict({**data, **run}, floor)
-        for key, expected in run.items():
-            if (found := codec.mismatch(expected, data[key])) is not None:
-                raise ArtifactError(key + found)
-        return matrix
-    except KeyError as exc:
-        raise ArtifactError(f"{where}.{exc.args[0]}: missing") from None
-    except ArtifactError as exc:  # a leaf named by its path below data
-        raise ArtifactError(f"{where}.{exc}") from None
+        for key, expected in {"weights": weights, "names": names}.items():
+            codec.mismatch(expected, data.get(key, expected), key)
+        return similarity.matrix_from_dict(data, floor)
     except TaxoforgeError as exc:
-        raise ArtifactError(f"{where}: {exc}") from None
+        raise ArtifactError(codec.located(where, exc)) from None
 
 
 def _read_classified(state: RunState) -> list[classify.ClassificationResult]:
     decoded, where = state.decoded("classify")
-    if tuple(r.name for r in decoded) != state.get("integrate").names:
-        raise ArtifactError(f"{where}[*].name: {IN_ORDER}")
-    kb, threshold = state.kb, state.config.thresholds.cross_cutting
-    for i, r in enumerate(decoded):
-        if len(r.relevance) != len(kb.domains):
-            raise ArtifactError(f"{where}[{i}].relevance: {UNIT} per domain")
-    results = classify.classify_rows(
-        state.get("integrate").factors, [r.relevance for r in decoded], kb, threshold
-    )
-    _compare(results, decoded, where)
+    factor_set, kb = state.get("integrate"), state.kb
+    threshold = state.config.thresholds.cross_cutting
+    try:
+        _compare([(name,) for name in factor_set.names], decoded, "factors")
+        for i, r in enumerate(decoded):
+            if len(r.relevance) != len(kb.domains):
+                raise ArtifactError("expected a number in [0, 1] per domain",
+                                    "factors", i, "relevance")
+        relevance = [r.relevance for r in decoded]
+        results = classify.classify_rows(factor_set.factors, relevance, kb, threshold)
+        _compare(results, decoded, "factors")
+    except TaxoforgeError as exc:
+        raise ArtifactError(codec.located(where, exc)) from None
     placement.check_overrides(results, kb)
     return results
 
 
 def _read_assigned(state: RunState) -> list[cluster.CategoryAssignment]:
     decoded, where = state.decoded("cluster")
-    if tuple(home.factor for home in decoded) != state.get("integrate").names:
-        raise ArtifactError(f"{where}[*].factor: {IN_ORDER}")
-    _subcategories_known(state, [(h.category, h.subcategory) for h in decoded], where)
-    # Every channel score and so each category is rebuilt; the subcategory,
-    # which needs the lexicon, is taken as written.
-    integrated, classified = state.get("integrate"), state.get("classify")
+    integrated, classified, kb = state.get("integrate"), state.get("classify"), state.kb
     neighbours, related = state.neighbours, state.config.thresholds.related
-    rows = cluster.channel_scores(integrated, classified, state.kb, neighbours, related)
-    domain_ids = state.kb.domain_ids()
-    results = [
-        cluster.CategoryAssignment(
-            home.factor, cluster.argmax_domain(row, domain_ids), home.subcategory, row
-        )
-        for home, row in zip(decoded, rows)
-    ]
-    _compare(results, decoded, where)
+    domain_ids = kb.domain_ids()
+    try:
+        _compare([(name,) for name in integrated.names], decoded, "assignments")
+        homes = [(home.category, home.subcategory) for home in decoded]
+        _subcategories_known(kb, homes, "assignments")
+        # Every channel score and so each category is rebuilt; the
+        # subcategory, which needs the lexicon, is taken as written.
+        rows = cluster.channel_scores(integrated, classified, kb, neighbours, related)
+        results = [
+            cluster.CategoryAssignment(
+                home.factor, cluster.argmax_domain(row, domain_ids), home.subcategory, row
+            )
+            for home, row in zip(decoded, rows)
+        ]
+        _compare(results, decoded, "assignments")
+    except TaxoforgeError as exc:
+        raise ArtifactError(codec.located(where, exc)) from None
     return results
 
 
 def _read_placed(state: RunState) -> placement.PlacementResult:
     decoded, where = state.decoded("place")
-    _subcategories_known(state, [(p.domain, p.subcategory) for p in decoded], where)
+    classified, kb = state.get("classify"), state.kb
     # A placement the artifact lacks gets a stand-in, which the compare refuses.
     kept = {(p.factor, p.domain): p for p in decoded}
     missing = placement.Placement("", "", "", 0.0)
-    result = placement.arrange(
-        state.get("classify"),
-        state.kb,
-        lambda name, domain: kept.get((name, domain), missing).composite,
-        lambda name, domain: kept.get((name, domain), missing).subcategory,
-        state.config.thresholds.promotion,
-    )
-    _compare(result.placements, decoded, where)
+    try:
+        _subcategories_known(kb, [(p.domain, p.subcategory) for p in decoded],
+                             "placements")
+        result = placement.arrange(
+            classified,
+            kb,
+            lambda name, domain: kept.get((name, domain), missing).composite,
+            lambda name, domain: kept.get((name, domain), missing).subcategory,
+            state.config.thresholds.promotion,
+        )
+        _compare(result.placements, decoded, "placements")
+    except TaxoforgeError as exc:
+        raise ArtifactError(codec.located(where, exc)) from None
     return result
 
 
@@ -803,14 +810,18 @@ def run(
     sankey_subfactors: Sequence[str] | None = None,
 ) -> int:
     """Execute all phases in order on one state; returns the process exit
-    status. The Sankey category is resolved against the KB before any phase
-    runs and its filter checked right after integrate. Once integrated.json
+    status. Every input is read, and a malformed one refused, before any
+    file is written or deleted; the override rule, which needs the data,
+    refuses later. The Sankey category is resolved against the KB before any
+    phase runs and its filter checked right after integrate. Once integrated.json
     is written, every other file a run can write is deleted, so a run refused
     at a later phase leaves none of an earlier run's files beside its own;
     one refused before that write leaves the earlier files as they were.
     Each phase is called by its module-level name, so that a wrapper set on
     that name sees the call."""
     config = state.config
+    for name in ("rules", "checksums", "kb", "lexicon"):  # loaded once, refused here
+        getattr(state, name)
     if sankey_category is not None:
         domain_ids = state.kb.domain_ids()
         sankey_category = emit.resolve_identifier(domain_ids, sankey_category)

@@ -22,7 +22,7 @@ from .cluster import (
     related_factors,
     subcategory_scorer,
 )
-from .codec import keyed, listed, shown
+from .codec import listed, located, shown
 from .errors import KnowledgeBaseError, TaxoforgeError
 from .integrate import IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase
@@ -218,11 +218,11 @@ def check_overrides(
         override = overrides.get(result.name)
         relevant = result.cross_cutting.relevant_domains
         if override not in (None, *relevant):
-            raise KnowledgeBaseError(
-                f"kb file {kb.path}: {keyed('placement_overrides.', result.name)}: "
+            outside = KnowledgeBaseError(
                 f"domain {shown(override)} is outside the factor's relevant set "
-                f"{listed(relevant)}"
+                f"{listed(relevant)}", "placement_overrides", result.name
             )
+            raise KnowledgeBaseError(located(f"kb file {kb.path}: ", outside))
     return [r.name for r in classifications if r.name in overrides and not r.flagged]
 
 

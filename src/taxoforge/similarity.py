@@ -122,8 +122,8 @@ from operator import mul
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from .codec import EMPTY, decode, known_keys, mismatch, read_yaml, shown
-from .errors import ArtifactError, LexiconError, TaxoforgeError
+from .codec import EMPTY, decode, mismatch, read_yaml, shown
+from .errors import LexiconError, TaxoforgeError
 from .integrate import IntegratedFactorSet
 
 DEFAULT_FIELD_SCORE = 0.85
@@ -198,7 +198,7 @@ class LexiconFile(NamedTuple):
 
     def check(self) -> None:
         if not 0.0 <= self.field_score <= 1.0:
-            raise LexiconError(f"field_score: {self.field_score} out of range [0, 1]")
+            raise LexiconError(f"{self.field_score} out of range [0, 1]", "field_score")
         for name, terms in (self.fields or {}).items():
             if not terms:
                 raise LexiconError("expected at least one term", "fields", name)
@@ -684,44 +684,45 @@ def matrix_to_dict(matrix: SimilarityMatrix) -> dict:
 
 def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
     """Decode the graph built at ``floor`` from the components of its edges,
-    each edge's score being their blend by ``combine``, and
-    refuse an edge list ``build_matrix`` cannot produce; each edge is checked
-    inline and its row kept as a tuple, so the graph equals the one built.
-    ``scores`` must then list each edge as ``[i, j, score]`` with no boolean
-    for a number, or ``ArtifactError`` names the first leaf that differs by
-    its path below ``doc``, as it names a key ``matrix_to_dict`` does not
-    write. The names and weights are as written."""
-    known_keys(doc, {"weights", "names", "scores", "components"}, "")
+    each edge's score being their blend by ``combine``, and refuse an edge
+    list ``build_matrix`` cannot produce; each edge is checked inline and its
+    row kept as a tuple, so the graph equals the one built. ``scores`` must
+    then list each edge as ``[i, j, score]`` with no boolean for a number.
+    A refusal's ``at`` names a key, an edge as ``components[k]`` or a leaf of
+    ``scores``. The names and weights are as written."""
+    keys = {"weights", "names", "scores", "components"}
+    if unknown := doc.keys() - keys:
+        raise TaxoforgeError("unknown key", min(unknown))
+    if missing := keys - doc.keys():
+        raise TaxoforgeError("missing", min(missing))
     n, rows = len(doc["names"]), doc["components"]
     weights = SimilarityWeights(*doc["weights"])
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and len(row) == 5 for row in rows
-    ):
-        raise TaxoforgeError("similarity components must be a list of 5-item rows")
+    if type(rows) is not list:
+        raise TaxoforgeError(f"expected a list of edges, got {shown(rows)}", "components")
     scores: list[tuple[int, int, float]] = []
     components: list[tuple[int, int, float, float, float]] = []
     before = (-1, -1)
-    for i, j, lin, dist, co in rows:
+    for k, row in enumerate(rows):
+        if type(row) is not list or len(row) != 5:
+            raise TaxoforgeError(f"expected a row of 5, got {shown(row)}", "components", k)
+        i, j, lin, dist, co = row
         edge = (i, j)
         if not (type(i) is int and type(j) is int and 0 <= i < j < n) or edge <= before:
             raise TaxoforgeError(
-                f"similarity components edge [{shown(i)}, {shown(j)}]: expected "
-                f"indices 0 <= i < j < {n}, after the edge before"
+                f"expected indices 0 <= i < j < {n}, after the edge before, "
+                f"got {shown(row[:2])}", "components", k
             )
         if not (
             type(lin) in (int, float) and 0.0 <= lin <= 1.0
             and type(dist) in (int, float) and 0.0 <= dist <= 1.0
             and type(co) in (int, float) and 0.0 <= co <= 1.0
         ):
-            raise TaxoforgeError(
-                f"similarity components of edge [{i}, {j}] must be numbers in [0, 1]"
-            )
+            raise TaxoforgeError(f"expected components in [0, 1], got {shown(row[2:])}",
+                                 "components", k)
         score = combine((lin, dist, co), weights)
         if score < floor:
-            raise TaxoforgeError(
-                f"similarity components of edge [{i}, {j}] blend to {score}, "
-                f"below the floor {floor}"
-            )
+            raise TaxoforgeError(f"the components blend to {score}, below the floor "
+                                 f"{floor}", "components", k)
         scores.append((i, j, score))
         components.append((i, j, lin, dist, co))
         before = edge
@@ -730,7 +731,7 @@ def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
         type(row) is list and tuple(row) == edge and bool not in map(type, row)
         for edge, row in zip(scores, written)
     ):
-        raise ArtifactError(f"scores{mismatch(scores, written)}")
+        mismatch(scores, written, "scores")
     return SimilarityMatrix(
         names=tuple(doc["names"]),
         scores=scores,

@@ -549,7 +549,13 @@ class TestPhaseChaining:
                 shutil.rmtree(out, ignore_errors=True)
         (ran, by_run), (chained, by_chain) = written
         assert ran == chained
-        assert by_run.keys() == by_chain.keys()
+        # A run reads the KB before it writes; refused, it has written no
+        # file the chain has not, where the chain's integrate and similarity
+        # phases, which do not read the KB, have written theirs.
+        if ran[0] == 1:
+            assert by_run.keys() <= by_chain.keys()
+        else:
+            assert by_run.keys() == by_chain.keys()
         for name, data in by_run.items():
             assert data == by_chain[name], name
 
@@ -1363,7 +1369,7 @@ MALFORMED = [
         "kb",
         ["scope_priors", "preferred"],
         -1.0,
-        "scope_priors: preferred",
+        "scope_priors.preferred: expected a number in [0, 1]",
         id="kb-priors-negative",
     ),
     pytest.param(
@@ -1455,8 +1461,15 @@ MALFORMED = [
         "kb",
         ["domains", 0, "subcategories", 0, "keywords", 0],
         " ",
-        "domains[0].subcategories[0]: keywords[0]",
+        "domains[0].subcategories[0].keywords[0]: expected a keyword, got a blank",
         id="kb-keyword-blank",
+    ),
+    pytest.param(
+        "kb",
+        ["domains", 0, "keywords", 0],
+        " ",
+        "domains[0].keywords[0]: expected a keyword, got a blank",
+        id="kb-domain-keyword-blank",
     ),
     pytest.param(
         "lexicon",
@@ -1582,8 +1595,16 @@ MALFORMED = [
         "similarity.json",
         ["data", "components", 0, 2],
         0.5,
-        "blend",
+        "data.components[0]: the components blend",
         id="scores-not-blend",
+    ),
+    # An edge is named by its index in the list.
+    pytest.param(
+        "similarity.json",
+        ["data", "components"],
+        lambda rows: [rows[1], rows[0], *rows[2:]],
+        "data.components[1]: expected indices 0 <= i < j < 11, after the edge before",
+        id="components-out-of-order",
     ),
     pytest.param(
         "similarity.json",
@@ -1789,14 +1810,14 @@ MALFORMED = [
         "kb",
         ["domains", 0, "space_profile"],
         {"P": 1e-200},
-        "domains[0]: space_profile",
+        "domains[0].space_profile",
         id="kb-profile-norm-underflow",
     ),
     pytest.param(
         "kb",
         ["domains", 0, "space_profile"],
         {"P": 1e200},
-        "domains[0]: space_profile",
+        "domains[0].space_profile",
         id="kb-profile-norm-overflow",
     ),
     # The fixture's lighting is relevant to COMFORT, SAFETY & SECURITY and
@@ -1891,6 +1912,21 @@ MALFORMED = [
         "assignments",
         id="assignments-factor-dropped",
     ),
+    # The first entry out of the integrated order is named, with both names.
+    pytest.param(
+        "classification.json",
+        ["data", "factors"],
+        lambda entries: [entries[1], entries[0], *entries[2:]],
+        "data.factors[0].name: expected 'safety', got 'accessibility'",
+        id="classification-factors-reordered",
+    ),
+    pytest.param(
+        "assignments.json",
+        ["data", "assignments"],
+        lambda entries: [entries[1], entries[0], *entries[2:]],
+        "data.assignments[0].factor: expected 'safety', got 'accessibility'",
+        id="assignments-factors-reordered",
+    ),
     pytest.param(
         "placements.json",
         ["data", "placements", 0, "factor"],
@@ -1965,6 +2001,15 @@ MALFORMED = [
 ]
 
 
+# The KB, lexicon and rules rows, each refused before a run writes; the one
+# rule that needs the classification, not the KB alone, refuses later.
+NEEDS_DATA = {"kb-override-outside-relevant-set"}
+INPUT_ROWS = [
+    row for row in MALFORMED
+    if row.values[0] in ("kb", "lexicon", "rules") and row.id not in NEEDS_DATA
+]
+
+
 # artifact -> the phase subcommand that reads it
 READER = {
     "integrated.json": "similarity",
@@ -2034,6 +2079,29 @@ class TestMalformedInputs:
             assert made.name in lines[0]
         else:
             assert (kind if kind in READER else f"{kind}.yaml") in lines[0]
+
+    @pytest.mark.parametrize("kind,path,value,field", INPUT_ROWS)
+    def test_input_is_refused_before_a_run_writes(
+        self, tmp_path, capsys, caplog, kind, path, value, field
+    ):
+        # After a good run, a run refused for an input file logs no phase's
+        # INFO line and leaves every earlier output as it was.
+        assert cli.main(["run", "--config", str(write_config(tmp_path))]) == 0
+        out = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        default = {"kb": default_kb_path(), "lexicon": default_lexicon_path(),
+                   "rules": default_rules_path()}[kind]
+        source = yaml.safe_load(default.read_text(encoding="utf-8"))
+        edited = tmp_path / f"{kind}.yaml"
+        edited.write_text(yaml.safe_dump(_edit(source, path, value)), "utf-8")
+        config = write_config(tmp_path, "edited.yaml", extra=f"{kind}: {edited}\n")
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="taxoforge.pipeline"):
+            assert cli.main(["run", "--config", str(config)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert field in line and f"{kind}.yaml" in line
+        assert [r for r in caplog.records if r.levelno == logging.INFO] == []
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     @pytest.mark.parametrize("command", ["place", "indicate", "emit"])
     def test_refused_override_names_the_kb_in_every_phase(

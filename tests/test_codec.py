@@ -422,7 +422,8 @@ CROSS_FIELD = {
     ("integrate", "data.factors[*].counts[*]"): (
         "data.factors[*].studies.*", "data.raw_record_count"
     ),
-    ("similarity", "data.components[*][*]"): ("data.scores[*][*]",),
+    # An edge's indices moved past the next edge's are refused at that edge.
+    ("similarity", "data.components[*][*]"): ("data.scores[*][*]", "data.components[*]"),
     ("classify", "data.factors[*].relevance[*]"): (
         "data.factors[*].flagged", "data.factors[*].primary_domain"
     ),

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from taxoforge import similarity
+from taxoforge.codec import located
 from taxoforge.errors import TaxoforgeError
 from taxoforge.integrate import IntegratedFactorSet
 from taxoforge.knowledge import default_lexicon_path
@@ -273,7 +274,7 @@ class TestMatrix:
                 pytest.param(
                     position,
                     value,
-                    "similarity components of edge [1, 2] must be numbers in [0, 1]",
+                    "data.components[1]: expected components in [0, 1], got [",
                     id=f"component{position}-{value}",
                 )
                 for position in (2, 3, 4)
@@ -282,15 +283,15 @@ class TestMatrix:
             pytest.param(
                 0,
                 True,
-                "similarity components edge [True, 2]: expected indices "
-                "0 <= i < j < 3, after the edge before",
+                "data.components[1]: expected indices 0 <= i < j < 3, after the "
+                "edge before, got [True, 2]",
                 id="index-i-true",
             ),
             pytest.param(
                 1,
                 True,
-                "similarity components edge [1, True]: expected indices "
-                "0 <= i < j < 3, after the edge before",
+                "data.components[1]: expected indices 0 <= i < j < 3, after the "
+                "edge before, got [1, True]",
                 id="index-j-true",
             ),
         ],
@@ -300,11 +301,13 @@ class TestMatrix:
             "names": ["a", "b", "c"],
             "weights": [0.5, 0.3, 0.2],
             "components": [[0, 1, 0.9, 0.9, 0.9], [1, 2, 0.9, 0.9, 0.9]],
+            "scores": [],
         }
         doc["components"][1][position] = value
         with pytest.raises(TaxoforgeError) as caught:
             matrix_from_dict(doc, 0.5)
-        assert str(caught.value) == message
+        assert caught.value.at == ("components", 1)
+        assert located("data", caught.value).startswith(message)
 
 
 class TestBandCensus:

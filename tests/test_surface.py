@@ -26,6 +26,9 @@ ALLOWED = {
     # perfbench/tracing.py looks the function up by name to count relevance
     # calls, and refuses to install without it.
     "classify.domain_relevance": "looked up by name by the benchmark tracer",
+    # cli.main calls ``getattr(pipeline, "run")``, as it calls each phase by
+    # its name; the phases are also called by ``run`` itself.
+    "pipeline.run": "looked up by name by the command line",
 }
 
 
@@ -160,3 +163,71 @@ def test_every_check_runs_on_read():
     for kind in files + artifacts:
         _add_records(kind, reached)
     assert checked <= reached
+
+
+# Each f-string outside the codec that the path-step rule below matches but
+# that writes no path: (module, its source) -> what it writes.
+NOT_PATHS = {
+    ("emit", 'f".{path.name}.{os.getpid()}.tmp"'):
+        "a temporary file's name, hidden by its leading dot",
+    ("emit", "f\"- [{note['id']}] {note['note']}\""):
+        "a markdown list item naming a discrepancy note's id in brackets",
+}
+
+
+def _writes_a_step(node: ast.JoinedStr) -> bool:
+    """Whether a value of ``node`` directly follows text ending in ``[`` or
+    in a single ``.``, or its text holds ``[*]``."""
+    parts = node.values
+    return any(
+        isinstance(part, ast.Constant) and "[*]" in part.value for part in parts
+    ) or any(
+        isinstance(text, ast.Constant)
+        and isinstance(value, ast.FormattedValue)
+        and (text.value.endswith("[") or text.value.endswith(".") and text.value[-2:] != "..")
+        for text, value in zip(parts, parts[1:])
+    )
+
+
+def hand_written_steps() -> list[str]:
+    """Each string outside codec.py that writes a refusal's path step, ``[i]``,
+    ``.key`` or ``[*]``, as ``module:line: source``, but those NOT_PATHS names."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "codec.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        inner = {
+            id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+            for part in node.values
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                hit = _writes_a_step(node)
+            elif isinstance(node, ast.Constant) and id(node) not in inner:
+                hit = isinstance(node.value, str) and "[*]" in node.value
+            else:
+                continue
+            source = ast.get_source_segment(text, node)
+            if hit and (path.stem, source) not in NOT_PATHS:
+                found.append(f"{path.stem}:{node.lineno}: {source}")
+    return found
+
+
+def test_only_the_codec_writes_a_path_step():
+    # A refusal names its leaf by ``TaxoforgeError.at`` and codec.located
+    # writes the path, so that one leaf is written one way.
+    assert hand_written_steps() == []
+
+
+def test_not_paths_are_still_written():
+    sources = {
+        (path.stem, ast.get_source_segment(text, node))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for text in [path.read_text(encoding="utf-8")]
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.JoinedStr)
+    }
+    for key in NOT_PATHS:
+        assert key in sources, key
