@@ -7,10 +7,10 @@ by its artifact's one reader (``READERS``): the codec decodes the
 independent values, each record checking what it alone shows; the reader
 checks what needs another file or the KB, the phase's own code rebuilds the
 rest, and each decoded record must equal its rebuilt record's leading
-fields. The indicators are always built from the upstream results;
-indicators.json is a report. ``run`` passes one state through every phase,
-writing each artifact once; a phase run alone reads its inputs from disk,
-with byte-identical output. Artifacts are compact JSON, exports indented.
+fields; indicate and emit take assignments.json's homes as written. The
+indicators are always built from the upstream results; indicators.json is a
+report. ``run`` passes one state through every phase, writing each artifact
+once; a phase run alone reads its inputs from disk, with byte-identical output.
 
 Each phase, and ``run``, is a step under ``_phase``: called as
 ``phase(config, state=None, **options)``, it runs on the caller's state or a
@@ -154,22 +154,23 @@ def load_config(path: str | Path) -> PipelineConfig:
     listed = doc.pop("datasets", None)
     file = codec.decode(ConfigFile, doc, where, ConfigError)
     kind = Mapping[str, str] if type(listed) is dict else list[str] | None
-    listed = codec.decode(kind, listed, where, ConfigError, "datasets")
+    listed = codec.decode(kind, listed, where, ConfigError, "datasets") or []
     base = path.parent  # an absolute path replaces it
-    if isinstance(listed, dict):  # read in the canonical order of the codes
-        if unknown := sorted(set(listed) - set(SPACE_TYPES)):
-            raise ConfigError(f"{where}unknown typology keys in datasets: "
-                              f"{codec.listed(unknown)}")
-        datasets = [(base / listed[c], c) for c in SPACE_TYPES if c in listed]
-    else:
-        datasets = [(base / entry, None) for entry in listed or ()]
-    if not datasets:
-        raise ConfigError(f"{where}config must list at least one dataset")
-    seen = set()
-    for dataset, _ in datasets:  # a file read twice would count its rows twice
-        if (resolved := dataset.resolve()) in seen:
-            raise ConfigError(f"{where}datasets: {dataset} is listed twice")
-        seen.add(resolved)
+    mapped = isinstance(listed, dict)  # read in the canonical order of the codes
+    steps = [c for c in SPACE_TYPES if c in listed] if mapped else range(len(listed))
+    datasets = [(base / listed[step], step if mapped else None) for step in steps]
+    try:
+        if mapped and (unknown := set(listed) - set(SPACE_TYPES)):
+            raise ConfigError("unknown typology key", "datasets", min(unknown))
+        if not datasets:
+            raise ConfigError("expected at least one dataset", "datasets")
+        seen = set()  # a file read twice would count its rows twice
+        for step, (dataset, _) in zip(steps, datasets):
+            if (resolved := dataset.resolve()) in seen:
+                raise ConfigError(f"{dataset} is listed twice", "datasets", step)
+            seen.add(resolved)
+    except ConfigError as exc:
+        raise ConfigError(codec.located(where, exc)) from None
     return PipelineConfig(
         datasets=tuple(datasets),
         rules_path=base / file.rules,
@@ -302,7 +303,8 @@ class RunState:
     @cached_property
     def homes(self) -> dict[str, tuple[str, str]]:
         """Each factor's primary home, read by the indicators and framework."""
-        return placement.primary_homes(self.get("cluster"), self.get("place"))
+        assigned = self.results.get("cluster") or _read_homes(self)[0]
+        return placement.primary_homes(assigned, self.get("place"))
 
     def envelope(self, phase: str) -> dict:
         """What reading a phase's data checks: the format, phase and config."""
@@ -387,9 +389,9 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 
 # One reader per artifact: the codec decodes it and checks each record, all
 # integrated.json needs; the others then refuse a value that does not fit the
-# integrated factors or the KB, rebuild the rest and compare what is kept.
-# A rule raises ``ArtifactError(message, *at)``, ``at`` below the data, and
-# its reader, having loaded every other input first, names the file and path.
+# integrated factors or the KB, rebuild the rest (but the homes reader) and
+# compare what is kept. A rule raises ``ArtifactError(message, *at)``, and its
+# reader, having loaded every other input first, names the file and path.
 
 
 def _compare(rebuilt: Sequence[tuple], decoded: Sequence[tuple], key: str) -> None:
@@ -405,9 +407,9 @@ def _compare(rebuilt: Sequence[tuple], decoded: Sequence[tuple], key: str) -> No
 
 
 def _subcategories_known(kb: DomainKnowledgeBase, homes: list[tuple], key: str) -> None:
-    """Refuse a (domain, subcategory) whose subcategory is not the domain's."""
+    """Refuse a record whose subcategory, its third field, is not its domain's."""
     subcategories = {d.identifier: d.subcategory_ids() for d in kb.domains}
-    for i, (domain, sub) in enumerate(homes):
+    for i, (_, domain, sub, *_) in enumerate(homes):
         if sub not in subcategories.get(domain, ()):
             raise ArtifactError(f"{codec.shown(sub)} is not a subcategory of domain "
                                 f"{codec.shown(domain)}", key, i, "subcategory")
@@ -446,15 +448,24 @@ def _read_classified(state: RunState) -> list[classify.ClassificationResult]:
     return results
 
 
-def _read_assigned(state: RunState) -> list[cluster.CategoryAssignment]:
+def _read_homes(state: RunState) -> tuple[list[cluster.CategoryHome], str]:
+    """assignments.json's homes as written, and where its refusals start."""
     decoded, where = state.decoded("cluster")
+    names, kb = state.get("integrate").names, state.kb
+    try:
+        _compare([(name,) for name in names], decoded, "assignments")
+        _subcategories_known(kb, decoded, "assignments")
+    except TaxoforgeError as exc:
+        raise ArtifactError(codec.located(where, exc)) from None
+    return decoded, where
+
+
+def _read_assigned(state: RunState) -> list[cluster.CategoryAssignment]:
+    decoded, where = _read_homes(state)
     integrated, classified, kb = state.get("integrate"), state.get("classify"), state.kb
     neighbours, related = state.neighbours, state.config.thresholds.related
     domain_ids = kb.domain_ids()
     try:
-        _compare([(name,) for name in integrated.names], decoded, "assignments")
-        homes = [(home.category, home.subcategory) for home in decoded]
-        _subcategories_known(kb, homes, "assignments")
         # Every channel score and so each category is rebuilt; the
         # subcategory, which needs the lexicon, is taken as written.
         rows = cluster.channel_scores(integrated, classified, kb, neighbours, related)
@@ -477,8 +488,7 @@ def _read_placed(state: RunState) -> placement.PlacementResult:
     kept = {(p.factor, p.domain): p for p in decoded}
     missing = placement.Placement("", "", "", 0.0)
     try:
-        _subcategories_known(kb, [(p.domain, p.subcategory) for p in decoded],
-                             "placements")
+        _subcategories_known(kb, decoded, "placements")
         result = placement.arrange(
             classified,
             kb,

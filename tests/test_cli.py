@@ -21,7 +21,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from taxoforge import classify, cli, codec, emit, integrate, pipeline, similarity
+from taxoforge import classify, cli, cluster, codec, emit, integrate, pipeline, similarity
 from taxoforge.errors import TaxoforgeError
 from taxoforge.knowledge import (
     default_kb_path,
@@ -354,26 +354,33 @@ class TestRun:
             "matrix_from_dict",
             counted("decode similarity", similarity.matrix_from_dict),
         )
+        monkeypatch.setattr(
+            cluster, "channel_scores", counted("channel_scores", cluster.channel_scores)
+        )
         config = pipeline.apply_overrides(
             pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
         )
         assert pipeline.run(config) == 0
-        assert sorted(calls) == ["checksum", "load_kb", "load_lexicon", "load_rules"]
+        assert sorted(calls) == [
+            "channel_scores", "checksum", "load_kb", "load_lexicon", "load_rules"
+        ]
         # A phase run alone reads its inputs from the artifacts on disk; it
         # decodes their independent values and rebuilds the rest, and builds
-        # the indicators without reading indicators.json.
-        calls.clear()
-        assert pipeline.phase_emit(config) == 0
-        assert sorted(calls) == [
-            "checksum",
-            "decode classify",
-            "decode cluster",
-            "decode integrate",
-            "decode place",
-            "decode similarity",
-            "load_kb",
-            "load_rules",
-        ]
+        # the indicators without reading indicators.json. indicate and emit
+        # take each factor's home from assignments.json as written, so they
+        # neither read the graph nor rebuild a channel row.
+        for phase in (pipeline.phase_indicate, pipeline.phase_emit):
+            calls.clear()
+            assert phase(config) in (None, 0)
+            assert sorted(calls) == [
+                "checksum",
+                "decode classify",
+                "decode cluster",
+                "decode integrate",
+                "decode place",
+                "load_kb",
+                "load_rules",
+            ]
 
     def test_framework_dict_built_once_per_emit(self, tmp_path, monkeypatch):
         calls = []
@@ -604,6 +611,21 @@ class TestPhaseChaining:
         assert cli.main(["emit", "--config", str(config)]) == 0
         assert {name: (out / name).read_bytes() for name in exports} == before
         assert not (out / "indicators.json").exists()
+
+    def test_indicate_and_emit_read_homes_without_the_graph(self, tmp_path):
+        # Each factor's home is taken from assignments.json as written, so
+        # neither phase reads similarity.json, and both still write the
+        # run's bytes.
+        config = write_config(tmp_path)
+        assert cli.main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        (out / "similarity.json").unlink()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        for name in ("indicators.json", *emit.EXPORTS):
+            (out / name).unlink()
+        for command in ("indicate", "emit"):
+            assert cli.main([command, "--config", str(config)]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_phase_without_upstream_fails(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -1172,7 +1194,7 @@ class TestConfigParsing:
             encoding="utf-8",
         )
         second = tmp_path / "data" / ".." / "data" / "corpus.csv"
-        message = f"config file {config}: datasets: {second} is listed twice"
+        message = f"config file {config}: datasets[1]: {second} is listed twice"
         with pytest.raises(pipeline.ConfigError, match=re.escape(message)):
             pipeline.load_config(config)
 
@@ -1312,8 +1334,30 @@ MALFORMED = [
         "config",
         ["datasets"],
         lambda paths: paths + paths,
-        "datasets: ",
+        "datasets[1]: ",
         id="config-dataset-twice",
+    ),
+    pytest.param(
+        "config",
+        ["datasets"],
+        dict.fromkeys("PS", str(FIXTURES / "sample_corpus.csv")),
+        "datasets.S: ",
+        id="config-dataset-twice-by-code",
+    ),
+    pytest.param(
+        "config",
+        ["datasets"],
+        {"P": str(FIXTURES / "sample_corpus.csv"), "X": "x.csv", "Q": "q.csv"},
+        "datasets.Q: unknown typology key",
+        id="config-datasets-unknown-code",
+    ),
+    pytest.param(
+        "config", ["datasets"], [], "datasets: expected at least one dataset",
+        id="config-datasets-empty",
+    ),
+    pytest.param(
+        "config", ["datasets"], MISSING, "datasets: expected at least one dataset",
+        id="config-datasets-missing",
     ),
     pytest.param(
         "kb",

@@ -3,6 +3,7 @@ every leaf of the fixture's artifacts through the checked read path."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import typing
@@ -409,7 +410,7 @@ def _rebuilt(phase, leaf):
     if phase == "classify":
         return "relevance" not in leaf
     if phase == "cluster":
-        return leaf[-1] == "category"
+        return leaf[-1] != "subcategory"
     if phase == "place":
         return not (leaf[1] == "placements" and leaf[-1] in ("composite", "subcategory"))
     return True
@@ -465,6 +466,15 @@ def _names_its_leaf(phase, leaf, message, path) -> bool:
     )
 
 
+def _homes_as_written(state: pipeline.RunState) -> None:
+    """Read assignments.json through the homes reader, which must give each
+    home as the file writes it."""
+    homes, _ = pipeline._read_homes(state)
+    path = state.config.out_dir / pipeline.ARTIFACTS["cluster"][0]
+    written = json.loads(path.read_text(encoding="utf-8"))["data"]["assignments"]
+    assert [list(home) for home in homes] == [list(home.values()) for home in written]
+
+
 def test_mutation_sweep_reads_or_refuses(fixture_run):
     """Each leaf of each artifact a phase reads, mutated alone, is either
     read or refused with one line naming the file and the leaf's path, an
@@ -472,7 +482,9 @@ def test_mutation_sweep_reads_or_refuses(fixture_run):
     nothing else escapes. Every mutation to a null, another JSON type or -1
     is refused. No leaf that is rebuilt on reading is read with another
     value, not even one of its own kind that every type and range check
-    accepts."""
+    accepts. assignments.json is also read by the homes reader, which
+    indicate and emit use: it rebuilds no category, so a category of another
+    domain is refused by its subcategory, and what it reads is as written."""
     config, computed = fixture_run
     loaded = {
         name: getattr(computed, name) for name in ("checksums", "kb", "lexicon")
@@ -483,11 +495,14 @@ def test_mutation_sweep_reads_or_refuses(fixture_run):
         path = config.out_dir / pipeline.ARTIFACTS[phase][0]
         original = path.read_text(encoding="utf-8")
         doc = json.loads(original)
+        readers = [lambda state, phase=phase: state.get(phase)]
+        if phase == "cluster":
+            readers.append(_homes_as_written)
         try:
             for leaf, value in _leaves(doc):
                 mutations = [(m, True) for m in _mutations(value)]
                 mutations += [(m, False) for m in _same_kind(leaf, value, computed.kb)]
-                for mutated, wrong_kind in mutations:
+                for (mutated, wrong_kind), read in itertools.product(mutations, readers):
                     edited = json.loads(original)
                     target = edited
                     for key in leaf[:-1]:
@@ -500,7 +515,7 @@ def test_mutation_sweep_reads_or_refuses(fixture_run):
                         (p, r) for p, r in computed.results.items() if p != phase
                     )
                     try:
-                        state.get(phase)
+                        read(state)
                         outcomes["read"] += 1
                         if wrong_kind:
                             read_wrong_kind.append((phase, leaf, mutated))

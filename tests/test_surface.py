@@ -2,12 +2,14 @@
 
 A definition that only tests reach is surface to keep working without
 serving a run, so it is deleted and its tests moved onto the path the
-program takes. A use is a name or attribute node in the package's code;
-a docstring or comment that mentions the name is not one. The classes
-still declared as dataclasses are listed, each with its reason. A record
-is one class with no cache: a value derived from records, such as the
-similarity graph's neighbour lists, is kept by the run state, which builds
-it once per invocation. Every record's ``check`` runs when an input is read.
+program takes. A use is a name or attribute node in the package's code
+that loads the name, a bare name only where no enclosing function binds it;
+a local variable of that name, or a docstring or comment that mentions it,
+is not one. The classes still declared as dataclasses are listed, each with
+its reason. A record is one class with no cache: a value derived from
+records, such as the similarity graph's neighbour lists, is kept by the run
+state, which builds it once per invocation. Every record's ``check`` runs
+when an input is read.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import ast
 import importlib
 import typing
 from pathlib import Path
+from typing import Iterator
 
 from taxoforge import corpus, knowledge, pipeline, similarity
 
@@ -52,22 +55,58 @@ def _name(node: ast.expr) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _binds(function: ast.AST) -> set[str]:
+    """The variables ``function`` binds in its own scope: its parameters,
+    and each name it assigns outside the functions and classes nested in
+    it. A nested definition is a definition, so its name is not one."""
+    args = function.args
+    names = {
+        arg.arg for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                            args.vararg, args.kwarg] if arg
+    }
+    todo = list(function.body) if isinstance(function.body, list) else [function.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _loads(node: ast.AST, local: frozenset[str] = frozenset()) -> Iterator[str]:
+    """Each attribute ``node`` loads, and each name it loads that no
+    enclosing function binds: a local variable is no use of a definition."""
+    if isinstance(node, FUNCTIONS):
+        local = local | _binds(node)
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in local:
+            yield node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _loads(child, local)
+
+
 def definitions_and_uses() -> tuple[dict[str, str], set[str]]:
     """Each non-dunder definition as ``"module.name"`` -> its name, and every
-    name used by a ``Name`` or ``Attribute`` node in the package."""
+    name a ``Name`` or ``Attribute`` node in the package loads, but a name
+    its function binds: a local variable does not hide an unused function."""
     defined: dict[str, str] = {}
     used: set[str] = set()
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
             if isinstance(node, kinds) and not (
                 node.name.startswith("__") and node.name.endswith("__")
             ):
                 defined[f"{path.stem}.{node.name}"] = node.name
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        used.update(_loads(tree))
     return defined, used
 
 
