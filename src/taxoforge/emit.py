@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence, TextIO
 
 from .classify import ClassificationResult
-from .codec import shown
+from .codec import keyed, shown
 from .corpus import SPACE_TYPES, SPACE_TYPE_NAMES
 from .errors import ArtifactError, TaxoforgeError
 from .integrate import IntegratedFactorSet, reduction_rate, tracking_notation
@@ -389,9 +389,9 @@ def resolve_identifier(identifiers: Sequence[str], wanted: str) -> str:
         return matches[0]
     if not matches:
         raise TaxoforgeError(f"unknown category {shown(wanted)}")
-    ids = ", ".join(matches[:AMBIGUOUS_SHOWN])
+    ids = ", ".join(keyed("", i) for i in matches[:AMBIGUOUS_SHOWN])
     more = ", ..." if len(matches) > AMBIGUOUS_SHOWN else ""
-    raise TaxoforgeError(f"category {wanted!r} is ambiguous: {ids}{more} "
+    raise TaxoforgeError(f"category {shown(wanted)} is ambiguous: {ids}{more} "
                          f"({len(matches)} categories match)")
 
 

@@ -2,6 +2,8 @@
 
 All exceptions raised for bad inputs, bad configuration, or broken phase
 artifacts derive from TaxoforgeError so the CLI can map them to exit code 1.
+A rule raises the base class, naming its leaf by ``at``; a boundary that
+reads a file raises the file's class, its message naming the file and path.
 Content-level validation failures (a framework that fails its own checks) are
 not exceptions; they are carried in the validation report and map to exit 2.
 """

@@ -3,14 +3,14 @@
 The config file is decoded by the artifact codec, as every input file is.
 A ``RunState`` holds one invocation's checksums, KB, lexicon, rules and phase
 results, each computed or loaded once. A result it has not computed is read
-by its artifact's one reader (``READERS``): the codec decodes the
-independent values, each record checking what it alone shows; the reader
-checks what needs another file or the KB, the phase's own code rebuilds the
-rest, and each decoded record must equal its rebuilt record's leading
-fields; indicate and emit take assignments.json's homes as written. The
-indicators are always built from the upstream results; indicators.json is a
-report. ``run`` passes one state through every phase, writing each artifact
-once; a phase run alone reads its inputs from disk, with byte-identical output.
+by ``RunState.read``: the codec decodes the independent values, each record
+checking what it alone shows; the artifact's rules (``READERS``) check what
+needs another file or the KB, the phase's own code rebuilds the rest, and
+each decoded record must equal its rebuilt record's leading fields; indicate
+and emit take assignments.json's homes as written. The indicators are always
+built from the upstream results; indicators.json is a report. ``run`` passes
+one state through every phase, writing each artifact once; a phase run alone
+reads its inputs from disk, with byte-identical output.
 
 Each phase, and ``run``, is a step under ``_phase``: called as
 ``phase(config, state=None, **options)``, it runs on the caller's state or a
@@ -233,12 +233,12 @@ def apply_overrides(
 # ---------------------------------------------------------------------------
 
 # phase -> (artifact file, key of ``data`` holding the result or None when
-# ``data`` is the result, the type written, the CSV report written beside it
-# or None); the codec derives ``data`` from the type. For classify, cluster
-# and place that is a record type whose fields the result's entries also
-# have, by the same names: what the artifact keeps of each, which the codec
-# reads off each entry. similarity.json keeps its own codec for the compact
-# edge list; its report, pairs.csv, is written only when asked for.
+# ``data`` is the result, the type written or None, the CSV report written
+# beside it or None); the codec derives ``data`` from the type. For classify,
+# cluster and place that is a record type whose fields the result's entries
+# also have, by the same names: what the artifact keeps of each, which the
+# codec reads off each entry. similarity.json keeps its own codec for the
+# compact edge list; its report, pairs.csv, is written only when asked for.
 # indicators.json is a report no phase reads, written without the codec: per
 # factor its name, coverage and indicator text, then the subcategory and
 # category profiles; everything else about an indicator follows from
@@ -250,7 +250,7 @@ def apply_overrides(
 # placements, cross_references, cross_cutting.flagged and primary_domain.
 ARTIFACTS = {
     "integrate": ("integrated.json", None, integrate.IntegratedFactorSet, None),
-    "similarity": ("similarity.json", None, similarity.SimilarityMatrix, "pairs.csv"),
+    "similarity": ("similarity.json", None, None, "pairs.csv"),
     "classify": ("classification.json", "factors", list[classify.FactorRelevance],
                  "classification_report.csv"),
     "cluster": ("assignments.json", "assignments", list[cluster.CategoryHome],
@@ -303,7 +303,7 @@ class RunState:
     @cached_property
     def homes(self) -> dict[str, tuple[str, str]]:
         """Each factor's primary home, read by the indicators and framework."""
-        assigned = self.results.get("cluster") or _read_homes(self)[0]
+        assigned = self.results.get("cluster") or self.read("cluster", _homes)
         return placement.primary_homes(assigned, self.get("place"))
 
     def envelope(self, phase: str) -> dict:
@@ -335,14 +335,19 @@ class RunState:
             _write_csv(self.config.out_dir / report_name, *report)
 
     def get(self, phase: str):
-        """The result of ``phase``, from memory or else from its reader."""
-        if phase not in self.results:
-            self.results[phase] = READERS[phase](self)
+        """The result of ``phase``, from memory or else read by its rules."""
+        if phase not in self.results:  # the indicators are built, not read
+            self.results[phase] = (_indicators(self) if phase == "indicate"
+                                   else self.read(phase, READERS[phase]))
         return self.results[phase]
 
-    def read(self, phase: str) -> tuple[dict, str]:
-        """``phase``'s checked artifact's ``data``, and where its refusals start."""
-        path = self.config.out_dir / ARTIFACTS[phase][0]
+    def read(self, phase: str, rules: Callable[[RunState, object], object]):
+        """``rules(state, data)`` on ``phase``'s checked artifact, its ``data``
+        decoded as its type, if it has one. A plain ``TaxoforgeError`` a rule
+        raises is named at ``artifact PATH: data`` and its ``at``; a subclass
+        already names its file (an upstream artifact, the KB) and passes."""
+        name, key, kind, _ = ARTIFACTS[phase]
+        path = self.config.out_dir / name
         if not path.exists():
             if path.parent.exists() and not path.parent.is_dir():
                 problem = f"output directory {path.parent} is not a directory"
@@ -366,16 +371,18 @@ class RunState:
                 f"phase {phase!r}: artifact {path} was produced under a different "
                 "configuration (checksum mismatch); re-run the upstream phases"
             )
-        return doc["data"], f"artifact {path}: data"
-
-    def decoded(self, phase: str) -> tuple[object, str]:
-        """``phase``'s artifact decoded as its type, and where its refusals start."""
-        data, where = self.read(phase)
-        _, key, kind, _ = ARTIFACTS[phase]
-        if key is None:
-            return codec.decode(kind, data, where), where
-        codec.known_keys(data, [key], where)
-        return codec.decode(kind, data.get(key), where, ArtifactError, key), where
+        data, where = doc["data"], f"artifact {path}: data"
+        if key is not None:
+            codec.known_keys(data, [key], where)
+            data = codec.decode(kind, data.get(key), where, ArtifactError, key)
+        elif kind is not None:
+            data = codec.decode(kind, data, where)
+        try:
+            return rules(self, data)
+        except TaxoforgeError as exc:
+            if type(exc) is not TaxoforgeError:
+                raise
+            raise ArtifactError(codec.located(where, exc)) from None
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -387,11 +394,10 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     emit.write_atomic(path, write)
 
 
-# One reader per artifact: the codec decodes it and checks each record, all
-# integrated.json needs; the others then refuse a value that does not fit the
-# integrated factors or the KB, rebuild the rest (but the homes reader) and
-# compare what is kept. A rule raises ``ArtifactError(message, *at)``, and its
-# reader, having loaded every other input first, names the file and path.
+# Each artifact's rules, called by ``RunState.read`` on its decoded records
+# (integrated.json needs none): they refuse a value that does not fit the
+# integrated factors or the KB, rebuild the rest (but ``_homes``) and compare
+# what is kept. A rule refuses by ``TaxoforgeError(message, *at)``.
 
 
 def _compare(rebuilt: Sequence[tuple], decoded: Sequence[tuple], key: str) -> None:
@@ -411,94 +417,74 @@ def _subcategories_known(kb: DomainKnowledgeBase, homes: list[tuple], key: str) 
     subcategories = {d.identifier: d.subcategory_ids() for d in kb.domains}
     for i, (_, domain, sub, *_) in enumerate(homes):
         if sub not in subcategories.get(domain, ()):
-            raise ArtifactError(f"{codec.shown(sub)} is not a subcategory of domain "
-                                f"{codec.shown(domain)}", key, i, "subcategory")
+            raise TaxoforgeError(f"{codec.shown(sub)} is not a subcategory of domain "
+                                 f"{codec.shown(domain)}", key, i, "subcategory")
 
 
-def _read_similarity(state: RunState) -> similarity.SimilarityMatrix:
-    data, where = state.read("similarity")
+def _similarity(state: RunState, data: dict) -> similarity.SimilarityMatrix:
     # Held to the weights and names the phase writes, then decoded with them;
     # a missing key passes the hold and is refused by the decoder.
-    floor = state.config.thresholds.graph_floor
     names, weights = list(state.get("integrate").names), list(state.config.weights)
-    try:
-        for key, expected in {"weights": weights, "names": names}.items():
-            codec.mismatch(expected, data.get(key, expected), key)
-        return similarity.matrix_from_dict(data, floor)
-    except TaxoforgeError as exc:
-        raise ArtifactError(codec.located(where, exc)) from None
+    for key, expected in {"weights": weights, "names": names}.items():
+        codec.mismatch(expected, data.get(key, expected), key)
+    return similarity.matrix_from_dict(data, state.config.thresholds.graph_floor)
 
 
-def _read_classified(state: RunState) -> list[classify.ClassificationResult]:
-    decoded, where = state.decoded("classify")
+def _classified(state: RunState, decoded: list) -> list[classify.ClassificationResult]:
     factor_set, kb = state.get("integrate"), state.kb
+    _compare([(name,) for name in factor_set.names], decoded, "factors")
+    for i, r in enumerate(decoded):
+        if len(r.relevance) != len(kb.domains):
+            raise TaxoforgeError("expected a number in [0, 1] per domain",
+                                 "factors", i, "relevance")
+    relevance = [r.relevance for r in decoded]
     threshold = state.config.thresholds.cross_cutting
-    try:
-        _compare([(name,) for name in factor_set.names], decoded, "factors")
-        for i, r in enumerate(decoded):
-            if len(r.relevance) != len(kb.domains):
-                raise ArtifactError("expected a number in [0, 1] per domain",
-                                    "factors", i, "relevance")
-        relevance = [r.relevance for r in decoded]
-        results = classify.classify_rows(factor_set.factors, relevance, kb, threshold)
-        _compare(results, decoded, "factors")
-    except TaxoforgeError as exc:
-        raise ArtifactError(codec.located(where, exc)) from None
+    results = classify.classify_rows(factor_set.factors, relevance, kb, threshold)
+    _compare(results, decoded, "factors")
     placement.check_overrides(results, kb)
     return results
 
 
-def _read_homes(state: RunState) -> tuple[list[cluster.CategoryHome], str]:
-    """assignments.json's homes as written, and where its refusals start."""
-    decoded, where = state.decoded("cluster")
+def _homes(state: RunState, decoded: list) -> list[cluster.CategoryHome]:
+    """assignments.json's homes as written."""
     names, kb = state.get("integrate").names, state.kb
-    try:
-        _compare([(name,) for name in names], decoded, "assignments")
-        _subcategories_known(kb, decoded, "assignments")
-    except TaxoforgeError as exc:
-        raise ArtifactError(codec.located(where, exc)) from None
-    return decoded, where
+    _compare([(name,) for name in names], decoded, "assignments")
+    _subcategories_known(kb, decoded, "assignments")
+    return decoded
 
 
-def _read_assigned(state: RunState) -> list[cluster.CategoryAssignment]:
-    decoded, where = _read_homes(state)
+def _assigned(state: RunState, decoded: list) -> list[cluster.CategoryAssignment]:
+    _homes(state, decoded)
     integrated, classified, kb = state.get("integrate"), state.get("classify"), state.kb
     neighbours, related = state.neighbours, state.config.thresholds.related
     domain_ids = kb.domain_ids()
-    try:
-        # Every channel score and so each category is rebuilt; the
-        # subcategory, which needs the lexicon, is taken as written.
-        rows = cluster.channel_scores(integrated, classified, kb, neighbours, related)
-        results = [
-            cluster.CategoryAssignment(
-                home.factor, cluster.argmax_domain(row, domain_ids), home.subcategory, row
-            )
-            for home, row in zip(decoded, rows)
-        ]
-        _compare(results, decoded, "assignments")
-    except TaxoforgeError as exc:
-        raise ArtifactError(codec.located(where, exc)) from None
+    # Every channel score and so each category is rebuilt; the subcategory,
+    # which needs the lexicon, is taken as written.
+    rows = cluster.channel_scores(integrated, classified, kb, neighbours, related)
+    results = [
+        cluster.CategoryAssignment(
+            home.factor, cluster.argmax_domain(row, domain_ids), home.subcategory, row
+        )
+        for home, row in zip(decoded, rows)
+    ]
+    _compare(results, decoded, "assignments")
     return results
 
 
-def _read_placed(state: RunState) -> placement.PlacementResult:
-    decoded, where = state.decoded("place")
+def _placed(state: RunState, decoded: list) -> placement.PlacementResult:
     classified, kb = state.get("classify"), state.kb
     # A placement the artifact lacks gets a stand-in, which the compare refuses.
     kept = {(p.factor, p.domain): p for p in decoded}
     missing = placement.Placement("", "", "", 0.0)
-    try:
-        _subcategories_known(kb, decoded, "placements")
-        result = placement.arrange(
-            classified,
-            kb,
-            lambda name, domain: kept.get((name, domain), missing).composite,
-            lambda name, domain: kept.get((name, domain), missing).subcategory,
-            state.config.thresholds.promotion,
-        )
-        _compare(result.placements, decoded, "placements")
-    except TaxoforgeError as exc:
-        raise ArtifactError(codec.located(where, exc)) from None
+    _subcategories_known(kb, decoded, "placements")
+    result = placement.arrange(
+        classified,
+        kb,
+        lambda name, domain: kept.get((name, domain), missing).composite,
+        lambda name, domain: kept.get((name, domain), missing).subcategory,
+        state.config.thresholds.promotion,
+    )
+    _compare(result.placements, decoded, "placements")
     return result
 
 
@@ -510,12 +496,11 @@ def _indicators(state: RunState) -> list[str]:
 
 
 READERS = {
-    "integrate": lambda state: state.decoded("integrate")[0],
-    "similarity": _read_similarity,
-    "classify": _read_classified,
-    "cluster": _read_assigned,
-    "place": _read_placed,
-    "indicate": _indicators,
+    "integrate": lambda state, factor_set: factor_set,
+    "similarity": _similarity,
+    "classify": _classified,
+    "cluster": _assigned,
+    "place": _placed,
 }
 
 

@@ -2252,6 +2252,21 @@ BOUNDED = [
     ),
     pytest.param(lambda tmp: FIXTURE_DATASETS, ["--threshold", f"{LONG}=0.5"],
                  f"--threshold: {CLIPPED}: unknown key", id="threshold-name"),
+    # Two long ids that the prefix names, each cut as a key is.
+    pytest.param(
+        lambda tmp: {**FIXTURE_DATASETS, "kb": str(_made(
+            tmp / "kb.yaml",
+            lambda path: path.write_text(yaml.safe_dump({
+                **PACKAGED_KB,
+                "domains": [{**domain, "id": LONG[1:] + end} for domain, end
+                            in zip(PACKAGED_KB["domains"], "AB")]
+                + PACKAGED_KB["domains"][2:],
+            }), encoding="utf-8"),
+        ))},
+        ["--sankey", "xxx"],
+        "is ambiguous",
+        id="sankey-ambiguous-ids",
+    ),
 ]
 
 

@@ -6,14 +6,16 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import shutil
 import typing
+from dataclasses import replace
 from typing import Mapping, NamedTuple
 
 import pytest
 
 from taxoforge import codec, knowledge, pipeline, similarity
 from taxoforge.cluster import CategoryAssignment
-from taxoforge.errors import ArtifactError
+from taxoforge.errors import ArtifactError, KnowledgeBaseError, TaxoforgeError
 from taxoforge.integrate import IntegratedFactor
 from tests.conftest import FIXTURES
 
@@ -466,10 +468,53 @@ def _names_its_leaf(phase, leaf, message, path) -> bool:
     )
 
 
+def test_read_names_a_rule_refusal_at_its_artifact(fixture_run):
+    """A rule refuses by a plain ``TaxoforgeError``; the frame names it at
+    the artifact's ``data`` and the path its ``at`` gives."""
+    config, _ = fixture_run
+
+    def rule(state, decoded):
+        raise TaxoforgeError("x", "factors", 0)
+
+    with pytest.raises(ArtifactError) as caught:
+        pipeline.RunState(config).read("classify", rule)
+    path = config.out_dir / pipeline.ARTIFACTS["classify"][0]
+    assert str(caught.value) == f"artifact {path}: data.factors[0]: x"
+
+
+def test_read_passes_a_named_refusal_unchanged(fixture_run):
+    """A subclass of ``TaxoforgeError``, such as the KB's refusal, already
+    names its file: the frame lets it pass as it is."""
+    config, _ = fixture_run
+    refusal = KnowledgeBaseError("kb file K: placement_overrides.x: unknown domain")
+
+    def rule(state, decoded):
+        raise refusal
+
+    with pytest.raises(KnowledgeBaseError) as caught:
+        pipeline.RunState(config).read("classify", rule)
+    assert caught.value is refusal
+
+
+def test_read_names_an_upstream_artifact_a_rule_loads(fixture_run, tmp_path):
+    """An upstream artifact that a rule loads mid-rule, and that is refused,
+    is named as itself, not as the artifact the rule reads."""
+    config, _ = fixture_run
+    shutil.copytree(config.out_dir, tmp_path, dirs_exist_ok=True)
+    config = replace(config, out_dir=tmp_path)
+    upstream = tmp_path / pipeline.ARTIFACTS["integrate"][0]
+    doc = json.loads(upstream.read_text(encoding="utf-8"))
+    doc["data"]["factors"][0]["counts"] = None
+    upstream.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ArtifactError) as caught:
+        pipeline.RunState(config).read("classify", lambda state, _: state.get("integrate"))
+    assert str(caught.value).startswith(f"artifact {upstream}: data.factors[0].counts: ")
+
+
 def _homes_as_written(state: pipeline.RunState) -> None:
-    """Read assignments.json through the homes reader, which must give each
+    """Read assignments.json through the homes rules, which must give each
     home as the file writes it."""
-    homes, _ = pipeline._read_homes(state)
+    homes = state.read("cluster", pipeline._homes)
     path = state.config.out_dir / pipeline.ARTIFACTS["cluster"][0]
     written = json.loads(path.read_text(encoding="utf-8"))["data"]["assignments"]
     assert [list(home) for home in homes] == [list(home.values()) for home in written]
@@ -482,9 +527,9 @@ def test_mutation_sweep_reads_or_refuses(fixture_run):
     nothing else escapes. Every mutation to a null, another JSON type or -1
     is refused. No leaf that is rebuilt on reading is read with another
     value, not even one of its own kind that every type and range check
-    accepts. assignments.json is also read by the homes reader, which
-    indicate and emit use: it rebuilds no category, so a category of another
-    domain is refused by its subcategory, and what it reads is as written."""
+    accepts. assignments.json is also read by the homes rules, which
+    indicate and emit use: they rebuild no category, so a category of another
+    domain is refused by its subcategory, and what they read is as written."""
     config, computed = fixture_run
     loaded = {
         name: getattr(computed, name) for name in ("checksums", "kb", "lexicon")

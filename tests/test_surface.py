@@ -189,15 +189,12 @@ def test_every_check_runs_on_read():
                 if "check" in vars(value):
                     checked.add(value)
     # The codec calls the check of each record it decodes: the input files'
-    # and the artifacts'. similarity.json has a reader of its own, which
-    # takes the config's weights.
+    # and the artifacts'. similarity.json, which keeps its own codec, has no
+    # type in ARTIFACTS.
     files = [
         pipeline.ConfigFile, knowledge.KbFile, similarity.LexiconFile, corpus.RulesFile
     ]
-    artifacts = [
-        kind for phase, (_, _, kind, _) in pipeline.ARTIFACTS.items()
-        if kind and phase != "similarity"
-    ]
+    artifacts = [kind for _, _, kind, _ in pipeline.ARTIFACTS.values() if kind]
     reached: set[type] = set()
     for kind in files + artifacts:
         _add_records(kind, reached)
@@ -247,9 +244,11 @@ def hand_written_steps() -> list[str]:
             elif isinstance(node, ast.Constant) and id(node) not in inner:
                 hit = isinstance(node.value, str) and "[*]" in node.value
             else:
+                hit = False
+            if not hit:  # only a hit's source: each segment splits the text again
                 continue
             source = ast.get_source_segment(text, node)
-            if hit and (path.stem, source) not in NOT_PATHS:
+            if (path.stem, source) not in NOT_PATHS:
                 found.append(f"{path.stem}:{node.lineno}: {source}")
     return found
 
