@@ -10,22 +10,22 @@ scoring at or above the subcluster threshold become subcategory clusters.
 The lexicon match is classify's relevance row, read from its result. The
 space-profile cosine depends only on the occurrence counts, so
 ``space_fits`` computes it once per distinct count vector. A factor's scores
-are one ``ChannelRow``: a tuple per channel in KB order, and their blend. The
-artifact keeps only each factor's home (``CategoryHome``): reading it
-rebuilds every row with ``channel_scores``, the helper ``assign_categories``
-scores with, and refuses a category that is not the rebuilt argmax.
+are one ``ChannelRow``: a tuple per channel in KB order, and their blend,
+which only the CSV report reads. The result is each factor's home
+(``CategoryHome``), all the artifact keeps: reading it rebuilds every row
+with ``channel_scores`` and refuses a category that is not the rebuilt argmax.
 
 A subcluster's subcategory is the one whose keywords best match its names on
-average. ``best_subcategory`` reads each name's row of the domain's
-``subcategory_scorer``, a ``KeywordScorer`` over its subcategory keyword
-lists, which each call of ``assign_categories`` builds once per category.
+average. ``subcategory_chooser``, which place calls too, builds each domain's
+``KeywordScorer`` over its subcategory keyword lists once, and
+``best_subcategory`` reads each name's row of it.
 """
 
 from __future__ import annotations
 
 import math
 from operator import add, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .classify import ClassificationResult, FactorClass
 from .integrate import IntegratedFactorSet
@@ -76,7 +76,7 @@ def related_factors(
 
 
 class CategoryHome(NamedTuple):
-    """What the cluster artifact keeps of an assignment."""
+    """A factor's cluster home: the phase's result and what its artifact keeps."""
 
     factor: str
     category: str
@@ -91,15 +91,6 @@ class ChannelRow(NamedTuple):
     similarity_evidence: tuple[float, ...]
     distribution: tuple[float, ...]
     final: tuple[float, ...]
-
-
-class CategoryAssignment(NamedTuple):
-    """A home with its channel scores; ``CategoryHome``'s fields lead."""
-
-    factor: str
-    category: str
-    subcategory: str
-    scores: ChannelRow
 
 
 def fold_sum(values: Iterable[float]) -> float:
@@ -206,18 +197,14 @@ def subcluster(
     return [sorted(groups[root]) for root in sorted(groups)]
 
 
-def subcategory_scorer(domain: Domain, lexicon: SemanticLexicon) -> KeywordScorer:
-    """The scorer over the domain's subcategory keyword lists, in order."""
-    return KeywordScorer([sub.keywords for sub in domain.subcategories], lexicon)
-
-
 def best_subcategory(
     names: Sequence[str], domain: Domain, scorer: KeywordScorer
 ) -> str:
     """Subcategory with the highest mean keyword match over the given names,
-    from the domain's ``subcategory_scorer``; the first strictly highest
-    wins. Each mean sums over the names in order, then divides by their
-    count. An all-zero match falls back to the domain's first subcategory.
+    from ``scorer`` over the domain's subcategory keyword lists; the first
+    strictly highest wins. Each mean sums over the names in order, then
+    divides by their count. An all-zero match falls back to the domain's
+    first subcategory.
     """
     totals = [0.0] * len(domain.subcategories)
     for name in names:
@@ -230,16 +217,36 @@ def best_subcategory(
     return best_id
 
 
+def subcategory_chooser(
+    kb: DomainKnowledgeBase, lexicon: SemanticLexicon
+) -> Callable[[Sequence[str], str], str]:
+    """(names, domain id) -> the domain's ``best_subcategory`` for the names.
+    Each domain's scorer over its subcategory keyword lists, in order, is
+    built on first use. ``best_subcategory`` is called by its module-level
+    name, so that a wrapper set on that name sees each call."""
+    scorers: dict[str, tuple[Domain, KeywordScorer]] = {}
+
+    def choose(names: Sequence[str], domain_id: str) -> str:
+        if domain_id not in scorers:
+            domain = kb.by_id(domain_id)
+            groups = [sub.keywords for sub in domain.subcategories]
+            scorers[domain_id] = domain, KeywordScorer(groups, lexicon)
+        return best_subcategory(names, *scorers[domain_id])
+
+    return choose
+
+
 def assign_categories(
     factor_set: IntegratedFactorSet,
     classifications: Sequence[ClassificationResult],
     kb: DomainKnowledgeBase,
     neighbours: Neighbours,
-    lexicon: SemanticLexicon,
+    choose: Callable[[Sequence[str], str], str],
     related_threshold: float = RELATED_THRESHOLD,
     subcluster_threshold: float = SUBCLUSTER_THRESHOLD,
-) -> list[CategoryAssignment]:
-    """Assign every factor to one (category, subcategory) pair."""
+) -> tuple[list[CategoryHome], list[ChannelRow]]:
+    """Every factor's one (category, subcategory) home, its subcategory
+    given by ``choose``, and its channel row; both in factor order."""
     rows = channel_scores(factor_set, classifications, kb, neighbours, related_threshold)
     domain_ids = kb.domain_ids()
     categories = [argmax_domain(row, domain_ids) for row in rows]
@@ -250,20 +257,14 @@ def assign_categories(
 
     subcategories: dict[int, str] = {}
     for category, members in by_category.items():
-        domain = kb.by_id(category)
-        scorer = subcategory_scorer(domain, lexicon)
         for cluster in subcluster(members, neighbours, subcluster_threshold):
             names = [factor_set.factors[i].canonical_name for i in cluster]
-            sub_id = best_subcategory(names, domain, scorer)
+            sub_id = choose(names, category)
             for i in cluster:
                 subcategories[i] = sub_id
 
-    return [
-        CategoryAssignment(
-            factor=factor_set.factors[index].canonical_name,
-            category=categories[index],
-            subcategory=subcategories[index],
-            scores=rows[index],
-        )
-        for index in range(len(factor_set.factors))
+    homes = [
+        CategoryHome(factor.canonical_name, categories[index], subcategories[index])
+        for index, factor in enumerate(factor_set.factors)
     ]
+    return homes, rows

@@ -218,8 +218,6 @@ def load_corpus(path: str | Path, expect_type: str | None = None) -> Corpus:
     it is. Spellings keep the order of their first rows.
     """
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"dataset file not found: {path}")
     try:
         records = _fold_lines(path, expect_type)
         if records is None:  # read row by row, identical rows counted

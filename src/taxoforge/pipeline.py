@@ -1,9 +1,10 @@
 """Configuration handling and phase orchestration.
 
 The config file is decoded by the artifact codec, as every input file is.
-A ``RunState`` holds one invocation's checksums, KB, lexicon, rules and phase
-results, each computed or loaded once. A result it has not computed is read
-by ``RunState.read``: the codec decodes the independent values, each record
+A ``RunState`` holds one invocation's checksums, KB, lexicon, rules, the
+subcategory chooser cluster and place share, and the phase results, each
+computed or loaded once. A result it has not computed is read by
+``RunState.read``: the codec decodes the independent values, each record
 checking what it alone shows; the artifact's rules (``READERS``) check what
 needs another file or the KB, the phase's own code rebuilds the rest, and
 each decoded record must equal its rebuilt record's leading fields; indicate
@@ -51,9 +52,6 @@ from .knowledge import (
 from .similarity import SemanticLexicon, SimilarityWeights, load_lexicon
 
 log = logging.getLogger(__name__)
-
-# Factor names quoted in a bounded warning; the count is always given.
-UNMATCHED_SHOWN = 5
 
 
 class Thresholds(NamedTuple):
@@ -296,6 +294,12 @@ class RunState:
         return load_rules(self.config.rules_path)
 
     @cached_property
+    def chooser(self) -> Callable[[Sequence[str], str], str]:
+        """The subcategory chooser cluster and place share, so that each
+        domain's keyword scorer is built once."""
+        return cluster.subcategory_chooser(self.kb, self.lexicon)
+
+    @cached_property
     def neighbours(self) -> list[list[tuple[int, float]]]:
         """Each factor's graph neighbours, read by cluster and place."""
         return similarity.neighbours(self.get("similarity"))
@@ -403,8 +407,8 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> N
 def _compare(rebuilt: Sequence[tuple], decoded: Sequence[tuple], key: str) -> None:
     """Refuse, below ``key``, the first field of a decoded record that is not
     its rebuilt record's field of that name, or a count that differs; the
-    codec has typed each field, so ``==`` holds. One-field records of names
-    hold each decoded record's first field, its name, to them."""
+    codec has typed each field, so ``==`` holds. A rebuilt tuple shorter
+    than its record, as a name alone, holds the record's leading fields."""
     if len(rebuilt) != len(decoded) or any(
         record[: len(kept)] != kept[: len(record)]
         for record, kept in zip(rebuilt, decoded)
@@ -453,7 +457,7 @@ def _homes(state: RunState, decoded: list) -> list[cluster.CategoryHome]:
     return decoded
 
 
-def _assigned(state: RunState, decoded: list) -> list[cluster.CategoryAssignment]:
+def _assigned(state: RunState, decoded: list) -> list[cluster.CategoryHome]:
     _homes(state, decoded)
     integrated, classified, kb = state.get("integrate"), state.get("classify"), state.kb
     neighbours, related = state.neighbours, state.config.thresholds.related
@@ -461,14 +465,10 @@ def _assigned(state: RunState, decoded: list) -> list[cluster.CategoryAssignment
     # Every channel score and so each category is rebuilt; the subcategory,
     # which needs the lexicon, is taken as written.
     rows = cluster.channel_scores(integrated, classified, kb, neighbours, related)
-    results = [
-        cluster.CategoryAssignment(
-            home.factor, cluster.argmax_domain(row, domain_ids), home.subcategory, row
-        )
-        for home, row in zip(decoded, rows)
-    ]
-    _compare(results, decoded, "assignments")
-    return results
+    rebuilt = [(home.factor, cluster.argmax_domain(row, domain_ids))
+               for home, row in zip(decoded, rows)]
+    _compare(rebuilt, decoded, "assignments")
+    return decoded
 
 
 def _placed(state: RunState, decoded: list) -> placement.PlacementResult:
@@ -533,14 +533,17 @@ def _phase(step: Callable) -> Callable:
 
 
 def _warn_unmatched(message: str, names: Sequence[str]) -> None:
-    """Log ``message`` with the count of ``names`` and the first few, if any."""
+    """Log ``message`` with the count of ``names`` and the first few, each
+    cut as a refusal quotes a value, if any."""
     if names:
-        log.warning(f"{message}, first names: %s", len(names), names[:UNMATCHED_SHOWN])
+        log.warning(f"{message}, first names: %s", len(names), codec.listed(names))
 
 
 @_phase
 def phase_integrate(state: RunState) -> None:
     config = state.config
+    for name in ("rules", "checksums"):  # refused before any dataset, as by run
+        getattr(state, name)
     corpus = merge_corpora(
         load_corpus(path, expect_type=code) for path, code in config.datasets
     )
@@ -637,22 +640,21 @@ def phase_classify(state: RunState) -> None:
 @_phase
 def phase_cluster(state: RunState) -> None:
     thresholds = state.config.thresholds
-    assignments = cluster.assign_categories(
+    homes, rows = cluster.assign_categories(
         state.get("integrate"),
         state.get("classify"),
         state.kb,
         state.neighbours,
-        state.lexicon,
+        state.chooser,
         related_threshold=thresholds.related,
         subcluster_threshold=thresholds.subcluster,
     )
     header = ("factor", "category", "subcategory") + state.kb.domain_ids()
-    rows = [
-        (a.factor, a.category, a.subcategory)
-        + tuple(f"{final:.6f}" for final in a.scores.final)
-        for a in assignments
+    report = [
+        (*home, *(f"{final:.6f}" for final in row.final))
+        for home, row in zip(homes, rows)
     ]
-    state.put("cluster", assignments, report=(header, rows))
+    state.put("cluster", homes, report=(header, report))
 
 
 @_phase
@@ -670,7 +672,7 @@ def phase_place(state: RunState) -> None:
         kb,
         state.neighbours,
         state.get("cluster"),
-        state.lexicon,
+        state.chooser,
         related_threshold=thresholds.related,
         promotion_threshold=thresholds.promotion,
     )

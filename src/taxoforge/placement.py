@@ -6,6 +6,9 @@ compatibility). Ranked by composite, the top domain becomes the Primary
 placement, the second Secondary, and the rest Tertiary unless their composite
 reaches the promotion threshold, which lifts them to Secondary. Non-primary
 placements receive cross-reference entries pointing back to the primary home.
+
+Of cluster, placement reads each factor's home, ``space_fits`` for the space
+compatibility, and the subcategory chooser; no channel row.
 """
 
 from __future__ import annotations
@@ -14,19 +17,13 @@ from enum import Enum
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .classify import ClassificationResult
-from .cluster import (
-    RELATED_THRESHOLD,
-    CategoryAssignment,
-    best_subcategory,
-    fold_sum,
-    related_factors,
-    subcategory_scorer,
-)
+from .cluster import RELATED_THRESHOLD, CategoryHome, fold_sum, related_factors
+from .cluster import space_fits
 from .codec import listed, located, shown
 from .errors import KnowledgeBaseError, TaxoforgeError
 from .integrate import IntegratedFactorSet
-from .knowledge import Domain, DomainKnowledgeBase
-from .similarity import KeywordScorer, Neighbours, SemanticLexicon
+from .knowledge import DomainKnowledgeBase
+from .similarity import Neighbours
 
 PROMOTION_THRESHOLD = 0.80
 
@@ -95,48 +92,28 @@ def composite(
     classification: ClassificationResult,
     kb: DomainKnowledgeBase,
     related: Sequence[tuple[int, float]],
-    assignments: Sequence[CategoryAssignment],
+    homes: Sequence[CategoryHome],
+    fits: Mapping[tuple[int, ...], tuple[float, ...]],
 ) -> CompositeScore:
     """Composite score of one factor against one of its relevant domains.
 
-    ``related`` is the factor's neighbour list from ``related_factors``; the
-    space compatibility is the distribution score its assignment holds.
+    ``related`` is the factor's neighbour list from ``related_factors``, read
+    against every factor's cluster home; ``fits`` is ``space_fits`` of the
+    factor set, which gives the space compatibility.
     """
     factor = factor_set.factors[index]
     position = kb.domain_ids().index(domain_id)
     domain = kb.domains[position]
 
-    if related:
-        assigned_here = sum(
-            1 for j, _ in related if assignments[j].category == domain_id
-        )
-        functional = assigned_here / len(related)
-    else:
-        functional = 0.0
+    homed_here = sum(1 for j, _ in related if homes[j].category == domain_id)
+    functional = homed_here / len(related) if related else 0.0
     theoretical = domain.literature_level(factor.canonical_name)
     return CompositeScore(
         semantic_relevance=classification.relevance[position],
         functional_importance=functional,
         theoretical_justification=theoretical,
-        space_compatibility=assignments[index].scores.distribution[position],
+        space_compatibility=fits[factor.counts][position],
     )
-
-
-def by_keywords(
-    kb: DomainKnowledgeBase, lexicon: SemanticLexicon
-) -> Callable[[str, str], str]:
-    """(factor, domain id) -> the domain's subcategory whose keywords best
-    match the factor's name. Each domain's scorer is built on first use."""
-    scorers: dict[str, tuple[Domain, KeywordScorer]] = {}
-
-    def subcategory(factor: str, domain_id: str) -> str:
-        if domain_id not in scorers:
-            domain = kb.by_id(domain_id)
-            scorers[domain_id] = domain, subcategory_scorer(domain, lexicon)
-        domain, scorer = scorers[domain_id]
-        return best_subcategory([factor], domain, scorer)
-
-    return subcategory
 
 
 def place(
@@ -183,12 +160,14 @@ def place_cross_cutting(
     classifications: Sequence[ClassificationResult],
     kb: DomainKnowledgeBase,
     neighbours: Neighbours,
-    assignments: Sequence[CategoryAssignment],
-    lexicon: SemanticLexicon,
+    homes: Sequence[CategoryHome],
+    choose: Callable[[Sequence[str], str], str],
     related_threshold: float = RELATED_THRESHOLD,
     promotion_threshold: float = PROMOTION_THRESHOLD,
 ) -> PlacementResult:
-    """Composites of every flagged factor in each relevant domain, arranged."""
+    """Composites of every flagged factor in each relevant domain, arranged;
+    ``choose``, cluster's subcategory chooser, names each subcategory."""
+    fits = space_fits(factor_set, kb)
     composites: dict[tuple[str, str], float] = {}
     for index, result in enumerate(classifications):
         if not result.cross_cutting.flagged:
@@ -196,14 +175,14 @@ def place_cross_cutting(
         related = related_factors(index, neighbours, related_threshold)
         for domain_id in result.cross_cutting.relevant_domains:
             score = composite(
-                index, domain_id, factor_set, result, kb, related, assignments
+                index, domain_id, factor_set, result, kb, related, homes, fits
             )
             composites[result.name, domain_id] = score.composite
     return arrange(
         classifications,
         kb,
         lambda name, domain_id: composites[name, domain_id],
-        by_keywords(kb, lexicon),
+        lambda name, domain_id: choose([name], domain_id),
         promotion_threshold,
     )
 
@@ -277,10 +256,10 @@ def cross_references(
 
 
 def primary_homes(
-    assignments: Sequence[CategoryAssignment], placement_result: PlacementResult
+    assignments: Sequence[CategoryHome], placement_result: PlacementResult
 ) -> dict[str, tuple[str, str]]:
     """Factor -> (category, subcategory) of its one primary home: its primary
-    placement if it has one, its assignment otherwise."""
+    placement if it has one, its cluster home otherwise."""
     homes = {a.factor: (a.category, a.subcategory) for a in assignments}
     for p in placement_result.placements:
         if p.tier is PlacementTier.PRIMARY:

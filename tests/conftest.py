@@ -365,18 +365,19 @@ def cluster_fixture():
 def build_pipeline_outputs(factor_set, kb, lexicon, matrix=None):
     """Run phases 2..6 in memory and return everything emit needs."""
     from taxoforge.applicability import indicators_for
-    from taxoforge.cluster import assign_categories
+    from taxoforge.cluster import assign_categories, subcategory_chooser
     from taxoforge.placement import place_cross_cutting, primary_homes
 
     if matrix is None:
         matrix = build_matrix(factor_set, SimilarityWeights(), lexicon)
     edges = neighbours(matrix)
     classifications = classify_factors(factor_set, kb, lexicon)
-    assignments = assign_categories(factor_set, classifications, kb, edges, lexicon)
+    choose = subcategory_chooser(kb, lexicon)
+    assigned, _ = assign_categories(factor_set, classifications, kb, edges, choose)
     placements = place_cross_cutting(
-        factor_set, classifications, kb, edges, assignments, lexicon
+        factor_set, classifications, kb, edges, assigned, choose
     )
-    homes = primary_homes(assignments, placements)
+    homes = primary_homes(assigned, placements)
     domains = {name: home[0] for name, home in homes.items()}
     indicators = indicators_for(factor_set.factors, classifications, domains, kb)
     return classifications, homes, placements, indicators

@@ -22,9 +22,10 @@ from taxoforge.classify import (
     FactorClass,
     entropy,
 )
+from taxoforge.cluster import subcategory_chooser
 from taxoforge.corpus import SPACE_TYPES, load_corpus
 from taxoforge.integrate import integrate
-from taxoforge.placement import PlacementTier, by_keywords, place
+from taxoforge.placement import PlacementTier, place
 from taxoforge.similarity import SimilarityWeights, combine, pair_count
 from tests.conftest import FIXTURES, counts_of, make_factor
 from tests.test_emit import delete_factor, duplicate_primary
@@ -193,7 +194,11 @@ def test_c6_placement_protocol(default_kb, default_lexicon, sample_framework):
         "wayfinding": ["primary", "secondary"],
         "community engagement": ["primary", "secondary", "tertiary"],
     }
-    keywords = by_keywords(default_kb, default_lexicon)
+    choose = subcategory_chooser(default_kb, default_lexicon)
+
+    def keywords(name, domain_id):
+        return choose([name], domain_id)
+
     with criterion(6, "worked composites give all six primaries and five of six tier columns"):
         for name, ranked in composites.items():
             placements = place(name, ranked, keywords)

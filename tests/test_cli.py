@@ -326,6 +326,32 @@ class TestRun:
         monkeypatch.setattr(emit, "build_framework", sabotage)
         assert cli.main(["run", "--config", str(config)]) == 2
 
+    def test_run_builds_each_subcategory_scorer_once(self, tmp_path, monkeypatch):
+        # Cluster and place choose subcategories through one chooser, which
+        # builds each domain's scorer on first use and calls best_subcategory
+        # by its module-level name, so a wrapper set there sees every call.
+        built, chosen = [], []
+        best_subcategory = cluster.best_subcategory
+
+        class Counting(similarity.KeywordScorer):
+            def __init__(self, groups, lexicon):
+                built.append(tuple(map(tuple, groups)))
+                super().__init__(groups, lexicon)
+
+        def counting(*args):
+            chosen.append(args)
+            return best_subcategory(*args)
+
+        monkeypatch.setattr(cluster, "KeywordScorer", Counting)
+        monkeypatch.setattr(cluster, "best_subcategory", counting)
+        config = pipeline.apply_overrides(
+            pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
+        )
+        assert pipeline.run(config) == 0
+        assert built and len(built) == len(set(built))
+        # The fixture's subclusters and placements, one call each.
+        assert len(chosen) == 17
+
     def test_run_loads_each_input_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -715,7 +741,23 @@ class TestClassifyPhase:
             r.getMessage() for r in caplog.records if "domain match" in r.getMessage()
         ]
         assert message.startswith("classify: 7 factors without a domain match")
-        assert sum(name in message for name in names) == pipeline.UNMATCHED_SHOWN
+        assert sum(name in message for name in names) == 5  # then the count
+        assert message.endswith(", ...] (7 in all)")
+
+    def test_unmatched_long_name_warning_is_bounded(self, tmp_path, caplog):
+        # A factor name of 5,000 characters that matches no domain is quoted
+        # cut, as a refusal quotes a value, so every line stays short.
+        long = tmp_path / "long.csv"
+        long.write_text(f"raw_name,study_id,space_type\n{'x' * 5_000},s1,P\n")
+        config = tmp_path / "config.yaml"
+        corpus = FIXTURES / "sample_corpus.csv"
+        config.write_text(f"datasets: [{corpus}, {long}]\nout: {tmp_path / 'out'}\n")
+        with caplog.at_level(logging.WARNING, logger="taxoforge.pipeline"):
+            assert cli.main(["run", "--config", str(config)]) == 0
+        lines = [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records]
+        (line,) = [line for line in lines if "domain match" in line]
+        assert "xxx..." in line
+        assert max(map(len, lines)) <= 300
 
 
 class TestKnowledgeBaseNames:
@@ -767,7 +809,8 @@ class TestKnowledgeBaseNames:
         ]
         # The default KB names six factors the fixture corpus does not have.
         assert message.startswith("place: 6 KB factor names match no factor")
-        assert message.count("'") == 2 * pipeline.UNMATCHED_SHOWN
+        assert message.count("'") == 2 * 5  # five names quoted, then the count
+        assert message.endswith(", ...] (6 in all)")
 
 
     def test_override_of_a_factor_not_cross_cutting_is_warned(
@@ -2041,6 +2084,22 @@ MALFORMED = [
         lambda tmp: _made(tmp / "out.txt", lambda path: path.write_text("x\n")),
         "not a directory",
         id="out-is-a-file-read",
+    ),
+    # integrate refuses a dataset path as run does: it digests the inputs
+    # before it reads any dataset.
+    pytest.param(
+        "integrate",
+        ["datasets", 0],
+        lambda tmp: tmp / "missing.csv",
+        "dataset path not found: ",
+        id="dataset-missing-integrate",
+    ),
+    pytest.param(
+        "integrate",
+        ["datasets", 0],
+        lambda tmp: _made(tmp / "dataset.csv", Path.mkdir),
+        "cannot read dataset file ",
+        id="dataset-is-directory-integrate",
     ),
 ]
 

@@ -9,6 +9,7 @@ from taxoforge.cluster import (
     domain_priorities,
     related_factors,
     space_fits,
+    subcategory_chooser,
     subcluster,
 )
 from taxoforge.knowledge import DomainScope
@@ -25,6 +26,13 @@ WORKED_ASSIGNMENTS = {
     "surveillance": "SAFETY & SECURITY",
     "accessibility": "ACCESSIBILITY",
 }
+
+
+def assigned(factor_set, matrix, kb, lexicon):
+    """The fixture factors' homes and channel rows."""
+    results = classify_factors(factor_set, kb, lexicon)
+    choose = subcategory_chooser(kb, lexicon)
+    return assign_categories(factor_set, results, kb, neighbours(matrix), choose)
 
 
 class TestDomainPriorities:
@@ -78,55 +86,38 @@ class TestScoreWeights:
 
 class TestAssignment:
     def test_worked_assignments(self, cluster_fixture, default_kb, default_lexicon):
-        factor_set, matrix = cluster_fixture
-        results = classify_factors(factor_set, default_kb, default_lexicon)
-        assignments = assign_categories(
-            factor_set, results, default_kb, neighbours(matrix), default_lexicon
-        )
-        by_name = {a.factor: a.category for a in assignments}
+        homes, _ = assigned(*cluster_fixture, default_kb, default_lexicon)
+        by_name = {home.factor: home.category for home in homes}
         for name, expected in WORKED_ASSIGNMENTS.items():
             assert by_name[name] == expected, name
 
     def test_every_factor_assigned_once(
         self, cluster_fixture, default_kb, default_lexicon
     ):
-        factor_set, matrix = cluster_fixture
-        results = classify_factors(factor_set, default_kb, default_lexicon)
-        assignments = assign_categories(
-            factor_set, results, default_kb, neighbours(matrix), default_lexicon
-        )
-        assert len(assignments) == len(factor_set.factors)
-        assert len({a.factor for a in assignments}) == len(factor_set.factors)
-        for a in assignments:
-            assert a.subcategory in default_kb.by_id(a.category).subcategory_ids()
+        factor_set, _ = cluster_fixture
+        homes, rows = assigned(*cluster_fixture, default_kb, default_lexicon)
+        assert len(homes) == len(rows) == len(factor_set.factors)
+        assert len({home.factor for home in homes}) == len(factor_set.factors)
+        for _, category, sub in homes:
+            assert sub in default_kb.by_id(category).subcategory_ids()
 
     def test_space_fits_are_the_profile_cosines(
         self, cluster_fixture, default_kb, default_lexicon
     ):
-        factor_set, matrix = cluster_fixture
+        factor_set, _ = cluster_fixture
         fits = space_fits(factor_set, default_kb)
         assert fits.keys() == {f.counts for f in factor_set.factors}
         for counts, row in fits.items():
             assert row == tuple(
                 cosine(counts, domain.space_profile) for domain in default_kb.domains
             )
-        results = classify_factors(factor_set, default_kb, default_lexicon)
-        assignments = assign_categories(
-            factor_set, results, default_kb, neighbours(matrix), default_lexicon
-        )
-        for factor, a in zip(factor_set.factors, assignments):
-            assert a.scores.distribution == fits[factor.counts]
+        _, rows = assigned(*cluster_fixture, default_kb, default_lexicon)
+        for factor, row in zip(factor_set.factors, rows):
+            assert row.distribution == fits[factor.counts]
 
     def test_argmax_reproducible(self, cluster_fixture, default_kb, default_lexicon):
-        factor_set, matrix = cluster_fixture
-        results = classify_factors(factor_set, default_kb, default_lexicon)
-        first = assign_categories(
-            factor_set, results, default_kb, neighbours(matrix), default_lexicon
-        )
-        second = assign_categories(
-            factor_set, results, default_kb, neighbours(matrix), default_lexicon
-        )
-        assert first == second
+        first = assigned(*cluster_fixture, default_kb, default_lexicon)
+        assert assigned(*cluster_fixture, default_kb, default_lexicon) == first
 
 
 class TestSubcluster:
@@ -163,17 +154,13 @@ class TestSubcluster:
 
 class TestValidateHierarchy:
     def test_counts(self, cluster_fixture, default_kb, default_lexicon):
-        factor_set, matrix = cluster_fixture
-        results = classify_factors(factor_set, default_kb, default_lexicon)
-        assignments = assign_categories(
-            factor_set, results, default_kb, neighbours(matrix), default_lexicon
-        )
-        for a in assignments:
-            assert a.subcategory in default_kb.by_id(a.category).subcategory_ids()
+        homes, _ = assigned(*cluster_fixture, default_kb, default_lexicon)
+        for _, category, sub in homes:
+            assert sub in default_kb.by_id(category).subcategory_ids()
         expected_categories = {
             "SAFETY & SECURITY",
             "COMFORT",
             "ACCESSIBILITY",
             "NATURAL ELEMENTS",
         }
-        assert expected_categories <= {a.category for a in assignments}
+        assert expected_categories <= {home.category for home in homes}

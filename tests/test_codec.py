@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple
 import pytest
 
 from taxoforge import codec, knowledge, pipeline, similarity
-from taxoforge.cluster import CategoryAssignment
+from taxoforge.cluster import CategoryHome
 from taxoforge.errors import ArtifactError, KnowledgeBaseError, TaxoforgeError
 from taxoforge.integrate import IntegratedFactor
 from tests.conftest import FIXTURES
@@ -134,12 +134,15 @@ def test_slim_artifacts_keep_only_their_keys(fixture_run, phase):
 
 
 def test_assignments_read_back_equal_the_run(fixture_run):
-    """Every channel score is rebuilt on reading, so the result read from
-    disk equals the one the run computed, scores included."""
+    """Cluster's result has one type: the homes a run computes equal, as
+    ``CategoryHome`` records, those a fresh state reads, which rebuilds every
+    category, and those the homes rules read as written."""
     config, state = fixture_run
     read = pipeline.RunState(config).get("cluster")
-    assert all(type(a) is CategoryAssignment for a in read)
-    assert read == state.results["cluster"]
+    as_written = pipeline.RunState(config).read("cluster", pipeline._homes)
+    for homes in (state.results["cluster"], read, as_written):
+        assert all(type(home) is CategoryHome for home in homes)
+    assert state.results["cluster"] == read == as_written
 
 
 @pytest.mark.parametrize("phase", ("similarity", "classify", "place", "indicate"))

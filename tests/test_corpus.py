@@ -51,7 +51,8 @@ class TestLoadCorpus:
             load_corpus(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(CorpusError, match="not found"):
+        # The config's checksum refuses a missing dataset before it is loaded.
+        with pytest.raises(CorpusError, match="nope.csv: cannot read: No such file"):
             load_corpus(tmp_path / "nope.csv")
 
     def test_malformed_row_reports_position(self, tmp_path):

@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from taxoforge.classify import classify_factors
-from taxoforge.cluster import assign_categories
+from taxoforge.cluster import assign_categories, subcategory_chooser
 from taxoforge.knowledge import load_kb
 from taxoforge.placement import (
     CompositeScore,
     PlacementTier,
-    by_keywords,
     cross_references,
     place,
     place_cross_cutting,
@@ -61,7 +60,17 @@ WORKED_TIERS = {
 
 @pytest.fixture(scope="module")
 def keywords(default_kb, default_lexicon):
-    return by_keywords(default_kb, default_lexicon)
+    choose = subcategory_chooser(default_kb, default_lexicon)
+    return lambda name, domain_id: choose([name], domain_id)
+
+
+def placed_on(factor_set, matrix, kb, lexicon):
+    """The fixture factors' classifications and placements."""
+    edges = neighbours(matrix)
+    results = classify_factors(factor_set, kb, lexicon)
+    choose = subcategory_chooser(kb, lexicon)
+    homes, _ = assign_categories(factor_set, results, kb, edges, choose)
+    return results, place_cross_cutting(factor_set, results, kb, edges, homes, choose)
 
 
 class TestCompositeScore:
@@ -121,16 +130,7 @@ class TestPlaceProtocol:
 class TestPipelinePlacement:
     @pytest.fixture()
     def placed(self, cluster_fixture, default_kb, default_lexicon):
-        factor_set, matrix = cluster_fixture
-        edges = neighbours(matrix)
-        results = classify_factors(factor_set, default_kb, default_lexicon)
-        assignments = assign_categories(
-            factor_set, results, default_kb, edges, default_lexicon
-        )
-        result = place_cross_cutting(
-            factor_set, results, default_kb, edges, assignments, default_lexicon
-        )
-        return results, result
+        return placed_on(*cluster_fixture, default_kb, default_lexicon)
 
     def test_exactly_one_primary_per_flagged_factor(self, placed):
         results, result = placed
@@ -182,13 +182,7 @@ class TestOverrides:
         kb_path.write_text(text, encoding="utf-8")
         kb = load_kb(kb_path)
 
-        factor_set, matrix = cluster_fixture
-        edges = neighbours(matrix)
-        results = classify_factors(factor_set, kb, default_lexicon)
-        assignments = assign_categories(factor_set, results, kb, edges, default_lexicon)
-        result = place_cross_cutting(
-            factor_set, results, kb, edges, assignments, default_lexicon
-        )
+        _, result = placed_on(*cluster_fixture, kb, default_lexicon)
         primary = next(
             p
             for p in result.placements

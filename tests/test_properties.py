@@ -43,12 +43,11 @@ from taxoforge.cluster import (
     SIMILARITY_WEIGHT,
     argmax_domain,
     assign_categories,
-    best_subcategory,
     channel_scores,
     domain_priorities,
     related_factors,
     space_fits,
-    subcategory_scorer,
+    subcategory_chooser,
 )
 from taxoforge.corpus import (
     SPACE_TYPES,
@@ -419,8 +418,8 @@ def check_relevance_rows(domains, fields, field_score, names) -> None:
 
 
 def check_best_subcategory(groups, fields, field_score, names) -> None:
-    """``best_subcategory`` over a domain whose subcategories hold the keyword
-    groups equals the per-keyword reference."""
+    """The subcategory chooser, over a domain whose subcategories hold the
+    keyword groups, equals the per-keyword reference."""
     domain = Domain(
         identifier="D",
         scope=DomainScope.BROAD,
@@ -431,10 +430,11 @@ def check_best_subcategory(groups, fields, field_score, names) -> None:
         space_profile=(1.0,) * 6,
         compatible_types=frozenset(),
     )
-    scorer = subcategory_scorer(domain, SemanticLexicon.build(fields, field_score))
+    kb = DomainKnowledgeBase(domains=(domain,))
+    choose = subcategory_chooser(kb, SemanticLexicon.build(fields, field_score))
     reference = SemanticLexicon.build(fields, field_score)  # its own feature cache
     expected = best_subcategory_reference(names, domain, reference)
-    assert best_subcategory(names, domain, scorer) == expected
+    assert choose(names, "D") == expected
 
 
 @st.composite
@@ -610,13 +610,12 @@ def check_classification_partition(vectors: list[tuple[int, ...]]) -> None:
 def run_mini_pipeline(factor_set: IntegratedFactorSet):
     edges = neighbours(build_matrix(factor_set, SimilarityWeights(), TINY_LEXICON))
     classifications = classify_factors(factor_set, TINY_KB, TINY_LEXICON)
-    assignments = assign_categories(
-        factor_set, classifications, TINY_KB, edges, TINY_LEXICON
-    )
+    choose = subcategory_chooser(TINY_KB, TINY_LEXICON)
+    assigned, _ = assign_categories(factor_set, classifications, TINY_KB, edges, choose)
     placements = place_cross_cutting(
-        factor_set, classifications, TINY_KB, edges, assignments, TINY_LEXICON
+        factor_set, classifications, TINY_KB, edges, assigned, choose
     )
-    homes = primary_homes(assignments, placements)
+    homes = primary_homes(assigned, placements)
     domains = {name: home[0] for name, home in homes.items()}
     indicators = indicators_for(factor_set.factors, classifications, domains, TINY_KB)
     return build_framework(
