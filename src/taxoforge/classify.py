@@ -110,17 +110,6 @@ def relevance_rows(
     return [scorer.row(name) for name in names]
 
 
-def primary_domain(
-    relevance: Sequence[float], kb: DomainKnowledgeBase
-) -> str | None:
-    """Domain with the highest relevance, or None when every domain scores zero.
-
-    Ties break by KB domain order; the pipeline reports unassignable factors.
-    """
-    best = max(relevance, default=0.0)
-    return kb.domains[relevance.index(best)].identifier if best > 0.0 else None
-
-
 def assess_cross_cutting(
     relevance: Sequence[float],
     kb: DomainKnowledgeBase,
@@ -173,7 +162,11 @@ def classify_rows(
     kb: DomainKnowledgeBase,
     threshold: float = CROSS_CUTTING_THRESHOLD,
 ) -> list[ClassificationResult]:
-    """Everything classify says about each factor, given its relevance row."""
+    """Everything classify says about each factor, given its relevance row.
+    The primary domain is the one of highest relevance, the first in KB
+    order on a tie, or None when every domain scores zero; the pipeline
+    reports such factors. Only a row whose best reaches ``threshold`` lists
+    its relevant domains."""
     ids = kb.domain_ids()
     by_counts: dict[tuple[int, ...], tuple[DistributionStats, FactorClass]] = {}
     by_relevant: dict[tuple[str, ...], CrossCuttingAssessment] = {}
@@ -183,10 +176,13 @@ def classify_rows(
         if (known := by_counts.get(counts)) is None:
             stats = distribution_stats(counts)
             known = by_counts[counts] = stats, classify(stats)
-        relevant = tuple(d for d, score in zip(ids, row) if score >= threshold)
+        best = max(row, default=0.0)
+        relevant = ()
+        if best >= threshold:
+            relevant = tuple(d for d, score in zip(ids, row) if score >= threshold)
         if (cross := by_relevant.get(relevant)) is None:
             cross = by_relevant[relevant] = assess_cross_cutting(row, kb, threshold)
-        primary = primary_domain(row, kb)
+        primary = ids[row.index(best)] if best > 0.0 else None
         results.append(ClassificationResult(
             factor.canonical_name, primary, cross.flagged, row, *known, cross
         ))

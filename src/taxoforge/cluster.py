@@ -9,7 +9,8 @@ scoring at or above the subcluster threshold become subcategory clusters.
 
 The lexicon match is classify's relevance row, read from its result. The
 space-profile cosine depends only on the occurrence counts, so
-``space_fits`` computes it once per distinct count vector. A factor's scores
+``space_fits`` computes it once per distinct count vector, and the run state
+once per invocation for cluster and place alike. A factor's scores
 are one ``ChannelRow``: a tuple per channel in KB order, and their blend,
 which only the CSV report reads. The result is each factor's home
 (``CategoryHome``), all the artifact keeps: reading it rebuilds every row
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from operator import add, mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .classify import ClassificationResult, FactorClass
 from .integrate import IntegratedFactorSet
@@ -132,16 +133,17 @@ def channel_scores(
     classifications: Sequence[ClassificationResult],
     kb: DomainKnowledgeBase,
     neighbours: Neighbours,
+    fits: Mapping[tuple[int, ...], tuple[float, ...]],
     related_threshold: float = RELATED_THRESHOLD,
 ) -> list[ChannelRow]:
-    """Every factor's channel row, in factor order."""
+    """Every factor's channel row, in factor order; ``fits`` is
+    ``space_fits`` of the factor set, the distribution channel."""
     priors = {}
     for factor_class in FactorClass:
         by_scope = domain_priorities(factor_class, kb.scope_priors)
         priors[factor_class] = tuple(by_scope[d.scope] for d in kb.domains)
     position = {domain_id: k for k, domain_id in enumerate(kb.domain_ids())}
     homes = [position.get(c.primary_domain) for c in classifications]
-    fits = space_fits(factor_set, kb)
     no_evidence = (0.0,) * len(kb.domains)
     rows = []
     for index, (factor, c) in enumerate(zip(factor_set.factors, classifications)):
@@ -241,13 +243,16 @@ def assign_categories(
     classifications: Sequence[ClassificationResult],
     kb: DomainKnowledgeBase,
     neighbours: Neighbours,
+    fits: Mapping[tuple[int, ...], tuple[float, ...]],
     choose: Callable[[Sequence[str], str], str],
     related_threshold: float = RELATED_THRESHOLD,
     subcluster_threshold: float = SUBCLUSTER_THRESHOLD,
 ) -> tuple[list[CategoryHome], list[ChannelRow]]:
     """Every factor's one (category, subcategory) home, its subcategory
     given by ``choose``, and its channel row; both in factor order."""
-    rows = channel_scores(factor_set, classifications, kb, neighbours, related_threshold)
+    rows = channel_scores(
+        factor_set, classifications, kb, neighbours, fits, related_threshold
+    )
     domain_ids = kb.domain_ids()
     categories = [argmax_domain(row, domain_ids) for row in rows]
 

@@ -17,16 +17,17 @@ beyond the float range. A record's ``check`` method, where its class has
 one, runs as soon as the record is built; its refusal names the leaf below
 the record by ``at``, as ``factors[3].studies.G``. Every empty frozenset
 read is ``EMPTY``. A value is read as columns first: a list of records one
-field at a time, a list of leaves by one type check; on a refusal the
-reader walks it leaf by leaf, record by record, which names the first
-wrong leaf. All are compiled once per annotation. ``keyed`` cuts a key a
-refusal names to 60 characters, as ``shown`` cuts a value. ``read_yaml``
-parses the KB, lexicon, rules and config files with libyaml where PyYAML
-has it, and builds each document from its nodes: strings, lists, mappings
-of distinct string keys and the scalars of ``_SCALARS``; a document holding
-anything else, such as a merge, a duplicate key or a shared alias, is built
-or refused whole by PyYAML's constructor, as ``yaml.load`` builds it. It
-refuses a key one mapping holds twice and nesting too deep to parse.
+field at a time, a list of leaves, or of leaves and None for an ``X | None``
+field, by one type check; on a refusal the reader walks it leaf by leaf,
+record by record, which names the first wrong leaf. All are compiled once
+per annotation. ``keyed`` cuts a key a refusal names to 60 characters, as
+``shown`` cuts a value. ``read_yaml`` parses the KB, lexicon, rules and
+config files with libyaml where PyYAML has it, and builds each document from
+its nodes: strings, lists, mappings of distinct string keys and the scalars
+of ``_SCALARS``; a document holding anything else, such as a merge, a
+duplicate key or a shared alias, is built or refused whole by PyYAML's
+constructor, as ``yaml.load`` builds it. It refuses a key one mapping holds
+twice and nesting too deep to parse.
 ``mismatch`` refuses where decoded records or a JSON list first differ
 from what a phase rebuilds, as ``[0].domain: expected 'A', got 'B'``."""
 
@@ -36,7 +37,7 @@ import math
 import types
 import typing
 from collections.abc import Iterable, Mapping, Sequence
-from functools import cache
+from functools import cache, partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -345,6 +346,17 @@ def _column(kind: object):
     if _is_record(kind):
         return _record_codec(kind)[2]
     origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (types.UnionType, typing.Union):  # X | None
+        (inner,) = set(args) - {type(None)}
+        if inner in _LEAVES and inner is not float:
+            accepted = {inner, type(None)}
+
+            def read_optionals(values):
+                if {*map(type, values)} <= accepted:
+                    return values
+                return list(map(read, values))  # refused
+
+            return read_optionals
     if origin in (tuple, list, frozenset):
         column, build = _column(args[0]), _frozenset if origin is frozenset else origin
         whole = _frozensets if origin is frozenset else lambda vs: list(map(build, vs))
@@ -400,6 +412,7 @@ def _record_codec(kind: type):
     plan = [(name, *_codec(hints[name])) for name in names]
     keys = frozenset(names)
     check = getattr(kind, "check", None)
+    make = partial(tuple.__new__, kind)  # ``kind._make``, with no Python call
 
     def read(value):
         if type(value) is not dict:
@@ -434,7 +447,7 @@ def _record_codec(kind: type):
                 default = kind._field_defaults[name]
                 columns.append([read_field(r[name]) if name in r else default
                                 for r in rows])
-        records = list(map(kind._make, zip(*columns)))
+        records = list(map(make, zip(*columns)))
         if check is not None:
             for record in records:
                 check(record)

@@ -25,19 +25,20 @@ class IntegratedFactor(NamedTuple):
     studies: Mapping[str, frozenset[str]]
 
     def check(self) -> None:
-        if len(self.counts) != len(SPACE_TYPES):
+        counts, studies = self.counts, self.studies
+        if len(counts) != len(SPACE_TYPES):
             raise TaxoforgeError("occurrence vector needs exactly six counts")
-        if any(count < 0 for count in self.counts):
+        if min(counts) < 0:
             raise TaxoforgeError("occurrence counts must be non-negative")
-        if tuple(self.studies) != SPACE_TYPES:
+        if tuple(studies) != SPACE_TYPES:
             raise TaxoforgeError(
                 f"expected studies under {', '.join(SPACE_TYPES)}", "studies"
             )
-        if not sum(self.counts):
+        if not sum(counts):
             raise TaxoforgeError("expected at least one mention", "counts")
         # Each mention adds one count and at most one study.
-        for (code, studies), count in zip(self.studies.items(), self.counts):
-            if not min(count, 1) <= len(studies) <= count:
+        for code, count, ids in zip(SPACE_TYPES, counts, studies.values()):
+            if (len(ids) > count) if ids else count:
                 raise TaxoforgeError(f"expected 1 to {count} studies for {count} "
                                      "mentions, none for none", "studies", code)
 

@@ -2,9 +2,9 @@
 
 The config file is decoded by the artifact codec, as every input file is.
 A ``RunState`` holds one invocation's checksums, KB, lexicon, rules, the
-subcategory chooser cluster and place share, and the phase results, each
-computed or loaded once. A result it has not computed is read by
-``RunState.read``: the codec decodes the independent values, each record
+subcategory chooser and space fits cluster and place share, and the phase
+results, each computed or loaded once. A result it has not computed is read
+by ``RunState.read``: the codec decodes the independent values, each record
 checking what it alone shows; the artifact's rules (``READERS``) check what
 needs another file or the KB, the phase's own code rebuilds the rest, and
 each decoded record must equal its rebuilt record's leading fields; indicate
@@ -268,9 +268,9 @@ def artifact_data(phase: str, result: object) -> dict:
 
 class RunState:
     """What one invocation knows: the input checksums, KB, lexicon and rules,
-    each phase's result and the graph's neighbour lists, each computed or
-    loaded once. A result this process has not computed is read from its
-    artifact on first use."""
+    each phase's result, the graph's neighbour lists and the space fits,
+    each computed or loaded once. A result this process has not computed is
+    read from its artifact on first use."""
 
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
@@ -298,6 +298,11 @@ class RunState:
         """The subcategory chooser cluster and place share, so that each
         domain's keyword scorer is built once."""
         return cluster.subcategory_chooser(self.kb, self.lexicon)
+
+    @cached_property
+    def fits(self) -> dict[tuple[int, ...], tuple[float, ...]]:
+        """Each count vector's space fits, read by cluster and place."""
+        return cluster.space_fits(self.get("integrate"), self.kb)
 
     @cached_property
     def neighbours(self) -> list[list[tuple[int, float]]]:
@@ -408,10 +413,11 @@ def _compare(rebuilt: Sequence[tuple], decoded: Sequence[tuple], key: str) -> No
     """Refuse, below ``key``, the first field of a decoded record that is not
     its rebuilt record's field of that name, or a count that differs; the
     codec has typed each field, so ``==`` holds. A rebuilt tuple shorter
-    than its record, as a name alone, holds the record's leading fields."""
-    if len(rebuilt) != len(decoded) or any(
-        record[: len(kept)] != kept[: len(record)]
-        for record, kept in zip(rebuilt, decoded)
+    than its record, as a name alone, holds the record's leading fields.
+    The records of each list are of one length, so they are compared a
+    field's column at a time."""
+    if len(rebuilt) != len(decoded) or not all(
+        map(tuple.__eq__, zip(*rebuilt), zip(*decoded))
     ):
         codec.mismatch(rebuilt, decoded, key)
 
@@ -464,7 +470,9 @@ def _assigned(state: RunState, decoded: list) -> list[cluster.CategoryHome]:
     domain_ids = kb.domain_ids()
     # Every channel score and so each category is rebuilt; the subcategory,
     # which needs the lexicon, is taken as written.
-    rows = cluster.channel_scores(integrated, classified, kb, neighbours, related)
+    rows = cluster.channel_scores(
+        integrated, classified, kb, neighbours, state.fits, related
+    )
     rebuilt = [(home.factor, cluster.argmax_domain(row, domain_ids))
                for home, row in zip(decoded, rows)]
     _compare(rebuilt, decoded, "assignments")
@@ -645,6 +653,7 @@ def phase_cluster(state: RunState) -> None:
         state.get("classify"),
         state.kb,
         state.neighbours,
+        state.fits,
         state.chooser,
         related_threshold=thresholds.related,
         subcluster_threshold=thresholds.subcluster,
@@ -672,6 +681,7 @@ def phase_place(state: RunState) -> None:
         kb,
         state.neighbours,
         state.get("cluster"),
+        state.fits,
         state.chooser,
         related_threshold=thresholds.related,
         promotion_threshold=thresholds.promotion,

@@ -18,7 +18,6 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .classify import ClassificationResult
 from .cluster import RELATED_THRESHOLD, CategoryHome, fold_sum, related_factors
-from .cluster import space_fits
 from .codec import listed, located, shown
 from .errors import KnowledgeBaseError, TaxoforgeError
 from .integrate import IntegratedFactorSet
@@ -161,13 +160,14 @@ def place_cross_cutting(
     kb: DomainKnowledgeBase,
     neighbours: Neighbours,
     homes: Sequence[CategoryHome],
+    fits: Mapping[tuple[int, ...], tuple[float, ...]],
     choose: Callable[[Sequence[str], str], str],
     related_threshold: float = RELATED_THRESHOLD,
     promotion_threshold: float = PROMOTION_THRESHOLD,
 ) -> PlacementResult:
     """Composites of every flagged factor in each relevant domain, arranged;
-    ``choose``, cluster's subcategory chooser, names each subcategory."""
-    fits = space_fits(factor_set, kb)
+    ``fits`` is cluster's ``space_fits`` of the factor set, and ``choose``,
+    cluster's subcategory chooser, names each subcategory."""
     composites: dict[tuple[str, str], float] = {}
     for index, result in enumerate(classifications):
         if not result.cross_cutting.flagged:

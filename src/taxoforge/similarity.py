@@ -20,19 +20,21 @@ score rows into per-factor neighbour lists, built once per invocation.
 The build counts instead of intersecting. One inverted index per kind of key
 (tokens, trigrams, lexicon fields, studies) lists the factors holding each
 key; a trigram's posting holds a factor once per occurrence. For each factor
-``i`` in turn, ``collections.Counter`` over the chained postings of its keys
-gives, for every later factor ``j``, the shared-token count, the exact
-integer trigram dot product, the shared-field count and the shared-study
-count. The pair is then scored from those counts by the same operations as
-the per-pair definitions, so each score and component is bit-for-bit theirs.
-The linguistic component is the token Jaccard (0.0 for two empty token
-sets), then its ``max`` with the trigram cosine when the dot product is not
-0, then its ``max`` with the field score when a field is shared. The
-distributional component is the integer cosine of the two count vectors, the
-co-occurrence component the shared-study count over the smaller study set,
-and ``combine`` blends the three. ``tests/conftest.py`` keeps the per-pair
-definitions of the three components as the references the build and the
-keyword scoring are tested against.
+``i`` in turn, a count of the entries of the chained postings of its keys
+(``_tally``, ``collections.Counter``'s own counting) gives, for every later
+factor ``j``, the shared-token count, the exact integer trigram dot product
+and the shared-study count; a set of the entries of its field postings, none
+when it is in no field, gives the factors sharing a field. The pair is then
+scored from those counts by the same operations as the per-pair definitions,
+so each score and component is bit-for-bit theirs. The linguistic component
+is the token Jaccard (0.0 for two empty token sets), then its ``max`` with
+the trigram cosine when the dot product is not 0, then its ``max`` with the
+field score when a field is shared. The distributional component is the
+integer cosine of the two count vectors, the co-occurrence component the
+shared-study count over the smaller study set, and ``combine`` blends the
+three. ``tests/conftest.py`` keeps the per-pair definitions of the three
+components as the references the build and the keyword scoring are tested
+against.
 
 Only candidate pairs are scored: those sharing at least one key (the exact
 candidate generation of All-Pairs, Bayardo, Ma and Srikant, WWW 2007, here
@@ -94,28 +96,33 @@ for the same 2,314 edges.
 domains' keyword lists for classify's factor-by-domain relevance, and one
 domain's subcategory keyword lists for cluster's and placement's subcategory
 choice. It keeps postings of the distinct keywords' tokens, trigram keys (a
-keyword once per occurrence) and lexicon fields. For a name,
-``collections.Counter`` over the postings of the name's keys gives each
-keyword sharing a key the shared-token count and the exact integer trigram
-dot product, and a set lookup gives the shared fields; the keyword is scored
-by the linguistic component's operations in their order. Every other keyword
-scores exactly 0.0 under the per-pair definition too: its token Jaccard is
-0/union (or 0.0 for two empty token sets), its trigram cosine is never taken,
-and it earns no field bonus. Each keyword scored raises in place the
-maximum of each group it is in; scores are never negative, so a group's
-maximum is the same in any order of its keywords.
+keyword once per occurrence) and lexicon fields. For a name, a count of the
+entries of the postings of its keys gives each keyword sharing a key the
+shared-token count and the exact integer trigram dot product, and a set
+lookup gives the shared fields, with no set built for a name in no field;
+the keyword is scored by the linguistic component's operations in their
+order. Most of a row's time is this set-up: at ``paper`` a name shares a key
+with about 13 of the 70 domain keywords. Every other keyword scores exactly
+0.0 under the per-pair definition too: its token Jaccard is 0/union (or 0.0
+for two empty token sets), its trigram cosine is never taken, and it earns
+no field bonus. Each keyword scored raises in place the maximum of each
+group it is in; scores are never negative, so a group's maximum is the same
+in any order of its keywords.
 
 What the linguistic component reads of a name (its token set, trigram counts
-and their squared norm, and its lexicon fields) is computed once per name and
-lexicon and cached on the lexicon, so the pairs of the graph and the keyword
-scoring of classify and cluster share it. Each factor's occurrence norm and
-merged study set are likewise read once per build.
+and their squared norm, and its lexicon fields) is computed once per name
+and lexicon and cached on the lexicon, so the pairs of the graph and the
+keyword scoring of classify and cluster share it. A name with no repeated
+trigram key, the usual case, counts each key once, so its squared norm is
+its key count; ``collections.Counter`` counts the keys of any other name.
+Each factor's occurrence norm and merged study set are likewise read once
+per build.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, _count_elements
 from enum import Enum
 from itertools import chain
 from operator import mul
@@ -179,9 +186,6 @@ class SemanticLexicon(NamedTuple):
         term_fields = {term: frozenset(found) for term, found in index.items()}
         return cls(fields, field_score, term_fields, {})
 
-    def fields_of(self, name: str) -> frozenset[str]:
-        return self.term_fields.get(name, EMPTY)
-
     def features(self, name: str) -> NameFeatures:
         found = self.feature_cache.get(name)
         if found is None:
@@ -223,18 +227,18 @@ def load_lexicon(path: str | Path) -> SemanticLexicon:
 
 
 def name_features(name: str, lexicon: SemanticLexicon) -> NameFeatures:
-    """Build one name's record; ``SemanticLexicon.features`` caches it."""
-    grams = [name[i : i + 3] for i in range(len(name) - 2)] or [name]
-    trigrams = Counter(grams)
-    if len(trigrams) < len(grams):  # a repeated key is listed by its first place
-        grams = [g for g, m in trigrams.items() for _ in range(m)]
-    return NameFeatures(
-        tokens=frozenset(name.split()),
-        trigrams=trigrams,
-        grams_listed=tuple(grams),
-        trigram_norm_sq=sum(count * count for count in trigrams.values()),
-        fields=lexicon.fields_of(name),
-    )
+    """Build one name's record; ``SemanticLexicon.features`` caches it. A
+    name with no repeated trigram key, the usual case, counts each key once,
+    so its squared norm is its key count."""
+    grams = tuple([name[i : i + 3] for i in range(len(name) - 2)]) or (name,)
+    trigrams = dict.fromkeys(grams, 1)
+    norm = len(grams)
+    if len(trigrams) < norm:  # a repeated key is listed by its first place
+        trigrams = Counter(grams)
+        grams = tuple([g for g, m in trigrams.items() for _ in range(m)])
+        norm = sum(count * count for count in trigrams.values())
+    fields = lexicon.term_fields.get(name, EMPTY)
+    return NameFeatures(frozenset(name.split()), trigrams, grams, norm, fields)
 
 
 def _int_cosine(dot: int, norm_sq_a: int, norm_sq_b: int) -> float:
@@ -431,10 +435,10 @@ class _PairScorer:
             # The shared postings and those of the row's own types: a factor
             # listed elsewhere has one type, outside the row's.
             read = [held for home, held in indexes.items() if not home & outside]
-            tokens = Counter(_postings([held[0] for held in read], own[0]))
-            dots = Counter(_postings([held[1] for held in read], own[1]))
-            fields = set(_postings([fields_index], own[2]))
-            studies = Counter(_postings([studies_index], own[3]))
+            tokens = _tally(_postings([held[0] for held in read], own[0]))
+            dots = _tally(_postings([held[1] for held in read], own[1]))
+            fields = set(_postings([fields_index], own[2])) if own[2] else EMPTY
+            studies = _tally(_postings([studies_index], own[3]))
             if screen is None:
                 others: Iterable[int] = range(i + 1, n)
                 candidates = n - 1 - i
@@ -550,15 +554,17 @@ class KeywordScorer:
     def row(self, name: str) -> tuple[float, ...]:
         """Each group's best score of one of its keywords against ``name``."""
         f = self.lexicon.features(name)
-        tokens = Counter(_postings([self.tokens], f.tokens))
-        dots = Counter(_postings([self.grams], f.grams_listed))
-        fields = set(_postings([self.fields], f.fields))
+        tokens = _tally(_postings([self.tokens], f.tokens))
+        dots = _tally(_postings([self.grams], f.grams_listed))
+        keys, fields = tokens.keys() | dots.keys(), EMPTY  # most names hold no field
+        if f.fields:
+            keys |= (fields := set(_postings([self.fields], f.fields)))
         token_counts, gram_norms = self.token_counts, self.gram_norms
         memberships, sqrt = self.memberships, math.sqrt
         tokens_a, grams_a = len(f.tokens), f.trigram_norm_sq
         field_score = self.lexicon.field_score
         best = [0.0] * self.size
-        for k in tokens.keys() | dots.keys() | fields:
+        for k in keys:
             shared = tokens.get(k)  # 0/union, or 0.0 for two empty token sets
             score = shared / (tokens_a + token_counts[k] - shared) if shared else 0.0
             if dot := dots.get(k):  # _int_cosine's operations
@@ -580,6 +586,15 @@ def _postings(
     return chain.from_iterable(
         [index[key] for index in indexes for key in keys if key in index]
     )
+
+
+def _tally(entries: Iterable[int]) -> dict[int, int]:
+    """How many times each of ``entries`` occurs, as ``Counter(entries)``
+    counts, by the C helper ``Counter`` calls, without ``Counter``'s
+    per-call set-up: a row of few candidates spends most of its time there."""
+    counts: dict[int, int] = {}
+    _count_elements(counts, entries)
+    return counts
 
 
 def _drop(index: dict[str, list[int]], keys: Iterable[str]) -> None:
@@ -727,9 +742,10 @@ def matrix_from_dict(doc: dict, floor: float) -> SimilarityMatrix:
         components.append((i, j, lin, dist, co))
         before = edge
     written = doc["scores"]
-    if type(written) is not list or len(written) != len(scores) or not all(
-        type(row) is list and tuple(row) == edge and bool not in map(type, row)
-        for edge, row in zip(scores, written)
+    if not (  # a list of lists, equal to the edges, holding no boolean
+        type(written) is list and {*map(type, written)} <= {list}
+        and list(map(tuple, written)) == scores
+        and bool not in {*map(type, chain.from_iterable(written))}
     ):
         mismatch(scores, written, "scores")
     return SimilarityMatrix(

@@ -283,20 +283,32 @@ def best_subcategory_reference(names, domain, lexicon) -> str:
     return best_id
 
 
+def fields_of(lexicon, name: str) -> frozenset[str]:
+    """The reference field set of a name: every declared field listing it
+    as a term."""
+    return frozenset(field for field, terms in lexicon.fields.items() if name in terms)
+
+
+def primary_domain(relevance, kb) -> str | None:
+    """The reference primary domain, one domain at a time: the first
+    strictly highest relevance, None when every relevance is 0.0."""
+    best_id, best = None, 0.0
+    for domain, score in zip(kb.domains, relevance):
+        if score > best:
+            best_id, best = domain.identifier, score
+    return best_id
+
+
 def classification_reference(factor, relevance, kb, threshold) -> ClassificationResult:
     """What classify says of one factor given its relevance row, one domain
     at a time: the reference ``classify.classify_rows`` must equal per
-    factor. The primary domain is the first strictly highest relevance,
-    None when every relevance is 0.0."""
+    factor."""
     stats = distribution_stats(factor.counts)
     relevant = tuple(
         domain.identifier for domain, score in zip(kb.domains, relevance)
         if score >= threshold
     )
-    best_id, best = None, 0.0
-    for domain, score in zip(kb.domains, relevance):
-        if score > best:
-            best_id, best = domain.identifier, score
+    best_id = primary_domain(relevance, kb)
     count = len(relevant)
     cross_cutting = CrossCuttingAssessment(
         relevant, count, CrossCuttingStatus.from_score(count),
@@ -365,7 +377,7 @@ def cluster_fixture():
 def build_pipeline_outputs(factor_set, kb, lexicon, matrix=None):
     """Run phases 2..6 in memory and return everything emit needs."""
     from taxoforge.applicability import indicators_for
-    from taxoforge.cluster import assign_categories, subcategory_chooser
+    from taxoforge.cluster import assign_categories, space_fits, subcategory_chooser
     from taxoforge.placement import place_cross_cutting, primary_homes
 
     if matrix is None:
@@ -373,9 +385,10 @@ def build_pipeline_outputs(factor_set, kb, lexicon, matrix=None):
     edges = neighbours(matrix)
     classifications = classify_factors(factor_set, kb, lexicon)
     choose = subcategory_chooser(kb, lexicon)
-    assigned, _ = assign_categories(factor_set, classifications, kb, edges, choose)
+    fits = space_fits(factor_set, kb)
+    assigned, _ = assign_categories(factor_set, classifications, kb, edges, fits, choose)
     placements = place_cross_cutting(
-        factor_set, classifications, kb, edges, assigned, choose
+        factor_set, classifications, kb, edges, assigned, fits, choose
     )
     homes = primary_homes(assigned, placements)
     domains = {name: home[0] for name, home in homes.items()}

@@ -15,20 +15,28 @@ from taxoforge.classify import (
     assess_cross_cutting,
     classify,
     classify_factors,
+    classify_rows,
     distribution_stats,
     entropy,
-    primary_domain,
     relevance_rows,
 )
 from taxoforge.errors import TaxoforgeError
 from taxoforge.knowledge import default_lexicon_path
-from tests.conftest import counts_of, relevance_row
+from tests.conftest import counts_of, make_factor, primary_domain, relevance_row
 
 
 def shipped_row(name, kb, lexicon):
     """The name's relevance row as classify scores it."""
     (row,) = relevance_rows([name], kb, lexicon)
     return row
+
+
+def classified_primary(row, kb):
+    """The primary domain ``classify_rows`` gives a factor with this row,
+    which must be the reference's."""
+    (result,) = classify_rows([make_factor("x", {"P": 1})], [row], kb)
+    assert result.primary_domain == primary_domain(row, kb)
+    return result.primary_domain
 
 
 def hand_entropy(counts):
@@ -102,17 +110,17 @@ class TestPrimaryDomain:
     )
     def test_worked_examples(self, name, expected, default_kb, default_lexicon):
         row = shipped_row(name, default_kb, default_lexicon)
-        assert primary_domain(row, default_kb) == expected
+        assert classified_primary(row, default_kb) == expected
 
     def test_unassignable_is_none(self, default_kb, default_lexicon):
         row = shipped_row("zzz", default_kb, default_lexicon)
-        assert primary_domain(row, default_kb) is None
+        assert classified_primary(row, default_kb) is None
 
     def test_deterministic(self, default_kb, default_lexicon):
         rows = [
             shipped_row("lighting", default_kb, default_lexicon) for _ in range(6)
         ]
-        assert len({primary_domain(row, default_kb) for row in rows}) == 1
+        assert len({classified_primary(row, default_kb) for row in rows}) == 1
 
 
 class TestCrossCutting:

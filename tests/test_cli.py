@@ -383,12 +383,33 @@ class TestRun:
         monkeypatch.setattr(
             cluster, "channel_scores", counted("channel_scores", cluster.channel_scores)
         )
+        # Cluster and place read the space fits of one invocation's state.
+        monkeypatch.setattr(
+            cluster, "space_fits", counted("space_fits", cluster.space_fits)
+        )
         config = pipeline.apply_overrides(
             pipeline.load_config(FIXTURES / "config.yaml"), out_dir=str(tmp_path)
         )
         assert pipeline.run(config) == 0
         assert sorted(calls) == [
-            "channel_scores", "checksum", "load_kb", "load_lexicon", "load_rules"
+            "channel_scores", "checksum", "load_kb", "load_lexicon", "load_rules",
+            "space_fits",
+        ]
+        # A lone place rebuilds every channel row to check assignments.json
+        # and scores its composites, on one computation of the space fits.
+        calls.clear()
+        pipeline.phase_place(config)
+        assert sorted(calls) == [
+            "channel_scores",
+            "checksum",
+            "decode classify",
+            "decode cluster",
+            "decode integrate",
+            "decode similarity",
+            "load_kb",
+            "load_lexicon",
+            "load_rules",
+            "space_fits",
         ]
         # A phase run alone reads its inputs from the artifacts on disk; it
         # decodes their independent values and rebuilds the rest, and builds
@@ -1711,7 +1732,7 @@ MALFORMED = [
         "integrated.json",
         ["data", "factors"],
         lambda factors: _move_counts(factors, 10, 0),
-        "factors[10].counts",
+        "data.factors[10].counts: expected at least one mention",
         id="integrated-counts-zero",
     ),
     # Two faults: factor 0 gains factor 10's mentions but not its studies,
@@ -1721,7 +1742,7 @@ MALFORMED = [
         "integrated.json",
         ["data", "factors"],
         lambda factors: _move_counts(factors, 10, 0, studies=False),
-        "data.factors[0].studies.G: expected 1 to 1 studies",
+        "data.factors[0].studies.G: expected 1 to 1 studies for 1 mentions, none for none",
         id="integrated-two-faults-in-file-order",
     ),
     # integrate refuses an empty corpus, so it never writes this file.
@@ -1736,8 +1757,23 @@ MALFORMED = [
         "integrated.json",
         ["data", "factors", 0, "counts"],
         lambda counts: counts[:5],
-        "factors[0]: occurrence vector needs exactly six counts",
+        "data.factors[0]: occurrence vector needs exactly six counts",
         id="integrated-counts-short",
+    ),
+    pytest.param(
+        "integrated.json",
+        ["data", "factors", 0, "counts"],
+        lambda counts: [-1, *counts[1:]],
+        "data.factors[0]: occurrence counts must be non-negative",
+        id="integrated-counts-negative",
+    ),
+    # The studies of each factor are listed under the six codes in order.
+    pytest.param(
+        "integrated.json",
+        ["data", "factors", 0, "studies"],
+        lambda studies: {"S": studies["S"], **studies},
+        "data.factors[0].studies: expected studies under P, S, U, G, O, F",
+        id="integrated-studies-out-of-order",
     ),
     # safety (factor 0) has one mention, and one study, under each of P, S,
     # U, O and F, and none under G.
@@ -1745,21 +1781,21 @@ MALFORMED = [
         "integrated.json",
         ["data", "factors", 0, "studies"],
         lambda studies: {**studies, "P": [], "G": ["c1", "c2", "c3"]},
-        "factors[0].studies.P",
+        "data.factors[0].studies.P: expected 1 to 1 studies for 1 mentions, none for none",
         id="integrated-studies-untied",
     ),
     pytest.param(
         "integrated.json",
         ["data", "factors", 0, "studies", "G"],
         ["c1"],
-        "factors[0].studies.G",
+        "data.factors[0].studies.G: expected 1 to 0 studies for 0 mentions, none for none",
         id="integrated-study-without-mention",
     ),
     pytest.param(
         "integrated.json",
         ["data", "factors", 0, "studies", "P"],
         lambda ids: ids + ["another study"],
-        "factors[0].studies.P",
+        "data.factors[0].studies.P: expected 1 to 1 studies for 1 mentions, none for none",
         id="integrated-studies-above-count",
     ),
     pytest.param(

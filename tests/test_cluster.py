@@ -32,7 +32,8 @@ def assigned(factor_set, matrix, kb, lexicon):
     """The fixture factors' homes and channel rows."""
     results = classify_factors(factor_set, kb, lexicon)
     choose = subcategory_chooser(kb, lexicon)
-    return assign_categories(factor_set, results, kb, neighbours(matrix), choose)
+    fits = space_fits(factor_set, kb)
+    return assign_categories(factor_set, results, kb, neighbours(matrix), fits, choose)
 
 
 class TestDomainPriorities:
@@ -74,7 +75,8 @@ class TestScoreWeights:
     def test_final_is_weighted_sum(self, cluster_fixture, default_kb, default_lexicon):
         factor_set, matrix = cluster_fixture
         results = classify_factors(factor_set, default_kb, default_lexicon)
-        rows = channel_scores(factor_set, results, default_kb, neighbours(matrix))
+        fits = space_fits(factor_set, default_kb)
+        rows = channel_scores(factor_set, results, default_kb, neighbours(matrix), fits)
         assert len(rows) == len(factor_set.factors)
         for row in rows:
             channels = (row.semantic, row.similarity_evidence, row.distribution)

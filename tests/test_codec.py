@@ -105,7 +105,8 @@ def test_empty_study_and_field_sets_are_one_object(fixture_run):
     assert len(empty) > 2
     assert len(set(map(id, empty))) == 1
     lexicon = state.lexicon
-    assert lexicon.fields_of("no such name") is lexicon.fields_of("nor this") is empty[0]
+    unlisted = lexicon.features("no such name").fields
+    assert unlisted is lexicon.features("nor this").fields is empty[0]
     assert empty[0] is codec.EMPTY
 
 
@@ -308,6 +309,25 @@ def test_columns_read_what_the_walk_reads(fixture_run, phase):
     for value in (data, json.loads(whole)):
         columns = codec._column(kind)([value])[0]
         assert repr(columns) == repr(codec._codec(kind)[0](value))
+
+
+def test_optional_leaf_column_reads_back_as_itself():
+    values = ["COMFORT", None, "SAFETY & SECURITY", None]
+    assert codec._column(str | None)(values) is values
+    assert codec._column(str | None)([None, None]) == [None, None]
+
+
+@pytest.mark.parametrize("value,shown", [(7, "7"), (True, "True")])
+def test_optional_leaf_column_refuses_at_its_leaf(fixture_run, value, shown):
+    # The column refuses a number or a boolean for a ``str | None`` field;
+    # the walk then names the leaf with the leaf reader's text.
+    config, _ = fixture_run
+    name, key, kind, _ = pipeline.ARTIFACTS["classify"]
+    data = json.loads((config.out_dir / name).read_text(encoding="utf-8"))["data"][key]
+    data[3]["primary_domain"] = value
+    with pytest.raises(ArtifactError) as caught:
+        codec.decode(kind, data, "data")
+    assert str(caught.value) == f"data[3].primary_domain: expected a string, got {shown}"
 
 
 def test_record_check_is_refused_at_its_object(fixture_run):

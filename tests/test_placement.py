@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from taxoforge.classify import classify_factors
-from taxoforge.cluster import assign_categories, subcategory_chooser
+from taxoforge.cluster import assign_categories, space_fits, subcategory_chooser
 from taxoforge.knowledge import load_kb
 from taxoforge.placement import (
     CompositeScore,
@@ -69,8 +69,11 @@ def placed_on(factor_set, matrix, kb, lexicon):
     edges = neighbours(matrix)
     results = classify_factors(factor_set, kb, lexicon)
     choose = subcategory_chooser(kb, lexicon)
-    homes, _ = assign_categories(factor_set, results, kb, edges, choose)
-    return results, place_cross_cutting(factor_set, results, kb, edges, homes, choose)
+    fits = space_fits(factor_set, kb)
+    homes, _ = assign_categories(factor_set, results, kb, edges, fits, choose)
+    return results, place_cross_cutting(
+        factor_set, results, kb, edges, homes, fits, choose
+    )
 
 
 class TestCompositeScore:

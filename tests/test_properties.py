@@ -33,7 +33,6 @@ from taxoforge.classify import (
     distribution_stats,
     domain_relevance,
     entropy,
-    primary_domain,
     relevance_rows,
 )
 from taxoforge.cluster import (
@@ -96,7 +95,9 @@ from tests.conftest import (
     classification_reference,
     cosine,
     dense_pairs,
+    fields_of,
     left_fold,
+    primary_domain,
     relevance_row,
 )
 
@@ -237,7 +238,7 @@ def check_matrix_properties(factor_set: IntegratedFactorSet) -> int:
     for comp, score in dense.values():
         assert 0.0 <= score <= 1.0
         assert combine(comp, degenerate) == comp[0]
-    fields = [TINY_LEXICON.fields_of(name) for name in matrix.names]
+    fields = [fields_of(TINY_LEXICON, name) for name in matrix.names]
     return sum(bool(fields[i] & fields[j]) for i, j in dense)
 
 
@@ -529,7 +530,10 @@ def check_channel_rows(domains, priors, factors, edges, threshold) -> None:
         weights=SimilarityWeights(),
     )
     primary_domains = [c.primary_domain for c in classifications]
-    rows = channel_scores(factor_set, classifications, kb, neighbours(matrix), threshold)
+    fits = space_fits(factor_set, kb)
+    rows = channel_scores(
+        factor_set, classifications, kb, neighbours(matrix), fits, threshold
+    )
     assert len(rows) == len(factors)
     for index, (factor, row) in enumerate(zip(factor_set.factors, rows)):
         fits = [cosine(factor.counts, d.space_profile) for d in kb.domains]
@@ -611,9 +615,12 @@ def run_mini_pipeline(factor_set: IntegratedFactorSet):
     edges = neighbours(build_matrix(factor_set, SimilarityWeights(), TINY_LEXICON))
     classifications = classify_factors(factor_set, TINY_KB, TINY_LEXICON)
     choose = subcategory_chooser(TINY_KB, TINY_LEXICON)
-    assigned, _ = assign_categories(factor_set, classifications, TINY_KB, edges, choose)
+    fits = space_fits(factor_set, TINY_KB)
+    assigned, _ = assign_categories(
+        factor_set, classifications, TINY_KB, edges, fits, choose
+    )
     placements = place_cross_cutting(
-        factor_set, classifications, TINY_KB, edges, assigned, choose
+        factor_set, classifications, TINY_KB, edges, assigned, fits, choose
     )
     homes = primary_homes(assigned, placements)
     domains = {name: home[0] for name, home in homes.items()}
@@ -929,7 +936,7 @@ def test_name_features_equal_per_position_reference(name):
     assert list(f.trigrams.items()) == list(counts.items())
     assert (f.grams_listed, f.trigram_norm_sq) == (listed, norm)
     assert f.tokens == frozenset(name.split())
-    assert f.fields == REPEAT_LEXICON.fields_of(name)
+    assert f.fields == fields_of(REPEAT_LEXICON, name)
 
 
 @SUITE
