@@ -23,6 +23,7 @@ import math
 from enum import Enum
 from typing import NamedTuple, Sequence
 
+from .codec import Unit
 from .errors import TaxoforgeError
 from .integrate import IntegratedFactor, IntegratedFactorSet
 from .knowledge import Domain, DomainKnowledgeBase
@@ -136,12 +137,7 @@ class FactorRelevance(NamedTuple):
     name: str
     primary_domain: str | None
     flagged: bool  # cross_cutting.flagged
-    relevance: tuple[float, ...]  # per KB domain, in KB order
-
-    def check(self) -> None:
-        row = self.relevance
-        if row and not 0.0 <= min(row) <= max(row) <= 1.0:
-            raise TaxoforgeError("expected a number in [0, 1] per domain", "relevance")
+    relevance: tuple[Unit, ...]  # per KB domain, in KB order
 
 
 class ClassificationResult(NamedTuple):

@@ -1,5 +1,6 @@
 """One reader and one writer for the phase artifacts and the input files,
 derived from the field annotations of their records: str, int, float, bool,
+``Unit``, a finite number in [0, 1], ``Text``, a string that is not blank,
 ``Literal[...]``, ``X | None``, ``tuple[X, ...]``, ``list[X]``,
 ``frozenset[X]``, ``Mapping[str, X]`` and ``NamedTuple`` records of these.
 The writer works like ``_asdict`` applied all the way down, each record an
@@ -13,13 +14,14 @@ refusal's ``at`` as it passes, and ``located`` alone writes the path. An
 absent key takes its field's default where it has one, a mapping key is
 text, and a float field reads as a ``float`` when written as a whole
 number. A number is never text, a boolean, NaN, infinite or a whole number
-beyond the float range. A record's ``check`` method, where its class has
-one, runs as soon as the record is built; its refusal names the leaf below
+beyond the float range, a ``Unit`` never outside [0, 1] and a ``Text``
+never what ``str.split`` leaves empty. A record's ``check`` method, where
+its class has one, runs as soon as the record is built; its refusal names the leaf below
 the record by ``at``, as ``factors[3].studies.G``. Every empty frozenset
 read is ``EMPTY``. A value is read as columns first: a list of records one
 field at a time, a list of leaves, or of leaves and None for an ``X | None``
-field, by one type check; on a refusal the reader walks it leaf by leaf,
-record by record, which names the first wrong leaf. All are compiled once
+field, by one type check, and a ``Unit`` or ``Text`` one by one bounds
+check more; on a refusal the reader walks it leaf by leaf, record by record, which names the first wrong leaf. All are compiled once
 per annotation. ``keyed`` cuts a key a refusal names to 60 characters, as
 ``shown`` cuts a value. ``read_yaml`` parses the KB, lexicon, rules and
 config files with libyaml where PyYAML has it, and builds each document from
@@ -40,6 +42,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from functools import cache, partial
 from itertools import chain, islice
 from pathlib import Path
+from typing import NewType
 
 import yaml
 from yaml.nodes import MappingNode, Node, ScalarNode, SequenceNode
@@ -72,6 +75,17 @@ _LEAVES = {
     int: ((int,), "a whole number"),
     float: ((float, int), "a number"),
     bool: ((bool,), "true or false"),
+}
+
+Unit = NewType("Unit", float)
+Text = NewType("Text", str)
+
+# bounded leaf -> (the leaf it bounds, whether a list of those is in bounds,
+# what a refusal says it expected); a float list holds no NaN by then.
+_BOUNDS = {
+    Unit: (float, lambda vs: not vs or 0.0 <= min(vs) and max(vs) <= 1.0,
+           "a number in [0, 1]"),
+    Text: (str, lambda vs: all(map(str.split, vs)), "a non-blank string"),
 }
 
 
@@ -266,6 +280,16 @@ def _codec(kind: object):
             raise _refuse("a finite number", value)
 
         return read_finite if kind is float else read_leaf, None
+    if kind in _BOUNDS:
+        leaf, holds, expected = _BOUNDS[kind]
+        read = _codec(leaf)[0]
+
+        def read_bounded(value):
+            if holds([held := read(value)]):
+                return held
+            raise _refuse(expected, value)
+
+        return read_bounded, None
     if _is_record(kind):
         return _record_codec(kind)[:2]
     origin, args = typing.get_origin(kind), typing.get_args(kind)
@@ -343,6 +367,14 @@ def _column(kind: object):
             return list(map(read, values))  # a whole number as a float, or refused
 
         return read_leaves
+    if kind in _BOUNDS:
+        column, holds = _column(_BOUNDS[kind][0]), _BOUNDS[kind][1]
+
+        def read_bounded(values):
+            held = column(values)
+            return held if holds(held) else list(map(read, values))  # refused
+
+        return read_bounded
     if _is_record(kind):
         return _record_codec(kind)[2]
     origin, args = typing.get_origin(kind), typing.get_args(kind)

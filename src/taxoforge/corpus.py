@@ -139,11 +139,8 @@ class NormalizationRuleSet(NamedTuple):
 def normalize(raw: str, rules: NormalizationRuleSet) -> str:
     """Return the canonical form of a raw factor name.
 
-    Raises CorpusError when the input is empty or reduces to nothing after
-    stripping, which signals a data-quality problem in the source row.
+    Raises CorpusError when it normalizes to nothing, as a blank name does.
     """
-    if not raw or not raw.strip():
-        raise CorpusError("cannot normalize empty factor name")
     text = rules.base_normalize(raw)
     if not text:
         raise CorpusError(f"factor name {shown(raw)} is empty after normalization")

@@ -55,21 +55,17 @@ log = logging.getLogger(__name__)
 
 
 class Thresholds(NamedTuple):
-    band_high: float = similarity.BAND_HIGH
-    band_low: float = similarity.BAND_LOW
-    related: float = cluster.RELATED_THRESHOLD
-    subcluster: float = cluster.SUBCLUSTER_THRESHOLD
-    cross_cutting: float = classify.CROSS_CUTTING_THRESHOLD
-    promotion: float = placement.PROMOTION_THRESHOLD
+    band_high: codec.Unit = similarity.BAND_HIGH
+    band_low: codec.Unit = similarity.BAND_LOW
+    related: codec.Unit = cluster.RELATED_THRESHOLD
+    subcluster: codec.Unit = cluster.SUBCLUSTER_THRESHOLD
+    cross_cutting: codec.Unit = classify.CROSS_CUTTING_THRESHOLD
+    promotion: codec.Unit = placement.PROMOTION_THRESHOLD
 
     def check(self) -> None:
-        for name, value in self._asdict().items():
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"threshold {name}={value} out of range [0, 1]")
         if self.band_high < self.band_low:
-            raise ConfigError(
-                f"threshold band_high={self.band_high} < band_low={self.band_low}"
-            )
+            raise ConfigError(f"threshold band_high={self.band_high} < "
+                              f"band_low={self.band_low}")
 
     @property
     def graph_floor(self) -> float:
@@ -445,8 +441,8 @@ def _classified(state: RunState, decoded: list) -> list[classify.ClassificationR
     _compare([(name,) for name in factor_set.names], decoded, "factors")
     for i, r in enumerate(decoded):
         if len(r.relevance) != len(kb.domains):
-            raise TaxoforgeError("expected a number in [0, 1] per domain",
-                                 "factors", i, "relevance")
+            raise TaxoforgeError(f"expected {len(kb.domains)} numbers, one per KB domain, "
+                                 f"got {len(r.relevance)}", "factors", i, "relevance")
     relevance = [r.relevance for r in decoded]
     threshold = state.config.thresholds.cross_cutting
     results = classify.classify_rows(factor_set.factors, relevance, kb, threshold)

@@ -18,8 +18,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .classify import ClassificationResult
 from .cluster import RELATED_THRESHOLD, CategoryHome, fold_sum, related_factors
-from .codec import listed, located, shown
-from .errors import KnowledgeBaseError, TaxoforgeError
+from .codec import Unit, listed, located, shown
+from .errors import KnowledgeBaseError
 from .integrate import IntegratedFactorSet
 from .knowledge import DomainKnowledgeBase
 from .similarity import Neighbours
@@ -59,11 +59,7 @@ class Placement(NamedTuple):
     factor: str
     domain: str
     subcategory: str
-    composite: float
-
-    def check(self) -> None:
-        if not 0.0 <= self.composite <= 1.0:
-            raise TaxoforgeError("expected a number in [0, 1]", "composite")
+    composite: Unit
 
 
 class StrategicPlacement(NamedTuple):

@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import csv
 import math
+import typing
 from pathlib import Path
 
 import pytest
 
+from taxoforge import pipeline
 from taxoforge.classify import (
     CROSS_CUTTING_MIN_DOMAINS,
     ClassificationResult,
@@ -20,10 +22,18 @@ from taxoforge.classify import (
     classify_factors,
     distribution_stats,
 )
-from taxoforge.corpus import CSV_HEADER, SPACE_TYPES, Corpus, load_corpus, load_rules
+from taxoforge.corpus import (
+    CSV_HEADER,
+    SPACE_TYPES,
+    Corpus,
+    RulesFile,
+    load_corpus,
+    load_rules,
+)
 from taxoforge.errors import TaxoforgeError
 from taxoforge.integrate import IntegratedFactor, IntegratedFactorSet, integrate
 from taxoforge.knowledge import (
+    KbFile,
     default_kb_path,
     default_lexicon_path,
     default_rules_path,
@@ -33,6 +43,7 @@ from taxoforge.similarity import (
     BAND_HIGH,
     BAND_LOW,
     BandCensus,
+    LexiconFile,
     SimilarityBand,
     SimilarityMatrix,
     SimilarityWeights,
@@ -413,3 +424,25 @@ def sample_framework(sample_factors, sample_matrix, default_kb, default_lexicon)
     )
     report = validate(framework, sample_factors)
     return framework, report
+
+
+def _add_records(kind: object, found: set[type]) -> None:
+    """Add to ``found`` every record class ``kind`` reaches through field
+    annotations, ``kind`` itself included when it is a record."""
+    if hasattr(kind, "_fields") and kind not in found:
+        found.add(kind)
+        for hint in typing.get_type_hints(kind).values():
+            _add_records(hint, found)
+    for arg in typing.get_args(kind):
+        _add_records(arg, found)
+
+
+def records_read() -> set[type]:
+    """Every record class the codec reads in an input file or an artifact.
+    similarity.json, which keeps its own codec, has no type in ARTIFACTS."""
+    files = [pipeline.ConfigFile, KbFile, LexiconFile, RulesFile]
+    artifacts = [kind for _, _, kind, _ in pipeline.ARTIFACTS.values() if kind]
+    found: set[type] = set()
+    for kind in files + artifacts:
+        _add_records(kind, found)
+    return found

@@ -1264,7 +1264,8 @@ class TestConfigParsing:
 
     def test_threshold_range_validation(self, tmp_path):
         config = write_config(tmp_path, extra="thresholds:\n  band_high: 1.5\n")
-        with pytest.raises(pipeline.ConfigError, match="out of range"):
+        message = f"{config}: thresholds.band_high: expected a number in [0, 1], got 1.5"
+        with pytest.raises(pipeline.ConfigError, match=re.escape(message)):
             pipeline.load_config(config)
 
 
@@ -1350,7 +1351,7 @@ MALFORMED = [
         "config",
         ["thresholds"],
         {"related": 1.5},
-        "thresholds: threshold related=1.5 out of range",
+        "config.yaml: thresholds.related: expected a number in [0, 1], got 1.5",
         id="config-threshold-range",
     ),
     pytest.param(
@@ -1477,7 +1478,7 @@ MALFORMED = [
         "kb",
         ["scope_priors", "preferred"],
         -1.0,
-        "scope_priors.preferred: expected a number in [0, 1]",
+        "kb.yaml: scope_priors.preferred: expected a number in [0, 1], got -1.0",
         id="kb-priors-negative",
     ),
     pytest.param(
@@ -1569,28 +1570,29 @@ MALFORMED = [
         "kb",
         ["domains", 0, "subcategories", 0, "keywords", 0],
         " ",
-        "domains[0].subcategories[0].keywords[0]: expected a keyword, got a blank",
+        "kb.yaml: domains[0].subcategories[0].keywords[0]: expected a non-blank string, "
+        "got ' '",
         id="kb-keyword-blank",
     ),
     pytest.param(
         "kb",
         ["domains", 0, "keywords", 0],
         " ",
-        "domains[0].keywords[0]: expected a keyword, got a blank",
+        "kb.yaml: domains[0].keywords[0]: expected a non-blank string, got ' '",
         id="kb-domain-keyword-blank",
     ),
     pytest.param(
         "lexicon",
         ["fields", "protection", 0],
         "",
-        "fields.protection[0]",
+        "lexicon.yaml: fields.protection[0]: expected a non-blank string, got ''",
         id="lexicon-term-blank",
     ),
     pytest.param(
         "lexicon",
         ["field_score"],
         1.5,
-        "field_score: 1.5 out of range",
+        "lexicon.yaml: field_score: expected a number in [0, 1], got 1.5",
         id="lexicon-score-range",
     ),
     pytest.param("integrated.json", [], [], "data", id="artifact-not-object"),
@@ -1823,23 +1825,26 @@ MALFORMED = [
         "classification.json",
         ["data", "factors", 0, "relevance"],
         [0.5],
-        "relevance",
+        "classification.json: data.factors[0].relevance: expected 12 numbers, one per KB "
+        "domain, got 1",
         id="classification-relevance-short",
     ),
-    # The reader checks a relevance row as one column; each of these must
-    # still be refused, and a non-finite leaf named by its index.
+    # The reader checks the relevance rows as one column; each of these must
+    # still be refused, each leaf named by its index.
     pytest.param(
         "classification.json",
         ["data", "factors", 0, "relevance", 3],
         1.5,
-        "factors[0].relevance: expected a number in [0, 1]",
+        "classification.json: data.factors[0].relevance[3]: expected a number in [0, 1], "
+        "got 1.5",
         id="classification-relevance-above-one",
     ),
     pytest.param(
         "classification.json",
         ["data", "factors", 0, "relevance", 0],
         -0.5,
-        "factors[0].relevance: expected a number in [0, 1]",
+        "classification.json: data.factors[0].relevance[0]: expected a number in [0, 1], "
+        "got -0.5",
         id="classification-relevance-negative",
     ),
     pytest.param(
@@ -1898,6 +1903,15 @@ MALFORMED = [
         ["Lighting"],
         "domains[0].literature_support: 'lighting' is listed as both strong and none",
         id="kb-literature-both",
+    ),
+    # A blank name normalizes to nothing, as the corpus names do.
+    pytest.param(
+        "kb",
+        ["domains", 0, "literature_support", "strong", 0],
+        " ",
+        "kb.yaml: domains[0].literature_support: factor name ' ' is empty after "
+        "normalization",
+        id="kb-literature-name-blank",
     ),
     pytest.param(
         "kb",
@@ -1996,7 +2010,7 @@ MALFORMED = [
         "placements.json",
         ["data", "placements", 0, "composite"],
         -1,
-        "placements[0].composite",
+        "placements.json: data.placements[0].composite: expected a number in [0, 1], got -1",
         id="placements-composite-range",
     ),
     pytest.param(
@@ -2486,19 +2500,25 @@ class TestCollector:
 def test_cli_import_adds_only_stdlib_yaml_and_taxoforge():
     # Everything yaml imports is loaded first and so not counted; what
     # importing the CLI adds beyond that must be the standard library or
-    # taxoforge itself, so no optional dependency slows every start-up.
+    # taxoforge itself, so no optional dependency slows every start-up. With
+    # no site module (-S), which may load them itself, it must add none of
+    # importlib.resources and the archive modules that pulls in: the
+    # packaged KB, rules and lexicon are found beside the package.
     code = (
         "import sys, yaml\n"
         "before = set(sys.modules)\n"
         "import taxoforge.cli\n"
-        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+        "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     package_root = str(Path(pipeline.__file__).resolve().parents[1])
-    paths = [package_root, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    yaml_root = str(Path(yaml.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, yaml_root])}
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env,
+        check=True,
     )
     added = set(result.stdout.split())
-    assert "taxoforge" in added
-    assert added - {"taxoforge"} <= set(sys.stdlib_module_names)
+    packages = {name.split(".")[0] for name in added}
+    assert "taxoforge" in packages
+    assert packages - {"taxoforge"} <= set(sys.stdlib_module_names)
+    assert added.isdisjoint({"importlib.resources", "zipfile", "tempfile"})

@@ -3,8 +3,10 @@ every leaf of the fixture's artifacts through the checked read path."""
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import json
+import math
 import re
 import shutil
 import typing
@@ -13,11 +15,11 @@ from typing import Mapping, NamedTuple
 
 import pytest
 
-from taxoforge import codec, knowledge, pipeline, similarity
+from taxoforge import classify, codec, knowledge, pipeline, placement, similarity
 from taxoforge.cluster import CategoryHome
 from taxoforge.errors import ArtifactError, KnowledgeBaseError, TaxoforgeError
 from taxoforge.integrate import IntegratedFactor
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, records_read
 
 # Phases whose artifacts the codec writes, and those a later phase reads.
 CODEC_PHASES = ("integrate", "classify", "cluster", "place")
@@ -328,6 +330,116 @@ def test_optional_leaf_column_refuses_at_its_leaf(fixture_run, value, shown):
     with pytest.raises(ArtifactError) as caught:
         codec.decode(kind, data, "data")
     assert str(caught.value) == f"data[3].primary_domain: expected a string, got {shown}"
+
+
+# A valid document of each record that holds a ``Unit`` or ``Text`` leaf,
+# with an entry in each list and a key in each mapping.
+BOUNDED_SAMPLES = {
+    pipeline.Thresholds: {},
+    similarity.SimilarityWeights: {},
+    knowledge.ScopePriors: {},
+    similarity.LexiconFile: {"fields": {"shade": ["shade", "tree cover"]}},
+    knowledge.SubcategoryEntry: {"id": "SHADE", "keywords": ["shade", "canopy"]},
+    knowledge.DomainEntry: {
+        "id": "COMFORT", "keywords": ["comfort"], "scope": "broad",
+        "subcategories": [{"id": "SHADE", "keywords": ["shade"]}],
+        "space_profile": {"P": 1.0},
+    },
+    classify.FactorRelevance: {
+        "name": "shade", "primary_domain": None, "flagged": False,
+        "relevance": [0.25, 0.5],
+    },
+    placement.Placement: {
+        "factor": "shade", "domain": "COMFORT", "subcategory": "SHADE", "composite": 0.5,
+    },
+}
+KEY = object()  # a path step: the first key of the mapping met there
+
+
+def _bounded_steps(hint: object, steps: tuple = ()):
+    """(steps, leaf) for each ``Unit`` or ``Text`` leaf of the field type
+    ``hint``, short of a record: a list's at index 0, a mapping's at KEY."""
+    if hint in (codec.Unit, codec.Text):
+        yield steps, hint
+    elif not hasattr(hint, "_fields"):
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        if origin is collections.abc.Mapping:
+            yield from _bounded_steps(args[1], (*steps, KEY))
+        elif origin in (tuple, list, frozenset):
+            yield from _bounded_steps(args[0], (*steps, 0))
+        else:  # X | None, or a leaf
+            for arg in args:
+                yield from _bounded_steps(arg, steps)
+
+
+BOUNDED_LEAVES = sorted(
+    (
+        (record, (field, *steps), leaf)
+        for record in records_read()
+        for field, hint in typing.get_type_hints(record).items()
+        for steps, leaf in _bounded_steps(hint)
+    ),
+    key=lambda row: (row[0].__name__, row[1][0]),
+)
+
+
+def _resolved(doc: dict, path: tuple) -> list:
+    """``path`` with each KEY the key it stands for in ``doc``."""
+    steps, target = [], doc
+    for step in path[:-1]:
+        steps.append(next(iter(target)) if step is KEY else step)
+        target = target[steps[-1]]
+    return [*steps, next(iter(target)) if path[-1] is KEY else path[-1]]
+
+
+def _with_leaf(doc: dict, steps: list, value) -> dict:
+    """A copy of ``doc`` with ``value`` at ``steps``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for step in steps[:-1]:
+        target = target[step]
+    target[steps[-1]] = value
+    return doc
+
+
+def test_bounded_samples_are_the_records_holding_bounded_leaves():
+    assert {record for record, _, _ in BOUNDED_LEAVES} == set(BOUNDED_SAMPLES)
+
+
+@pytest.mark.parametrize(
+    "record,path,leaf", BOUNDED_LEAVES,
+    ids=[f"{r.__name__}.{p[0]}" for r, p, _ in BOUNDED_LEAVES],
+)
+def test_every_bounded_leaf_is_refused_at_its_path(record, path, leaf):
+    # The second of two entries is refused: the column refuses it, and the
+    # walk names it.
+    sample = BOUNDED_SAMPLES[record]
+    steps = _resolved(sample, path)
+    where = "data" + "".join(f"[{s}]" if type(s) is int else f".{s}" for s in [1, *steps])
+    unit = leaf is codec.Unit
+    refusals = {
+        -0.5: "expected a number in [0, 1], got -0.5",
+        1.5: "expected a number in [0, 1], got 1.5",
+        math.nan: "expected a finite number, got nan",
+    } if unit else {"  ": "expected a non-blank string, got '  '"}
+    for value, text in refusals.items():
+        entries = [sample, _with_leaf(sample, steps, value)]
+        with pytest.raises(ArtifactError) as caught:
+            codec.decode(list[record], entries, "data")
+        assert str(caught.value) == f"{where}: {text}"
+    if unit:  # 0 and 1 written as whole numbers read as floats
+        hint = typing.get_type_hints(record)[steps[0]]
+        for whole in (0, 1):
+            read = codec.decode(hint, _with_leaf(sample, steps, whole)[steps[0]], "data")
+            for step in steps[1:]:
+                read = read[step]
+            assert type(read) is float and read == whole
+
+
+def test_bounded_leaf_column_reads_back_as_itself():
+    units, texts = [0.0, 0.25, 1.0], ["shade", " tree cover "]
+    assert codec._column(codec.Unit)(units) is units
+    assert codec._column(codec.Text)(texts) is texts
 
 
 def test_record_check_is_refused_at_its_object(fixture_run):

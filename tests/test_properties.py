@@ -16,7 +16,9 @@ import random
 import re
 import string
 import tempfile
+import time
 from collections import Counter
+from functools import wraps
 from pathlib import Path
 
 import pytest
@@ -1095,7 +1097,26 @@ def test_loaded_fold_equals_per_row_reference(dataset):
 # Bulk randomized suites (>= 10,000 cases per criterion)
 # ---------------------------------------------------------------------------
 
+# suite name -> the seconds its one run in this process took
+BULK_SECONDS: dict[str, float] = {}
 
+
+def once(suite):
+    """``suite`` run at most once per process, its time kept in
+    ``BULK_SECONDS``: each bulk suite is seeded, so criterion 8, which times
+    five of them, and each suite's own test share one run."""
+
+    @wraps(suite)
+    def run() -> None:
+        if suite.__name__ not in BULK_SECONDS:
+            started = time.perf_counter()
+            suite()
+            BULK_SECONDS[suite.__name__] = time.perf_counter() - started
+
+    return run
+
+
+@once
 def test_bulk_normalize_idempotence():
     rng = random.Random(SEED)
     for _ in range(BULK_CASES):
@@ -1105,12 +1126,14 @@ def test_bulk_normalize_idempotence():
         check_normalize(raw)
 
 
+@once
 def test_bulk_entropy_bounds_and_scale_invariance():
     rng = random.Random(SEED + 1)
     for _ in range(BULK_CASES):
         check_entropy(random_vector(rng, max_count=9), rng.randint(1, 5))
 
 
+@once
 def test_bulk_matrix_properties_and_weight_degeneracy():
     rng = random.Random(SEED + 2)
     field_pairs = 0
@@ -1137,6 +1160,7 @@ def test_bulk_graph_by_space_type_equals_dense_oracle():
             assert zero  # edges with d = 0.0 were found
 
 
+@once
 def test_bulk_classification_partition_and_census():
     rng = random.Random(SEED + 3)
     for _ in range(BULK_CASES):
@@ -1144,6 +1168,7 @@ def test_bulk_classification_partition_and_census():
         check_classification_partition(vectors)
 
 
+@once
 def test_bulk_primary_home_and_sankey_conservation():
     rng = random.Random(SEED + 4)
     for _ in range(BULK_CASES):

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
 from taxoforge import similarity
-from taxoforge.codec import located
+from taxoforge.codec import decode, located
 from taxoforge.errors import TaxoforgeError
 from taxoforge.integrate import IntegratedFactorSet
 from taxoforge.knowledge import default_lexicon_path
@@ -155,8 +156,11 @@ class TestCombine:
     def test_weight_validation(self):
         with pytest.raises(TaxoforgeError):
             SimilarityWeights(0.5, 0.5, 0.5).check()
-        with pytest.raises(TaxoforgeError):
-            SimilarityWeights(-0.2, 0.6, 0.6).check()
+        # A negative weight is refused by the codec, as the leaf it is.
+        weights = dict(zip(SimilarityWeights._fields, (-0.2, 0.6, 0.6)))
+        message = "weights: linguistic: expected a number in [0, 1], got -0.2"
+        with pytest.raises(TaxoforgeError, match=re.escape(message)):
+            decode(SimilarityWeights, weights, "weights: ")
 
 
 class TestBand:

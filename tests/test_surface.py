@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import ast
 import importlib
-import typing
 from pathlib import Path
 from typing import Iterator
 
-from taxoforge import corpus, knowledge, pipeline, similarity
+from tests.conftest import records_read
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "taxoforge"
 
@@ -169,17 +168,6 @@ def test_records_are_one_class():
     assert cached == CACHED
 
 
-def _add_records(kind: object, found: set[type]) -> None:
-    """Add to ``found`` every record class ``kind`` reaches through field
-    annotations, ``kind`` itself included when it is a record."""
-    if hasattr(kind, "_fields") and kind not in found:
-        found.add(kind)
-        for hint in typing.get_type_hints(kind).values():
-            _add_records(hint, found)
-    for arg in typing.get_args(kind):
-        _add_records(arg, found)
-
-
 def test_every_check_runs_on_read():
     checked = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -189,16 +177,8 @@ def test_every_check_runs_on_read():
                 if "check" in vars(value):
                     checked.add(value)
     # The codec calls the check of each record it decodes: the input files'
-    # and the artifacts'. similarity.json, which keeps its own codec, has no
-    # type in ARTIFACTS.
-    files = [
-        pipeline.ConfigFile, knowledge.KbFile, similarity.LexiconFile, corpus.RulesFile
-    ]
-    artifacts = [kind for _, _, kind, _ in pipeline.ARTIFACTS.values() if kind]
-    reached: set[type] = set()
-    for kind in files + artifacts:
-        _add_records(kind, reached)
-    assert checked <= reached
+    # and the artifacts'.
+    assert checked <= records_read()
 
 
 # Each f-string outside the codec that the path-step rule below matches but
